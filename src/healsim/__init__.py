@@ -32,13 +32,11 @@ from .model import (
     Component,
     ComponentState,
     ComponentType,
-    Connector,
     ConnectorSpec,
     Violation,
     ViolationKind,
     build_default_model,
     default_blueprint,
-    dependencies_of,
     instantiate_blueprint,
     load_blueprint,
     validate,

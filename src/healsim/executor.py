@@ -46,10 +46,10 @@ class ExecutionResult:
 
 
 def _resolve_connector(model: ArchitectureModel, subject: str) -> ConnectorSpec:
-    for spec in model.blueprint.intended_connectors:
-        if spec.render() == subject:
-            return spec
-    raise SubjectUnknown(f"no intended connector named {subject!r}")
+    spec = model.blueprint.connector_named(subject)
+    if spec is None:
+        raise SubjectUnknown(f"no intended connector named {subject!r}")
+    return spec
 
 
 def _resolve_slot(model: ArchitectureModel, subject: str) -> str:

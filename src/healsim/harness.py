@@ -132,10 +132,12 @@ def script_fault(entry: dict, blueprint: Blueprint, index: int = 0) -> FaultInst
     if kind is FaultKind.CF4:
         if not isinstance(target, dict) or "from" not in target or "to" not in target:
             raise ConfigError(f"{where}: CF4 target must be {{\"from\":..,\"to\":..}}")
-        spec = blueprint.find_intended(target["from"], target["to"])
+        src, dst = target["from"], target["to"]
+        both_str = isinstance(src, str) and isinstance(dst, str)
+        spec = blueprint.find_intended(src, dst) if both_str else None
         if spec is None:
             raise ConfigError(
-                f"{where}: no intended connector {target['from']}->{target['to']}"
+                f"{where}: no intended connector {src}->{dst}"
             )
         resolved: object = spec
     else:

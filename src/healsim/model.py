@@ -3,9 +3,10 @@ blueprint it is validated against.
 
 The blueprint describes the intended architecture (component types, named
 slots, intended connectors). The model holds what is actually running:
-at most one component instance per slot, a set of live connectors between
-instances, and a logical clock in milliseconds. Faults damage the model;
-repairs restore it; ``validate`` lists every deviation from the blueprint.
+at most one component instance per slot, the set of live connectors as
+slot-level ``ConnectorSpec``s, and a logical clock in milliseconds. Faults
+damage the model; repairs restore it; ``validate`` lists every deviation
+from the blueprint.
 """
 
 from __future__ import annotations
@@ -78,15 +79,6 @@ class ConnectorSpec:
         return f"{self.source}->{self.target}"
 
 
-@dataclass(frozen=True)
-class Connector:
-    """A live edge between two component instances."""
-
-    source_instance: str
-    target_instance: str
-    interface: str
-
-
 class ViolationKind(Enum):
     UNKNOWN_STATE = "UNKNOWN_STATE"
     MISSING_COMPONENT = "MISSING_COMPONENT"
@@ -117,6 +109,12 @@ class Blueprint:
     component_types: tuple[ComponentType, ...]
     slots: tuple[tuple[str, str], ...]
     intended_connectors: tuple[ConnectorSpec, ...]
+    # Lookup maps, built once by __post_init__ from the frozen fields above.
+    _slot_types: dict[str, ComponentType] = field(init=False, repr=False, compare=False)
+    _dependencies: dict[str, list[str]] = field(init=False, repr=False, compare=False)
+    _incident: dict[str, list[ConnectorSpec]] = field(init=False, repr=False, compare=False)
+    _by_pair: dict[tuple[str, str], ConnectorSpec] = field(init=False, repr=False, compare=False)
+    _by_name: dict[str, ConnectorSpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         types = {}
@@ -135,6 +133,10 @@ class Blueprint:
             if type_name not in types:
                 raise BlueprintError(f"slot {slot!r} references unknown type {type_name!r}")
             slot_types[slot] = types[type_name]
+        dependencies: dict[str, list[str]] = {slot: [] for slot in slot_types}
+        incident: dict[str, list[ConnectorSpec]] = {slot: [] for slot in slot_types}
+        by_pair: dict[tuple[str, str], ConnectorSpec] = {}
+        by_name: dict[str, ConnectorSpec] = {}
         for spec in self.intended_connectors:
             if spec.source not in slot_types or spec.target not in slot_types:
                 raise BlueprintError(f"connector {spec.render()} references an unknown slot")
@@ -148,12 +150,24 @@ class Blueprint:
                 raise BlueprintError(
                     f"{spec.target!r} does not provide interface {spec.interface!r}"
                 )
+            if (spec.source, spec.target) in by_pair:
+                raise BlueprintError(f"connector {spec.render()} is declared twice")
+            by_pair[spec.source, spec.target] = spec
+            # Distinct slot pairs can render alike ("A->B"+"C" vs "A"+"B->C");
+            # the first declared one owns the name.
+            by_name.setdefault(spec.render(), spec)
+            dependencies[spec.source].append(spec.target)
+            incident[spec.source].append(spec)
+            incident[spec.target].append(spec)
+        object.__setattr__(self, "_slot_types", slot_types)
+        object.__setattr__(self, "_dependencies", dependencies)
+        object.__setattr__(self, "_incident", incident)
+        object.__setattr__(self, "_by_pair", by_pair)
+        object.__setattr__(self, "_by_name", by_name)
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
-        adjacency: dict[str, list[str]] = {slot: [] for slot, _ in self.slots}
-        for spec in self.intended_connectors:
-            adjacency[spec.source].append(spec.target)
+        adjacency = self._dependencies
         seen: dict[str, int] = {}  # 1 = on stack, 2 = done
 
         def visit(slot: str, trail: list[str]) -> None:
@@ -167,46 +181,44 @@ class Blueprint:
             trail.pop()
             seen[slot] = 2
 
-        for slot, _ in self.slots:
+        for slot in adjacency:
             if slot not in seen:
                 visit(slot, [])
 
     # -- lookups ---------------------------------------------------------
 
     def slot_names(self) -> list[str]:
-        return [slot for slot, _ in self.slots]
+        return list(self._slot_types)
 
     def has_slot(self, slot: str) -> bool:
-        return any(slot == name for name, _ in self.slots)
+        return slot in self._slot_types
 
     def type_of_slot(self, slot: str) -> ComponentType:
-        for name, type_name in self.slots:
-            if name == slot:
-                for ct in self.component_types:
-                    if ct.name == type_name:
-                        return ct
-        raise UnknownSlot(f"no slot named {slot!r}")
+        try:
+            return self._slot_types[slot]
+        except KeyError:
+            raise UnknownSlot(f"no slot named {slot!r}") from None
 
     def dependencies_of(self, slot: str) -> list[str]:
         """Slots this slot requires, per intended connectors, in declaration
         order. Reads the blueprint only, so the answer is unaffected by any
         damage to the live graph."""
-        if not self.has_slot(slot):
-            raise UnknownSlot(f"no slot named {slot!r}")
-        deps: list[str] = []
-        for spec in self.intended_connectors:
-            if spec.source == slot and spec.target not in deps:
-                deps.append(spec.target)
-        return deps
+        try:
+            return list(self._dependencies[slot])
+        except KeyError:
+            raise UnknownSlot(f"no slot named {slot!r}") from None
 
     def connectors_incident_to(self, slot: str) -> list[ConnectorSpec]:
-        return [s for s in self.intended_connectors if slot in (s.source, s.target)]
+        """Intended connectors with the slot at either end, in declaration
+        order; empty for an unknown slot."""
+        return list(self._incident.get(slot, ()))
 
     def find_intended(self, source: str, target: str) -> ConnectorSpec | None:
-        for spec in self.intended_connectors:
-            if spec.source == source and spec.target == target:
-                return spec
-        return None
+        return self._by_pair.get((source, target))
+
+    def connector_named(self, name: str) -> ConnectorSpec | None:
+        """The first declared intended connector whose render() is ``name``."""
+        return self._by_name.get(name)
 
 
 def blueprint_from_json(obj: dict) -> Blueprint:
@@ -247,6 +259,11 @@ def default_blueprint() -> Blueprint:
 class ArchitectureModel:
     """The live architecture plus the blueprint it should match.
 
+    ``components`` maps every blueprint slot to its instance or None;
+    ``connectors`` holds the live connectors as slot-level ConnectorSpecs.
+    A slot holds at most one instance and removing it drops its connectors,
+    so a spec names exactly one live edge between instances.
+
     Mutations are primitive and apply exactly the named change, except that
     removing a component also drops its incident connectors (a connector
     cannot outlive an endpoint). A single writer at a time is assumed;
@@ -255,7 +272,7 @@ class ArchitectureModel:
 
     blueprint: Blueprint
     components: dict[str, Component | None]
-    connectors: set[Connector]
+    connectors: set[ConnectorSpec]
     clock: int = 0
     _instance_seq: dict[str, int] = field(default_factory=dict)
 
@@ -269,38 +286,17 @@ class ArchitectureModel:
     def present(self, slot: str) -> bool:
         return self.component(slot) is not None
 
-    def slot_of_instance(self, instance_id: str) -> str | None:
-        for slot, comp in self.components.items():
-            if comp is not None and comp.instance_id == instance_id:
-                return slot
-        return None
-
-    def _instances_of(self, spec: ConnectorSpec) -> Connector | None:
-        src = self.components.get(spec.source)
-        dst = self.components.get(spec.target)
-        if src is None or dst is None:
-            return None
-        candidate = Connector(src.instance_id, dst.instance_id, spec.interface)
-        return candidate if candidate in self.connectors else None
-
     def has_connector(self, spec: ConnectorSpec) -> bool:
-        return self._instances_of(spec) is not None
+        return spec in self.connectors
 
     def live_connector_specs(self) -> list[ConnectorSpec]:
-        """Live connectors as slot-level specs, in canonical order: blueprint
-        declaration order first, then any non-intended extras sorted."""
-        instance_slots = {
-            comp.instance_id: slot for slot, comp in self.components.items() if comp is not None
-        }
-        live = set()
-        for conn in self.connectors:
-            src = instance_slots.get(conn.source_instance)
-            dst = instance_slots.get(conn.target_instance)
-            if src is not None and dst is not None:
-                live.add(ConnectorSpec(src, dst, conn.interface))
+        """Live connectors in canonical order: blueprint declaration order
+        first, then any non-intended extras sorted."""
+        live = self.connectors
         ordered = [spec for spec in self.blueprint.intended_connectors if spec in live]
-        extras = sorted(live.difference(ordered))
-        return ordered + extras
+        if len(ordered) == len(live):  # blueprint specs are distinct, so no extras
+            return ordered
+        return ordered + sorted(live.difference(ordered))
 
     # -- mutations -------------------------------------------------------
 
@@ -333,19 +329,14 @@ class ArchitectureModel:
         dropped = [
             spec for spec in self.live_connector_specs() if slot in (spec.source, spec.target)
         ]
-        self.connectors = {
-            c
-            for c in self.connectors
-            if comp.instance_id not in (c.source_instance, c.target_instance)
-        }
+        self.connectors.difference_update(dropped)
         self.components[slot] = None
         return dropped
 
     def remove_connector(self, spec: ConnectorSpec) -> None:
-        conn = self._instances_of(spec)
-        if conn is None:
+        if spec not in self.connectors:
             raise TargetAbsent(f"connector {spec.render()} is not live")
-        self.connectors.discard(conn)
+        self.connectors.discard(spec)
 
     def add_connector(self, spec: ConnectorSpec) -> None:
         src = self.components.get(spec.source)
@@ -364,7 +355,7 @@ class ArchitectureModel:
             raise InterfaceMismatch(
                 f"{spec.target!r} does not provide interface {spec.interface!r}"
             )
-        self.connectors.add(Connector(src.instance_id, dst.instance_id, spec.interface))
+        self.connectors.add(spec)
 
     def instantiate(self, slot: str, instance_id: str) -> Component:
         """Fill an empty slot with a fresh instance: STARTED, zero exceptions."""
@@ -415,8 +406,9 @@ def validate(model: ArchitectureModel) -> list[Violation]:
     empty list means the architecture carries no further failures.
     """
     violations: list[Violation] = []
+    components, live = model.components, model.connectors
     for slot in model.blueprint.slot_names():
-        comp = model.components[slot]
+        comp = components[slot]
         if comp is None:
             violations.append(Violation(ViolationKind.MISSING_COMPONENT, slot))
         elif comp.state is ComponentState.UNKNOWN:
@@ -424,13 +416,7 @@ def validate(model: ArchitectureModel) -> list[Violation]:
         elif comp.state in (ComponentState.STOPPED, ComponentState.UNDEPLOYED):
             violations.append(Violation(ViolationKind.NOT_STARTED, slot))
     for spec in model.blueprint.intended_connectors:
-        if model.components[spec.source] is None or model.components[spec.target] is None:
+        if spec in live or components[spec.source] is None or components[spec.target] is None:
             continue
-        if not model.has_connector(spec):
-            violations.append(Violation(ViolationKind.MISSING_CONNECTOR, spec))
+        violations.append(Violation(ViolationKind.MISSING_CONNECTOR, spec))
     return violations
-
-
-def dependencies_of(model: ArchitectureModel, slot: str) -> list[str]:
-    """Blueprint-declared dependencies of a slot (see Blueprint.dependencies_of)."""
-    return model.blueprint.dependencies_of(slot)

@@ -116,6 +116,8 @@ def observe(prev: Snapshot, cur: Snapshot) -> list[ChangeEvent]:
                         at=at,
                     )
                 )
+    if prev.connectors == cur.connectors:
+        return events
     prev_conns = set(prev.connectors)
     cur_conns = set(cur.connectors)
     for spec in prev.connectors:

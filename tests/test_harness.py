@@ -163,6 +163,8 @@ def test_load_script(tmp_path):
         ({"kind": "CF4", "target": "Frontend"}, "CF4 target"),
         ({"kind": "CF4", "target": {"from": "Frontend", "to": "Persistence Service"}},
          "no intended connector"),
+        ({"kind": "CF4", "target": {"from": ["Frontend"], "to": "Query Service"}},
+         "no intended connector"),
     ],
 )
 def test_load_script_rejects_bad_entries(tmp_path, entry, fragment):

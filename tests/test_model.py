@@ -17,7 +17,6 @@ from healsim.model import (
     blueprint_from_json,
     build_default_model,
     default_blueprint,
-    dependencies_of,
     instantiate_blueprint,
     load_blueprint,
     validate,
@@ -43,22 +42,26 @@ def test_fresh_model_validates_clean(model):
 
 
 def test_default_dependencies(model):
-    assert dependencies_of(model, "Query Service") == [
+    assert model.blueprint.dependencies_of("Query Service") == [
         "Last Second Sales Item Filter",
         "Reputation Service",
     ]
-    assert dependencies_of(model, "Frontend") == ["Query Service", "Auth Service", "Bid Service"]
-    assert dependencies_of(model, "Persistence Service") == []
+    assert model.blueprint.dependencies_of("Frontend") == [
+        "Query Service",
+        "Auth Service",
+        "Bid Service",
+    ]
+    assert model.blueprint.dependencies_of("Persistence Service") == []
 
 
 def test_dependencies_unknown_slot(model):
     with pytest.raises(UnknownSlot):
-        dependencies_of(model, "Order Service")
+        model.blueprint.dependencies_of("Order Service")
 
 
 def test_dependencies_ignore_live_damage(model):
     model.remove_connector(QS_REP)
-    assert dependencies_of(model, "Query Service") == [
+    assert model.blueprint.dependencies_of("Query Service") == [
         "Last Second Sales Item Filter",
         "Reputation Service",
     ]
@@ -234,6 +237,13 @@ def test_blueprint_errors(mangle, message):
     doc = _minimal_blueprint_doc()
     mangle(doc)
     with pytest.raises(BlueprintError, match=message):
+        blueprint_from_json(doc)
+
+
+def test_blueprint_duplicate_connector_rejected():
+    doc = _minimal_blueprint_doc()
+    doc["connectors"].append(dict(doc["connectors"][0]))
+    with pytest.raises(BlueprintError, match="declared twice"):
         blueprint_from_json(doc)
 
 

@@ -1,0 +1,272 @@
+"""Oracles for the fast paths: every indexed or short-cut answer must equal
+the plain linear-scan or full-diff answer it replaced."""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from healsim.executor import ExecutionError, execute
+from healsim.faults import FaultInstance, FaultKind, inject
+from healsim.model import (
+    ComponentState,
+    ConnectorSpec,
+    ModelError,
+    UnknownSlot,
+    Violation,
+    ViolationKind,
+    blueprint_from_json,
+    default_blueprint,
+    instantiate_blueprint,
+    validate,
+)
+from healsim.monitor import ChangeEvent, EventKind, observe, take_snapshot
+from healsim.rules import RepairPlan, Strategy
+from test_golden import layered_blueprint_doc
+
+# Two App and two Store slots, wired in pairs: the cross links satisfy the
+# interfaces without being intended, so live non-intended extras can occur.
+REPLICA_DOC = {
+    "types": [
+        {"name": "Client", "provides": "Client", "requires": ["App"]},
+        {"name": "App", "provides": "App", "requires": ["Store"]},
+        {"name": "Store", "provides": "Store", "requires": []},
+    ],
+    "slots": [
+        {"slot": "Client", "type": "Client"},
+        {"slot": "App A", "type": "App"},
+        {"slot": "App B", "type": "App"},
+        {"slot": "Store A", "type": "Store"},
+        {"slot": "Store B", "type": "Store"},
+    ],
+    "connectors": [
+        {"from": "Client", "to": "App A", "interface": "App"},
+        {"from": "App A", "to": "Store A", "interface": "Store"},
+        {"from": "App B", "to": "Store B", "interface": "Store"},
+    ],
+}
+
+# "A->B" + "C" and "A" + "B->C" both render as "A->B->C".
+COLLIDING_DOC = {
+    "types": [
+        {"name": "Up", "provides": "Up", "requires": ["Down"]},
+        {"name": "Down", "provides": "Down", "requires": []},
+    ],
+    "slots": [
+        {"slot": "A->B", "type": "Up"},
+        {"slot": "A", "type": "Up"},
+        {"slot": "C", "type": "Down"},
+        {"slot": "B->C", "type": "Down"},
+    ],
+    "connectors": [
+        {"from": "A->B", "to": "C", "interface": "Down"},
+        {"from": "A", "to": "B->C", "interface": "Down"},
+        {"from": "A->B", "to": "B->C", "interface": "Down"},
+    ],
+}
+
+
+def load(doc):
+    return default_blueprint() if doc is None else blueprint_from_json(doc)
+
+
+# -- (a) indexed blueprint lookups vs linear scans ---------------------------
+
+
+def scan_has_slot(bp, slot):
+    return any(slot == name for name, _ in bp.slots)
+
+
+def scan_type_of_slot(bp, slot):
+    for name, type_name in bp.slots:
+        if name == slot:
+            for ct in bp.component_types:
+                if ct.name == type_name:
+                    return ct
+    raise UnknownSlot(slot)
+
+
+def scan_dependencies_of(bp, slot):
+    if not scan_has_slot(bp, slot):
+        raise UnknownSlot(slot)
+    deps = []
+    for spec in bp.intended_connectors:
+        if spec.source == slot and spec.target not in deps:
+            deps.append(spec.target)
+    return deps
+
+
+def scan_incident(bp, slot):
+    return [s for s in bp.intended_connectors if slot in (s.source, s.target)]
+
+
+def scan_find_intended(bp, source, target):
+    for spec in bp.intended_connectors:
+        if spec.source == source and spec.target == target:
+            return spec
+    return None
+
+
+def scan_connector_named(bp, name):
+    for spec in bp.intended_connectors:
+        if spec.render() == name:
+            return spec
+    return None
+
+
+@pytest.mark.parametrize(
+    "doc", [None, layered_blueprint_doc(50), COLLIDING_DOC], ids=["default", "layered50", "colliding"]
+)
+def test_indexed_lookups_equal_linear_scans(doc):
+    bp = load(doc)
+    slots = [slot for slot, _ in bp.slots]
+    assert bp.slot_names() == slots
+    for slot in slots:
+        assert bp.has_slot(slot) and scan_has_slot(bp, slot)
+        assert bp.type_of_slot(slot) == scan_type_of_slot(bp, slot)
+        assert bp.dependencies_of(slot) == scan_dependencies_of(bp, slot)
+        assert bp.connectors_incident_to(slot) == scan_incident(bp, slot)
+        for other in slots:
+            assert bp.find_intended(slot, other) is scan_find_intended(bp, slot, other)
+            rendered = f"{slot}->{other}"
+            assert bp.connector_named(rendered) is scan_connector_named(bp, rendered)
+    for unknown in ("Order Service", "", "L50", "A->B->C->D"):
+        assert not bp.has_slot(unknown)
+        with pytest.raises(UnknownSlot):
+            bp.type_of_slot(unknown)
+        with pytest.raises(UnknownSlot):
+            bp.dependencies_of(unknown)
+        assert bp.connectors_incident_to(unknown) == []
+        assert bp.find_intended(unknown, slots[0]) is None
+        assert bp.connector_named(unknown) is scan_connector_named(bp, unknown)
+
+
+def test_colliding_render_resolves_to_first_declared():
+    bp = blueprint_from_json(COLLIDING_DOC)
+    assert bp.connector_named("A->B->C") is bp.intended_connectors[0]
+
+
+def test_lookups_return_fresh_lists():
+    bp = default_blueprint()
+    bp.dependencies_of("Frontend").clear()
+    bp.connectors_incident_to("Frontend").clear()
+    assert bp.dependencies_of("Frontend") == scan_dependencies_of(bp, "Frontend")
+    assert bp.connectors_incident_to("Frontend") == scan_incident(bp, "Frontend")
+
+
+# -- (b) validate, live order and observe over random damage and repair ------
+
+
+def brute_validate(model):
+    bp = model.blueprint
+    out = []
+    for slot, _ in bp.slots:
+        comp = model.components[slot]
+        if comp is None:
+            out.append(Violation(ViolationKind.MISSING_COMPONENT, slot))
+        elif comp.state is ComponentState.UNKNOWN:
+            out.append(Violation(ViolationKind.UNKNOWN_STATE, slot))
+        elif comp.state in (ComponentState.STOPPED, ComponentState.UNDEPLOYED):
+            out.append(Violation(ViolationKind.NOT_STARTED, slot))
+    for spec in bp.intended_connectors:
+        src, dst = model.components[spec.source], model.components[spec.target]
+        if src is not None and dst is not None and not any(c == spec for c in model.connectors):
+            out.append(Violation(ViolationKind.MISSING_CONNECTOR, spec))
+    return out
+
+
+def reference_observe(prev, cur):
+    """Slot events from observe itself (no connectors to compare), then
+    connector events from sets built unconditionally."""
+    events = observe(
+        dataclasses.replace(prev, connectors=()), dataclasses.replace(cur, connectors=())
+    )
+    prev_set, cur_set = set(prev.connectors), set(cur.connectors)
+    events += [
+        ChangeEvent(EventKind.CONNECTOR_REMOVED, s, at=cur.clock)
+        for s in prev.connectors
+        if s not in cur_set
+    ]
+    events += [
+        ChangeEvent(EventKind.CONNECTOR_ADDED, s, at=cur.clock)
+        for s in cur.connectors
+        if s not in prev_set
+    ]
+    return events
+
+
+def apply_step(model, step):
+    bp = model.blueprint
+    slots = bp.slot_names()
+    op, choice, i, j = step
+    if op == "inject":
+        kind = list(FaultKind)[choice]
+        if kind is FaultKind.CF4:
+            extras = sorted(model.connectors - set(bp.intended_connectors))
+            targets = list(bp.intended_connectors) + extras
+            fault = FaultInstance(kind, targets[i % len(targets)])
+        else:
+            fault = FaultInstance(
+                kind, slots[i % len(slots)], 1 + j % 9 if kind is FaultKind.CF2 else None
+            )
+        inject(model, fault)
+    elif op == "execute":
+        strategy = list(Strategy)[choice]
+        if strategy is Strategy.AS3:
+            conns = bp.intended_connectors
+            subject = conns[i % len(conns)].render()
+        else:
+            subject = slots[i % len(slots)]
+        execute(model, RepairPlan(strategy, subject, "oracle"))
+    else:
+        src, dst = slots[i % len(slots)], slots[j % len(slots)]
+        model.add_connector(ConnectorSpec(src, dst, bp.type_of_slot(dst).provided_interface))
+
+
+STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["inject", "execute", "connect"]),
+        st.integers(0, 3),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+    ),
+    max_size=40,
+)
+
+
+@pytest.mark.parametrize(
+    "doc", [None, layered_blueprint_doc(6), REPLICA_DOC], ids=["default", "layered6", "replica"]
+)
+@settings(max_examples=60, deadline=None)
+@given(steps=STEPS)
+def test_fast_paths_equal_references_over_random_steps(doc, steps):
+    bp = load(doc)
+    model = instantiate_blueprint(bp)
+    intended = set(bp.intended_connectors)
+    first = take_snapshot(model)
+    for step in steps:
+        before = take_snapshot(model)
+        try:
+            apply_step(model, step)
+        except (ModelError, ExecutionError):
+            pass
+        after = take_snapshot(model)
+
+        assert validate(model) == brute_validate(model)
+
+        live = model.live_connector_specs()
+        assert len(live) == len(model.connectors) and set(live) == model.connectors
+        in_order = [s for s in bp.intended_connectors if s in model.connectors]
+        extras = sorted(s for s in model.connectors if s not in intended)
+        assert live == in_order + extras
+        for spec in live:  # a live spec always joins two present slots
+            assert model.components[spec.source] is not None
+            assert model.components[spec.target] is not None
+
+        assert observe(before, after) == reference_observe(before, after)
+        assert observe(first, after) == reference_observe(first, after)
+        # equal but not identical specs take the same path
+        copied = dataclasses.replace(
+            after, connectors=tuple(dataclasses.replace(s) for s in after.connectors)
+        )
+        assert observe(before, copied) == reference_observe(before, copied)
