@@ -4,7 +4,7 @@
     healsim serve-planner --rules PATH          run the planning service
     healsim validate-rules PATH                 check a rule file
 
-Exit codes: 0 success, 1 config/parse error, 2 planner unreachable.
+Exit codes: 0 success, 1 config/parse/execution error, 2 planner unreachable or failing.
 """
 
 from __future__ import annotations
@@ -13,10 +13,12 @@ import argparse
 import logging
 import sys
 
+from .executor import ExecutionError
 from .faults import NoEligibleTarget
 from .harness import ConfigError, ScenarioConfig, load_script, run_scenario
-from .model import BlueprintError, ModelError, default_blueprint, load_blueprint
-from .planner import DEFAULT_PORT, ConnectionFailed, PlanService, RequestTimeout
+from .model import ModelError, default_blueprint, load_blueprint
+from .planner import DEFAULT_PORT, ConnectionFailed, MalformedFrame, PlanService, RemoteError
+from .planner import RequestTimeout
 from .rules import RuleError, load_rules
 
 
@@ -111,11 +113,14 @@ def main(argv: list[str] | None = None) -> int:
     except RuleError as exc:
         print(f"rule error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, BlueprintError, ModelError, NoEligibleTarget, OSError) as exc:
+    except (ConfigError, ModelError, NoEligibleTarget, ExecutionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ConnectionFailed, RequestTimeout) as exc:
         print(f"planner unreachable: {exc}", file=sys.stderr)
+        return 2
+    except (RemoteError, MalformedFrame) as exc:
+        print(f"planner error: {exc}", file=sys.stderr)
         return 2
 
 

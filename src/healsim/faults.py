@@ -78,9 +78,9 @@ def draw_fault(rng: Rng, model: ArchitectureModel, exception_threshold: int = 5)
     """
     kind = _KIND_ORDER[rng.next() % 4]
     if kind is FaultKind.CF4:
-        targets: list[str | ConnectorSpec] = list(model.live_connector_specs())
+        targets: list[str | ConnectorSpec] = model.live_connector_specs()
     else:
-        targets = [slot for slot in model.blueprint.slot_names() if model.present(slot)]
+        targets = model.present_slots()
     if not targets:
         raise NoEligibleTarget(f"no eligible target for {kind.value}")
     target = targets[rng.next() % len(targets)]

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
+from itertools import chain, pairwise
 
 
 class ModelError(Exception):
@@ -115,6 +116,8 @@ class Blueprint:
     _incident: dict[str, list[ConnectorSpec]] = field(init=False, repr=False, compare=False)
     _by_pair: dict[tuple[str, str], ConnectorSpec] = field(init=False, repr=False, compare=False)
     _by_name: dict[str, ConnectorSpec] = field(init=False, repr=False, compare=False)
+    _slot_pos: dict[str, int] = field(init=False, repr=False, compare=False)
+    _spec_pos: dict[ConnectorSpec, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         types = {}
@@ -164,6 +167,8 @@ class Blueprint:
         object.__setattr__(self, "_incident", incident)
         object.__setattr__(self, "_by_pair", by_pair)
         object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_slot_pos", {slot: i for i, slot in enumerate(slot_types)})
+        object.__setattr__(self, "_spec_pos", {s: i for i, s in enumerate(by_pair.values())})
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
@@ -255,6 +260,22 @@ def default_blueprint() -> Blueprint:
     return blueprint_from_json(json.loads(text))
 
 
+@dataclass(frozen=True)
+class SlotView:
+    present: bool
+    state: ComponentState | None = None
+    exception_count: int | None = None
+
+
+ABSENT_SLOT = SlotView(present=False)
+
+
+def _omit(items, positions) -> list:
+    """``items`` without the entries at ``positions``, joined from slices."""
+    bounds = [-1, *sorted(positions), len(items)]
+    return list(chain.from_iterable(items[a + 1:b] for a, b in pairwise(bounds)))
+
+
 @dataclass
 class ArchitectureModel:
     """The live architecture plus the blueprint it should match.
@@ -267,7 +288,9 @@ class ArchitectureModel:
     Mutations are primitive and apply exactly the named change, except that
     removing a component also drops its incident connectors (a connector
     cannot outlive an endpoint). A single writer at a time is assumed;
-    reads are safe from anywhere between mutations.
+    reads are safe from anywhere between mutations. Change ``components`` and
+    ``connectors`` only through the mutation methods: they keep current the
+    derived views that snapshots, validation and fault drawing read.
     """
 
     blueprint: Blueprint
@@ -275,6 +298,40 @@ class ArchitectureModel:
     connectors: set[ConnectorSpec]
     clock: int = 0
     _instance_seq: dict[str, int] = field(default_factory=dict)
+    # Derived views. Positions are blueprint declaration indices.
+    _views: list[tuple[str, SlotView]] = field(init=False, repr=False, compare=False)
+    _views_tuple: tuple | None = field(init=False, repr=False, compare=False)  # None: stale
+    _damaged: set[int] = field(init=False, repr=False, compare=False)  # absent or not STARTED
+    _missing: set[int] = field(init=False, repr=False, compare=False)  # intended, not live
+    _extras: set[ConnectorSpec] = field(init=False, repr=False, compare=False)
+    _live: tuple | None = field(init=False, repr=False, compare=False)  # None: stale
+
+    def __post_init__(self) -> None:
+        self._views, self._damaged = [ABSENT_SLOT] * len(self.blueprint.slots), set()
+        for slot in self.blueprint.slot_names():
+            self._slot_changed(slot)
+        positions = self.blueprint._spec_pos
+        self._missing = {pos for spec, pos in positions.items() if spec not in self.connectors}
+        self._extras, self._live = self.connectors.difference(positions), None
+
+    def _slot_changed(self, slot: str) -> None:
+        pos, comp = self.blueprint._slot_pos[slot], self.components[slot]
+        view = ABSENT_SLOT if comp is None else SlotView(True, comp.state, comp.exception_count)
+        self._views[pos], self._views_tuple = (slot, view), None
+        (self._damaged.discard if view.state is ComponentState.STARTED else self._damaged.add)(pos)
+
+    def _connector_changed(self, spec: ConnectorSpec) -> None:
+        pos, live = self.blueprint._spec_pos.get(spec), spec in self.connectors
+        if pos is None:
+            (self._extras.add if live else self._extras.discard)(spec)
+        else:
+            (self._missing.discard if live else self._missing.add)(pos)
+        self._live = None
+
+    def _occupied(self, slot: str) -> Component:
+        if (comp := self.component(slot)) is None:
+            raise TargetAbsent(f"slot {slot!r} is empty")
+        return comp
 
     # -- queries ---------------------------------------------------------
 
@@ -286,57 +343,64 @@ class ArchitectureModel:
     def present(self, slot: str) -> bool:
         return self.component(slot) is not None
 
+    def present_slots(self) -> list[str]:
+        """Slots that hold an instance, in blueprint order."""
+        absent = [pos for pos in self._damaged if not self._views[pos][1].present]
+        return _omit(self.blueprint.slot_names(), absent)
+
     def has_connector(self, spec: ConnectorSpec) -> bool:
         return spec in self.connectors
 
+    def slot_views(self) -> tuple[tuple[str, SlotView], ...]:
+        """``(slot, SlotView)`` per slot; a slot change replaces only its entry."""
+        if self._views_tuple is None:
+            self._views_tuple = tuple(self._views)
+        return self._views_tuple
+
+    def live_connectors(self) -> tuple[ConnectorSpec, ...]:
+        """Live connectors: intended ones in declaration order, then extras sorted."""
+        if self._live is None:
+            intended = _omit(self.blueprint.intended_connectors, self._missing)
+            self._live = (*intended, *sorted(self._extras))
+        return self._live
+
     def live_connector_specs(self) -> list[ConnectorSpec]:
-        """Live connectors in canonical order: blueprint declaration order
-        first, then any non-intended extras sorted."""
-        live = self.connectors
-        ordered = [spec for spec in self.blueprint.intended_connectors if spec in live]
-        if len(ordered) == len(live):  # blueprint specs are distinct, so no extras
-            return ordered
-        return ordered + sorted(live.difference(ordered))
+        """``live_connectors()`` as a fresh list."""
+        return list(self.live_connectors())
 
     # -- mutations -------------------------------------------------------
 
     def set_state(self, slot: str, state: ComponentState) -> None:
-        comp = self.component(slot)
-        if comp is None:
-            raise TargetAbsent(f"slot {slot!r} is empty")
-        comp.state = state
+        self._occupied(slot).state = state
+        self._slot_changed(slot)
 
     def add_exceptions(self, slot: str, n: int) -> None:
         if n < 0:
             raise ValueError("exception increment must be non-negative")
-        comp = self.component(slot)
-        if comp is None:
-            raise TargetAbsent(f"slot {slot!r} is empty")
-        comp.exception_count += n
+        self._occupied(slot).exception_count += n
+        self._slot_changed(slot)
 
     def reset_exceptions(self, slot: str) -> None:
-        comp = self.component(slot)
-        if comp is None:
-            raise TargetAbsent(f"slot {slot!r} is empty")
-        comp.exception_count = 0
+        self._occupied(slot).exception_count = 0
+        self._slot_changed(slot)
 
     def remove_component(self, slot: str) -> list[ConnectorSpec]:
         """Empty the slot, dropping incident live connectors with it.
         Returns a ConnectorSpec for each connector that went away."""
-        comp = self.component(slot)
-        if comp is None:
-            raise TargetAbsent(f"slot {slot!r} is already empty")
-        dropped = [
-            spec for spec in self.live_connector_specs() if slot in (spec.source, spec.target)
-        ]
-        self.connectors.difference_update(dropped)
+        self._occupied(slot)
+        dropped = [s for s in self.blueprint.connectors_incident_to(slot) if s in self.connectors]
+        dropped += sorted(spec for spec in self._extras if slot in (spec.source, spec.target))
+        for spec in dropped:
+            self.remove_connector(spec)
         self.components[slot] = None
+        self._slot_changed(slot)
         return dropped
 
     def remove_connector(self, spec: ConnectorSpec) -> None:
         if spec not in self.connectors:
             raise TargetAbsent(f"connector {spec.render()} is not live")
         self.connectors.discard(spec)
+        self._connector_changed(spec)
 
     def add_connector(self, spec: ConnectorSpec) -> None:
         src = self.components.get(spec.source)
@@ -356,6 +420,7 @@ class ArchitectureModel:
                 f"{spec.target!r} does not provide interface {spec.interface!r}"
             )
         self.connectors.add(spec)
+        self._connector_changed(spec)
 
     def instantiate(self, slot: str, instance_id: str) -> Component:
         """Fill an empty slot with a fresh instance: STARTED, zero exceptions."""
@@ -365,6 +430,7 @@ class ArchitectureModel:
             raise ModelError(f"slot {slot!r} is already occupied")
         comp = Component(instance_id, self.blueprint.type_of_slot(slot).name)
         self.components[slot] = comp
+        self._slot_changed(slot)
         return comp
 
     def allocate_instance_id(self, slot: str) -> str:
@@ -384,9 +450,8 @@ class ArchitectureModel:
 def instantiate_blueprint(blueprint: Blueprint) -> ArchitectureModel:
     """A fresh model with every slot filled, every intended connector live,
     and the clock at zero."""
-    model = ArchitectureModel(blueprint=blueprint, components={}, connectors=set())
-    for slot, _ in blueprint.slots:
-        model.components[slot] = None
+    model = ArchitectureModel(blueprint, dict.fromkeys(blueprint.slot_names()), set())
+    for slot in blueprint.slot_names():
         model.instantiate(slot, model.allocate_instance_id(slot))
     for spec in blueprint.intended_connectors:
         model.add_connector(spec)
@@ -406,17 +471,16 @@ def validate(model: ArchitectureModel) -> list[Violation]:
     empty list means the architecture carries no further failures.
     """
     violations: list[Violation] = []
-    components, live = model.components, model.connectors
-    for slot in model.blueprint.slot_names():
-        comp = components[slot]
-        if comp is None:
+    for pos in sorted(model._damaged):
+        slot, view = model._views[pos]
+        if not view.present:
             violations.append(Violation(ViolationKind.MISSING_COMPONENT, slot))
-        elif comp.state is ComponentState.UNKNOWN:
+        elif view.state is ComponentState.UNKNOWN:
             violations.append(Violation(ViolationKind.UNKNOWN_STATE, slot))
-        elif comp.state in (ComponentState.STOPPED, ComponentState.UNDEPLOYED):
+        elif view.state in (ComponentState.STOPPED, ComponentState.UNDEPLOYED):
             violations.append(Violation(ViolationKind.NOT_STARTED, slot))
-    for spec in model.blueprint.intended_connectors:
-        if spec in live or components[spec.source] is None or components[spec.target] is None:
-            continue
-        violations.append(Violation(ViolationKind.MISSING_CONNECTOR, spec))
+    for pos in sorted(model._missing):
+        spec = model.blueprint.intended_connectors[pos]
+        if model.components[spec.source] is not None and model.components[spec.target] is not None:
+            violations.append(Violation(ViolationKind.MISSING_CONNECTOR, spec))
     return violations

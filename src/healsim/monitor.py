@@ -3,6 +3,9 @@
 The loop takes a snapshot before and after each disturbance and turns the
 difference into change events; the analyzer never touches the model's
 mutation history directly.
+
+Snapshots hold the model's cached slot-entry and connector tuples, so
+consecutive snapshots share every unchanged part and ``observe`` skips it.
 """
 
 from __future__ import annotations
@@ -10,21 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import ArchitectureModel, ComponentState, ConnectorSpec
+from .model import ABSENT_SLOT, ArchitectureModel, ConnectorSpec, SlotView  # noqa: F401
 
 
 class ClockRegression(Exception):
     """The later snapshot has an earlier clock."""
-
-
-@dataclass(frozen=True)
-class SlotView:
-    present: bool
-    state: ComponentState | None = None
-    exception_count: int | None = None
-
-
-ABSENT_SLOT = SlotView(present=False)
 
 
 @dataclass(frozen=True)
@@ -35,12 +28,6 @@ class Snapshot:
     slots: tuple[tuple[str, SlotView], ...]
     connectors: tuple[ConnectorSpec, ...]
     clock: int
-
-    def slot_view(self, slot: str) -> SlotView:
-        for name, view in self.slots:
-            if name == slot:
-                return view
-        raise KeyError(slot)
 
 
 class EventKind(Enum):
@@ -69,61 +56,44 @@ class ChangeEvent:
 
 
 def take_snapshot(model: ArchitectureModel) -> Snapshot:
-    slots = []
-    for slot in model.blueprint.slot_names():
-        comp = model.components[slot]
-        if comp is None:
-            slots.append((slot, ABSENT_SLOT))
-        else:
-            slots.append((slot, SlotView(True, comp.state, comp.exception_count)))
-    return Snapshot(
-        slots=tuple(slots),
-        connectors=tuple(model.live_connector_specs()),
-        clock=model.clock,
-    )
+    return Snapshot(slots=model.slot_views(), connectors=model.live_connectors(), clock=model.clock)
 
 
 def observe(prev: Snapshot, cur: Snapshot) -> list[ChangeEvent]:
     """Minimal, complete diff in deterministic order: slot events in
     blueprint order (state before exceptions within a slot), then connector
     removals, then connector additions, each in canonical connector order.
+    Both snapshots must list the same slots in one order, as any of one blueprint do.
     """
     if cur.clock < prev.clock:
         raise ClockRegression(f"clock moved from {prev.clock} back to {cur.clock}")
     at = cur.clock
     events: list[ChangeEvent] = []
-    cur_views = dict(cur.slots)
-    for slot, before in prev.slots:
-        after = cur_views[slot]
+    for (slot, before), (_, after) in zip(prev.slots, cur.slots):
+        if before is after:  # a slot the model did not touch
+            continue
         if before.present and not after.present:
             events.append(ChangeEvent(EventKind.COMPONENT_REMOVED, slot, old=before, at=at))
         elif not before.present and after.present:
             events.append(ChangeEvent(EventKind.COMPONENT_ADDED, slot, new=after, at=at))
         elif before.present and after.present:
-            if before.state is not after.state:
-                events.append(
-                    ChangeEvent(
-                        EventKind.STATE_CHANGED, slot, old=before.state, new=after.state, at=at
-                    )
-                )
-            if before.exception_count != after.exception_count:
-                events.append(
-                    ChangeEvent(
-                        EventKind.EXCEPTIONS_CHANGED,
-                        slot,
-                        old=before.exception_count,
-                        new=after.exception_count,
-                        at=at,
-                    )
-                )
-    if prev.connectors == cur.connectors:
+            for kind, was, now in (
+                (EventKind.STATE_CHANGED, before.state, after.state),
+                (EventKind.EXCEPTIONS_CHANGED, before.exception_count, after.exception_count),
+            ):
+                if was != now:
+                    events.append(ChangeEvent(kind, slot, old=was, new=now, at=at))
+    old, new = prev.connectors, cur.connectors
+    if old == new:
         return events
-    prev_conns = set(prev.connectors)
-    cur_conns = set(cur.connectors)
-    for spec in prev.connectors:
-        if spec not in cur_conns:
-            events.append(ChangeEvent(EventKind.CONNECTOR_REMOVED, spec, at=at))
-    for spec in cur.connectors:
-        if spec not in prev_conns:
-            events.append(ChangeEvent(EventKind.CONNECTOR_ADDED, spec, at=at))
+    # Unchanged connectors keep their place: diff what lies between common ends.
+    lo, hi, end = 0, 0, min(len(old), len(new))
+    while lo < end and old[lo] is new[lo]:
+        lo += 1
+    while hi < end - lo and old[-1 - hi] is new[-1 - hi]:
+        hi += 1
+    old, new = old[lo:len(old) - hi], new[lo:len(new) - hi]
+    old_set, new_set = set(old), set(new)
+    events += [ChangeEvent(EventKind.CONNECTOR_REMOVED, s, at=at) for s in old if s not in new_set]
+    events += [ChangeEvent(EventKind.CONNECTOR_ADDED, s, at=at) for s in new if s not in old_set]
     return events

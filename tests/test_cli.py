@@ -1,10 +1,16 @@
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
 
 import pytest
 
 from healsim.cli import main
-from healsim.planner import DEFAULT_PORT
+from healsim.planner import DEFAULT_PORT, ErrorOutcome, PlanResponse, encode
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 @pytest.fixture
@@ -124,3 +130,48 @@ def test_serve_planner_serves_until_interrupt(rules_file, capsys, monkeypatch):
     assert main(["serve-planner", "--rules", str(rules_file), "--bind", "127.0.0.1:7777"]) == 0
     assert started.is_set()
     assert "listening" in capsys.readouterr().out
+
+
+def test_run_plan_that_cannot_execute_exit_1(tmp_path):
+    """validate-rules accepts AS1 for CF4, but a connector cannot be
+    restarted: the run ends with a typed error, not a traceback."""
+    rules = tmp_path / "wrong-subject.rules"
+    rules.write_text('rule "y" when kind == CF4 then AS1\n', encoding="utf-8")
+    assert main(["validate-rules", str(rules)]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "healsim.cli", "run", "--seed", "1", "--rounds", "50",
+         "--rules", str(rules), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: no slot named")
+    assert "Traceback" not in proc.stderr
+
+
+def _one_shot_planner(reply: bytes) -> int:
+    """A planner stand-in on a free port: it accepts one connection, reads
+    one request line, answers ``reply`` and closes."""
+    server = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        with server:
+            conn, _ = server.accept()
+            with conn, conn.makefile("rb") as reader:
+                reader.readline()
+                conn.sendall(reply)
+
+    threading.Thread(target=serve, daemon=True).start()
+    return server.getsockname()[1]
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [b"not a frame\n", encode(PlanResponse(1, ErrorOutcome("internal", "rule base broken")))],
+    ids=["malformed-frame", "error-outcome"],
+)
+def test_run_planner_failure_exit_2(tmp_path, capsys, reply):
+    port = _one_shot_planner(reply)
+    code = main(["run", "--seed", "1", "--rounds", "1",
+                 "--planner", f"tcp://127.0.0.1:{port}", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("planner error: ")

@@ -1,14 +1,17 @@
 """Oracles for the fast paths: every indexed or short-cut answer must equal
 the plain linear-scan or full-diff answer it replaced."""
 
+import copy
 import dataclasses
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from healsim.executor import ExecutionError, execute
-from healsim.faults import FaultInstance, FaultKind, inject
+from healsim.faults import FaultInstance, FaultKind, NoEligibleTarget, draw_fault, inject
 from healsim.model import (
+    ArchitectureModel,
+    Component,
     ComponentState,
     ConnectorSpec,
     ModelError,
@@ -20,7 +23,15 @@ from healsim.model import (
     instantiate_blueprint,
     validate,
 )
-from healsim.monitor import ChangeEvent, EventKind, observe, take_snapshot
+from healsim.monitor import (
+    ABSENT_SLOT,
+    ChangeEvent,
+    EventKind,
+    SlotView,
+    Snapshot,
+    observe,
+    take_snapshot,
+)
 from healsim.rules import RepairPlan, Strategy
 from test_golden import layered_blueprint_doc
 
@@ -239,6 +250,14 @@ STEPS = st.lists(
 )
 @settings(max_examples=60, deadline=None)
 @given(steps=STEPS)
+# each fault kind followed by the repair that undoes it, on the same target
+@example(steps=[("inject", 1, 2, 3), ("execute", 0, 2, 0)])  # CF2, AS1
+@example(steps=[("inject", 1, 1, 3), ("execute", 1, 1, 0)])  # CF2, AS2 in place
+@example(steps=[("inject", 2, 1, 0), ("execute", 1, 1, 0)])  # CF3, AS2
+@example(steps=[("inject", 0, 3, 0), ("execute", 3, 3, 0)])  # CF1, AS4
+@example(steps=[("inject", 3, 0, 0), ("execute", 2, 0, 0)])  # CF4 first, AS3
+@example(steps=[("inject", 3, -1, 0), ("execute", 2, -1, 0)])  # CF4 last, AS3
+@example(steps=[("connect", 0, 2, 3), ("inject", 2, 2, 0), ("inject", 2, 3, 0)])  # extra, CF3s
 def test_fast_paths_equal_references_over_random_steps(doc, steps):
     bp = load(doc)
     model = instantiate_blueprint(bp)
@@ -246,6 +265,7 @@ def test_fast_paths_equal_references_over_random_steps(doc, steps):
     first = take_snapshot(model)
     for step in steps:
         before = take_snapshot(model)
+        scanned_before = scan_snapshot(model)
         try:
             apply_step(model, step)
         except (ModelError, ExecutionError):
@@ -270,3 +290,138 @@ def test_fast_paths_equal_references_over_random_steps(doc, steps):
             after, connectors=tuple(dataclasses.replace(s) for s in after.connectors)
         )
         assert observe(before, copied) == reference_observe(before, copied)
+        # the views the mutations keep current equal from-scratch scans
+        assert after == scan_snapshot(model)
+        assert observe(before, after) == scan_observe(scanned_before, scan_snapshot(model))
+        assert_views_match_scans(model, step[3])
+
+
+# -- (c) derived views kept by the mutations vs from-scratch scans -----------
+
+
+def scan_live(model):
+    """Canonical connector order from a full scan: intended ones in
+    declaration order, then extras sorted."""
+    intended = model.blueprint.intended_connectors
+    return [s for s in intended if s in model.connectors] + sorted(
+        s for s in model.connectors if s not in intended
+    )
+
+
+def scan_snapshot(model):
+    """A snapshot built slot by slot, sharing nothing with the model's views."""
+    slots = []
+    for slot in model.blueprint.slot_names():
+        comp = model.components[slot]
+        if comp is None:
+            slots.append((slot, ABSENT_SLOT))
+        else:
+            slots.append((slot, SlotView(True, comp.state, comp.exception_count)))
+    return Snapshot(tuple(slots), tuple(scan_live(model)), model.clock)
+
+
+def scan_observe(prev, cur):
+    """Every slot looked up by name, every connector compared by set."""
+    at, events = cur.clock, []
+    cur_views = dict(cur.slots)
+    for slot, before in prev.slots:
+        after = cur_views[slot]
+        if before.present and not after.present:
+            events.append(ChangeEvent(EventKind.COMPONENT_REMOVED, slot, old=before, at=at))
+        elif not before.present and after.present:
+            events.append(ChangeEvent(EventKind.COMPONENT_ADDED, slot, new=after, at=at))
+        elif before.present and after.present:
+            if before.state is not after.state:
+                events.append(ChangeEvent(
+                    EventKind.STATE_CHANGED, slot, old=before.state, new=after.state, at=at
+                ))
+            if before.exception_count != after.exception_count:
+                events.append(ChangeEvent(
+                    EventKind.EXCEPTIONS_CHANGED, slot,
+                    old=before.exception_count, new=after.exception_count, at=at,
+                ))
+    prev_set, cur_set = set(prev.connectors), set(cur.connectors)
+    events += [
+        ChangeEvent(EventKind.CONNECTOR_REMOVED, s, at=at) for s in prev.connectors if s not in cur_set
+    ]
+    events += [
+        ChangeEvent(EventKind.CONNECTOR_ADDED, s, at=at) for s in cur.connectors if s not in prev_set
+    ]
+    return events
+
+
+class ScriptedRng:
+    """Hands draw_fault fixed numbers: kind index, target index, CF2 magnitude."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def next(self):
+        return next(self.values)
+
+
+def drawn_targets(model, kind_index, count):
+    """The first ``count`` targets draw_fault can pick for a kind, then the
+    one it picks for index ``count`` (which wraps around)."""
+    return [draw_fault(ScriptedRng(kind_index, k, 0), model).target for k in range(count + 1)]
+
+
+def assert_views_match_scans(model, pick):
+    bp = model.blueprint
+    assert take_snapshot(model) == scan_snapshot(model)
+    assert model.live_connector_specs() == scan_live(model)
+    assert validate(model) == brute_validate(model)
+
+    present = [slot for slot in bp.slot_names() if model.present(slot)]
+    assert model.present_slots() == present
+    live = scan_live(model)
+    for kind_index, targets in ((0, present), (1, present), (2, present), (3, live)):
+        if targets:
+            assert drawn_targets(model, kind_index, len(targets)) == targets + targets[:1]
+        else:
+            with pytest.raises(NoEligibleTarget):
+                draw_fault(ScriptedRng(kind_index, 0), model)
+
+    if present:  # remove_component on a copy: same specs, same order as the scan
+        slot = present[pick % len(present)]
+        clone = copy.deepcopy(model)
+        expected = [s for s in scan_live(clone) if slot in (s.source, s.target)]
+        assert clone.remove_component(slot) == expected
+        assert take_snapshot(clone) == scan_snapshot(clone)
+        assert validate(clone) == brute_validate(clone)
+
+
+def test_directly_built_model_matches_scans():
+    """A model handed components and connectors instead of built through
+    its mutations: an empty slot, damaged states, a missing intended
+    connector with both ends present, one whose end is absent, an extra."""
+    bp = blueprint_from_json(REPLICA_DOC)
+    components = {
+        slot: Component(f"{slot}#1", bp.type_of_slot(slot).name) for slot in bp.slot_names()
+    }
+    components["Store B"] = None
+    components["App B"].state = ComponentState.UNKNOWN
+    components["Client"].state = ComponentState.UNDEPLOYED
+    components["App A"].exception_count = 4
+    extra = ConnectorSpec("App B", "Store A", "Store")
+    model = ArchitectureModel(bp, components, {bp.intended_connectors[0], extra})
+
+    assert validate(model) == brute_validate(model) == [
+        Violation(ViolationKind.NOT_STARTED, "Client"),
+        Violation(ViolationKind.UNKNOWN_STATE, "App B"),
+        Violation(ViolationKind.MISSING_COMPONENT, "Store B"),
+        Violation(ViolationKind.MISSING_CONNECTOR, bp.intended_connectors[1]),
+    ]
+    assert model.live_connector_specs() == [bp.intended_connectors[0], extra]
+    for pick in range(len(bp.slots)):
+        assert_views_match_scans(model, pick)
+
+    before = take_snapshot(model)
+    assert model.remove_component("App B") == [extra]
+    model.instantiate("Store B", "Store B#2")
+    model.add_connector(bp.intended_connectors[1])
+    model.set_state("Client", ComponentState.STARTED)
+    after = take_snapshot(model)
+    assert after == scan_snapshot(model)
+    assert observe(before, after) == scan_observe(before, after)
+    assert_views_match_scans(model, 0)
