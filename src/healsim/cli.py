@@ -77,8 +77,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     host, sep, port_text = args.bind.rpartition(":")
-    if not sep or not port_text.isdigit():
-        print(f"error: --bind must be HOST:PORT, got {args.bind!r}", file=sys.stderr)
+    if not sep or not port_text.isdecimal() or int(port_text) > 65535:
+        print(f"error: --bind must be HOST:PORT with PORT 0-65535, got {args.bind!r}",
+              file=sys.stderr)
         return 1
     ruleset = load_rules(args.rules)
     service = PlanService(ruleset, host=host, port=int(port_text))

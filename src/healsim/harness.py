@@ -34,13 +34,7 @@ from .model import (
     validate,
 )
 from .monitor import observe, take_snapshot
-from .planner import (
-    InProcessPlanner,
-    NoMatch,
-    Planner,
-    RemotePlanner,
-    request_plan,
-)
+from .planner import InProcessPlanner, NoMatch, RemotePlanner, canonical_json, request_plan
 from .rules import RepairPlan, RuleSet, default_ruleset, load_rules
 
 log = logging.getLogger(__name__)
@@ -98,7 +92,7 @@ def parse_planner_spec(spec: str) -> tuple[str, int] | None:
     if spec.startswith("tcp://"):
         rest = spec[len("tcp://"):]
         host, sep, port_text = rest.rpartition(":")
-        if sep and host and port_text.isdigit():
+        if sep and host and port_text.isdecimal() and int(port_text) <= 65535:
             return host, int(port_text)
     raise ConfigError(f"planner must be 'inproc' or 'tcp://HOST:PORT', got {spec!r}")
 
@@ -113,7 +107,7 @@ def load_script(path: str, blueprint: Blueprint) -> list[FaultInstance]:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read script {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise ConfigError(f"script {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise ConfigError("script must be a JSON list of faults")
@@ -163,7 +157,6 @@ class ScenarioRunner:
         *,
         ruleset: RuleSet | None = None,
         blueprint: Blueprint | None = None,
-        planner: Planner | None = None,
     ) -> None:
         self.config = config
         if blueprint is not None:
@@ -175,12 +168,8 @@ class ScenarioRunner:
         if ruleset is None:
             ruleset = load_rules(config.rules_path) if config.rules_path else default_ruleset()
         self.ruleset = ruleset
-        if planner is None:
-            remote = parse_planner_spec(config.planner)
-            planner = (
-                InProcessPlanner(ruleset) if remote is None else RemotePlanner(*remote)
-            )
-        self.planner = planner
+        remote = parse_planner_spec(config.planner)
+        self.planner = InProcessPlanner(ruleset) if remote is None else RemotePlanner(*remote)
         self.rng = Rng(config.seed)
         self.ledger = RootCauseLedger(threshold=config.rootcause_threshold)
         self.history: dict[str, int] = {}
@@ -363,7 +352,7 @@ def scenario_json(report: ScenarioReport) -> bytes:
         ],
         "unhandled_failures": report.unhandled_failures,
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
+    return canonical_json(doc)
 
 
 ROUNDS_CSV_HEADER = [

@@ -156,9 +156,14 @@ class Blueprint:
             if (spec.source, spec.target) in by_pair:
                 raise BlueprintError(f"connector {spec.render()} is declared twice")
             by_pair[spec.source, spec.target] = spec
-            # Distinct slot pairs can render alike ("A->B"+"C" vs "A"+"B->C");
-            # the first declared one owns the name.
-            by_name.setdefault(spec.render(), spec)
+            name = spec.render()
+            if name in by_name:
+                other = by_name[name]
+                raise BlueprintError(
+                    f"connectors ({other.source!r}, {other.target!r}) and "
+                    f"({spec.source!r}, {spec.target!r}) both render as {name!r}"
+                )
+            by_name[name] = spec
             dependencies[spec.source].append(spec.target)
             incident[spec.source].append(spec)
             incident[spec.target].append(spec)
@@ -222,8 +227,14 @@ class Blueprint:
         return self._by_pair.get((source, target))
 
     def connector_named(self, name: str) -> ConnectorSpec | None:
-        """The first declared intended connector whose render() is ``name``."""
+        """The intended connector whose render() is ``name``."""
         return self._by_name.get(name)
+
+
+def _name(value: object) -> str:
+    if not isinstance(value, str):
+        raise BlueprintError(f"malformed blueprint document: name {value!r} is not a string")
+    return value
 
 
 def blueprint_from_json(obj: dict) -> Blueprint:
@@ -233,12 +244,14 @@ def blueprint_from_json(obj: dict) -> Blueprint:
     """
     try:
         types = tuple(
-            ComponentType(t["name"], t["provides"], tuple(t["requires"]))
+            ComponentType(_name(t["name"]), _name(t["provides"]),
+                          tuple(map(_name, t["requires"])))
             for t in obj["types"]
         )
-        slots = tuple((s["slot"], s["type"]) for s in obj["slots"])
+        slots = tuple((_name(s["slot"]), _name(s["type"])) for s in obj["slots"])
         connectors = tuple(
-            ConnectorSpec(c["from"], c["to"], c["interface"]) for c in obj["connectors"]
+            ConnectorSpec(_name(c["from"]), _name(c["to"]), _name(c["interface"]))
+            for c in obj["connectors"]
         )
     except (KeyError, TypeError) as exc:
         raise BlueprintError(f"malformed blueprint document: {exc}") from exc
@@ -249,7 +262,7 @@ def load_blueprint(path: str) -> Blueprint:
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise BlueprintError(f"{path}: {exc}") from exc
     return blueprint_from_json(obj)
 

@@ -11,9 +11,14 @@ with a single LF, so equal messages always encode to equal bytes.
     response {"outcome":O,"request_id":N,"type":"plan_response","version":1}
 
 with outcome ``{"plan":{"fired_rule":S,"strategy":"AS1","subject":S}}``,
-``{"no_match":true}``, or ``{"error":{"code":S,"message":S}}``. A frame the
-server cannot decode is answered with an error outcome (code "malformed",
-request id 0 when unrecoverable) and the connection stays open.
+``{"no_match":true}``, or ``{"error":{"code":S,"message":S}}``. The field
+tables in ``_BODIES`` are the schema: encode and decode both read them, and
+the fact's integer fields are ``rules.INT_FIELDS``.
+
+A frame the server cannot decode is answered with an error outcome (code
+"malformed", request id 0 when unrecoverable) and the connection stays
+open. A line longer than ``MAX_FRAME`` bytes is answered with error code
+"too_large" (request id 0) and the connection is closed.
 """
 
 from __future__ import annotations
@@ -24,17 +29,19 @@ import socket
 import socketserver
 import threading
 from dataclasses import dataclass
+from enum import EnumMeta
 from typing import Mapping, Union
 
 from .analyzer import FailureReport
 from .faults import FaultKind
-from .rules import Fact, NoMatchingRule, RepairPlan, RuleSet, Strategy, evaluate
+from .rules import INT_FIELDS, Fact, NoMatchingRule, RepairPlan, RuleSet, Strategy, evaluate
 
 log = logging.getLogger(__name__)
 
 PROTOCOL_VERSION = 1
 DEFAULT_PORT = 7464
 DEFAULT_TIMEOUT = 1.0  # wall-clock seconds per remote round-trip
+MAX_FRAME = 64 * 1024  # bytes per frame, LF included; longer ones end the connection
 
 
 class MalformedFrame(Exception):
@@ -88,75 +95,106 @@ Message = Union[PlanRequest, PlanResponse]
 
 
 # -- framing ----------------------------------------------------------------
+# These tables are the schema; encode and decode both walk them. Each maps a
+# field to its kind: str or int (a JSON string or integer, never a bool), an
+# Enum (a string naming a member), a class (an object per that class's table),
+# a dict (an object holding exactly one of its keys, with that key's kind), or
+# a constant the field must equal, type included. NoMatch's body is ``true``.
+
+_BODIES: dict[type, object] = {
+    PlanRequest: {"type": "plan_request", "version": PROTOCOL_VERSION,
+                  "request_id": int, "fact": Fact},
+    PlanResponse: {"type": "plan_response", "version": PROTOCOL_VERSION, "request_id": int,
+                   "outcome": {"plan": RepairPlan, "no_match": NoMatch, "error": ErrorOutcome}},
+    Fact: {"kind": FaultKind, "subject": str, **dict.fromkeys(INT_FIELDS, int)},
+    RepairPlan: {"strategy": Strategy, "subject": str, "fired_rule": str},
+    NoMatch: True,
+    ErrorOutcome: {"code": str, "message": str},
+}
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _canonical(payload: dict) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
+def canonical_json(doc: object) -> bytes:
+    """Sorted keys, compact separators, UTF-8, one LF: equal docs, equal bytes."""
+    return _CANONICAL.encode(doc).encode("utf-8") + b"\n"
+
+
+def _json(value, kind):
+    """The JSON form of ``value``, whose kind is a class or a dict."""
+    if isinstance(kind, dict):
+        for key, cls in kind.items():
+            if type(value) is cls:
+                return {key: _json(value, cls)}
+        raise TypeError(f"not an outcome: {value!r}")
+    body = _BODIES[kind]
+    if type(body) is not dict:
+        return body
+    obj = {}
+    for key, field in body.items():
+        if field is str or field is int:
+            obj[key] = getattr(value, key)
+        elif isinstance(field, EnumMeta):
+            obj[key] = getattr(value, key).value
+        elif isinstance(field, (type, dict)):
+            obj[key] = _json(getattr(value, key), field)
+        else:
+            obj[key] = field
+    return obj
 
 
 def encode(message: Message) -> bytes:
     """One canonical, LF-terminated frame; equal messages encode identically."""
-    if isinstance(message, PlanRequest):
-        fact = message.fact
-        return _canonical(
-            {
-                "type": "plan_request",
-                "version": PROTOCOL_VERSION,
-                "request_id": message.request_id,
-                "fact": {
-                    "kind": fact.kind.value,
-                    "subject": fact.subject,
-                    "exception_count": fact.exception_count,
-                    "dependent_count": fact.dependent_count,
-                    "prior_failures_of_subject": fact.prior_failures_of_subject,
-                },
-            }
-        )
-    if isinstance(message, PlanResponse):
-        outcome = message.outcome
-        if isinstance(outcome, RepairPlan):
-            body = {
-                "plan": {
-                    "strategy": outcome.strategy.value,
-                    "subject": outcome.subject,
-                    "fired_rule": outcome.fired_rule,
-                }
-            }
-        elif isinstance(outcome, NoMatch):
-            body = {"no_match": True}
-        elif isinstance(outcome, ErrorOutcome):
-            body = {"error": {"code": outcome.code, "message": outcome.message}}
-        else:
-            raise TypeError(f"not an outcome: {outcome!r}")
-        return _canonical(
-            {
-                "type": "plan_response",
-                "version": PROTOCOL_VERSION,
-                "request_id": message.request_id,
-                "outcome": body,
-            }
-        )
-    raise TypeError(f"not a protocol message: {message!r}")
+    if type(message) not in (PlanRequest, PlanResponse):
+        raise TypeError(f"not a protocol message: {message!r}")
+    return canonical_json(_json(message, type(message)))
 
 
-def _require(obj: dict, key: str, kind: type, where: str):
-    if key not in obj:
-        raise MalformedFrame(f"{where} is missing field {key!r}")
-    value = obj[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise MalformedFrame(f"{where} field {key!r} must be {kind.__name__}")
-    return value
+def _fields(obj, table: dict, where: str) -> dict:
+    """The decoded fields of ``obj``, a JSON object that must hold exactly
+    the table's keys. Constant fields are checked and left out."""
+    if type(obj) is not dict:
+        raise MalformedFrame(f"{where} must be an object")
+    if obj.keys() != table.keys():
+        key = min(obj.keys() ^ table.keys())
+        raise MalformedFrame(f"{where} {'is missing' if key in table else 'has unexpected'} "
+                             f"field {key!r}")
+    fields = {}
+    for key, kind in table.items():
+        value = obj[key]
+        if kind is str or kind is int:
+            # json.loads makes exact types, so a bool never passes as an int
+            if type(value) is not kind:
+                raise MalformedFrame(f"{where}.{key} must be {kind.__name__}")
+            fields[key] = value
+        elif isinstance(kind, EnumMeta):
+            try:
+                fields[key] = kind(value)
+            except ValueError:
+                raise MalformedFrame(f"{where}.{key} has unknown value {value!r}") from None
+        elif isinstance(kind, (type, dict)):
+            fields[key] = _value(value, kind, f"{where}.{key}")
+        elif type(value) is not type(kind) or value != kind:
+            raise MalformedFrame(f"{where}.{key} must be {json.dumps(kind)}")
+    return fields
 
 
-def _check_no_extras(obj: dict, allowed: set[str], where: str) -> None:
-    extras = set(obj) - allowed
-    if extras:
-        raise MalformedFrame(f"{where} has unexpected field {sorted(extras)[0]!r}")
+def _value(value, kind, where: str):
+    """``value``, whose kind is a class or a dict, checked and decoded."""
+    if isinstance(kind, dict):
+        if type(value) is not dict or len(value) != 1 or next(iter(value)) not in kind:
+            raise MalformedFrame(f"{where} must hold exactly one of {', '.join(kind)}")
+        ((key, body),) = value.items()
+        return _value(body, kind[key], f"{where}.{key}")
+    body = _BODIES[kind]
+    if type(body) is dict:
+        return kind(**_fields(value, body, where))
+    if value is not body:  # the constant true, not 1 or 1.0
+        raise MalformedFrame(f"{where} must be {json.dumps(body)}")
+    return kind()
 
 
 def decode(data: bytes) -> Message:
-    """Parse one frame back into a message; raises MalformedFrame on bad
-    UTF-8, bad JSON, a wrong version, or missing/mistyped/extra fields."""
+    """Parse one frame back into a message; MalformedFrame if it breaks the schema."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -165,74 +203,12 @@ def decode(data: bytes) -> Message:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedFrame(f"frame is not JSON: {exc.msg}") from exc
-    if not isinstance(obj, dict):
+    if type(obj) is not dict:
         raise MalformedFrame("frame is not a JSON object")
-    msg_type = _require(obj, "type", str, "frame")
-    version = _require(obj, "version", int, "frame")
-    if version != PROTOCOL_VERSION:
-        raise MalformedFrame(f"unsupported protocol version {version}")
-    request_id = _require(obj, "request_id", int, "frame")
-
-    if msg_type == "plan_request":
-        _check_no_extras(obj, {"type", "version", "request_id", "fact"}, "request")
-        fact_obj = _require(obj, "fact", dict, "request")
-        _check_no_extras(
-            fact_obj,
-            {"kind", "subject", "exception_count", "dependent_count",
-             "prior_failures_of_subject"},
-            "fact",
-        )
-        kind_text = _require(fact_obj, "kind", str, "fact")
-        try:
-            kind = FaultKind(kind_text)
-        except ValueError:
-            raise MalformedFrame(f"unknown fault kind {kind_text!r}") from None
-        fact = Fact(
-            kind=kind,
-            subject=_require(fact_obj, "subject", str, "fact"),
-            exception_count=_require(fact_obj, "exception_count", int, "fact"),
-            dependent_count=_require(fact_obj, "dependent_count", int, "fact"),
-            prior_failures_of_subject=_require(
-                fact_obj, "prior_failures_of_subject", int, "fact"
-            ),
-        )
-        return PlanRequest(request_id=request_id, fact=fact)
-
-    if msg_type == "plan_response":
-        _check_no_extras(obj, {"type", "version", "request_id", "outcome"}, "response")
-        outcome_obj = _require(obj, "outcome", dict, "response")
-        if "plan" in outcome_obj:
-            _check_no_extras(outcome_obj, {"plan"}, "outcome")
-            plan_obj = _require(outcome_obj, "plan", dict, "outcome")
-            _check_no_extras(plan_obj, {"strategy", "subject", "fired_rule"}, "plan")
-            strategy_text = _require(plan_obj, "strategy", str, "plan")
-            try:
-                strategy = Strategy(strategy_text)
-            except ValueError:
-                raise MalformedFrame(f"unknown strategy {strategy_text!r}") from None
-            outcome: Outcome = RepairPlan(
-                strategy=strategy,
-                subject=_require(plan_obj, "subject", str, "plan"),
-                fired_rule=_require(plan_obj, "fired_rule", str, "plan"),
-            )
-        elif "no_match" in outcome_obj:
-            _check_no_extras(outcome_obj, {"no_match"}, "outcome")
-            if outcome_obj["no_match"] is not True:
-                raise MalformedFrame("no_match must be true")
-            outcome = NoMatch()
-        elif "error" in outcome_obj:
-            _check_no_extras(outcome_obj, {"error"}, "outcome")
-            err_obj = _require(outcome_obj, "error", dict, "outcome")
-            _check_no_extras(err_obj, {"code", "message"}, "error")
-            outcome = ErrorOutcome(
-                code=_require(err_obj, "code", str, "error"),
-                message=_require(err_obj, "message", str, "error"),
-            )
-        else:
-            raise MalformedFrame("outcome must be plan, no_match, or error")
-        return PlanResponse(request_id=request_id, outcome=outcome)
-
-    raise MalformedFrame(f"unknown message type {msg_type!r}")
+    for cls in (PlanRequest, PlanResponse):
+        if obj.get("type") == _BODIES[cls]["type"]:
+            return cls(**_fields(obj, _BODIES[cls], "frame"))
+    raise MalformedFrame(f"unknown message type {obj.get('type')!r}")
 
 
 # -- service ----------------------------------------------------------------
@@ -240,44 +216,34 @@ def decode(data: bytes) -> Message:
 
 def _best_effort_request_id(line: bytes) -> int:
     try:
-        obj = json.loads(line.decode("utf-8"))
-        rid = obj.get("request_id") if isinstance(obj, dict) else None
-        return rid if isinstance(rid, int) and not isinstance(rid, bool) else 0
+        rid = json.loads(line.decode("utf-8"))["request_id"]
     except Exception:
         return 0
+    return rid if type(rid) is int else 0
 
 
 class _PlanHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
-        for line in self.rfile:
+        while line := self.rfile.readline(MAX_FRAME + 1):
+            if len(line) > MAX_FRAME:
+                too_large = ErrorOutcome("too_large", f"frame exceeds {MAX_FRAME} bytes")
+                self.wfile.write(encode(PlanResponse(0, too_large)))
+                return
             try:
                 message = decode(line.rstrip(b"\n"))
                 if not isinstance(message, PlanRequest):
                     raise MalformedFrame("server expects plan_request frames")
             except MalformedFrame as exc:
-                response = PlanResponse(
-                    request_id=_best_effort_request_id(line),
-                    outcome=ErrorOutcome("malformed", str(exc)),
-                )
-                self.wfile.write(encode(response))
-                continue
-            try:
-                outcome: Outcome = evaluate(self.server.ruleset, message.fact)
-            except NoMatchingRule:
-                outcome = NoMatch()
-            except Exception as exc:  # pragma: no cover - defensive
-                log.exception("plan evaluation failed")
-                outcome = ErrorOutcome("internal", str(exc))
-            self.wfile.write(encode(PlanResponse(message.request_id, outcome)))
+                malformed = ErrorOutcome("malformed", str(exc))
+                response = PlanResponse(_best_effort_request_id(line), malformed)
+            else:
+                response = PlanResponse(message.request_id, self.server.planner.plan(message.fact))
+            self.wfile.write(encode(response))
 
 
 class _PlanServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
-
-    def __init__(self, address: tuple[str, int], ruleset: RuleSet) -> None:
-        super().__init__(address, _PlanHandler)
-        self.ruleset = ruleset
 
 
 class PlanService:
@@ -287,9 +253,10 @@ class PlanService:
 
     def __init__(self, ruleset: RuleSet, host: str = "127.0.0.1", port: int = DEFAULT_PORT):
         try:
-            self._server = _PlanServer((host, port), ruleset)
+            self._server = _PlanServer((host, port), _PlanHandler)
         except OSError as exc:
             raise OSError(f"cannot bind {host}:{port}: {exc}") from exc
+        self._server.planner = InProcessPlanner(ruleset)
         self._thread: threading.Thread | None = None
 
     @property
@@ -298,9 +265,8 @@ class PlanService:
 
     def start(self) -> "PlanService":
         """Serve on a background thread; returns self once accepting."""
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
         self._thread.start()
-        log.info("plan service listening on %s:%d", *self.address)
         return self
 
     def serve_forever(self) -> None:

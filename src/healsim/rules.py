@@ -372,7 +372,13 @@ def parse_rules(text: str) -> RuleSet:
 
 def load_rules(path: str) -> RuleSet:
     with open(path, encoding="utf-8") as fh:
-        return parse_rules(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            head = exc.object[: exc.start].decode("utf-8")
+            line, col = head.count("\n") + 1, len(head) - head.rfind("\n")
+            raise RuleSyntaxError("invalid UTF-8", line, col) from None
+    return parse_rules(text)
 
 
 def default_ruleset() -> RuleSet:

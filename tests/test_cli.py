@@ -97,6 +97,35 @@ def test_serve_planner_rejects_bad_bind(rules_file, capsys):
     assert main(["serve-planner", "--rules", str(rules_file), "--bind", "nope"]) == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["validate-rules", "{not_utf8}"],
+        ["run", "--rules", "{not_utf8}"],
+        ["run", "--blueprint", "{not_utf8}"],
+        ["run", "--script", "{not_utf8}"],
+        ["run", "--blueprint", "{list_slot}"],
+        ["serve-planner", "--rules", "{rules}", "--bind", "127.0.0.1:99999"],
+    ],
+    ids=["validate-rules", "rules", "blueprint", "script", "non-string-slot", "port-range"],
+)
+def test_bad_input_exits_1_with_one_line(tmp_path, rules_file, capsys, args):
+    not_utf8 = tmp_path / "not-utf8"
+    not_utf8.write_bytes(b"\xff\xfe")
+    list_slot = tmp_path / "list-slot.json"
+    list_slot.write_text(json.dumps({
+        "types": [{"name": "A", "provides": "A", "requires": []}],
+        "slots": [{"slot": ["x"], "type": "A"}],
+        "connectors": [],
+    }), encoding="utf-8")
+    args = [a.format(not_utf8=not_utf8, list_slot=list_slot, rules=rules_file) for a in args]
+    if args[0] == "run":
+        args += ["--seed", "1", "--rounds", "1", "--out", str(tmp_path / "o")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(("error: ", "rule error: ")) and err.count("\n") == 1
+
+
 def test_serve_planner_bind_failure_is_startup_error(rules_file, capsys):
     import socket
 

@@ -133,6 +133,8 @@ def test_parse_planner_spec():
         parse_planner_spec("udp://nope:1")
     with pytest.raises(ConfigError):
         parse_planner_spec("tcp://nohost")
+    with pytest.raises(ConfigError):  # would wrap around to port 34463
+        parse_planner_spec("tcp://127.0.0.1:99999")
 
 
 def test_load_script(tmp_path):

@@ -247,6 +247,30 @@ def test_blueprint_duplicate_connector_rejected():
         blueprint_from_json(doc)
 
 
+def test_blueprint_colliding_render_rejected():
+    # "A->B" + "C" and "A" + "B->C" both render as "A->B->C". A CF4 on the
+    # second would be planned as AS3 "A->B->C", and that name would resolve
+    # to the first connector, which is live, so the repair would do nothing.
+    doc = {
+        "types": [
+            {"name": "Up", "provides": "Up", "requires": ["Down"]},
+            {"name": "Down", "provides": "Down", "requires": []},
+        ],
+        "slots": [
+            {"slot": "A->B", "type": "Up"},
+            {"slot": "A", "type": "Up"},
+            {"slot": "C", "type": "Down"},
+            {"slot": "B->C", "type": "Down"},
+        ],
+        "connectors": [
+            {"from": "A->B", "to": "C", "interface": "Down"},
+            {"from": "A", "to": "B->C", "interface": "Down"},
+        ],
+    }
+    with pytest.raises(BlueprintError, match="both render as 'A->B->C'"):
+        blueprint_from_json(doc)
+
+
 def test_blueprint_cycle_rejected():
     doc = {
         "types": [

@@ -57,25 +57,6 @@ REPLICA_DOC = {
     ],
 }
 
-# "A->B" + "C" and "A" + "B->C" both render as "A->B->C".
-COLLIDING_DOC = {
-    "types": [
-        {"name": "Up", "provides": "Up", "requires": ["Down"]},
-        {"name": "Down", "provides": "Down", "requires": []},
-    ],
-    "slots": [
-        {"slot": "A->B", "type": "Up"},
-        {"slot": "A", "type": "Up"},
-        {"slot": "C", "type": "Down"},
-        {"slot": "B->C", "type": "Down"},
-    ],
-    "connectors": [
-        {"from": "A->B", "to": "C", "interface": "Down"},
-        {"from": "A", "to": "B->C", "interface": "Down"},
-        {"from": "A->B", "to": "B->C", "interface": "Down"},
-    ],
-}
-
 
 def load(doc):
     return default_blueprint() if doc is None else blueprint_from_json(doc)
@@ -125,9 +106,7 @@ def scan_connector_named(bp, name):
     return None
 
 
-@pytest.mark.parametrize(
-    "doc", [None, layered_blueprint_doc(50), COLLIDING_DOC], ids=["default", "layered50", "colliding"]
-)
+@pytest.mark.parametrize("doc", [None, layered_blueprint_doc(50)], ids=["default", "layered50"])
 def test_indexed_lookups_equal_linear_scans(doc):
     bp = load(doc)
     slots = [slot for slot, _ in bp.slots]
@@ -150,11 +129,6 @@ def test_indexed_lookups_equal_linear_scans(doc):
         assert bp.connectors_incident_to(unknown) == []
         assert bp.find_intended(unknown, slots[0]) is None
         assert bp.connector_named(unknown) is scan_connector_named(bp, unknown)
-
-
-def test_colliding_render_resolves_to_first_declared():
-    bp = blueprint_from_json(COLLIDING_DOC)
-    assert bp.connector_named("A->B->C") is bp.intended_connectors[0]
 
 
 def test_lookups_return_fresh_lists():

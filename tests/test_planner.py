@@ -108,6 +108,26 @@ def test_decode_encode_round_trip_handwritten():
         b'{"fact":{"dependent_count":0,"exception_count":0,"kind":"CF1",'
         b'"prior_failures_of_subject":0,"subject":"x"},"request_id":1,'
         b'"type":"plan_request","version":1,"extra":1}',
+        # no_match is exactly true: 1 == True and 1.0 == True in Python
+        b'{"outcome":{"no_match":1},"request_id":1,"type":"plan_response","version":1}',
+        b'{"outcome":{"no_match":1.0},"request_id":1,"type":"plan_response","version":1}',
+        b'{"outcome":{"no_match":true,"plan":{"fired_rule":"r","strategy":"AS1",'
+        b'"subject":"x"}},"request_id":1,"type":"plan_response","version":1}',
+        b'{"fact":{"dependent_count":0,"exception_count":true,"kind":"CF1",'
+        b'"prior_failures_of_subject":0,"subject":"x"},"request_id":1,'
+        b'"type":"plan_request","version":1}',
+        b'{"fact":[],"request_id":1,"type":"plan_request","version":1}',
+        b'{"outcome":{"plan":"AS1"},"request_id":1,"type":"plan_response","version":1}',
+        b'{"outcome":{"error":[]},"request_id":1,"type":"plan_response","version":1}',
+        b'{"fact":{"dependent_count":0,"exception_count":0,"extra":1,"kind":"CF1",'
+        b'"prior_failures_of_subject":0,"subject":"x"},"request_id":1,'
+        b'"type":"plan_request","version":1}',
+        b'{"outcome":{"plan":{"extra":1,"fired_rule":"r","strategy":"AS1","subject":"x"}},'
+        b'"request_id":1,"type":"plan_response","version":1}',
+        b'{"outcome":{"error":{"code":"c","extra":1,"message":"m"}},"request_id":1,'
+        b'"type":"plan_response","version":1}',
+        b'{"extra":1,"outcome":{"no_match":true},"request_id":1,"type":"plan_response",'
+        b'"version":1}',
     ],
 )
 def test_decode_rejects_malformed(frame):
@@ -176,6 +196,19 @@ def test_service_survives_garbage_then_serves(service):
     assert first.request_id == 0
     second = decode(replies[1].rstrip(b"\n"))
     assert isinstance(second.outcome, RepairPlan)
+
+
+def test_service_closes_on_oversized_frame(service):
+    from healsim.planner import MAX_FRAME
+
+    with socket.create_connection(service.address, timeout=2) as sock:
+        reader = sock.makefile("rb")
+        sock.sendall(b"x" * (MAX_FRAME - 1) + b"\n")  # at the cap: answered
+        assert decode(reader.readline().rstrip(b"\n")).outcome.code == "malformed"
+        sock.sendall(b"x" * MAX_FRAME + b"\n")  # one byte over: answered, then closed
+        reply = decode(reader.readline().rstrip(b"\n"))
+        assert reply == PlanResponse(0, ErrorOutcome("too_large", f"frame exceeds {MAX_FRAME} bytes"))
+        assert reader.readline() == b""
 
 
 def test_service_echoes_request_id_of_bad_request(service):
