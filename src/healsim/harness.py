@@ -107,7 +107,7 @@ def load_script(path: str, blueprint: Blueprint) -> list[FaultInstance]:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read script {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON or bad UTF-8
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, huge integer
         raise ConfigError(f"script {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise ConfigError("script must be a JSON list of faults")

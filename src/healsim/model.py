@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from itertools import chain, pairwise
 
 
 class ModelError(Exception):
@@ -118,6 +117,7 @@ class Blueprint:
     _by_name: dict[str, ConnectorSpec] = field(init=False, repr=False, compare=False)
     _slot_pos: dict[str, int] = field(init=False, repr=False, compare=False)
     _spec_pos: dict[ConnectorSpec, int] = field(init=False, repr=False, compare=False)
+    _slot_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         types = {}
@@ -172,6 +172,7 @@ class Blueprint:
         object.__setattr__(self, "_incident", incident)
         object.__setattr__(self, "_by_pair", by_pair)
         object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_slot_names", tuple(slot_types))
         object.__setattr__(self, "_slot_pos", {slot: i for i, slot in enumerate(slot_types)})
         object.__setattr__(self, "_spec_pos", {s: i for i, s in enumerate(by_pair.values())})
         self._check_acyclic()
@@ -198,7 +199,7 @@ class Blueprint:
     # -- lookups ---------------------------------------------------------
 
     def slot_names(self) -> list[str]:
-        return list(self._slot_types)
+        return list(self._slot_names)
 
     def has_slot(self, slot: str) -> bool:
         return slot in self._slot_types
@@ -237,6 +238,12 @@ def _name(value: object) -> str:
     return value
 
 
+def _names(value: object) -> tuple[str, ...]:
+    if not isinstance(value, list):
+        raise BlueprintError(f"malformed blueprint document: requires {value!r} is not a list")
+    return tuple(map(_name, value))
+
+
 def blueprint_from_json(obj: dict) -> Blueprint:
     """Build a Blueprint from the documented JSON document shape:
     ``{"types": [{name, provides, requires}], "slots": [{slot, type}],
@@ -244,8 +251,7 @@ def blueprint_from_json(obj: dict) -> Blueprint:
     """
     try:
         types = tuple(
-            ComponentType(_name(t["name"]), _name(t["provides"]),
-                          tuple(map(_name, t["requires"])))
+            ComponentType(_name(t["name"]), _name(t["provides"]), _names(t["requires"]))
             for t in obj["types"]
         )
         slots = tuple((_name(s["slot"]), _name(s["type"])) for s in obj["slots"])
@@ -262,7 +268,7 @@ def load_blueprint(path: str) -> Blueprint:
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except ValueError as exc:  # bad JSON or bad UTF-8
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, huge integer
             raise BlueprintError(f"{path}: {exc}") from exc
     return blueprint_from_json(obj)
 
@@ -285,8 +291,11 @@ ABSENT_SLOT = SlotView(present=False)
 
 def _omit(items, positions) -> list:
     """``items`` without the entries at ``positions``, joined from slices."""
-    bounds = [-1, *sorted(positions), len(items)]
-    return list(chain.from_iterable(items[a + 1:b] for a, b in pairwise(bounds)))
+    kept, start = [], 0
+    for pos in (*sorted(positions), len(items)):
+        kept += items[start:pos]
+        start = pos + 1
+    return kept
 
 
 @dataclass
@@ -302,8 +311,8 @@ class ArchitectureModel:
     removing a component also drops its incident connectors (a connector
     cannot outlive an endpoint). A single writer at a time is assumed;
     reads are safe from anywhere between mutations. Change ``components`` and
-    ``connectors`` only through the mutation methods: they keep current the
-    derived views that snapshots, validation and fault drawing read.
+    ``connectors`` only through the mutation methods: they keep current the derived
+    views and the change journal that monitoring, validation and fault drawing read.
     """
 
     blueprint: Blueprint
@@ -318,6 +327,9 @@ class ArchitectureModel:
     _missing: set[int] = field(init=False, repr=False, compare=False)  # intended, not live
     _extras: set[ConnectorSpec] = field(init=False, repr=False, compare=False)
     _live: tuple | None = field(init=False, repr=False, compare=False)  # None: stale
+    # Changes since the last cut_journal(): slot position -> None, and
+    # spec -> (position, spec, live afterwards) while its flips are odd.
+    _journal: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._views, self._damaged = [ABSENT_SLOT] * len(self.blueprint.slots), set()
@@ -332,14 +344,18 @@ class ArchitectureModel:
         view = ABSENT_SLOT if comp is None else SlotView(True, comp.state, comp.exception_count)
         self._views[pos], self._views_tuple = (slot, view), None
         (self._damaged.discard if view.state is ComponentState.STARTED else self._damaged.add)(pos)
+        self._journal[pos] = None
 
     def _connector_changed(self, spec: ConnectorSpec) -> None:
         pos, live = self.blueprint._spec_pos.get(spec), spec in self.connectors
         if pos is None:
             (self._extras.add if live else self._extras.discard)(spec)
+            pos = len(self.blueprint.intended_connectors)  # extras sort last, by spec
         else:
             (self._missing.discard if live else self._missing.add)(pos)
         self._live = None
+        if self._journal.pop(spec, None) is None:  # a second flip undoes the first
+            self._journal[spec] = (pos, spec, live)
 
     def _occupied(self, slot: str) -> Component:
         if (comp := self.component(slot)) is None:
@@ -359,7 +375,7 @@ class ArchitectureModel:
     def present_slots(self) -> list[str]:
         """Slots that hold an instance, in blueprint order."""
         absent = [pos for pos in self._damaged if not self._views[pos][1].present]
-        return _omit(self.blueprint.slot_names(), absent)
+        return _omit(self.blueprint._slot_names, absent)
 
     def has_connector(self, spec: ConnectorSpec) -> bool:
         return spec in self.connectors
@@ -380,6 +396,11 @@ class ArchitectureModel:
     def live_connector_specs(self) -> list[ConnectorSpec]:
         """``live_connectors()`` as a fresh list."""
         return list(self.live_connectors())
+
+    def cut_journal(self) -> tuple[dict, dict]:
+        """The journal since the previous cut, and the fresh one started now."""
+        since, self._journal = self._journal, {}
+        return since, self._journal
 
     # -- mutations -------------------------------------------------------
 
@@ -432,8 +453,9 @@ class ArchitectureModel:
             raise InterfaceMismatch(
                 f"{spec.target!r} does not provide interface {spec.interface!r}"
             )
-        self.connectors.add(spec)
-        self._connector_changed(spec)
+        if spec not in self.connectors:
+            self.connectors.add(spec)
+            self._connector_changed(spec)
 
     def instantiate(self, slot: str, instance_id: str) -> Component:
         """Fill an empty slot with a fresh instance: STARTED, zero exceptions."""

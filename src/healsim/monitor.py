@@ -4,13 +4,16 @@ The loop takes a snapshot before and after each disturbance and turns the
 difference into change events; the analyzer never touches the model's
 mutation history directly.
 
-Snapshots hold the model's cached slot-entry and connector tuples, so
-consecutive snapshots share every unchanged part and ``observe`` skips it.
+Snapshots share the model's cached tuples, and each carries the model's
+change journal since its previous snapshot. When ``cur`` is the next snapshot
+of ``prev``'s model, ``observe`` compares only what that journal names; every
+other pair (built directly, ``dataclasses.replace`` copies, not consecutive,
+of different or deep-copied models) gets the full diff of slots and connectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .model import ABSENT_SLOT, ArchitectureModel, ConnectorSpec, SlotView  # noqa: F401
@@ -28,6 +31,8 @@ class Snapshot:
     slots: tuple[tuple[str, SlotView], ...]
     connectors: tuple[ConnectorSpec, ...]
     clock: int
+    # From take_snapshot: (model's journal since its last snapshot, the one opened now)
+    _journal: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
 
 class EventKind(Enum):
@@ -56,7 +61,9 @@ class ChangeEvent:
 
 
 def take_snapshot(model: ArchitectureModel) -> Snapshot:
-    return Snapshot(slots=model.slot_views(), connectors=model.live_connectors(), clock=model.clock)
+    snap = Snapshot(model.slot_views(), model.live_connectors(), model.clock)
+    object.__setattr__(snap, "_journal", model.cut_journal())
+    return snap
 
 
 def observe(prev: Snapshot, cur: Snapshot) -> list[ChangeEvent]:
@@ -64,12 +71,25 @@ def observe(prev: Snapshot, cur: Snapshot) -> list[ChangeEvent]:
     blueprint order (state before exceptions within a slot), then connector
     removals, then connector additions, each in canonical connector order.
     Both snapshots must list the same slots in one order, as any of one blueprint do.
+    The journal (consecutive snapshots of one model) and the full diff give equal events.
     """
     if cur.clock < prev.clock:
         raise ClockRegression(f"clock moved from {prev.clock} back to {cur.clock}")
+    since = cur._journal[0]
+    if since is not None and since is prev._journal[1]:  # cur is the next snapshot of prev's model
+        positions = sorted(k for k in since if k.__class__ is int)
+        flipped = sorted(filter(None, since.values()))  # by (position, spec): canonical order
+        removed = [s for _, s, live in flipped if not live]
+        added = [s for _, s, live in flipped if live]
+    else:
+        positions = range(len(prev.slots))
+        old_set, new_set = set(prev.connectors), set(cur.connectors)
+        removed = [s for s in prev.connectors if s not in new_set]
+        added = [s for s in cur.connectors if s not in old_set]
     at = cur.clock
     events: list[ChangeEvent] = []
-    for (slot, before), (_, after) in zip(prev.slots, cur.slots):
+    for pos in positions:
+        (slot, before), (_, after) = prev.slots[pos], cur.slots[pos]
         if before is after:  # a slot the model did not touch
             continue
         if before.present and not after.present:
@@ -83,17 +103,6 @@ def observe(prev: Snapshot, cur: Snapshot) -> list[ChangeEvent]:
             ):
                 if was != now:
                     events.append(ChangeEvent(kind, slot, old=was, new=now, at=at))
-    old, new = prev.connectors, cur.connectors
-    if old == new:
-        return events
-    # Unchanged connectors keep their place: diff what lies between common ends.
-    lo, hi, end = 0, 0, min(len(old), len(new))
-    while lo < end and old[lo] is new[lo]:
-        lo += 1
-    while hi < end - lo and old[-1 - hi] is new[-1 - hi]:
-        hi += 1
-    old, new = old[lo:len(old) - hi], new[lo:len(new) - hi]
-    old_set, new_set = set(old), set(new)
-    events += [ChangeEvent(EventKind.CONNECTOR_REMOVED, s, at=at) for s in old if s not in new_set]
-    events += [ChangeEvent(EventKind.CONNECTOR_ADDED, s, at=at) for s in new if s not in old_set]
+    events += [ChangeEvent(EventKind.CONNECTOR_REMOVED, s, at=at) for s in removed]
+    events += [ChangeEvent(EventKind.CONNECTOR_ADDED, s, at=at) for s in added]
     return events

@@ -201,8 +201,8 @@ def decode(data: bytes) -> Message:
         raise MalformedFrame(f"frame is not UTF-8: {exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedFrame(f"frame is not JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # also an integer over the digit limit, deep nesting
+        raise MalformedFrame(f"frame is not JSON: {exc}") from exc
     if type(obj) is not dict:
         raise MalformedFrame("frame is not a JSON object")
     for cls in (PlanRequest, PlanResponse):

@@ -14,6 +14,7 @@ touching program code. The grammar (line comments start with ``#``):
 
 ``kind`` compares against the bare tokens CF1..CF4, ``subject`` against a
 quoted string, and the three counter fields against integer literals.
+Literals have at most 4300 digits; parentheses nest at most ``MAX_NESTING`` deep.
 Evaluation picks the matching rule with the highest salience, ties broken
 by file position, and is free of side effects.
 """
@@ -139,6 +140,7 @@ class RepairPlan:
 INT_FIELDS = ("exception_count", "dependent_count", "prior_failures_of_subject")
 FIELDS = ("kind", "subject") + INT_FIELDS
 _EQUALITY_OPS = ("==", "!=")
+MAX_NESTING = 100  # parenthesis depth; keeps parsing and evaluation clear of the recursion limit
 _OPS = {
     "==": operator.eq,
     "!=": operator.ne,
@@ -194,6 +196,7 @@ def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     line = 1
     line_start = 0
+    depth = 0  # of parentheses
     i = 0
     n = len(text)
     while i < n:
@@ -217,6 +220,9 @@ def _tokenize(text: str) -> list[_Token]:
                 raise RuleSyntaxError("unterminated string literal", line, col)
             raise RuleSyntaxError(f"unexpected character {ch!r}", line, col)
         kind = m.lastgroup.upper()
+        depth += (kind == "LPAREN") - (kind == "RPAREN")
+        if depth > MAX_NESTING:
+            raise RuleSyntaxError(f"parentheses nest deeper than {MAX_NESTING}", line, col)
         tokens.append(_Token(kind, m.group(), line, col))
         i = m.end()
     tokens.append(_Token("EOF", "", line, (n - line_start) + 1))
@@ -247,6 +253,16 @@ class _Parser:
                                   tok.line, tok.col)
         return self.advance()
 
+    def expect_int(self, message: str) -> int:
+        tok = self.peek()
+        if tok.kind != "INT":
+            raise RuleSyntaxError(message, tok.line, tok.col)
+        self.advance()
+        try:
+            return int(tok.text)
+        except ValueError:  # over Python's integer string conversion limit
+            raise RuleSyntaxError("integer literal is too long", tok.line, tok.col) from None
+
     def parse_ruleset(self) -> RuleSet:
         rules: list[Rule] = []
         seen: dict[str, Rule] = {}
@@ -271,11 +287,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "IDENT" and tok.text == "salience":
             self.advance()
-            int_tok = self.peek()
-            if int_tok.kind != "INT":
-                raise RuleSyntaxError("expected integer salience", int_tok.line, int_tok.col)
-            self.advance()
-            salience = int(int_tok.text)
+            salience = self.expect_int("expected integer salience")
         self.expect_keyword("when")
         condition = self.parse_or()
         self.expect_keyword("then")
@@ -358,11 +370,7 @@ class _Parser:
                                       tok.line, tok.col)
             self.advance()
             return _unescape(tok.text, tok.line, tok.col)
-        if tok.kind != "INT":
-            raise RuleSyntaxError(f"{fieldname} compares against an integer",
-                                  tok.line, tok.col)
-        self.advance()
-        return int(tok.text)
+        return self.expect_int(f"{fieldname} compares against an integer")
 
 
 def parse_rules(text: str) -> RuleSet:

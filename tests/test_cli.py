@@ -106,8 +106,15 @@ def test_serve_planner_rejects_bad_bind(rules_file, capsys):
         ["run", "--script", "{not_utf8}"],
         ["run", "--blueprint", "{list_slot}"],
         ["serve-planner", "--rules", "{rules}", "--bind", "127.0.0.1:99999"],
+        ["run", "--blueprint", "{requires_str}"],
+        ["run", "--blueprint", "{requires_obj}"],
+        ["run", "--blueprint", "{deep}"],
+        ["run", "--script", "{deep}"],
+        ["validate-rules", "{big_salience}"],
     ],
-    ids=["validate-rules", "rules", "blueprint", "script", "non-string-slot", "port-range"],
+    ids=["validate-rules", "rules", "blueprint", "script", "non-string-slot", "port-range",
+         "requires-string", "requires-object", "deep-blueprint", "deep-script",
+         "salience-digits"],
 )
 def test_bad_input_exits_1_with_one_line(tmp_path, rules_file, capsys, args):
     not_utf8 = tmp_path / "not-utf8"
@@ -118,7 +125,22 @@ def test_bad_input_exits_1_with_one_line(tmp_path, rules_file, capsys, args):
         "slots": [{"slot": ["x"], "type": "A"}],
         "connectors": [],
     }), encoding="utf-8")
-    args = [a.format(not_utf8=not_utf8, list_slot=list_slot, rules=rules_file) for a in args]
+    files = {"not_utf8": not_utf8, "list_slot": list_slot, "rules": rules_file}
+    for name, requires in (("requires_str", "S"), ("requires_obj", {"S": 1})):  # not ["S"]
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps({
+            "types": [{"name": "A", "provides": "A", "requires": requires},
+                      {"name": "S", "provides": "S", "requires": []}],
+            "slots": [{"slot": "a", "type": "A"}, {"slot": "s", "type": "S"}],
+            "connectors": [{"from": "a", "to": "s", "interface": "S"}],
+        }), encoding="utf-8")
+    files["deep"] = tmp_path / "deep.json"
+    files["deep"].write_text("[" * 30000 + "]" * 30000, encoding="utf-8")
+    files["big_salience"] = tmp_path / "big-salience.rules"
+    files["big_salience"].write_text(
+        'rule "r" salience ' + "9" * 5000 + " when kind == CF1 then AS1\n", encoding="utf-8"
+    )
+    args = [a.format(**files) for a in args]
     if args[0] == "run":
         args += ["--seed", "1", "--rounds", "1", "--out", str(tmp_path / "o")]
     assert main(args) == 1

@@ -1,14 +1,18 @@
 """Oracles for the fast paths: every indexed or short-cut answer must equal
 the plain linear-scan or full-diff answer it replaced."""
 
+import contextlib
 import copy
 import dataclasses
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from healsim import harness, monitor
 from healsim.executor import ExecutionError, execute
 from healsim.faults import FaultInstance, FaultKind, NoEligibleTarget, draw_fault, inject
+from healsim.harness import ScenarioConfig, ScenarioRunner
 from healsim.model import (
     ArchitectureModel,
     Component,
@@ -208,15 +212,13 @@ def apply_step(model, step):
         model.add_connector(ConnectorSpec(src, dst, bp.type_of_slot(dst).provided_interface))
 
 
-STEPS = st.lists(
-    st.tuples(
-        st.sampled_from(["inject", "execute", "connect"]),
-        st.integers(0, 3),
-        st.integers(0, 10**6),
-        st.integers(0, 10**6),
-    ),
-    max_size=40,
+STEP = st.tuples(
+    st.sampled_from(["inject", "execute", "connect"]),
+    st.integers(0, 3),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
 )
+STEPS = st.lists(STEP, max_size=40)
 
 
 @pytest.mark.parametrize(
@@ -399,3 +401,88 @@ def test_directly_built_model_matches_scans():
     assert after == scan_snapshot(model)
     assert observe(before, after) == scan_observe(before, after)
     assert_views_match_scans(model, 0)
+
+
+# -- (d) the change journal vs the full diff ---------------------------------
+
+
+@contextlib.contextmanager
+def full_diff_unavailable():
+    """observe's full diff builds connector sets; its journal path builds none."""
+
+    def no_set(*args):
+        raise AssertionError("observe took the full diff")
+
+    with mock.patch.object(monitor, "set", no_set, create=True):
+        yield
+
+
+def apply_steps(model, steps):
+    for step in steps:
+        try:
+            apply_step(model, step)
+        except (ModelError, ExecutionError):
+            pass
+
+
+@pytest.mark.parametrize(
+    "doc", [None, layered_blueprint_doc(6), REPLICA_DOC], ids=["default", "layered6", "replica"]
+)
+@settings(max_examples=40, deadline=None)
+@given(windows=st.lists(st.lists(STEP, min_size=1, max_size=6), max_size=8))
+@example(windows=[[("inject", 3, 0, 0), ("execute", 2, 0, 0)]])  # connector removed, re-added
+@example(windows=[[("inject", 2, 1, 0), ("execute", 1, 1, 0)]])  # slot emptied, re-instantiated
+@example(windows=[[("inject", 2, 1, 0), ("inject", 3, 0, 0), ("execute", 1, 1, 0),
+                   ("execute", 2, 0, 0), ("inject", 0, 1, 0), ("execute", 3, 1, 0)]])
+@example(windows=[[("connect", 0, 2, 3), ("inject", 2, 3, 0), ("execute", 1, 3, 0),
+                   ("connect", 0, 2, 3)]])  # an extra dropped with its end, then restored
+def test_journal_windows_equal_full_diff(doc, windows):
+    """Several mutations between consecutive snapshots of one model take the
+    journal; snapshots of another model of the same blueprint, of a deep
+    copy, and replaced snapshots take the full diff. All equal scan_observe."""
+    bp = load(doc)
+    model, other = instantiate_blueprint(bp), instantiate_blueprint(bp)
+    first, before = take_snapshot(model), take_snapshot(model)
+    for window in windows:
+        scanned_before = scan_snapshot(model)
+        clone = copy.deepcopy(model)
+        apply_steps(model, window)
+        apply_steps(clone, window[::-1])
+        apply_steps(other, window[1:])
+        after = take_snapshot(model)
+        with full_diff_unavailable():
+            assert observe(before, after) == scan_observe(scanned_before, scan_snapshot(model))
+
+        cloned, another = take_snapshot(clone), take_snapshot(other)
+        pairs = [
+            (before, cloned), (cloned, after), (before, another), (another, after),
+            (first, after), (dataclasses.replace(before), after),
+            (before, dataclasses.replace(after)),
+        ]
+        for prev, cur in pairs:
+            if cur.clock >= prev.clock:
+                assert observe(prev, cur) == scan_observe(prev, cur)
+                with full_diff_unavailable(), pytest.raises(AssertionError):
+                    observe(prev, cur)
+        before = after
+
+
+@pytest.mark.parametrize("doc", [None, layered_blueprint_doc(50)], ids=["default", "layered50"])
+def test_harness_observes_through_the_journal(doc, monkeypatch):
+    """Every harness observe reads the journal and equals the full diff; the
+    model keeps only the changes made since the round's last snapshot."""
+    afters = []
+
+    def checked_observe(before, after):
+        with full_diff_unavailable():
+            events = observe(before, after)
+        assert events == scan_observe(before, after)
+        afters.append(after)
+        return events
+
+    monkeypatch.setattr(harness, "observe", checked_observe)
+    runner = ScenarioRunner(ScenarioConfig(seed=7, rounds=300), blueprint=load(doc))
+    for _ in range(300):
+        runner.run_round()
+        assert runner.model._journal is afters[-1]._journal[1]
+    assert len(afters) == 300

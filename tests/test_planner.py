@@ -88,6 +88,16 @@ def test_decode_encode_round_trip_handwritten():
         assert decode(encode(message)) == message
 
 
+# Both under MAX_FRAME: an integer over Python's 4300-digit limit, and an
+# array nested deeper than the recursion limit.
+BIG_INT_FRAME = (
+    b'{"fact":{"dependent_count":' + b"7" * 5000 + b',"exception_count":0,"kind":"CF1",'
+    b'"prior_failures_of_subject":0,"subject":"x"},"request_id":3,'
+    b'"type":"plan_request","version":1}'
+)
+DEEP_FRAME = b"[" * 30000 + b"]" * 30000
+
+
 @pytest.mark.parametrize(
     "frame",
     [
@@ -128,6 +138,8 @@ def test_decode_encode_round_trip_handwritten():
         b'"type":"plan_response","version":1}',
         b'{"extra":1,"outcome":{"no_match":true},"request_id":1,"type":"plan_response",'
         b'"version":1}',
+        pytest.param(BIG_INT_FRAME, id="int-over-digit-limit"),
+        pytest.param(DEEP_FRAME, id="nested-30000-deep"),
     ],
 )
 def test_decode_rejects_malformed(frame):
@@ -209,6 +221,18 @@ def test_service_closes_on_oversized_frame(service):
         reply = decode(reader.readline().rstrip(b"\n"))
         assert reply == PlanResponse(0, ErrorOutcome("too_large", f"frame exceeds {MAX_FRAME} bytes"))
         assert reader.readline() == b""
+
+
+def test_service_answers_undecodable_frames_then_serves(service):
+    with socket.create_connection(service.address, timeout=2) as sock:
+        reader = sock.makefile("rb")
+        for frame in (BIG_INT_FRAME, DEEP_FRAME):
+            sock.sendall(frame + b"\n")
+            reply = decode(reader.readline().rstrip(b"\n"))
+            assert reply.request_id == 0 and reply.outcome.code == "malformed"
+        sock.sendall(encode(cf4_fact(request_id=8)))
+        reply = decode(reader.readline().rstrip(b"\n"))
+        assert reply.request_id == 8 and isinstance(reply.outcome, RepairPlan)
 
 
 def test_service_echoes_request_id_of_bad_request(service):

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from healsim.faults import FaultKind
 from healsim.rules import (
+    MAX_NESTING,
     And,
     Comparison,
     DuplicateRuleName,
@@ -122,6 +123,31 @@ def test_syntax_errors_have_positions(text, fragment):
         parse_rules(text)
     assert fragment in str(err.value)
     assert err.value.line >= 1 and err.value.col >= 1
+
+
+@pytest.mark.parametrize(
+    "text,position,fragment",
+    [
+        ('rule "r" salience ' + "9" * 5000 + " when kind == CF1 then AS1", (1, 19), "too long"),
+        ('rule "r" when\n  exception_count > -' + "1" * 4301 + " then AS1", (2, 21), "too long"),
+        ('rule "r" when ' + "(" * 3000 + "kind == CF1" + ")" * 3000 + " then AS1",
+         (1, 15 + MAX_NESTING), "nest deeper"),
+    ],
+    ids=["salience-digits", "literal-digits", "nested-3000-deep"],
+)
+def test_limits_end_in_positioned_syntax_errors(text, position, fragment):
+    with pytest.raises(RuleSyntaxError) as err:
+        parse_rules(text)
+    assert fragment in str(err.value)
+    assert (err.value.line, err.value.col) == position
+
+
+def test_parentheses_at_the_nesting_limit_parse():
+    cond = "(" * MAX_NESTING + "kind == CF1 or not exception_count > 4" + ")" * MAX_NESTING
+    ruleset = parse_rules(f'rule "r" when {cond} and dependent_count >= {"1" * 4300} then AS1')
+    assert parse_rules(format_rules(ruleset)) == ruleset
+    with pytest.raises(NoMatchingRule):
+        evaluate(ruleset, fact())
 
 
 def test_error_position_points_at_token():
