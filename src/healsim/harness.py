@@ -6,6 +6,11 @@ taken from an explicit script), runs one full repair cycle, then validates
 the architecture against the blueprint. All randomness flows from the
 single splitmix64 seed and the clock is logical, so a config determines
 every output byte.
+
+A run ends by writing scenario.json, rounds.csv and suspects.csv. Each
+round's object in scenario.json is written directly as canonical JSON text
+by ``round_json``, with no intermediate dicts: its key order is fixed by
+hand and guarded by the dict-form oracle in ``tests/test_oracles.py``.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import json
 import logging
 import os
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii as _str
 
 from .analyzer import (
     FailureReport,
@@ -28,6 +34,7 @@ from .faults import FaultInstance, FaultKind, Rng, draw_fault, draw_interval, in
 from .model import (
     Blueprint,
     Violation,
+    ViolationKind,
     build_default_model,
     instantiate_blueprint,
     load_blueprint,
@@ -35,7 +42,7 @@ from .model import (
 )
 from .monitor import observe, take_snapshot
 from .planner import InProcessPlanner, NoMatch, RemotePlanner, canonical_json, request_plan
-from .rules import RepairPlan, RuleSet, default_ruleset, load_rules
+from .rules import RepairPlan, RuleSet, Strategy, default_ruleset, load_rules
 
 log = logging.getLogger(__name__)
 
@@ -259,100 +266,87 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
 
 # -- report emission ---------------------------------------------------------
 
-
-def _config_json(config: ScenarioConfig) -> dict:
-    # out_dir is where the report lands, not part of what it describes;
-    # leaving it out keeps equal runs byte-identical wherever they are written.
-    return {
-        "seed": config.seed,
-        "rounds": config.rounds,
-        "exception_threshold": config.exception_threshold,
-        "rootcause_threshold": config.rootcause_threshold,
-        "planner": config.planner,
-        "rules": config.rules_path,
-        "blueprint": config.blueprint_path,
-        "script": config.script_path,
-    }
+# Member -> value for every enum in a report: ``Enum.value`` is a Python-level
+# descriptor, read here for every fault, report, plan, execution and violation.
+# The values are plain ASCII identifiers, so they are written unescaped.
+_VALUE = {m: m.value for e in (FaultKind, Strategy, ViolationKind) for m in e}
 
 
-def _fault_json(fault: FaultInstance) -> dict:
-    out = {"kind": fault.kind.value, "target": fault.render_target(),
-           "injected_at": fault.injected_at}
-    if fault.magnitude is not None:
-        out["magnitude"] = fault.magnitude
-    return out
-
-
-def _report_json(report: FailureReport) -> dict:
-    return {
-        "report_id": report.report_id,
-        "kind": report.kind.value,
-        "subject": report.render_subject(),
-        "exception_count": report.exception_count,
-        "detected_at": report.detected_at,
-        "dependent_slots": list(report.dependent_slots),
-    }
-
-
-def _plan_json(report: FailureReport, plan: RepairPlan | None) -> dict:
-    if plan is None:
-        return {"report_id": report.report_id, "no_match": True}
-    return {
-        "report_id": report.report_id,
-        "strategy": plan.strategy.value,
-        "subject": plan.subject,
-        "fired_rule": plan.fired_rule,
-    }
-
-
-def _execution_json(result: ExecutionResult) -> dict:
-    return {
-        "strategy": result.plan.strategy.value,
-        "subject": result.plan.subject,
-        "mutations": list(result.applied_mutations),
-        "new_instance_id": result.new_instance_id,
-        "completed_at": result.completed_at,
-    }
-
-
-def _round_json(record: RoundRecord) -> dict:
-    return {
-        "round": record.index,
-        "clock_start": record.clock_start,
-        "clock_end": record.clock_end,
-        "fault": _fault_json(record.fault),
-        "reports": [_report_json(r) for r in record.reports],
-        "plans": [_plan_json(r, p) for r, p in zip(record.reports, record.plans)],
-        "executions": [_execution_json(e) for e in record.executions],
-        "post_violations": [
-            {"kind": v.kind.value, "subject": v.render_subject()}
-            for v in record.post_violations
-        ],
-    }
+def round_json(record: RoundRecord) -> str:
+    """The round's object in ``scenario.json``: the text ``canonical_json``
+    makes of its dict form, written directly. Keys are in sorted order by
+    hand and strings escaped as ``canonical_json`` escapes them; the dict
+    form lives on in ``tests/test_oracles.py``, which compares the bytes."""
+    value, fault = _VALUE, record.fault
+    magnitude = "" if fault.magnitude is None else f',"magnitude":{fault.magnitude}'
+    reports = ",".join([
+        f'{{"dependent_slots":[{",".join(map(_str, r.dependent_slots))}],'
+        f'"detected_at":{r.detected_at},"exception_count":{r.exception_count},'
+        f'"kind":"{value[r.kind]}","report_id":{r.report_id},'
+        f'"subject":{_str(r.render_subject())}}}'
+        for r in record.reports
+    ])
+    plans = ",".join([
+        f'{{"no_match":true,"report_id":{r.report_id}}}' if p is None else
+        f'{{"fired_rule":{_str(p.fired_rule)},"report_id":{r.report_id},'
+        f'"strategy":"{value[p.strategy]}","subject":{_str(p.subject)}}}'
+        for r, p in zip(record.reports, record.plans)
+    ])
+    executions = ",".join([
+        f'{{"completed_at":{e.completed_at},'
+        f'"mutations":[{",".join(map(_str, e.applied_mutations))}],'
+        f'"new_instance_id":{"null" if e.new_instance_id is None else _str(e.new_instance_id)},'
+        f'"strategy":"{value[e.plan.strategy]}","subject":{_str(e.plan.subject)}}}'
+        for e in record.executions
+    ])
+    violations = ",".join([
+        f'{{"kind":"{value[v.kind]}","subject":{_str(v.render_subject())}}}'
+        for v in record.post_violations
+    ])
+    return (
+        f'{{"clock_end":{record.clock_end},"clock_start":{record.clock_start},'
+        f'"executions":[{executions}],'
+        f'"fault":{{"injected_at":{fault.injected_at},"kind":"{value[fault.kind]}"{magnitude},'
+        f'"target":{_str(fault.render_target())}}},'
+        f'"plans":[{plans}],"post_violations":[{violations}],"reports":[{reports}],'
+        f'"round":{record.index}}}'
+    )
 
 
 def scenario_json(report: ScenarioReport) -> bytes:
-    """Canonical JSON bytes for a scenario report (sorted keys, LF-terminated)."""
-    doc = {
-        "config": _config_json(report.config),
-        "rounds": [_round_json(r) for r in report.rounds],
-        "root_cause": {
-            "threshold": report.config.rootcause_threshold,
-            "counters": report.counters,
+    """Canonical JSON bytes for a scenario report (sorted keys, LF-terminated).
+
+    ``canonical_json`` encodes the small rest of the document with an empty
+    ``rounds`` list; the objects from ``round_json`` are spliced into it.
+    """
+    config = report.config
+    doc = canonical_json({
+        # out_dir is where the report lands, not part of what it describes;
+        # leaving it out keeps equal runs byte-identical wherever they are written.
+        "config": {
+            "seed": config.seed,
+            "rounds": config.rounds,
+            "exception_threshold": config.exception_threshold,
+            "rootcause_threshold": config.rootcause_threshold,
+            "planner": config.planner,
+            "rules": config.rules_path,
+            "blueprint": config.blueprint_path,
+            "script": config.script_path,
         },
+        "rounds": [],
+        "root_cause": {"threshold": config.rootcause_threshold, "counters": report.counters},
         "suspects": [
-            {
-                "component": s.slot,
-                "count": s.count,
-                "implicated_by": list(s.implicated_by),
-                "first_at": s.first_at,
-                "last_at": s.last_at,
-            }
+            {"component": s.slot, "count": s.count, "implicated_by": list(s.implicated_by),
+             "first_at": s.first_at, "last_at": s.last_at}
             for s in report.suspects
         ],
         "unhandled_failures": report.unhandled_failures,
-    }
-    return canonical_json(doc)
+    })
+    rounds = ",".join(map(round_json, report.rounds)).encode("ascii")
+    # Only "config" and "root_cause" sort before "rounds", and neither holds a
+    # list, so the first '"rounds":[]' is the top-level key.
+    head, tail = doc.split(b'"rounds":[]', 1)
+    return b"".join((head, b'"rounds":[', rounds, b"]", tail))
 
 
 ROUNDS_CSV_HEADER = [
@@ -370,25 +364,21 @@ def emit_reports(report: ScenarioReport, out_dir: str) -> dict[str, str]:
         "rounds": os.path.join(out_dir, "rounds.csv"),
         "suspects": os.path.join(out_dir, "suspects.csv"),
     }
+    value = _VALUE
+    # A round executes exactly the plans that are not None.
+    rows = [
+        (r.index, r.clock_end, value[r.fault.kind], r.fault.render_target(), len(r.reports),
+         len(r.executions), ";".join([value[e.plan.strategy] for e in r.executions]),
+         len(r.post_violations), len(r.plans) - len(r.executions))
+        for r in report.rounds
+    ]
     try:
         with open(paths["scenario"], "wb") as fh:
             fh.write(scenario_json(report))
         with open(paths["rounds"], "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(ROUNDS_CSV_HEADER)
-            for record in report.rounds:
-                fired = [p for p in record.plans if p is not None]
-                writer.writerow([
-                    record.index,
-                    record.clock_end,
-                    record.fault.kind.value,
-                    record.fault.render_target(),
-                    len(record.reports),
-                    len(fired),
-                    ";".join(p.strategy.value for p in fired),
-                    len(record.post_violations),
-                    sum(1 for p in record.plans if p is None),
-                ])
+            writer.writerows(rows)
         write_suspect_report(report.suspects, paths["suspects"])
     except OSError as exc:
         raise ConfigError(f"cannot write reports under {out_dir}: {exc}") from exc

@@ -178,23 +178,24 @@ class Blueprint:
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
+        # Depth-first with an explicit stack, so that no chain depth reaches the
+        # recursion limit. The sentinel at the bottom yields every slot as a root.
         adjacency = self._dependencies
-        seen: dict[str, int] = {}  # 1 = on stack, 2 = done
-
-        def visit(slot: str, trail: list[str]) -> None:
-            seen[slot] = 1
-            trail.append(slot)
-            for nxt in adjacency[slot]:
+        seen: dict[str, int] = {}  # 1 = on the stack, 2 = done
+        stack = [("", iter(adjacency))]
+        while stack:
+            slot, deps = stack[-1]
+            for nxt in deps:
                 if seen.get(nxt) == 1:
-                    raise BlueprintError(f"dependency cycle through {' -> '.join(trail + [nxt])}")
+                    cycle = " -> ".join([s for s, _ in stack[1:]] + [nxt])
+                    raise BlueprintError(f"dependency cycle through {cycle}")
                 if nxt not in seen:
-                    visit(nxt, trail)
-            trail.pop()
-            seen[slot] = 2
-
-        for slot in adjacency:
-            if slot not in seen:
-                visit(slot, [])
+                    seen[nxt] = 1
+                    stack.append((nxt, iter(adjacency[nxt])))
+                    break
+            else:
+                seen[slot] = 2
+                stack.pop()
 
     # -- lookups ---------------------------------------------------------
 

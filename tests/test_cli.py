@@ -9,6 +9,7 @@ import pytest
 
 from healsim.cli import main
 from healsim.planner import DEFAULT_PORT, ErrorOutcome, PlanResponse, encode
+from test_golden import layered_blueprint_doc
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -52,6 +53,20 @@ def test_run_writes_reports(tmp_path, capsys):
     assert "rounds: 5" in stdout
     assert (out / "scenario.json").exists()
     assert (out / "rounds.csv").exists()
+    assert (out / "suspects.csv").exists()
+
+
+def test_run_deep_layered_blueprint(tmp_path, capsys):
+    # a 5000-deep dependency chain: validation must not recurse per slot
+    blueprint = tmp_path / "layered-5000.json"
+    blueprint.write_text(json.dumps(layered_blueprint_doc(5000)), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["run", "--seed", "3", "--rounds", "5", "--blueprint", str(blueprint),
+                 "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert "rounds: 5" in capsys.readouterr().out
+    assert len(json.loads((out / "scenario.json").read_bytes())["rounds"]) == 5
+    assert len((out / "rounds.csv").read_text(encoding="utf-8").splitlines()) == 6
     assert (out / "suspects.csv").exists()
 
 

@@ -287,6 +287,46 @@ def test_blueprint_cycle_rejected():
         blueprint_from_json(doc)
 
 
+def chain_doc(slots, edges):
+    """One type per slot; each edge is a connector on the target's interface."""
+    requires = {s: [] for s in slots}
+    for a, b in edges:
+        requires[a].append(b)
+    return {
+        "types": [{"name": s, "provides": s, "requires": requires[s]} for s in slots],
+        "slots": [{"slot": s, "type": s} for s in slots],
+        "connectors": [{"from": a, "to": b, "interface": b} for a, b in edges],
+    }
+
+
+@pytest.mark.parametrize(
+    "slots, edges, trail",
+    [
+        (["A", "B"], [("A", "B"), ("B", "A")], "A -> B -> A"),
+        # the cycle B -> C -> B is reached through the tail slot A, after
+        # the walk has finished B's first dependency D
+        (["A", "B", "C", "D"], [("A", "B"), ("B", "D"), ("B", "C"), ("C", "B")],
+         "A -> B -> C -> B"),
+        # the walk starts again at D after A's subtree is done
+        (["A", "B", "D", "E"], [("A", "B"), ("D", "E"), ("E", "D")], "D -> E -> D"),
+    ],
+    ids=["two-cycle", "through-tail", "second-root"],
+)
+def test_blueprint_cycle_message_names_the_trail(slots, edges, trail):
+    with pytest.raises(BlueprintError) as info:
+        blueprint_from_json(chain_doc(slots, edges))
+    assert str(info.value) == f"dependency cycle through {trail}"
+
+
+def test_deep_blueprint_loads():
+    # a dependency chain far deeper than the recursion limit
+    slots = [f"S{i}" for i in range(5000)]
+    bp = blueprint_from_json(chain_doc(slots, list(zip(slots, slots[1:]))))
+    assert len(bp.intended_connectors) == 4999
+    with pytest.raises(BlueprintError, match=r"cycle through S0 -> S1 -> .* -> S4999 -> S0$"):
+        blueprint_from_json(chain_doc(slots, list(zip(slots, slots[1:] + slots[:1]))))
+
+
 def test_default_blueprint_acyclic_and_complete():
     bp = default_blueprint()
     assert len(bp.slots) == 7

@@ -1,9 +1,13 @@
 """Oracles for the fast paths: every indexed or short-cut answer must equal
 the plain linear-scan or full-diff answer it replaced."""
 
+import collections
 import contextlib
 import copy
+import csv
 import dataclasses
+import io
+import json
 from unittest import mock
 
 import pytest
@@ -36,7 +40,8 @@ from healsim.monitor import (
     observe,
     take_snapshot,
 )
-from healsim.rules import RepairPlan, Strategy
+from healsim.planner import canonical_json
+from healsim.rules import RepairPlan, Strategy, parse_rules
 from test_golden import layered_blueprint_doc
 
 # Two App and two Store slots, wired in pairs: the cross links satisfy the
@@ -486,3 +491,234 @@ def test_harness_observes_through_the_journal(doc, monkeypatch):
         runner.run_round()
         assert runner.model._journal is afters[-1]._journal[1]
     assert len(afters) == 300
+
+
+# -- (e) the direct report encoder vs the dict form --------------------------
+#
+# harness.round_json writes each round's canonical JSON text directly. The
+# dict form it replaced, encoded by canonical_json, is the reference for
+# scenario.json; a plain csv.writer loop over the records is the reference
+# for rounds.csv.
+
+
+def fault_doc(fault):
+    out = {"kind": fault.kind.value, "target": fault.render_target(),
+           "injected_at": fault.injected_at}
+    if fault.magnitude is not None:
+        out["magnitude"] = fault.magnitude
+    return out
+
+
+def report_doc(report):
+    return {
+        "report_id": report.report_id,
+        "kind": report.kind.value,
+        "subject": report.render_subject(),
+        "exception_count": report.exception_count,
+        "detected_at": report.detected_at,
+        "dependent_slots": list(report.dependent_slots),
+    }
+
+
+def plan_doc(report, plan):
+    if plan is None:
+        return {"report_id": report.report_id, "no_match": True}
+    return {
+        "report_id": report.report_id,
+        "strategy": plan.strategy.value,
+        "subject": plan.subject,
+        "fired_rule": plan.fired_rule,
+    }
+
+
+def execution_doc(result):
+    return {
+        "strategy": result.plan.strategy.value,
+        "subject": result.plan.subject,
+        "mutations": list(result.applied_mutations),
+        "new_instance_id": result.new_instance_id,
+        "completed_at": result.completed_at,
+    }
+
+
+def round_doc(record):
+    return {
+        "round": record.index,
+        "clock_start": record.clock_start,
+        "clock_end": record.clock_end,
+        "fault": fault_doc(record.fault),
+        "reports": [report_doc(r) for r in record.reports],
+        "plans": [plan_doc(r, p) for r, p in zip(record.reports, record.plans)],
+        "executions": [execution_doc(e) for e in record.executions],
+        "post_violations": [
+            {"kind": v.kind.value, "subject": v.render_subject()}
+            for v in record.post_violations
+        ],
+    }
+
+
+def reference_scenario_json(report):
+    config = report.config
+    return canonical_json({
+        "config": {
+            "seed": config.seed,
+            "rounds": config.rounds,
+            "exception_threshold": config.exception_threshold,
+            "rootcause_threshold": config.rootcause_threshold,
+            "planner": config.planner,
+            "rules": config.rules_path,
+            "blueprint": config.blueprint_path,
+            "script": config.script_path,
+        },
+        "rounds": [round_doc(r) for r in report.rounds],
+        "root_cause": {"threshold": config.rootcause_threshold, "counters": report.counters},
+        "suspects": [
+            {
+                "component": s.slot,
+                "count": s.count,
+                "implicated_by": list(s.implicated_by),
+                "first_at": s.first_at,
+                "last_at": s.last_at,
+            }
+            for s in report.suspects
+        ],
+        "unhandled_failures": report.unhandled_failures,
+    })
+
+
+def reference_rounds_csv(report):
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(harness.ROUNDS_CSV_HEADER)
+    for record in report.rounds:
+        fired = [p for p in record.plans if p is not None]
+        writer.writerow([
+            record.index,
+            record.clock_end,
+            record.fault.kind.value,
+            record.fault.render_target(),
+            len(record.reports),
+            len(fired),
+            ";".join(p.strategy.value for p in fired),
+            len(record.post_violations),
+            sum(1 for p in record.plans if p is None),
+        ])
+    return out.getvalue().encode("utf-8")
+
+
+# The layered-degraded policy: CF4 goes unhandled, so removed connectors stay
+# removed and violations persist, and an escalation rule wins by salience.
+DEGRADED_RULES = (
+    'rule "restart-on-cf1" when kind == CF1 then AS1\n'
+    'rule "replace-on-cf2" when kind == CF2 then AS4\n'
+    'rule "redeploy-on-cf3" when kind == CF3 then AS2\n'
+    'rule "escalate" salience 10 when kind == CF1 and prior_failures_of_subject >= 2 then AS4\n'
+)
+
+# Names with every character class the escaper treats specially: a quote, a
+# backslash, a newline, a comma (for the CSV) and non-ASCII text.
+QUOTE, BACKSLASH, NEWLINE, COMMA, UNICODE = (
+    'Front "end"', "Back\\slash", "Line\nbreak", "Comma, Inc", "Zürich ☃  ",
+)
+ODD_NAMES_EDGES = [
+    (QUOTE, BACKSLASH), (QUOTE, COMMA), (BACKSLASH, NEWLINE), (BACKSLASH, UNICODE),
+    (COMMA, UNICODE),
+]
+ODD_NAMES_DOC = {
+    "types": [
+        {"name": f"type {s}", "provides": f"api {s}",
+         "requires": [f"api {b}" for a, b in ODD_NAMES_EDGES if a == s]}
+        for s in (QUOTE, BACKSLASH, NEWLINE, COMMA, UNICODE)
+    ],
+    "slots": [
+        {"slot": s, "type": f"type {s}"} for s in (QUOTE, BACKSLASH, NEWLINE, COMMA, UNICODE)
+    ],
+    "connectors": [{"from": a, "to": b, "interface": f"api {b}"} for a, b in ODD_NAMES_EDGES],
+}
+ODD_RULES = (
+    'rule "restart \\"cf1\\"" when kind == CF1 then AS1\n'
+    'rule "replace\\\\cf2, ü" when kind == CF2 then AS4\n'
+    'rule "redeploy ☃" when kind == CF3 then AS2\n'
+    'rule "reconnect cf4" when kind == CF4 then AS3\n'
+)
+
+CF2_SCRIPT = [
+    FaultInstance(FaultKind.CF2, "Bid Service", magnitude=6),
+    FaultInstance(FaultKind.CF4, ConnectorSpec("Query Service", "Reputation Service",
+                                               "Reputation Service")),
+    FaultInstance(FaultKind.CF2, "Bid Service", magnitude=123456789),
+    FaultInstance(FaultKind.CF3, "Reputation Service"),
+    FaultInstance(FaultKind.CF1, "Frontend"),
+    FaultInstance(FaultKind.CF2, "Query Service", magnitude=7),
+]
+
+
+def encoder_cases():
+    shop = [(f"shop-seed{seed}", ScenarioConfig(seed=seed, rounds=300), None, None)
+            for seed in (1, 7, 42, 2**64 - 1)]
+    return shop + [
+        ("zero-rounds", ScenarioConfig(seed=5, rounds=0), None, None),
+        ("layered50-degraded",
+         ScenarioConfig(seed=3, rounds=400, rules_path="degraded.rules"),
+         layered_blueprint_doc(50), DEGRADED_RULES),
+        ("cf2-script",
+         ScenarioConfig(seed=9, rounds=6, script=CF2_SCRIPT, script_path="cf2 \"script\".json",
+                        exception_threshold=2, rootcause_threshold=1),
+         None, None),
+        ("odd-names-default",
+         ScenarioConfig(seed=4, rounds=200, rules_path='odd\\"rules".rules',
+                        blueprint_path="odd,\nnames ü.json", planner="tcp://[::1]:7070"),
+         ODD_NAMES_DOC, ODD_RULES),
+        ("odd-names-degraded",
+         ScenarioConfig(seed=8, rounds=200, rootcause_threshold=1),
+         ODD_NAMES_DOC, DEGRADED_RULES),
+    ]
+
+
+def run_case(case):
+    _, config, doc, rules = case
+    ruleset = parse_rules(rules) if rules is not None else None
+    # The planner spec is only echoed: plan in-process whatever it says.
+    runner = ScenarioRunner(dataclasses.replace(config, planner="inproc"), ruleset=ruleset,
+                            blueprint=load(doc))
+    try:
+        return dataclasses.replace(runner.run(), config=config)
+    finally:
+        runner.close()
+
+
+@pytest.mark.parametrize("case", encoder_cases(), ids=lambda case: case[0])
+def test_report_encoder_equals_dict_form(case, tmp_path):
+    report = run_case(case)
+    assert harness.scenario_json(report) == reference_scenario_json(report)
+    harness.emit_reports(report, str(tmp_path))
+    assert (tmp_path / "scenario.json").read_bytes() == reference_scenario_json(report)
+    assert (tmp_path / "rounds.csv").read_bytes() == reference_rounds_csv(report)
+
+
+def test_encoder_cases_cover_every_branch():
+    """The cases above reach no-match plans, persisting violations, CF2
+    magnitudes, executions with and without a new instance, suspects, and
+    targets and fired rules that need escaping."""
+    seen = collections.Counter()
+    for case in encoder_cases():
+        report = run_case(case)
+        seen["suspects"] += bool(report.suspects)
+        for record in report.rounds:
+            seen["magnitude"] += record.fault.magnitude is not None
+            seen["no_match"] += None in record.plans
+            seen["violations"] += bool(record.post_violations)
+            seen["new_instance"] += any(e.new_instance_id for e in record.executions)
+            seen["no_new_instance"] += any(e.new_instance_id is None for e in record.executions)
+            seen["odd_target"] += any(c in record.fault.render_target() for c in '"\\\n,ü')
+            seen["odd_rule"] += any('"' in p.fired_rule for p in record.plans if p is not None)
+    assert all(seen[k] for k in ("suspects", "magnitude", "no_match", "violations",
+                                 "new_instance", "no_new_instance", "odd_target",
+                                 "odd_rule")), seen
+
+
+def test_enum_values_need_no_escaping():
+    # round_json writes enum values between quotes without escaping them
+    for text in harness._VALUE.values():
+        assert text.isascii() and text.isidentifier()
+        assert json.dumps(text) == f'"{text}"'
