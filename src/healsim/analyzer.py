@@ -72,13 +72,6 @@ def classify(
 
 
 @dataclass(frozen=True)
-class Implication:
-    report_id: int
-    failed_slot: str
-    at: int
-
-
-@dataclass(frozen=True)
 class RootCauseSuspect:
     slot: str
     count: int
@@ -96,7 +89,11 @@ class RootCauseLedger:
 
     threshold: int = 3
     counters: dict[str, int] = field(default_factory=dict)
-    implications: dict[str, list[Implication]] = field(default_factory=dict)
+    # Per slot: the failed slots that implicated it, in record order, and the
+    # first and last of their detection times.
+    implicated_by: dict[str, list[str]] = field(default_factory=dict, init=False)
+    first_at: dict[str, int] = field(default_factory=dict, init=False)
+    last_at: dict[str, int] = field(default_factory=dict, init=False)
 
     def record_failure(self, report: FailureReport) -> None:
         """Credit one failure of ``report.subject`` to each of its blueprint
@@ -104,28 +101,22 @@ class RootCauseLedger:
         connector (CF4) has no failed component to attribute."""
         if report.kind is FaultKind.CF4:
             raise ValueError("CF4 reports do not feed the root-cause ledger")
+        at = report.detected_at
         for slot in report.dependent_slots:
             self.counters[slot] = self.counters.get(slot, 0) + 1
-            self.implications.setdefault(slot, []).append(
-                Implication(report.report_id, report.subject, report.detected_at)
-            )
+            self.implicated_by.setdefault(slot, []).append(report.subject)
+            self.first_at.setdefault(slot, at)
+            self.last_at[slot] = at
 
     def suspects(self) -> list[RootCauseSuspect]:
         """Slots whose counter reached the threshold, highest count first,
         ties broken by name."""
-        found = []
-        for slot, count in self.counters.items():
-            if count >= self.threshold:
-                entries = self.implications[slot]
-                found.append(
-                    RootCauseSuspect(
-                        slot=slot,
-                        count=count,
-                        implicated_by=tuple(e.failed_slot for e in entries),
-                        first_at=entries[0].at,
-                        last_at=entries[-1].at,
-                    )
-                )
+        found = [
+            RootCauseSuspect(slot, count, tuple(self.implicated_by[slot]),
+                             self.first_at[slot], self.last_at[slot])
+            for slot, count in self.counters.items()
+            if count >= self.threshold
+        ]
         found.sort(key=lambda s: (-s.count, s.slot))
         return found
 

@@ -93,11 +93,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        ruleset = load_rules(args.path)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    ruleset = load_rules(args.path)
     print(f"OK: {len(ruleset.rules)} rules")
     return 0
 

@@ -3,8 +3,10 @@ blueprint it is validated against.
 
 The blueprint describes the intended architecture (component types, named
 slots, intended connectors). The model holds what is actually running:
-at most one component instance per slot, the set of live connectors as
-slot-level ``ConnectorSpec``s, and a logical clock in milliseconds. Faults
+at most one component instance per slot, the live connectors as slot-level
+``ConnectorSpec``s, and a logical clock in milliseconds. Live connectors are
+always a subset of the intended ones: faults only remove connectors, repairs
+re-add intended ones, and ``add_connector`` rejects any other spec. Faults
 damage the model; repairs restore it; ``validate`` lists every deviation
 from the blueprint.
 """
@@ -29,8 +31,8 @@ class TargetAbsent(ModelError):
     """A mutation addressed a component or connector that is not there."""
 
 
-class InterfaceMismatch(ModelError):
-    """A connector violates the required/provided interface rules."""
+class UnknownConnector(ModelError):
+    """A connector is not one of the blueprint's intended connectors."""
 
 
 class BlueprintError(ModelError):
@@ -63,7 +65,7 @@ class Component:
     exception_count: int = 0
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class ConnectorSpec:
     """Slot-level connector identity: source slot, target slot, interface.
 
@@ -304,9 +306,11 @@ class ArchitectureModel:
     """The live architecture plus the blueprint it should match.
 
     ``components`` maps every blueprint slot to its instance or None;
-    ``connectors`` holds the live connectors as slot-level ConnectorSpecs.
-    A slot holds at most one instance and removing it drops its connectors,
-    so a spec names exactly one live edge between instances.
+    ``connectors`` holds the live connectors, each one of the blueprint's
+    intended ConnectorSpecs: construction and ``add_connector`` reject any
+    other spec with UnknownConnector. A slot holds at most one instance and
+    removing it drops its connectors, so a spec names exactly one live edge
+    between instances.
 
     Mutations are primitive and apply exactly the named change, except that
     removing a component also drops its incident connectors (a connector
@@ -326,7 +330,6 @@ class ArchitectureModel:
     _views_tuple: tuple | None = field(init=False, repr=False, compare=False)  # None: stale
     _damaged: set[int] = field(init=False, repr=False, compare=False)  # absent or not STARTED
     _missing: set[int] = field(init=False, repr=False, compare=False)  # intended, not live
-    _extras: set[ConnectorSpec] = field(init=False, repr=False, compare=False)
     _live: tuple | None = field(init=False, repr=False, compare=False)  # None: stale
     # Changes since the last cut_journal(): slot position -> None, and
     # spec -> (position, spec, live afterwards) while its flips are odd.
@@ -337,8 +340,11 @@ class ArchitectureModel:
         for slot in self.blueprint.slot_names():
             self._slot_changed(slot)
         positions = self.blueprint._spec_pos
+        if unknown := self.connectors.difference(positions):
+            name = min(spec.render() for spec in unknown)  # set order varies with the hash seed
+            raise UnknownConnector(f"connector {name} is not intended")
         self._missing = {pos for spec, pos in positions.items() if spec not in self.connectors}
-        self._extras, self._live = self.connectors.difference(positions), None
+        self._live = None
 
     def _slot_changed(self, slot: str) -> None:
         pos, comp = self.blueprint._slot_pos[slot], self.components[slot]
@@ -348,12 +354,8 @@ class ArchitectureModel:
         self._journal[pos] = None
 
     def _connector_changed(self, spec: ConnectorSpec) -> None:
-        pos, live = self.blueprint._spec_pos.get(spec), spec in self.connectors
-        if pos is None:
-            (self._extras.add if live else self._extras.discard)(spec)
-            pos = len(self.blueprint.intended_connectors)  # extras sort last, by spec
-        else:
-            (self._missing.discard if live else self._missing.add)(pos)
+        pos, live = self.blueprint._spec_pos[spec], spec in self.connectors
+        (self._missing.discard if live else self._missing.add)(pos)
         self._live = None
         if self._journal.pop(spec, None) is None:  # a second flip undoes the first
             self._journal[spec] = (pos, spec, live)
@@ -388,10 +390,9 @@ class ArchitectureModel:
         return self._views_tuple
 
     def live_connectors(self) -> tuple[ConnectorSpec, ...]:
-        """Live connectors: intended ones in declaration order, then extras sorted."""
+        """Live connectors in blueprint declaration order."""
         if self._live is None:
-            intended = _omit(self.blueprint.intended_connectors, self._missing)
-            self._live = (*intended, *sorted(self._extras))
+            self._live = tuple(_omit(self.blueprint.intended_connectors, self._missing))
         return self._live
 
     def live_connector_specs(self) -> list[ConnectorSpec]:
@@ -424,7 +425,6 @@ class ArchitectureModel:
         Returns a ConnectorSpec for each connector that went away."""
         self._occupied(slot)
         dropped = [s for s in self.blueprint.connectors_incident_to(slot) if s in self.connectors]
-        dropped += sorted(spec for spec in self._extras if slot in (spec.source, spec.target))
         for spec in dropped:
             self.remove_connector(spec)
         self.components[slot] = None
@@ -438,22 +438,12 @@ class ArchitectureModel:
         self._connector_changed(spec)
 
     def add_connector(self, spec: ConnectorSpec) -> None:
-        src = self.components.get(spec.source)
-        dst = self.components.get(spec.target)
-        if spec.source not in self.components or spec.target not in self.components:
-            raise UnknownSlot(f"connector {spec.render()} references an unknown slot")
-        if src is None or dst is None:
+        """Make an intended connector live; a no-op if it already is. The
+        blueprint checked every intended spec's slots and interfaces."""
+        if spec not in self.blueprint._spec_pos:
+            raise UnknownConnector(f"connector {spec.render()} is not intended")
+        if self.components[spec.source] is None or self.components[spec.target] is None:
             raise TargetAbsent(f"connector {spec.render()} has an absent endpoint")
-        src_type = self.blueprint.type_of_slot(spec.source)
-        dst_type = self.blueprint.type_of_slot(spec.target)
-        if spec.interface not in src_type.required_interfaces:
-            raise InterfaceMismatch(
-                f"{spec.source!r} does not require interface {spec.interface!r}"
-            )
-        if spec.interface != dst_type.provided_interface:
-            raise InterfaceMismatch(
-                f"{spec.target!r} does not provide interface {spec.interface!r}"
-            )
         if spec not in self.connectors:
             self.connectors.add(spec)
             self._connector_changed(spec)

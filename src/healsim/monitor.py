@@ -78,7 +78,7 @@ def observe(prev: Snapshot, cur: Snapshot) -> list[ChangeEvent]:
     since = cur._journal[0]
     if since is not None and since is prev._journal[1]:  # cur is the next snapshot of prev's model
         positions = sorted(k for k in since if k.__class__ is int)
-        flipped = sorted(filter(None, since.values()))  # by (position, spec): canonical order
+        flipped = sorted(filter(None, since.values()))  # by position, unique: canonical order
         removed = [s for _, s, live in flipped if not live]
         added = [s for _, s, live in flipped if live]
     else:

@@ -126,10 +126,11 @@ def test_serve_planner_rejects_bad_bind(rules_file, capsys):
         ["run", "--blueprint", "{deep}"],
         ["run", "--script", "{deep}"],
         ["validate-rules", "{big_salience}"],
+        ["validate-rules", "{missing}"],
     ],
     ids=["validate-rules", "rules", "blueprint", "script", "non-string-slot", "port-range",
          "requires-string", "requires-object", "deep-blueprint", "deep-script",
-         "salience-digits"],
+         "salience-digits", "validate-rules-missing"],
 )
 def test_bad_input_exits_1_with_one_line(tmp_path, rules_file, capsys, args):
     not_utf8 = tmp_path / "not-utf8"
@@ -140,7 +141,8 @@ def test_bad_input_exits_1_with_one_line(tmp_path, rules_file, capsys, args):
         "slots": [{"slot": ["x"], "type": "A"}],
         "connectors": [],
     }), encoding="utf-8")
-    files = {"not_utf8": not_utf8, "list_slot": list_slot, "rules": rules_file}
+    files = {"not_utf8": not_utf8, "list_slot": list_slot, "rules": rules_file,
+             "missing": tmp_path / "absent.rules"}
     for name, requires in (("requires_str", "S"), ("requires_obj", {"S": 1})):  # not ["S"]
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps({

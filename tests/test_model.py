@@ -10,8 +10,8 @@ from healsim.model import (
     ComponentState,
     ComponentType,
     ConnectorSpec,
-    InterfaceMismatch,
     TargetAbsent,
+    UnknownConnector,
     UnknownSlot,
     ViolationKind,
     blueprint_from_json,
@@ -21,6 +21,8 @@ from healsim.model import (
     load_blueprint,
     validate,
 )
+
+from test_oracles import REPLICA_DOC
 
 QS_REP = ConnectorSpec("Query Service", "Reputation Service", "Reputation Service")
 
@@ -153,11 +155,19 @@ def test_mutation_errors(model):
         model.component("Order Service")
 
 
-def test_add_connector_interface_mismatch(model):
-    with pytest.raises(InterfaceMismatch):
-        model.add_connector(ConnectorSpec("Frontend", "Reputation Service", "Reputation Service"))
-    with pytest.raises(InterfaceMismatch):
-        model.add_connector(ConnectorSpec("Frontend", "Auth Service", "Query Service"))
+def test_add_connector_rejects_unintended(model):
+    replica = instantiate_blueprint(blueprint_from_json(REPLICA_DOC))
+    cases = [
+        (model, ConnectorSpec("Frontend", "Reputation Service", "Reputation Service")),
+        (model, ConnectorSpec("Frontend", "Auth Service", "Query Service")),
+        # interface-valid, since App B requires and Store A provides Store, but not intended
+        (replica, ConnectorSpec("App B", "Store A", "Store")),
+    ]
+    for target, spec in cases:
+        live = target.live_connector_specs()
+        with pytest.raises(UnknownConnector, match=f"connector {spec.render()} is not intended"):
+            target.add_connector(spec)
+        assert target.live_connector_specs() == live and spec not in target.connectors
 
 
 def test_add_connector_absent_endpoint(model):

@@ -23,6 +23,8 @@ from healsim.model import (
     ComponentState,
     ConnectorSpec,
     ModelError,
+    TargetAbsent,
+    UnknownConnector,
     UnknownSlot,
     Violation,
     ViolationKind,
@@ -45,7 +47,7 @@ from healsim.rules import RepairPlan, Strategy, parse_rules
 from test_golden import layered_blueprint_doc
 
 # Two App and two Store slots, wired in pairs: the cross links satisfy the
-# interfaces without being intended, so live non-intended extras can occur.
+# interfaces without being intended, so the model must reject them as such.
 REPLICA_DOC = {
     "types": [
         {"name": "Client", "provides": "Client", "requires": ["App"]},
@@ -196,8 +198,7 @@ def apply_step(model, step):
     if op == "inject":
         kind = list(FaultKind)[choice]
         if kind is FaultKind.CF4:
-            extras = sorted(model.connectors - set(bp.intended_connectors))
-            targets = list(bp.intended_connectors) + extras
+            targets = bp.intended_connectors
             fault = FaultInstance(kind, targets[i % len(targets)])
         else:
             fault = FaultInstance(
@@ -214,7 +215,22 @@ def apply_step(model, step):
         execute(model, RepairPlan(strategy, subject, "oracle"))
     else:
         src, dst = slots[i % len(slots)], slots[j % len(slots)]
-        model.add_connector(ConnectorSpec(src, dst, bp.type_of_slot(dst).provided_interface))
+        spec = ConnectorSpec(src, dst, bp.type_of_slot(dst).provided_interface)
+        if bp.find_intended(src, dst) != spec:
+            def seen():  # what the next take_snapshot and observe read
+                return (model.slot_views(), model.live_connectors(), model.clock,
+                        dict(model._journal))
+
+            before = seen()
+            with pytest.raises(UnknownConnector):
+                model.add_connector(spec)
+            assert seen() == before  # rejected without a trace
+        elif model.present(src) and model.present(dst):
+            model.add_connector(spec)
+            assert spec in model.connectors
+        else:
+            with pytest.raises(TargetAbsent):
+                model.add_connector(spec)
 
 
 STEP = st.tuples(
@@ -238,11 +254,10 @@ STEPS = st.lists(STEP, max_size=40)
 @example(steps=[("inject", 0, 3, 0), ("execute", 3, 3, 0)])  # CF1, AS4
 @example(steps=[("inject", 3, 0, 0), ("execute", 2, 0, 0)])  # CF4 first, AS3
 @example(steps=[("inject", 3, -1, 0), ("execute", 2, -1, 0)])  # CF4 last, AS3
-@example(steps=[("connect", 0, 2, 3), ("inject", 2, 2, 0), ("inject", 2, 3, 0)])  # extra, CF3s
+@example(steps=[("connect", 0, 2, 3), ("inject", 2, 2, 0), ("inject", 2, 3, 0)])  # connect, CF3s
 def test_fast_paths_equal_references_over_random_steps(doc, steps):
     bp = load(doc)
     model = instantiate_blueprint(bp)
-    intended = set(bp.intended_connectors)
     first = take_snapshot(model)
     for step in steps:
         before = take_snapshot(model)
@@ -257,9 +272,7 @@ def test_fast_paths_equal_references_over_random_steps(doc, steps):
 
         live = model.live_connector_specs()
         assert len(live) == len(model.connectors) and set(live) == model.connectors
-        in_order = [s for s in bp.intended_connectors if s in model.connectors]
-        extras = sorted(s for s in model.connectors if s not in intended)
-        assert live == in_order + extras
+        assert live == [s for s in bp.intended_connectors if s in model.connectors]
         for spec in live:  # a live spec always joins two present slots
             assert model.components[spec.source] is not None
             assert model.components[spec.target] is not None
@@ -281,12 +294,8 @@ def test_fast_paths_equal_references_over_random_steps(doc, steps):
 
 
 def scan_live(model):
-    """Canonical connector order from a full scan: intended ones in
-    declaration order, then extras sorted."""
-    intended = model.blueprint.intended_connectors
-    return [s for s in intended if s in model.connectors] + sorted(
-        s for s in model.connectors if s not in intended
-    )
+    """Canonical connector order from a full scan: declaration order."""
+    return [s for s in model.blueprint.intended_connectors if s in model.connectors]
 
 
 def scan_snapshot(model):
@@ -375,7 +384,8 @@ def assert_views_match_scans(model, pick):
 def test_directly_built_model_matches_scans():
     """A model handed components and connectors instead of built through
     its mutations: an empty slot, damaged states, a missing intended
-    connector with both ends present, one whose end is absent, an extra."""
+    connector with both ends present, one whose end is absent. Connectors
+    the blueprint does not intend are rejected, the first by name reported."""
     bp = blueprint_from_json(REPLICA_DOC)
     components = {
         slot: Component(f"{slot}#1", bp.type_of_slot(slot).name) for slot in bp.slot_names()
@@ -384,8 +394,11 @@ def test_directly_built_model_matches_scans():
     components["App B"].state = ComponentState.UNKNOWN
     components["Client"].state = ComponentState.UNDEPLOYED
     components["App A"].exception_count = 4
-    extra = ConnectorSpec("App B", "Store A", "Store")
-    model = ArchitectureModel(bp, components, {bp.intended_connectors[0], extra})
+    extras = {ConnectorSpec("App B", "Store A", "Store"),
+              ConnectorSpec("App A", "Store B", "Store")}
+    with pytest.raises(UnknownConnector, match="^connector App A->Store B is not intended$"):
+        ArchitectureModel(bp, components, {bp.intended_connectors[0], *extras})
+    model = ArchitectureModel(bp, components, {bp.intended_connectors[0]})
 
     assert validate(model) == brute_validate(model) == [
         Violation(ViolationKind.NOT_STARTED, "Client"),
@@ -393,12 +406,12 @@ def test_directly_built_model_matches_scans():
         Violation(ViolationKind.MISSING_COMPONENT, "Store B"),
         Violation(ViolationKind.MISSING_CONNECTOR, bp.intended_connectors[1]),
     ]
-    assert model.live_connector_specs() == [bp.intended_connectors[0], extra]
+    assert model.live_connector_specs() == [bp.intended_connectors[0]]
     for pick in range(len(bp.slots)):
         assert_views_match_scans(model, pick)
 
     before = take_snapshot(model)
-    assert model.remove_component("App B") == [extra]
+    assert model.remove_component("App B") == []  # its one connector's end is absent
     model.instantiate("Store B", "Store B#2")
     model.add_connector(bp.intended_connectors[1])
     model.set_state("Client", ComponentState.STARTED)
@@ -440,7 +453,7 @@ def apply_steps(model, steps):
 @example(windows=[[("inject", 2, 1, 0), ("inject", 3, 0, 0), ("execute", 1, 1, 0),
                    ("execute", 2, 0, 0), ("inject", 0, 1, 0), ("execute", 3, 1, 0)]])
 @example(windows=[[("connect", 0, 2, 3), ("inject", 2, 3, 0), ("execute", 1, 3, 0),
-                   ("connect", 0, 2, 3)]])  # an extra dropped with its end, then restored
+                   ("connect", 0, 2, 3)]])  # connect around its target's removal and redeploy
 def test_journal_windows_equal_full_diff(doc, windows):
     """Several mutations between consecutive snapshots of one model take the
     journal; snapshots of another model of the same blueprint, of a deep
