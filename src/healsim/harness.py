@@ -7,10 +7,11 @@ the architecture against the blueprint. All randomness flows from the
 single splitmix64 seed and the clock is logical, so a config determines
 every output byte.
 
-A run ends by writing scenario.json, rounds.csv and suspects.csv. Each
-round's object in scenario.json is written directly as canonical JSON text
-by ``round_json``, with no intermediate dicts: its key order is fixed by
-hand and guarded by the dict-form oracle in ``tests/test_oracles.py``.
+A run ends by writing scenario.json, rounds.csv and suspects.csv, one
+round at a time. Each round's object in scenario.json is written directly
+as canonical JSON text by ``round_json``, with no intermediate dicts: its
+key order is fixed by hand and guarded by the dict-form oracle in
+``tests/test_oracles.py``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import logging
 import os
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii as _str
+from typing import Iterator
 
 from .analyzer import (
     FailureReport,
@@ -69,6 +71,8 @@ class ScenarioConfig:
             raise ConfigError("rounds must be non-negative")
         if self.exception_threshold < 1 or self.rootcause_threshold < 1:
             raise ConfigError("thresholds must be at least 1")
+        if self.out_dir == "":  # None writes no reports; "" would silently do the same
+            raise ConfigError("the report directory must be a non-empty path")
 
 
 @dataclass
@@ -313,11 +317,12 @@ def round_json(record: RoundRecord) -> str:
     )
 
 
-def scenario_json(report: ScenarioReport) -> bytes:
-    """Canonical JSON bytes for a scenario report (sorted keys, LF-terminated).
+def scenario_chunks(report: ScenarioReport) -> Iterator[str]:
+    """``scenario.json`` as ASCII text in pieces: the head, one piece per
+    round, and the tail, so that a writer never holds the whole document.
 
     ``canonical_json`` encodes the small rest of the document with an empty
-    ``rounds`` list; the objects from ``round_json`` are spliced into it.
+    ``rounds`` list; the objects from ``round_json`` go between its halves.
     """
     config = report.config
     doc = canonical_json({
@@ -341,12 +346,21 @@ def scenario_json(report: ScenarioReport) -> bytes:
             for s in report.suspects
         ],
         "unhandled_failures": report.unhandled_failures,
-    })
-    rounds = ",".join(map(round_json, report.rounds)).encode("ascii")
+    }).decode("ascii")
     # Only "config" and "root_cause" sort before "rounds", and neither holds a
     # list, so the first '"rounds":[]' is the top-level key.
-    head, tail = doc.split(b'"rounds":[]', 1)
-    return b"".join((head, b'"rounds":[', rounds, b"]", tail))
+    head, tail = doc.split('"rounds":[]', 1)
+    yield head + '"rounds":['
+    separator = ""
+    for record in report.rounds:
+        yield separator + round_json(record)
+        separator = ","
+    yield "]" + tail
+
+
+def scenario_json(report: ScenarioReport) -> bytes:
+    """Canonical JSON bytes for a scenario report (sorted keys, LF-terminated)."""
+    return "".join(scenario_chunks(report)).encode("ascii")
 
 
 ROUNDS_CSV_HEADER = [
@@ -366,15 +380,15 @@ def emit_reports(report: ScenarioReport, out_dir: str) -> dict[str, str]:
     }
     value = _VALUE
     # A round executes exactly the plans that are not None.
-    rows = [
+    rows = (
         (r.index, r.clock_end, value[r.fault.kind], r.fault.render_target(), len(r.reports),
          len(r.executions), ";".join([value[e.plan.strategy] for e in r.executions]),
          len(r.post_violations), len(r.plans) - len(r.executions))
         for r in report.rounds
-    ]
+    )
     try:
-        with open(paths["scenario"], "wb") as fh:
-            fh.write(scenario_json(report))
+        with open(paths["scenario"], "w", encoding="ascii", newline="") as fh:
+            fh.writelines(scenario_chunks(report))
         with open(paths["rounds"], "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(ROUNDS_CSV_HEADER)

@@ -12,13 +12,18 @@ with a single LF, so equal messages always encode to equal bytes.
 
 with outcome ``{"plan":{"fired_rule":S,"strategy":"AS1","subject":S}}``,
 ``{"no_match":true}``, or ``{"error":{"code":S,"message":S}}``. The field
-tables in ``_BODIES`` are the schema: encode and decode both read them, and
-the fact's integer fields are ``rules.INT_FIELDS``.
+tables in ``_BODIES`` are the schema, and the fact's integer fields are
+``rules.INT_FIELDS``. At import the tables are compiled into one encoder
+and one decoder per message class, so no call walks them again.
 
 A frame the server cannot decode is answered with an error outcome (code
 "malformed", request id 0 when unrecoverable) and the connection stays
 open. A line longer than ``MAX_FRAME`` bytes is answered with error code
-"too_large" (request id 0) and the connection is closed.
+"too_large" (request id 0) and the connection is closed. The service serves
+at most ``MAX_CONNECTIONS`` connections at once: one more is answered with
+error code "busy" (request id 0) and closed, with no thread started for it.
+A connection that does not complete a frame, or take in a response, within
+``IDLE_TIMEOUT`` seconds is closed.
 """
 
 from __future__ import annotations
@@ -28,8 +33,11 @@ import logging
 import socket
 import socketserver
 import threading
+import time
 from dataclasses import dataclass
 from enum import EnumMeta
+from json.encoder import encode_basestring_ascii as _str
+from operator import attrgetter
 from typing import Mapping, Union
 
 from .analyzer import FailureReport
@@ -42,6 +50,8 @@ PROTOCOL_VERSION = 1
 DEFAULT_PORT = 7464
 DEFAULT_TIMEOUT = 1.0  # wall-clock seconds per remote round-trip
 MAX_FRAME = 64 * 1024  # bytes per frame, LF included; longer ones end the connection
+MAX_CONNECTIONS = 64  # served at once; one more is answered "busy" and closed
+IDLE_TIMEOUT = 30.0  # seconds a connection has to complete its next frame or take a reply
 
 
 class MalformedFrame(Exception):
@@ -119,78 +129,126 @@ def canonical_json(doc: object) -> bytes:
     return _CANONICAL.encode(doc).encode("utf-8") + b"\n"
 
 
-def _json(value, kind):
-    """The JSON form of ``value``, whose kind is a class or a dict."""
+# The tables are compiled once, at import, into one encoder and one decoder
+# per class. An encoder writes canonical text directly: keys pre-sorted,
+# constants pre-written, strings escaped by the escaper ``canonical_json``
+# uses, enum members looked up in a member -> text map. A decoder checks a
+# parsed JSON value as the tables say, enum values looked up in a value ->
+# member map; a field that breaks the table raises MalformedFrame naming it.
+
+
+def _is_constant(field) -> bool:
+    return not (field is str or field is int or isinstance(field, (type, dict)))
+
+
+def _int(value) -> str:
+    if type(value) is not int:  # as in decode, a bool is not an int
+        raise TypeError(f"{value!r} is not an int")
+    return int.__repr__(value)
+
+
+def _encoder(kind):
+    """value -> its canonical JSON text, for a class or a one-of dict."""
     if isinstance(kind, dict):
-        for key, cls in kind.items():
-            if type(value) is cls:
-                return {key: _json(value, cls)}
-        raise TypeError(f"not an outcome: {value!r}")
+        heads = {cls: (f"{{{_str(key)}:", _encoder(cls)) for key, cls in kind.items()}
+
+        def one_of(value):
+            head, encode_body = heads[type(value)]
+            return head + encode_body(value) + "}"
+        return one_of
     body = _BODIES[kind]
     if type(body) is not dict:
-        return body
-    obj = {}
-    for key, field in body.items():
-        if field is str or field is int:
-            obj[key] = getattr(value, key)
-        elif isinstance(field, EnumMeta):
-            obj[key] = getattr(value, key).value
-        elif isinstance(field, (type, dict)):
-            obj[key] = _json(getattr(value, key), field)
+        text = _CANONICAL.encode(body)
+        return lambda value: text
+    parts, fields = [], []
+    for key in sorted(body):
+        field = body[key]
+        if _is_constant(field):
+            parts.append(f"{_str(key)}:{_CANONICAL.encode(field)}".replace("%", "%%"))
+            continue
+        parts.append(_str(key).replace("%", "%%") + ":%s")
+        if isinstance(field, EnumMeta):
+            convert = {m: _str(m.value) for m in field}.__getitem__
         else:
-            obj[key] = field
-    return obj
+            convert = _str if field is str else _int if field is int else _encoder(field)
+        fields.append((attrgetter(key), convert))
+    template = "{" + ",".join(parts) + "}"
+    return lambda value: template % tuple([convert(get(value)) for get, convert in fields])
+
+
+def _decoder(kind):
+    """(parsed JSON value, where) -> decoded value, for an Enum, a class or a
+    one-of dict; ``where`` names the value in a MalformedFrame message."""
+    if isinstance(kind, EnumMeta):
+        members = {m.value: m for m in kind}
+
+        def member(value, where):
+            try:
+                return members[value]
+            except (KeyError, TypeError):  # TypeError: an array or an object
+                raise MalformedFrame(f"{where} has unknown value {value!r}") from None
+        return member
+    if isinstance(kind, dict):
+        choices = {key: _decoder(cls) for key, cls in kind.items()}
+
+        def one_of(value, where):
+            if type(value) is not dict or len(value) != 1 or next(iter(value)) not in kind:
+                raise MalformedFrame(f"{where} must hold exactly one of {', '.join(kind)}")
+            ((key, body),) = value.items()
+            return choices[key](body, f"{where}.{key}")
+        return one_of
+    body = _BODIES[kind]
+    if type(body) is not dict:
+        def constant(value, where):
+            if value is not body:  # the constant true, not 1 or 1.0
+                raise MalformedFrame(f"{where} must be {json.dumps(body)}")
+            return kind()
+        return constant
+    keys = body.keys()
+    # Checked in table order, which lists the constants first. A str or int
+    # field is checked here; any other field's decoder is called.
+    constants = [(key, field) for key, field in body.items() if _is_constant(field)]
+    fields = [(key, field, None) if field is str or field is int else (key, None, _decoder(field))
+              for key, field in body.items() if not _is_constant(field)]
+
+    def table(obj, where):
+        if type(obj) is not dict:
+            raise MalformedFrame(f"{where} must be an object")
+        if obj.keys() != keys:
+            key = min(obj.keys() ^ keys)
+            raise MalformedFrame(f"{where} {'is missing' if key in keys else 'has unexpected'} "
+                                 f"field {key!r}")
+        for key, field in constants:
+            value = obj[key]
+            if type(value) is not type(field) or value != field:
+                raise MalformedFrame(f"{where}.{key} must be {json.dumps(field)}")
+        decoded = {}
+        for key, exact, decode_field in fields:
+            value = obj[key]
+            if decode_field is not None:
+                value = decode_field(value, f"{where}.{key}")
+            elif type(value) is not exact:  # json.loads makes exact types: a bool is no int
+                raise MalformedFrame(f"{where}.{key} must be {exact.__name__}")
+            decoded[key] = value
+        return kind(**decoded)
+    return table
+
+
+_MESSAGES = (PlanRequest, PlanResponse)
+_ENCODERS = {cls: _encoder(cls) for cls in _MESSAGES}
+_DECODERS = {_BODIES[cls]["type"]: _decoder(cls) for cls in _MESSAGES}
 
 
 def encode(message: Message) -> bytes:
-    """One canonical, LF-terminated frame; equal messages encode identically."""
-    if type(message) not in (PlanRequest, PlanResponse):
-        raise TypeError(f"not a protocol message: {message!r}")
-    return canonical_json(_json(message, type(message)))
-
-
-def _fields(obj, table: dict, where: str) -> dict:
-    """The decoded fields of ``obj``, a JSON object that must hold exactly
-    the table's keys. Constant fields are checked and left out."""
-    if type(obj) is not dict:
-        raise MalformedFrame(f"{where} must be an object")
-    if obj.keys() != table.keys():
-        key = min(obj.keys() ^ table.keys())
-        raise MalformedFrame(f"{where} {'is missing' if key in table else 'has unexpected'} "
-                             f"field {key!r}")
-    fields = {}
-    for key, kind in table.items():
-        value = obj[key]
-        if kind is str or kind is int:
-            # json.loads makes exact types, so a bool never passes as an int
-            if type(value) is not kind:
-                raise MalformedFrame(f"{where}.{key} must be {kind.__name__}")
-            fields[key] = value
-        elif isinstance(kind, EnumMeta):
-            try:
-                fields[key] = kind(value)
-            except ValueError:
-                raise MalformedFrame(f"{where}.{key} has unknown value {value!r}") from None
-        elif isinstance(kind, (type, dict)):
-            fields[key] = _value(value, kind, f"{where}.{key}")
-        elif type(value) is not type(kind) or value != kind:
-            raise MalformedFrame(f"{where}.{key} must be {json.dumps(kind)}")
-    return fields
-
-
-def _value(value, kind, where: str):
-    """``value``, whose kind is a class or a dict, checked and decoded."""
-    if isinstance(kind, dict):
-        if type(value) is not dict or len(value) != 1 or next(iter(value)) not in kind:
-            raise MalformedFrame(f"{where} must hold exactly one of {', '.join(kind)}")
-        ((key, body),) = value.items()
-        return _value(body, kind[key], f"{where}.{key}")
-    body = _BODIES[kind]
-    if type(body) is dict:
-        return kind(**_fields(value, body, where))
-    if value is not body:  # the constant true, not 1 or 1.0
-        raise MalformedFrame(f"{where} must be {json.dumps(body)}")
-    return kind()
+    """One canonical, LF-terminated frame; equal messages encode identically.
+    TypeError if ``message`` is not a message whose fields fit ``_BODIES``."""
+    encoder = _ENCODERS.get(type(message))
+    if encoder is not None:
+        try:
+            return (encoder(message) + "\n").encode("ascii")
+        except (AttributeError, KeyError, TypeError):
+            pass
+    raise TypeError(f"not a protocol message: {message!r}")
 
 
 def decode(data: bytes) -> Message:
@@ -205,10 +263,11 @@ def decode(data: bytes) -> Message:
         raise MalformedFrame(f"frame is not JSON: {exc}") from exc
     if type(obj) is not dict:
         raise MalformedFrame("frame is not a JSON object")
-    for cls in (PlanRequest, PlanResponse):
-        if obj.get("type") == _BODIES[cls]["type"]:
-            return cls(**_fields(obj, _BODIES[cls], "frame"))
-    raise MalformedFrame(f"unknown message type {obj.get('type')!r}")
+    message_type = obj.get("type")
+    decoder = _DECODERS.get(message_type) if type(message_type) is str else None
+    if decoder is None:
+        raise MalformedFrame(f"unknown message type {message_type!r}")
+    return decoder(obj, "frame")
 
 
 # -- service ----------------------------------------------------------------
@@ -222,12 +281,17 @@ def _best_effort_request_id(line: bytes) -> int:
     return rid if type(rid) is int else 0
 
 
-class _PlanHandler(socketserver.StreamRequestHandler):
+class _PlanHandler(socketserver.BaseRequestHandler):
+    """Serves one connection. The socket's timeout is IDLE_TIMEOUT, for the
+    next frame to begin and for each response to be taken in, except while
+    a frame is partly in: then it is what is left of that frame's time."""
+
     def handle(self) -> None:
-        while line := self.rfile.readline(MAX_FRAME + 1):
+        self.request.settimeout(IDLE_TIMEOUT)
+        for line in self._lines():
             if len(line) > MAX_FRAME:
                 too_large = ErrorOutcome("too_large", f"frame exceeds {MAX_FRAME} bytes")
-                self.wfile.write(encode(PlanResponse(0, too_large)))
+                self._send(PlanResponse(0, too_large))
                 return
             try:
                 message = decode(line.rstrip(b"\n"))
@@ -238,12 +302,95 @@ class _PlanHandler(socketserver.StreamRequestHandler):
                 response = PlanResponse(_best_effort_request_id(line), malformed)
             else:
                 response = PlanResponse(message.request_id, self.server.planner.plan(message.fact))
-            self.wfile.write(encode(response))
+            if not self._send(response):
+                return
+
+    def _send(self, response: PlanResponse) -> bool:
+        """Send one frame; False, after logging, if the client does not take
+        it in within IDLE_TIMEOUT or is gone."""
+        try:
+            self.request.sendall(encode(response))
+        except OSError as exc:
+            log.info("closing %s:%d: cannot send: %s", *self.client_address[:2], exc)
+            return False
+        return True
+
+    def _lines(self):
+        """Each line the client sends, LF included, as soon as it is complete;
+        the bytes before EOF count as a last line. A line with no LF in its
+        first MAX_FRAME bytes comes out longer than MAX_FRAME. Ends at EOF,
+        or when IDLE_TIMEOUT passes without a complete line. Each byte
+        received is searched and copied once."""
+        sock = self.request
+        partial, size = [], 0  # chunks of the line not yet complete
+        deadline = time.monotonic() + IDLE_TIMEOUT
+        while True:
+            try:
+                chunk = sock.recv(MAX_FRAME)
+            except socket.timeout:
+                log.info("closing %s:%d: no complete frame in %ss",
+                         *self.client_address[:2], IDLE_TIMEOUT)
+                return
+            except OSError as exc:  # reset by the client, say
+                log.info("closing %s:%d: cannot receive: %s", *self.client_address[:2], exc)
+                return
+            if not chunk:
+                if partial:
+                    yield b"".join(partial)
+                return
+            if partial:  # the timeout was cut to the line's deadline
+                sock.settimeout(IDLE_TIMEOUT)
+            start = 0
+            while end := chunk.find(b"\n", start) + 1:
+                partial.append(chunk[start:end])
+                yield b"".join(partial)
+                partial, size, start = [], 0, end
+                deadline = time.monotonic() + IDLE_TIMEOUT
+            if start < len(chunk):
+                partial.append(chunk[start:])
+                size += len(chunk) - start
+                if size > MAX_FRAME:
+                    yield b"".join(partial)
+                    return
+                sock.settimeout(max(deadline - time.monotonic(), 1e-6))
 
 
 class _PlanServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.connections = 0  # being served, at most MAX_CONNECTIONS
+        self._count_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        with self._count_lock:
+            busy = self.connections >= MAX_CONNECTIONS
+            self.connections += not busy
+        if busy:
+            busy_error = ErrorOutcome("busy", f"serving {MAX_CONNECTIONS} connections already")
+            try:
+                request.sendall(encode(PlanResponse(0, busy_error)))
+            except OSError:  # the client is gone already; close all the same
+                pass
+            self.shutdown_request(request)
+            return
+        try:
+            super().process_request(request, client_address)  # starts the handler thread
+        except BaseException:
+            self._release()
+            raise
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._release()
+
+    def _release(self) -> None:
+        with self._count_lock:
+            self.connections -= 1
 
 
 class PlanService:

@@ -16,16 +16,19 @@ touching program code. The grammar (line comments start with ``#``):
 quoted string, and the three counter fields against integer literals.
 Literals have at most 4300 digits; parentheses nest at most ``MAX_NESTING`` deep.
 Evaluation picks the matching rule with the highest salience, ties broken
-by file position, and is free of side effects.
+by file position, and is free of side effects. A ``RuleSet`` compiles each
+condition into a function once and keeps its rules in that order, so
+evaluation stops at the first match.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
+from operator import attrgetter
 
 from .faults import FaultKind
 
@@ -121,11 +124,16 @@ class Rule:
 @dataclass(frozen=True)
 class RuleSet:
     rules: tuple[Rule, ...]
+    # (compiled condition, rule) by descending salience, then file position:
+    # the order ``evaluate`` tries them in. Derived from ``rules``.
+    ranked: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = [r.name for r in self.rules]
         if len(set(names)) != len(names):
             raise ValueError("rule names must be unique")
+        ranked = sorted(self.rules, key=lambda rule: -rule.salience)  # stable: ties keep file order
+        object.__setattr__(self, "ranked", tuple((_compile(r.condition), r) for r in ranked))
 
 
 @dataclass(frozen=True)
@@ -410,7 +418,8 @@ def _fmt_condition(cond, prec: int = 1) -> str:
         text = " and ".join(_fmt_condition(p, 3) for p in cond.parts)
         return f"({text})" if prec > 2 else text
     if isinstance(cond, Not):
-        return "not " + _fmt_condition(cond.term, 4)
+        text = "not " + _fmt_condition(cond.term, 4)
+        return f"({text})" if prec > 3 else text  # "not not" does not parse
     if isinstance(cond.value, FaultKind):
         literal = cond.value.value
     elif isinstance(cond.value, str):
@@ -435,27 +444,39 @@ def format_rules(ruleset: RuleSet) -> str:
 # -- evaluation -----------------------------------------------------------
 
 
-def _eval_condition(cond, fact: Fact) -> bool:
+def _compile(cond):
+    """The condition as a function of a fact, built once per rule set."""
     if isinstance(cond, Or):
-        return any(_eval_condition(p, fact) for p in cond.parts)
+        parts = tuple(map(_compile, cond.parts))
+
+        def either(fact: Fact) -> bool:
+            for part in parts:
+                if part(fact):
+                    return True
+            return False
+        return either
     if isinstance(cond, And):
-        return all(_eval_condition(p, fact) for p in cond.parts)
+        parts = tuple(map(_compile, cond.parts))
+
+        def both(fact: Fact) -> bool:
+            for part in parts:
+                if not part(fact):
+                    return False
+            return True
+        return both
     if isinstance(cond, Not):
-        return not _eval_condition(cond.term, fact)
-    return _OPS[cond.op](getattr(fact, cond.field), cond.value)
+        term = _compile(cond.term)
+        return lambda fact: not term(fact)
+    get, op, value = attrgetter(cond.field), _OPS[cond.op], cond.value
+    return lambda fact: op(get(fact), value)
 
 
 def evaluate(ruleset: RuleSet, fact: Fact) -> RepairPlan:
     """Pick the plan for a fact: highest salience among matching rules,
-    earliest file position on ties. Raises NoMatchingRule when nothing
+    earliest file position on ties. The rule set holds its rules in that
+    order, so the first match wins. Raises NoMatchingRule when nothing
     matches."""
-    best: Rule | None = None
-    best_key: tuple[int, int] | None = None
-    for idx, rule in enumerate(ruleset.rules):
-        if _eval_condition(rule.condition, fact):
-            key = (-rule.salience, idx)
-            if best_key is None or key < best_key:
-                best, best_key = rule, key
-    if best is None:
-        raise NoMatchingRule(fact)
-    return RepairPlan(strategy=best.strategy, subject=fact.subject, fired_rule=best.name)
+    for matches, rule in ruleset.ranked:
+        if matches(fact):
+            return RepairPlan(strategy=rule.strategy, subject=fact.subject, fired_rule=rule.name)
+    raise NoMatchingRule(fact)

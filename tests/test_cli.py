@@ -127,10 +127,11 @@ def test_serve_planner_rejects_bad_bind(rules_file, capsys):
         ["run", "--script", "{deep}"],
         ["validate-rules", "{big_salience}"],
         ["validate-rules", "{missing}"],
+        ["run", "--out", ""],
     ],
     ids=["validate-rules", "rules", "blueprint", "script", "non-string-slot", "port-range",
          "requires-string", "requires-object", "deep-blueprint", "deep-script",
-         "salience-digits", "validate-rules-missing"],
+         "salience-digits", "validate-rules-missing", "empty-out"],
 )
 def test_bad_input_exits_1_with_one_line(tmp_path, rules_file, capsys, args):
     not_utf8 = tmp_path / "not-utf8"
@@ -158,8 +159,8 @@ def test_bad_input_exits_1_with_one_line(tmp_path, rules_file, capsys, args):
         'rule "r" salience ' + "9" * 5000 + " when kind == CF1 then AS1\n", encoding="utf-8"
     )
     args = [a.format(**files) for a in args]
-    if args[0] == "run":
-        args += ["--seed", "1", "--rounds", "1", "--out", str(tmp_path / "o")]
+    if args[0] == "run":  # a case's own --out comes later, so it wins
+        args[1:1] = ["--seed", "1", "--rounds", "1", "--out", str(tmp_path / "o")]
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith(("error: ", "rule error: ")) and err.count("\n") == 1

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -124,6 +125,8 @@ def test_config_validation():
         ScenarioConfig(seed=1, rounds=-1)
     with pytest.raises(ConfigError):
         ScenarioConfig(seed=1, rounds=1, exception_threshold=0)
+    with pytest.raises(ConfigError, match="report directory"):
+        ScenarioConfig(seed=1, rounds=1, out_dir="")
 
 
 def test_parse_planner_spec():
@@ -210,6 +213,26 @@ def test_scenario_json_is_canonical():
     parsed = json.loads(blob)
     recoded = json.dumps(parsed, sort_keys=True, separators=(",", ":")).encode() + b"\n"
     assert blob == recoded
+
+
+def test_report_emission_streams(tmp_path):
+    """Writing the reports adds a small fraction of what the run itself keeps:
+    scenario.json goes out a round at a time, not as one document."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        runner = ScenarioRunner(ScenarioConfig(seed=42, rounds=2000))
+        report = runner.run()
+        runner.close()
+        retained = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        emit_reports(report, str(tmp_path))
+        emission_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "scenario.json").read_bytes() == scenario_json(report)
+    assert emission_peak < retained / 4, (emission_peak, retained)
 
 
 def test_compound_damage_is_recorded_not_masked():

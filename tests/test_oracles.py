@@ -1,5 +1,6 @@
-"""Oracles for the fast paths: every indexed or short-cut answer must equal
-the plain linear-scan or full-diff answer it replaced."""
+"""Oracles for the fast paths: every indexed, compiled or short-cut answer
+must equal the plain linear-scan, full-diff or table-walking answer it
+replaced."""
 
 import collections
 import contextlib
@@ -8,10 +9,11 @@ import csv
 import dataclasses
 import io
 import json
+from enum import EnumMeta
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from healsim import harness, monitor
 from healsim.executor import ExecutionError, execute
@@ -42,8 +44,35 @@ from healsim.monitor import (
     observe,
     take_snapshot,
 )
-from healsim.planner import canonical_json
-from healsim.rules import RepairPlan, Strategy, parse_rules
+from healsim.planner import (
+    _BODIES,
+    _PlanHandler,
+    ErrorOutcome,
+    MalformedFrame,
+    NoMatch,
+    PlanRequest,
+    PlanResponse,
+    canonical_json,
+    decode,
+    encode,
+)
+from healsim.rules import _OPS as OPS
+from healsim.rules import (
+    INT_FIELDS,
+    And,
+    Comparison,
+    Fact,
+    NoMatchingRule,
+    Not,
+    Or,
+    RepairPlan,
+    Rule,
+    RuleSet,
+    Strategy,
+    evaluate,
+    format_rules,
+    parse_rules,
+)
 from test_golden import layered_blueprint_doc
 
 # Two App and two Store slots, wired in pairs: the cross links satisfy the
@@ -735,3 +764,271 @@ def test_enum_values_need_no_escaping():
     for text in harness._VALUE.values():
         assert text.isascii() and text.isidentifier()
         assert json.dumps(text) == f'"{text}"'
+
+
+# -- (f) the compiled wire codec and rule order vs the walkers they replaced --
+# The planner compiles _BODIES into one encoder and one decoder per message
+# class at import, and a RuleSet ranks its compiled conditions by salience so
+# that evaluate stops at the first match. The table walkers that read
+# _BODIES on every call, and the pick over all rules, are the references.
+
+
+def reference_json(value, kind):
+    """The JSON form of ``value``, whose kind is a class or a dict."""
+    if isinstance(kind, dict):
+        for key, cls in kind.items():
+            if type(value) is cls:
+                return {key: reference_json(value, cls)}
+        raise TypeError(f"not an outcome: {value!r}")
+    body = _BODIES[kind]
+    if type(body) is not dict:
+        return body
+    obj = {}
+    for key, field in body.items():
+        if field is str or field is int:
+            obj[key] = getattr(value, key)
+        elif isinstance(field, EnumMeta):
+            obj[key] = getattr(value, key).value
+        elif isinstance(field, (type, dict)):
+            obj[key] = reference_json(getattr(value, key), field)
+        else:
+            obj[key] = field
+    return obj
+
+
+def reference_fields(obj, table, where):
+    if type(obj) is not dict:
+        raise MalformedFrame(f"{where} must be an object")
+    if obj.keys() != table.keys():
+        key = min(obj.keys() ^ table.keys())
+        raise MalformedFrame(f"{where} {'is missing' if key in table else 'has unexpected'} "
+                             f"field {key!r}")
+    fields = {}
+    for key, kind in table.items():
+        value = obj[key]
+        if kind is str or kind is int:
+            if type(value) is not kind:
+                raise MalformedFrame(f"{where}.{key} must be {kind.__name__}")
+            fields[key] = value
+        elif isinstance(kind, EnumMeta):
+            try:
+                fields[key] = kind(value)
+            except ValueError:
+                raise MalformedFrame(f"{where}.{key} has unknown value {value!r}") from None
+        elif isinstance(kind, (type, dict)):
+            fields[key] = reference_value(value, kind, f"{where}.{key}")
+        elif type(value) is not type(kind) or value != kind:
+            raise MalformedFrame(f"{where}.{key} must be {json.dumps(kind)}")
+    return fields
+
+
+def reference_value(value, kind, where):
+    if isinstance(kind, dict):
+        if type(value) is not dict or len(value) != 1 or next(iter(value)) not in kind:
+            raise MalformedFrame(f"{where} must hold exactly one of {', '.join(kind)}")
+        ((key, body),) = value.items()
+        return reference_value(body, kind[key], f"{where}.{key}")
+    body = _BODIES[kind]
+    if type(body) is dict:
+        return kind(**reference_fields(value, body, where))
+    if value is not body:
+        raise MalformedFrame(f"{where} must be {json.dumps(body)}")
+    return kind()
+
+
+def reference_decode(data):
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+        raise MalformedFrame(f"frame is not JSON: {exc}") from exc
+    if type(obj) is not dict:
+        raise MalformedFrame("frame is not a JSON object")
+    for cls in (PlanRequest, PlanResponse):
+        if obj.get("type") == _BODIES[cls]["type"]:
+            return cls(**reference_fields(obj, _BODIES[cls], "frame"))
+    raise MalformedFrame(f"unknown message type {obj.get('type')!r}")
+
+
+def reference_eval_condition(cond, fact):
+    if isinstance(cond, Or):
+        return any(reference_eval_condition(p, fact) for p in cond.parts)
+    if isinstance(cond, And):
+        return all(reference_eval_condition(p, fact) for p in cond.parts)
+    if isinstance(cond, Not):
+        return not reference_eval_condition(cond.term, fact)
+    return OPS[cond.op](getattr(fact, cond.field), cond.value)
+
+
+def reference_evaluate(ruleset, fact):
+    """Every rule is checked; the best key (-salience, file position) wins."""
+    best, best_key = None, None
+    for idx, rule in enumerate(ruleset.rules):
+        if reference_eval_condition(rule.condition, fact):
+            key = (-rule.salience, idx)
+            if best_key is None or key < best_key:
+                best, best_key = rule, key
+    if best is None:
+        raise NoMatchingRule(fact)
+    return RepairPlan(strategy=best.strategy, subject=fact.subject, fired_rule=best.name)
+
+
+WIRE_INTS = st.integers(-(2**70), 2**70)
+WIRE_TEXT = st.text(max_size=12)
+FACTS = st.builds(Fact, st.sampled_from(FaultKind), WIRE_TEXT, WIRE_INTS, WIRE_INTS, WIRE_INTS)
+OUTCOMES = st.one_of(
+    st.builds(RepairPlan, st.sampled_from(Strategy), WIRE_TEXT, WIRE_TEXT),
+    st.just(NoMatch()),
+    st.builds(ErrorOutcome, WIRE_TEXT, WIRE_TEXT),
+)
+MESSAGES = st.one_of(st.builds(PlanRequest, WIRE_INTS, FACTS),
+                     st.builds(PlanResponse, WIRE_INTS, OUTCOMES))
+
+
+def decoded(decoder, frame):
+    try:
+        return decoder(frame)
+    except MalformedFrame as exc:
+        return ("MalformedFrame", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(message=MESSAGES)
+def test_compiled_codec_equals_table_walkers(message):
+    frame = encode(message)
+    assert frame == canonical_json(reference_json(message, type(message)))
+    assert decode(frame.rstrip(b"\n")) == reference_decode(frame) == message
+
+
+def json_objects(doc):
+    """``doc`` and every object nested in it."""
+    yield doc
+    for value in doc.values():
+        if isinstance(value, dict):
+            yield from json_objects(value)
+
+
+def mutate(obj, key, mutation, draw):
+    """Break one field of a frame's JSON object; False if it does not apply."""
+    value = obj[key]
+    if mutation == "drop":
+        del obj[key]
+    elif mutation == "extra":
+        obj[draw(st.text(max_size=4).filter(lambda k: k not in obj))] = draw(WIRE_INTS)
+    elif mutation == "bool for int" and type(value) is int:
+        obj[key] = draw(st.booleans())
+    elif mutation == "number for true" and value is True:
+        obj[key] = draw(st.sampled_from([1, 1.0]))
+    elif mutation == "unknown enum value" and key in ("kind", "strategy"):
+        obj[key] = draw(st.sampled_from(["CF9", "AS0", "cf1", "", 1]))
+    else:
+        return False
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(message=MESSAGES, data=st.data())
+def test_compiled_decoder_equals_reference_on_mutated_frames(message, data):
+    doc = reference_json(message, type(message))
+    obj = data.draw(st.sampled_from(list(json_objects(doc))))
+    key = data.draw(st.sampled_from(sorted(obj)))
+    mutation = data.draw(st.sampled_from(
+        ["drop", "extra", "bool for int", "number for true", "unknown enum value"]))
+    assume(mutate(obj, key, mutation, data.draw))
+    frame = json.dumps(doc).encode("utf-8")
+    result = decoded(decode, frame)
+    assert result == decoded(reference_decode, frame)
+    assert result[0] == "MalformedFrame"  # every mutation breaks the schema
+
+
+COMPARISONS = st.one_of(
+    st.builds(Comparison, st.just("kind"), st.sampled_from(["==", "!="]),
+              st.sampled_from(FaultKind)),
+    st.builds(Comparison, st.just("subject"), st.sampled_from(["==", "!="]),
+              st.sampled_from(["a", "b"])),
+    st.builds(Comparison, st.sampled_from(INT_FIELDS), st.sampled_from(sorted(OPS)),
+              st.integers(-1, 3)),
+)
+CONDITIONS = st.recursive(
+    COMPARISONS,
+    lambda inner: st.one_of(
+        st.builds(Not, inner),
+        st.builds(And, st.lists(inner, min_size=2, max_size=3).map(tuple)),
+        st.builds(Or, st.lists(inner, min_size=2, max_size=3).map(tuple)),
+    ),
+    max_leaves=6,
+)
+RULESETS = st.lists(
+    st.tuples(st.integers(-2, 2), CONDITIONS, st.sampled_from(Strategy)), max_size=8,
+).map(lambda rules: RuleSet(tuple(
+    Rule(f"r{i}", salience, cond, strategy) for i, (salience, cond, strategy) in enumerate(rules)
+)))
+RULE_FACTS = st.builds(Fact, st.sampled_from(FaultKind), st.sampled_from(["a", "b"]),
+                       st.integers(-1, 3), st.integers(-1, 3), st.integers(-1, 3))
+
+
+def picked(ruleset, fact, evaluator):
+    try:
+        return evaluator(ruleset, fact)
+    except NoMatchingRule:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(ruleset=RULESETS, facts=st.lists(RULE_FACTS, min_size=1, max_size=8))
+def test_ranked_first_match_equals_all_rules_pick(ruleset, facts):
+    for fact in facts:
+        assert picked(ruleset, fact, evaluate) == picked(ruleset, fact, reference_evaluate)
+    # Parsing the printed rule set compiles the same conditions again.
+    reparsed = parse_rules(format_rules(ruleset))
+    for fact in facts:
+        assert picked(reparsed, fact, evaluate) == picked(ruleset, fact, reference_evaluate)
+
+
+# -- (g) the service's line splitter vs splitting the whole stream at once --
+# _PlanHandler._lines searches and copies each received byte once, however the
+# stream is cut into recv chunks. The reference splits the whole stream at LF.
+
+
+class ChunkedSocket:
+    """Hands out the given chunks one recv at a time, then EOF."""
+
+    def __init__(self, chunks):
+        self.chunks = list(chunks)
+
+    def settimeout(self, timeout):
+        pass
+
+    def recv(self, size):
+        return self.chunks.pop(0) if self.chunks else b""
+
+
+def split_lines(stream, chunks):
+    handler = _PlanHandler.__new__(_PlanHandler)  # not constructed: that would serve at once
+    handler.request, handler.client_address = ChunkedSocket(chunks), ("peer", 0)
+    return list(handler._lines())
+
+
+def reference_lines(stream):
+    """Lines with their LF, then the bytes after the last LF, if any."""
+    lines = stream.split(b"\n")
+    return [line + b"\n" for line in lines[:-1]] + ([lines[-1]] if lines[-1] else [])
+
+
+STREAMS = st.lists(st.sampled_from([b"a", b"bc", b"\n", b"\n\n", b"d" * 7]), max_size=12).map(b"".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream=STREAMS, data=st.data())
+def test_line_splitter_equals_whole_stream_split(stream, data):
+    cuts = sorted(data.draw(st.sets(st.integers(1, max(len(stream) - 1, 1)))))
+    bounds = [0, *(cut for cut in cuts if cut < len(stream)), len(stream)]
+    chunks = [stream[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+    with mock.patch("healsim.planner.MAX_FRAME", 8):
+        got = split_lines(stream, chunks)
+    expected = reference_lines(stream)
+    oversize = next((i for i, line in enumerate(expected) if len(line) > 8), None)
+    if oversize is None:
+        assert got == expected
+    else:  # the same lines up to the first one over the cap, which may come out cut short
+        assert got[:oversize] == expected[:oversize]
+        assert len(got[oversize]) > 8 and expected[oversize].startswith(got[oversize])

@@ -1,6 +1,8 @@
 import random
+import select
 import socket
 import threading
+import time
 
 import pytest
 
@@ -34,6 +36,15 @@ def cf4_fact(request_id=1):
         prior_failures_of_subject=0,
     )
     return PlanRequest(request_id=request_id, fact=fact)
+
+
+def connections_settle_at_zero(service, timeout=2.0):
+    """True once the service counts no open connection; handler threads end
+    a moment after their client closes."""
+    deadline = time.monotonic() + timeout
+    while service._server.connections and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return service._server.connections == 0
 
 
 @pytest.fixture
@@ -223,6 +234,80 @@ def test_service_closes_on_oversized_frame(service):
         assert reader.readline() == b""
 
 
+def test_service_answers_busy_past_max_connections(service, monkeypatch):
+    monkeypatch.setattr("healsim.planner.MAX_CONNECTIONS", 1)
+    with socket.create_connection(service.address, timeout=2) as first:
+        first_reader = first.makefile("rb")
+        first.sendall(encode(cf4_fact(request_id=1)))  # answered: the first is being served
+        assert decode(first_reader.readline().rstrip(b"\n")).request_id == 1
+        with socket.create_connection(service.address, timeout=2) as second:
+            reader = second.makefile("rb")
+            reply = decode(reader.readline().rstrip(b"\n"))
+            assert reply.request_id == 0 and reply.outcome.code == "busy"
+            assert reader.readline() == b""
+        first_reader.close()  # the socket closes once its file is closed too
+    assert connections_settle_at_zero(service)  # a closed connection frees its place
+
+
+def test_service_closes_connection_without_complete_frame(service, monkeypatch):
+    monkeypatch.setattr("healsim.planner.IDLE_TIMEOUT", 0.3)
+    with socket.create_connection(service.address, timeout=2) as sock:
+        reader = sock.makefile("rb")
+        sock.sendall(encode(cf4_fact(request_id=4)))
+        assert decode(reader.readline().rstrip(b"\n")).request_id == 4
+        # A byte at a time keeps the connection busy but never completes a frame.
+        start = time.monotonic()
+        closed_at = None
+        while closed_at is None and time.monotonic() - start < 2:
+            try:
+                sock.sendall(b" ")
+                if select.select([sock], [], [], 0.05)[0] and sock.recv(1) == b"":
+                    closed_at = time.monotonic()
+            except ConnectionError:  # reset: the server closed with a byte unread
+                closed_at = time.monotonic()
+        assert closed_at is not None and closed_at - start < 1.0
+
+
+def test_service_closes_connection_that_sends_nothing(service, monkeypatch):
+    monkeypatch.setattr("healsim.planner.IDLE_TIMEOUT", 0.3)
+    with socket.create_connection(service.address, timeout=2) as sock:
+        start = time.monotonic()
+        assert sock.recv(1) == b""
+        assert time.monotonic() - start < 1.0
+
+
+def test_service_gives_each_frame_its_own_idle_time(service, monkeypatch):
+    monkeypatch.setattr("healsim.planner.IDLE_TIMEOUT", 1.0)
+    frame = encode(cf4_fact(request_id=1))
+    with socket.create_connection(service.address, timeout=3) as sock:
+        reader = sock.makefile("rb")
+        for piece, pause in ((frame[:5], 0.7), (frame[5:10], 0.1), (frame[10:], 0)):
+            sock.sendall(piece)  # the last piece arrives with 0.2 s of the frame's time to spare
+            time.sleep(pause)
+        assert decode(reader.readline().rstrip(b"\n")).request_id == 1
+        time.sleep(0.6)  # longer than was left of the first frame's time, shorter than a frame's
+        sock.sendall(encode(cf4_fact(request_id=2)))
+        assert decode(reader.readline().rstrip(b"\n")).request_id == 2
+
+
+def test_service_closes_quietly_on_a_client_that_reads_nothing(service, monkeypatch):
+    monkeypatch.setattr("healsim.planner.IDLE_TIMEOUT", 0.3)
+    errors = []  # what socketserver would print as a traceback
+    monkeypatch.setattr(service._server, "handle_error", lambda *args: errors.append(args))
+    # Each frame is answered "malformed", quoting its 60 KB type name, so the
+    # replies fill the socket buffers after a few dozen frames.
+    frame = b'{"type":"' + b"x" * 60_000 + b'"}\n'
+    with socket.socket() as sock:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.connect(service.address)
+        sock.settimeout(1.0)
+        with pytest.raises(OSError):  # blocked, then reset once the server gives up
+            for _ in range(2000):
+                sock.sendall(frame)
+        assert connections_settle_at_zero(service)
+    assert errors == []
+
+
 def test_service_answers_undecodable_frames_then_serves(service):
     with socket.create_connection(service.address, timeout=2) as sock:
         reader = sock.makefile("rb")
@@ -285,6 +370,7 @@ def test_service_concurrent_connections(service):
     for worker_id, plans in results.items():
         assert [p.subject for p in plans] == [f"w{worker_id}-{i}" for i in range(10)]
         assert all(p.strategy is Strategy.AS1 for p in plans)
+    assert connections_settle_at_zero(service)  # no lost update of the count
 
 
 # -- planner handles ----------------------------------------------------------

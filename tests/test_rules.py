@@ -257,6 +257,12 @@ def test_format_then_parse_identity_rich():
     assert format_rules(parse_rules(printed)) == printed
 
 
+def test_format_then_parse_identity_double_negation():
+    ruleset = parse_rules('rule "r" when not (not kind == CF1) then AS1\n')
+    assert format_rules(ruleset) == 'rule "r" when not (not kind == CF1) then AS1\n'
+    assert parse_rules(format_rules(ruleset)) == ruleset
+
+
 # -- properties ---------------------------------------------------------------
 
 _conditions = st.sampled_from(
