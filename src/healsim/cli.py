@@ -4,6 +4,11 @@
     healsim serve-planner --rules PATH          run the planning service
     healsim validate-rules PATH                 check a rule file
 
+``--log-level {WARNING,INFO,DEBUG}`` goes before the command (default WARNING);
+at INFO, ``run`` logs each failure that no rule handles. ``validate-rules``
+also warns on stderr about a rule that may fire on a fault kind whose subject
+its strategy cannot repair; the file is still accepted.
+
 Exit codes: 0 success, 1 config/parse/execution error, 2 planner unreachable or failing.
 """
 
@@ -19,12 +24,14 @@ from .harness import ConfigError, ScenarioConfig, load_script, run_scenario
 from .model import ModelError, default_blueprint, load_blueprint
 from .planner import DEFAULT_PORT, ConnectionFailed, MalformedFrame, PlanService, RemoteError
 from .planner import RequestTimeout
-from .rules import RuleError, load_rules
+from .rules import RuleError, Strategy, load_rules, wrong_subject_kinds
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="healsim",
                                      description="Self-healing architecture simulator")
+    parser.add_argument("--log-level", choices=("WARNING", "INFO", "DEBUG"), default="WARNING",
+                        help="log threshold on stderr (default: WARNING)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a fault injection and repair scenario")
@@ -94,13 +101,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     ruleset = load_rules(args.path)
+    for rule in ruleset.rules:
+        if kinds := wrong_subject_kinds(rule):
+            repairs = ("connectors, not components" if rule.strategy is Strategy.AS3
+                       else "components, not connectors")
+            print(f"warning: rule {rule.name!r} may fire on {', '.join(k.value for k in kinds)},"
+                  f" but {rule.strategy.value} repairs {repairs}", file=sys.stderr)
     print(f"OK: {len(ruleset.rules)} rules")
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig leaves the level alone when logging is already set up, as in an embedding process
+    logging.getLogger().setLevel(args.log_level)
     try:
         if args.command == "run":
             return _cmd_run(args)

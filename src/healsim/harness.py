@@ -276,12 +276,18 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
 _VALUE = {m: m.value for e in (FaultKind, Strategy, ViolationKind) for m in e}
 
 
-def round_json(record: RoundRecord) -> str:
+def round_json(record: RoundRecord, rendered: dict[int, str] | None = None) -> str:
     """The round's object in ``scenario.json``: the text ``canonical_json``
     makes of its dict form, written directly. Keys are in sorted order by
     hand and strings escaped as ``canonical_json`` escapes them; the dict
-    form lives on in ``tests/test_oracles.py``, which compares the bytes."""
+    form lives on in ``tests/test_oracles.py``, which compares the bytes.
+
+    ``rendered`` maps ``id(violation)`` to the violation's text and is filled
+    as it goes; a caller passes one dict for many rounds of one report, and
+    keeps every violation in it alive for as long as it uses the dict."""
     value, fault = _VALUE, record.fault
+    if rendered is None:
+        rendered = {}
     magnitude = "" if fault.magnitude is None else f',"magnitude":{fault.magnitude}'
     reports = ",".join([
         f'{{"dependent_slots":[{",".join(map(_str, r.dependent_slots))}],'
@@ -303,10 +309,14 @@ def round_json(record: RoundRecord) -> str:
         f'"strategy":"{value[e.plan.strategy]}","subject":{_str(e.plan.subject)}}}'
         for e in record.executions
     ])
-    violations = ",".join([
-        f'{{"kind":"{value[v.kind]}","subject":{_str(v.render_subject())}}}'
-        for v in record.post_violations
-    ])
+    texts = []
+    for v in record.post_violations:
+        if (text := rendered.get(id(v))) is None:
+            text = rendered[id(v)] = (
+                f'{{"kind":"{value[v.kind]}","subject":{_str(v.render_subject())}}}'
+            )
+        texts.append(text)
+    violations = ",".join(texts)
     return (
         f'{{"clock_end":{record.clock_end},"clock_start":{record.clock_start},'
         f'"executions":[{executions}],'
@@ -323,6 +333,10 @@ def scenario_chunks(report: ScenarioReport) -> Iterator[str]:
 
     ``canonical_json`` encodes the small rest of the document with an empty
     ``rounds`` list; the objects from ``round_json`` go between its halves.
+    Each distinct violation object is rendered once per call: ``validate``
+    shares one object across the rounds a deviation stands, and the memo,
+    keyed by object identity, lives only as long as this call, during which
+    ``report`` holds every violation it names.
     """
     config = report.config
     doc = canonical_json({
@@ -351,9 +365,9 @@ def scenario_chunks(report: ScenarioReport) -> Iterator[str]:
     # list, so the first '"rounds":[]' is the top-level key.
     head, tail = doc.split('"rounds":[]', 1)
     yield head + '"rounds":['
-    separator = ""
+    separator, rendered = "", {}
     for record in report.rounds:
-        yield separator + round_json(record)
+        yield separator + round_json(record, rendered)
         separator = ","
     yield "]" + tail
 

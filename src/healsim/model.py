@@ -70,15 +70,25 @@ class ConnectorSpec:
     """Slot-level connector identity: source slot, target slot, interface.
 
     This is the stable way to name a connector across instance replacement;
-    fault targets, violations, and repair subjects all use it.
+    fault targets, violations, and repair subjects all use it. The rendered
+    name ``SOURCE->TARGET`` is built once, at construction, and the hash is
+    the name's: equal specs have equal names, and no hash integer is kept,
+    so a pickled or copied spec hashes right under any hash seed.
     """
 
     source: str
     target: str
     interface: str
+    name: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "name", f"{self.source}->{self.target}")
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     def render(self) -> str:
-        return f"{self.source}->{self.target}"
+        return self.name
 
 
 class ViolationKind(Enum):
@@ -331,6 +341,10 @@ class ArchitectureModel:
     _damaged: set[int] = field(init=False, repr=False, compare=False)  # absent or not STARTED
     _missing: set[int] = field(init=False, repr=False, compare=False)  # intended, not live
     _live: tuple | None = field(init=False, repr=False, compare=False)  # None: stale
+    # The Violation objects validate returns, each built on first use: three per
+    # slot position (missing, unknown state, not started), one per connector position.
+    _slot_violations: list = field(init=False, repr=False, compare=False)
+    _connector_violations: list = field(init=False, repr=False, compare=False)
     # Changes since the last cut_journal(): slot position -> None, and
     # spec -> (position, spec, live afterwards) while its flips are odd.
     _journal: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -345,6 +359,8 @@ class ArchitectureModel:
             raise UnknownConnector(f"connector {name} is not intended")
         self._missing = {pos for spec, pos in positions.items() if spec not in self.connectors}
         self._live = None
+        self._slot_violations = [None] * (3 * len(self.blueprint.slots))
+        self._connector_violations = [None] * len(positions)
 
     def _slot_changed(self, slot: str) -> None:
         pos, comp = self.blueprint._slot_pos[slot], self.components[slot]
@@ -495,18 +511,32 @@ def validate(model: ArchitectureModel) -> list[Violation]:
     A missing connector is only reported when both endpoints are present;
     an empty slot is already covered by its MISSING_COMPONENT entry. An
     empty list means the architecture carries no further failures.
+
+    The violations are shared: for its whole life a model returns one frozen
+    object per (kind, slot) and per missing connector, built the first time
+    that deviation is seen. Damage that stands over many rounds is thus
+    built once, and a report writer can render each object once.
     """
     violations: list[Violation] = []
+    views, shared = model._views, model._slot_violations
     for pos in sorted(model._damaged):
-        slot, view = model._views[pos]
+        slot, view = views[pos]
         if not view.present:
-            violations.append(Violation(ViolationKind.MISSING_COMPONENT, slot))
+            i, kind = 3 * pos, ViolationKind.MISSING_COMPONENT
         elif view.state is ComponentState.UNKNOWN:
-            violations.append(Violation(ViolationKind.UNKNOWN_STATE, slot))
-        elif view.state in (ComponentState.STOPPED, ComponentState.UNDEPLOYED):
-            violations.append(Violation(ViolationKind.NOT_STARTED, slot))
+            i, kind = 3 * pos + 1, ViolationKind.UNKNOWN_STATE
+        else:  # STOPPED or UNDEPLOYED: a damaged slot is absent or not STARTED
+            i, kind = 3 * pos + 2, ViolationKind.NOT_STARTED
+        if (violation := shared[i]) is None:
+            violation = shared[i] = Violation(kind, slot)
+        violations.append(violation)
+    intended, components, shared = (
+        model.blueprint.intended_connectors, model.components, model._connector_violations
+    )
     for pos in sorted(model._missing):
-        spec = model.blueprint.intended_connectors[pos]
-        if model.components[spec.source] is not None and model.components[spec.target] is not None:
-            violations.append(Violation(ViolationKind.MISSING_CONNECTOR, spec))
+        spec = intended[pos]
+        if components[spec.source] is not None and components[spec.target] is not None:
+            if (violation := shared[pos]) is None:
+                violation = shared[pos] = Violation(ViolationKind.MISSING_CONNECTOR, spec)
+            violations.append(violation)
     return violations

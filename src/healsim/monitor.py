@@ -44,20 +44,39 @@ class EventKind(Enum):
     CONNECTOR_ADDED = "CONNECTOR_ADDED"
 
 
-@dataclass(frozen=True)
 class ChangeEvent:
     """One observed difference between consecutive snapshots.
 
     ``old``/``new`` carry the changed value for *_CHANGED events and the
     full SlotView for component removal/addition; connector events need
     neither. ``at`` is the later snapshot's clock.
+
+    A plain ``__slots__`` class, cheap to build, that compares and prints like
+    a dataclass of its five fields. It is unhashable: nothing keys on events.
     """
 
-    kind: EventKind
-    subject: str | ConnectorSpec
-    old: object = None
-    new: object = None
-    at: int = 0
+    __slots__ = ("kind", "subject", "old", "new", "at")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, kind: EventKind, subject: str | ConnectorSpec,
+                 old: object = None, new: object = None, at: int = 0) -> None:
+        self.kind = kind
+        self.subject = subject
+        self.old = old
+        self.new = new
+        self.at = at
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.subject, self.old, self.new, self.at)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return (f"ChangeEvent(kind={self.kind!r}, subject={self.subject!r}, "
+                f"old={self.old!r}, new={self.new!r}, at={self.at!r})")
 
 
 def take_snapshot(model: ArchitectureModel) -> Snapshot:

@@ -403,6 +403,36 @@ def default_ruleset() -> RuleSet:
     return parse_rules(text)
 
 
+# -- subject-kind check ---------------------------------------------------
+
+
+def _may_hold(cond, kind: FaultKind) -> bool | None:
+    """The condition in three-valued logic, ``kind`` fixed and every other
+    comparison unknown (None): False means it cannot hold for that kind."""
+    if isinstance(cond, (And, Or)):
+        results = [_may_hold(part, kind) for part in cond.parts]
+        decisive = isinstance(cond, Or)  # the value that settles the whole
+        if decisive in results:
+            return decisive
+        return None if None in results else not decisive
+    if isinstance(cond, Not):
+        result = _may_hold(cond.term, kind)
+        return None if result is None else not result
+    return _OPS[cond.op](kind, cond.value) if cond.field == "kind" else None
+
+
+def wrong_subject_kinds(rule: Rule) -> list[FaultKind]:
+    """The fault kinds the rule may fire on whose subject its strategy does
+    not repair: CF1-CF3 name a component, which AS3 cannot reconnect, and
+    CF4 names a connector, which AS1, AS2 and AS4 cannot restart or replace."""
+    wants_connector = rule.strategy is Strategy.AS3
+    return [
+        kind for kind in FaultKind
+        if (kind is FaultKind.CF4) is not wants_connector
+        and _may_hold(rule.condition, kind) is not False
+    ]
+
+
 # -- pretty printer -------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import socket
 import subprocess
@@ -30,6 +31,62 @@ def rules_file(tmp_path):
 def test_validate_rules_ok(rules_file, capsys):
     assert main(["validate-rules", str(rules_file)]) == 0
     assert "OK: 4 rules" in capsys.readouterr().out
+
+
+def test_validate_rules_warns_on_wrong_subject_kind(tmp_path, capsys):
+    rules = tmp_path / "wrong-subject.rules"
+    rules.write_text('rule "y" when kind == CF4 then AS1\n'
+                     'rule "z" when not kind == CF4 then AS3\n'
+                     'rule "ok" when kind == CF4 and exception_count > 1 then AS3\n',
+                     encoding="utf-8")
+    assert main(["validate-rules", str(rules)]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("OK: 3 rules")
+    assert err.splitlines() == [
+        "warning: rule 'y' may fire on CF4, but AS1 repairs components, not connectors",
+        "warning: rule 'z' may fire on CF1, CF2, CF3, but AS3 repairs connectors, not components",
+    ]
+
+
+@pytest.mark.parametrize("path", [
+    os.path.join(SRC, "healsim", "data", "default.rules"),
+    os.path.join(SRC, os.pardir, "bench", "degraded.rules"),
+], ids=["bundled", "bench-degraded"])
+def test_validate_rules_shipped_policies_give_no_warning(path, capsys):
+    assert main(["validate-rules", path]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("OK: 4 rules") and err == ""
+
+
+def test_log_level_info_shows_no_match_lines_and_keeps_the_reports(tmp_path):
+    """--log-level INFO prints the no-match line on stderr; the reports are
+    those of a WARNING run, byte for byte."""
+    rules = os.path.join(SRC, os.pardir, "bench", "degraded.rules")
+    runs = {}
+    for level in ("INFO", "WARNING"):
+        out = tmp_path / level
+        proc = subprocess.run(
+            [sys.executable, "-m", "healsim.cli", "--log-level", level, "run", "--seed", "42",
+             "--rounds", "30", "--rules", rules, "--out", str(out)],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs[level] = proc.stderr, {name: (out / name).read_bytes()
+                                    for name in ("scenario.json", "rounds.csv", "suspects.csv")}
+    info_err, warning_err = runs["INFO"][0], runs["WARNING"][0]
+    assert "INFO healsim.harness: round 1: no rule handles CF4(" in info_err
+    assert "no rule handles" not in warning_err
+    assert runs["INFO"][1] == runs["WARNING"][1]
+
+
+def test_log_level_applies_when_logging_is_already_configured(tmp_path, caplog):
+    caplog.set_level(logging.DEBUG)  # the capture takes every record; restored after the test
+    rules = os.path.join(SRC, os.pardir, "bench", "degraded.rules")
+    args = ["run", "--seed", "42", "--rounds", "3", "--rules", rules, "--out", str(tmp_path)]
+    assert main(args) == 0
+    assert "no rule handles" not in caplog.text
+    assert main(["--log-level", "INFO", *args]) == 0
+    assert "round 1: no rule handles CF4(" in caplog.text
 
 
 def test_validate_rules_reports_position(tmp_path, capsys):

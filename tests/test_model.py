@@ -1,5 +1,10 @@
 import copy
+import dataclasses
 import json
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -344,3 +349,37 @@ def test_default_blueprint_acyclic_and_complete():
     # every slot reachable as a dependency or dependent
     mentioned = {s for spec in bp.intended_connectors for s in (spec.source, spec.target)}
     assert mentioned == set(bp.slot_names())
+
+
+def test_connector_spec_hash_follows_equality():
+    spec = ConnectorSpec("a", "b", "I")
+    same = [ConnectorSpec("a", "b", "I"), dataclasses.replace(spec), copy.deepcopy(spec),
+            pickle.loads(pickle.dumps(spec))]
+    for other in same:
+        assert other == spec and hash(other) == hash(spec) and other.render() == "a->b"
+    assert ConnectorSpec("a", "b", "J") != spec  # same name, other interface
+    # alike-rendering specs share a name and a hash, but stay unequal
+    left, right = ConnectorSpec("a->b", "c", "I"), ConnectorSpec("a", "b->c", "I")
+    assert left.render() == right.render() and hash(left) == hash(right)
+    assert left != right and len({left, right}) == 2
+    assert repr(spec) == "ConnectorSpec(source='a', target='b', interface='I')"
+
+
+def test_connector_spec_pickled_under_one_hash_seed_is_found_under_another():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    make = ("import pickle, sys; from healsim.model import ConnectorSpec; "
+            "sys.stdout.write(pickle.dumps(ConnectorSpec('Query Service', 'Bid Service', "
+            "'Bid Service')).hex())")
+    find = ("import pickle, sys; from healsim.model import ConnectorSpec; "
+            "spec = pickle.loads(bytes.fromhex(sys.stdin.read())); "
+            "fresh = ConnectorSpec('Query Service', 'Bid Service', 'Bid Service'); "
+            "assert spec in {fresh} and fresh in {spec} and hash(spec) == hash(fresh); "
+            "print(hash(spec))")
+
+    def child(code, seed, stdin=None):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        return subprocess.run([sys.executable, "-c", code], input=stdin, capture_output=True,
+                              text=True, check=True, timeout=60, env=env).stdout
+
+    pickled = child(make, "1")
+    assert int(child(find, "2", pickled)) != int(child(find, "1", pickled))  # the seeds differ

@@ -3,9 +3,32 @@ from hypothesis import given, settings, strategies as st
 
 from healsim.faults import FaultInstance, FaultKind, inject
 from healsim.model import ComponentState, ConnectorSpec, build_default_model
-from healsim.monitor import ClockRegression, EventKind, observe, take_snapshot
+from healsim.monitor import ChangeEvent, ClockRegression, EventKind, observe, take_snapshot
 
 QS_REP = ConnectorSpec("Query Service", "Reputation Service", "Reputation Service")
+
+
+def test_change_event_compares_and_prints_by_its_five_fields():
+    event = ChangeEvent(EventKind.STATE_CHANGED, "Frontend", old=ComponentState.STARTED,
+                        new=ComponentState.UNKNOWN, at=7)
+    assert event == ChangeEvent(EventKind.STATE_CHANGED, "Frontend", ComponentState.STARTED,
+                                ComponentState.UNKNOWN, 7)
+    for other in (ChangeEvent(EventKind.EXCEPTIONS_CHANGED, "Frontend", event.old, event.new, 7),
+                  ChangeEvent(EventKind.STATE_CHANGED, "Auth Service", event.old, event.new, 7),
+                  ChangeEvent(EventKind.STATE_CHANGED, "Frontend", None, event.new, 7),
+                  ChangeEvent(EventKind.STATE_CHANGED, "Frontend", event.old, None, 7),
+                  ChangeEvent(EventKind.STATE_CHANGED, "Frontend", event.old, event.new, 8)):
+        assert event != other
+    assert event != (event.kind, event.subject, event.old, event.new, event.at)
+    assert repr(ChangeEvent(EventKind.CONNECTOR_REMOVED, QS_REP, at=3)) == (
+        "ChangeEvent(kind=<EventKind.CONNECTOR_REMOVED: 'CONNECTOR_REMOVED'>, "
+        "subject=ConnectorSpec(source='Query Service', target='Reputation Service', "
+        "interface='Reputation Service'), old=None, new=None, at=3)"
+    )
+    with pytest.raises(TypeError):
+        hash(event)
+    with pytest.raises(AttributeError):
+        event.extra = 1  # slots only
 
 
 def test_snapshot_of_unchanged_model_is_equal():

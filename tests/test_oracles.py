@@ -319,6 +319,32 @@ def test_fast_paths_equal_references_over_random_steps(doc, steps):
         assert_views_match_scans(model, step[3])
 
 
+@pytest.mark.parametrize(
+    "doc", [None, layered_blueprint_doc(6), REPLICA_DOC], ids=["default", "layered6", "replica"]
+)
+@settings(max_examples=40, deadline=None)
+@given(steps=STEPS)
+@example(steps=[("inject", 2, 1, 0), ("execute", 1, 1, 0), ("inject", 2, 1, 0)])  # CF3 twice
+@example(steps=[("inject", 3, 0, 0), ("execute", 2, 0, 0), ("inject", 3, 0, 0)])  # CF4 twice
+@example(steps=[("inject", 0, 1, 0), ("inject", 2, 1, 0), ("execute", 1, 1, 0),
+                ("inject", 0, 1, 0)])  # one slot: UNKNOWN, then missing, then UNKNOWN again
+def test_validate_shares_one_violation_per_deviation(doc, steps):
+    """validate equals the brute-force list after every step, and a model
+    hands out one object per (kind, subject) for its whole life."""
+    model = instantiate_blueprint(load(doc))
+    shared = {}
+    for step in steps:
+        try:
+            apply_step(model, step)
+        except (ModelError, ExecutionError):
+            pass
+        violations = validate(model)
+        assert violations == brute_validate(model)
+        for violation, again in zip(violations, validate(model)):
+            assert again is violation
+            assert shared.setdefault((violation.kind, violation.subject), violation) is violation
+
+
 # -- (c) derived views kept by the mutations vs from-scratch scans -----------
 
 
@@ -694,6 +720,19 @@ CF2_SCRIPT = [
     FaultInstance(FaultKind.CF2, "Query Service", magnitude=7),
 ]
 
+# Under a CF2-only policy nothing else is repaired, so one slot is reported
+# first as UNKNOWN_STATE and then as MISSING_COMPONENT: two violations of one
+# subject, each rendered by its own kind.
+UNREPAIRED_SCRIPT = [
+    FaultInstance(FaultKind.CF1, "Bid Service"),
+    FaultInstance(FaultKind.CF4, ConnectorSpec("Query Service", "Reputation Service",
+                                               "Reputation Service")),
+    FaultInstance(FaultKind.CF3, "Bid Service"),
+    FaultInstance(FaultKind.CF1, "Query Service"),
+    FaultInstance(FaultKind.CF2, "Frontend", magnitude=6),
+]
+CF2_ONLY_RULES = 'rule "replace-on-cf2" when kind == CF2 then AS4\n'
+
 
 def encoder_cases():
     shop = [(f"shop-seed{seed}", ScenarioConfig(seed=seed, rounds=300), None, None)
@@ -707,6 +746,9 @@ def encoder_cases():
          ScenarioConfig(seed=9, rounds=6, script=CF2_SCRIPT, script_path="cf2 \"script\".json",
                         exception_threshold=2, rootcause_threshold=1),
          None, None),
+        ("unrepaired-script",
+         ScenarioConfig(seed=2, rounds=5, script=UNREPAIRED_SCRIPT, script_path="unrepaired.json"),
+         None, CF2_ONLY_RULES),
         ("odd-names-default",
          ScenarioConfig(seed=4, rounds=200, rules_path='odd\\"rules".rules',
                         blueprint_path="odd,\nnames ü.json", planner="tcp://[::1]:7070"),
@@ -738,14 +780,56 @@ def test_report_encoder_equals_dict_form(case, tmp_path):
     assert (tmp_path / "rounds.csv").read_bytes() == reference_rounds_csv(report)
 
 
+def test_equal_but_distinct_violations_give_the_dict_form_bytes():
+    """scenario_chunks renders a violation once per object: a report whose
+    violations are equal but not shared gives the same bytes as the shared ones."""
+    case = next(c for c in encoder_cases() if c[0] == "layered50-degraded")
+    report = run_case(case)
+    copied = dataclasses.replace(report, rounds=[
+        dataclasses.replace(r, post_violations=tuple(
+            Violation(v.kind, dataclasses.replace(v.subject)
+                      if isinstance(v.subject, ConnectorSpec) else v.subject)
+            for v in r.post_violations))
+        for r in report.rounds
+    ])
+    ids = [id(v) for r in copied.rounds for v in r.post_violations]
+    assert len(set(ids)) == len(ids) > 1000  # no object is shared
+    assert harness.scenario_json(copied) == reference_scenario_json(copied)
+    assert harness.scenario_json(copied) == harness.scenario_json(report)
+
+
+def test_degraded_run_builds_each_violation_once(monkeypatch):
+    """On a layered-50 degraded run, damage stands for many rounds, yet each
+    distinct (kind, subject) it reports is built as a Violation at most once."""
+    built = collections.Counter()
+    init = Violation.__init__
+
+    def counting_init(self, kind, subject):
+        built[kind, subject] += 1
+        init(self, kind, subject)
+
+    monkeypatch.setattr(Violation, "__init__", counting_init)
+    case = next(c for c in encoder_cases() if c[0] == "layered50-degraded")
+    report = run_case(case)
+    reported = {(v.kind, v.subject) for r in report.rounds for v in r.post_violations}
+    assert sum(len(r.post_violations) for r in report.rounds) > 5 * len(reported)
+    assert set(built) == reported and max(built.values()) == 1
+
+
 def test_encoder_cases_cover_every_branch():
-    """The cases above reach no-match plans, persisting violations, CF2
-    magnitudes, executions with and without a new instance, suspects, and
-    targets and fired rules that need escaping."""
+    """The cases above reach no-match plans, persisting violations, one
+    subject under two violation kinds, CF2 magnitudes, executions with and
+    without a new instance, suspects, and targets and fired rules that need
+    escaping."""
     seen = collections.Counter()
     for case in encoder_cases():
         report = run_case(case)
         seen["suspects"] += bool(report.suspects)
+        kinds_of = collections.defaultdict(set)
+        for record in report.rounds:
+            for v in record.post_violations:
+                kinds_of[v.subject].add(v.kind)
+        seen["subject_of_two_kinds"] += any(len(kinds) > 1 for kinds in kinds_of.values())
         for record in report.rounds:
             seen["magnitude"] += record.fault.magnitude is not None
             seen["no_match"] += None in record.plans
@@ -756,7 +840,7 @@ def test_encoder_cases_cover_every_branch():
             seen["odd_rule"] += any('"' in p.fired_rule for p in record.plans if p is not None)
     assert all(seen[k] for k in ("suspects", "magnitude", "no_match", "violations",
                                  "new_instance", "no_new_instance", "odd_target",
-                                 "odd_rule")), seen
+                                 "odd_rule", "subject_of_two_kinds")), seen
 
 
 def test_enum_values_need_no_escaping():

@@ -1,8 +1,12 @@
+import os
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from healsim.faults import FaultKind
+from healsim.rules import _OPS as OPS
 from healsim.rules import (
+    INT_FIELDS,
     MAX_NESTING,
     And,
     Comparison,
@@ -22,6 +26,7 @@ from healsim.rules import (
     evaluate,
     format_rules,
     parse_rules,
+    wrong_subject_kinds,
 )
 
 
@@ -298,3 +303,70 @@ def test_salience_dominance_property(salience_a, salience_b, cond_a, cond_b):
         assert plan.fired_rule == "b"
     else:
         assert plan.fired_rule == "a"  # file order on ties
+
+
+# -- subject-kind check -----------------------------------------------------
+
+CF1, CF2, CF3, CF4 = FaultKind
+
+
+@pytest.mark.parametrize("text, kinds", [
+    ("kind == CF4 then AS1", [CF4]),  # a connector cannot be restarted
+    ("kind == CF4 then AS3", []),
+    ("kind == CF1 then AS3", [CF1]),
+    ("not kind == CF4 then AS3", [CF1, CF2, CF3]),
+    ("kind != CF4 and exception_count > 3 then AS1", []),
+    ("kind == CF1 or exception_count > 3 then AS1", [CF4]),  # the counter is unknown
+    ('subject == "x" then AS2', [CF4]),
+    ('not (kind == CF4 and subject == "x") then AS4', [CF4]),
+    ('kind == CF4 and not kind == CF4 then AS1', []),
+    ('(kind == CF2 or kind == CF4) and prior_failures_of_subject >= 2 then AS3', [CF2]),
+])
+def test_wrong_subject_kinds(text, kinds):
+    (rule,) = parse_rules(f'rule "r" when {text}\n').rules
+    assert wrong_subject_kinds(rule) == kinds
+
+
+def test_bundled_and_bench_policies_fire_on_their_own_subjects():
+    bench = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench",
+                         "degraded.rules")
+    with open(bench, encoding="utf-8") as fh:
+        degraded = parse_rules(fh.read())
+    for rule in default_ruleset().rules + degraded.rules:
+        assert wrong_subject_kinds(rule) == [], rule.name
+
+
+_atoms = st.one_of(
+    st.builds(Comparison, st.just("kind"), st.sampled_from(["==", "!="]),
+              st.sampled_from(list(FaultKind))),
+    st.builds(Comparison, st.just("subject"), st.sampled_from(["==", "!="]),
+              st.sampled_from(["a", "b"])),
+    st.builds(Comparison, st.sampled_from(INT_FIELDS), st.sampled_from(list(OPS)),
+              st.integers(0, 3)),
+)
+_trees = st.recursive(
+    _atoms,
+    lambda kids: st.one_of(
+        st.builds(Not, kids),
+        st.builds(And, st.lists(kids, min_size=2, max_size=3).map(tuple)),
+        st.builds(Or, st.lists(kids, min_size=2, max_size=3).map(tuple)),
+    ),
+    max_leaves=8,
+)
+_facts = st.builds(Fact, st.sampled_from(list(FaultKind)), st.sampled_from(["a", "b", "c"]),
+                   st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cond=_trees, strategy=st.sampled_from(list(Strategy)), facts=st.lists(_facts, max_size=8))
+@example(cond=Not(And((Comparison("kind", "==", CF4), Comparison("subject", "==", "a")))),
+         strategy=Strategy.AS1, facts=[Fact(CF4, "b")])
+def test_wrong_subject_kinds_misses_no_firing(cond, strategy, facts):
+    """No false negatives: whenever a rule fires on a fact whose subject its
+    strategy cannot repair, the check names that fact's kind."""
+    rule = Rule("r", 0, cond, strategy)
+    flagged = wrong_subject_kinds(rule)
+    for f in facts:
+        fires = RuleSet((rule,)).ranked[0][0](f)
+        if fires and (f.kind is CF4) is not (strategy is Strategy.AS3):
+            assert f.kind in flagged
