@@ -39,12 +39,12 @@ from .model import (
     default_blueprint,
     instantiate_blueprint,
     load_blueprint,
+    render_subject,
     validate,
 )
 from .monitor import ChangeEvent, EventKind, Snapshot, observe, take_snapshot
 from .planner import (
     InProcessPlanner,
-    NoMatch,
     PlanRequest,
     PlanResponse,
     PlanService,
@@ -55,7 +55,7 @@ from .planner import (
 )
 from .rules import (
     Fact,
-    NoMatchingRule,
+    NoMatch,
     RepairPlan,
     Rule,
     RuleSet,

@@ -28,9 +28,6 @@ class FailureReport:
     detected_at: int
     dependent_slots: tuple[str, ...]
 
-    def render_subject(self) -> str:
-        return self.subject.render() if isinstance(self.subject, ConnectorSpec) else self.subject
-
 
 def classify(
     events: list[ChangeEvent],

@@ -67,7 +67,7 @@ def _restore_incident_connectors(
         if model.present(spec.source) and model.present(spec.target):
             if not model.has_connector(spec):
                 model.add_connector(spec)
-                mutations.append(f"add_connector({spec.render()})")
+                mutations.append(f"add_connector({spec.name})")
 
 
 def _restart_in_place(model: ArchitectureModel, slot: str, mutations: list[str]) -> None:
@@ -86,10 +86,10 @@ def execute(model: ArchitectureModel, plan: RepairPlan) -> ExecutionResult:
     if plan.strategy is Strategy.AS3:
         spec = _resolve_connector(model, plan.subject)
         if not model.present(spec.source) or not model.present(spec.target):
-            raise EndpointAbsent(f"connector {spec.render()} has an absent endpoint")
+            raise EndpointAbsent(f"connector {spec.name} has an absent endpoint")
         if not model.has_connector(spec):
             model.add_connector(spec)
-            mutations.append(f"add_connector({spec.render()})")
+            mutations.append(f"add_connector({spec.name})")
     elif plan.strategy is Strategy.AS1:
         slot = _resolve_slot(model, plan.subject)
         if not model.present(slot):

@@ -45,9 +45,6 @@ class FaultInstance:
         elif self.magnitude is not None:
             raise ValueError(f"{self.kind.value} takes no magnitude")
 
-    def render_target(self) -> str:
-        return self.target.render() if isinstance(self.target, ConnectorSpec) else self.target
-
 
 class Rng:
     """splitmix64: four lines of 64-bit integer arithmetic, so the exact

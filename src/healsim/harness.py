@@ -40,11 +40,12 @@ from .model import (
     build_default_model,
     instantiate_blueprint,
     load_blueprint,
+    render_subject,
     validate,
 )
 from .monitor import observe, take_snapshot
-from .planner import InProcessPlanner, NoMatch, RemotePlanner, canonical_json, request_plan
-from .rules import RepairPlan, RuleSet, Strategy, default_ruleset, load_rules
+from .planner import InProcessPlanner, RemotePlanner, canonical_json, request_plan
+from .rules import NoMatch, RepairPlan, RuleSet, Strategy, default_ruleset, load_rules
 
 log = logging.getLogger(__name__)
 
@@ -80,7 +81,7 @@ class RoundRecord:
     index: int
     fault: FaultInstance
     reports: tuple[FailureReport, ...]
-    plans: tuple[RepairPlan | None, ...]  # aligned with reports; None = no match
+    plans: tuple[RepairPlan | NoMatch, ...]  # aligned with reports
     executions: tuple[ExecutionResult, ...]
     post_violations: tuple[Violation, ...]
     clock_start: int
@@ -215,18 +216,17 @@ class ScenarioRunner:
         for report in reports:
             if report.kind is not FaultKind.CF4:
                 self.ledger.record_failure(report)
-        plans: list[RepairPlan | None] = []
+        plans: list[RepairPlan | NoMatch] = []
         executions: list[ExecutionResult] = []
         for report in reports:
-            subject = report.render_subject()
+            subject = render_subject(report.subject)
             outcome = request_plan(self.planner, report, self.history)
             self.history[subject] = self.history.get(subject, 0) + 1
+            plans.append(outcome)
             if isinstance(outcome, NoMatch):
                 log.info("round %d: no rule handles %s(%s)", index, report.kind.value, subject)
-                plans.append(None)
                 self.unhandled_failures += 1
             else:
-                plans.append(outcome)
                 executions.append(execute(self.model, outcome))
         record = RoundRecord(
             index=index,
@@ -293,11 +293,11 @@ def round_json(record: RoundRecord, rendered: dict[int, str] | None = None) -> s
         f'{{"dependent_slots":[{",".join(map(_str, r.dependent_slots))}],'
         f'"detected_at":{r.detected_at},"exception_count":{r.exception_count},'
         f'"kind":"{value[r.kind]}","report_id":{r.report_id},'
-        f'"subject":{_str(r.render_subject())}}}'
+        f'"subject":{_str(render_subject(r.subject))}}}'
         for r in record.reports
     ])
     plans = ",".join([
-        f'{{"no_match":true,"report_id":{r.report_id}}}' if p is None else
+        f'{{"no_match":true,"report_id":{r.report_id}}}' if isinstance(p, NoMatch) else
         f'{{"fired_rule":{_str(p.fired_rule)},"report_id":{r.report_id},'
         f'"strategy":"{value[p.strategy]}","subject":{_str(p.subject)}}}'
         for r, p in zip(record.reports, record.plans)
@@ -313,7 +313,7 @@ def round_json(record: RoundRecord, rendered: dict[int, str] | None = None) -> s
     for v in record.post_violations:
         if (text := rendered.get(id(v))) is None:
             text = rendered[id(v)] = (
-                f'{{"kind":"{value[v.kind]}","subject":{_str(v.render_subject())}}}'
+                f'{{"kind":"{value[v.kind]}","subject":{_str(render_subject(v.subject))}}}'
             )
         texts.append(text)
     violations = ",".join(texts)
@@ -321,7 +321,7 @@ def round_json(record: RoundRecord, rendered: dict[int, str] | None = None) -> s
         f'{{"clock_end":{record.clock_end},"clock_start":{record.clock_start},'
         f'"executions":[{executions}],'
         f'"fault":{{"injected_at":{fault.injected_at},"kind":"{value[fault.kind]}"{magnitude},'
-        f'"target":{_str(fault.render_target())}}},'
+        f'"target":{_str(render_subject(fault.target))}}},'
         f'"plans":[{plans}],"post_violations":[{violations}],"reports":[{reports}],'
         f'"round":{record.index}}}'
     )
@@ -393,10 +393,11 @@ def emit_reports(report: ScenarioReport, out_dir: str) -> dict[str, str]:
         "suspects": os.path.join(out_dir, "suspects.csv"),
     }
     value = _VALUE
-    # A round executes exactly the plans that are not None.
+    # A round executes exactly the plans that are not NoMatch.
     rows = (
-        (r.index, r.clock_end, value[r.fault.kind], r.fault.render_target(), len(r.reports),
-         len(r.executions), ";".join([value[e.plan.strategy] for e in r.executions]),
+        (r.index, r.clock_end, value[r.fault.kind], render_subject(r.fault.target),
+         len(r.reports), len(r.executions),
+         ";".join([value[e.plan.strategy] for e in r.executions]),
          len(r.post_violations), len(r.plans) - len(r.executions))
         for r in report.rounds
     )

@@ -55,12 +55,11 @@ class ComponentType:
     required_interfaces: tuple[str, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Component:
-    """A running instance filling one slot."""
+    """A running instance filling one slot; frozen, so a change replaces it."""
 
     instance_id: str
-    type_name: str
     state: ComponentState = ComponentState.STARTED
     exception_count: int = 0
 
@@ -70,8 +69,8 @@ class ConnectorSpec:
     """Slot-level connector identity: source slot, target slot, interface.
 
     This is the stable way to name a connector across instance replacement;
-    fault targets, violations, and repair subjects all use it. The rendered
-    name ``SOURCE->TARGET`` is built once, at construction, and the hash is
+    fault targets, violations, and repair subjects all use it. Its ``name``,
+    ``SOURCE->TARGET``, is built once, at construction, and the hash is
     the name's: equal specs have equal names, and no hash integer is kept,
     so a pickled or copied spec hashes right under any hash seed.
     """
@@ -87,8 +86,11 @@ class ConnectorSpec:
     def __hash__(self) -> int:
         return hash(self.name)
 
-    def render(self) -> str:
-        return self.name
+
+def render_subject(subject: str | ConnectorSpec) -> str:
+    """A slot's name, or a connector's ``SOURCE->TARGET``: the text a failure
+    is reported, planned and counted under, unique within a blueprint."""
+    return subject.name if isinstance(subject, ConnectorSpec) else subject
 
 
 class ViolationKind(Enum):
@@ -104,9 +106,6 @@ class Violation:
 
     kind: ViolationKind
     subject: str | ConnectorSpec
-
-    def render_subject(self) -> str:
-        return self.subject.render() if isinstance(self.subject, ConnectorSpec) else self.subject
 
 
 @dataclass(frozen=True)
@@ -154,9 +153,9 @@ class Blueprint:
         by_name: dict[str, ConnectorSpec] = {}
         for spec in self.intended_connectors:
             if spec.source not in slot_types or spec.target not in slot_types:
-                raise BlueprintError(f"connector {spec.render()} references an unknown slot")
+                raise BlueprintError(f"connector {spec.name} references an unknown slot")
             if spec.source == spec.target:
-                raise BlueprintError(f"connector {spec.render()} is a self loop")
+                raise BlueprintError(f"connector {spec.name} is a self loop")
             if spec.interface not in slot_types[spec.source].required_interfaces:
                 raise BlueprintError(
                     f"{spec.source!r} does not require interface {spec.interface!r}"
@@ -166,9 +165,12 @@ class Blueprint:
                     f"{spec.target!r} does not provide interface {spec.interface!r}"
                 )
             if (spec.source, spec.target) in by_pair:
-                raise BlueprintError(f"connector {spec.render()} is declared twice")
+                raise BlueprintError(f"connector {spec.name} is declared twice")
             by_pair[spec.source, spec.target] = spec
-            name = spec.render()
+            name = spec.name
+            if name in slot_types:
+                raise BlueprintError(f"slot {name!r} and connector ({spec.source!r}, "
+                                     f"{spec.target!r}) both render as {name!r}")
             if name in by_name:
                 other = by_name[name]
                 raise BlueprintError(
@@ -241,7 +243,7 @@ class Blueprint:
         return self._by_pair.get((source, target))
 
     def connector_named(self, name: str) -> ConnectorSpec | None:
-        """The intended connector whose render() is ``name``."""
+        """The intended connector named ``name``."""
         return self._by_name.get(name)
 
 
@@ -292,16 +294,6 @@ def default_blueprint() -> Blueprint:
     return blueprint_from_json(json.loads(text))
 
 
-@dataclass(frozen=True)
-class SlotView:
-    present: bool
-    state: ComponentState | None = None
-    exception_count: int | None = None
-
-
-ABSENT_SLOT = SlotView(present=False)
-
-
 def _omit(items, positions) -> list:
     """``items`` without the entries at ``positions``, joined from slices."""
     kept, start = [], 0
@@ -315,7 +307,8 @@ def _omit(items, positions) -> list:
 class ArchitectureModel:
     """The live architecture plus the blueprint it should match.
 
-    ``components`` maps every blueprint slot to its instance or None;
+    ``components`` maps every blueprint slot, and nothing else, to its
+    instance or None; construction raises UnknownSlot otherwise.
     ``connectors`` holds the live connectors, each one of the blueprint's
     intended ConnectorSpecs: construction and ``add_connector`` reject any
     other spec with UnknownConnector. A slot holds at most one instance and
@@ -325,9 +318,10 @@ class ArchitectureModel:
     Mutations are primitive and apply exactly the named change, except that
     removing a component also drops its incident connectors (a connector
     cannot outlive an endpoint). A single writer at a time is assumed;
-    reads are safe from anywhere between mutations. Change ``components`` and
-    ``connectors`` only through the mutation methods: they keep current the derived
-    views and the change journal that monitoring, validation and fault drawing read.
+    reads are safe from anywhere between mutations. Replace the entries of
+    ``components`` and change ``connectors`` only through the mutation methods:
+    they keep current the derived views and the change journal that
+    monitoring, validation and fault drawing read.
     """
 
     blueprint: Blueprint
@@ -336,7 +330,7 @@ class ArchitectureModel:
     clock: int = 0
     _instance_seq: dict[str, int] = field(default_factory=dict)
     # Derived views. Positions are blueprint declaration indices.
-    _views: list[tuple[str, SlotView]] = field(init=False, repr=False, compare=False)
+    _views: list[tuple[str, Component | None]] = field(init=False, repr=False, compare=False)
     _views_tuple: tuple | None = field(init=False, repr=False, compare=False)  # None: stale
     _damaged: set[int] = field(init=False, repr=False, compare=False)  # absent or not STARTED
     _missing: set[int] = field(init=False, repr=False, compare=False)  # intended, not live
@@ -350,23 +344,29 @@ class ArchitectureModel:
     _journal: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._views, self._damaged = [ABSENT_SLOT] * len(self.blueprint.slots), set()
+        if odd := self.components.keys() ^ self.blueprint._slot_pos.keys():
+            name = min(odd)
+            raise UnknownSlot(f"no slot named {name!r}" if name in self.components
+                              else f"slot {name!r} is missing from the components")
+        self._views, self._damaged = [None] * len(self.blueprint.slots), set()
         for slot in self.blueprint.slot_names():
-            self._slot_changed(slot)
+            self._put(slot, self.components[slot])
         positions = self.blueprint._spec_pos
         if unknown := self.connectors.difference(positions):
-            name = min(spec.render() for spec in unknown)  # set order varies with the hash seed
+            name = min(spec.name for spec in unknown)  # set order varies with the hash seed
             raise UnknownConnector(f"connector {name} is not intended")
         self._missing = {pos for spec, pos in positions.items() if spec not in self.connectors}
         self._live = None
         self._slot_violations = [None] * (3 * len(self.blueprint.slots))
         self._connector_violations = [None] * len(positions)
 
-    def _slot_changed(self, slot: str) -> None:
-        pos, comp = self.blueprint._slot_pos[slot], self.components[slot]
-        view = ABSENT_SLOT if comp is None else SlotView(True, comp.state, comp.exception_count)
-        self._views[pos], self._views_tuple = (slot, view), None
-        (self._damaged.discard if view.state is ComponentState.STARTED else self._damaged.add)(pos)
+    def _put(self, slot: str, comp: Component | None) -> None:
+        """Make ``comp`` the slot's entry, in ``components`` and the views."""
+        pos = self.blueprint._slot_pos[slot]
+        self.components[slot] = comp
+        self._views[pos], self._views_tuple = (slot, comp), None
+        started = comp is not None and comp.state is ComponentState.STARTED
+        (self._damaged.discard if started else self._damaged.add)(pos)
         self._journal[pos] = None
 
     def _connector_changed(self, spec: ConnectorSpec) -> None:
@@ -393,14 +393,14 @@ class ArchitectureModel:
 
     def present_slots(self) -> list[str]:
         """Slots that hold an instance, in blueprint order."""
-        absent = [pos for pos in self._damaged if not self._views[pos][1].present]
+        absent = [pos for pos in self._damaged if self._views[pos][1] is None]
         return _omit(self.blueprint._slot_names, absent)
 
     def has_connector(self, spec: ConnectorSpec) -> bool:
         return spec in self.connectors
 
-    def slot_views(self) -> tuple[tuple[str, SlotView], ...]:
-        """``(slot, SlotView)`` per slot; a slot change replaces only its entry."""
+    def slot_views(self) -> tuple[tuple[str, Component | None], ...]:
+        """``(slot, Component or None)`` per slot; a slot change replaces only its entry."""
         if self._views_tuple is None:
             self._views_tuple = tuple(self._views)
         return self._views_tuple
@@ -423,18 +423,18 @@ class ArchitectureModel:
     # -- mutations -------------------------------------------------------
 
     def set_state(self, slot: str, state: ComponentState) -> None:
-        self._occupied(slot).state = state
-        self._slot_changed(slot)
+        comp = self._occupied(slot)
+        self._put(slot, Component(comp.instance_id, state, comp.exception_count))
 
     def add_exceptions(self, slot: str, n: int) -> None:
         if n < 0:
             raise ValueError("exception increment must be non-negative")
-        self._occupied(slot).exception_count += n
-        self._slot_changed(slot)
+        comp = self._occupied(slot)
+        self._put(slot, Component(comp.instance_id, comp.state, comp.exception_count + n))
 
     def reset_exceptions(self, slot: str) -> None:
-        self._occupied(slot).exception_count = 0
-        self._slot_changed(slot)
+        comp = self._occupied(slot)
+        self._put(slot, Component(comp.instance_id, comp.state, 0))
 
     def remove_component(self, slot: str) -> list[ConnectorSpec]:
         """Empty the slot, dropping incident live connectors with it.
@@ -443,13 +443,12 @@ class ArchitectureModel:
         dropped = [s for s in self.blueprint.connectors_incident_to(slot) if s in self.connectors]
         for spec in dropped:
             self.remove_connector(spec)
-        self.components[slot] = None
-        self._slot_changed(slot)
+        self._put(slot, None)
         return dropped
 
     def remove_connector(self, spec: ConnectorSpec) -> None:
         if spec not in self.connectors:
-            raise TargetAbsent(f"connector {spec.render()} is not live")
+            raise TargetAbsent(f"connector {spec.name} is not live")
         self.connectors.discard(spec)
         self._connector_changed(spec)
 
@@ -457,22 +456,19 @@ class ArchitectureModel:
         """Make an intended connector live; a no-op if it already is. The
         blueprint checked every intended spec's slots and interfaces."""
         if spec not in self.blueprint._spec_pos:
-            raise UnknownConnector(f"connector {spec.render()} is not intended")
+            raise UnknownConnector(f"connector {spec.name} is not intended")
         if self.components[spec.source] is None or self.components[spec.target] is None:
-            raise TargetAbsent(f"connector {spec.render()} has an absent endpoint")
+            raise TargetAbsent(f"connector {spec.name} has an absent endpoint")
         if spec not in self.connectors:
             self.connectors.add(spec)
             self._connector_changed(spec)
 
     def instantiate(self, slot: str, instance_id: str) -> Component:
         """Fill an empty slot with a fresh instance: STARTED, zero exceptions."""
-        if slot not in self.components:
-            raise UnknownSlot(f"no slot named {slot!r}")
-        if self.components[slot] is not None:
+        if self.component(slot) is not None:
             raise ModelError(f"slot {slot!r} is already occupied")
-        comp = Component(instance_id, self.blueprint.type_of_slot(slot).name)
-        self.components[slot] = comp
-        self._slot_changed(slot)
+        comp = Component(instance_id)
+        self._put(slot, comp)
         return comp
 
     def allocate_instance_id(self, slot: str) -> str:
@@ -520,10 +516,10 @@ def validate(model: ArchitectureModel) -> list[Violation]:
     violations: list[Violation] = []
     views, shared = model._views, model._slot_violations
     for pos in sorted(model._damaged):
-        slot, view = views[pos]
-        if not view.present:
+        slot, comp = views[pos]
+        if comp is None:
             i, kind = 3 * pos, ViolationKind.MISSING_COMPONENT
-        elif view.state is ComponentState.UNKNOWN:
+        elif comp.state is ComponentState.UNKNOWN:
             i, kind = 3 * pos + 1, ViolationKind.UNKNOWN_STATE
         else:  # STOPPED or UNDEPLOYED: a damaged slot is absent or not STARTED
             i, kind = 3 * pos + 2, ViolationKind.NOT_STARTED

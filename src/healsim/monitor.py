@@ -4,7 +4,9 @@ The loop takes a snapshot before and after each disturbance and turns the
 difference into change events; the analyzer never touches the model's
 mutation history directly.
 
-Snapshots share the model's cached tuples, and each carries the model's
+Snapshots share the model's cached tuples and its frozen ``Component``
+records (None for an empty slot), so a slot the model did not change holds
+the same object in both snapshots. Each snapshot also carries the model's
 change journal since its previous snapshot. When ``cur`` is the next snapshot
 of ``prev``'s model, ``observe`` compares only what that journal names; every
 other pair (built directly, ``dataclasses.replace`` copies, not consecutive,
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .model import ABSENT_SLOT, ArchitectureModel, ConnectorSpec, SlotView  # noqa: F401
+from .model import ArchitectureModel, Component, ConnectorSpec
 
 
 class ClockRegression(Exception):
@@ -25,10 +27,10 @@ class ClockRegression(Exception):
 
 @dataclass(frozen=True)
 class Snapshot:
-    """Read-only capture of a model: per-slot view, live connectors in
-    canonical order, clock."""
+    """Read-only capture of a model: each slot's component (None when
+    empty), live connectors in canonical order, clock."""
 
-    slots: tuple[tuple[str, SlotView], ...]
+    slots: tuple[tuple[str, Component | None], ...]
     connectors: tuple[ConnectorSpec, ...]
     clock: int
     # From take_snapshot: (model's journal since its last snapshot, the one opened now)
@@ -44,39 +46,20 @@ class EventKind(Enum):
     CONNECTOR_ADDED = "CONNECTOR_ADDED"
 
 
+@dataclass(slots=True)
 class ChangeEvent:
     """One observed difference between consecutive snapshots.
 
-    ``old``/``new`` carry the changed value for *_CHANGED events and the
-    full SlotView for component removal/addition; connector events need
-    neither. ``at`` is the later snapshot's clock.
-
-    A plain ``__slots__`` class, cheap to build, that compares and prints like
-    a dataclass of its five fields. It is unhashable: nothing keys on events.
+    ``old``/``new`` carry the changed value for *_CHANGED events, and the
+    Component removed or added for COMPONENT_REMOVED/COMPONENT_ADDED;
+    connector events need neither. ``at`` is the later snapshot's clock.
     """
 
-    __slots__ = ("kind", "subject", "old", "new", "at")
-    __hash__ = None  # type: ignore[assignment]
-
-    def __init__(self, kind: EventKind, subject: str | ConnectorSpec,
-                 old: object = None, new: object = None, at: int = 0) -> None:
-        self.kind = kind
-        self.subject = subject
-        self.old = old
-        self.new = new
-        self.at = at
-
-    def _fields(self) -> tuple:
-        return (self.kind, self.subject, self.old, self.new, self.at)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return (f"ChangeEvent(kind={self.kind!r}, subject={self.subject!r}, "
-                f"old={self.old!r}, new={self.new!r}, at={self.at!r})")
+    kind: EventKind
+    subject: str | ConnectorSpec
+    old: object = None
+    new: object = None
+    at: int = 0
 
 
 def take_snapshot(model: ArchitectureModel) -> Snapshot:
@@ -91,6 +74,8 @@ def observe(prev: Snapshot, cur: Snapshot) -> list[ChangeEvent]:
     removals, then connector additions, each in canonical connector order.
     Both snapshots must list the same slots in one order, as any of one blueprint do.
     The journal (consecutive snapshots of one model) and the full diff give equal events.
+    Instance ids are not compared: a slot refilled with an equal state and
+    exception count yields no event.
     """
     if cur.clock < prev.clock:
         raise ClockRegression(f"clock moved from {prev.clock} back to {cur.clock}")
@@ -109,13 +94,13 @@ def observe(prev: Snapshot, cur: Snapshot) -> list[ChangeEvent]:
     events: list[ChangeEvent] = []
     for pos in positions:
         (slot, before), (_, after) = prev.slots[pos], cur.slots[pos]
-        if before is after:  # a slot the model did not touch
+        if before is after:  # a slot the model did not touch, or empty in both
             continue
-        if before.present and not after.present:
+        if after is None:
             events.append(ChangeEvent(EventKind.COMPONENT_REMOVED, slot, old=before, at=at))
-        elif not before.present and after.present:
+        elif before is None:
             events.append(ChangeEvent(EventKind.COMPONENT_ADDED, slot, new=after, at=at))
-        elif before.present and after.present:
+        else:
             for kind, was, now in (
                 (EventKind.STATE_CHANGED, before.state, after.state),
                 (EventKind.EXCEPTIONS_CHANGED, before.exception_count, after.exception_count),

@@ -42,7 +42,8 @@ from typing import Mapping, Union
 
 from .analyzer import FailureReport
 from .faults import FaultKind
-from .rules import INT_FIELDS, Fact, NoMatchingRule, RepairPlan, RuleSet, Strategy, evaluate
+from .model import render_subject
+from .rules import INT_FIELDS, Fact, NoMatch, RepairPlan, RuleSet, Strategy, evaluate
 
 log = logging.getLogger(__name__)
 
@@ -79,11 +80,6 @@ class RemoteError(Exception):
 class PlanRequest:
     request_id: int
     fact: Fact
-
-
-@dataclass(frozen=True)
-class NoMatch:
-    """Outcome marker: the rule base cannot handle this failure."""
 
 
 @dataclass(frozen=True)
@@ -437,10 +433,7 @@ class InProcessPlanner:
         self.ruleset = ruleset
 
     def plan(self, fact: Fact) -> RepairPlan | NoMatch:
-        try:
-            return evaluate(self.ruleset, fact)
-        except NoMatchingRule:
-            return NoMatch()
+        return evaluate(self.ruleset, fact)
 
     def close(self) -> None:
         pass
@@ -506,7 +499,7 @@ Planner = Union[InProcessPlanner, RemotePlanner]
 def fact_from_report(report: FailureReport, prior_failures: int) -> Fact:
     return Fact(
         kind=report.kind,
-        subject=report.render_subject(),
+        subject=render_subject(report.subject),
         exception_count=report.exception_count,
         dependent_count=len(report.dependent_slots),
         prior_failures_of_subject=prior_failures,
@@ -520,5 +513,5 @@ def request_plan(
 ) -> RepairPlan | NoMatch:
     """Ask a planner for the repair of one failure report. ``history`` maps
     subject strings to how many times they have already failed this run."""
-    prior = (history or {}).get(report.render_subject(), 0)
+    prior = (history or {}).get(render_subject(report.subject), 0)
     return planner.plan(fact_from_report(report, prior))

@@ -16,9 +16,9 @@ touching program code. The grammar (line comments start with ``#``):
 quoted string, and the three counter fields against integer literals.
 Literals have at most 4300 digits; parentheses nest at most ``MAX_NESTING`` deep.
 Evaluation picks the matching rule with the highest salience, ties broken
-by file position, and is free of side effects. A ``RuleSet`` compiles each
-condition into a function once and keeps its rules in that order, so
-evaluation stops at the first match.
+by file position, or gives ``NoMatch``; it is free of side effects. A
+``RuleSet`` compiles each condition into a function once and keeps its rules
+in that order, so evaluation stops at the first match.
 """
 
 from __future__ import annotations
@@ -70,14 +70,6 @@ class UnknownField(RuleError):
     def __init__(self, token: str, line: int, col: int) -> None:
         super().__init__(f"unknown field {token!r}", line, col)
         self.token = token
-
-
-class NoMatchingRule(Exception):
-    """No rule condition matched the fact; the failure is unhandled."""
-
-    def __init__(self, fact: "Fact") -> None:
-        super().__init__(f"no rule matches {fact}")
-        self.fact = fact
 
 
 @dataclass(frozen=True)
@@ -143,6 +135,11 @@ class RepairPlan:
     strategy: Strategy
     subject: str
     fired_rule: str
+
+
+@dataclass(frozen=True)
+class NoMatch:
+    """The outcome when no rule matches: the failure is unhandled."""
 
 
 INT_FIELDS = ("exception_count", "dependent_count", "prior_failures_of_subject")
@@ -501,12 +498,11 @@ def _compile(cond):
     return lambda fact: op(get(fact), value)
 
 
-def evaluate(ruleset: RuleSet, fact: Fact) -> RepairPlan:
+def evaluate(ruleset: RuleSet, fact: Fact) -> RepairPlan | NoMatch:
     """Pick the plan for a fact: highest salience among matching rules,
     earliest file position on ties. The rule set holds its rules in that
-    order, so the first match wins. Raises NoMatchingRule when nothing
-    matches."""
+    order, so the first match wins. Returns NoMatch when nothing matches."""
     for matches, rule in ruleset.ranked:
         if matches(fact):
             return RepairPlan(strategy=rule.strategy, subject=fact.subject, fired_rule=rule.name)
-    raise NoMatchingRule(fact)
+    return NoMatch()

@@ -11,6 +11,7 @@ import pytest
 from healsim.cli import main
 from healsim.planner import DEFAULT_PORT, ErrorOutcome, PlanResponse, encode
 from test_golden import layered_blueprint_doc
+from test_model import SLOT_NAMED_LIKE_CONNECTOR_DOC
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -185,10 +186,11 @@ def test_serve_planner_rejects_bad_bind(rules_file, capsys):
         ["validate-rules", "{big_salience}"],
         ["validate-rules", "{missing}"],
         ["run", "--out", ""],
+        ["run", "--blueprint", "{slot_like_connector}"],
     ],
     ids=["validate-rules", "rules", "blueprint", "script", "non-string-slot", "port-range",
          "requires-string", "requires-object", "deep-blueprint", "deep-script",
-         "salience-digits", "validate-rules-missing", "empty-out"],
+         "salience-digits", "validate-rules-missing", "empty-out", "slot-like-connector"],
 )
 def test_bad_input_exits_1_with_one_line(tmp_path, rules_file, capsys, args):
     not_utf8 = tmp_path / "not-utf8"
@@ -215,6 +217,9 @@ def test_bad_input_exits_1_with_one_line(tmp_path, rules_file, capsys, args):
     files["big_salience"].write_text(
         'rule "r" salience ' + "9" * 5000 + " when kind == CF1 then AS1\n", encoding="utf-8"
     )
+    files["slot_like_connector"] = tmp_path / "slot-like-connector.json"
+    files["slot_like_connector"].write_text(json.dumps(SLOT_NAMED_LIKE_CONNECTOR_DOC),
+                                            encoding="utf-8")
     args = [a.format(**files) for a in args]
     if args[0] == "run":  # a case's own --out comes later, so it wins
         args[1:1] = ["--seed", "1", "--rounds", "1", "--out", str(tmp_path / "o")]

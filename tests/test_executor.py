@@ -7,7 +7,13 @@ from healsim.executor import (
     execute,
 )
 from healsim.faults import FaultInstance, FaultKind, inject
-from healsim.model import ComponentState, ConnectorSpec, build_default_model, validate
+from healsim.model import (
+    ComponentState,
+    ConnectorSpec,
+    build_default_model,
+    render_subject,
+    validate,
+)
 from healsim.monitor import take_snapshot
 from healsim.rules import RepairPlan, Strategy
 
@@ -182,6 +188,6 @@ def test_repair_soundness_exhaustive():
     for fault in cases:
         model = build_default_model()
         inject(model, fault)
-        subject = fault.render_target()
+        subject = render_subject(fault.target)
         result = execute(model, plan(DEFAULT_STRATEGY[fault.kind], subject))
         assert validate(model) == [], (fault, result)

@@ -15,7 +15,7 @@ from healsim.harness import (
     scenario_json,
 )
 from healsim.model import ConnectorSpec, default_blueprint
-from healsim.rules import Strategy, parse_rules
+from healsim.rules import NoMatch, Strategy, parse_rules
 
 QS_REP = ConnectorSpec("Query Service", "Reputation Service", "Reputation Service")
 
@@ -51,7 +51,7 @@ def test_empty_rule_file_fails_closed():
     config = script_config([FaultInstance(FaultKind.CF1, "Query Service")])
     runner = ScenarioRunner(config, ruleset=parse_rules(""))
     record = runner.run_round()
-    assert record.plans == (None,)
+    assert record.plans == (NoMatch(),)
     assert record.executions == ()
     assert record.post_violations != ()
     assert runner.unhandled_failures == 1
@@ -245,10 +245,10 @@ def test_compound_damage_is_recorded_not_masked():
     ruleset = parse_rules('rule "only-cf1" when kind == CF1 then AS1')
     runner = ScenarioRunner(script_config(faults), ruleset=ruleset)
     first = runner.run_round()
-    assert first.plans == (None,)
+    assert first.plans == (NoMatch(),)
     assert first.post_violations != ()
     second = runner.run_round()
-    assert second.plans[0] is not None
+    assert second.plans[0].strategy is Strategy.AS1
     assert second.post_violations != ()  # CF3 hole still there
     assert runner.unhandled_failures == 1
     runner.close()

@@ -12,6 +12,7 @@ from healsim.model import (
     ArchitectureModel,
     Blueprint,
     BlueprintError,
+    Component,
     ComponentState,
     ComponentType,
     ConnectorSpec,
@@ -24,6 +25,7 @@ from healsim.model import (
     default_blueprint,
     instantiate_blueprint,
     load_blueprint,
+    render_subject,
     validate,
 )
 
@@ -109,7 +111,7 @@ def test_validate_order_is_slots_then_connectors(model):
     model.set_state("Persistence Service", ComponentState.UNKNOWN)
     model.remove_connector(ConnectorSpec("Frontend", "Query Service", "Query Service"))
     model.set_state("Frontend", ComponentState.UNKNOWN)
-    kinds = [(v.kind, v.render_subject()) for v in validate(model)]
+    kinds = [(v.kind, render_subject(v.subject)) for v in validate(model)]
     assert kinds == [
         (ViolationKind.UNKNOWN_STATE, "Frontend"),
         (ViolationKind.UNKNOWN_STATE, "Persistence Service"),
@@ -146,6 +148,35 @@ def test_mutations(model):
     assert model.clock == 250
 
 
+def test_components_are_frozen_and_replaced_on_change(model):
+    comp = model.component("Frontend")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        comp.state = ComponentState.UNKNOWN
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        comp.exception_count = 9
+    assert model.component("Frontend") is comp
+    assert validate(model) == []
+    model.set_state("Frontend", ComponentState.UNKNOWN)
+    model.add_exceptions("Frontend", 9)
+    assert comp == Component("Frontend#1")
+    assert model.component("Frontend") == Component("Frontend#1", ComponentState.UNKNOWN, 9)
+    assert [v.kind for v in validate(model)] == [ViolationKind.UNKNOWN_STATE]
+
+
+def test_model_components_name_each_slot_and_no_other():
+    bp = default_blueprint()
+    with pytest.raises(UnknownSlot, match="^slot 'Auth Service' is missing from the components$"):
+        ArchitectureModel(bp, {}, set())
+    components = dict.fromkeys(bp.slot_names())
+    with pytest.raises(UnknownSlot, match="^no slot named 'Order Service'$"):
+        ArchitectureModel(bp, {**components, "Order Service": None}, set())
+    del components["Frontend"]  # the first name in sorted order is the one named
+    with pytest.raises(UnknownSlot, match="^no slot named 'Basket'$"):
+        ArchitectureModel(bp, {**components, "Basket": None}, set())
+    with pytest.raises(UnknownSlot, match="^slot 'Frontend' is missing from the components$"):
+        ArchitectureModel(bp, {**components, "Zone": None}, set())
+
+
 def test_mutation_errors(model):
     model.remove_component("Bid Service")
     with pytest.raises(TargetAbsent):
@@ -170,7 +201,7 @@ def test_add_connector_rejects_unintended(model):
     ]
     for target, spec in cases:
         live = target.live_connector_specs()
-        with pytest.raises(UnknownConnector, match=f"connector {spec.render()} is not intended"):
+        with pytest.raises(UnknownConnector, match=f"connector {spec.name} is not intended"):
             target.add_connector(spec)
         assert target.live_connector_specs() == live and spec not in target.connectors
 
@@ -286,6 +317,29 @@ def test_blueprint_colliding_render_rejected():
         blueprint_from_json(doc)
 
 
+SLOT_NAMED_LIKE_CONNECTOR_DOC = {
+    "types": [
+        {"name": "Up", "provides": "Up", "requires": ["Down"]},
+        {"name": "Down", "provides": "Down", "requires": []},
+    ],
+    "slots": [
+        {"slot": "A", "type": "Up"},
+        {"slot": "B", "type": "Down"},
+        {"slot": "A->B", "type": "Down"},
+    ],
+    "connectors": [{"from": "A", "to": "B", "interface": "Down"}],
+}
+
+
+def test_blueprint_slot_named_like_a_connector_rejected():
+    # Failures are planned, counted and reported under their subject's text,
+    # so a CF1 on slot "A->B" would count the CF4s of connector A->B as its own.
+    with pytest.raises(
+        BlueprintError, match=r"^slot 'A->B' and connector \('A', 'B'\) both render as 'A->B'$"
+    ):
+        blueprint_from_json(SLOT_NAMED_LIKE_CONNECTOR_DOC)
+
+
 def test_blueprint_cycle_rejected():
     doc = {
         "types": [
@@ -356,11 +410,11 @@ def test_connector_spec_hash_follows_equality():
     same = [ConnectorSpec("a", "b", "I"), dataclasses.replace(spec), copy.deepcopy(spec),
             pickle.loads(pickle.dumps(spec))]
     for other in same:
-        assert other == spec and hash(other) == hash(spec) and other.render() == "a->b"
+        assert other == spec and hash(other) == hash(spec) and other.name == "a->b"
     assert ConnectorSpec("a", "b", "J") != spec  # same name, other interface
     # alike-rendering specs share a name and a hash, but stay unequal
     left, right = ConnectorSpec("a->b", "c", "I"), ConnectorSpec("a", "b->c", "I")
-    assert left.render() == right.render() and hash(left) == hash(right)
+    assert left.name == right.name and hash(left) == hash(right)
     assert left != right and len({left, right}) == 2
     assert repr(spec) == "ConnectorSpec(source='a', target='b', interface='I')"
 

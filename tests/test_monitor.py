@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -115,6 +117,22 @@ def test_observe_additions():
     assert events[0].new.state is ComponentState.STARTED
 
 
+def test_snapshots_and_slot_events_hold_the_models_own_components():
+    model = build_default_model()
+    before = take_snapshot(model)
+    old = model.component("Bid Service")
+    assert dict(before.slots)["Bid Service"] is old
+    model.remove_component("Bid Service")
+    emptied = take_snapshot(model)
+    assert dict(emptied.slots)["Bid Service"] is None
+    removed = observe(before, emptied)[0]
+    assert removed.kind is EventKind.COMPONENT_REMOVED and removed.old is old
+    new = model.instantiate("Bid Service", "Bid Service#2")
+    refilled = take_snapshot(model)
+    assert dict(refilled.slots)["Bid Service"] is new
+    assert observe(emptied, refilled)[0].new is new
+
+
 def test_observe_clock_regression():
     model = build_default_model()
     later = take_snapshot(model)
@@ -145,13 +163,11 @@ def _replay(snapshot, events):
     slots, connectors = _content(snapshot)
     for event in events:
         if event.kind is EventKind.STATE_CHANGED:
-            view = slots[event.subject]
-            slots[event.subject] = type(view)(True, event.new, view.exception_count)
+            slots[event.subject] = replace(slots[event.subject], state=event.new)
         elif event.kind is EventKind.EXCEPTIONS_CHANGED:
-            view = slots[event.subject]
-            slots[event.subject] = type(view)(True, view.state, event.new)
+            slots[event.subject] = replace(slots[event.subject], exception_count=event.new)
         elif event.kind is EventKind.COMPONENT_REMOVED:
-            slots[event.subject] = type(slots[event.subject])(False, None, None)
+            slots[event.subject] = None
         elif event.kind is EventKind.COMPONENT_ADDED:
             slots[event.subject] = event.new
         elif event.kind is EventKind.CONNECTOR_REMOVED:

@@ -33,17 +33,10 @@ from healsim.model import (
     blueprint_from_json,
     default_blueprint,
     instantiate_blueprint,
+    render_subject,
     validate,
 )
-from healsim.monitor import (
-    ABSENT_SLOT,
-    ChangeEvent,
-    EventKind,
-    SlotView,
-    Snapshot,
-    observe,
-    take_snapshot,
-)
+from healsim.monitor import ChangeEvent, EventKind, Snapshot, observe, take_snapshot
 from healsim.planner import (
     _BODIES,
     _PlanHandler,
@@ -62,7 +55,6 @@ from healsim.rules import (
     And,
     Comparison,
     Fact,
-    NoMatchingRule,
     Not,
     Or,
     RepairPlan,
@@ -141,7 +133,7 @@ def scan_find_intended(bp, source, target):
 
 def scan_connector_named(bp, name):
     for spec in bp.intended_connectors:
-        if spec.render() == name:
+        if spec.name == name:
             return spec
     return None
 
@@ -238,7 +230,7 @@ def apply_step(model, step):
         strategy = list(Strategy)[choice]
         if strategy is Strategy.AS3:
             conns = bp.intended_connectors
-            subject = conns[i % len(conns)].render()
+            subject = conns[i % len(conns)].name
         else:
             subject = slots[i % len(slots)]
         execute(model, RepairPlan(strategy, subject, "oracle"))
@@ -358,10 +350,9 @@ def scan_snapshot(model):
     slots = []
     for slot in model.blueprint.slot_names():
         comp = model.components[slot]
-        if comp is None:
-            slots.append((slot, ABSENT_SLOT))
-        else:
-            slots.append((slot, SlotView(True, comp.state, comp.exception_count)))
+        if comp is not None:
+            comp = Component(comp.instance_id, comp.state, comp.exception_count)
+        slots.append((slot, comp))
     return Snapshot(tuple(slots), tuple(scan_live(model)), model.clock)
 
 
@@ -371,11 +362,11 @@ def scan_observe(prev, cur):
     cur_views = dict(cur.slots)
     for slot, before in prev.slots:
         after = cur_views[slot]
-        if before.present and not after.present:
+        if before is not None and after is None:
             events.append(ChangeEvent(EventKind.COMPONENT_REMOVED, slot, old=before, at=at))
-        elif not before.present and after.present:
+        elif before is None and after is not None:
             events.append(ChangeEvent(EventKind.COMPONENT_ADDED, slot, new=after, at=at))
-        elif before.present and after.present:
+        elif before is not None and after is not None:
             if before.state is not after.state:
                 events.append(ChangeEvent(
                     EventKind.STATE_CHANGED, slot, old=before.state, new=after.state, at=at
@@ -442,13 +433,11 @@ def test_directly_built_model_matches_scans():
     connector with both ends present, one whose end is absent. Connectors
     the blueprint does not intend are rejected, the first by name reported."""
     bp = blueprint_from_json(REPLICA_DOC)
-    components = {
-        slot: Component(f"{slot}#1", bp.type_of_slot(slot).name) for slot in bp.slot_names()
-    }
+    components = {slot: Component(f"{slot}#1") for slot in bp.slot_names()}
     components["Store B"] = None
-    components["App B"].state = ComponentState.UNKNOWN
-    components["Client"].state = ComponentState.UNDEPLOYED
-    components["App A"].exception_count = 4
+    components["App B"] = Component("App B#1", ComponentState.UNKNOWN)
+    components["Client"] = Component("Client#1", ComponentState.UNDEPLOYED)
+    components["App A"] = Component("App A#1", exception_count=4)
     extras = {ConnectorSpec("App B", "Store A", "Store"),
               ConnectorSpec("App A", "Store B", "Store")}
     with pytest.raises(UnknownConnector, match="^connector App A->Store B is not intended$"):
@@ -570,7 +559,7 @@ def test_harness_observes_through_the_journal(doc, monkeypatch):
 
 
 def fault_doc(fault):
-    out = {"kind": fault.kind.value, "target": fault.render_target(),
+    out = {"kind": fault.kind.value, "target": render_subject(fault.target),
            "injected_at": fault.injected_at}
     if fault.magnitude is not None:
         out["magnitude"] = fault.magnitude
@@ -581,7 +570,7 @@ def report_doc(report):
     return {
         "report_id": report.report_id,
         "kind": report.kind.value,
-        "subject": report.render_subject(),
+        "subject": render_subject(report.subject),
         "exception_count": report.exception_count,
         "detected_at": report.detected_at,
         "dependent_slots": list(report.dependent_slots),
@@ -589,7 +578,7 @@ def report_doc(report):
 
 
 def plan_doc(report, plan):
-    if plan is None:
+    if isinstance(plan, NoMatch):
         return {"report_id": report.report_id, "no_match": True}
     return {
         "report_id": report.report_id,
@@ -619,7 +608,7 @@ def round_doc(record):
         "plans": [plan_doc(r, p) for r, p in zip(record.reports, record.plans)],
         "executions": [execution_doc(e) for e in record.executions],
         "post_violations": [
-            {"kind": v.kind.value, "subject": v.render_subject()}
+            {"kind": v.kind.value, "subject": render_subject(v.subject)}
             for v in record.post_violations
         ],
     }
@@ -659,17 +648,17 @@ def reference_rounds_csv(report):
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(harness.ROUNDS_CSV_HEADER)
     for record in report.rounds:
-        fired = [p for p in record.plans if p is not None]
+        fired = [p for p in record.plans if not isinstance(p, NoMatch)]
         writer.writerow([
             record.index,
             record.clock_end,
             record.fault.kind.value,
-            record.fault.render_target(),
+            render_subject(record.fault.target),
             len(record.reports),
             len(fired),
             ";".join(p.strategy.value for p in fired),
             len(record.post_violations),
-            sum(1 for p in record.plans if p is None),
+            sum(1 for p in record.plans if isinstance(p, NoMatch)),
         ])
     return out.getvalue().encode("utf-8")
 
@@ -832,12 +821,12 @@ def test_encoder_cases_cover_every_branch():
         seen["subject_of_two_kinds"] += any(len(kinds) > 1 for kinds in kinds_of.values())
         for record in report.rounds:
             seen["magnitude"] += record.fault.magnitude is not None
-            seen["no_match"] += None in record.plans
+            seen["no_match"] += NoMatch() in record.plans
             seen["violations"] += bool(record.post_violations)
             seen["new_instance"] += any(e.new_instance_id for e in record.executions)
             seen["no_new_instance"] += any(e.new_instance_id is None for e in record.executions)
-            seen["odd_target"] += any(c in record.fault.render_target() for c in '"\\\n,ü')
-            seen["odd_rule"] += any('"' in p.fired_rule for p in record.plans if p is not None)
+            seen["odd_target"] += any(c in render_subject(record.fault.target) for c in '"\\\n,ü')
+            seen["odd_rule"] += any('"' in getattr(p, "fired_rule", "") for p in record.plans)
     assert all(seen[k] for k in ("suspects", "magnitude", "no_match", "violations",
                                  "new_instance", "no_new_instance", "odd_target",
                                  "odd_rule", "subject_of_two_kinds")), seen
@@ -952,7 +941,7 @@ def reference_evaluate(ruleset, fact):
             if best_key is None or key < best_key:
                 best, best_key = rule, key
     if best is None:
-        raise NoMatchingRule(fact)
+        return NoMatch()
     return RepairPlan(strategy=best.strategy, subject=fact.subject, fired_rule=best.name)
 
 
@@ -1050,22 +1039,15 @@ RULE_FACTS = st.builds(Fact, st.sampled_from(FaultKind), st.sampled_from(["a", "
                        st.integers(-1, 3), st.integers(-1, 3), st.integers(-1, 3))
 
 
-def picked(ruleset, fact, evaluator):
-    try:
-        return evaluator(ruleset, fact)
-    except NoMatchingRule:
-        return None
-
-
 @settings(max_examples=300, deadline=None)
 @given(ruleset=RULESETS, facts=st.lists(RULE_FACTS, min_size=1, max_size=8))
 def test_ranked_first_match_equals_all_rules_pick(ruleset, facts):
     for fact in facts:
-        assert picked(ruleset, fact, evaluate) == picked(ruleset, fact, reference_evaluate)
+        assert evaluate(ruleset, fact) == reference_evaluate(ruleset, fact)
     # Parsing the printed rule set compiles the same conditions again.
     reparsed = parse_rules(format_rules(ruleset))
     for fact in facts:
-        assert picked(reparsed, fact, evaluate) == picked(ruleset, fact, reference_evaluate)
+        assert evaluate(reparsed, fact) == reference_evaluate(ruleset, fact)
 
 
 # -- (g) the service's line splitter vs splitting the whole stream at once --

@@ -12,7 +12,7 @@ from healsim.rules import (
     Comparison,
     DuplicateRuleName,
     Fact,
-    NoMatchingRule,
+    NoMatch,
     Not,
     Or,
     RepairPlan,
@@ -151,8 +151,7 @@ def test_parentheses_at_the_nesting_limit_parse():
     cond = "(" * MAX_NESTING + "kind == CF1 or not exception_count > 4" + ")" * MAX_NESTING
     ruleset = parse_rules(f'rule "r" when {cond} and dependent_count >= {"1" * 4300} then AS1')
     assert parse_rules(format_rules(ruleset)) == ruleset
-    with pytest.raises(NoMatchingRule):
-        evaluate(ruleset, fact())
+    assert evaluate(ruleset, fact()) == NoMatch()
 
 
 def test_error_position_points_at_token():
@@ -208,11 +207,9 @@ def test_equal_salience_falls_back_to_file_order():
 
 
 def test_no_matching_rule():
-    with pytest.raises(NoMatchingRule):
-        evaluate(RuleSet(()), fact())
+    assert evaluate(RuleSet(()), fact()) == NoMatch()
     ruleset = parse_rules('rule "r" when kind == CF2 then AS4')
-    with pytest.raises(NoMatchingRule):
-        evaluate(ruleset, fact(kind=FaultKind.CF3))
+    assert evaluate(ruleset, fact(kind=FaultKind.CF3)) == NoMatch()
 
 
 def test_evaluate_is_pure():
@@ -237,8 +234,7 @@ def test_condition_fields_evaluate():
 def test_subject_comparison():
     ruleset = parse_rules('rule "qs" when subject == "Query Service" then AS4')
     assert evaluate(ruleset, fact()).strategy is Strategy.AS4
-    with pytest.raises(NoMatchingRule):
-        evaluate(ruleset, fact(subject="Bid Service"))
+    assert evaluate(ruleset, fact(subject="Bid Service")) == NoMatch()
 
 
 # -- round trip ---------------------------------------------------------------
