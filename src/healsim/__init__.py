@@ -62,7 +62,6 @@ from .rules import (
     Strategy,
     default_ruleset,
     evaluate,
-    format_rules,
     parse_rules,
 )
 

@@ -18,10 +18,9 @@ import argparse
 import logging
 import sys
 
-from .executor import ExecutionError
 from .faults import NoEligibleTarget
-from .harness import ConfigError, ScenarioConfig, load_script, run_scenario
-from .model import ModelError, default_blueprint, load_blueprint
+from .harness import ConfigError, ScenarioConfig, run_scenario, split_host_port
+from .model import ModelError
 from .planner import DEFAULT_PORT, ConnectionFailed, MalformedFrame, PlanService, RemoteError
 from .planner import RequestTimeout
 from .rules import RuleError, Strategy, load_rules, wrong_subject_kinds
@@ -59,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    blueprint = load_blueprint(args.blueprint) if args.blueprint else default_blueprint()
     config = ScenarioConfig(
         seed=args.seed,
         rounds=args.rounds,
@@ -69,7 +67,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         rules_path=args.rules,
         blueprint_path=args.blueprint,
         script_path=args.script,
-        script=load_script(args.script, blueprint) if args.script else None,
         out_dir=args.out,
     )
     report = run_scenario(config)
@@ -83,13 +80,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    host, sep, port_text = args.bind.rpartition(":")
-    if not sep or not port_text.isdecimal() or int(port_text) > 65535:
+    if (address := split_host_port(args.bind)) is None:
         print(f"error: --bind must be HOST:PORT with PORT 0-65535, got {args.bind!r}",
               file=sys.stderr)
         return 1
     ruleset = load_rules(args.rules)
-    service = PlanService(ruleset, host=host, port=int(port_text))
+    service = PlanService(ruleset, host=address[0], port=address[1])
     print(f"planner listening on {service.address[0]}:{service.address[1]} "
           f"({len(ruleset.rules)} rules)")
     try:
@@ -125,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
     except RuleError as exc:
         print(f"rule error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ModelError, NoEligibleTarget, ExecutionError, OSError) as exc:
+    except (ConfigError, ModelError, NoEligibleTarget, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ConnectionFailed, RequestTimeout) as exc:

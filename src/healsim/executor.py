@@ -11,30 +11,18 @@ Strategy semantics:
 
 Each applied mutation advances the logical clock by one millisecond, so
 successive repairs carry distinct timestamps.
+
+The model alone decides whether a plan can apply: an unknown subject, a
+restart of an empty slot or a connector with an absent endpoint raises a
+``ModelError`` from the plan's first mutation, before anything has changed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import ArchitectureModel, ComponentState, ConnectorSpec
+from .model import ArchitectureModel, ComponentState, UnknownConnector
 from .rules import RepairPlan, Strategy
-
-
-class ExecutionError(Exception):
-    pass
-
-
-class SubjectUnknown(ExecutionError):
-    """The plan subject does not resolve against the blueprint."""
-
-
-class RestartAbsent(ExecutionError):
-    """AS1 cannot restart an empty slot."""
-
-
-class EndpointAbsent(ExecutionError):
-    """AS3 cannot connect to an absent component."""
 
 
 @dataclass(frozen=True)
@@ -43,19 +31,6 @@ class ExecutionResult:
     applied_mutations: tuple[str, ...]
     new_instance_id: str | None
     completed_at: int
-
-
-def _resolve_connector(model: ArchitectureModel, subject: str) -> ConnectorSpec:
-    spec = model.blueprint.connector_named(subject)
-    if spec is None:
-        raise SubjectUnknown(f"no intended connector named {subject!r}")
-    return spec
-
-
-def _resolve_slot(model: ArchitectureModel, subject: str) -> str:
-    if not model.blueprint.has_slot(subject):
-        raise SubjectUnknown(f"no slot named {subject!r}")
-    return subject
 
 
 def _restore_incident_connectors(
@@ -83,20 +58,17 @@ def execute(model: ArchitectureModel, plan: RepairPlan) -> ExecutionResult:
     mutations: list[str] = []
     new_instance_id: str | None = None
 
+    slot = plan.subject
     if plan.strategy is Strategy.AS3:
-        spec = _resolve_connector(model, plan.subject)
-        if not model.present(spec.source) or not model.present(spec.target):
-            raise EndpointAbsent(f"connector {spec.name} has an absent endpoint")
+        spec = model.blueprint.connector_named(plan.subject)
+        if spec is None:
+            raise UnknownConnector(f"no intended connector named {plan.subject!r}")
         if not model.has_connector(spec):
             model.add_connector(spec)
             mutations.append(f"add_connector({spec.name})")
     elif plan.strategy is Strategy.AS1:
-        slot = _resolve_slot(model, plan.subject)
-        if not model.present(slot):
-            raise RestartAbsent(f"slot {slot!r} is empty; restart needs a running instance")
         _restart_in_place(model, slot, mutations)
     elif plan.strategy is Strategy.AS2:
-        slot = _resolve_slot(model, plan.subject)
         if model.present(slot):
             _restart_in_place(model, slot, mutations)
         else:
@@ -104,17 +76,14 @@ def execute(model: ArchitectureModel, plan: RepairPlan) -> ExecutionResult:
             model.instantiate(slot, new_instance_id)
             mutations.append(f"instantiate({slot}, {new_instance_id})")
         _restore_incident_connectors(model, slot, mutations)
-    elif plan.strategy is Strategy.AS4:
-        slot = _resolve_slot(model, plan.subject)
+    else:  # AS4; allocating before the removal lets the new id skip the slot's current one
+        new_instance_id = model.allocate_instance_id(slot)
         if model.present(slot):
             model.remove_component(slot)
             mutations.append(f"remove_component({slot})")
-        new_instance_id = model.allocate_instance_id(slot)
         model.instantiate(slot, new_instance_id)
         mutations.append(f"instantiate({slot}, {new_instance_id})")
         _restore_incident_connectors(model, slot, mutations)
-    else:  # pragma: no cover - enum is closed
-        raise ExecutionError(f"unknown strategy {plan.strategy!r}")
 
     model.advance_clock(len(mutations))
     return ExecutionResult(

@@ -37,7 +37,7 @@ from .model import (
     Blueprint,
     Violation,
     ViolationKind,
-    build_default_model,
+    default_blueprint,
     instantiate_blueprint,
     load_blueprint,
     render_subject,
@@ -97,16 +97,22 @@ class ScenarioReport:
     unhandled_failures: int
 
 
+def split_host_port(text: str) -> tuple[str, int] | None:
+    """(host, port) for ``HOST:PORT`` with PORT 0-65535 (HOST may be empty), else None."""
+    host, sep, port_text = text.rpartition(":")
+    if sep and port_text.isdecimal() and int(port_text) <= 65535:
+        return host, int(port_text)
+    return None
+
+
 def parse_planner_spec(spec: str) -> tuple[str, int] | None:
     """None for in-process mode, (host, port) for tcp://HOST:PORT."""
     if spec == "inproc":
         return None
-    if spec.startswith("tcp://"):
-        rest = spec[len("tcp://"):]
-        host, sep, port_text = rest.rpartition(":")
-        if sep and host and port_text.isdecimal() and int(port_text) <= 65535:
-            return host, int(port_text)
-    raise ConfigError(f"planner must be 'inproc' or 'tcp://HOST:PORT', got {spec!r}")
+    address = split_host_port(spec[len("tcp://"):]) if spec.startswith("tcp://") else None
+    if address is None or not address[0]:
+        raise ConfigError(f"planner must be 'inproc' or 'tcp://HOST:PORT', got {spec!r}")
+    return address
 
 
 def load_script(path: str, blueprint: Blueprint) -> list[FaultInstance]:
@@ -161,7 +167,8 @@ def script_fault(entry: dict, blueprint: Blueprint, index: int = 0) -> FaultInst
 
 class ScenarioRunner:
     """Owns the mutable run state (model, rng, ledger, history) and executes
-    rounds one at a time. The single writer of the model."""
+    rounds one at a time. The single writer of the model. Without
+    ``config.script`` it reads the one at ``config.script_path``, if any."""
 
     def __init__(
         self,
@@ -171,12 +178,19 @@ class ScenarioRunner:
         blueprint: Blueprint | None = None,
     ) -> None:
         self.config = config
-        if blueprint is not None:
-            self.model = instantiate_blueprint(blueprint)
-        elif config.blueprint_path:
-            self.model = instantiate_blueprint(load_blueprint(config.blueprint_path))
-        else:
-            self.model = build_default_model()
+        if blueprint is None:
+            path = config.blueprint_path
+            blueprint = load_blueprint(path) if path else default_blueprint()
+        self.model = instantiate_blueprint(blueprint)
+        script = config.script
+        if script is None and config.script_path:
+            script = load_script(config.script_path, blueprint)
+        self._script = None if script is None else list(script)
+        if self._script is not None and len(self._script) < config.rounds:
+            raise ConfigError(
+                f"script has {len(self._script)} faults but the scenario runs "
+                f"{config.rounds} rounds"
+            )
         if ruleset is None:
             ruleset = load_rules(config.rules_path) if config.rules_path else default_ruleset()
         self.ruleset = ruleset
@@ -188,12 +202,6 @@ class ScenarioRunner:
         self.records: list[RoundRecord] = []
         self.unhandled_failures = 0
         self._next_report_id = 0
-        self._script = list(config.script) if config.script is not None else None
-        if self._script is not None and len(self._script) < config.rounds:
-            raise ConfigError(
-                f"script has {len(self._script)} faults but the scenario runs "
-                f"{config.rounds} rounds"
-            )
 
     def run_round(self) -> RoundRecord:
         """One full cycle: wait, inject, observe, classify, plan, execute,
@@ -276,7 +284,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
 _VALUE = {m: m.value for e in (FaultKind, Strategy, ViolationKind) for m in e}
 
 
-def round_json(record: RoundRecord, rendered: dict[int, str] | None = None) -> str:
+def round_json(record: RoundRecord, rendered: dict[int, str]) -> str:
     """The round's object in ``scenario.json``: the text ``canonical_json``
     makes of its dict form, written directly. Keys are in sorted order by
     hand and strings escaped as ``canonical_json`` escapes them; the dict
@@ -286,8 +294,6 @@ def round_json(record: RoundRecord, rendered: dict[int, str] | None = None) -> s
     as it goes; a caller passes one dict for many rounds of one report, and
     keeps every violation in it alive for as long as it uses the dict."""
     value, fault = _VALUE, record.fault
-    if rendered is None:
-        rendered = {}
     magnitude = "" if fault.magnitude is None else f',"magnitude":{fault.magnitude}'
     reports = ",".join([
         f'{{"dependent_slots":[{",".join(map(_str, r.dependent_slots))}],'

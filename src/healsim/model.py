@@ -121,7 +121,6 @@ class Blueprint:
     slots: tuple[tuple[str, str], ...]
     intended_connectors: tuple[ConnectorSpec, ...]
     # Lookup maps, built once by __post_init__ from the frozen fields above.
-    _slot_types: dict[str, ComponentType] = field(init=False, repr=False, compare=False)
     _dependencies: dict[str, list[str]] = field(init=False, repr=False, compare=False)
     _incident: dict[str, list[ConnectorSpec]] = field(init=False, repr=False, compare=False)
     _by_pair: dict[tuple[str, str], ConnectorSpec] = field(init=False, repr=False, compare=False)
@@ -181,7 +180,6 @@ class Blueprint:
             dependencies[spec.source].append(spec.target)
             incident[spec.source].append(spec)
             incident[spec.target].append(spec)
-        object.__setattr__(self, "_slot_types", slot_types)
         object.__setattr__(self, "_dependencies", dependencies)
         object.__setattr__(self, "_incident", incident)
         object.__setattr__(self, "_by_pair", by_pair)
@@ -217,13 +215,7 @@ class Blueprint:
         return list(self._slot_names)
 
     def has_slot(self, slot: str) -> bool:
-        return slot in self._slot_types
-
-    def type_of_slot(self, slot: str) -> ComponentType:
-        try:
-            return self._slot_types[slot]
-        except KeyError:
-            raise UnknownSlot(f"no slot named {slot!r}") from None
+        return slot in self._slot_pos
 
     def dependencies_of(self, slot: str) -> list[str]:
         """Slots this slot requires, per intended connectors, in declaration
@@ -308,7 +300,8 @@ class ArchitectureModel:
     """The live architecture plus the blueprint it should match.
 
     ``components`` maps every blueprint slot, and nothing else, to its
-    instance or None; construction raises UnknownSlot otherwise.
+    instance or None; construction raises UnknownSlot otherwise, and
+    ModelError for a value that is neither a Component nor None.
     ``connectors`` holds the live connectors, each one of the blueprint's
     intended ConnectorSpecs: construction and ``add_connector`` reject any
     other spec with UnknownConnector. A slot holds at most one instance and
@@ -350,7 +343,9 @@ class ArchitectureModel:
                               else f"slot {name!r} is missing from the components")
         self._views, self._damaged = [None] * len(self.blueprint.slots), set()
         for slot in self.blueprint.slot_names():
-            self._put(slot, self.components[slot])
+            if (comp := self.components[slot]) is not None and not isinstance(comp, Component):
+                raise ModelError(f"slot {slot!r} holds a {type(comp).__name__}, not a Component")
+            self._put(slot, comp)
         positions = self.blueprint._spec_pos
         if unknown := self.connectors.difference(positions):
             name = min(spec.name for spec in unknown)  # set order varies with the hash seed
@@ -472,10 +467,12 @@ class ArchitectureModel:
         return comp
 
     def allocate_instance_id(self, slot: str) -> str:
-        """Next never-before-used instance id for this slot."""
-        if not self.blueprint.has_slot(slot):
-            raise UnknownSlot(f"no slot named {slot!r}")
+        """Next instance id for this slot: one this model has not allocated,
+        nor the id of the slot's current instance."""
+        current = self.component(slot)
         seq = self._instance_seq.get(slot, 0) + 1
+        if current is not None and current.instance_id == f"{slot}#{seq}":
+            seq += 1
         self._instance_seq[slot] = seq
         return f"{slot}#{seq}"
 

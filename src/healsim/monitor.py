@@ -7,10 +7,10 @@ mutation history directly.
 Snapshots share the model's cached tuples and its frozen ``Component``
 records (None for an empty slot), so a slot the model did not change holds
 the same object in both snapshots. Each snapshot also carries the model's
-change journal since its previous snapshot. When ``cur`` is the next snapshot
-of ``prev``'s model, ``observe`` compares only what that journal names; every
-other pair (built directly, ``dataclasses.replace`` copies, not consecutive,
-of different or deep-copied models) gets the full diff of slots and connectors.
+change journal since its previous snapshot, and ``observe`` compares only
+what that journal names. So it takes a snapshot and the next snapshot of one
+model; any other pair (built directly, replaced, not consecutive, a snapshot
+with itself, of another model or a copy) raises ``NotConsecutive``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,10 @@ from .model import ArchitectureModel, Component, ConnectorSpec
 
 class ClockRegression(Exception):
     """The later snapshot has an earlier clock."""
+
+
+class NotConsecutive(Exception):
+    """The later snapshot is not the next snapshot of the earlier one's model."""
 
 
 @dataclass(frozen=True)
@@ -72,27 +76,19 @@ def observe(prev: Snapshot, cur: Snapshot) -> list[ChangeEvent]:
     """Minimal, complete diff in deterministic order: slot events in
     blueprint order (state before exceptions within a slot), then connector
     removals, then connector additions, each in canonical connector order.
-    Both snapshots must list the same slots in one order, as any of one blueprint do.
-    The journal (consecutive snapshots of one model) and the full diff give equal events.
-    Instance ids are not compared: a slot refilled with an equal state and
-    exception count yields no event.
+    ``cur`` must be the next snapshot of ``prev``'s model, whose journal names
+    what to compare. Instance ids are not compared: a slot refilled with an
+    equal state and exception count yields no event.
     """
     if cur.clock < prev.clock:
         raise ClockRegression(f"clock moved from {prev.clock} back to {cur.clock}")
     since = cur._journal[0]
-    if since is not None and since is prev._journal[1]:  # cur is the next snapshot of prev's model
-        positions = sorted(k for k in since if k.__class__ is int)
-        flipped = sorted(filter(None, since.values()))  # by position, unique: canonical order
-        removed = [s for _, s, live in flipped if not live]
-        added = [s for _, s, live in flipped if live]
-    else:
-        positions = range(len(prev.slots))
-        old_set, new_set = set(prev.connectors), set(cur.connectors)
-        removed = [s for s in prev.connectors if s not in new_set]
-        added = [s for s in cur.connectors if s not in old_set]
+    if since is None or since is not prev._journal[1]:
+        raise NotConsecutive("observe compares a snapshot with the next snapshot of its model")
+    flipped = sorted(filter(None, since.values()))  # by position, unique: canonical order
     at = cur.clock
     events: list[ChangeEvent] = []
-    for pos in positions:
+    for pos in sorted(k for k in since if k.__class__ is int):
         (slot, before), (_, after) = prev.slots[pos], cur.slots[pos]
         if before is after:  # a slot the model did not touch, or empty in both
             continue
@@ -107,6 +103,6 @@ def observe(prev: Snapshot, cur: Snapshot) -> list[ChangeEvent]:
             ):
                 if was != now:
                     events.append(ChangeEvent(kind, slot, old=was, new=now, at=at))
-    events += [ChangeEvent(EventKind.CONNECTOR_REMOVED, s, at=at) for s in removed]
-    events += [ChangeEvent(EventKind.CONNECTOR_ADDED, s, at=at) for s in added]
+    for want, kind in ((False, EventKind.CONNECTOR_REMOVED), (True, EventKind.CONNECTOR_ADDED)):
+        events += [ChangeEvent(kind, s, at=at) for _, s, live in flipped if live is want]
     return events

@@ -1,4 +1,4 @@
-"""Repair rule language: parser, pretty-printer, and forward evaluator.
+"""Repair rule language: parser and forward evaluator.
 
 Rules live in plain text so the repair policy can be changed without
 touching program code. The grammar (line comments start with ``#``):
@@ -428,44 +428,6 @@ def wrong_subject_kinds(rule: Rule) -> list[FaultKind]:
         if (kind is FaultKind.CF4) is not wants_connector
         and _may_hold(rule.condition, kind) is not False
     ]
-
-
-# -- pretty printer -------------------------------------------------------
-
-
-def _quote(value: str) -> str:
-    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _fmt_condition(cond, prec: int = 1) -> str:
-    if isinstance(cond, Or):
-        text = " or ".join(_fmt_condition(p, 2) for p in cond.parts)
-        return f"({text})" if prec > 1 else text
-    if isinstance(cond, And):
-        text = " and ".join(_fmt_condition(p, 3) for p in cond.parts)
-        return f"({text})" if prec > 2 else text
-    if isinstance(cond, Not):
-        text = "not " + _fmt_condition(cond.term, 4)
-        return f"({text})" if prec > 3 else text  # "not not" does not parse
-    if isinstance(cond.value, FaultKind):
-        literal = cond.value.value
-    elif isinstance(cond.value, str):
-        literal = _quote(cond.value)
-    else:
-        literal = str(cond.value)
-    return f"{cond.field} {cond.op} {literal}"
-
-
-def format_rules(ruleset: RuleSet) -> str:
-    """Render a RuleSet back to rule-file text; reparsing yields an equal set."""
-    lines = []
-    for rule in ruleset.rules:
-        salience = f" salience {rule.salience}" if rule.salience != 0 else ""
-        lines.append(
-            f"rule {_quote(rule.name)}{salience} "
-            f"when {_fmt_condition(rule.condition)} then {rule.strategy.value}"
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # -- evaluation -----------------------------------------------------------

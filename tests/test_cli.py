@@ -143,6 +143,55 @@ def test_run_with_script(tmp_path):
     assert doc["rounds"][0]["fault"]["kind"] == "CF4"
 
 
+def test_run_with_script_loads_the_blueprint_once(tmp_path, monkeypatch):
+    """The blueprint a script is read against is the run's own."""
+    import healsim.cli
+    import healsim.harness
+    import healsim.model
+
+    calls, load = [], healsim.model.load_blueprint
+
+    def counted(path):
+        calls.append(path)
+        return load(path)
+
+    for module in (healsim.cli, healsim.harness, healsim.model):
+        if hasattr(module, "load_blueprint"):
+            monkeypatch.setattr(module, "load_blueprint", counted)
+    blueprint = os.path.join(SRC, "healsim", "data", "default_blueprint.json")
+    script = tmp_path / "faults.json"
+    script.write_text(json.dumps([{"kind": "CF3", "target": "Bid Service"}]), encoding="utf-8")
+    assert main(["run", "--seed", "1", "--rounds", "1", "--blueprint", blueprint,
+                 "--script", str(script), "--out", str(tmp_path / "out")]) == 0
+    assert calls == [blueprint]
+
+
+def _readme_examples():
+    """README's script JSON block and its example rule line, from its text."""
+    with open(os.path.join(SRC, os.pardir, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    script = text.split("A script file is a JSON list of faults:", 1)[1]
+    script = script.split("```json\n", 1)[1].split("```", 1)[0]
+    rule = next(line for line in text.splitlines() if line.startswith('rule "escalate"'))
+    return script, rule
+
+
+def test_readme_examples_run(tmp_path, capsys):
+    script_text, rule = _readme_examples()
+    script = tmp_path / "faults.json"
+    script.write_text(script_text, encoding="utf-8")
+    rounds = len(json.loads(script_text))
+    assert rounds == 3
+    assert main(["run", "--seed", "42", "--rounds", str(rounds), "--script", str(script),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert f"rounds: {rounds}  healed: {rounds}  unhandled: 0" in capsys.readouterr().out
+    rules = tmp_path / "escalate.rules"
+    rules.write_text(rule + "\n", encoding="utf-8")
+    assert main(["validate-rules", str(rules)]) == 0
+    out, err = capsys.readouterr()
+    assert out == "OK: 1 rules\n" and err == ""
+
+
 def test_run_bad_config_exit_1(tmp_path, capsys):
     code = main(["run", "--seed", "1", "--rounds", "3",
                  "--script", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")])

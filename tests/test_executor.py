@@ -1,16 +1,17 @@
 import pytest
 
-from healsim.executor import (
-    EndpointAbsent,
-    RestartAbsent,
-    SubjectUnknown,
-    execute,
-)
+from healsim.executor import execute
 from healsim.faults import FaultInstance, FaultKind, inject
 from healsim.model import (
+    ArchitectureModel,
+    Component,
     ComponentState,
     ConnectorSpec,
+    TargetAbsent,
+    UnknownConnector,
+    UnknownSlot,
     build_default_model,
+    default_blueprint,
     render_subject,
     validate,
 )
@@ -41,7 +42,7 @@ def test_as1_restarts_unknown_component():
 def test_as1_on_absent_slot():
     model = build_default_model()
     model.remove_component("Query Service")
-    with pytest.raises(RestartAbsent):
+    with pytest.raises(TargetAbsent, match="^slot 'Query Service' is empty$"):
         execute(model, plan(Strategy.AS1, "Query Service"))
 
 
@@ -106,7 +107,7 @@ def test_as3_is_idempotent():
 def test_as3_with_absent_endpoint():
     model = build_default_model()
     model.remove_component("Reputation Service")
-    with pytest.raises(EndpointAbsent):
+    with pytest.raises(TargetAbsent, match="has an absent endpoint$"):
         execute(model, plan(Strategy.AS3, "Query Service->Reputation Service"))
 
 
@@ -139,12 +140,61 @@ def test_as4_ids_are_fresh_across_repeats():
 
 def test_unknown_subjects():
     model = build_default_model()
-    with pytest.raises(SubjectUnknown):
+    with pytest.raises(UnknownSlot):
         execute(model, plan(Strategy.AS1, "Order Service"))
-    with pytest.raises(SubjectUnknown):
+    with pytest.raises(UnknownConnector):
         execute(model, plan(Strategy.AS3, "Frontend->Persistence Service"))
-    with pytest.raises(SubjectUnknown):
+    with pytest.raises(UnknownConnector, match="^no intended connector named 'not a connector'$"):
         execute(model, plan(Strategy.AS3, "not a connector"))
+
+
+# Per situation: the slot emptied first, the plan's subject, and the error each of
+# AS1, AS2, AS3 and AS4 raises there (None: the plan applies).
+QS_REP_NAME = "Query Service->Reputation Service"
+SITUATIONS = {
+    "empty slot": ("Query Service", "Query Service",
+                   (TargetAbsent, None, UnknownConnector, None)),
+    "connector named as a slot": (None, QS_REP_NAME,
+                                  (UnknownSlot, UnknownSlot, None, UnknownSlot)),
+    "slot named to AS3": (None, "Frontend", (None, None, UnknownConnector, None)),
+    "unknown name": (None, "Order Service",
+                     (UnknownSlot, UnknownSlot, UnknownConnector, UnknownSlot)),
+    "absent endpoint": ("Reputation Service", QS_REP_NAME,
+                        (UnknownSlot, UnknownSlot, TargetAbsent, UnknownSlot)),
+}
+
+
+@pytest.mark.parametrize("situation", SITUATIONS)
+def test_inapplicable_repair_raises_a_model_error_and_changes_nothing(situation):
+    """The model alone checks a plan: the first mutation an inapplicable plan
+    attempts raises, before anything has changed."""
+    emptied, subject, errors = SITUATIONS[situation]
+    for strategy, error in zip(Strategy, errors):
+        model = build_default_model()
+        if emptied:
+            model.remove_component(emptied)
+        take_snapshot(model)  # starts an empty journal
+
+        def seen():
+            return (dict(model._journal), dict(model._instance_seq), model.clock,
+                    set(model.connectors), take_snapshot(model))
+
+        before = seen()
+        if error is None:
+            execute(model, plan(strategy, subject))
+            continue
+        with pytest.raises(error):
+            execute(model, plan(strategy, subject))
+        assert seen() == before, strategy
+
+
+def test_as4_on_a_directly_built_model_skips_the_current_id():
+    bp = default_blueprint()
+    components = {slot: Component(f"{slot}#1") for slot in bp.slot_names()}
+    model = ArchitectureModel(bp, components, set(bp.intended_connectors))
+    assert execute(model, plan(Strategy.AS4, "Frontend")).new_instance_id == "Frontend#2"
+    assert model.component("Frontend").instance_id == "Frontend#2"
+    assert execute(model, plan(Strategy.AS4, "Frontend")).new_instance_id == "Frontend#3"
 
 
 def test_locality_only_subject_is_touched():

@@ -16,6 +16,7 @@ from healsim.model import (
     ComponentState,
     ComponentType,
     ConnectorSpec,
+    ModelError,
     TargetAbsent,
     UnknownConnector,
     UnknownSlot,
@@ -175,6 +176,18 @@ def test_model_components_name_each_slot_and_no_other():
         ArchitectureModel(bp, {**components, "Basket": None}, set())
     with pytest.raises(UnknownSlot, match="^slot 'Frontend' is missing from the components$"):
         ArchitectureModel(bp, {**components, "Zone": None}, set())
+
+
+def test_model_components_hold_components_or_none():
+    """A value that is neither ends in a ModelError naming the first such
+    slot in blueprint order, whatever the dict's own order."""
+    bp = default_blueprint()
+    with pytest.raises(ModelError, match="^slot 'Frontend' holds a str, not a Component$"):
+        ArchitectureModel(bp, dict.fromkeys(bp.slot_names(), "x"), set())
+    components = {slot: Component(f"{slot}#1") for slot in reversed(bp.slot_names())}
+    components["Bid Service"], components["Query Service"] = ("Bid Service#1",), 0
+    with pytest.raises(ModelError, match="^slot 'Query Service' holds a int, not a Component$"):
+        ArchitectureModel(bp, components, set())
 
 
 def test_mutation_errors(model):

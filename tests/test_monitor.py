@@ -5,7 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from healsim.faults import FaultInstance, FaultKind, inject
 from healsim.model import ComponentState, ConnectorSpec, build_default_model
-from healsim.monitor import ChangeEvent, ClockRegression, EventKind, observe, take_snapshot
+from healsim.monitor import (
+    ChangeEvent,
+    ClockRegression,
+    EventKind,
+    NotConsecutive,
+    observe,
+    take_snapshot,
+)
 
 QS_REP = ConnectorSpec("Query Service", "Reputation Service", "Reputation Service")
 
@@ -58,8 +65,10 @@ def test_snapshot_differs_in_one_field_after_state_change():
 
 
 def test_observe_identical_snapshots():
+    """A snapshot is not the next snapshot of itself: observe has no journal to read."""
     snap = take_snapshot(build_default_model())
-    assert observe(snap, snap) == []
+    with pytest.raises(NotConsecutive):
+        observe(snap, snap)
 
 
 def test_observe_state_change():

@@ -3,7 +3,6 @@ must equal the plain linear-scan, full-diff or table-walking answer it
 replaced."""
 
 import collections
-import contextlib
 import copy
 import csv
 import dataclasses
@@ -15,8 +14,8 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from healsim import harness, monitor
-from healsim.executor import ExecutionError, execute
+from healsim import harness
+from healsim.executor import execute
 from healsim.faults import FaultInstance, FaultKind, NoEligibleTarget, draw_fault, inject
 from healsim.harness import ScenarioConfig, ScenarioRunner
 from healsim.model import (
@@ -36,7 +35,15 @@ from healsim.model import (
     render_subject,
     validate,
 )
-from healsim.monitor import ChangeEvent, EventKind, Snapshot, observe, take_snapshot
+from healsim.monitor import (
+    ChangeEvent,
+    ClockRegression,
+    EventKind,
+    NotConsecutive,
+    Snapshot,
+    observe,
+    take_snapshot,
+)
 from healsim.planner import (
     _BODIES,
     _PlanHandler,
@@ -62,10 +69,10 @@ from healsim.rules import (
     RuleSet,
     Strategy,
     evaluate,
-    format_rules,
     parse_rules,
 )
 from test_golden import layered_blueprint_doc
+from test_rules import format_rules
 
 # Two App and two Store slots, wired in pairs: the cross links satisfy the
 # interfaces without being intended, so the model must reject them as such.
@@ -145,7 +152,6 @@ def test_indexed_lookups_equal_linear_scans(doc):
     assert bp.slot_names() == slots
     for slot in slots:
         assert bp.has_slot(slot) and scan_has_slot(bp, slot)
-        assert bp.type_of_slot(slot) == scan_type_of_slot(bp, slot)
         assert bp.dependencies_of(slot) == scan_dependencies_of(bp, slot)
         assert bp.connectors_incident_to(slot) == scan_incident(bp, slot)
         for other in slots:
@@ -154,8 +160,6 @@ def test_indexed_lookups_equal_linear_scans(doc):
             assert bp.connector_named(rendered) is scan_connector_named(bp, rendered)
     for unknown in ("Order Service", "", "L50", "A->B->C->D"):
         assert not bp.has_slot(unknown)
-        with pytest.raises(UnknownSlot):
-            bp.type_of_slot(unknown)
         with pytest.raises(UnknownSlot):
             bp.dependencies_of(unknown)
         assert bp.connectors_incident_to(unknown) == []
@@ -192,26 +196,6 @@ def brute_validate(model):
     return out
 
 
-def reference_observe(prev, cur):
-    """Slot events from observe itself (no connectors to compare), then
-    connector events from sets built unconditionally."""
-    events = observe(
-        dataclasses.replace(prev, connectors=()), dataclasses.replace(cur, connectors=())
-    )
-    prev_set, cur_set = set(prev.connectors), set(cur.connectors)
-    events += [
-        ChangeEvent(EventKind.CONNECTOR_REMOVED, s, at=cur.clock)
-        for s in prev.connectors
-        if s not in cur_set
-    ]
-    events += [
-        ChangeEvent(EventKind.CONNECTOR_ADDED, s, at=cur.clock)
-        for s in cur.connectors
-        if s not in prev_set
-    ]
-    return events
-
-
 def apply_step(model, step):
     bp = model.blueprint
     slots = bp.slot_names()
@@ -236,7 +220,7 @@ def apply_step(model, step):
         execute(model, RepairPlan(strategy, subject, "oracle"))
     else:
         src, dst = slots[i % len(slots)], slots[j % len(slots)]
-        spec = ConnectorSpec(src, dst, bp.type_of_slot(dst).provided_interface)
+        spec = ConnectorSpec(src, dst, scan_type_of_slot(bp, dst).provided_interface)
         if bp.find_intended(src, dst) != spec:
             def seen():  # what the next take_snapshot and observe read
                 return (model.slot_views(), model.live_connectors(), model.clock,
@@ -279,13 +263,12 @@ STEPS = st.lists(STEP, max_size=40)
 def test_fast_paths_equal_references_over_random_steps(doc, steps):
     bp = load(doc)
     model = instantiate_blueprint(bp)
-    first = take_snapshot(model)
     for step in steps:
         before = take_snapshot(model)
         scanned_before = scan_snapshot(model)
         try:
             apply_step(model, step)
-        except (ModelError, ExecutionError):
+        except ModelError:
             pass
         after = take_snapshot(model)
 
@@ -298,13 +281,7 @@ def test_fast_paths_equal_references_over_random_steps(doc, steps):
             assert model.components[spec.source] is not None
             assert model.components[spec.target] is not None
 
-        assert observe(before, after) == reference_observe(before, after)
-        assert observe(first, after) == reference_observe(first, after)
-        # equal but not identical specs take the same path
-        copied = dataclasses.replace(
-            after, connectors=tuple(dataclasses.replace(s) for s in after.connectors)
-        )
-        assert observe(before, copied) == reference_observe(before, copied)
+        assert observe(before, after) == scan_observe(before, after)
         # the views the mutations keep current equal from-scratch scans
         assert after == scan_snapshot(model)
         assert observe(before, after) == scan_observe(scanned_before, scan_snapshot(model))
@@ -328,7 +305,7 @@ def test_validate_shares_one_violation_per_deviation(doc, steps):
     for step in steps:
         try:
             apply_step(model, step)
-        except (ModelError, ExecutionError):
+        except ModelError:
             pass
         violations = validate(model)
         assert violations == brute_validate(model)
@@ -468,22 +445,11 @@ def test_directly_built_model_matches_scans():
 # -- (d) the change journal vs the full diff ---------------------------------
 
 
-@contextlib.contextmanager
-def full_diff_unavailable():
-    """observe's full diff builds connector sets; its journal path builds none."""
-
-    def no_set(*args):
-        raise AssertionError("observe took the full diff")
-
-    with mock.patch.object(monitor, "set", no_set, create=True):
-        yield
-
-
 def apply_steps(model, steps):
     for step in steps:
         try:
             apply_step(model, step)
-        except (ModelError, ExecutionError):
+        except ModelError:
             pass
 
 
@@ -499,9 +465,11 @@ def apply_steps(model, steps):
 @example(windows=[[("connect", 0, 2, 3), ("inject", 2, 3, 0), ("execute", 1, 3, 0),
                    ("connect", 0, 2, 3)]])  # connect around its target's removal and redeploy
 def test_journal_windows_equal_full_diff(doc, windows):
-    """Several mutations between consecutive snapshots of one model take the
-    journal; snapshots of another model of the same blueprint, of a deep
-    copy, and replaced snapshots take the full diff. All equal scan_observe."""
+    """Several mutations between consecutive snapshots of one model: observe
+    reads the journal and equals scan_observe. Any other pair (snapshots of
+    another model of the same blueprint or of a deep copy, not consecutive,
+    replaced, a snapshot with itself) raises NotConsecutive, or
+    ClockRegression first when its clock goes back."""
     bp = load(doc)
     model, other = instantiate_blueprint(bp), instantiate_blueprint(bp)
     first, before = take_snapshot(model), take_snapshot(model)
@@ -512,32 +480,28 @@ def test_journal_windows_equal_full_diff(doc, windows):
         apply_steps(clone, window[::-1])
         apply_steps(other, window[1:])
         after = take_snapshot(model)
-        with full_diff_unavailable():
-            assert observe(before, after) == scan_observe(scanned_before, scan_snapshot(model))
+        assert observe(before, after) == scan_observe(scanned_before, scan_snapshot(model))
 
         cloned, another = take_snapshot(clone), take_snapshot(other)
         pairs = [
             (before, cloned), (cloned, after), (before, another), (another, after),
             (first, after), (dataclasses.replace(before), after),
-            (before, dataclasses.replace(after)),
+            (before, dataclasses.replace(after)), (after, after),
         ]
         for prev, cur in pairs:
-            if cur.clock >= prev.clock:
-                assert observe(prev, cur) == scan_observe(prev, cur)
-                with full_diff_unavailable(), pytest.raises(AssertionError):
-                    observe(prev, cur)
+            with pytest.raises(ClockRegression if cur.clock < prev.clock else NotConsecutive):
+                observe(prev, cur)
         before = after
 
 
 @pytest.mark.parametrize("doc", [None, layered_blueprint_doc(50)], ids=["default", "layered50"])
 def test_harness_observes_through_the_journal(doc, monkeypatch):
-    """Every harness observe reads the journal and equals the full diff; the
-    model keeps only the changes made since the round's last snapshot."""
+    """Every harness observe equals the full diff; the model keeps only the
+    changes made since the round's last snapshot."""
     afters = []
 
     def checked_observe(before, after):
-        with full_diff_unavailable():
-            events = observe(before, after)
+        events = observe(before, after)
         assert events == scan_observe(before, after)
         afters.append(after)
         return events

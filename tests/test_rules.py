@@ -24,7 +24,6 @@ from healsim.rules import (
     UnknownStrategy,
     default_ruleset,
     evaluate,
-    format_rules,
     parse_rules,
     wrong_subject_kinds,
 )
@@ -238,6 +237,44 @@ def test_subject_comparison():
 
 
 # -- round trip ---------------------------------------------------------------
+#
+# The rule printer lives here, as the parser's round-trip oracle: parsing what
+# it prints must give an equal rule set. tests/test_oracles.py uses it too.
+
+
+def _quote(value: str) -> str:
+    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _fmt_condition(cond, prec: int = 1) -> str:
+    if isinstance(cond, Or):
+        text = " or ".join(_fmt_condition(p, 2) for p in cond.parts)
+        return f"({text})" if prec > 1 else text
+    if isinstance(cond, And):
+        text = " and ".join(_fmt_condition(p, 3) for p in cond.parts)
+        return f"({text})" if prec > 2 else text
+    if isinstance(cond, Not):
+        text = "not " + _fmt_condition(cond.term, 4)
+        return f"({text})" if prec > 3 else text  # "not not" does not parse
+    if isinstance(cond.value, FaultKind):
+        literal = cond.value.value
+    elif isinstance(cond.value, str):
+        literal = _quote(cond.value)
+    else:
+        literal = str(cond.value)
+    return f"{cond.field} {cond.op} {literal}"
+
+
+def format_rules(ruleset: RuleSet) -> str:
+    """Render a RuleSet back to rule-file text; reparsing yields an equal set."""
+    lines = []
+    for rule in ruleset.rules:
+        salience = f" salience {rule.salience}" if rule.salience != 0 else ""
+        lines.append(
+            f"rule {_quote(rule.name)}{salience} "
+            f"when {_fmt_condition(rule.condition)} then {rule.strategy.value}"
+        )
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def test_format_then_parse_identity_default():
