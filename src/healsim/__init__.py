@@ -42,7 +42,7 @@ from .model import (
     render_subject,
     validate,
 )
-from .monitor import ChangeEvent, EventKind, Snapshot, observe, take_snapshot
+from .monitor import ChangeEvent, EventKind, Snapshot, observe, observe_changes, take_snapshot
 from .planner import (
     InProcessPlanner,
     PlanRequest,

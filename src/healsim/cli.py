@@ -7,7 +7,8 @@
 ``--log-level {WARNING,INFO,DEBUG}`` goes before the command (default WARNING);
 at INFO, ``run`` logs each failure that no rule handles. ``validate-rules``
 also warns on stderr about a rule that may fire on a fault kind whose subject
-its strategy cannot repair; the file is still accepted.
+its strategy cannot repair, or AS1 on CF3, whose slot is empty; the file is
+still accepted.
 
 Exit codes: 0 success, 1 config/parse/execution error, 2 planner unreachable or failing.
 """
@@ -23,7 +24,7 @@ from .harness import ConfigError, ScenarioConfig, run_scenario, split_host_port
 from .model import ModelError
 from .planner import DEFAULT_PORT, ConnectionFailed, MalformedFrame, PlanService, RemoteError
 from .planner import RequestTimeout
-from .rules import RuleError, Strategy, load_rules, wrong_subject_kinds
+from .rules import RuleError, Strategy, load_rules, restarts_an_emptied_slot, wrong_subject_kinds
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,6 +104,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                        else "components, not connectors")
             print(f"warning: rule {rule.name!r} may fire on {', '.join(k.value for k in kinds)},"
                   f" but {rule.strategy.value} repairs {repairs}", file=sys.stderr)
+        if restarts_an_emptied_slot(rule):
+            print(f"warning: rule {rule.name!r} may fire on CF3, but AS1 restarts in place"
+                  " and a CF3 always empties its slot", file=sys.stderr)
     print(f"OK: {len(ruleset.rules)} rules")
     return 0
 

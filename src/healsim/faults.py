@@ -1,4 +1,7 @@
-"""Failure taxonomy, seeded fault drawing, and injection into the model."""
+"""Failure taxonomy, seeded fault drawing, and injection into the model.
+
+A draw finds its target by index, from the model's damage alone.
+"""
 
 from __future__ import annotations
 
@@ -75,12 +78,12 @@ def draw_fault(rng: Rng, model: ArchitectureModel, exception_threshold: int = 5)
     """
     kind = _KIND_ORDER[rng.next() % 4]
     if kind is FaultKind.CF4:
-        targets: list[str | ConnectorSpec] = model.live_connector_specs()
+        count, nth = len(model.connectors), model.live_connector
     else:
-        targets = model.present_slots()
-    if not targets:
+        count, nth = model.present_count(), model.present_slot
+    if not count:
         raise NoEligibleTarget(f"no eligible target for {kind.value}")
-    target = targets[rng.next() % len(targets)]
+    target = nth(rng.next() % count)
     magnitude = None
     if kind is FaultKind.CF2:
         magnitude = exception_threshold + 1 + rng.next() % 5

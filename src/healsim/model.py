@@ -8,7 +8,9 @@ at most one component instance per slot, the live connectors as slot-level
 always a subset of the intended ones: faults only remove connectors, repairs
 re-add intended ones, and ``add_connector`` rejects any other spec. Faults
 damage the model; repairs restore it; ``validate`` lists every deviation
-from the blueprint.
+from the blueprint. The model keeps its damage by blueprint position and
+journals each change, so validation, fault targets and change events cost
+what changed, not the blueprint's size; whole-blueprint views are built on demand.
 """
 
 from __future__ import annotations
@@ -123,10 +125,9 @@ class Blueprint:
     # Lookup maps, built once by __post_init__ from the frozen fields above.
     _dependencies: dict[str, list[str]] = field(init=False, repr=False, compare=False)
     _incident: dict[str, list[ConnectorSpec]] = field(init=False, repr=False, compare=False)
-    _by_pair: dict[tuple[str, str], ConnectorSpec] = field(init=False, repr=False, compare=False)
+    _pair_pos: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
     _by_name: dict[str, ConnectorSpec] = field(init=False, repr=False, compare=False)
     _slot_pos: dict[str, int] = field(init=False, repr=False, compare=False)
-    _spec_pos: dict[ConnectorSpec, int] = field(init=False, repr=False, compare=False)
     _slot_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -147,10 +148,10 @@ class Blueprint:
                 raise BlueprintError(f"slot {slot!r} references unknown type {type_name!r}")
             slot_types[slot] = types[type_name]
         dependencies: dict[str, list[str]] = {slot: [] for slot in slot_types}
-        incident: dict[str, list[ConnectorSpec]] = {slot: [] for slot in slot_types}
-        by_pair: dict[tuple[str, str], ConnectorSpec] = {}
+        incident: dict[str, list[int]] = {slot: [] for slot in slot_types}
+        pair_pos: dict[tuple[str, str], int] = {}
         by_name: dict[str, ConnectorSpec] = {}
-        for spec in self.intended_connectors:
+        for pos, spec in enumerate(self.intended_connectors):
             if spec.source not in slot_types or spec.target not in slot_types:
                 raise BlueprintError(f"connector {spec.name} references an unknown slot")
             if spec.source == spec.target:
@@ -163,9 +164,9 @@ class Blueprint:
                 raise BlueprintError(
                     f"{spec.target!r} does not provide interface {spec.interface!r}"
                 )
-            if (spec.source, spec.target) in by_pair:
+            if (spec.source, spec.target) in pair_pos:
                 raise BlueprintError(f"connector {spec.name} is declared twice")
-            by_pair[spec.source, spec.target] = spec
+            pair_pos[spec.source, spec.target] = pos
             name = spec.name
             if name in slot_types:
                 raise BlueprintError(f"slot {name!r} and connector ({spec.source!r}, "
@@ -178,15 +179,14 @@ class Blueprint:
                 )
             by_name[name] = spec
             dependencies[spec.source].append(spec.target)
-            incident[spec.source].append(spec)
-            incident[spec.target].append(spec)
+            incident[spec.source].append(pos)
+            incident[spec.target].append(pos)
         object.__setattr__(self, "_dependencies", dependencies)
         object.__setattr__(self, "_incident", incident)
-        object.__setattr__(self, "_by_pair", by_pair)
+        object.__setattr__(self, "_pair_pos", pair_pos)
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_slot_names", tuple(slot_types))
         object.__setattr__(self, "_slot_pos", {slot: i for i, slot in enumerate(slot_types)})
-        object.__setattr__(self, "_spec_pos", {s: i for i, s in enumerate(by_pair.values())})
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
@@ -229,10 +229,20 @@ class Blueprint:
     def connectors_incident_to(self, slot: str) -> list[ConnectorSpec]:
         """Intended connectors with the slot at either end, in declaration
         order; empty for an unknown slot."""
-        return list(self._incident.get(slot, ()))
+        intended = self.intended_connectors
+        return [intended[pos] for pos in self._incident.get(slot, ())]
 
     def find_intended(self, source: str, target: str) -> ConnectorSpec | None:
-        return self._by_pair.get((source, target))
+        pos = self._pair_pos.get((source, target))
+        return None if pos is None else self.intended_connectors[pos]
+
+    def _connector_pos(self, spec: ConnectorSpec) -> int | None:
+        """An intended spec's declaration index, found by its (source, target),
+        whose hash is native, not by the spec's own ``__hash__``; else None."""
+        pos = self._pair_pos.get((spec.source, spec.target))
+        if pos is not None and ((known := self.intended_connectors[pos]) is spec or known == spec):
+            return pos
+        return None
 
     def connector_named(self, name: str) -> ConnectorSpec | None:
         """The intended connector named ``name``."""
@@ -286,13 +296,11 @@ def default_blueprint() -> Blueprint:
     return blueprint_from_json(json.loads(text))
 
 
-def _omit(items, positions) -> list:
-    """``items`` without the entries at ``positions``, joined from slices."""
-    kept, start = [], 0
-    for pos in (*sorted(positions), len(items)):
-        kept += items[start:pos]
-        start = pos + 1
-    return kept
+def _kth_kept(k: int, skipped: list[int]) -> int:
+    """The position of the k-th entry (from 0) not at an ascending position in ``skipped``."""
+    for pos in skipped:  # once one lies past k, so do all that follow
+        k += pos <= k
+    return k
 
 
 @dataclass
@@ -313,7 +321,7 @@ class ArchitectureModel:
     cannot outlive an endpoint). A single writer at a time is assumed;
     reads are safe from anywhere between mutations. Replace the entries of
     ``components`` and change ``connectors`` only through the mutation methods:
-    they keep current the derived views and the change journal that
+    they keep current the damage sets and the change journal that
     monitoring, validation and fault drawing read.
     """
 
@@ -322,59 +330,71 @@ class ArchitectureModel:
     connectors: set[ConnectorSpec]
     clock: int = 0
     _instance_seq: dict[str, int] = field(default_factory=dict)
-    # Derived views. Positions are blueprint declaration indices.
+    # By position: (slot, Component or None), slots absent or not STARTED, connectors not live.
     _views: list[tuple[str, Component | None]] = field(init=False, repr=False, compare=False)
-    _views_tuple: tuple | None = field(init=False, repr=False, compare=False)  # None: stale
-    _damaged: set[int] = field(init=False, repr=False, compare=False)  # absent or not STARTED
-    _missing: set[int] = field(init=False, repr=False, compare=False)  # intended, not live
-    _live: tuple | None = field(init=False, repr=False, compare=False)  # None: stale
+    _damaged: set[int] = field(init=False, repr=False, compare=False)
+    _missing: set[int] = field(init=False, repr=False, compare=False)
     # The Violation objects validate returns, each built on first use: three per
     # slot position (missing, unknown state, not started), one per connector position.
     _slot_violations: list = field(init=False, repr=False, compare=False)
     _connector_violations: list = field(init=False, repr=False, compare=False)
-    # Changes since the last cut_journal(): slot position -> None, and
-    # spec -> (position, spec, live afterwards) while its flips are odd.
+    # Changes since the last cut_journal(): slot position -> its Component (or None)
+    # before the first change; ~connector position -> (spec, live) while its flips are odd.
     _journal: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if odd := self.components.keys() ^ self.blueprint._slot_pos.keys():
+        bp = self.blueprint
+        if odd := self.components.keys() ^ bp._slot_pos.keys():
             name = min(odd)
             raise UnknownSlot(f"no slot named {name!r}" if name in self.components
                               else f"slot {name!r} is missing from the components")
-        self._views, self._damaged = [None] * len(self.blueprint.slots), set()
-        for slot in self.blueprint.slot_names():
-            if (comp := self.components[slot]) is not None and not isinstance(comp, Component):
-                raise ModelError(f"slot {slot!r} holds a {type(comp).__name__}, not a Component")
+        self._views, self._damaged = [None] * len(bp.slots), set()
+        for slot in bp._slot_names:
+            if (comp := self.components[slot]) is not None:
+                if not isinstance(comp, Component):
+                    raise ModelError(f"slot {slot!r} holds a {type(comp).__name__}, not a Component")
+                self._note_instance_id(slot, comp.instance_id)
             self._put(slot, comp)
-        positions = self.blueprint._spec_pos
-        if unknown := self.connectors.difference(positions):
-            name = min(spec.name for spec in unknown)  # set order varies with the hash seed
-            raise UnknownConnector(f"connector {name} is not intended")
-        self._missing = {pos for spec, pos in positions.items() if spec not in self.connectors}
-        self._live = None
-        self._slot_violations = [None] * (3 * len(self.blueprint.slots))
-        self._connector_violations = [None] * len(positions)
+        positions = {spec.name: bp._connector_pos(spec) for spec in self.connectors}
+        if unknown := [name for name, pos in positions.items() if pos is None]:
+            raise UnknownConnector(f"connector {min(unknown)} is not intended")  # min: any hash seed
+        live = set(positions.values())
+        self._missing = {pos for pos in range(len(bp.intended_connectors)) if pos not in live}
+        self._slot_violations = [None] * (3 * len(bp.slots))
+        self._connector_violations = [None] * len(bp.intended_connectors)
+        self._journal = {}  # a new model has changed nothing yet
 
     def _put(self, slot: str, comp: Component | None) -> None:
         """Make ``comp`` the slot's entry, in ``components`` and the views."""
         pos = self.blueprint._slot_pos[slot]
+        self._journal.setdefault(pos, self.components[slot])
         self.components[slot] = comp
-        self._views[pos], self._views_tuple = (slot, comp), None
+        self._views[pos] = (slot, comp)
         started = comp is not None and comp.state is ComponentState.STARTED
         (self._damaged.discard if started else self._damaged.add)(pos)
-        self._journal[pos] = None
 
-    def _connector_changed(self, spec: ConnectorSpec) -> None:
-        pos, live = self.blueprint._spec_pos[spec], spec in self.connectors
+    def _flip(self, pos: int, live: bool) -> None:
+        """Make the connector at ``pos`` live or not; it is not yet so."""
+        spec = self.blueprint.intended_connectors[pos]
+        (self.connectors.add if live else self.connectors.discard)(spec)
         (self._missing.discard if live else self._missing.add)(pos)
-        self._live = None
-        if self._journal.pop(spec, None) is None:  # a second flip undoes the first
-            self._journal[spec] = (pos, spec, live)
+        if self._journal.pop(~pos, None) is None:  # a second flip undoes the first
+            self._journal[~pos] = (spec, live)
 
     def _occupied(self, slot: str) -> Component:
         if (comp := self.component(slot)) is None:
             raise TargetAbsent(f"slot {slot!r} is empty")
         return comp
+
+    def _note_instance_id(self, slot: str, instance_id: str) -> None:
+        """Keep ``allocate_instance_id`` past an id ``SLOT#N`` the slot holds."""
+        head, _, n = instance_id.rpartition("#")
+        if head == slot and n.isdecimal():
+            self._instance_seq[slot] = max(self._instance_seq.get(slot, 0), int(n))
+
+    def _absent(self) -> list[int]:
+        """Positions of the empty slots, ascending."""
+        return sorted(pos for pos in self._damaged if self._views[pos][1] is None)
 
     # -- queries ---------------------------------------------------------
 
@@ -388,23 +408,32 @@ class ArchitectureModel:
 
     def present_slots(self) -> list[str]:
         """Slots that hold an instance, in blueprint order."""
-        absent = [pos for pos in self._damaged if self._views[pos][1] is None]
-        return _omit(self.blueprint._slot_names, absent)
+        return [slot for slot, comp in self._views if comp is not None]
+
+    def present_count(self) -> int:
+        return len(self._views) - len(self._absent())
+
+    def present_slot(self, k: int) -> str:
+        """``present_slots()[k]`` for 0 <= k < ``present_count()``, from the empty slots alone."""
+        return self.blueprint._slot_names[_kth_kept(k, self._absent())]
 
     def has_connector(self, spec: ConnectorSpec) -> bool:
-        return spec in self.connectors
+        pos = self.blueprint._connector_pos(spec)
+        return pos is not None and pos not in self._missing
 
     def slot_views(self) -> tuple[tuple[str, Component | None], ...]:
-        """``(slot, Component or None)`` per slot; a slot change replaces only its entry."""
-        if self._views_tuple is None:
-            self._views_tuple = tuple(self._views)
-        return self._views_tuple
+        """``(slot, Component or None)`` per slot, in blueprint order."""
+        return tuple(self._views)
 
     def live_connectors(self) -> tuple[ConnectorSpec, ...]:
         """Live connectors in blueprint declaration order."""
-        if self._live is None:
-            self._live = tuple(_omit(self.blueprint.intended_connectors, self._missing))
-        return self._live
+        missing = self._missing
+        return tuple(spec for pos, spec in enumerate(self.blueprint.intended_connectors)
+                     if pos not in missing)
+
+    def live_connector(self, k: int) -> ConnectorSpec:
+        """``live_connectors()[k]`` for 0 <= k < ``len(connectors)``, from the missing alone."""
+        return self.blueprint.intended_connectors[_kth_kept(k, sorted(self._missing))]
 
     def live_connector_specs(self) -> list[ConnectorSpec]:
         """``live_connectors()`` as a fresh list."""
@@ -435,28 +464,28 @@ class ArchitectureModel:
         """Empty the slot, dropping incident live connectors with it.
         Returns a ConnectorSpec for each connector that went away."""
         self._occupied(slot)
-        dropped = [s for s in self.blueprint.connectors_incident_to(slot) if s in self.connectors]
-        for spec in dropped:
-            self.remove_connector(spec)
+        missing, intended = self._missing, self.blueprint.intended_connectors
+        dropped = [pos for pos in self.blueprint._incident[slot] if pos not in missing]
+        for pos in dropped:
+            self._flip(pos, False)
         self._put(slot, None)
-        return dropped
+        return [intended[pos] for pos in dropped]
 
     def remove_connector(self, spec: ConnectorSpec) -> None:
-        if spec not in self.connectors:
+        pos = self.blueprint._connector_pos(spec)
+        if pos is None or pos in self._missing:
             raise TargetAbsent(f"connector {spec.name} is not live")
-        self.connectors.discard(spec)
-        self._connector_changed(spec)
+        self._flip(pos, False)
 
     def add_connector(self, spec: ConnectorSpec) -> None:
         """Make an intended connector live; a no-op if it already is. The
         blueprint checked every intended spec's slots and interfaces."""
-        if spec not in self.blueprint._spec_pos:
+        if (pos := self.blueprint._connector_pos(spec)) is None:
             raise UnknownConnector(f"connector {spec.name} is not intended")
         if self.components[spec.source] is None or self.components[spec.target] is None:
             raise TargetAbsent(f"connector {spec.name} has an absent endpoint")
-        if spec not in self.connectors:
-            self.connectors.add(spec)
-            self._connector_changed(spec)
+        if pos in self._missing:
+            self._flip(pos, True)
 
     def instantiate(self, slot: str, instance_id: str) -> Component:
         """Fill an empty slot with a fresh instance: STARTED, zero exceptions."""
@@ -464,15 +493,14 @@ class ArchitectureModel:
             raise ModelError(f"slot {slot!r} is already occupied")
         comp = Component(instance_id)
         self._put(slot, comp)
+        self._note_instance_id(slot, instance_id)
         return comp
 
     def allocate_instance_id(self, slot: str) -> str:
-        """Next instance id for this slot: one this model has not allocated,
-        nor the id of the slot's current instance."""
-        current = self.component(slot)
+        """Next instance id ``SLOT#N`` for this slot, with N past every id of
+        that form the model has allocated or its slot has held."""
+        self.component(slot)
         seq = self._instance_seq.get(slot, 0) + 1
-        if current is not None and current.instance_id == f"{slot}#{seq}":
-            seq += 1
         self._instance_seq[slot] = seq
         return f"{slot}#{seq}"
 
@@ -483,14 +511,10 @@ class ArchitectureModel:
 
 
 def instantiate_blueprint(blueprint: Blueprint) -> ArchitectureModel:
-    """A fresh model with every slot filled, every intended connector live,
-    and the clock at zero."""
-    model = ArchitectureModel(blueprint, dict.fromkeys(blueprint.slot_names()), set())
-    for slot in blueprint.slot_names():
-        model.instantiate(slot, model.allocate_instance_id(slot))
-    for spec in blueprint.intended_connectors:
-        model.add_connector(spec)
-    return model
+    """A fresh model with every slot filled by ``SLOT#1``, every intended
+    connector live, and the clock at zero; built whole, so its damage sets stay empty-sized."""
+    components = {slot: Component(f"{slot}#1") for slot in blueprint._slot_names}
+    return ArchitectureModel(blueprint, components, set(blueprint.intended_connectors))
 
 
 def build_default_model() -> ArchitectureModel:

@@ -1,16 +1,16 @@
-"""Monitoring stage: immutable model snapshots and snapshot diffing.
+"""Monitoring stage: the model's change journal turned into change events.
 
-The loop takes a snapshot before and after each disturbance and turns the
-difference into change events; the analyzer never touches the model's
-mutation history directly.
+Every mutation journals a slot's ``Component`` (or None) as it was before
+its first change, or a connector that went or came back. The loop cuts the
+journal before each injection and ``observe_changes`` turns what the
+injection journalled into events, so monitoring costs what the fault
+changed, not the blueprint's size.
 
-Snapshots share the model's cached tuples and its frozen ``Component``
-records (None for an empty slot), so a slot the model did not change holds
-the same object in both snapshots. Each snapshot also carries the model's
-change journal since its previous snapshot, and ``observe`` compares only
-what that journal names. So it takes a snapshot and the next snapshot of one
-model; any other pair (built directly, replaced, not consecutive, a snapshot
-with itself, of another model or a copy) raises ``NotConsecutive``.
+Snapshots, built on demand, serve tests and tracing. ``observe(prev, cur)``
+builds the same events from the journal ``cur`` carries, so it takes a
+snapshot and the next snapshot of one model; any other pair (built directly,
+replaced, not consecutive, a snapshot with itself, of another model or a
+copy) raises ``NotConsecutive``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class Snapshot:
     slots: tuple[tuple[str, Component | None], ...]
     connectors: tuple[ConnectorSpec, ...]
     clock: int
-    # From take_snapshot: (model's journal since its last snapshot, the one opened now)
+    # From take_snapshot: (model's journal since its last cut, the one opened now)
     _journal: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
 
@@ -73,24 +73,34 @@ def take_snapshot(model: ArchitectureModel) -> Snapshot:
 
 
 def observe(prev: Snapshot, cur: Snapshot) -> list[ChangeEvent]:
-    """Minimal, complete diff in deterministic order: slot events in
-    blueprint order (state before exceptions within a slot), then connector
-    removals, then connector additions, each in canonical connector order.
-    ``cur`` must be the next snapshot of ``prev``'s model, whose journal names
-    what to compare. Instance ids are not compared: a slot refilled with an
-    equal state and exception count yields no event.
-    """
+    """The events between a snapshot and the next snapshot of its model,
+    read from the journal ``cur`` carries."""
     if cur.clock < prev.clock:
         raise ClockRegression(f"clock moved from {prev.clock} back to {cur.clock}")
     since = cur._journal[0]
     if since is None or since is not prev._journal[1]:
         raise NotConsecutive("observe compares a snapshot with the next snapshot of its model")
-    flipped = sorted(filter(None, since.values()))  # by position, unique: canonical order
-    at = cur.clock
+    return _events(since, cur.slots, cur.clock)
+
+
+def observe_changes(model: ArchitectureModel) -> list[ChangeEvent]:
+    """The events since the model's journal was last cut, which this cuts:
+    what ``observe`` gives for snapshots taken then and now, without them."""
+    return _events(model.cut_journal()[0], model._views, model.clock)
+
+
+def _events(since: dict, slots, at: int) -> list[ChangeEvent]:
+    """Minimal, complete diff in deterministic order: slot events in
+    blueprint order (state before exceptions within a slot), then connector
+    removals, then connector additions, each in canonical connector order.
+    ``slots`` holds ``(slot, Component or None)`` by position as the journal
+    window ``since`` ends. Instance ids are not compared: a slot refilled
+    with an equal state and exception count yields no event.
+    """
     events: list[ChangeEvent] = []
-    for pos in sorted(k for k in since if k.__class__ is int):
-        (slot, before), (_, after) = prev.slots[pos], cur.slots[pos]
-        if before is after:  # a slot the model did not touch, or empty in both
+    for pos in sorted(k for k in since if k >= 0):
+        before, (slot, after) = since[pos], slots[pos]
+        if before is after:  # empty at both ends: filled and emptied again
             continue
         if after is None:
             events.append(ChangeEvent(EventKind.COMPONENT_REMOVED, slot, old=before, at=at))
@@ -103,6 +113,8 @@ def observe(prev: Snapshot, cur: Snapshot) -> list[ChangeEvent]:
             ):
                 if was != now:
                     events.append(ChangeEvent(kind, slot, old=was, new=now, at=at))
+    # A connector is journalled at ~position, so descending keys are ascending positions.
+    flipped = [since[k] for k in sorted((k for k in since if k < 0), reverse=True)]
     for want, kind in ((False, EventKind.CONNECTOR_REMOVED), (True, EventKind.CONNECTOR_ADDED)):
-        events += [ChangeEvent(kind, s, at=at) for _, s, live in flipped if live is want]
+        events += [ChangeEvent(kind, spec, at=at) for spec, live in flipped if live is want]
     return events

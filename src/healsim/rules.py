@@ -430,6 +430,12 @@ def wrong_subject_kinds(rule: Rule) -> list[FaultKind]:
     ]
 
 
+def restarts_an_emptied_slot(rule: Rule) -> bool:
+    """Whether an AS1 rule may fire on CF3. A CF3 always empties its slot and
+    AS1 restarts in place, so the restart would find no instance."""
+    return rule.strategy is Strategy.AS1 and _may_hold(rule.condition, FaultKind.CF3) is not False
+
+
 # -- evaluation -----------------------------------------------------------
 
 

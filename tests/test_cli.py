@@ -49,6 +49,23 @@ def test_validate_rules_warns_on_wrong_subject_kind(tmp_path, capsys):
     ]
 
 
+def test_validate_rules_warns_on_restart_after_cf3(tmp_path, capsys):
+    """The bundled policy with AS1 for CF3 passes, with a warning: a CF3
+    empties its slot, so the run would stop at the first one."""
+    with open(os.path.join(SRC, "healsim", "data", "default.rules"), encoding="utf-8") as fh:
+        text = fh.read()
+    rules = tmp_path / "restart-cf3.rules"
+    rules.write_text(text.replace("when kind == CF3 then AS2", "when kind == CF3 then AS1"),
+                     encoding="utf-8")
+    assert main(["validate-rules", str(rules)]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("OK: 4 rules")
+    assert err.splitlines() == [
+        "warning: rule 'redeploy-on-cf3' may fire on CF3, but AS1 restarts in place"
+        " and a CF3 always empties its slot",
+    ]
+
+
 @pytest.mark.parametrize("path", [
     os.path.join(SRC, "healsim", "data", "default.rules"),
     os.path.join(SRC, os.pardir, "bench", "degraded.rules"),

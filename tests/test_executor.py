@@ -197,6 +197,19 @@ def test_as4_on_a_directly_built_model_skips_the_current_id():
     assert execute(model, plan(Strategy.AS4, "Frontend")).new_instance_id == "Frontend#3"
 
 
+def test_as4_reuses_no_id_a_slot_held():
+    """Allocation starts past a built ``SLOT#N`` id, and past one instantiated directly."""
+    bp = default_blueprint()
+    components = {slot: Component(f"{slot}#1") for slot in bp.slot_names()}
+    components["Frontend"] = Component("Frontend#2")
+    model = ArchitectureModel(bp, components, set(bp.intended_connectors))
+    assert execute(model, plan(Strategy.AS4, "Frontend")).new_instance_id == "Frontend#3"
+    assert execute(model, plan(Strategy.AS4, "Frontend")).new_instance_id == "Frontend#4"
+    model.remove_component("Frontend")
+    model.instantiate("Frontend", "Frontend#9")
+    assert model.allocate_instance_id("Frontend") == "Frontend#10"
+
+
 def test_locality_only_subject_is_touched():
     model = build_default_model()
     inject(model, FaultInstance(FaultKind.CF1, "Auth Service"))

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from healsim import harness, monitor
 from healsim.faults import FaultInstance, FaultKind
 from healsim.harness import (
     ConfigError,
@@ -14,8 +15,10 @@ from healsim.harness import (
     run_scenario,
     scenario_json,
 )
-from healsim.model import ConnectorSpec, default_blueprint
+from healsim.model import ArchitectureModel, ConnectorSpec, blueprint_from_json, default_blueprint
 from healsim.rules import NoMatch, Strategy, parse_rules
+
+from test_golden import layered_blueprint_doc
 
 QS_REP = ConnectorSpec("Query Service", "Reputation Service", "Reputation Service")
 
@@ -251,4 +254,20 @@ def test_compound_damage_is_recorded_not_masked():
     assert second.plans[0].strategy is Strategy.AS1
     assert second.post_violations != ()  # CF3 hole still there
     assert runner.unhandled_failures == 1
+    runner.close()
+
+
+def test_rounds_build_no_whole_blueprint_view(monkeypatch):
+    """A round reads only what changed: on a 3200-slot blueprint, 50 rounds
+    take no snapshot and list no slots or connectors."""
+    def whole_blueprint_view(*args):
+        raise AssertionError("a round built a whole-blueprint view")
+
+    for owner, name in [(ArchitectureModel, "slot_views"), (ArchitectureModel, "live_connectors"),
+                        (ArchitectureModel, "present_slots"), (harness, "take_snapshot"),
+                        (monitor, "take_snapshot")]:
+        monkeypatch.setattr(owner, name, whole_blueprint_view)
+    blueprint = blueprint_from_json(layered_blueprint_doc(3200))
+    runner = ScenarioRunner(ScenarioConfig(seed=42, rounds=50), blueprint=blueprint)
+    assert len(runner.run().rounds) == 50
     runner.close()

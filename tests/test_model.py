@@ -30,6 +30,7 @@ from healsim.model import (
     validate,
 )
 
+from test_golden import layered_blueprint_doc
 from test_oracles import REPLICA_DOC
 
 QS_REP = ConnectorSpec("Query Service", "Reputation Service", "Reputation Service")
@@ -235,6 +236,13 @@ def test_remove_component_drops_incident_connectors(model):
 def test_instantiate_occupied_slot_rejected(model):
     with pytest.raises(Exception, match="occupied"):
         model.instantiate("Frontend", "Frontend#99")
+
+
+def test_fresh_model_damage_sets_are_empty_sized():
+    """A set never shrinks its table, so sets that once held every position
+    would stay sized for the blueprint, and so would walking them."""
+    model = instantiate_blueprint(blueprint_from_json(layered_blueprint_doc(3200)))
+    assert sys.getsizeof(model._damaged) == sys.getsizeof(model._missing) == sys.getsizeof(set())
 
 
 def test_instance_ids_never_repeat(model):

@@ -42,6 +42,7 @@ from healsim.monitor import (
     NotConsecutive,
     Snapshot,
     observe,
+    observe_changes,
     take_snapshot,
 )
 from healsim.planner import (
@@ -456,6 +457,23 @@ def apply_steps(model, steps):
 @pytest.mark.parametrize(
     "doc", [None, layered_blueprint_doc(6), REPLICA_DOC], ids=["default", "layered6", "replica"]
 )
+@settings(max_examples=60, deadline=None)
+@given(steps=STEPS)
+@example(steps=[("inject", 2, 0, 0), ("inject", 2, -1, 0), ("inject", 3, 1, 0)])  # both ends
+def test_indexed_draws_equal_the_listed_targets(doc, steps):
+    """On a damaged model, the k-th present slot and live connector, found
+    from the damage alone, are the k-th of the whole-blueprint lists."""
+    model = instantiate_blueprint(load(doc))
+    apply_steps(model, steps)
+    present, live = model.present_slots(), model.live_connectors()
+    assert model.present_count() == len(present) and len(model.connectors) == len(live)
+    assert [model.present_slot(k) for k in range(len(present))] == present
+    assert [model.live_connector(k) for k in range(len(live))] == list(live)
+
+
+@pytest.mark.parametrize(
+    "doc", [None, layered_blueprint_doc(6), REPLICA_DOC], ids=["default", "layered6", "replica"]
+)
 @settings(max_examples=40, deadline=None)
 @given(windows=st.lists(st.lists(STEP, min_size=1, max_size=6), max_size=8))
 @example(windows=[[("inject", 3, 0, 0), ("execute", 2, 0, 0)]])  # connector removed, re-added
@@ -496,22 +514,29 @@ def test_journal_windows_equal_full_diff(doc, windows):
 
 @pytest.mark.parametrize("doc", [None, layered_blueprint_doc(50)], ids=["default", "layered50"])
 def test_harness_observes_through_the_journal(doc, monkeypatch):
-    """Every harness observe equals the full diff; the model keeps only the
-    changes made since the round's last snapshot."""
-    afters = []
+    """Every round's events equal the full diff of scan snapshots taken just
+    before and just after its injection, and observing them leaves the model
+    an empty journal."""
+    scans, observed = [], []
 
-    def checked_observe(before, after):
-        events = observe(before, after)
-        assert events == scan_observe(before, after)
-        afters.append(after)
+    def scanned_inject(model, fault):
+        scans.append(scan_snapshot(model))
+        inject(model, fault)
+        scans.append(scan_snapshot(model))
+
+    def checked_observe_changes(model):
+        events = observe_changes(model)
+        assert model._journal == {}
+        assert events == scan_observe(*scans[-2:])
+        observed.append(events)
         return events
 
-    monkeypatch.setattr(harness, "observe", checked_observe)
+    monkeypatch.setattr(harness, "inject", scanned_inject)
+    monkeypatch.setattr(harness, "observe_changes", checked_observe_changes)
     runner = ScenarioRunner(ScenarioConfig(seed=7, rounds=300), blueprint=load(doc))
     for _ in range(300):
         runner.run_round()
-        assert runner.model._journal is afters[-1]._journal[1]
-    assert len(afters) == 300
+    assert len(observed) == 300 and all(observed)
 
 
 # -- (e) the direct report encoder vs the dict form --------------------------

@@ -25,6 +25,7 @@ from healsim.rules import (
     default_ruleset,
     evaluate,
     parse_rules,
+    restarts_an_emptied_slot,
     wrong_subject_kinds,
 )
 
@@ -360,6 +361,19 @@ def test_wrong_subject_kinds(text, kinds):
     assert wrong_subject_kinds(rule) == kinds
 
 
+@pytest.mark.parametrize("text, warned", [
+    ("kind == CF3 then AS1", True),  # the slot CF3 emptied holds nothing to restart
+    ("kind == CF3 then AS2", False),
+    ("kind == CF1 then AS1", False),
+    ("kind != CF1 then AS1", True),
+    ("exception_count > 3 then AS1", True),  # the counter is unknown
+    ("kind == CF1 or kind == CF3 then AS4", False),
+])
+def test_restarts_an_emptied_slot(text, warned):
+    (rule,) = parse_rules(f'rule "r" when {text}\n').rules
+    assert restarts_an_emptied_slot(rule) is warned
+
+
 def test_bundled_and_bench_policies_fire_on_their_own_subjects():
     bench = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench",
                          "degraded.rules")
@@ -367,6 +381,7 @@ def test_bundled_and_bench_policies_fire_on_their_own_subjects():
         degraded = parse_rules(fh.read())
     for rule in default_ruleset().rules + degraded.rules:
         assert wrong_subject_kinds(rule) == [], rule.name
+        assert not restarts_an_emptied_slot(rule), rule.name
 
 
 _atoms = st.one_of(
@@ -396,10 +411,13 @@ _facts = st.builds(Fact, st.sampled_from(list(FaultKind)), st.sampled_from(["a",
          strategy=Strategy.AS1, facts=[Fact(CF4, "b")])
 def test_wrong_subject_kinds_misses_no_firing(cond, strategy, facts):
     """No false negatives: whenever a rule fires on a fact whose subject its
-    strategy cannot repair, the check names that fact's kind."""
+    strategy cannot repair, the check names that fact's kind, and whenever
+    an AS1 rule fires on a CF3, the emptied-slot check flags it."""
     rule = Rule("r", 0, cond, strategy)
     flagged = wrong_subject_kinds(rule)
     for f in facts:
         fires = RuleSet((rule,)).ranked[0][0](f)
         if fires and (f.kind is CF4) is not (strategy is Strategy.AS3):
             assert f.kind in flagged
+        if fires and f.kind is CF3 and strategy is Strategy.AS1:
+            assert restarts_an_emptied_slot(rule)
