@@ -10,23 +10,27 @@ component is still repaired either way.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 
 from .faults import FaultKind
-from .model import ArchitectureModel, ComponentState, ConnectorSpec
+from .model import ArchitectureModel, ComponentState, ConnectorSpec, Frozen, Record, _set
 from .monitor import ChangeEvent, EventKind
 
 
-@dataclass(frozen=True)
-class FailureReport:
+class FailureReport(Frozen):
     """A classified failure occurrence, the fact fed to the planner."""
 
-    report_id: int
-    kind: FaultKind
-    subject: str | ConnectorSpec
-    exception_count: int
-    detected_at: int
-    dependent_slots: tuple[str, ...]
+    __slots__ = _fields = (
+        "report_id", "kind", "subject", "exception_count", "detected_at", "dependent_slots"
+    )
+
+    def __init__(self, report_id: int, kind: FaultKind, subject: str | ConnectorSpec,
+                 exception_count: int, detected_at: int, dependent_slots: tuple[str, ...]) -> None:
+        _set(self, "report_id", report_id)
+        _set(self, "kind", kind)
+        _set(self, "subject", subject)
+        _set(self, "exception_count", exception_count)
+        _set(self, "detected_at", detected_at)
+        _set(self, "dependent_slots", dependent_slots)
 
 
 def classify(
@@ -68,29 +72,34 @@ def classify(
     return reports
 
 
-@dataclass(frozen=True)
-class RootCauseSuspect:
-    slot: str
-    count: int
-    implicated_by: tuple[str, ...]
-    first_at: int
-    last_at: int
+class RootCauseSuspect(Frozen):
+    __slots__ = _fields = ("slot", "count", "implicated_by", "first_at", "last_at")
+
+    def __init__(self, slot: str, count: int, implicated_by: tuple[str, ...],
+                 first_at: int, last_at: int) -> None:
+        _set(self, "slot", slot)
+        _set(self, "count", count)
+        _set(self, "implicated_by", implicated_by)
+        _set(self, "first_at", first_at)
+        _set(self, "last_at", last_at)
 
 
-@dataclass
-class RootCauseLedger:
+class RootCauseLedger(Record):
     """Cumulative per-run counters: how often each slot's dependents failed.
 
     Counters never decrease and never reset within a run.
     """
 
-    threshold: int = 3
-    counters: dict[str, int] = field(default_factory=dict)
-    # Per slot: the failed slots that implicated it, in record order, and the
-    # first and last of their detection times.
-    implicated_by: dict[str, list[str]] = field(default_factory=dict, init=False)
-    first_at: dict[str, int] = field(default_factory=dict, init=False)
-    last_at: dict[str, int] = field(default_factory=dict, init=False)
+    __slots__ = _fields = ("threshold", "counters", "implicated_by", "first_at", "last_at")
+
+    def __init__(self, threshold: int = 3, counters: dict[str, int] | None = None) -> None:
+        self.threshold = threshold
+        self.counters = {} if counters is None else counters
+        # Per slot: the failed slots that implicated it, in record order, and the
+        # first and last of their detection times.
+        self.implicated_by: dict[str, list[str]] = {}
+        self.first_at: dict[str, int] = {}
+        self.last_at: dict[str, int] = {}
 
     def record_failure(self, report: FailureReport) -> None:
         """Credit one failure of ``report.subject`` to each of its blueprint

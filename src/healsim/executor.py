@@ -19,18 +19,19 @@ restart of an empty slot or a connector with an absent endpoint raises a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .model import ArchitectureModel, ComponentState, UnknownConnector
+from .model import ArchitectureModel, ComponentState, Frozen, UnknownConnector, _set
 from .rules import RepairPlan, Strategy
 
 
-@dataclass(frozen=True)
-class ExecutionResult:
-    plan: RepairPlan
-    applied_mutations: tuple[str, ...]
-    new_instance_id: str | None
-    completed_at: int
+class ExecutionResult(Frozen):
+    __slots__ = _fields = ("plan", "applied_mutations", "new_instance_id", "completed_at")
+
+    def __init__(self, plan: RepairPlan, applied_mutations: tuple[str, ...],
+                 new_instance_id: str | None, completed_at: int) -> None:
+        _set(self, "plan", plan)
+        _set(self, "applied_mutations", applied_mutations)
+        _set(self, "new_instance_id", new_instance_id)
+        _set(self, "completed_at", completed_at)
 
 
 def _restore_incident_connectors(
@@ -38,11 +39,7 @@ def _restore_incident_connectors(
 ) -> None:
     # Intended connectors only, in blueprint order; endpoints still absent
     # (compound damage) are left for their own repair.
-    for spec in model.blueprint.connectors_incident_to(slot):
-        if model.present(spec.source) and model.present(spec.target):
-            if not model.has_connector(spec):
-                model.add_connector(spec)
-                mutations.append(f"add_connector({spec.name})")
+    mutations += [f"add_connector({spec.name})" for spec in model.restore_connectors(slot)]
 
 
 def _restart_in_place(model: ArchitectureModel, slot: str, mutations: list[str]) -> None:

@@ -5,10 +5,9 @@ A draw finds its target by index, from the model's damage alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .model import ArchitectureModel, ComponentState, ConnectorSpec
+from .model import ArchitectureModel, ComponentState, ConnectorSpec, Frozen, _set
 
 _MASK = (1 << 64) - 1
 
@@ -27,26 +26,27 @@ class NoEligibleTarget(Exception):
     """The drawn fault kind has nothing left to hit."""
 
 
-@dataclass(frozen=True)
-class FaultInstance:
+class FaultInstance(Frozen):
     """One concrete fault: what kind, where, and (for CF2) how hard."""
 
-    kind: FaultKind
-    target: str | ConnectorSpec
-    magnitude: int | None = None
-    injected_at: int | None = None
+    __slots__ = _fields = ("kind", "target", "magnitude", "injected_at")
 
-    def __post_init__(self) -> None:
-        if self.kind is FaultKind.CF4:
-            if not isinstance(self.target, ConnectorSpec):
+    def __init__(self, kind: FaultKind, target: str | ConnectorSpec,
+                 magnitude: int | None = None, injected_at: int | None = None) -> None:
+        if kind is FaultKind.CF4:
+            if not isinstance(target, ConnectorSpec):
                 raise ValueError("CF4 targets a connector")
-        elif not isinstance(self.target, str):
-            raise ValueError(f"{self.kind.value} targets a component slot")
-        if self.kind is FaultKind.CF2:
-            if self.magnitude is None or self.magnitude <= 0:
+        elif not isinstance(target, str):
+            raise ValueError(f"{kind.value} targets a component slot")
+        if kind is FaultKind.CF2:
+            if magnitude is None or magnitude <= 0:
                 raise ValueError("CF2 requires a positive magnitude")
-        elif self.magnitude is not None:
-            raise ValueError(f"{self.kind.value} takes no magnitude")
+        elif magnitude is not None:
+            raise ValueError(f"{kind.value} takes no magnitude")
+        _set(self, "kind", kind)
+        _set(self, "target", target)
+        _set(self, "magnitude", magnitude)
+        _set(self, "injected_at", injected_at)
 
 
 class Rng:

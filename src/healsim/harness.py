@@ -20,7 +20,6 @@ import csv
 import json
 import logging
 import os
-from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii as _str
 from typing import Iterator
 
@@ -35,6 +34,7 @@ from .executor import ExecutionResult, execute
 from .faults import FaultInstance, FaultKind, Rng, draw_fault, draw_interval, inject
 from .model import (
     Blueprint,
+    Record,
     Violation,
     ViolationKind,
     default_blueprint,
@@ -55,47 +55,72 @@ class ConfigError(Exception):
     """A scenario cannot start: bad config, script, rules, or blueprint."""
 
 
-@dataclass
-class ScenarioConfig:
-    seed: int
-    rounds: int
-    exception_threshold: int = 5
-    rootcause_threshold: int = 3
-    planner: str = "inproc"  # "inproc" or "tcp://HOST:PORT"
-    rules_path: str | None = None
-    blueprint_path: str | None = None
-    script_path: str | None = None
-    script: list[FaultInstance] | None = None
-    out_dir: str | None = None
+class ScenarioConfig(Record):
+    __slots__ = _fields = (
+        "seed", "rounds", "exception_threshold", "rootcause_threshold", "planner",
+        "rules_path", "blueprint_path", "script_path", "script", "out_dir",
+    )
 
-    def __post_init__(self) -> None:
-        if self.rounds < 0:
+    def __init__(
+        self,
+        seed: int,
+        rounds: int,
+        exception_threshold: int = 5,
+        rootcause_threshold: int = 3,
+        planner: str = "inproc",  # "inproc" or "tcp://HOST:PORT"
+        rules_path: str | None = None,
+        blueprint_path: str | None = None,
+        script_path: str | None = None,
+        script: list[FaultInstance] | None = None,
+        out_dir: str | None = None,
+    ) -> None:
+        if rounds < 0:
             raise ConfigError("rounds must be non-negative")
-        if self.exception_threshold < 1 or self.rootcause_threshold < 1:
+        if exception_threshold < 1 or rootcause_threshold < 1:
             raise ConfigError("thresholds must be at least 1")
-        if self.out_dir == "":  # None writes no reports; "" would silently do the same
+        if out_dir == "":  # None writes no reports; "" would silently do the same
             raise ConfigError("the report directory must be a non-empty path")
+        self.seed, self.rounds, self.planner, self.out_dir = seed, rounds, planner, out_dir
+        self.exception_threshold = exception_threshold
+        self.rootcause_threshold = rootcause_threshold
+        self.rules_path, self.blueprint_path = rules_path, blueprint_path
+        self.script_path, self.script = script_path, script
 
 
-@dataclass
-class RoundRecord:
-    index: int
-    fault: FaultInstance
-    reports: tuple[FailureReport, ...]
-    plans: tuple[RepairPlan | NoMatch, ...]  # aligned with reports
-    executions: tuple[ExecutionResult, ...]
-    post_violations: tuple[Violation, ...]
-    clock_start: int
-    clock_end: int
+class RoundRecord(Record):
+    __slots__ = _fields = (
+        "index", "fault", "reports", "plans", "executions", "post_violations",
+        "clock_start", "clock_end",
+    )
+
+    def __init__(
+        self,
+        index: int,
+        fault: FaultInstance,
+        reports: tuple[FailureReport, ...],
+        plans: tuple[RepairPlan | NoMatch, ...],  # aligned with reports
+        executions: tuple[ExecutionResult, ...],
+        post_violations: tuple[Violation, ...],
+        clock_start: int,
+        clock_end: int,
+    ) -> None:
+        self.index = index
+        self.fault = fault
+        self.reports = reports
+        self.plans = plans
+        self.executions = executions
+        self.post_violations = post_violations
+        self.clock_start = clock_start
+        self.clock_end = clock_end
 
 
-@dataclass
-class ScenarioReport:
-    config: ScenarioConfig
-    rounds: list[RoundRecord]
-    counters: dict[str, int]
-    suspects: list[RootCauseSuspect]
-    unhandled_failures: int
+class ScenarioReport(Record):
+    __slots__ = _fields = ("config", "rounds", "counters", "suspects", "unhandled_failures")
+
+    def __init__(self, config: ScenarioConfig, rounds: list[RoundRecord], counters: dict[str, int],
+                 suspects: list[RootCauseSuspect], unhandled_failures: int) -> None:
+        self.config, self.rounds, self.counters = config, rounds, counters
+        self.suspects, self.unhandled_failures = suspects, unhandled_failures
 
 
 def split_host_port(text: str) -> tuple[str, int] | None:
@@ -211,7 +236,9 @@ class ScenarioRunner:
         clock_start = self.model.clock
         self.model.advance_clock(draw_interval(self.rng))
         if self._script is not None:
-            fault = replace(self._script[index - 1], injected_at=self.model.clock)
+            scripted = self._script[index - 1]
+            fault = FaultInstance(scripted.kind, scripted.target, scripted.magnitude,
+                                  self.model.clock)
         else:
             fault = draw_fault(self.rng, self.model, self.config.exception_threshold)
         self.model.cut_journal()  # the round observes only what inject changes

@@ -16,9 +16,63 @@ what changed, not the blueprint's size; whole-blueprint views are built on deman
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import os
 from enum import Enum
-from importlib import resources
+from operator import attrgetter
+
+# The bundled blueprint and policy, read as plain files: on Python 3.12 and
+# later importlib.resources imports inspect, a fifth to a third of ``import healsim``.
+DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+_set = object.__setattr__  # how a frozen record's __init__ sets its fields
+
+
+class Record:
+    """Base of the record classes: equality and ``repr`` by the value fields
+    that a subclass names in ``_fields``, in order. ``__slots__`` holds those
+    and any derived attribute, which stays out of both. A record equals only
+    a record of its own class, and a mutable one is unhashable.
+
+    They are written out by hand because the ``dataclasses`` module execs
+    generated code per class and loads ``inspect``, which together took a
+    third of a cold start (see README, "Cold start").
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # What equality and the hash compare: the class's name and the value
+        # fields, read in C. An attrgetter is not a method: call it ``_key(self)``.
+        cls._key = attrgetter("__class__.__qualname__", *cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Frozen(Record):
+    """A hashable record whose fields cannot change. Its ``__init__`` takes
+    the value fields in ``_fields`` order and sets each with ``_set``; copy
+    and pickle call it again, so derived attributes are rebuilt."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class ModelError(Exception):
@@ -48,26 +102,31 @@ class ComponentState(Enum):
     UNKNOWN = "UNKNOWN"
 
 
-@dataclass(frozen=True)
-class ComponentType:
+class ComponentType(Frozen):
     """Template for component instances: what it provides and requires."""
 
-    name: str
-    provided_interface: str
-    required_interfaces: tuple[str, ...]
+    __slots__ = _fields = ("name", "provided_interface", "required_interfaces")
+
+    def __init__(self, name: str, provided_interface: str,
+                 required_interfaces: tuple[str, ...]) -> None:
+        _set(self, "name", name)
+        _set(self, "provided_interface", provided_interface)
+        _set(self, "required_interfaces", required_interfaces)
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Frozen):
     """A running instance filling one slot; frozen, so a change replaces it."""
 
-    instance_id: str
-    state: ComponentState = ComponentState.STARTED
-    exception_count: int = 0
+    __slots__ = _fields = ("instance_id", "state", "exception_count")
+
+    def __init__(self, instance_id: str, state: ComponentState = ComponentState.STARTED,
+                 exception_count: int = 0) -> None:
+        _set(self, "instance_id", instance_id)
+        _set(self, "state", state)
+        _set(self, "exception_count", exception_count)
 
 
-@dataclass(frozen=True)
-class ConnectorSpec:
+class ConnectorSpec(Frozen):
     """Slot-level connector identity: source slot, target slot, interface.
 
     This is the stable way to name a connector across instance replacement;
@@ -77,13 +136,14 @@ class ConnectorSpec:
     so a pickled or copied spec hashes right under any hash seed.
     """
 
-    source: str
-    target: str
-    interface: str
-    name: str = field(init=False, repr=False, compare=False)
+    _fields = ("source", "target", "interface")
+    __slots__ = _fields + ("name",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "name", f"{self.source}->{self.target}")
+    def __init__(self, source: str, target: str, interface: str) -> None:
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "interface", interface)
+        _set(self, "name", f"{source}->{target}")
 
     def __hash__(self) -> int:
         return hash(self.name)
@@ -102,16 +162,17 @@ class ViolationKind(Enum):
     NOT_STARTED = "NOT_STARTED"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Frozen):
     """One deviation of the live model from its blueprint."""
 
-    kind: ViolationKind
-    subject: str | ConnectorSpec
+    __slots__ = _fields = ("kind", "subject")
+
+    def __init__(self, kind: ViolationKind, subject: str | ConnectorSpec) -> None:
+        _set(self, "kind", kind)
+        _set(self, "subject", subject)
 
 
-@dataclass(frozen=True)
-class Blueprint:
+class Blueprint(Frozen):
     """The intended architecture. Immutable; validated on construction.
 
     Slot and connector declaration order is meaningful: it fixes the
@@ -119,18 +180,18 @@ class Blueprint:
     lookup, and fault target selection.
     """
 
-    component_types: tuple[ComponentType, ...]
-    slots: tuple[tuple[str, str], ...]
-    intended_connectors: tuple[ConnectorSpec, ...]
-    # Lookup maps, built once by __post_init__ from the frozen fields above.
-    _dependencies: dict[str, list[str]] = field(init=False, repr=False, compare=False)
-    _incident: dict[str, list[ConnectorSpec]] = field(init=False, repr=False, compare=False)
-    _pair_pos: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
-    _by_name: dict[str, ConnectorSpec] = field(init=False, repr=False, compare=False)
-    _slot_pos: dict[str, int] = field(init=False, repr=False, compare=False)
-    _slot_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("component_types", "slots", "intended_connectors")
+    # And the lookup maps, built once by __init__ from the value fields.
+    __slots__ = _fields + (
+        "_dependencies", "_incident", "_pair_pos", "_by_name", "_slot_pos", "_slot_names"
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(self, component_types: tuple[ComponentType, ...],
+                 slots: tuple[tuple[str, str], ...],
+                 intended_connectors: tuple[ConnectorSpec, ...]) -> None:
+        _set(self, "component_types", component_types)
+        _set(self, "slots", slots)
+        _set(self, "intended_connectors", intended_connectors)
         types = {}
         for ct in self.component_types:
             if not ct.name:
@@ -181,12 +242,12 @@ class Blueprint:
             dependencies[spec.source].append(spec.target)
             incident[spec.source].append(pos)
             incident[spec.target].append(pos)
-        object.__setattr__(self, "_dependencies", dependencies)
-        object.__setattr__(self, "_incident", incident)
-        object.__setattr__(self, "_pair_pos", pair_pos)
-        object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(self, "_slot_names", tuple(slot_types))
-        object.__setattr__(self, "_slot_pos", {slot: i for i, slot in enumerate(slot_types)})
+        _set(self, "_dependencies", dependencies)
+        _set(self, "_incident", incident)
+        _set(self, "_pair_pos", pair_pos)
+        _set(self, "_by_name", by_name)
+        _set(self, "_slot_names", tuple(slot_types))
+        _set(self, "_slot_pos", {slot: i for i, slot in enumerate(slot_types)})
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
@@ -292,8 +353,7 @@ def load_blueprint(path: str) -> Blueprint:
 
 def default_blueprint() -> Blueprint:
     """The bundled single-shop blueprint: 7 slots, 9 intended connectors."""
-    text = resources.files(__package__).joinpath("data/default_blueprint.json").read_text("utf-8")
-    return blueprint_from_json(json.loads(text))
+    return load_blueprint(os.path.join(DATA_DIR, "default_blueprint.json"))
 
 
 def _kth_kept(k: int, skipped: list[int]) -> int:
@@ -303,8 +363,7 @@ def _kth_kept(k: int, skipped: list[int]) -> int:
     return k
 
 
-@dataclass
-class ArchitectureModel:
+class ArchitectureModel(Record):
     """The live architecture plus the blueprint it should match.
 
     ``components`` maps every blueprint slot, and nothing else, to its
@@ -325,43 +384,40 @@ class ArchitectureModel:
     monitoring, validation and fault drawing read.
     """
 
-    blueprint: Blueprint
-    components: dict[str, Component | None]
-    connectors: set[ConnectorSpec]
-    clock: int = 0
-    _instance_seq: dict[str, int] = field(default_factory=dict)
-    # By position: (slot, Component or None), slots absent or not STARTED, connectors not live.
-    _views: list[tuple[str, Component | None]] = field(init=False, repr=False, compare=False)
-    _damaged: set[int] = field(init=False, repr=False, compare=False)
-    _missing: set[int] = field(init=False, repr=False, compare=False)
-    # The Violation objects validate returns, each built on first use: three per
-    # slot position (missing, unknown state, not started), one per connector position.
-    _slot_violations: list = field(init=False, repr=False, compare=False)
-    _connector_violations: list = field(init=False, repr=False, compare=False)
-    # Changes since the last cut_journal(): slot position -> its Component (or None)
-    # before the first change; ~connector position -> (spec, live) while its flips are odd.
-    _journal: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("blueprint", "components", "connectors", "clock", "_instance_seq")
+    __slots__ = _fields + ("_views", "_damaged", "_missing", "_violations", "_journal")
 
-    def __post_init__(self) -> None:
-        bp = self.blueprint
-        if odd := self.components.keys() ^ bp._slot_pos.keys():
+    def __init__(self, blueprint: Blueprint, components: dict[str, Component | None],
+                 connectors: set[ConnectorSpec], clock: int = 0) -> None:
+        self.blueprint, self.components, self.connectors, self.clock = (
+            blueprint, components, connectors, clock
+        )
+        self._instance_seq: dict[str, int] = {}
+        # Changes since the last cut_journal(): slot position -> its Component (or None)
+        # before the first change; ~connector position -> (spec, live) while its flips are odd.
+        self._journal: dict = {}
+        bp = blueprint
+        if odd := components.keys() ^ bp._slot_pos.keys():
             name = min(odd)
-            raise UnknownSlot(f"no slot named {name!r}" if name in self.components
+            raise UnknownSlot(f"no slot named {name!r}" if name in components
                               else f"slot {name!r} is missing from the components")
-        self._views, self._damaged = [None] * len(bp.slots), set()
+        # By position: (slot, Component or None), slots absent or not STARTED, connectors not live.
+        self._views: list[tuple[str, Component | None]] = [None] * len(bp.slots)
+        self._damaged: set[int] = set()
         for slot in bp._slot_names:
-            if (comp := self.components[slot]) is not None:
+            if (comp := components[slot]) is not None:
                 if not isinstance(comp, Component):
                     raise ModelError(f"slot {slot!r} holds a {type(comp).__name__}, not a Component")
                 self._note_instance_id(slot, comp.instance_id)
             self._put(slot, comp)
-        positions = {spec.name: bp._connector_pos(spec) for spec in self.connectors}
+        positions = {spec.name: bp._connector_pos(spec) for spec in connectors}
         if unknown := [name for name, pos in positions.items() if pos is None]:
             raise UnknownConnector(f"connector {min(unknown)} is not intended")  # min: any hash seed
         live = set(positions.values())
         self._missing = {pos for pos in range(len(bp.intended_connectors)) if pos not in live}
-        self._slot_violations = [None] * (3 * len(bp.slots))
-        self._connector_violations = [None] * len(bp.intended_connectors)
+        # The Violation objects validate returns, each built on first use, by
+        # 3 * slot position + (0 missing, 1 unknown state, 2 not started) or ~connector position.
+        self._violations: dict[int, Violation] = {}
         self._journal = {}  # a new model has changed nothing yet
 
     def _put(self, slot: str, comp: Component | None) -> None:
@@ -487,6 +543,22 @@ class ArchitectureModel:
         if pos in self._missing:
             self._flip(pos, True)
 
+    def restore_connectors(self, slot: str) -> list[ConnectorSpec]:
+        """Make live each missing intended connector of an occupied slot whose
+        other endpoint is present too; returns those specs in blueprint order."""
+        self._occupied(slot)
+        intended, components, missing = (
+            self.blueprint.intended_connectors, self.components, self._missing
+        )
+        restored = []
+        for pos in self.blueprint._incident[slot]:
+            if pos in missing:
+                spec = intended[pos]
+                if components[spec.source] is not None and components[spec.target] is not None:
+                    self._flip(pos, True)
+                    restored.append(spec)
+        return restored
+
     def instantiate(self, slot: str, instance_id: str) -> Component:
         """Fill an empty slot with a fresh instance: STARTED, zero exceptions."""
         if self.component(slot) is not None:
@@ -535,7 +607,7 @@ def validate(model: ArchitectureModel) -> list[Violation]:
     built once, and a report writer can render each object once.
     """
     violations: list[Violation] = []
-    views, shared = model._views, model._slot_violations
+    views, shared = model._views, model._violations
     for pos in sorted(model._damaged):
         slot, comp = views[pos]
         if comp is None:
@@ -544,16 +616,14 @@ def validate(model: ArchitectureModel) -> list[Violation]:
             i, kind = 3 * pos + 1, ViolationKind.UNKNOWN_STATE
         else:  # STOPPED or UNDEPLOYED: a damaged slot is absent or not STARTED
             i, kind = 3 * pos + 2, ViolationKind.NOT_STARTED
-        if (violation := shared[i]) is None:
+        if (violation := shared.get(i)) is None:
             violation = shared[i] = Violation(kind, slot)
         violations.append(violation)
-    intended, components, shared = (
-        model.blueprint.intended_connectors, model.components, model._connector_violations
-    )
+    intended, components = model.blueprint.intended_connectors, model.components
     for pos in sorted(model._missing):
         spec = intended[pos]
         if components[spec.source] is not None and components[spec.target] is not None:
-            if (violation := shared[pos]) is None:
-                violation = shared[pos] = Violation(ViolationKind.MISSING_CONNECTOR, spec)
+            if (violation := shared.get(~pos)) is None:
+                violation = shared[~pos] = Violation(ViolationKind.MISSING_CONNECTOR, spec)
             violations.append(violation)
     return violations

@@ -15,10 +15,9 @@ copy) raises ``NotConsecutive``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
-from .model import ArchitectureModel, Component, ConnectorSpec
+from .model import ArchitectureModel, Component, ConnectorSpec, Frozen, Record, _set
 
 
 class ClockRegression(Exception):
@@ -29,16 +28,20 @@ class NotConsecutive(Exception):
     """The later snapshot is not the next snapshot of the earlier one's model."""
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(Frozen):
     """Read-only capture of a model: each slot's component (None when
     empty), live connectors in canonical order, clock."""
 
-    slots: tuple[tuple[str, Component | None], ...]
-    connectors: tuple[ConnectorSpec, ...]
-    clock: int
-    # From take_snapshot: (model's journal since its last cut, the one opened now)
-    _journal: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _fields = ("slots", "connectors", "clock")
+    # And, from take_snapshot: (model's journal since its last cut, the one opened now)
+    __slots__ = _fields + ("_journal",)
+
+    def __init__(self, slots: tuple[tuple[str, Component | None], ...],
+                 connectors: tuple[ConnectorSpec, ...], clock: int) -> None:
+        _set(self, "slots", slots)
+        _set(self, "connectors", connectors)
+        _set(self, "clock", clock)
+        _set(self, "_journal", (None, None))
 
 
 class EventKind(Enum):
@@ -50,8 +53,7 @@ class EventKind(Enum):
     CONNECTOR_ADDED = "CONNECTOR_ADDED"
 
 
-@dataclass(slots=True)
-class ChangeEvent:
+class ChangeEvent(Record):
     """One observed difference between consecutive snapshots.
 
     ``old``/``new`` carry the changed value for *_CHANGED events, and the
@@ -59,16 +61,20 @@ class ChangeEvent:
     connector events need neither. ``at`` is the later snapshot's clock.
     """
 
-    kind: EventKind
-    subject: str | ConnectorSpec
-    old: object = None
-    new: object = None
-    at: int = 0
+    __slots__ = _fields = ("kind", "subject", "old", "new", "at")
+
+    def __init__(self, kind: EventKind, subject: str | ConnectorSpec,
+                 old: object = None, new: object = None, at: int = 0) -> None:
+        self.kind = kind
+        self.subject = subject
+        self.old = old
+        self.new = new
+        self.at = at
 
 
 def take_snapshot(model: ArchitectureModel) -> Snapshot:
     snap = Snapshot(model.slot_views(), model.live_connectors(), model.clock)
-    object.__setattr__(snap, "_journal", model.cut_journal())
+    _set(snap, "_journal", model.cut_journal())
     return snap
 
 

@@ -34,7 +34,6 @@ import socket
 import socketserver
 import threading
 import time
-from dataclasses import dataclass
 from enum import EnumMeta
 from json.encoder import encode_basestring_ascii as _str
 from operator import attrgetter
@@ -42,7 +41,7 @@ from typing import Mapping, Union
 
 from .analyzer import FailureReport
 from .faults import FaultKind
-from .model import render_subject
+from .model import Frozen, _set, render_subject
 from .rules import INT_FIELDS, Fact, NoMatch, RepairPlan, RuleSet, Strategy, evaluate
 
 log = logging.getLogger(__name__)
@@ -76,25 +75,31 @@ class RemoteError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
-class PlanRequest:
-    request_id: int
-    fact: Fact
+class PlanRequest(Frozen):
+    __slots__ = _fields = ("request_id", "fact")
+
+    def __init__(self, request_id: int, fact: Fact) -> None:
+        _set(self, "request_id", request_id)
+        _set(self, "fact", fact)
 
 
-@dataclass(frozen=True)
-class ErrorOutcome:
-    code: str
-    message: str
+class ErrorOutcome(Frozen):
+    __slots__ = _fields = ("code", "message")
+
+    def __init__(self, code: str, message: str) -> None:
+        _set(self, "code", code)
+        _set(self, "message", message)
 
 
 Outcome = Union[RepairPlan, NoMatch, ErrorOutcome]
 
 
-@dataclass(frozen=True)
-class PlanResponse:
-    request_id: int
-    outcome: Outcome
+class PlanResponse(Frozen):
+    __slots__ = _fields = ("request_id", "outcome")
+
+    def __init__(self, request_id: int, outcome: Outcome) -> None:
+        _set(self, "request_id", request_id)
+        _set(self, "outcome", outcome)
 
 
 Message = Union[PlanRequest, PlanResponse]
@@ -462,18 +467,32 @@ class RemotePlanner:
         self._reader = self._sock.makefile("rb")
 
     def plan(self, fact: Fact) -> RepairPlan | NoMatch:
-        self._connect()
+        """The service's answer. A connection opened by an earlier call that
+        turns out lost (the service closed an idle one, say) is reopened and
+        the request sent once more; the service is stateless, so resending
+        is safe. A second loss raises ConnectionFailed. A timeout is not
+        retried: it closes the connection and raises RequestTimeout."""
         request = PlanRequest(request_id=self._next_request_id, fact=fact)
         self._next_request_id += 1
-        try:
-            self._sock.sendall(encode(request))
-            line = self._reader.readline()
-        except socket.timeout as exc:
-            raise RequestTimeout(f"planner did not answer within {self.timeout}s") from exc
-        except OSError as exc:
-            raise ConnectionFailed(f"planner connection lost: {exc}") from exc
-        if not line:
-            raise ConnectionFailed("planner closed the connection")
+        frame, retry = encode(request), self._sock is not None
+        while True:
+            self._connect()
+            try:
+                self._sock.sendall(frame)
+                line = self._reader.readline()
+            except socket.timeout as exc:
+                self.close()  # its answer may still come; the next request must not read it
+                raise RequestTimeout(f"planner did not answer within {self.timeout}s") from exc
+            except OSError as exc:  # reset, broken pipe
+                lost = f"planner connection lost: {exc}"
+            else:
+                if line:
+                    break
+                lost = "planner closed the connection"
+            self.close()
+            if not retry:
+                raise ConnectionFailed(lost)
+            retry = False
         response = decode(line.rstrip(b"\n"))
         if not isinstance(response, PlanResponse):
             raise MalformedFrame("expected a plan_response frame")

@@ -24,13 +24,13 @@ in that order, so evaluation stops at the first match.
 from __future__ import annotations
 
 import operator
+import os
 import re
-from dataclasses import dataclass, field
 from enum import Enum
-from importlib import resources
 from operator import attrgetter
 
 from .faults import FaultKind
+from .model import DATA_DIR, Frozen, _set
 
 
 class Strategy(Enum):
@@ -72,74 +72,92 @@ class UnknownField(RuleError):
         self.token = token
 
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(Frozen):
     """The planner's view of one failure report plus run history."""
 
-    kind: FaultKind
-    subject: str
-    exception_count: int = 0
-    dependent_count: int = 0
-    prior_failures_of_subject: int = 0
+    __slots__ = _fields = (
+        "kind", "subject", "exception_count", "dependent_count", "prior_failures_of_subject"
+    )
+
+    def __init__(self, kind: FaultKind, subject: str, exception_count: int = 0,
+                 dependent_count: int = 0, prior_failures_of_subject: int = 0) -> None:
+        _set(self, "kind", kind)
+        _set(self, "subject", subject)
+        _set(self, "exception_count", exception_count)
+        _set(self, "dependent_count", dependent_count)
+        _set(self, "prior_failures_of_subject", prior_failures_of_subject)
 
 
-@dataclass(frozen=True)
-class Comparison:
-    field: str
-    op: str
-    value: object  # FaultKind, str, or int depending on the field
+class Comparison(Frozen):
+    __slots__ = _fields = ("field", "op", "value")
+
+    def __init__(self, field: str, op: str, value: object) -> None:
+        _set(self, "field", field)
+        _set(self, "op", op)
+        _set(self, "value", value)  # FaultKind, str, or int depending on the field
 
 
-@dataclass(frozen=True)
-class Not:
-    term: object
+class Not(Frozen):
+    __slots__ = _fields = ("term",)
+
+    def __init__(self, term: object) -> None:
+        _set(self, "term", term)
 
 
-@dataclass(frozen=True)
-class And:
-    parts: tuple
+class And(Frozen):
+    __slots__ = _fields = ("parts",)
+
+    def __init__(self, parts: tuple) -> None:
+        _set(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class Or:
-    parts: tuple
+class Or(Frozen):
+    __slots__ = _fields = ("parts",)
+
+    def __init__(self, parts: tuple) -> None:
+        _set(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class Rule:
-    name: str
-    salience: int
-    condition: object
-    strategy: Strategy
+class Rule(Frozen):
+    __slots__ = _fields = ("name", "salience", "condition", "strategy")
+
+    def __init__(self, name: str, salience: int, condition: object, strategy: Strategy) -> None:
+        _set(self, "name", name)
+        _set(self, "salience", salience)
+        _set(self, "condition", condition)
+        _set(self, "strategy", strategy)
 
 
-@dataclass(frozen=True)
-class RuleSet:
-    rules: tuple[Rule, ...]
-    # (compiled condition, rule) by descending salience, then file position:
+class RuleSet(Frozen):
+    _fields = ("rules",)
+    # And (compiled condition, rule) by descending salience, then file position:
     # the order ``evaluate`` tries them in. Derived from ``rules``.
-    ranked: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = _fields + ("ranked",)
 
-    def __post_init__(self) -> None:
-        names = [r.name for r in self.rules]
+    def __init__(self, rules: tuple[Rule, ...]) -> None:
+        names = [r.name for r in rules]
         if len(set(names)) != len(names):
             raise ValueError("rule names must be unique")
-        ranked = sorted(self.rules, key=lambda rule: -rule.salience)  # stable: ties keep file order
-        object.__setattr__(self, "ranked", tuple((_compile(r.condition), r) for r in ranked))
+        ranked = sorted(rules, key=lambda rule: -rule.salience)  # stable: ties keep file order
+        _set(self, "rules", rules)
+        _set(self, "ranked", tuple((_compile(r.condition), r) for r in ranked))
 
 
-@dataclass(frozen=True)
-class RepairPlan:
+class RepairPlan(Frozen):
     """The selected adaptation: strategy, subject, and the rule that fired."""
 
-    strategy: Strategy
-    subject: str
-    fired_rule: str
+    __slots__ = _fields = ("strategy", "subject", "fired_rule")
+
+    def __init__(self, strategy: Strategy, subject: str, fired_rule: str) -> None:
+        _set(self, "strategy", strategy)
+        _set(self, "subject", subject)
+        _set(self, "fired_rule", fired_rule)
 
 
-@dataclass(frozen=True)
-class NoMatch:
+class NoMatch(Frozen):
     """The outcome when no rule matches: the failure is unhandled."""
+
+    __slots__ = ()
 
 
 INT_FIELDS = ("exception_count", "dependent_count", "prior_failures_of_subject")
@@ -159,12 +177,14 @@ _OPS = {
 # -- tokenizer ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # STRING, INT, IDENT, OP, LPAREN, RPAREN, EOF
-    text: str
-    line: int
-    col: int
+class _Token(Frozen):
+    __slots__ = _fields = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
+        _set(self, "kind", kind)  # STRING, INT, IDENT, OP, LPAREN, RPAREN, EOF
+        _set(self, "text", text)
+        _set(self, "line", line)
+        _set(self, "col", col)
 
 
 _TOKEN_RE = re.compile(
@@ -396,8 +416,7 @@ def load_rules(path: str) -> RuleSet:
 
 def default_ruleset() -> RuleSet:
     """The bundled policy: CF1>AS1, CF2>AS4, CF3>AS2, CF4>AS3."""
-    text = resources.files(__package__).joinpath("data/default.rules").read_text("utf-8")
-    return parse_rules(text)
+    return load_rules(os.path.join(DATA_DIR, "default.rules"))
 
 
 # -- subject-kind check ---------------------------------------------------

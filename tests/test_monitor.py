@@ -1,10 +1,8 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from healsim.faults import FaultInstance, FaultKind, inject
-from healsim.model import ComponentState, ConnectorSpec, build_default_model
+from healsim.model import Component, ComponentState, ConnectorSpec, build_default_model
 from healsim.monitor import (
     ChangeEvent,
     ClockRegression,
@@ -172,9 +170,11 @@ def _replay(snapshot, events):
     slots, connectors = _content(snapshot)
     for event in events:
         if event.kind is EventKind.STATE_CHANGED:
-            slots[event.subject] = replace(slots[event.subject], state=event.new)
+            old = slots[event.subject]
+            slots[event.subject] = Component(old.instance_id, event.new, old.exception_count)
         elif event.kind is EventKind.EXCEPTIONS_CHANGED:
-            slots[event.subject] = replace(slots[event.subject], exception_count=event.new)
+            old = slots[event.subject]
+            slots[event.subject] = Component(old.instance_id, old.state, event.new)
         elif event.kind is EventKind.COMPONENT_REMOVED:
             slots[event.subject] = None
         elif event.kind is EventKind.COMPONENT_ADDED:

@@ -5,7 +5,6 @@ replaced."""
 import collections
 import copy
 import csv
-import dataclasses
 import io
 import json
 from enum import EnumMeta
@@ -17,7 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from healsim import harness
 from healsim.executor import execute
 from healsim.faults import FaultInstance, FaultKind, NoEligibleTarget, draw_fault, inject
-from healsim.harness import ScenarioConfig, ScenarioRunner
+from healsim.harness import RoundRecord, ScenarioConfig, ScenarioReport, ScenarioRunner
 from healsim.model import (
     ArchitectureModel,
     Component,
@@ -503,8 +502,8 @@ def test_journal_windows_equal_full_diff(doc, windows):
         cloned, another = take_snapshot(clone), take_snapshot(other)
         pairs = [
             (before, cloned), (cloned, after), (before, another), (another, after),
-            (first, after), (dataclasses.replace(before), after),
-            (before, dataclasses.replace(after)), (after, after),
+            (first, after), (Snapshot(before.slots, before.connectors, before.clock), after),
+            (before, Snapshot(after.slots, after.connectors, after.clock)), (after, after),
         ]
         for prev, cur in pairs:
             with pytest.raises(ClockRegression if cur.clock < prev.clock else NotConsecutive):
@@ -741,10 +740,15 @@ def run_case(case):
     _, config, doc, rules = case
     ruleset = parse_rules(rules) if rules is not None else None
     # The planner spec is only echoed: plan in-process whatever it says.
-    runner = ScenarioRunner(dataclasses.replace(config, planner="inproc"), ruleset=ruleset,
-                            blueprint=load(doc))
+    inproc = ScenarioConfig(config.seed, config.rounds, config.exception_threshold,
+                            config.rootcause_threshold, "inproc", config.rules_path,
+                            config.blueprint_path, config.script_path, config.script,
+                            config.out_dir)
+    runner = ScenarioRunner(inproc, ruleset=ruleset, blueprint=load(doc))
     try:
-        return dataclasses.replace(runner.run(), config=config)
+        report = runner.run()
+        return ScenarioReport(config, report.rounds, report.counters, report.suspects,
+                              report.unhandled_failures)
     finally:
         runner.close()
 
@@ -763,13 +767,13 @@ def test_equal_but_distinct_violations_give_the_dict_form_bytes():
     violations are equal but not shared gives the same bytes as the shared ones."""
     case = next(c for c in encoder_cases() if c[0] == "layered50-degraded")
     report = run_case(case)
-    copied = dataclasses.replace(report, rounds=[
-        dataclasses.replace(r, post_violations=tuple(
-            Violation(v.kind, dataclasses.replace(v.subject)
+    copied = ScenarioReport(report.config, [
+        RoundRecord(r.index, r.fault, r.reports, r.plans, r.executions, tuple(
+            Violation(v.kind, ConnectorSpec(v.subject.source, v.subject.target, v.subject.interface)
                       if isinstance(v.subject, ConnectorSpec) else v.subject)
-            for v in r.post_violations))
+            for v in r.post_violations), r.clock_start, r.clock_end)
         for r in report.rounds
-    ])
+    ], report.counters, report.suspects, report.unhandled_failures)
     ids = [id(v) for r in copied.rounds for v in r.post_violations]
     assert len(set(ids)) == len(ids) > 1000  # no object is shared
     assert harness.scenario_json(copied) == reference_scenario_json(copied)

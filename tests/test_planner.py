@@ -19,6 +19,7 @@ from healsim.planner import (
     PlanResponse,
     PlanService,
     RemotePlanner,
+    RequestTimeout,
     decode,
     encode,
     fact_from_report,
@@ -435,3 +436,83 @@ def test_remote_connection_failed():
     planner = RemotePlanner("127.0.0.1", free_port, timeout=0.2)
     with pytest.raises(ConnectionFailed):
         planner.plan(Fact(FaultKind.CF1, "X"))
+
+
+def test_remote_reconnects_once_after_the_service_drops_an_idle_connection(service, monkeypatch):
+    monkeypatch.setattr("healsim.planner.IDLE_TIMEOUT", 0.2)
+    fact = Fact(FaultKind.CF1, "Query Service")
+    expected = InProcessPlanner(default_ruleset()).plan(fact)
+    planner = RemotePlanner(*service.address)
+    try:
+        assert planner.plan(fact) == expected
+        first = planner._sock
+        assert connections_settle_at_zero(service)  # the service closed the idle connection
+        assert planner.plan(fact) == expected
+        assert planner._sock is not first and first.fileno() == -1  # the lost one was closed
+    finally:
+        planner.close()
+
+
+def test_remote_gives_connection_failed_when_the_reconnect_fails_too(monkeypatch):
+    monkeypatch.setattr("healsim.planner.IDLE_TIMEOUT", 0.2)
+    service = PlanService(default_ruleset(), host="127.0.0.1", port=0).start()
+    planner = RemotePlanner(*service.address, timeout=0.5)
+    try:
+        planner.plan(Fact(FaultKind.CF1, "Query Service"))
+        service.shutdown()  # stops accepting; the open connection ends when it idles out
+        assert connections_settle_at_zero(service)
+        with pytest.raises(ConnectionFailed, match="cannot reach planner"):
+            planner.plan(Fact(FaultKind.CF1, "Query Service"))
+    finally:
+        planner.close()
+        service.shutdown()
+
+
+def test_remote_does_not_retry_a_timeout():
+    with socket.socket() as listener:  # accepts, never answers
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(4)
+        planner = RemotePlanner(*listener.getsockname(), timeout=0.2)
+        try:
+            with pytest.raises(RequestTimeout):
+                planner.plan(Fact(FaultKind.CF1, "X"))
+            assert planner._sock is None  # closed: its answer may still come
+        finally:
+            planner.close()
+        accepted, _ = listener.accept()
+        accepted.close()
+        listener.settimeout(0.1)
+        with pytest.raises(socket.timeout):  # no second connection was opened
+            listener.accept()
+
+
+def test_remote_reconnects_only_once_per_request():
+    """A service that drops every connection it accepts: one reconnect, then ConnectionFailed."""
+    accepted, stop = [], threading.Event()
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(8)
+        listener.settimeout(0.05)
+
+        def drop_each():
+            while not stop.is_set() and len(accepted) < 3:  # a third would be a second retry
+                try:
+                    conn, _ = listener.accept()
+                except socket.timeout:
+                    continue
+                accepted.append(conn)
+                conn.close()
+
+        dropper = threading.Thread(target=drop_each)
+        dropper.start()
+        planner = RemotePlanner(*listener.getsockname(), timeout=2)
+        try:
+            planner._connect()  # established before the request, so a loss is retried
+            with pytest.raises(ConnectionFailed) as failed:
+                planner.plan(Fact(FaultKind.CF1, "X"))
+            assert len(accepted) == 2 and "cannot reach" not in str(failed.value)
+        finally:
+            planner.close()
+            stop.set()
+            dropper.join(timeout=5)
+    assert not dropper.is_alive()
