@@ -47,7 +47,6 @@ from .planner import (
     InProcessPlanner,
     PlanRequest,
     PlanResponse,
-    PlanService,
     RemotePlanner,
     decode,
     encode,

@@ -22,8 +22,7 @@ import sys
 from .faults import NoEligibleTarget
 from .harness import ConfigError, ScenarioConfig, run_scenario, split_host_port
 from .model import ModelError
-from .planner import DEFAULT_PORT, ConnectionFailed, MalformedFrame, PlanService, RemoteError
-from .planner import RequestTimeout
+from .planner import DEFAULT_PORT, ConnectionFailed, MalformedFrame, RemoteError, RequestTimeout
 from .rules import RuleError, Strategy, load_rules, restarts_an_emptied_slot, wrong_subject_kinds
 
 
@@ -81,6 +80,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from .service import PlanService  # the server's modules load only for this command
+
     if (address := split_host_port(args.bind)) is None:
         print(f"error: --bind must be HOST:PORT with PORT 0-65535, got {args.bind!r}",
               file=sys.stderr)

@@ -60,8 +60,7 @@ def execute(model: ArchitectureModel, plan: RepairPlan) -> ExecutionResult:
         spec = model.blueprint.connector_named(plan.subject)
         if spec is None:
             raise UnknownConnector(f"no intended connector named {plan.subject!r}")
-        if not model.has_connector(spec):
-            model.add_connector(spec)
+        if model.add_connector(spec):
             mutations.append(f"add_connector({spec.name})")
     elif plan.strategy is Strategy.AS1:
         _restart_in_place(model, slot, mutations)

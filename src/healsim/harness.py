@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import os
+import sys
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _str
-from typing import Iterator
 
 from .analyzer import (
     FailureReport,
@@ -47,8 +47,6 @@ from .model import (
 from .monitor import observe, observe_changes, take_snapshot
 from .planner import InProcessPlanner, RemotePlanner, canonical_json, request_plan
 from .rules import NoMatch, RepairPlan, RuleSet, Strategy, default_ruleset, load_rules
-
-log = logging.getLogger(__name__)
 
 
 class ConfigError(Exception):
@@ -259,7 +257,10 @@ class ScenarioRunner:
             self.history[subject] = self.history.get(subject, 0) + 1
             plans.append(outcome)
             if isinstance(outcome, NoMatch):
-                log.info("round %d: no rule handles %s(%s)", index, report.kind.value, subject)
+                # Unless something loaded logging, no handler can print this line.
+                if (logging := sys.modules.get("logging")) is not None:
+                    logging.getLogger(__name__).info(
+                        "round %d: no rule handles %s(%s)", index, report.kind.value, subject)
                 self.unhandled_failures += 1
             else:
                 executions.append(execute(self.model, outcome))

@@ -287,12 +287,6 @@ class Blueprint(Frozen):
         except KeyError:
             raise UnknownSlot(f"no slot named {slot!r}") from None
 
-    def connectors_incident_to(self, slot: str) -> list[ConnectorSpec]:
-        """Intended connectors with the slot at either end, in declaration
-        order; empty for an unknown slot."""
-        intended = self.intended_connectors
-        return [intended[pos] for pos in self._incident.get(slot, ())]
-
     def find_intended(self, source: str, target: str) -> ConnectorSpec | None:
         pos = self._pair_pos.get((source, target))
         return None if pos is None else self.intended_connectors[pos]
@@ -473,10 +467,6 @@ class ArchitectureModel(Record):
         """``present_slots()[k]`` for 0 <= k < ``present_count()``, from the empty slots alone."""
         return self.blueprint._slot_names[_kth_kept(k, self._absent())]
 
-    def has_connector(self, spec: ConnectorSpec) -> bool:
-        pos = self.blueprint._connector_pos(spec)
-        return pos is not None and pos not in self._missing
-
     def slot_views(self) -> tuple[tuple[str, Component | None], ...]:
         """``(slot, Component or None)`` per slot, in blueprint order."""
         return tuple(self._views)
@@ -533,15 +523,18 @@ class ArchitectureModel(Record):
             raise TargetAbsent(f"connector {spec.name} is not live")
         self._flip(pos, False)
 
-    def add_connector(self, spec: ConnectorSpec) -> None:
-        """Make an intended connector live; a no-op if it already is. The
-        blueprint checked every intended spec's slots and interfaces."""
+    def add_connector(self, spec: ConnectorSpec) -> bool:
+        """Make an intended connector live; False, a no-op, if it already is
+        (then both its endpoints are present). The blueprint checked every
+        intended spec's slots and interfaces."""
         if (pos := self.blueprint._connector_pos(spec)) is None:
             raise UnknownConnector(f"connector {spec.name} is not intended")
+        if pos not in self._missing:
+            return False
         if self.components[spec.source] is None or self.components[spec.target] is None:
             raise TargetAbsent(f"connector {spec.name} has an absent endpoint")
-        if pos in self._missing:
-            self._flip(pos, True)
+        self._flip(pos, True)
+        return True
 
     def restore_connectors(self, slot: str) -> list[ConnectorSpec]:
         """Make live each missing intended connector of an occupied slot whose

@@ -17,7 +17,6 @@ from healsim.planner import (
     NoMatch,
     PlanRequest,
     PlanResponse,
-    PlanService,
     decode,
     encode,
 )
@@ -34,6 +33,7 @@ from healsim.rules import (
     default_ruleset,
     evaluate,
 )
+from healsim.service import PlanService
 
 QS_REP = ConnectorSpec("Query Service", "Reputation Service", "Reputation Service")
 

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -105,6 +106,31 @@ def test_log_level_applies_when_logging_is_already_configured(tmp_path, caplog):
     assert "no rule handles" not in caplog.text
     assert main(["--log-level", "INFO", *args]) == 0
     assert "round 1: no rule handles CF4(" in caplog.text
+
+
+# The harness logs a no-match only once something has imported logging: before
+# that, no handler can have been configured to print the line.
+DEGRADED_RUN = ("from healsim import ScenarioConfig, run_scenario; "
+                "report = run_scenario(ScenarioConfig(seed=42, rounds=20, rules_path=%r)); "
+                "assert report.unhandled_failures > 0"
+                % os.path.join(SRC, os.pardir, "bench", "degraded.rules"))
+
+
+def test_no_match_line_shows_when_logging_is_configured_after_import():
+    code = ("import healsim, logging; "
+            "logging.basicConfig(level=logging.INFO, format='%(levelname)s %(name)s: %(message)s'); "
+            + DEGRADED_RUN)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC})
+    assert re.search(r"^INFO healsim\.harness: round \d+: no rule handles CF4\(.+\)$",
+                     proc.stderr, re.MULTILINE), proc.stderr
+
+
+def test_no_match_run_without_logging_leaves_it_unloaded():
+    code = DEGRADED_RUN + "; import sys; print('logging' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60, env={"PYTHONPATH": SRC})
+    assert (proc.stdout, proc.stderr) == ("False\n", "")
 
 
 def test_validate_rules_reports_position(tmp_path, capsys):
@@ -308,8 +334,6 @@ def test_serve_planner_bind_failure_is_startup_error(rules_file, capsys):
 
 
 def test_serve_planner_serves_until_interrupt(rules_file, capsys, monkeypatch):
-    import healsim.cli as cli_mod
-
     started = threading.Event()
 
     class FakeService:
@@ -323,7 +347,7 @@ def test_serve_planner_serves_until_interrupt(rules_file, capsys, monkeypatch):
         def shutdown(self):
             pass
 
-    monkeypatch.setattr(cli_mod, "PlanService", FakeService)
+    monkeypatch.setattr("healsim.service.PlanService", FakeService)
     assert main(["serve-planner", "--rules", str(rules_file), "--bind", "127.0.0.1:7777"]) == 0
     assert started.is_set()
     assert "listening" in capsys.readouterr().out

@@ -123,10 +123,9 @@ def test_as4_swaps_instance():
     assert result.new_instance_id == comp.instance_id
     assert validate(model) == []
     # both incident connectors live again
-    assert model.has_connector(ConnectorSpec("Frontend", "Bid Service", "Bid Service"))
-    assert model.has_connector(
-        ConnectorSpec("Bid Service", "Persistence Service", "Persistence Service")
-    )
+    assert ConnectorSpec("Frontend", "Bid Service", "Bid Service") in model.connectors
+    assert (ConnectorSpec("Bid Service", "Persistence Service", "Persistence Service")
+            in model.connectors)
 
 
 def test_as4_ids_are_fresh_across_repeats():

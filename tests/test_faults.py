@@ -154,7 +154,7 @@ def test_inject_cf4_removes_only_that_connector():
     model = build_default_model()
     spec = ConnectorSpec("Query Service", "Reputation Service", "Reputation Service")
     inject(model, FaultInstance(FaultKind.CF4, spec))
-    assert not model.has_connector(spec)
+    assert spec not in model.connectors
     assert len(model.connectors) == 8
     for slot in model.blueprint.slot_names():
         comp = model.component(slot)

@@ -252,8 +252,8 @@ def test_restore_connectors_makes_live_the_missing_ones_with_both_ends_present(m
     model.remove_component("Query Service")
     model.remove_component("Reputation Service")
     model.instantiate("Query Service", "Query Service#2")
-    missing = [spec for spec in model.blueprint.connectors_incident_to("Query Service")
-               if spec not in model.connectors]
+    missing = [spec for spec in model.blueprint.intended_connectors
+               if "Query Service" in (spec.source, spec.target) and spec not in model.connectors]
     expected = [s for s in missing if model.present(s.source) and model.present(s.target)]
     assert QS_REP in missing and QS_REP not in expected and len(expected) >= 2
     assert model.restore_connectors("Query Service") == expected  # blueprint order

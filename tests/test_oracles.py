@@ -46,7 +46,6 @@ from healsim.monitor import (
 )
 from healsim.planner import (
     _BODIES,
-    _PlanHandler,
     ErrorOutcome,
     MalformedFrame,
     NoMatch,
@@ -71,6 +70,7 @@ from healsim.rules import (
     evaluate,
     parse_rules,
 )
+from healsim.service import _PlanHandler
 from test_golden import layered_blueprint_doc
 from test_rules import format_rules
 
@@ -131,6 +131,13 @@ def scan_incident(bp, slot):
     return [s for s in bp.intended_connectors if slot in (s.source, s.target)]
 
 
+def connectors_incident_to(bp, slot):
+    """Intended connectors with the slot at either end, in declaration order,
+    read from the incidence index that ``restore_connectors`` walks; empty
+    for an unknown slot."""
+    return [bp.intended_connectors[pos] for pos in bp._incident.get(slot, ())]
+
+
 def scan_find_intended(bp, source, target):
     for spec in bp.intended_connectors:
         if spec.source == source and spec.target == target:
@@ -153,7 +160,7 @@ def test_indexed_lookups_equal_linear_scans(doc):
     for slot in slots:
         assert bp.has_slot(slot) and scan_has_slot(bp, slot)
         assert bp.dependencies_of(slot) == scan_dependencies_of(bp, slot)
-        assert bp.connectors_incident_to(slot) == scan_incident(bp, slot)
+        assert connectors_incident_to(bp, slot) == scan_incident(bp, slot)
         for other in slots:
             assert bp.find_intended(slot, other) is scan_find_intended(bp, slot, other)
             rendered = f"{slot}->{other}"
@@ -162,7 +169,7 @@ def test_indexed_lookups_equal_linear_scans(doc):
         assert not bp.has_slot(unknown)
         with pytest.raises(UnknownSlot):
             bp.dependencies_of(unknown)
-        assert bp.connectors_incident_to(unknown) == []
+        assert connectors_incident_to(bp, unknown) == []
         assert bp.find_intended(unknown, slots[0]) is None
         assert bp.connector_named(unknown) is scan_connector_named(bp, unknown)
 
@@ -170,9 +177,7 @@ def test_indexed_lookups_equal_linear_scans(doc):
 def test_lookups_return_fresh_lists():
     bp = default_blueprint()
     bp.dependencies_of("Frontend").clear()
-    bp.connectors_incident_to("Frontend").clear()
     assert bp.dependencies_of("Frontend") == scan_dependencies_of(bp, "Frontend")
-    assert bp.connectors_incident_to("Frontend") == scan_incident(bp, "Frontend")
 
 
 # -- (b) validate, live order and observe over random damage and repair ------
@@ -1082,7 +1087,7 @@ def test_line_splitter_equals_whole_stream_split(stream, data):
     cuts = sorted(data.draw(st.sets(st.integers(1, max(len(stream) - 1, 1)))))
     bounds = [0, *(cut for cut in cuts if cut < len(stream)), len(stream)]
     chunks = [stream[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
-    with mock.patch("healsim.planner.MAX_FRAME", 8):
+    with mock.patch("healsim.service.MAX_FRAME", 8):
         got = split_lines(stream, chunks)
     expected = reference_lines(stream)
     oversize = next((i for i, line in enumerate(expected) if len(line) > 8), None)

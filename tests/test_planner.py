@@ -17,7 +17,7 @@ from healsim.planner import (
     NoMatch,
     PlanRequest,
     PlanResponse,
-    PlanService,
+    RemoteError,
     RemotePlanner,
     RequestTimeout,
     decode,
@@ -26,6 +26,7 @@ from healsim.planner import (
     request_plan,
 )
 from healsim.rules import Fact, RepairPlan, Strategy, default_ruleset, parse_rules
+from healsim.service import PlanService
 
 
 def cf4_fact(request_id=1):
@@ -223,7 +224,7 @@ def test_service_survives_garbage_then_serves(service):
 
 
 def test_service_closes_on_oversized_frame(service):
-    from healsim.planner import MAX_FRAME
+    from healsim.service import MAX_FRAME
 
     with socket.create_connection(service.address, timeout=2) as sock:
         reader = sock.makefile("rb")
@@ -236,7 +237,7 @@ def test_service_closes_on_oversized_frame(service):
 
 
 def test_service_answers_busy_past_max_connections(service, monkeypatch):
-    monkeypatch.setattr("healsim.planner.MAX_CONNECTIONS", 1)
+    monkeypatch.setattr("healsim.service.MAX_CONNECTIONS", 1)
     with socket.create_connection(service.address, timeout=2) as first:
         first_reader = first.makefile("rb")
         first.sendall(encode(cf4_fact(request_id=1)))  # answered: the first is being served
@@ -251,7 +252,7 @@ def test_service_answers_busy_past_max_connections(service, monkeypatch):
 
 
 def test_service_closes_connection_without_complete_frame(service, monkeypatch):
-    monkeypatch.setattr("healsim.planner.IDLE_TIMEOUT", 0.3)
+    monkeypatch.setattr("healsim.service.IDLE_TIMEOUT", 0.3)
     with socket.create_connection(service.address, timeout=2) as sock:
         reader = sock.makefile("rb")
         sock.sendall(encode(cf4_fact(request_id=4)))
@@ -270,7 +271,7 @@ def test_service_closes_connection_without_complete_frame(service, monkeypatch):
 
 
 def test_service_closes_connection_that_sends_nothing(service, monkeypatch):
-    monkeypatch.setattr("healsim.planner.IDLE_TIMEOUT", 0.3)
+    monkeypatch.setattr("healsim.service.IDLE_TIMEOUT", 0.3)
     with socket.create_connection(service.address, timeout=2) as sock:
         start = time.monotonic()
         assert sock.recv(1) == b""
@@ -278,7 +279,7 @@ def test_service_closes_connection_that_sends_nothing(service, monkeypatch):
 
 
 def test_service_gives_each_frame_its_own_idle_time(service, monkeypatch):
-    monkeypatch.setattr("healsim.planner.IDLE_TIMEOUT", 1.0)
+    monkeypatch.setattr("healsim.service.IDLE_TIMEOUT", 1.0)
     frame = encode(cf4_fact(request_id=1))
     with socket.create_connection(service.address, timeout=3) as sock:
         reader = sock.makefile("rb")
@@ -292,7 +293,7 @@ def test_service_gives_each_frame_its_own_idle_time(service, monkeypatch):
 
 
 def test_service_closes_quietly_on_a_client_that_reads_nothing(service, monkeypatch):
-    monkeypatch.setattr("healsim.planner.IDLE_TIMEOUT", 0.3)
+    monkeypatch.setattr("healsim.service.IDLE_TIMEOUT", 0.3)
     errors = []  # what socketserver would print as a traceback
     monkeypatch.setattr(service._server, "handle_error", lambda *args: errors.append(args))
     # Each frame is answered "malformed", quoting its 60 KB type name, so the
@@ -439,7 +440,7 @@ def test_remote_connection_failed():
 
 
 def test_remote_reconnects_once_after_the_service_drops_an_idle_connection(service, monkeypatch):
-    monkeypatch.setattr("healsim.planner.IDLE_TIMEOUT", 0.2)
+    monkeypatch.setattr("healsim.service.IDLE_TIMEOUT", 0.2)
     fact = Fact(FaultKind.CF1, "Query Service")
     expected = InProcessPlanner(default_ruleset()).plan(fact)
     planner = RemotePlanner(*service.address)
@@ -454,7 +455,7 @@ def test_remote_reconnects_once_after_the_service_drops_an_idle_connection(servi
 
 
 def test_remote_gives_connection_failed_when_the_reconnect_fails_too(monkeypatch):
-    monkeypatch.setattr("healsim.planner.IDLE_TIMEOUT", 0.2)
+    monkeypatch.setattr("healsim.service.IDLE_TIMEOUT", 0.2)
     service = PlanService(default_ruleset(), host="127.0.0.1", port=0).start()
     planner = RemotePlanner(*service.address, timeout=0.5)
     try:
@@ -484,6 +485,55 @@ def test_remote_does_not_retry_a_timeout():
         listener.settimeout(0.1)
         with pytest.raises(socket.timeout):  # no second connection was opened
             listener.accept()
+
+
+def answer_one_connection_at_a_time(listener, first_reply, accepted):
+    """Answers request lines on one connection at a time, taking the next once
+    the client closes the last: the first reply is ``first_reply(request)``,
+    the second NoMatch, and then it ends."""
+    replies = 0
+    while replies < 2:
+        conn, _ = listener.accept()
+        accepted.append(conn)
+        with conn, conn.makefile("rb") as reader:
+            for line in reader:
+                request = decode(line.rstrip(b"\n"))
+                conn.sendall(first_reply(request) if not replies
+                             else encode(PlanResponse(request.request_id, NoMatch())))
+                replies += 1
+                if replies == 2:
+                    break
+
+
+@pytest.mark.parametrize("first_reply, error, keeps", [
+    (lambda request: b"not json\n", MalformedFrame, False),
+    (lambda request: encode(request), MalformedFrame, False),  # a request, not a response
+    (lambda request: encode(PlanResponse(request.request_id + 1, NoMatch())), RemoteError, False),
+    (lambda request: encode(PlanResponse(request.request_id, ErrorOutcome("internal", "boom"))),
+     RemoteError, True),
+], ids=["undecodable", "not-a-response", "other-request-id", "error-outcome"])
+def test_remote_closes_a_connection_it_can_no_longer_trust(first_reply, error, keeps):
+    """A bad reply leaves the stream out of step, so the client closes the
+    connection and the next request goes out on a fresh one. An error
+    outcome answers its own request, so the connection is kept."""
+    accepted = []
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(2)
+        listener.settimeout(5)
+        server = threading.Thread(target=answer_one_connection_at_a_time,
+                                  args=(listener, first_reply, accepted))
+        server.start()
+        planner = RemotePlanner(*listener.getsockname(), timeout=5)
+        try:
+            with pytest.raises(error):
+                planner.plan(Fact(FaultKind.CF1, "X"))
+            assert (planner._sock is not None) is keeps
+            assert planner.plan(Fact(FaultKind.CF1, "X")) == NoMatch()
+        finally:
+            planner.close()
+            server.join(timeout=5)
+    assert not server.is_alive() and len(accepted) == (1 if keeps else 2)
 
 
 def test_remote_reconnects_only_once_per_request():

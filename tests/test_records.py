@@ -290,3 +290,17 @@ def test_a_cold_start_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True, timeout=60, env=env).stdout
     assert out == "[] []\n"
+
+
+def test_a_cold_start_loads_no_module_only_serving_or_logging_needs():
+    """``import healsim`` loads the client and the loop, not the service, the
+    socket layer, logging or typing; the CLI may load logging for its
+    ``--log-level``, but not the socket layer."""
+    code = ("import sys; before = set(sys.modules); import healsim; "
+            "print(sorted({'healsim.service', 'socket', 'socketserver', 'threading', 'logging', "
+            "'typing'} & (set(sys.modules) - before))); "
+            "import healsim.cli; "
+            "print(sorted({'socket', 'socketserver'} & (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env={"PYTHONPATH": SRC}).stdout
+    assert out == "[]\n[]\n"
