@@ -12,10 +12,11 @@ with a single LF, so equal messages always encode to equal bytes.
     response {"outcome":O,"request_id":N,"type":"plan_response","version":1}
 
 with outcome ``{"plan":{"fired_rule":S,"strategy":"AS1","subject":S}}``,
-``{"no_match":true}``, or ``{"error":{"code":S,"message":S}}``. The field
-tables in ``_BODIES`` are the schema, and the fact's integer fields are
-``rules.INT_FIELDS``. At import the tables are compiled into one encoder
-and one decoder per message class, so no call walks them again.
+``{"no_match":true}``, or ``{"error":{"code":S,"message":S}}``. The fact's
+integer fields are ``rules.INT_FIELDS``. ``encode`` and ``decode`` are
+written out for these two messages; the schema table in
+``tests/test_oracles.py`` is their byte and error reference. Neither end
+reads a frame longer than ``MAX_FRAME`` bytes, LF included.
 
 The client imports ``socket`` when it first connects, so an in-process run
 never loads it.
@@ -25,9 +26,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from enum import EnumMeta
 from json.encoder import encode_basestring_ascii as _str
-from operator import attrgetter
 
 from .analyzer import FailureReport
 from .faults import FaultKind
@@ -37,6 +36,7 @@ from .rules import INT_FIELDS, Fact, NoMatch, RepairPlan, RuleSet, Strategy, eva
 PROTOCOL_VERSION = 1
 DEFAULT_PORT = 7464
 DEFAULT_TIMEOUT = 1.0  # wall-clock seconds per remote round-trip
+MAX_FRAME = 64 * 1024  # bytes per frame, LF included; longer ones end the connection
 
 
 class MalformedFrame(Exception):
@@ -91,22 +91,11 @@ Message = PlanRequest | PlanResponse
 
 
 # -- framing ----------------------------------------------------------------
-# These tables are the schema; encode and decode both walk them. Each maps a
-# field to its kind: str or int (a JSON string or integer, never a bool), an
-# Enum (a string naming a member), a class (an object per that class's table),
-# a dict (an object holding exactly one of its keys, with that key's kind), or
-# a constant the field must equal, type included. NoMatch's body is ``true``.
+# encode fills one fixed template per message and outcome, keys in sorted
+# order. decode checks a parsed frame in the order of the schema table in
+# tests/test_oracles.py: the exact key set, the version, then each field, and
+# raises MalformedFrame naming the first that breaks the schema.
 
-_BODIES: dict[type, object] = {
-    PlanRequest: {"type": "plan_request", "version": PROTOCOL_VERSION,
-                  "request_id": int, "fact": Fact},
-    PlanResponse: {"type": "plan_response", "version": PROTOCOL_VERSION, "request_id": int,
-                   "outcome": {"plan": RepairPlan, "no_match": NoMatch, "error": ErrorOutcome}},
-    Fact: {"kind": FaultKind, "subject": str, **dict.fromkeys(INT_FIELDS, int)},
-    RepairPlan: {"strategy": Strategy, "subject": str, "fired_rule": str},
-    NoMatch: True,
-    ErrorOutcome: {"code": str, "message": str},
-}
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
@@ -115,16 +104,14 @@ def canonical_json(doc: object) -> bytes:
     return _CANONICAL.encode(doc).encode("utf-8") + b"\n"
 
 
-# The tables are compiled once, at import, into one encoder and one decoder
-# per class. An encoder writes canonical text directly: keys pre-sorted,
-# constants pre-written, strings escaped by the escaper ``canonical_json``
-# uses, enum members looked up in a member -> text map. A decoder checks a
-# parsed JSON value as the tables say, enum values looked up in a value ->
-# member map; a field that breaks the table raises MalformedFrame naming it.
-
-
-def _is_constant(field) -> bool:
-    return not (field is str or field is int or isinstance(field, (type, dict)))
+_REQUEST = ('{"fact":{"dependent_count":%s,"exception_count":%s,"kind":%s,'
+            '"prior_failures_of_subject":%s,"subject":%s},"request_id":%s,'
+            f'"type":"plan_request","version":{PROTOCOL_VERSION}}}\n')
+_RESPONSE = f'{{"outcome":%s,"request_id":%s,"type":"plan_response","version":{PROTOCOL_VERSION}}}\n'
+_PLAN = '{"plan":{"fired_rule":%s,"strategy":%s,"subject":%s}}'
+_ERROR = '{"error":{"code":%s,"message":%s}}'
+_KIND_TEXT = {kind: _str(kind.value) for kind in FaultKind}  # strings escaped as canonical_json does
+_STRATEGY_TEXT = {strategy: _str(strategy.value) for strategy in Strategy}
 
 
 def _int(value) -> str:
@@ -133,108 +120,58 @@ def _int(value) -> str:
     return int.__repr__(value)
 
 
-def _encoder(kind):
-    """value -> its canonical JSON text, for a class or a one-of dict."""
-    if isinstance(kind, dict):
-        heads = {cls: (f"{{{_str(key)}:", _encoder(cls)) for key, cls in kind.items()}
-
-        def one_of(value):
-            head, encode_body = heads[type(value)]
-            return head + encode_body(value) + "}"
-        return one_of
-    body = _BODIES[kind]
-    if type(body) is not dict:
-        text = _CANONICAL.encode(body)
-        return lambda value: text
-    parts, fields = [], []
-    for key in sorted(body):
-        field = body[key]
-        if _is_constant(field):
-            parts.append(f"{_str(key)}:{_CANONICAL.encode(field)}".replace("%", "%%"))
-            continue
-        parts.append(_str(key).replace("%", "%%") + ":%s")
-        if isinstance(field, EnumMeta):
-            convert = {m: _str(m.value) for m in field}.__getitem__
-        else:
-            convert = _str if field is str else _int if field is int else _encoder(field)
-        fields.append((attrgetter(key), convert))
-    template = "{" + ",".join(parts) + "}"
-    return lambda value: template % tuple([convert(get(value)) for get, convert in fields])
-
-
-def _decoder(kind):
-    """(parsed JSON value, where) -> decoded value, for an Enum, a class or a
-    one-of dict; ``where`` names the value in a MalformedFrame message."""
-    if isinstance(kind, EnumMeta):
-        members = {m.value: m for m in kind}
-
-        def member(value, where):
-            try:
-                return members[value]
-            except (KeyError, TypeError):  # TypeError: an array or an object
-                raise MalformedFrame(f"{where} has unknown value {value!r}") from None
-        return member
-    if isinstance(kind, dict):
-        choices = {key: _decoder(cls) for key, cls in kind.items()}
-
-        def one_of(value, where):
-            if type(value) is not dict or len(value) != 1 or next(iter(value)) not in kind:
-                raise MalformedFrame(f"{where} must hold exactly one of {', '.join(kind)}")
-            ((key, body),) = value.items()
-            return choices[key](body, f"{where}.{key}")
-        return one_of
-    body = _BODIES[kind]
-    if type(body) is not dict:
-        def constant(value, where):
-            if value is not body:  # the constant true, not 1 or 1.0
-                raise MalformedFrame(f"{where} must be {json.dumps(body)}")
-            return kind()
-        return constant
-    keys = body.keys()
-    # Checked in table order, which lists the constants first. A str or int
-    # field is checked here; any other field's decoder is called.
-    constants = [(key, field) for key, field in body.items() if _is_constant(field)]
-    fields = [(key, field, None) if field is str or field is int else (key, None, _decoder(field))
-              for key, field in body.items() if not _is_constant(field)]
-
-    def table(obj, where):
-        if type(obj) is not dict:
-            raise MalformedFrame(f"{where} must be an object")
-        if obj.keys() != keys:
-            key = min(obj.keys() ^ keys)
-            raise MalformedFrame(f"{where} {'is missing' if key in keys else 'has unexpected'} "
-                                 f"field {key!r}")
-        for key, field in constants:
-            value = obj[key]
-            if type(value) is not type(field) or value != field:
-                raise MalformedFrame(f"{where}.{key} must be {json.dumps(field)}")
-        decoded = {}
-        for key, exact, decode_field in fields:
-            value = obj[key]
-            if decode_field is not None:
-                value = decode_field(value, f"{where}.{key}")
-            elif type(value) is not exact:  # json.loads makes exact types: a bool is no int
-                raise MalformedFrame(f"{where}.{key} must be {exact.__name__}")
-            decoded[key] = value
-        return kind(**decoded)
-    return table
-
-
-_MESSAGES = (PlanRequest, PlanResponse)
-_ENCODERS = {cls: _encoder(cls) for cls in _MESSAGES}
-_DECODERS = {_BODIES[cls]["type"]: _decoder(cls) for cls in _MESSAGES}
-
-
 def encode(message: Message) -> bytes:
     """One canonical, LF-terminated frame; equal messages encode identically.
-    TypeError if ``message`` is not a message whose fields fit ``_BODIES``."""
-    encoder = _ENCODERS.get(type(message))
-    if encoder is not None:
-        try:
-            return (encoder(message) + "\n").encode("ascii")
-        except (AttributeError, KeyError, TypeError):
-            pass
-    raise TypeError(f"not a protocol message: {message!r}")
+    TypeError if ``message`` is not a message whose fields fit the schema."""
+    try:
+        if type(message) is PlanRequest:
+            fact = message.fact
+            return (_REQUEST % (_int(fact.dependent_count), _int(fact.exception_count),
+                                _KIND_TEXT[fact.kind], _int(fact.prior_failures_of_subject),
+                                _str(fact.subject), _int(message.request_id))).encode("ascii")
+        outcome = message.outcome if type(message) is PlanResponse else None
+        if type(outcome) is RepairPlan:
+            body = _PLAN % (_str(outcome.fired_rule), _STRATEGY_TEXT[outcome.strategy],
+                            _str(outcome.subject))
+        elif type(outcome) is NoMatch:
+            body = '{"no_match":true}'
+        elif type(outcome) is ErrorOutcome:
+            body = _ERROR % (_str(outcome.code), _str(outcome.message))
+        else:
+            raise TypeError
+        return (_RESPONSE % (body, _int(message.request_id))).encode("ascii")
+    except (AttributeError, KeyError, TypeError):
+        raise TypeError(f"not a protocol message: {message!r}") from None
+
+
+_KINDS = {kind.value: kind for kind in FaultKind}
+_STRATEGIES = {strategy.value: strategy for strategy in Strategy}
+
+
+def _object(value, keys: set[str], where: str) -> dict:
+    """``value`` if it is a JSON object with exactly ``keys``."""
+    if type(value) is not dict:
+        raise MalformedFrame(f"{where} must be an object")
+    if value.keys() != keys:
+        key = min(value.keys() ^ keys)
+        raise MalformedFrame(f"{where} {'is missing' if key in keys else 'has unexpected'} "
+                             f"field {key!r}")
+    return value
+
+
+def _exact(obj: dict, key: str, kind: type, where: str):
+    value = obj[key]
+    if type(value) is not kind:  # json.loads makes exact types: a bool is no int
+        raise MalformedFrame(f"{where}.{key} must be {kind.__name__}")
+    return value
+
+
+def _member(obj: dict, key: str, members: dict, where: str):
+    value = obj[key]
+    try:
+        return members[value]
+    except (KeyError, TypeError):  # TypeError: an array or an object
+        raise MalformedFrame(f"{where}.{key} has unknown value {value!r}") from None
 
 
 def decode(data: bytes) -> Message:
@@ -250,10 +187,36 @@ def decode(data: bytes) -> Message:
     if type(obj) is not dict:
         raise MalformedFrame("frame is not a JSON object")
     message_type = obj.get("type")
-    decoder = _DECODERS.get(message_type) if type(message_type) is str else None
-    if decoder is None:
+    if message_type not in ("plan_request", "plan_response"):
         raise MalformedFrame(f"unknown message type {message_type!r}")
-    return decoder(obj, "frame")
+    body_key = "fact" if message_type == "plan_request" else "outcome"
+    _object(obj, {"type", "version", "request_id", body_key}, "frame")
+    if type(obj["version"]) is not int or obj["version"] != PROTOCOL_VERSION:
+        raise MalformedFrame(f"frame.version must be {PROTOCOL_VERSION}")
+    request_id = _exact(obj, "request_id", int, "frame")
+    if body_key == "fact":
+        fact = _object(obj["fact"], {"kind", "subject", *INT_FIELDS}, "frame.fact")
+        return PlanRequest(request_id, Fact(
+            _member(fact, "kind", _KINDS, "frame.fact"), _exact(fact, "subject", str, "frame.fact"),
+            **{key: _exact(fact, key, int, "frame.fact") for key in INT_FIELDS}))
+    outcome = obj["outcome"]
+    if type(outcome) is not dict or len(outcome) != 1 or next(iter(outcome)) not in (
+            "plan", "no_match", "error"):
+        raise MalformedFrame("frame.outcome must hold exactly one of plan, no_match, error")
+    ((key, body),) = outcome.items()
+    where = f"frame.outcome.{key}"
+    if key == "no_match":
+        if body is not True:  # the constant true, not 1 or 1.0
+            raise MalformedFrame(f"{where} must be true")
+        return PlanResponse(request_id, NoMatch())
+    if key == "plan":
+        plan = _object(body, {"strategy", "subject", "fired_rule"}, where)
+        return PlanResponse(request_id, RepairPlan(
+            _member(plan, "strategy", _STRATEGIES, where),
+            _exact(plan, "subject", str, where), _exact(plan, "fired_rule", str, where)))
+    error = _object(body, {"code", "message"}, where)
+    return PlanResponse(request_id, ErrorOutcome(_exact(error, "code", str, where),
+                                                 _exact(error, "message", str, where)))
 
 
 # -- planner handles ---------------------------------------------------------
@@ -308,7 +271,7 @@ class RemotePlanner:
             self._connect()
             try:
                 self._sock.sendall(frame)
-                line = self._reader.readline()
+                line = self._reader.readline(MAX_FRAME + 1)  # a longer reply is not read whole
             except TimeoutError as exc:  # socket.timeout's own class since Python 3.10
                 self.close()  # its answer may still come; the next request must not read it
                 raise RequestTimeout(f"planner did not answer within {self.timeout}s") from exc
@@ -323,6 +286,8 @@ class RemotePlanner:
                 raise ConnectionFailed(lost)
             retry = False
         try:
+            if len(line) > MAX_FRAME:
+                raise MalformedFrame(f"reply exceeds {MAX_FRAME} bytes")
             response = decode(line.rstrip(b"\n"))
             if not isinstance(response, PlanResponse):
                 raise MalformedFrame("expected a plan_response frame")

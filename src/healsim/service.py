@@ -21,13 +21,12 @@ import socketserver
 import threading
 import time
 
-from .planner import DEFAULT_PORT, ErrorOutcome, InProcessPlanner, MalformedFrame, PlanRequest
-from .planner import PlanResponse, decode, encode
+from .planner import DEFAULT_PORT, MAX_FRAME, ErrorOutcome, InProcessPlanner, MalformedFrame
+from .planner import PlanRequest, PlanResponse, decode, encode
 from .rules import RuleSet
 
 log = logging.getLogger(__name__)
 
-MAX_FRAME = 64 * 1024  # bytes per frame, LF included; longer ones end the connection
 MAX_CONNECTIONS = 64  # served at once; one more is answered "busy" and closed
 IDLE_TIMEOUT = 30.0  # seconds a connection has to complete its next frame or take a reply
 

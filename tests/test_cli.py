@@ -10,7 +10,7 @@ import threading
 import pytest
 
 from healsim.cli import main
-from healsim.planner import DEFAULT_PORT, ErrorOutcome, PlanResponse, encode
+from healsim.planner import DEFAULT_PORT, MAX_FRAME, ErrorOutcome, PlanResponse, encode
 from test_golden import layered_blueprint_doc
 from test_model import SLOT_NAMED_LIKE_CONNECTOR_DOC
 
@@ -387,8 +387,9 @@ def _one_shot_planner(reply: bytes) -> int:
 
 @pytest.mark.parametrize(
     "reply",
-    [b"not a frame\n", encode(PlanResponse(1, ErrorOutcome("internal", "rule base broken")))],
-    ids=["malformed-frame", "error-outcome"],
+    [b"not a frame\n", encode(PlanResponse(1, ErrorOutcome("internal", "rule base broken"))),
+     b"x" * (MAX_FRAME + 1)],
+    ids=["malformed-frame", "error-outcome", "reply-over-max-frame"],
 )
 def test_run_planner_failure_exit_2(tmp_path, capsys, reply):
     port = _one_shot_planner(reply)

@@ -45,7 +45,7 @@ from healsim.monitor import (
     take_snapshot,
 )
 from healsim.planner import (
-    _BODIES,
+    PROTOCOL_VERSION,
     ErrorOutcome,
     MalformedFrame,
     NoMatch,
@@ -837,11 +837,27 @@ def test_enum_values_need_no_escaping():
         assert json.dumps(text) == f'"{text}"'
 
 
-# -- (f) the compiled wire codec and rule order vs the walkers they replaced --
-# The planner compiles _BODIES into one encoder and one decoder per message
-# class at import, and a RuleSet ranks its compiled conditions by salience so
-# that evaluate stops at the first match. The table walkers that read
-# _BODIES on every call, and the pick over all rules, are the references.
+# -- (f) the written-out wire codec and rule order vs the walkers they replaced --
+# The planner's encode and decode write and check each field of the two
+# messages by hand, and a RuleSet ranks its compiled conditions by salience
+# so that evaluate stops at the first match. _BODIES below is the wire
+# schema; the table walkers that read it on every call, and the pick over
+# all rules, are the references. Each table maps a field to its kind: str or
+# int (a JSON string or integer, never a bool), an Enum (a string naming a
+# member), a class (an object per that class's table), a dict (an object
+# holding exactly one of its keys, with that key's kind), or a constant the
+# field must equal, type included. NoMatch's body is ``true``.
+
+_BODIES: dict[type, object] = {
+    PlanRequest: {"type": "plan_request", "version": PROTOCOL_VERSION,
+                  "request_id": int, "fact": Fact},
+    PlanResponse: {"type": "plan_response", "version": PROTOCOL_VERSION, "request_id": int,
+                   "outcome": {"plan": RepairPlan, "no_match": NoMatch, "error": ErrorOutcome}},
+    Fact: {"kind": FaultKind, "subject": str, **dict.fromkeys(INT_FIELDS, int)},
+    RepairPlan: {"strategy": Strategy, "subject": str, "fired_rule": str},
+    NoMatch: True,
+    ErrorOutcome: {"code": str, "message": str},
+}
 
 
 def reference_json(value, kind):

@@ -10,6 +10,7 @@ from healsim.analyzer import FailureReport
 from healsim.faults import FaultKind
 from healsim.model import ConnectorSpec
 from healsim.planner import (
+    MAX_FRAME,
     ConnectionFailed,
     ErrorOutcome,
     InProcessPlanner,
@@ -87,6 +88,29 @@ def test_encode_response_outcomes():
         b'{"outcome":{"error":{"code":"malformed","message":"bad"}},'
         b'"request_id":4,"type":"plan_response","version":1}\n'
     )
+
+
+@pytest.mark.parametrize("message", [
+    Fact(FaultKind.CF1, "x"),
+    {"type": "plan_request", "version": 1, "request_id": 1, "fact": {}},
+    PlanRequest(True, Fact(FaultKind.CF1, "x")),
+    PlanRequest(1.0, Fact(FaultKind.CF1, "x")),
+    PlanResponse(False, NoMatch()),
+    PlanRequest(1, Fact(FaultKind.CF1, 7)),
+    PlanResponse(1, RepairPlan(Strategy.AS1, b"x", "r")),
+    PlanResponse(1, ErrorOutcome("code", None)),
+    PlanRequest(1, Fact("CF1", "x")),
+    PlanRequest(1, Fact(Strategy.AS1, "x")),
+    PlanResponse(1, RepairPlan("AS1", "x", "r")),
+    PlanResponse(1, Fact(FaultKind.CF1, "x")),
+    PlanResponse(1, None),
+    PlanRequest(1, None),
+], ids=["fact", "dict", "bool-request-id", "float-request-id", "bool-response-id",
+        "int-subject", "bytes-plan-subject", "none-error-message", "str-kind",
+        "other-enum-kind", "str-strategy", "fact-outcome", "none-outcome", "none-fact"])
+def test_encode_rejects_what_is_not_a_message(message):
+    with pytest.raises(TypeError, match="not a protocol message"):
+        encode(message)
 
 
 def test_decode_encode_round_trip_handwritten():
@@ -224,8 +248,6 @@ def test_service_survives_garbage_then_serves(service):
 
 
 def test_service_closes_on_oversized_frame(service):
-    from healsim.service import MAX_FRAME
-
     with socket.create_connection(service.address, timeout=2) as sock:
         reader = sock.makefile("rb")
         sock.sendall(b"x" * (MAX_FRAME - 1) + b"\n")  # at the cap: answered
@@ -485,6 +507,39 @@ def test_remote_does_not_retry_a_timeout():
         listener.settimeout(0.1)
         with pytest.raises(socket.timeout):  # no second connection was opened
             listener.accept()
+
+
+def test_remote_stops_reading_a_reply_longer_than_a_frame():
+    """A faulty service that streams bytes with no LF and keeps the connection
+    open: the client reads MAX_FRAME + 1 bytes, gives MalformedFrame well
+    before its timeout, and closes the connection."""
+    done = threading.Event()
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        listener.settimeout(5)
+
+        def stream_without_lf():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as reader:
+                reader.readline()
+                conn.sendall(b"x" * (MAX_FRAME + 1))
+                done.wait(5)
+
+        server = threading.Thread(target=stream_without_lf)
+        server.start()
+        planner = RemotePlanner(*listener.getsockname(), timeout=3)
+        try:
+            start = time.monotonic()
+            with pytest.raises(MalformedFrame, match=f"reply exceeds {MAX_FRAME} bytes"):
+                planner.plan(Fact(FaultKind.CF1, "X"))
+            assert time.monotonic() - start < 1.5
+            assert planner._sock is None
+        finally:
+            planner.close()
+            done.set()
+            server.join(timeout=5)
+    assert not server.is_alive()
 
 
 def answer_one_connection_at_a_time(listener, first_reply, accepted):
