@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 config/parse/execution error, 2 planner unreachable or 
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 
 from .faults import NoEligibleTarget
@@ -114,9 +113,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    # basicConfig leaves the level alone when logging is already set up, as in an embedding process
-    logging.getLogger().setLevel(args.log_level)
+    # At WARNING a run logs nothing, so logging loads only for a lower level, the service, or a
+    # process that has it already; basicConfig skips an embedder's setup, so the level is set apart.
+    if args.log_level != "WARNING" or args.command == "serve-planner" or "logging" in sys.modules:
+        import logging
+        logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+        logging.getLogger().setLevel(args.log_level)
     try:
         if args.command == "run":
             return _cmd_run(args)

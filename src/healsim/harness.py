@@ -418,8 +418,9 @@ ROUNDS_CSV_HEADER = [
 
 
 def emit_reports(report: ScenarioReport, out_dir: str) -> dict[str, str]:
-    """Write scenario.json, rounds.csv, and suspects.csv; byte-stable for
-    equal reports. Returns the written paths."""
+    """Write scenario.json, rounds.csv, and suspects.csv, each as a new file
+    (an old file or link at its path is removed, never written through);
+    byte-stable for equal reports. Returns the written paths."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "scenario": os.path.join(out_dir, "scenario.json"),
@@ -436,6 +437,11 @@ def emit_reports(report: ScenarioReport, out_dir: str) -> dict[str, str]:
         for r in report.rounds
     )
     try:
+        for path in paths.values():  # a new file each: truncating a written one waits on writeback
+            try:
+                os.unlink(path)
+            except FileNotFoundError:
+                pass
         with open(paths["scenario"], "w", encoding="ascii", newline="") as fh:
             fh.writelines(scenario_chunks(report))
         with open(paths["rounds"], "w", encoding="utf-8", newline="") as fh:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii as _str
+from time import monotonic
 
 from .analyzer import FailureReport
 from .faults import FaultKind
@@ -35,7 +36,7 @@ from .rules import INT_FIELDS, Fact, NoMatch, RepairPlan, RuleSet, Strategy, eva
 
 PROTOCOL_VERSION = 1
 DEFAULT_PORT = 7464
-DEFAULT_TIMEOUT = 1.0  # wall-clock seconds per remote round-trip
+DEFAULT_TIMEOUT = 1.0  # wall-clock seconds to connect, to send a request, to read a reply
 MAX_FRAME = 64 * 1024  # bytes per frame, LF included; longer ones end the connection
 
 
@@ -245,7 +246,7 @@ class RemotePlanner:
         self.port = port
         self.timeout = timeout
         self._sock = None  # a socket once connected; socket is imported at first connect
-        self._reader = None
+        self._pending = b""  # received bytes not yet returned as a line
         self._next_request_id = 1
 
     def _connect(self) -> None:
@@ -256,7 +257,24 @@ class RemotePlanner:
             self._sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
         except OSError as exc:
             raise ConnectionFailed(f"cannot reach planner at {self.host}:{self.port}: {exc}") from exc
-        self._reader = self._sock.makefile("rb")
+        self._pending = b""
+
+    def _readline(self) -> bytes:
+        """The next line, LF included, the bytes before EOF, or more than
+        MAX_FRAME bytes of a longer one, within ``timeout`` seconds in all:
+        each read after the first waits only what is left of them."""
+        data, start, deadline = self._pending, 0, monotonic() + self.timeout
+        while not (end := data.find(b"\n", start) + 1) and len(data) <= MAX_FRAME:
+            if start := len(data):
+                self._sock.settimeout(max(deadline - monotonic(), 1e-6))
+            if not (chunk := self._sock.recv(MAX_FRAME)):
+                break
+            data += chunk
+        if start:  # the wait was cut; the next send and first read get the whole timeout
+            self._sock.settimeout(self.timeout)
+        end = end or len(data)
+        self._pending = data[end:]
+        return data[:end]
 
     def plan(self, fact: Fact) -> RepairPlan | NoMatch:
         """The service's answer. A connection opened by an earlier call that
@@ -271,7 +289,7 @@ class RemotePlanner:
             self._connect()
             try:
                 self._sock.sendall(frame)
-                line = self._reader.readline(MAX_FRAME + 1)  # a longer reply is not read whole
+                line = self._readline()
             except TimeoutError as exc:  # socket.timeout's own class since Python 3.10
                 self.close()  # its answer may still come; the next request must not read it
                 raise RequestTimeout(f"planner did not answer within {self.timeout}s") from exc
@@ -302,9 +320,6 @@ class RemotePlanner:
         return response.outcome
 
     def close(self) -> None:
-        if self._reader is not None:
-            self._reader.close()
-            self._reader = None
         if self._sock is not None:
             self._sock.close()
             self._sock = None

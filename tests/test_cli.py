@@ -133,6 +133,35 @@ def test_no_match_run_without_logging_leaves_it_unloaded():
     assert (proc.stdout, proc.stderr) == ("False\n", "")
 
 
+def test_run_at_the_default_level_leaves_logging_unloaded(tmp_path):
+    code = ("import sys; from healsim.cli import main; "
+            f"code = main(['run', '--seed', '42', '--rounds', '20', '--out', {str(tmp_path)!r}]); "
+            "print(code, 'logging' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60, env={"PYTHONPATH": SRC})
+    assert proc.stdout.splitlines()[-1] == "0 False" and proc.stderr == ""
+
+
+@pytest.mark.parametrize("level", ["INFO", "DEBUG"])
+def test_serve_planner_logs_level_name_and_message(rules_file, level):
+    with subprocess.Popen(
+        [sys.executable, "-m", "healsim.cli", "--log-level", level, "serve-planner",
+         "--rules", str(rules_file), "--bind", "127.0.0.1:0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": "1"},
+    ) as proc:
+        watchdog = threading.Timer(30, proc.kill)  # a missing line must not block the reads
+        watchdog.start()
+        try:
+            assert proc.stdout.readline().startswith("planner listening on 127.0.0.1:")
+            assert re.fullmatch(r"INFO healsim\.service: plan service listening on "
+                                r"127\.0\.0\.1:\d+\n", proc.stderr.readline())
+        finally:
+            watchdog.cancel()
+            proc.terminate()
+            proc.wait(timeout=10)
+
+
 def test_validate_rules_reports_position(tmp_path, capsys):
     bad = tmp_path / "bad.rules"
     bad.write_text('rule "r" when kind = CF1 then AS1\n', encoding="utf-8")

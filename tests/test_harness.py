@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -20,6 +23,8 @@ from healsim.rules import NoMatch, Strategy, parse_rules
 
 from test_golden import layered_blueprint_doc
 
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+REPORTS = ("scenario.json", "rounds.csv", "suspects.csv")
 QS_REP = ConnectorSpec("Query Service", "Reputation Service", "Reputation Service")
 
 
@@ -236,6 +241,58 @@ def test_report_emission_streams(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "scenario.json").read_bytes() == scenario_json(report)
     assert emission_peak < retained / 4, (emission_peak, retained)
+
+
+def test_a_rerun_writes_new_files_and_leaves_a_hard_link_with_the_old_bytes(tmp_path):
+    """Each report is written to a new file, never truncated in place: a hard
+    link made to the first run's scenario.json keeps that run's bytes."""
+    out = tmp_path / "out"
+    run_scenario(ScenarioConfig(seed=1, rounds=20, out_dir=str(out)))
+    first = {name: (out / name).read_bytes() for name in REPORTS}
+    os.link(out / "scenario.json", tmp_path / "kept.json")
+    run_scenario(ScenarioConfig(seed=2, rounds=30, out_dir=str(out)))
+    assert (tmp_path / "kept.json").read_bytes() == first["scenario.json"]
+    assert (out / "scenario.json").read_bytes() != first["scenario.json"]
+    assert os.stat(out / "scenario.json").st_nlink == 1
+
+
+def test_a_rerun_into_the_same_directory_is_byte_identical(tmp_path):
+    config = ScenarioConfig(seed=42, rounds=200, out_dir=str(tmp_path))
+    runs = []
+    for _ in range(3):
+        run_scenario(config)
+        runs.append({name: (tmp_path / name).read_bytes() for name in REPORTS})
+    assert runs[0] == runs[1] == runs[2]
+    assert sorted(os.listdir(tmp_path)) == sorted(REPORTS)
+
+
+def test_a_directory_at_a_report_path_is_a_config_error(tmp_path):
+    (tmp_path / "rounds.csv").mkdir()
+    report = run_scenario(ScenarioConfig(seed=1, rounds=5))
+    with pytest.raises(ConfigError, match="cannot write reports under"):
+        emit_reports(report, str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "healsim.cli", "run", "--seed", "1", "--rounds", "5",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: cannot write reports under {tmp_path}")
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+
+
+def test_a_symlink_at_a_report_path_is_replaced_and_its_target_kept(tmp_path):
+    target = tmp_path / "elsewhere.csv"
+    target.write_bytes(b"not a report\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    os.symlink(target, out / "suspects.csv")
+    report = run_scenario(ScenarioConfig(seed=1, rounds=20, out_dir=str(out)))
+    assert not os.path.islink(out / "suspects.csv")
+    assert (out / "suspects.csv").read_text(encoding="utf-8").startswith("component,count,")
+    assert len((out / "suspects.csv").read_text(encoding="utf-8").splitlines()) == (
+        1 + len(report.suspects))
+    assert target.read_bytes() == b"not a report\n"
 
 
 def test_compound_damage_is_recorded_not_masked():

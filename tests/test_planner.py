@@ -509,6 +509,46 @@ def test_remote_does_not_retry_a_timeout():
             listener.accept()
 
 
+def test_remote_timeout_is_one_deadline_per_request_not_per_read():
+    """A service that trickles its reply a byte every 0.15 s: each read would
+    finish within a 0.2 s timeout, but the request as a whole does not."""
+    done = threading.Event()
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        listener.settimeout(5)
+
+        def trickle():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as reader:
+                request = decode(reader.readline().rstrip(b"\n"))
+                reply = encode(PlanResponse(request.request_id, NoMatch()))
+                try:
+                    for i in range(10):  # 1.5 s of single bytes, then the rest
+                        conn.sendall(reply[i:i + 1])
+                        if done.wait(0.15):
+                            return
+                    conn.sendall(reply[10:])
+                except OSError:  # the client closed the connection
+                    pass
+                done.wait(5)
+
+        server = threading.Thread(target=trickle)
+        server.start()
+        planner = RemotePlanner(*listener.getsockname(), timeout=0.2)
+        try:
+            start = time.monotonic()
+            with pytest.raises(RequestTimeout):
+                planner.plan(Fact(FaultKind.CF1, "X"))
+            assert time.monotonic() - start < 0.4
+            assert planner._sock is None
+        finally:
+            planner.close()
+            done.set()
+            server.join(timeout=5)
+    assert not server.is_alive()
+
+
 def test_remote_stops_reading_a_reply_longer_than_a_frame():
     """A faulty service that streams bytes with no LF and keeps the connection
     open: the client reads MAX_FRAME + 1 bytes, gives MalformedFrame well

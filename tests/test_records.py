@@ -294,13 +294,13 @@ def test_a_cold_start_loads_neither_dataclasses_nor_inspect():
 
 def test_a_cold_start_loads_no_module_only_serving_or_logging_needs():
     """``import healsim`` loads the client and the loop, not the service, the
-    socket layer, logging or typing; the CLI may load logging for its
-    ``--log-level``, but not the socket layer."""
+    socket layer, logging or typing, and ``import healsim.cli`` none of the
+    socket layer or logging either: ``main`` loads logging when it is needed."""
     code = ("import sys; before = set(sys.modules); import healsim; "
             "print(sorted({'healsim.service', 'socket', 'socketserver', 'threading', 'logging', "
             "'typing'} & (set(sys.modules) - before))); "
             "import healsim.cli; "
-            "print(sorted({'socket', 'socketserver'} & (set(sys.modules) - before)))")
+            "print(sorted({'socket', 'socketserver', 'logging'} & (set(sys.modules) - before)))")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True, timeout=60, env={"PYTHONPATH": SRC}).stdout
     assert out == "[]\n[]\n"
