@@ -15,8 +15,12 @@ with outcome ``{"plan":{"fired_rule":S,"strategy":"AS1","subject":S}}``,
 ``{"no_match":true}``, or ``{"error":{"code":S,"message":S}}``. The fact's
 integer fields are ``rules.INT_FIELDS``. ``encode`` and ``decode`` are
 written out for these two messages; the schema table in
-``tests/test_oracles.py`` is their byte and error reference. Neither end
-reads a frame longer than ``MAX_FRAME`` bytes, LF included.
+``tests/test_oracles.py`` is their byte and error reference. ``decode``
+first tries one regular-expression match against the layout ``encode``
+writes for a request or a plan or no_match response; any frame that does
+not match, an error outcome included, gets the full check, so the accepted
+messages and the ``MalformedFrame`` texts are those of the full check.
+Neither end reads a frame longer than ``MAX_FRAME`` bytes, LF included.
 
 The client imports ``socket`` when it first connects, so an in-process run
 never loads it.
@@ -25,6 +29,7 @@ never loads it.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii as _str
 from time import monotonic
@@ -110,6 +115,7 @@ _REQUEST = ('{"fact":{"dependent_count":%s,"exception_count":%s,"kind":%s,'
             f'"type":"plan_request","version":{PROTOCOL_VERSION}}}\n')
 _RESPONSE = f'{{"outcome":%s,"request_id":%s,"type":"plan_response","version":{PROTOCOL_VERSION}}}\n'
 _PLAN = '{"plan":{"fired_rule":%s,"strategy":%s,"subject":%s}}'
+_NO_MATCH = '{"no_match":true}'
 _ERROR = '{"error":{"code":%s,"message":%s}}'
 _KIND_TEXT = {kind: _str(kind.value) for kind in FaultKind}  # strings escaped as canonical_json does
 _STRATEGY_TEXT = {strategy: _str(strategy.value) for strategy in Strategy}
@@ -135,7 +141,7 @@ def encode(message: Message) -> bytes:
             body = _PLAN % (_str(outcome.fired_rule), _STRATEGY_TEXT[outcome.strategy],
                             _str(outcome.subject))
         elif type(outcome) is NoMatch:
-            body = '{"no_match":true}'
+            body = _NO_MATCH
         elif type(outcome) is ErrorOutcome:
             body = _ERROR % (_str(outcome.code), _str(outcome.message))
         else:
@@ -175,12 +181,42 @@ def _member(obj: dict, key: str, members: dict, where: str):
         raise MalformedFrame(f"{where}.{key} has unknown value {value!r}") from None
 
 
+# The layouts decode matches first, built from encode's templates and compiled
+# on first use: each string printable ASCII without '"' or '\\', so its JSON
+# text is its value; each integer at most 18 digits; each enum value a member.
+_STR = '"([ !#-\\[\\]-~]*)"'
+_INT = "(-?(?:0|[1-9][0-9]{0,17}))"
+_LAYOUTS: dict[bool, re.Pattern] = {}  # is a request -> its pattern
+
+
+def _layout(request: bool) -> re.Pattern:
+    if request not in _LAYOUTS:
+        kind, strategy = (f'"({"|".join(map(re.escape, names))})"'
+                          for names in (_KINDS, _STRATEGIES))
+        if request:
+            layout = re.escape(_REQUEST) % (_INT, _INT, kind, _INT, _STR, _INT)
+        else:
+            plan = re.escape(_PLAN) % (_STR, strategy, _STR)
+            layout = re.escape(_RESPONSE) % (f"(?:{plan}|{re.escape(_NO_MATCH)})", _INT)
+        _LAYOUTS[request] = re.compile(layout.replace("\\\n", "\n?"))  # the LF is optional
+    return _LAYOUTS[request]
+
+
 def decode(data: bytes) -> Message:
     """Parse one frame back into a message; MalformedFrame if it breaks the schema."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedFrame(f"frame is not UTF-8: {exc}") from exc
+    if match := _layout(text[2:3] == "f").fullmatch(text):
+        fields = match.groups()
+        if len(fields) == 6:
+            dependent, exceptions, kind, prior, subject, request_id = fields
+            return PlanRequest(int(request_id), Fact(_KINDS[kind], subject, int(exceptions),
+                                                     int(dependent), int(prior)))
+        fired_rule, strategy, subject, request_id = fields
+        return PlanResponse(int(request_id), NoMatch() if subject is None else
+                            RepairPlan(_STRATEGIES[strategy], subject, fired_rule))
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also an integer over the digit limit, deep nesting

@@ -7,13 +7,14 @@ import copy
 import csv
 import io
 import json
+import re
 from enum import EnumMeta
 from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from healsim import harness
+from healsim import harness, planner
 from healsim.executor import execute
 from healsim.faults import FaultInstance, FaultKind, NoEligibleTarget, draw_fault, inject
 from healsim.harness import RoundRecord, ScenarioConfig, ScenarioReport, ScenarioRunner
@@ -1025,6 +1026,49 @@ def test_compiled_decoder_equals_reference_on_mutated_frames(message, data):
     result = decoded(decode, frame)
     assert result == decoded(reference_decode, frame)
     assert result[0] == "MalformedFrame"  # every mutation breaks the schema
+
+
+CANONICAL_FRAMES = [encode(message).rstrip(b"\n") for message in (
+    PlanRequest(12, Fact(FaultKind.CF1, "Query Service", 3, 2, 1)),
+    PlanResponse(12, RepairPlan(Strategy.AS1, "Query Service", "restart-on-cf1")),
+    PlanResponse(12, NoMatch()),
+)]
+
+
+def boundary_edits(frame):
+    """``frame`` with one byte-level edit at a time, each on the edge of the
+    layout that decode matches in one step."""
+    for number in re.finditer(rb"(?<=:)-?[0-9]+", frame):
+        for digits in (b"0" + number[0].lstrip(b"-"), b"-0", b"1" * 19, b"7" * 5000):
+            yield frame[:number.start()] + digits + frame[number.end():]
+    for text in re.finditer(rb'(?<=:")', frame):
+        for inserted in (rb"\"", rb"\u0041", b"\x01", "\u00fc".encode(), b"\xff"):
+            yield frame[:text.start()] + inserted + frame[text.start():]
+    for at in range(len(frame) + 1):
+        yield frame[:at] + b" " + frame[at:]
+        yield frame[:at] + b"\r" + frame[at:]
+    for trailing in (b"\n", b"\n\n", b"\r\n", b" ", b"x", b"}"):
+        yield frame + trailing
+    for old, new in ((b'"version":1', b'"version":2'), (b'"CF1"', b'"CF5"'),
+                     (b'"AS1"', b'"AS5"'), (b'"no_match":true', b'"no_match":1')):
+        if old in frame:
+            yield frame.replace(old, new)
+
+
+@pytest.mark.parametrize("frame", CANONICAL_FRAMES, ids=["request", "plan", "no_match"])
+def test_one_match_decode_equals_full_check_on_edited_frames(frame):
+    """Around the one-match path, decode gives what the table walker gives
+    and what decode gives with that path switched off, message or error
+    text. The walker words a frame that is not UTF-8 as "not JSON"."""
+    never = re.compile("(?!)")
+    for edited in [frame, *boundary_edits(frame)]:
+        result = decoded(decode, edited)
+        with mock.patch.dict(planner._LAYOUTS, {True: never, False: never}):
+            assert result == decoded(decode, edited), edited
+        expected = decoded(reference_decode, edited)
+        if b"\xff" in edited:
+            expected = ("MalformedFrame", expected[1].replace("not JSON", "not UTF-8", 1))
+        assert result == expected, edited
 
 
 COMPARISONS = st.one_of(

@@ -1,13 +1,18 @@
+import json
 import random
 import select
 import socket
 import threading
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from healsim import planner
 from healsim.analyzer import FailureReport
 from healsim.faults import FaultKind
+from healsim.harness import ScenarioConfig, run_scenario
 from healsim.model import ConnectorSpec
 from healsim.planner import (
     MAX_FRAME,
@@ -211,6 +216,28 @@ def test_round_trip_randomized_messages():
                 outcome = ErrorOutcome("code", "message ☃")
             message = PlanResponse(rng.randrange(0, 2**31), outcome)
         assert decode(encode(message)) == message
+
+
+# Text and integers that the one-match path of decode takes: printable ASCII
+# without '"' or '\\', at most 18 digits. Error outcomes always take the full check.
+MATCHED_TEXT = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E,
+                                     blacklist_characters='"\\'), max_size=12)
+MATCHED_INTS = st.integers(-(10**18 - 1), 10**18 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(message=st.one_of(
+    st.builds(PlanRequest, MATCHED_INTS, st.builds(
+        Fact, st.sampled_from(FaultKind), MATCHED_TEXT, MATCHED_INTS, MATCHED_INTS, MATCHED_INTS)),
+    st.builds(PlanResponse, MATCHED_INTS, st.one_of(
+        st.builds(RepairPlan, st.sampled_from(Strategy), MATCHED_TEXT, MATCHED_TEXT),
+        st.just(NoMatch())))))
+def test_canonical_frames_decode_in_one_match(message):
+    """Every frame encode writes for these messages decodes without json.loads,
+    so the templates and the one-match patterns built from them agree."""
+    frame = encode(message)
+    with mock.patch.object(planner.json, "loads", side_effect=AssertionError("full check")):
+        assert decode(frame) == decode(frame.rstrip(b"\n")) == message
 
 
 # -- service ------------------------------------------------------------------
@@ -439,6 +466,53 @@ def test_no_match_propagates_identically():
     finally:
         remote.close()
         service.shutdown()
+
+
+# Slot names with a quote, a backslash, a tab and a non-ASCII letter, and a plain one.
+ODD_TYPES = {"Gate": ['Say "hi"', "Tab\tbed"], 'Say "hi"': ["C:\\db"], "Tab\tbed": ["Müller"],
+             "Müller": ["Store"], "C:\\db": ["Store"], "Store": []}
+ODD_BLUEPRINT = {
+    "types": [{"name": name, "provides": name, "requires": needs}
+              for name, needs in ODD_TYPES.items()],
+    "slots": [{"slot": name, "type": name} for name in ODD_TYPES],
+    "connectors": [{"from": name, "to": need, "interface": need}
+                   for name, needs in ODD_TYPES.items() for need in needs],
+}
+
+
+def test_inproc_and_remote_runs_agree_on_both_decode_paths(tmp_path):
+    """Subjects the one-match path takes and subjects only the full check
+    takes, plans and no_match replies (no CF4 rule), in one run each way."""
+    blueprint, rules = tmp_path / "odd.json", tmp_path / "no-cf4.rules"
+    blueprint.write_text(json.dumps(ODD_BLUEPRINT), encoding="utf-8")
+    rules.write_text('rule "r1" when kind == CF1 then AS1\nrule "r2" when kind == CF2 then AS4\n'
+                     'rule "r3" when kind == CF3 then AS2\n', encoding="utf-8")
+
+    def run(planner_name, out):
+        report = run_scenario(ScenarioConfig(
+            seed=11, rounds=60, planner=planner_name, rules_path=str(rules),
+            blueprint_path=str(blueprint), out_dir=str(out)))
+        return report, {name: (out / name).read_bytes()
+                        for name in ("scenario.json", "rounds.csv", "suspects.csv")}
+
+    service = PlanService(parse_rules(rules.read_text(encoding="utf-8")),
+                          host="127.0.0.1", port=0).start()
+    try:
+        address = "tcp://%s:%d" % service.address
+        local, local_files = run("inproc", tmp_path / "inproc")
+        remote, remote_files = run(address, tmp_path / "tcp")
+    finally:
+        service.shutdown()
+    assert local.rounds == remote.rounds
+    plans = [plan for record in local.rounds for plan in record.plans]
+    assert NoMatch() in plans
+    subjects = {plan.subject for plan in plans if isinstance(plan, RepairPlan)}
+    assert "Store" in subjects and {'Say "hi"', "C:\\db", "Tab\tbed", "Müller"} & subjects
+    echo = b'"planner":' + json.dumps(address).encode()
+    assert echo in remote_files["scenario.json"]
+    remote_files["scenario.json"] = remote_files["scenario.json"].replace(
+        echo, b'"planner":"inproc"')
+    assert local_files == remote_files
 
 
 def test_history_feeds_prior_failures():

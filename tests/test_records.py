@@ -1,6 +1,7 @@
 """The record classes: value equality, hashing, text, immutability and
 copying, checked for every record class in one table; and a cold start that
-loads neither ``dataclasses`` nor ``inspect``."""
+loads neither ``dataclasses`` nor ``inspect`` and, in process, compiles no
+planner pattern."""
 
 import copy
 import os
@@ -290,6 +291,16 @@ def test_a_cold_start_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True, timeout=60, env=env).stdout
     assert out == "[] []\n"
+
+
+def test_an_in_process_run_compiles_no_planner_pattern(tmp_path):
+    """The decode patterns compile on first use; an in-process run decodes no frame."""
+    code = ("import sys, healsim; "
+            "healsim.run_scenario(healsim.ScenarioConfig(42, 50, out_dir=sys.argv[1])); "
+            "print(healsim.planner._LAYOUTS)")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, check=True, timeout=60, env={"PYTHONPATH": SRC}).stdout
+    assert out == "{}\n"
 
 
 def test_a_cold_start_loads_no_module_only_serving_or_logging_needs():
