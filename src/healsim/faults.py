@@ -78,7 +78,7 @@ def draw_fault(rng: Rng, model: ArchitectureModel, exception_threshold: int = 5)
     """
     kind = _KIND_ORDER[rng.next() % 4]
     if kind is FaultKind.CF4:
-        count, nth = len(model.connectors), model.live_connector
+        count, nth = model.live_count(), model.live_connector
     else:
         count, nth = model.present_count(), model.present_slot
     if not count:

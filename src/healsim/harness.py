@@ -36,7 +36,6 @@ from .model import (
     Blueprint,
     Record,
     Violation,
-    ViolationKind,
     default_blueprint,
     instantiate_blueprint,
     load_blueprint,
@@ -46,7 +45,7 @@ from .model import (
 # observe and take_snapshot stay importable here: bench/tracer.py patches them by these names.
 from .monitor import observe, observe_changes, take_snapshot
 from .planner import InProcessPlanner, RemotePlanner, canonical_json, request_plan
-from .rules import NoMatch, RepairPlan, RuleSet, Strategy, default_ruleset, load_rules
+from .rules import NoMatch, RepairPlan, RuleSet, default_ruleset, load_rules
 
 
 class ConfigError(Exception):
@@ -252,15 +251,14 @@ class ScenarioRunner:
         plans: list[RepairPlan | NoMatch] = []
         executions: list[ExecutionResult] = []
         for report in reports:
-            subject = render_subject(report.subject)
             outcome = request_plan(self.planner, report, self.history)
-            self.history[subject] = self.history.get(subject, 0) + 1
             plans.append(outcome)
             if isinstance(outcome, NoMatch):
                 # Unless something loaded logging, no handler can print this line.
                 if (logging := sys.modules.get("logging")) is not None:
                     logging.getLogger(__name__).info(
-                        "round %d: no rule handles %s(%s)", index, report.kind.value, subject)
+                        "round %d: no rule handles %s(%s)", index, report.kind.value,
+                        render_subject(report.subject))
                 self.unhandled_failures += 1
             else:
                 executions.append(execute(self.model, outcome))
@@ -306,12 +304,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
 
 # -- report emission ---------------------------------------------------------
 
-# Member -> value for every enum in a report: ``Enum.value`` is a Python-level
-# descriptor, read here for every fault, report, plan, execution and violation.
-# The values are plain ASCII identifiers, so they are written unescaped.
-_VALUE = {m: m.value for e in (FaultKind, Strategy, ViolationKind) for m in e}
-
-
 def round_json(record: RoundRecord, rendered: dict[int, str]) -> str:
     """The round's object in ``scenario.json``: the text ``canonical_json``
     makes of its dict form, written directly. Keys are in sorted order by
@@ -320,41 +312,45 @@ def round_json(record: RoundRecord, rendered: dict[int, str]) -> str:
 
     ``rendered`` maps ``id(violation)`` to the violation's text and is filled
     as it goes; a caller passes one dict for many rounds of one report, and
-    keeps every violation in it alive for as long as it uses the dict."""
-    value, fault = _VALUE, record.fault
+    keeps every violation in it alive for as long as it uses the dict.
+
+    An enum member's text is read as ``_value_``, a plain attribute: ``value``
+    is a Python-level descriptor. The values are plain ASCII identifiers, so
+    they are written unescaped."""
+    fault = record.fault
     magnitude = "" if fault.magnitude is None else f',"magnitude":{fault.magnitude}'
     reports = ",".join([
         f'{{"dependent_slots":[{",".join(map(_str, r.dependent_slots))}],'
         f'"detected_at":{r.detected_at},"exception_count":{r.exception_count},'
-        f'"kind":"{value[r.kind]}","report_id":{r.report_id},'
+        f'"kind":"{r.kind._value_}","report_id":{r.report_id},'
         f'"subject":{_str(render_subject(r.subject))}}}'
         for r in record.reports
     ])
     plans = ",".join([
         f'{{"no_match":true,"report_id":{r.report_id}}}' if isinstance(p, NoMatch) else
         f'{{"fired_rule":{_str(p.fired_rule)},"report_id":{r.report_id},'
-        f'"strategy":"{value[p.strategy]}","subject":{_str(p.subject)}}}'
+        f'"strategy":"{p.strategy._value_}","subject":{_str(p.subject)}}}'
         for r, p in zip(record.reports, record.plans)
     ])
     executions = ",".join([
         f'{{"completed_at":{e.completed_at},'
         f'"mutations":[{",".join(map(_str, e.applied_mutations))}],'
         f'"new_instance_id":{"null" if e.new_instance_id is None else _str(e.new_instance_id)},'
-        f'"strategy":"{value[e.plan.strategy]}","subject":{_str(e.plan.subject)}}}'
+        f'"strategy":"{e.plan.strategy._value_}","subject":{_str(e.plan.subject)}}}'
         for e in record.executions
     ])
     texts = []
     for v in record.post_violations:
         if (text := rendered.get(id(v))) is None:
             text = rendered[id(v)] = (
-                f'{{"kind":"{value[v.kind]}","subject":{_str(render_subject(v.subject))}}}'
+                f'{{"kind":"{v.kind._value_}","subject":{_str(render_subject(v.subject))}}}'
             )
         texts.append(text)
     violations = ",".join(texts)
     return (
         f'{{"clock_end":{record.clock_end},"clock_start":{record.clock_start},'
         f'"executions":[{executions}],'
-        f'"fault":{{"injected_at":{fault.injected_at},"kind":"{value[fault.kind]}"{magnitude},'
+        f'"fault":{{"injected_at":{fault.injected_at},"kind":"{fault.kind._value_}"{magnitude},'
         f'"target":{_str(render_subject(fault.target))}}},'
         f'"plans":[{plans}],"post_violations":[{violations}],"reports":[{reports}],'
         f'"round":{record.index}}}'
@@ -427,12 +423,11 @@ def emit_reports(report: ScenarioReport, out_dir: str) -> dict[str, str]:
         "rounds": os.path.join(out_dir, "rounds.csv"),
         "suspects": os.path.join(out_dir, "suspects.csv"),
     }
-    value = _VALUE
     # A round executes exactly the plans that are not NoMatch.
     rows = (
-        (r.index, r.clock_end, value[r.fault.kind], render_subject(r.fault.target),
+        (r.index, r.clock_end, r.fault.kind._value_, render_subject(r.fault.target),
          len(r.reports), len(r.executions),
-         ";".join([value[e.plan.strategy] for e in r.executions]),
+         ";".join([e.plan.strategy._value_ for e in r.executions]),
          len(r.post_violations), len(r.plans) - len(r.executions))
         for r in report.rounds
     )
@@ -442,8 +437,9 @@ def emit_reports(report: ScenarioReport, out_dir: str) -> dict[str, str]:
                 os.unlink(path)
             except FileNotFoundError:
                 pass
-        with open(paths["scenario"], "w", encoding="ascii", newline="") as fh:
-            fh.writelines(scenario_chunks(report))
+        # Binary, so that no text codec module is imported; encode still rejects non-ASCII.
+        with open(paths["scenario"], "wb") as fh:
+            fh.writelines(chunk.encode("ascii") for chunk in scenario_chunks(report))
         with open(paths["rounds"], "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(ROUNDS_CSV_HEADER)

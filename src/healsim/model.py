@@ -2,15 +2,15 @@
 blueprint it is validated against.
 
 The blueprint describes the intended architecture (component types, named
-slots, intended connectors). The model holds what is actually running:
-at most one component instance per slot, the live connectors as slot-level
-``ConnectorSpec``s, and a logical clock in milliseconds. Live connectors are
-always a subset of the intended ones: faults only remove connectors, repairs
-re-add intended ones, and ``add_connector`` rejects any other spec. Faults
-damage the model; repairs restore it; ``validate`` lists every deviation
-from the blueprint. The model keeps its damage by blueprint position and
-journals each change, so validation, fault targets and change events cost
-what changed, not the blueprint's size; whole-blueprint views are built on demand.
+slots, intended connectors). The model holds what is actually running, by
+blueprint position: at most one component instance per slot, which
+intended connectors are live, and a logical clock in milliseconds. Faults
+only remove connectors, repairs re-add intended ones, and ``add_connector``
+rejects any other spec. Faults damage the model; repairs restore it;
+``validate`` lists every deviation from the blueprint. The model keeps its
+damage by position and journals each change, so validation, fault targets
+and change events cost what changed, not the blueprint's size;
+whole-blueprint views are built on demand.
 """
 
 from __future__ import annotations
@@ -182,9 +182,8 @@ class Blueprint(Frozen):
 
     _fields = ("component_types", "slots", "intended_connectors")
     # And the lookup maps, built once by __init__ from the value fields.
-    __slots__ = _fields + (
-        "_dependencies", "_incident", "_pair_pos", "_by_name", "_slot_pos", "_slot_names"
-    )
+    __slots__ = _fields + ("_dependencies", "_incident", "_ends", "_pair_pos", "_by_name",
+                           "_slot_pos", "_slot_names")
 
     def __init__(self, component_types: tuple[ComponentType, ...],
                  slots: tuple[tuple[str, str], ...],
@@ -208,8 +207,11 @@ class Blueprint(Frozen):
             if type_name not in types:
                 raise BlueprintError(f"slot {slot!r} references unknown type {type_name!r}")
             slot_types[slot] = types[type_name]
+        slot_pos = {slot: i for i, slot in enumerate(slot_types)}
         dependencies: dict[str, list[str]] = {slot: [] for slot in slot_types}
-        incident: dict[str, list[int]] = {slot: [] for slot in slot_types}
+        # By position: each slot's incident connectors, each connector's (source, target) slots.
+        incident: list[list[int]] = [[] for _ in slot_types]
+        ends: list[tuple[int, int]] = []
         pair_pos: dict[tuple[str, str], int] = {}
         by_name: dict[str, ConnectorSpec] = {}
         for pos, spec in enumerate(self.intended_connectors):
@@ -240,14 +242,16 @@ class Blueprint(Frozen):
                 )
             by_name[name] = spec
             dependencies[spec.source].append(spec.target)
-            incident[spec.source].append(pos)
-            incident[spec.target].append(pos)
+            ends.append((source := slot_pos[spec.source], target := slot_pos[spec.target]))
+            incident[source].append(pos)
+            incident[target].append(pos)
         _set(self, "_dependencies", dependencies)
         _set(self, "_incident", incident)
+        _set(self, "_ends", ends)
         _set(self, "_pair_pos", pair_pos)
         _set(self, "_by_name", by_name)
         _set(self, "_slot_names", tuple(slot_types))
-        _set(self, "_slot_pos", {slot: i for i, slot in enumerate(slot_types)})
+        _set(self, "_slot_pos", slot_pos)
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
@@ -358,83 +362,83 @@ def _kth_kept(k: int, skipped: list[int]) -> int:
 
 
 class ArchitectureModel(Record):
-    """The live architecture plus the blueprint it should match.
+    """The live architecture plus the blueprint it should match, each fact
+    stored once, by blueprint position: a list of each slot's instance or
+    None, and the set of intended connectors that are not live.
 
-    ``components`` maps every blueprint slot, and nothing else, to its
-    instance or None; construction raises UnknownSlot otherwise, and
-    ModelError for a value that is neither a Component nor None.
-    ``connectors`` holds the live connectors, each one of the blueprint's
-    intended ConnectorSpecs: construction and ``add_connector`` reject any
-    other spec with UnknownConnector. A slot holds at most one instance and
-    removing it drops its connectors, so a spec names exactly one live edge
-    between instances.
+    The constructor's ``components`` maps every blueprint slot, and nothing
+    else, to its instance or None (UnknownSlot otherwise, and ModelError for
+    a value that is neither); its ``connectors`` are the live ones, each an
+    intended ConnectorSpec (UnknownConnector otherwise, as for
+    ``add_connector``). A slot holds at most one instance and removing it
+    drops its connectors, so a spec names exactly one live edge.
 
-    Mutations are primitive and apply exactly the named change, except that
-    removing a component also drops its incident connectors (a connector
-    cannot outlive an endpoint). A single writer at a time is assumed;
-    reads are safe from anywhere between mutations. Replace the entries of
-    ``components`` and change ``connectors`` only through the mutation methods:
-    they keep current the damage sets and the change journal that
-    monitoring, validation and fault drawing read.
+    Mutations apply exactly the named change, except that removing a
+    component also drops its incident connectors. A single writer at a time
+    is assumed; reads are safe between mutations. Change the model only
+    through its mutation methods: they keep current the damaged slots and
+    the change journal that monitoring, validation and fault drawing read.
     """
 
-    _fields = ("blueprint", "components", "connectors", "clock", "_instance_seq")
-    __slots__ = _fields + ("_views", "_damaged", "_missing", "_violations", "_journal")
+    _fields = ("blueprint", "_components", "_missing", "clock", "_instance_seq")
+    __slots__ = _fields + ("_damaged", "_violations", "_journal")
 
     def __init__(self, blueprint: Blueprint, components: dict[str, Component | None],
-                 connectors: set[ConnectorSpec], clock: int = 0) -> None:
-        self.blueprint, self.components, self.connectors, self.clock = (
-            blueprint, components, connectors, clock
-        )
-        self._instance_seq: dict[str, int] = {}
-        # Changes since the last cut_journal(): slot position -> its Component (or None)
-        # before the first change; ~connector position -> (spec, live) while its flips are odd.
-        self._journal: dict = {}
-        bp = blueprint
-        if odd := components.keys() ^ bp._slot_pos.keys():
+                 connectors: set[ConnectorSpec] | tuple[ConnectorSpec, ...],
+                 clock: int = 0) -> None:
+        self.blueprint, self.clock, self._instance_seq = blueprint, clock, {}
+        if odd := components.keys() ^ blueprint._slot_pos.keys():
             name = min(odd)
             raise UnknownSlot(f"no slot named {name!r}" if name in components
                               else f"slot {name!r} is missing from the components")
-        # By position: (slot, Component or None), slots absent or not STARTED, connectors not live.
-        self._views: list[tuple[str, Component | None]] = [None] * len(bp.slots)
+        # By slot position: the instance or None, and the slots absent or not STARTED.
+        self._components: list[Component | None] = [None] * len(blueprint.slots)
         self._damaged: set[int] = set()
-        for slot in bp._slot_names:
+        # Changes since the last cut_journal(): slot position -> its Component (or None)
+        # before the first change; ~connector position -> (spec, live) while its flips are odd.
+        self._journal: dict = {}
+        for pos, slot in enumerate(blueprint._slot_names):
             if (comp := components[slot]) is not None:
                 if not isinstance(comp, Component):
                     raise ModelError(f"slot {slot!r} holds a {type(comp).__name__}, not a Component")
                 self._note_instance_id(slot, comp.instance_id)
-            self._put(slot, comp)
-        positions = {spec.name: bp._connector_pos(spec) for spec in connectors}
+            self._put(pos, comp)
+        positions = {spec.name: blueprint._connector_pos(spec) for spec in connectors}
         if unknown := [name for name, pos in positions.items() if pos is None]:
             raise UnknownConnector(f"connector {min(unknown)} is not intended")  # min: any hash seed
         live = set(positions.values())
-        self._missing = {pos for pos in range(len(bp.intended_connectors)) if pos not in live}
+        self._missing = set(range(len(blueprint.intended_connectors))) - live
         # The Violation objects validate returns, each built on first use, by
         # 3 * slot position + (0 missing, 1 unknown state, 2 not started) or ~connector position.
         self._violations: dict[int, Violation] = {}
         self._journal = {}  # a new model has changed nothing yet
 
-    def _put(self, slot: str, comp: Component | None) -> None:
-        """Make ``comp`` the slot's entry, in ``components`` and the views."""
-        pos = self.blueprint._slot_pos[slot]
-        self._journal.setdefault(pos, self.components[slot])
-        self.components[slot] = comp
-        self._views[pos] = (slot, comp)
+    def _put(self, pos: int, comp: Component | None) -> None:
+        """Make ``comp`` the entry of the slot at ``pos``."""
+        self._journal.setdefault(pos, self._components[pos])
+        self._components[pos] = comp
         started = comp is not None and comp.state is ComponentState.STARTED
         (self._damaged.discard if started else self._damaged.add)(pos)
 
     def _flip(self, pos: int, live: bool) -> None:
         """Make the connector at ``pos`` live or not; it is not yet so."""
-        spec = self.blueprint.intended_connectors[pos]
-        (self.connectors.add if live else self.connectors.discard)(spec)
         (self._missing.discard if live else self._missing.add)(pos)
         if self._journal.pop(~pos, None) is None:  # a second flip undoes the first
-            self._journal[~pos] = (spec, live)
+            self._journal[~pos] = (self.blueprint.intended_connectors[pos], live)
 
-    def _occupied(self, slot: str) -> Component:
-        if (comp := self.component(slot)) is None:
+    def _position(self, slot: str) -> int:
+        if (pos := self.blueprint._slot_pos.get(slot)) is None:
+            raise UnknownSlot(f"no slot named {slot!r}")
+        return pos
+
+    def _occupied(self, slot: str) -> tuple[int, Component]:
+        if (comp := self._components[pos := self._position(slot)]) is None:
             raise TargetAbsent(f"slot {slot!r} is empty")
-        return comp
+        return pos, comp
+
+    def _ends_present(self, pos: int) -> bool:
+        source, target = self.blueprint._ends[pos]
+        return self._components[source] is not None and self._components[target] is not None
 
     def _note_instance_id(self, slot: str, instance_id: str) -> None:
         """Keep ``allocate_instance_id`` past an id ``SLOT#N`` the slot holds."""
@@ -442,43 +446,41 @@ class ArchitectureModel(Record):
         if head == slot and n.isdecimal():
             self._instance_seq[slot] = max(self._instance_seq.get(slot, 0), int(n))
 
-    def _absent(self) -> list[int]:
-        """Positions of the empty slots, ascending."""
-        return sorted(pos for pos in self._damaged if self._views[pos][1] is None)
-
     # -- queries ---------------------------------------------------------
 
     def component(self, slot: str) -> Component | None:
-        if slot not in self.components:
-            raise UnknownSlot(f"no slot named {slot!r}")
-        return self.components[slot]
+        return self._components[self._position(slot)]
 
     def present(self, slot: str) -> bool:
         return self.component(slot) is not None
 
     def present_slots(self) -> list[str]:
         """Slots that hold an instance, in blueprint order."""
-        return [slot for slot, comp in self._views if comp is not None]
+        return [slot for slot, comp in self.slot_views() if comp is not None]
 
     def present_count(self) -> int:
-        return len(self._views) - len(self._absent())
+        return len(self._components) - [self._components[pos] for pos in self._damaged].count(None)
 
     def present_slot(self, k: int) -> str:
         """``present_slots()[k]`` for 0 <= k < ``present_count()``, from the empty slots alone."""
-        return self.blueprint._slot_names[_kth_kept(k, self._absent())]
+        absent = [pos for pos in self._damaged if self._components[pos] is None]
+        return self.blueprint._slot_names[_kth_kept(k, sorted(absent))]
 
     def slot_views(self) -> tuple[tuple[str, Component | None], ...]:
         """``(slot, Component or None)`` per slot, in blueprint order."""
-        return tuple(self._views)
+        return tuple(zip(self.blueprint._slot_names, self._components))
 
     def live_connectors(self) -> tuple[ConnectorSpec, ...]:
         """Live connectors in blueprint declaration order."""
-        missing = self._missing
-        return tuple(spec for pos, spec in enumerate(self.blueprint.intended_connectors)
-                     if pos not in missing)
+        intended, missing = self.blueprint.intended_connectors, self._missing
+        return tuple([intended[pos] for pos in range(len(intended)) if pos not in missing])
+
+    def live_count(self) -> int:
+        """``len(live_connectors())``: the intended connectors less the missing."""
+        return len(self.blueprint.intended_connectors) - len(self._missing)
 
     def live_connector(self, k: int) -> ConnectorSpec:
-        """``live_connectors()[k]`` for 0 <= k < ``len(connectors)``, from the missing alone."""
+        """``live_connectors()[k]`` for 0 <= k < ``live_count()``, from the missing alone."""
         return self.blueprint.intended_connectors[_kth_kept(k, sorted(self._missing))]
 
     def live_connector_specs(self) -> list[ConnectorSpec]:
@@ -493,29 +495,29 @@ class ArchitectureModel(Record):
     # -- mutations -------------------------------------------------------
 
     def set_state(self, slot: str, state: ComponentState) -> None:
-        comp = self._occupied(slot)
-        self._put(slot, Component(comp.instance_id, state, comp.exception_count))
+        pos, comp = self._occupied(slot)
+        self._put(pos, Component(comp.instance_id, state, comp.exception_count))
 
     def add_exceptions(self, slot: str, n: int) -> None:
         if n < 0:
             raise ValueError("exception increment must be non-negative")
-        comp = self._occupied(slot)
-        self._put(slot, Component(comp.instance_id, comp.state, comp.exception_count + n))
+        pos, comp = self._occupied(slot)
+        self._put(pos, Component(comp.instance_id, comp.state, comp.exception_count + n))
 
     def reset_exceptions(self, slot: str) -> None:
-        comp = self._occupied(slot)
-        self._put(slot, Component(comp.instance_id, comp.state, 0))
+        pos, comp = self._occupied(slot)
+        self._put(pos, Component(comp.instance_id, comp.state, 0))
 
     def remove_component(self, slot: str) -> list[ConnectorSpec]:
         """Empty the slot, dropping incident live connectors with it.
         Returns a ConnectorSpec for each connector that went away."""
-        self._occupied(slot)
+        pos, _ = self._occupied(slot)
         missing, intended = self._missing, self.blueprint.intended_connectors
-        dropped = [pos for pos in self.blueprint._incident[slot] if pos not in missing]
-        for pos in dropped:
-            self._flip(pos, False)
-        self._put(slot, None)
-        return [intended[pos] for pos in dropped]
+        dropped = [c for c in self.blueprint._incident[pos] if c not in missing]
+        for c in dropped:
+            self._flip(c, False)
+        self._put(pos, None)
+        return [intended[c] for c in dropped]
 
     def remove_connector(self, spec: ConnectorSpec) -> None:
         pos = self.blueprint._connector_pos(spec)
@@ -531,7 +533,7 @@ class ArchitectureModel(Record):
             raise UnknownConnector(f"connector {spec.name} is not intended")
         if pos not in self._missing:
             return False
-        if self.components[spec.source] is None or self.components[spec.target] is None:
+        if not self._ends_present(pos):
             raise TargetAbsent(f"connector {spec.name} has an absent endpoint")
         self._flip(pos, True)
         return True
@@ -539,32 +541,28 @@ class ArchitectureModel(Record):
     def restore_connectors(self, slot: str) -> list[ConnectorSpec]:
         """Make live each missing intended connector of an occupied slot whose
         other endpoint is present too; returns those specs in blueprint order."""
-        self._occupied(slot)
-        intended, components, missing = (
-            self.blueprint.intended_connectors, self.components, self._missing
-        )
+        pos, _ = self._occupied(slot)
+        missing, intended = self._missing, self.blueprint.intended_connectors
         restored = []
-        for pos in self.blueprint._incident[slot]:
-            if pos in missing:
-                spec = intended[pos]
-                if components[spec.source] is not None and components[spec.target] is not None:
-                    self._flip(pos, True)
-                    restored.append(spec)
+        for c in self.blueprint._incident[pos]:
+            if c in missing and self._ends_present(c):
+                self._flip(c, True)
+                restored.append(intended[c])
         return restored
 
     def instantiate(self, slot: str, instance_id: str) -> Component:
         """Fill an empty slot with a fresh instance: STARTED, zero exceptions."""
-        if self.component(slot) is not None:
+        if self._components[pos := self._position(slot)] is not None:
             raise ModelError(f"slot {slot!r} is already occupied")
         comp = Component(instance_id)
-        self._put(slot, comp)
+        self._put(pos, comp)
         self._note_instance_id(slot, instance_id)
         return comp
 
     def allocate_instance_id(self, slot: str) -> str:
         """Next instance id ``SLOT#N`` for this slot, with N past every id of
         that form the model has allocated or its slot has held."""
-        self.component(slot)
+        self._position(slot)
         seq = self._instance_seq.get(slot, 0) + 1
         self._instance_seq[slot] = seq
         return f"{slot}#{seq}"
@@ -579,7 +577,7 @@ def instantiate_blueprint(blueprint: Blueprint) -> ArchitectureModel:
     """A fresh model with every slot filled by ``SLOT#1``, every intended
     connector live, and the clock at zero; built whole, so its damage sets stay empty-sized."""
     components = {slot: Component(f"{slot}#1") for slot in blueprint._slot_names}
-    return ArchitectureModel(blueprint, components, set(blueprint.intended_connectors))
+    return ArchitectureModel(blueprint, components, blueprint.intended_connectors)
 
 
 def build_default_model() -> ArchitectureModel:
@@ -600,23 +598,23 @@ def validate(model: ArchitectureModel) -> list[Violation]:
     built once, and a report writer can render each object once.
     """
     violations: list[Violation] = []
-    views, shared = model._views, model._violations
+    bp, components, shared = model.blueprint, model._components, model._violations
     for pos in sorted(model._damaged):
-        slot, comp = views[pos]
-        if comp is None:
+        if (comp := components[pos]) is None:
             i, kind = 3 * pos, ViolationKind.MISSING_COMPONENT
         elif comp.state is ComponentState.UNKNOWN:
             i, kind = 3 * pos + 1, ViolationKind.UNKNOWN_STATE
         else:  # STOPPED or UNDEPLOYED: a damaged slot is absent or not STARTED
             i, kind = 3 * pos + 2, ViolationKind.NOT_STARTED
         if (violation := shared.get(i)) is None:
-            violation = shared[i] = Violation(kind, slot)
+            violation = shared[i] = Violation(kind, bp._slot_names[pos])
         violations.append(violation)
-    intended, components = model.blueprint.intended_connectors, model.components
+    ends = bp._ends
     for pos in sorted(model._missing):
-        spec = intended[pos]
-        if components[spec.source] is not None and components[spec.target] is not None:
+        source, target = ends[pos]
+        if components[source] is not None and components[target] is not None:
             if (violation := shared.get(~pos)) is None:
+                spec = bp.intended_connectors[pos]
                 violation = shared[~pos] = Violation(ViolationKind.MISSING_CONNECTOR, spec)
             violations.append(violation)
     return violations

@@ -86,26 +86,29 @@ def observe(prev: Snapshot, cur: Snapshot) -> list[ChangeEvent]:
     since = cur._journal[0]
     if since is None or since is not prev._journal[1]:
         raise NotConsecutive("observe compares a snapshot with the next snapshot of its model")
-    return _events(since, cur.slots, cur.clock)
+    return _events(since, [slot for slot, _ in cur.slots], [comp for _, comp in cur.slots],
+                   cur.clock)
 
 
 def observe_changes(model: ArchitectureModel) -> list[ChangeEvent]:
     """The events since the model's journal was last cut, which this cuts:
     what ``observe`` gives for snapshots taken then and now, without them."""
-    return _events(model.cut_journal()[0], model._views, model.clock)
+    return _events(model.cut_journal()[0], model.blueprint._slot_names, model._components,
+                   model.clock)
 
 
-def _events(since: dict, slots, at: int) -> list[ChangeEvent]:
+def _events(since: dict, names, components, at: int) -> list[ChangeEvent]:
     """Minimal, complete diff in deterministic order: slot events in
     blueprint order (state before exceptions within a slot), then connector
     removals, then connector additions, each in canonical connector order.
-    ``slots`` holds ``(slot, Component or None)`` by position as the journal
-    window ``since`` ends. Instance ids are not compared: a slot refilled
-    with an equal state and exception count yields no event.
+    ``names`` and ``components`` hold each slot's name and its Component or
+    None, by position, as the journal window ``since`` ends. Instance ids
+    are not compared: a slot refilled with an equal state and exception
+    count yields no event.
     """
     events: list[ChangeEvent] = []
     for pos in sorted(k for k in since if k >= 0):
-        before, (slot, after) = since[pos], slots[pos]
+        before, after, slot = since[pos], components[pos], names[pos]
         if before is after:  # empty at both ends: filled and emptied again
             continue
         if after is None:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii as _str
 from time import monotonic
 
@@ -364,22 +363,18 @@ class RemotePlanner:
 Planner = InProcessPlanner | RemotePlanner
 
 
-def fact_from_report(report: FailureReport, prior_failures: int) -> Fact:
-    return Fact(
-        kind=report.kind,
-        subject=render_subject(report.subject),
-        exception_count=report.exception_count,
-        dependent_count=len(report.dependent_slots),
-        prior_failures_of_subject=prior_failures,
-    )
-
-
 def request_plan(
     planner: Planner,
     report: FailureReport,
-    history: Mapping[str, int] | None = None,
+    history: dict[str, int] | None = None,
 ) -> RepairPlan | NoMatch:
     """Ask a planner for the repair of one failure report. ``history`` maps
-    subject strings to how many times they have already failed this run."""
-    prior = (history or {}).get(render_subject(report.subject), 0)
-    return planner.plan(fact_from_report(report, prior))
+    subject strings to how many times they have already failed this run;
+    this failure is counted in it."""
+    subject = render_subject(report.subject)
+    prior = 0
+    if history is not None:
+        prior = history.get(subject, 0)
+        history[subject] = prior + 1
+    return planner.plan(Fact(report.kind, subject, report.exception_count,
+                             len(report.dependent_slots), prior))

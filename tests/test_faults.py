@@ -147,15 +147,15 @@ def test_inject_cf3_removes_component_and_connectors():
     model = build_default_model()
     inject(model, FaultInstance(FaultKind.CF3, "Persistence Service"))
     assert model.component("Persistence Service") is None
-    assert len(model.connectors) == 5
+    assert model.live_count() == 5
 
 
 def test_inject_cf4_removes_only_that_connector():
     model = build_default_model()
     spec = ConnectorSpec("Query Service", "Reputation Service", "Reputation Service")
     inject(model, FaultInstance(FaultKind.CF4, spec))
-    assert spec not in model.connectors
-    assert len(model.connectors) == 8
+    assert spec not in model.live_connectors()
+    assert model.live_count() == 8
     for slot in model.blueprint.slot_names():
         comp = model.component(slot)
         assert comp.state is ComponentState.STARTED

@@ -41,9 +41,9 @@ def model():
 
 
 def test_default_model_shape(model):
-    assert len(model.components) == 7
-    assert len(model.connectors) == 9
-    assert all(c is not None for c in model.components.values())
+    assert len(model.slot_views()) == 7
+    assert len(model.live_connectors()) == model.live_count() == 9
+    assert all(c is not None for _, c in model.slot_views())
     assert model.clock == 0
 
 
@@ -129,11 +129,11 @@ def test_validate_is_pure(model):
 
 
 def test_remove_then_add_connector_restores(model):
-    original = set(model.connectors)
+    original = model.live_connectors()
     model.remove_connector(QS_REP)
-    assert len(model.connectors) == 8
+    assert model.live_count() == 8 and QS_REP not in model.live_connectors()
     model.add_connector(QS_REP)
-    assert model.connectors == original
+    assert model.live_connectors() == original
 
 
 def test_mutations(model):
@@ -216,7 +216,7 @@ def test_add_connector_rejects_unintended(model):
         live = target.live_connector_specs()
         with pytest.raises(UnknownConnector, match=f"connector {spec.name} is not intended"):
             target.add_connector(spec)
-        assert target.live_connector_specs() == live and spec not in target.connectors
+        assert target.live_connector_specs() == live and spec not in target.live_connectors()
 
 
 def test_add_connector_absent_endpoint(model):
@@ -228,7 +228,7 @@ def test_add_connector_absent_endpoint(model):
 def test_remove_component_drops_incident_connectors(model):
     dropped = model.remove_component("Persistence Service")
     assert len(dropped) == 4
-    assert len(model.connectors) == 5
+    assert model.live_count() == 5
     assert model.component("Persistence Service") is None
 
 
@@ -252,12 +252,14 @@ def test_restore_connectors_makes_live_the_missing_ones_with_both_ends_present(m
     model.remove_component("Query Service")
     model.remove_component("Reputation Service")
     model.instantiate("Query Service", "Query Service#2")
+    live = model.live_connectors()
     missing = [spec for spec in model.blueprint.intended_connectors
-               if "Query Service" in (spec.source, spec.target) and spec not in model.connectors]
+               if "Query Service" in (spec.source, spec.target) and spec not in live]
     expected = [s for s in missing if model.present(s.source) and model.present(s.target)]
     assert QS_REP in missing and QS_REP not in expected and len(expected) >= 2
     assert model.restore_connectors("Query Service") == expected  # blueprint order
-    assert all(spec in model.connectors for spec in expected) and QS_REP not in model.connectors
+    live = model.live_connectors()
+    assert all(spec in live for spec in expected) and QS_REP not in live
     assert model.restore_connectors("Query Service") == []
     with pytest.raises(TargetAbsent):
         model.restore_connectors("Reputation Service")

@@ -28,7 +28,6 @@ from healsim.planner import (
     RequestTimeout,
     decode,
     encode,
-    fact_from_report,
     request_plan,
 )
 from healsim.rules import Fact, RepairPlan, Strategy, default_ruleset, parse_rules
@@ -431,13 +430,21 @@ def _report(kind=FaultKind.CF1, subject="Query Service", deps=("Last Second Sale
     return FailureReport(0, kind, subject, 0, 0, tuple(deps))
 
 
-def test_fact_from_report_renders_connector_subject():
+def test_request_plan_renders_connector_subject_and_counts_it():
+    class Recorder:
+        def plan(self, fact):
+            facts.append(fact)
+            return NoMatch()
+
+    facts = []
     spec = ConnectorSpec("Query Service", "Reputation Service", "Reputation Service")
     report = FailureReport(3, FaultKind.CF4, spec, 0, 120, ())
-    fact = fact_from_report(report, prior_failures=2)
-    assert fact.subject == "Query Service->Reputation Service"
-    assert fact.prior_failures_of_subject == 2
-    assert fact.dependent_count == 0
+    history = {"Query Service->Reputation Service": 2}
+    assert request_plan(Recorder(), report, history) == NoMatch()
+    assert request_plan(Recorder(), report) == NoMatch()
+    assert facts == [Fact(FaultKind.CF4, "Query Service->Reputation Service", 0, 0, 2),
+                     Fact(FaultKind.CF4, "Query Service->Reputation Service", 0, 0, 0)]
+    assert history == {"Query Service->Reputation Service": 3}
 
 
 def test_inproc_and_remote_agree(service):

@@ -1,20 +1,30 @@
 """The record classes: value equality, hashing, text, immutability and
-copying, checked for every record class in one table; and a cold start that
-loads neither ``dataclasses`` nor ``inspect`` and, in process, compiles no
-planner pattern."""
+copying, checked for every record class in one table; a run and its reports
+that call no Python-level ``__hash__``; and a cold start that loads neither
+``dataclasses`` nor ``inspect`` and, in process, compiles no planner pattern
+and imports no text codec."""
 
+import collections
 import copy
 import os
 import pickle
 import subprocess
 import sys
+from enum import Enum
 
 import pytest
+from test_golden import layered_blueprint_doc
 
 from healsim.analyzer import FailureReport, RootCauseLedger, RootCauseSuspect
 from healsim.executor import ExecutionResult
 from healsim.faults import FaultInstance, FaultKind
-from healsim.harness import RoundRecord, ScenarioConfig, ScenarioReport
+from healsim.harness import (
+    RoundRecord,
+    ScenarioConfig,
+    ScenarioReport,
+    ScenarioRunner,
+    emit_reports,
+)
 from healsim.model import (
     Blueprint,
     Component,
@@ -25,6 +35,7 @@ from healsim.model import (
     Record,
     Violation,
     ViolationKind,
+    blueprint_from_json,
     instantiate_blueprint,
 )
 from healsim.monitor import ChangeEvent, EventKind, Snapshot
@@ -189,16 +200,15 @@ MUTABLE = [
     (_ledger, (2, {}, {}, {"back": 100}, {"back": 400}),
      "RootCauseLedger(threshold=3, counters={'back': 1}, implicated_by={'back': ['front']}, "
      "first_at={'back': 300}, last_at={'back': 300})"),
-    (_model, (Blueprint(TYPES, SLOTS, ()), {"front": None, "back": None}, set(), 5, {"back": 9}),
+    (_model, (Blueprint(TYPES, SLOTS, ()), [None, None], {0}, 5, {"back": 9}),
      "ArchitectureModel(blueprint=Blueprint(component_types=(ComponentType(name='Front', "
      "provided_interface='Front', required_interfaces=('Back',)), ComponentType(name='Back', "
      "provided_interface='Back', required_interfaces=())), slots=(('front', 'Front'), "
      "('back', 'Back')), intended_connectors=(ConnectorSpec(source='front', target='back', "
-     "interface='Back'),)), components={'front': Component(instance_id='front#1', "
-     "state=<ComponentState.STARTED: 'STARTED'>, exception_count=0), 'back': Component("
-     "instance_id='back#1', state=<ComponentState.STARTED: 'STARTED'>, exception_count=0)}, "
-     "connectors={ConnectorSpec(source='front', target='back', interface='Back')}, clock=0, "
-     "_instance_seq={'front': 1, 'back': 1})"),
+     "interface='Back'),)), _components=[Component(instance_id='front#1', "
+     "state=<ComponentState.STARTED: 'STARTED'>, exception_count=0), Component("
+     "instance_id='back#1', state=<ComponentState.STARTED: 'STARTED'>, exception_count=0)], "
+     "_missing=set(), clock=0, _instance_seq={'front': 1, 'back': 1})"),
     (lambda: ChangeEvent(EventKind.EXCEPTIONS_CHANGED, "front", 0, 7, 300),
      (EventKind.STATE_CHANGED, "back", 1, 8, 301),
      "ChangeEvent(kind=<EventKind.EXCEPTIONS_CHANGED: 'EXCEPTIONS_CHANGED'>, subject='front', "
@@ -315,3 +325,39 @@ def test_a_cold_start_loads_no_module_only_serving_or_logging_needs():
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True, timeout=60, env={"PYTHONPATH": SRC}).stdout
     assert out == "[]\n[]\n"
+
+
+@pytest.mark.parametrize("doc, rounds", [(None, 2000), (layered_blueprint_doc(200), 200)],
+                         ids=["shop", "layered200"])
+def test_a_run_and_its_reports_call_no_python_level_hash(doc, rounds, tmp_path, monkeypatch):
+    """The model keys its facts by blueprint position and emission reads each
+    enum member's ``_value_``, so neither a round nor report emission hashes
+    an enum member or a record in Python."""
+    blueprint = None if doc is None else blueprint_from_json(doc)
+    runner = ScenarioRunner(ScenarioConfig(seed=42, rounds=rounds), blueprint=blueprint)
+    calls = collections.Counter()
+    for cls in (Enum, Frozen, ConnectorSpec):
+        def counted(self, _hash=cls.__hash__, _name=cls.__qualname__):
+            calls[_name] += 1
+            return _hash(self)
+
+        monkeypatch.setattr(cls, "__hash__", counted)
+    hash(FaultKind.CF1), hash(ComponentType("T", "I", ())), hash(ConnectorSpec("a", "b", "I"))
+    assert calls == {"Enum": 1, "Frozen": 1, "ConnectorSpec": 1}
+    calls.clear()
+    try:
+        emit_reports(runner.run(), str(tmp_path))
+    finally:
+        runner.close()
+    assert calls == {}
+
+
+def test_writing_reports_imports_no_text_codec(tmp_path):
+    """scenario.json is written in binary, its text encoded as ASCII by
+    ``str.encode``, which imports no codec module."""
+    code = ("import sys, healsim; "
+            "healsim.run_scenario(healsim.ScenarioConfig(42, 20, out_dir=sys.argv[1])); "
+            "print('encodings.ascii' in sys.modules)")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, check=True, timeout=60, env={"PYTHONPATH": SRC}).stdout
+    assert out == "False\n"
