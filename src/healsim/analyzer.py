@@ -11,9 +11,15 @@ from __future__ import annotations
 
 import csv
 
-from .faults import FaultKind
-from .model import ArchitectureModel, ComponentState, ConnectorSpec, Frozen, Record, _set
-from .monitor import ChangeEvent, EventKind
+from .faults import _CF1, _CF2, _CF3, _CF4, FaultKind
+from .model import _UNKNOWN, ArchitectureModel, ConnectorSpec, Frozen, Record, _set
+from .monitor import (
+    _COMPONENT_REMOVED,
+    _CONNECTOR_REMOVED,
+    _EXCEPTIONS_CHANGED,
+    _STATE_CHANGED,
+    ChangeEvent,
+)
 
 
 class FailureReport(Frozen):
@@ -48,27 +54,24 @@ def classify(
     benign changes yield nothing.
     """
     reports: list[FailureReport] = []
-    next_id = first_report_id
-
-    def emit(kind: FaultKind, subject, count: int, at: int, deps: tuple[str, ...]) -> None:
-        nonlocal next_id
-        reports.append(FailureReport(next_id, kind, subject, count, at, deps))
-        next_id += 1
-
+    dependencies = model.blueprint._dependencies  # one shared tuple per slot
     for event in events:
-        if event.kind is EventKind.STATE_CHANGED and event.new is ComponentState.UNKNOWN:
-            deps = tuple(model.blueprint.dependencies_of(event.subject))
-            emit(FaultKind.CF1, event.subject, 0, event.at, deps)
-        elif event.kind is EventKind.EXCEPTIONS_CHANGED and event.new > exception_threshold:
-            deps = tuple(model.blueprint.dependencies_of(event.subject))
-            emit(FaultKind.CF2, event.subject, event.new, event.at, deps)
-        elif event.kind is EventKind.COMPONENT_REMOVED:
-            deps = tuple(model.blueprint.dependencies_of(event.subject))
-            emit(FaultKind.CF3, event.subject, 0, event.at, deps)
-        elif event.kind is EventKind.CONNECTOR_REMOVED:
-            spec = event.subject
-            if model.present(spec.source) and model.present(spec.target):
-                emit(FaultKind.CF4, spec, 0, event.at, ())
+        kind, subject = event.kind, event.subject
+        if kind is _STATE_CHANGED and event.new is _UNKNOWN:
+            fault, count = _CF1, 0
+        elif kind is _EXCEPTIONS_CHANGED and event.new > exception_threshold:
+            fault, count = _CF2, event.new
+        elif kind is _COMPONENT_REMOVED:
+            fault, count = _CF3, 0
+        elif kind is _CONNECTOR_REMOVED:
+            if model.present(subject.source) and model.present(subject.target):
+                reports.append(FailureReport(first_report_id + len(reports), _CF4, subject, 0,
+                                             event.at, ()))
+            continue
+        else:
+            continue
+        reports.append(FailureReport(first_report_id + len(reports), fault, subject, count,
+                                     event.at, dependencies[subject]))
     return reports
 
 
@@ -105,7 +108,7 @@ class RootCauseLedger(Record):
         """Credit one failure of ``report.subject`` to each of its blueprint
         dependencies. Only component failures feed the ledger; a removed
         connector (CF4) has no failed component to attribute."""
-        if report.kind is FaultKind.CF4:
+        if report.kind is _CF4:
             raise ValueError("CF4 reports do not feed the root-cause ledger")
         at = report.detected_at
         for slot in report.dependent_slots:

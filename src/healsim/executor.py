@@ -19,8 +19,10 @@ restart of an empty slot or a connector with an absent endpoint raises a
 
 from __future__ import annotations
 
-from .model import ArchitectureModel, ComponentState, Frozen, UnknownConnector, _set
+from .model import ArchitectureModel, Frozen, UnknownConnector, _set
 from .rules import RepairPlan, Strategy
+
+_AS1, _AS2, _AS3, _AS4 = Strategy  # the members, as module globals
 
 
 class ExecutionResult(Frozen):
@@ -43,10 +45,8 @@ def _restore_incident_connectors(
 
 
 def _restart_in_place(model: ArchitectureModel, slot: str, mutations: list[str]) -> None:
-    model.set_state(slot, ComponentState.STARTED)
-    mutations.append(f"set_state({slot}, STARTED)")
-    model.reset_exceptions(slot)
-    mutations.append(f"reset_exceptions({slot})")
+    model.restart(slot)  # one replacement, recorded as the two changes it makes
+    mutations += (f"set_state({slot}, STARTED)", f"reset_exceptions({slot})")
 
 
 def execute(model: ArchitectureModel, plan: RepairPlan) -> ExecutionResult:
@@ -55,16 +55,16 @@ def execute(model: ArchitectureModel, plan: RepairPlan) -> ExecutionResult:
     mutations: list[str] = []
     new_instance_id: str | None = None
 
-    slot = plan.subject
-    if plan.strategy is Strategy.AS3:
+    slot, strategy = plan.subject, plan.strategy
+    if strategy is _AS3:
         spec = model.blueprint.connector_named(plan.subject)
         if spec is None:
             raise UnknownConnector(f"no intended connector named {plan.subject!r}")
         if model.add_connector(spec):
             mutations.append(f"add_connector({spec.name})")
-    elif plan.strategy is Strategy.AS1:
+    elif strategy is _AS1:
         _restart_in_place(model, slot, mutations)
-    elif plan.strategy is Strategy.AS2:
+    elif strategy is _AS2:
         if model.present(slot):
             _restart_in_place(model, slot, mutations)
         else:
@@ -82,9 +82,4 @@ def execute(model: ArchitectureModel, plan: RepairPlan) -> ExecutionResult:
         _restore_incident_connectors(model, slot, mutations)
 
     model.advance_clock(len(mutations))
-    return ExecutionResult(
-        plan=plan,
-        applied_mutations=tuple(mutations),
-        new_instance_id=new_instance_id,
-        completed_at=model.clock,
-    )
+    return ExecutionResult(plan, tuple(mutations), new_instance_id, model.clock)

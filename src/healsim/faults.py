@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .model import ArchitectureModel, ComponentState, ConnectorSpec, Frozen, _set
+from .model import _UNKNOWN, ArchitectureModel, ConnectorSpec, Frozen, _set
 
 _MASK = (1 << 64) - 1
 
@@ -19,7 +19,7 @@ class FaultKind(Enum):
     CF4 = "CF4"  # connector between two components removed
 
 
-_KIND_ORDER = (FaultKind.CF1, FaultKind.CF2, FaultKind.CF3, FaultKind.CF4)
+_KIND_ORDER = _CF1, _CF2, _CF3, _CF4 = tuple(FaultKind)  # the members, as module globals
 
 
 class NoEligibleTarget(Exception):
@@ -33,12 +33,12 @@ class FaultInstance(Frozen):
 
     def __init__(self, kind: FaultKind, target: str | ConnectorSpec,
                  magnitude: int | None = None, injected_at: int | None = None) -> None:
-        if kind is FaultKind.CF4:
+        if kind is _CF4:
             if not isinstance(target, ConnectorSpec):
                 raise ValueError("CF4 targets a connector")
         elif not isinstance(target, str):
             raise ValueError(f"{kind.value} targets a component slot")
-        if kind is FaultKind.CF2:
+        if kind is _CF2:
             if magnitude is None or magnitude <= 0:
                 raise ValueError("CF2 requires a positive magnitude")
         elif magnitude is not None:
@@ -77,27 +77,26 @@ def draw_fault(rng: Rng, model: ArchitectureModel, exception_threshold: int = 5)
     live connectors for CF4). CF2 magnitudes always clear the threshold.
     """
     kind = _KIND_ORDER[rng.next() % 4]
-    if kind is FaultKind.CF4:
+    if kind is _CF4:
         count, nth = model.live_count(), model.live_connector
     else:
         count, nth = model.present_count(), model.present_slot
     if not count:
         raise NoEligibleTarget(f"no eligible target for {kind.value}")
     target = nth(rng.next() % count)
-    magnitude = None
-    if kind is FaultKind.CF2:
-        magnitude = exception_threshold + 1 + rng.next() % 5
-    return FaultInstance(kind=kind, target=target, magnitude=magnitude, injected_at=model.clock)
+    magnitude = exception_threshold + 1 + rng.next() % 5 if kind is _CF2 else None
+    return FaultInstance(kind, target, magnitude, model.clock)
 
 
 def inject(model: ArchitectureModel, fault: FaultInstance) -> None:
     """Apply the fault to the model. CF3 takes the component's connectors
     with it; everything else touches only the named target."""
-    if fault.kind is FaultKind.CF1:
-        model.set_state(fault.target, ComponentState.UNKNOWN)
-    elif fault.kind is FaultKind.CF2:
+    kind = fault.kind
+    if kind is _CF1:
+        model.set_state(fault.target, _UNKNOWN)
+    elif kind is _CF2:
         model.add_exceptions(fault.target, fault.magnitude)
-    elif fault.kind is FaultKind.CF3:
+    elif kind is _CF3:
         model.remove_component(fault.target)
     else:
         model.remove_connector(fault.target)

@@ -31,7 +31,7 @@ from .analyzer import (
     write_suspect_report,
 )
 from .executor import ExecutionResult, execute
-from .faults import FaultInstance, FaultKind, Rng, draw_fault, draw_interval, inject
+from .faults import _CF4, FaultInstance, FaultKind, Rng, draw_fault, draw_interval, inject
 from .model import (
     Blueprint,
     Record,
@@ -229,24 +229,21 @@ class ScenarioRunner:
     def run_round(self) -> RoundRecord:
         """One full cycle: wait, inject, observe, classify, plan, execute,
         verify. Returns (and appends) the round's record."""
+        model, threshold = self.model, self.config.exception_threshold
         index = len(self.records) + 1
-        clock_start = self.model.clock
-        self.model.advance_clock(draw_interval(self.rng))
+        clock_start = model.clock
+        model.advance_clock(draw_interval(self.rng))
         if self._script is not None:
             scripted = self._script[index - 1]
-            fault = FaultInstance(scripted.kind, scripted.target, scripted.magnitude,
-                                  self.model.clock)
+            fault = FaultInstance(scripted.kind, scripted.target, scripted.magnitude, model.clock)
         else:
-            fault = draw_fault(self.rng, self.model, self.config.exception_threshold)
-        self.model.cut_journal()  # the round observes only what inject changes
-        inject(self.model, fault)
-        events = observe_changes(self.model)
-        reports = classify(
-            events, self.model, self.config.exception_threshold, self._next_report_id
-        )
+            fault = draw_fault(self.rng, model, threshold)
+        model.cut_journal()  # the round observes only what inject changes
+        inject(model, fault)
+        reports = classify(observe_changes(model), model, threshold, self._next_report_id)
         self._next_report_id += len(reports)
         for report in reports:
-            if report.kind is not FaultKind.CF4:
+            if report.kind is not _CF4:
                 self.ledger.record_failure(report)
         plans: list[RepairPlan | NoMatch] = []
         executions: list[ExecutionResult] = []
@@ -261,17 +258,9 @@ class ScenarioRunner:
                         render_subject(report.subject))
                 self.unhandled_failures += 1
             else:
-                executions.append(execute(self.model, outcome))
-        record = RoundRecord(
-            index=index,
-            fault=fault,
-            reports=tuple(reports),
-            plans=tuple(plans),
-            executions=tuple(executions),
-            post_violations=tuple(validate(self.model)),
-            clock_start=clock_start,
-            clock_end=self.model.clock,
-        )
+                executions.append(execute(model, outcome))
+        record = RoundRecord(index, fault, tuple(reports), tuple(plans), tuple(executions),
+                             tuple(validate(model)), clock_start, model.clock)
         self.records.append(record)
         return record
 
@@ -310,22 +299,28 @@ def round_json(record: RoundRecord, rendered: dict[int, str]) -> str:
     hand and strings escaped as ``canonical_json`` escapes them; the dict
     form lives on in ``tests/test_oracles.py``, which compares the bytes.
 
-    ``rendered`` maps ``id(violation)`` to the violation's text and is filled
-    as it goes; a caller passes one dict for many rounds of one report, and
-    keeps every violation in it alive for as long as it uses the dict.
+    ``rendered`` maps ``id(violation)`` to the violation's text, and the
+    ``id`` of a report's ``dependent_slots`` tuple to the text of its items,
+    and is filled as it goes; a caller passes one dict for many rounds of
+    one report, and keeps every object in it alive for as long as it uses
+    the dict. ``classify`` gives every report of a slot the blueprint's one
+    tuple, so each is rendered once.
 
     An enum member's text is read as ``_value_``, a plain attribute: ``value``
     is a Python-level descriptor. The values are plain ASCII identifiers, so
     they are written unescaped."""
     fault = record.fault
     magnitude = "" if fault.magnitude is None else f',"magnitude":{fault.magnitude}'
-    reports = ",".join([
-        f'{{"dependent_slots":[{",".join(map(_str, r.dependent_slots))}],'
-        f'"detected_at":{r.detected_at},"exception_count":{r.exception_count},'
-        f'"kind":"{r.kind._value_}","report_id":{r.report_id},'
-        f'"subject":{_str(render_subject(r.subject))}}}'
-        for r in record.reports
-    ])
+    texts = []
+    for r in record.reports:
+        if (deps := rendered.get(id(r.dependent_slots))) is None:
+            deps = rendered[id(r.dependent_slots)] = ",".join(map(_str, r.dependent_slots))
+        texts.append(
+            f'{{"dependent_slots":[{deps}],'
+            f'"detected_at":{r.detected_at},"exception_count":{r.exception_count},'
+            f'"kind":"{r.kind._value_}","report_id":{r.report_id},'
+            f'"subject":{_str(render_subject(r.subject))}}}')
+    reports = ",".join(texts)
     plans = ",".join([
         f'{{"no_match":true,"report_id":{r.report_id}}}' if isinstance(p, NoMatch) else
         f'{{"fired_rule":{_str(p.fired_rule)},"report_id":{r.report_id},'
@@ -363,10 +358,11 @@ def scenario_chunks(report: ScenarioReport) -> Iterator[str]:
 
     ``canonical_json`` encodes the small rest of the document with an empty
     ``rounds`` list; the objects from ``round_json`` go between its halves.
-    Each distinct violation object is rendered once per call: ``validate``
-    shares one object across the rounds a deviation stands, and the memo,
-    keyed by object identity, lives only as long as this call, during which
-    ``report`` holds every violation it names.
+    Each distinct violation object and dependency tuple is rendered once
+    per call: ``validate`` shares one object across the rounds a deviation
+    stands, and ``classify`` one tuple across the reports of a slot. The
+    memo, keyed by object identity, lives only as long as this call, during
+    which ``report`` holds every object it names.
     """
     config = report.config
     doc = canonical_json({
@@ -417,7 +413,6 @@ def emit_reports(report: ScenarioReport, out_dir: str) -> dict[str, str]:
     """Write scenario.json, rounds.csv, and suspects.csv, each as a new file
     (an old file or link at its path is removed, never written through);
     byte-stable for equal reports. Returns the written paths."""
-    os.makedirs(out_dir, exist_ok=True)
     paths = {
         "scenario": os.path.join(out_dir, "scenario.json"),
         "rounds": os.path.join(out_dir, "rounds.csv"),
@@ -432,6 +427,7 @@ def emit_reports(report: ScenarioReport, out_dir: str) -> dict[str, str]:
         for r in report.rounds
     )
     try:
+        os.makedirs(out_dir, exist_ok=True)
         for path in paths.values():  # a new file each: truncating a written one waits on writeback
             try:
                 os.unlink(path)

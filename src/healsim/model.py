@@ -102,6 +102,11 @@ class ComponentState(Enum):
     UNKNOWN = "UNKNOWN"
 
 
+# The members a round reads, as module globals: on Python 3.11 one reads in
+# about 4 ns, against about 40 ns for an Enum class attribute.
+_STARTED, _UNKNOWN = ComponentState.STARTED, ComponentState.UNKNOWN
+
+
 class ComponentType(Frozen):
     """Template for component instances: what it provides and requires."""
 
@@ -160,6 +165,9 @@ class ViolationKind(Enum):
     MISSING_COMPONENT = "MISSING_COMPONENT"
     MISSING_CONNECTOR = "MISSING_CONNECTOR"
     NOT_STARTED = "NOT_STARTED"
+
+
+_UNKNOWN_STATE, _MISSING_COMPONENT, _MISSING_CONNECTOR, _NOT_STARTED = ViolationKind
 
 
 class Violation(Frozen):
@@ -245,7 +253,7 @@ class Blueprint(Frozen):
             ends.append((source := slot_pos[spec.source], target := slot_pos[spec.target]))
             incident[source].append(pos)
             incident[target].append(pos)
-        _set(self, "_dependencies", dependencies)
+        _set(self, "_dependencies", {slot: tuple(deps) for slot, deps in dependencies.items()})
         _set(self, "_incident", incident)
         _set(self, "_ends", ends)
         _set(self, "_pair_pos", pair_pos)
@@ -417,8 +425,10 @@ class ArchitectureModel(Record):
         """Make ``comp`` the entry of the slot at ``pos``."""
         self._journal.setdefault(pos, self._components[pos])
         self._components[pos] = comp
-        started = comp is not None and comp.state is ComponentState.STARTED
-        (self._damaged.discard if started else self._damaged.add)(pos)
+        if comp is not None and comp.state is _STARTED:
+            self._damaged.discard(pos)
+        else:
+            self._damaged.add(pos)
 
     def _flip(self, pos: int, live: bool) -> None:
         """Make the connector at ``pos`` live or not; it is not yet so."""
@@ -459,7 +469,9 @@ class ArchitectureModel(Record):
         return [slot for slot, comp in self.slot_views() if comp is not None]
 
     def present_count(self) -> int:
-        return len(self._components) - [self._components[pos] for pos in self._damaged].count(None)
+        if not (damaged := self._damaged):
+            return len(self._components)
+        return len(self._components) - [self._components[pos] for pos in damaged].count(None)
 
     def present_slot(self, k: int) -> str:
         """``present_slots()[k]`` for 0 <= k < ``present_count()``, from the empty slots alone."""
@@ -504,9 +516,10 @@ class ArchitectureModel(Record):
         pos, comp = self._occupied(slot)
         self._put(pos, Component(comp.instance_id, comp.state, comp.exception_count + n))
 
-    def reset_exceptions(self, slot: str) -> None:
+    def restart(self, slot: str) -> None:
+        """Back to STARTED with a clean exception counter: one replacement."""
         pos, comp = self._occupied(slot)
-        self._put(pos, Component(comp.instance_id, comp.state, 0))
+        self._put(pos, Component(comp.instance_id, _STARTED, 0))
 
     def remove_component(self, slot: str) -> list[ConnectorSpec]:
         """Empty the slot, dropping incident live connectors with it.
@@ -601,11 +614,11 @@ def validate(model: ArchitectureModel) -> list[Violation]:
     bp, components, shared = model.blueprint, model._components, model._violations
     for pos in sorted(model._damaged):
         if (comp := components[pos]) is None:
-            i, kind = 3 * pos, ViolationKind.MISSING_COMPONENT
-        elif comp.state is ComponentState.UNKNOWN:
-            i, kind = 3 * pos + 1, ViolationKind.UNKNOWN_STATE
+            i, kind = 3 * pos, _MISSING_COMPONENT
+        elif comp.state is _UNKNOWN:
+            i, kind = 3 * pos + 1, _UNKNOWN_STATE
         else:  # STOPPED or UNDEPLOYED: a damaged slot is absent or not STARTED
-            i, kind = 3 * pos + 2, ViolationKind.NOT_STARTED
+            i, kind = 3 * pos + 2, _NOT_STARTED
         if (violation := shared.get(i)) is None:
             violation = shared[i] = Violation(kind, bp._slot_names[pos])
         violations.append(violation)
@@ -615,6 +628,6 @@ def validate(model: ArchitectureModel) -> list[Violation]:
         if components[source] is not None and components[target] is not None:
             if (violation := shared.get(~pos)) is None:
                 spec = bp.intended_connectors[pos]
-                violation = shared[~pos] = Violation(ViolationKind.MISSING_CONNECTOR, spec)
+                violation = shared[~pos] = Violation(_MISSING_CONNECTOR, spec)
             violations.append(violation)
     return violations

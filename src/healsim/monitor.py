@@ -53,6 +53,10 @@ class EventKind(Enum):
     CONNECTOR_ADDED = "CONNECTOR_ADDED"
 
 
+(_STATE_CHANGED, _EXCEPTIONS_CHANGED, _COMPONENT_REMOVED, _CONNECTOR_REMOVED,
+ _COMPONENT_ADDED, _CONNECTOR_ADDED) = EventKind  # read as module globals on the round path
+
+
 class ChangeEvent(Record):
     """One observed difference between consecutive snapshots.
 
@@ -107,23 +111,33 @@ def _events(since: dict, names, components, at: int) -> list[ChangeEvent]:
     count yields no event.
     """
     events: list[ChangeEvent] = []
-    for pos in sorted(k for k in since if k >= 0):
-        before, after, slot = since[pos], components[pos], names[pos]
+    removed: list[ChangeEvent] = []
+    added: list[ChangeEvent] = []
+    # A connector is journalled at ~position, below every slot position, so
+    # the ascending keys give its events in descending position order.
+    for key in sorted(since):
+        if key < 0:
+            spec, live = since[key]
+            if live:
+                added.append(ChangeEvent(_CONNECTOR_ADDED, spec, None, None, at))
+            else:
+                removed.append(ChangeEvent(_CONNECTOR_REMOVED, spec, None, None, at))
+            continue
+        before, after = since[key], components[key]
         if before is after:  # empty at both ends: filled and emptied again
             continue
         if after is None:
-            events.append(ChangeEvent(EventKind.COMPONENT_REMOVED, slot, old=before, at=at))
+            events.append(ChangeEvent(_COMPONENT_REMOVED, names[key], before, None, at))
         elif before is None:
-            events.append(ChangeEvent(EventKind.COMPONENT_ADDED, slot, new=after, at=at))
+            events.append(ChangeEvent(_COMPONENT_ADDED, names[key], None, after, at))
         else:
-            for kind, was, now in (
-                (EventKind.STATE_CHANGED, before.state, after.state),
-                (EventKind.EXCEPTIONS_CHANGED, before.exception_count, after.exception_count),
-            ):
-                if was != now:
-                    events.append(ChangeEvent(kind, slot, old=was, new=now, at=at))
-    # A connector is journalled at ~position, so descending keys are ascending positions.
-    flipped = [since[k] for k in sorted((k for k in since if k < 0), reverse=True)]
-    for want, kind in ((False, EventKind.CONNECTOR_REMOVED), (True, EventKind.CONNECTOR_ADDED)):
-        events += [ChangeEvent(kind, spec, at=at) for spec, live in flipped if live is want]
+            if before.state is not after.state:
+                events.append(ChangeEvent(_STATE_CHANGED, names[key], before.state, after.state,
+                                          at))
+            if before.exception_count != after.exception_count:
+                events.append(ChangeEvent(_EXCEPTIONS_CHANGED, names[key],
+                                          before.exception_count, after.exception_count, at))
+    if removed or added:
+        events += removed[::-1]
+        events += added[::-1]
     return events

@@ -491,5 +491,5 @@ def evaluate(ruleset: RuleSet, fact: Fact) -> RepairPlan | NoMatch:
     order, so the first match wins. Returns NoMatch when nothing matches."""
     for matches, rule in ruleset.ranked:
         if matches(fact):
-            return RepairPlan(strategy=rule.strategy, subject=fact.subject, fired_rule=rule.name)
+            return RepairPlan(rule.strategy, fact.subject, rule.name)
     return NoMatch()

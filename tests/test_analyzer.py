@@ -31,6 +31,22 @@ def test_classify_cf1_fills_dependencies():
     assert report.exception_count == 0
 
 
+def test_reports_of_one_slot_share_its_dependency_tuple():
+    """Every report of a slot carries the blueprint's one tuple, which the
+    report writer renders once; the public lookup still equals it."""
+    model = build_default_model()
+    reports = []
+    for fault in (FaultInstance(FaultKind.CF1, "Query Service"),
+                  FaultInstance(FaultKind.CF2, "Bid Service", magnitude=6),
+                  FaultInstance(FaultKind.CF1, "Query Service")):
+        reports += classify(_events_after(model, fault), model, exception_threshold=5)
+        model.restart(fault.target)
+    first, _, second = reports
+    assert [first.kind, second.kind] == [FaultKind.CF1, FaultKind.CF1]
+    assert first.dependent_slots is second.dependent_slots
+    assert first.dependent_slots == tuple(model.blueprint.dependencies_of("Query Service"))
+
+
 def test_classify_cf2_threshold_boundary():
     model = build_default_model()
     events = _events_after(model, FaultInstance(FaultKind.CF2, "Bid Service", magnitude=6))

@@ -84,6 +84,48 @@ def test_as2_on_present_component_restarts_and_reconnects():
     assert "add_connector(Query Service->Reputation Service)" in result.applied_mutations
 
 
+@pytest.mark.parametrize("strategy, state", [(Strategy.AS1, ComponentState.UNKNOWN),
+                                             (Strategy.AS2, ComponentState.STOPPED)])
+def test_a_restart_builds_one_component(strategy, state, monkeypatch):
+    """AS1, and AS2 on a present slot, replace the slot's component once,
+    and the trail still names both changes that replacement makes."""
+    model = build_default_model()
+    model.set_state("Query Service", state)
+    model.add_exceptions("Query Service", 7)
+    old = model.component("Query Service")
+    take_snapshot(model)  # starts an empty journal
+    built = []
+    init = Component.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Component, "__init__", counted)
+    result = execute(model, plan(strategy, "Query Service"))
+    monkeypatch.undo()
+    assert built == [("Query Service#1", ComponentState.STARTED, 0)]
+    assert result.applied_mutations == ("set_state(Query Service, STARTED)",
+                                        "reset_exceptions(Query Service)")
+    assert model.component("Query Service") == Component("Query Service#1")
+    assert model._journal == {model.blueprint._slot_pos["Query Service"]: old}
+    assert validate(model) == [] and model.clock == 2
+
+
+def test_restart_of_an_empty_slot_raises_and_changes_nothing():
+    model = build_default_model()
+    model.remove_component("Query Service")
+
+    def seen():
+        return (list(model._components), set(model._damaged), set(model._missing),
+                dict(model._journal), dict(model._instance_seq), model.clock)
+
+    before = seen()
+    with pytest.raises(TargetAbsent, match="^slot 'Query Service' is empty$"):
+        model.restart("Query Service")
+    assert seen() == before
+
+
 def test_as3_restores_connector():
     model = build_default_model()
     inject(model, FaultInstance(FaultKind.CF4, QS_REP))

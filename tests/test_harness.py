@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -267,18 +268,23 @@ def test_a_rerun_into_the_same_directory_is_byte_identical(tmp_path):
 
 
 def test_a_directory_at_a_report_path_is_a_config_error(tmp_path):
-    (tmp_path / "rounds.csv").mkdir()
+    """So is an --out that is a regular file, or that lies under one."""
+    (tmp_path / "reports").mkdir()
+    (tmp_path / "reports" / "rounds.csv").mkdir()
+    (tmp_path / "plain").write_text("not a directory\n", encoding="utf-8")
     report = run_scenario(ScenarioConfig(seed=1, rounds=5))
-    with pytest.raises(ConfigError, match="cannot write reports under"):
-        emit_reports(report, str(tmp_path))
-    proc = subprocess.run(
-        [sys.executable, "-m", "healsim.cli", "run", "--seed", "1", "--rounds", "5",
-         "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC},
-    )
-    assert proc.returncode == 1
-    assert proc.stderr.startswith(f"error: cannot write reports under {tmp_path}")
-    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+    for out in (tmp_path / "reports", tmp_path / "plain", tmp_path / "plain" / "below"):
+        with pytest.raises(ConfigError, match=f"^cannot write reports under {re.escape(str(out))}: "):
+            emit_reports(report, str(out))
+        proc = subprocess.run(
+            [sys.executable, "-m", "healsim.cli", "run", "--seed", "1", "--rounds", "5",
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: cannot write reports under {out}: ")
+        assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+    assert (tmp_path / "plain").read_text(encoding="utf-8") == "not a directory\n"
 
 
 def test_a_symlink_at_a_report_path_is_replaced_and_its_target_kept(tmp_path):

@@ -143,8 +143,10 @@ def test_mutations(model):
     assert model.component("Bid Service").exception_count == 6
     model.add_exceptions("Bid Service", 2)
     assert model.component("Bid Service").exception_count == 8
-    model.reset_exceptions("Bid Service")
+    model.restart("Bid Service")
     assert model.component("Bid Service").exception_count == 0
+    model.restart("Query Service")
+    assert model.component("Query Service") == Component("Query Service#1")
     model.advance_clock(250)
     assert model.clock == 250
 

@@ -489,6 +489,8 @@ def test_indexed_draws_equal_the_listed_targets(doc, steps):
                    ("execute", 2, 0, 0), ("inject", 0, 1, 0), ("execute", 3, 1, 0)]])
 @example(windows=[[("connect", 0, 2, 3), ("inject", 2, 3, 0), ("execute", 1, 3, 0),
                    ("connect", 0, 2, 3)]])  # connect around its target's removal and redeploy
+@example(windows=[[("inject", 0, 2, 0), ("inject", 1, 2, 4)]])  # CF1, CF2 on one slot: state first
+@example(windows=[[("inject", 3, 5, 0), ("inject", 2, 0, 0)]])  # CF4 away from a CF3: both event kinds
 def test_journal_windows_equal_full_diff(doc, windows):
     """Several mutations between consecutive snapshots of one model: observe
     reads the journal and equals scan_observe. Any other pair (snapshots of
