@@ -39,8 +39,8 @@ class FaultInstance(Frozen):
         elif not isinstance(target, str):
             raise ValueError(f"{kind.value} targets a component slot")
         if kind is _CF2:
-            if magnitude is None or magnitude <= 0:
-                raise ValueError("CF2 requires a positive magnitude")
+            if type(magnitude) is not int or magnitude <= 0:  # not a bool, a float or a str
+                raise ValueError("CF2 requires a positive integer magnitude")
         elif magnitude is not None:
             raise ValueError(f"{kind.value} takes no magnitude")
         _set(self, "kind", kind)

@@ -20,7 +20,9 @@ first tries one regular-expression match against the layout ``encode``
 writes for a request or a plan or no_match response; any frame that does
 not match, an error outcome included, gets the full check, so the accepted
 messages and the ``MalformedFrame`` texts are those of the full check.
-Neither end reads a frame longer than ``MAX_FRAME`` bytes, LF included.
+Both ends read frames with ``lines``: of a line with no LF in its first
+``MAX_FRAME`` bytes, neither reads or holds more than ``MAX_FRAME + 1``
+bytes, and then it closes the connection.
 
 The client imports ``socket`` when it first connects, so an in-process run
 never loads it.
@@ -116,8 +118,11 @@ _RESPONSE = f'{{"outcome":%s,"request_id":%s,"type":"plan_response","version":{P
 _PLAN = '{"plan":{"fired_rule":%s,"strategy":%s,"subject":%s}}'
 _NO_MATCH = '{"no_match":true}'
 _ERROR = '{"error":{"code":%s,"message":%s}}'
-_KIND_TEXT = {kind: _str(kind.value) for kind in FaultKind}  # strings escaped as canonical_json does
-_STRATEGY_TEXT = {strategy: _str(strategy.value) for strategy in Strategy}
+# Keyed by each member's id, which stays its own while its class lives: a
+# lookup by the member would call the Python-level Enum.__hash__ on every
+# frame, and one by its value would take another enum's member of that value.
+_KIND_TEXT = {id(kind): _str(kind.value) for kind in FaultKind}  # escaped as canonical_json does
+_STRATEGY_TEXT = {id(strategy): _str(strategy.value) for strategy in Strategy}
 
 
 def _int(value) -> str:
@@ -133,11 +138,11 @@ def encode(message: Message) -> bytes:
         if type(message) is PlanRequest:
             fact = message.fact
             return (_REQUEST % (_int(fact.dependent_count), _int(fact.exception_count),
-                                _KIND_TEXT[fact.kind], _int(fact.prior_failures_of_subject),
+                                _KIND_TEXT[id(fact.kind)], _int(fact.prior_failures_of_subject),
                                 _str(fact.subject), _int(message.request_id))).encode("ascii")
         outcome = message.outcome if type(message) is PlanResponse else None
         if type(outcome) is RepairPlan:
-            body = _PLAN % (_str(outcome.fired_rule), _STRATEGY_TEXT[outcome.strategy],
+            body = _PLAN % (_str(outcome.fired_rule), _STRATEGY_TEXT[id(outcome.strategy)],
                             _str(outcome.subject))
         elif type(outcome) is NoMatch:
             body = _NO_MATCH
@@ -255,6 +260,44 @@ def decode(data: bytes) -> Message:
                                                  _exact(error, "message", str, where)))
 
 
+def lines(sock, timeout: float):
+    """Each line read from ``sock``, LF included, as soon as it is complete;
+    the bytes before EOF count as a last line. A line with no LF in its first
+    MAX_FRAME bytes comes out as exactly MAX_FRAME + 1 bytes, and is the last:
+    no ``recv`` asks for more than the line's MAX_FRAME + 1 bytes still lack.
+    The reads of one line share ``timeout`` seconds, counted from when the
+    line is asked for; once a read given less than that returns, the socket's
+    timeout is ``timeout`` again. Each byte received is searched and copied
+    once. TimeoutError and OSError go to the caller."""
+    held, size = [], 0  # the bytes of the line not yet complete, and how many
+    deadline = monotonic() + timeout
+    while True:
+        if size:  # wait only what is left of the line's time
+            sock.settimeout(max(deadline - monotonic(), 1e-6))
+        chunk = sock.recv(MAX_FRAME + 1 - size)
+        if size:
+            sock.settimeout(timeout)
+        if not chunk:
+            if size:
+                yield b"".join(held)
+            return
+        start = 0
+        while end := chunk.find(b"\n", start) + 1:
+            held.append(chunk[start:end])
+            size += end - start
+            yield b"".join(held)
+            if size > MAX_FRAME:
+                return
+            held, size, start = [], 0, end
+            deadline = monotonic() + timeout
+        if start < len(chunk):
+            held.append(chunk[start:])
+            size += len(chunk) - start
+            if size > MAX_FRAME:
+                yield b"".join(held)
+                return
+
+
 # -- planner handles ---------------------------------------------------------
 
 
@@ -281,7 +324,7 @@ class RemotePlanner:
         self.port = port
         self.timeout = timeout
         self._sock = None  # a socket once connected; socket is imported at first connect
-        self._pending = b""  # received bytes not yet returned as a line
+        self._reader = None  # lines(self._sock, timeout) once connected
         self._next_request_id = 1
 
     def _connect(self) -> None:
@@ -292,24 +335,7 @@ class RemotePlanner:
             self._sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
         except OSError as exc:
             raise ConnectionFailed(f"cannot reach planner at {self.host}:{self.port}: {exc}") from exc
-        self._pending = b""
-
-    def _readline(self) -> bytes:
-        """The next line, LF included, the bytes before EOF, or more than
-        MAX_FRAME bytes of a longer one, within ``timeout`` seconds in all:
-        each read after the first waits only what is left of them."""
-        data, start, deadline = self._pending, 0, monotonic() + self.timeout
-        while not (end := data.find(b"\n", start) + 1) and len(data) <= MAX_FRAME:
-            if start := len(data):
-                self._sock.settimeout(max(deadline - monotonic(), 1e-6))
-            if not (chunk := self._sock.recv(MAX_FRAME)):
-                break
-            data += chunk
-        if start:  # the wait was cut; the next send and first read get the whole timeout
-            self._sock.settimeout(self.timeout)
-        end = end or len(data)
-        self._pending = data[end:]
-        return data[:end]
+        self._reader = lines(self._sock, self.timeout)
 
     def plan(self, fact: Fact) -> RepairPlan | NoMatch:
         """The service's answer. A connection opened by an earlier call that
@@ -324,7 +350,7 @@ class RemotePlanner:
             self._connect()
             try:
                 self._sock.sendall(frame)
-                line = self._readline()
+                line = next(self._reader, b"")
             except TimeoutError as exc:  # socket.timeout's own class since Python 3.10
                 self.close()  # its answer may still come; the next request must not read it
                 raise RequestTimeout(f"planner did not answer within {self.timeout}s") from exc

@@ -4,25 +4,25 @@ import this module, so ``import healsim`` loads no server code.
 
 A frame the server cannot decode is answered with an error outcome (code
 "malformed", request id 0 when unrecoverable) and the connection stays
-open. A line longer than ``MAX_FRAME`` bytes is answered with error code
-"too_large" (request id 0) and the connection is closed. The service serves
-at most ``MAX_CONNECTIONS`` connections at once: one more is answered with
-error code "busy" (request id 0) and closed, with no thread started for it.
-A connection that does not complete a frame, or take in a response, within
-``IDLE_TIMEOUT`` seconds is closed.
+open. Frames are read with ``planner.lines``, the client's reader too: a
+line longer than ``MAX_FRAME`` bytes is held to its first ``MAX_FRAME + 1``
+bytes, answered with error code "too_large" (request id 0), and the
+connection is closed. The service serves at most ``MAX_CONNECTIONS``
+connections at once: one more is answered with error code "busy" (request
+id 0) and closed, with no thread started for it. A connection that does not
+complete a frame, or take in a response, within ``IDLE_TIMEOUT`` seconds is
+closed.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import socket
 import socketserver
 import threading
-import time
 
 from .planner import DEFAULT_PORT, MAX_FRAME, ErrorOutcome, InProcessPlanner, MalformedFrame
-from .planner import PlanRequest, PlanResponse, decode, encode
+from .planner import PlanRequest, PlanResponse, decode, encode, lines
 from .rules import RuleSet
 
 log = logging.getLogger(__name__)
@@ -40,28 +40,36 @@ def _best_effort_request_id(line: bytes) -> int:
 
 
 class _PlanHandler(socketserver.BaseRequestHandler):
-    """Serves one connection. The socket's timeout is IDLE_TIMEOUT, for the
-    next frame to begin and for each response to be taken in, except while
-    a frame is partly in: then it is what is left of that frame's time."""
+    """Serves one connection, reading its frames with ``planner.lines``. The
+    socket's timeout is IDLE_TIMEOUT, for the next frame to begin and for
+    each response to be taken in, except while a frame is partly in: then it
+    is what is left of that frame's time."""
 
     def handle(self) -> None:
         self.request.settimeout(IDLE_TIMEOUT)
-        for line in self._lines():
-            if len(line) > MAX_FRAME:
-                too_large = ErrorOutcome("too_large", f"frame exceeds {MAX_FRAME} bytes")
-                self._send(PlanResponse(0, too_large))
-                return
-            try:
-                message = decode(line.rstrip(b"\n"))
-                if not isinstance(message, PlanRequest):
-                    raise MalformedFrame("server expects plan_request frames")
-            except MalformedFrame as exc:
-                malformed = ErrorOutcome("malformed", str(exc))
-                response = PlanResponse(_best_effort_request_id(line), malformed)
-            else:
-                response = PlanResponse(message.request_id, self.server.planner.plan(message.fact))
-            if not self._send(response):
-                return
+        try:
+            for line in lines(self.request, IDLE_TIMEOUT):
+                if len(line) > MAX_FRAME:
+                    too_large = ErrorOutcome("too_large", f"frame exceeds {MAX_FRAME} bytes")
+                    self._send(PlanResponse(0, too_large))
+                    return
+                try:
+                    message = decode(line.rstrip(b"\n"))
+                    if not isinstance(message, PlanRequest):
+                        raise MalformedFrame("server expects plan_request frames")
+                except MalformedFrame as exc:
+                    malformed = ErrorOutcome("malformed", str(exc))
+                    response = PlanResponse(_best_effort_request_id(line), malformed)
+                else:
+                    response = PlanResponse(message.request_id,
+                                            self.server.planner.plan(message.fact))
+                if not self._send(response):
+                    return
+        except TimeoutError:  # socket.timeout's own class since Python 3.10
+            log.info("closing %s:%d: no complete frame in %ss", *self.client_address[:2],
+                     IDLE_TIMEOUT)
+        except OSError as exc:  # reset by the client, say; _send catches its own
+            log.info("closing %s:%d: cannot receive: %s", *self.client_address[:2], exc)
 
     def _send(self, response: PlanResponse) -> bool:
         """Send one frame; False, after logging, if the client does not take
@@ -72,45 +80,6 @@ class _PlanHandler(socketserver.BaseRequestHandler):
             log.info("closing %s:%d: cannot send: %s", *self.client_address[:2], exc)
             return False
         return True
-
-    def _lines(self):
-        """Each line the client sends, LF included, as soon as it is complete;
-        the bytes before EOF count as a last line. A line with no LF in its
-        first MAX_FRAME bytes comes out longer than MAX_FRAME. Ends at EOF,
-        or when IDLE_TIMEOUT passes without a complete line. Each byte
-        received is searched and copied once."""
-        sock = self.request
-        partial, size = [], 0  # chunks of the line not yet complete
-        deadline = time.monotonic() + IDLE_TIMEOUT
-        while True:
-            try:
-                chunk = sock.recv(MAX_FRAME)
-            except socket.timeout:
-                log.info("closing %s:%d: no complete frame in %ss",
-                         *self.client_address[:2], IDLE_TIMEOUT)
-                return
-            except OSError as exc:  # reset by the client, say
-                log.info("closing %s:%d: cannot receive: %s", *self.client_address[:2], exc)
-                return
-            if not chunk:
-                if partial:
-                    yield b"".join(partial)
-                return
-            if partial:  # the timeout was cut to the line's deadline
-                sock.settimeout(IDLE_TIMEOUT)
-            start = 0
-            while end := chunk.find(b"\n", start) + 1:
-                partial.append(chunk[start:end])
-                yield b"".join(partial)
-                partial, size, start = [], 0, end
-                deadline = time.monotonic() + IDLE_TIMEOUT
-            if start < len(chunk):
-                partial.append(chunk[start:])
-                size += len(chunk) - start
-                if size > MAX_FRAME:
-                    yield b"".join(partial)
-                    return
-                sock.settimeout(max(deadline - time.monotonic(), 1e-6))
 
 
 class _PlanServer(socketserver.ThreadingTCPServer):

@@ -205,3 +205,13 @@ def test_fault_instance_shape_checks():
         FaultInstance(FaultKind.CF2, "Bid Service")  # magnitude required
     with pytest.raises(ValueError):
         FaultInstance(FaultKind.CF1, "Bid Service", magnitude=3)
+
+
+@pytest.mark.parametrize("magnitude", [True, 6.0, "6", 0, -1, None],
+                         ids=["bool", "float", "str", "zero", "negative", "none"])
+def test_a_cf2_magnitude_is_a_positive_int(magnitude):
+    """From the Python API as from a script file: anything else would be
+    written into scenario.json as it is, and True is not JSON."""
+    with pytest.raises(ValueError, match="CF2 requires a positive integer magnitude"):
+        FaultInstance(FaultKind.CF2, "Frontend", magnitude)
+    assert FaultInstance(FaultKind.CF2, "Frontend", 1).magnitude == 1

@@ -46,6 +46,7 @@ from healsim.monitor import (
     take_snapshot,
 )
 from healsim.planner import (
+    MAX_FRAME,
     PROTOCOL_VERSION,
     ErrorOutcome,
     MalformedFrame,
@@ -53,8 +54,10 @@ from healsim.planner import (
     PlanRequest,
     PlanResponse,
     canonical_json,
+    RemotePlanner,
     decode,
     encode,
+    lines,
 )
 from healsim.rules import _OPS as OPS
 from healsim.rules import (
@@ -1114,34 +1117,41 @@ def test_ranked_first_match_equals_all_rules_pick(ruleset, facts):
         assert evaluate(reparsed, fact) == reference_evaluate(ruleset, fact)
 
 
-# -- (g) the service's line splitter vs splitting the whole stream at once --
-# _PlanHandler._lines searches and copies each received byte once, however the
-# stream is cut into recv chunks. The reference splits the whole stream at LF.
+# -- (g) the frame reader vs splitting the whole stream at once ---------------
+# planner.lines, which both ends of the wire read with, searches and copies
+# each received byte once, however the stream is cut into recv chunks. The
+# reference splits the whole stream at LF.
 
 
 class ChunkedSocket:
-    """Hands out the given chunks one recv at a time, then EOF."""
+    """Hands out the given chunks, at most ``size`` bytes per recv and the rest
+    of a chunk at the next, then EOF; keeps what is sent to it."""
 
     def __init__(self, chunks):
-        self.chunks = list(chunks)
+        self.chunks, self.handed_out, self.sent = list(chunks), 0, []
 
     def settimeout(self, timeout):
         pass
 
     def recv(self, size):
-        return self.chunks.pop(0) if self.chunks else b""
+        chunk = self.chunks.pop(0) if self.chunks else b""
+        if len(chunk) > size:
+            self.chunks.insert(0, chunk[size:])
+            chunk = chunk[:size]
+        self.handed_out += len(chunk)
+        return chunk
 
+    def sendall(self, data):
+        self.sent.append(data)
 
-def split_lines(stream, chunks):
-    handler = _PlanHandler.__new__(_PlanHandler)  # not constructed: that would serve at once
-    handler.request, handler.client_address = ChunkedSocket(chunks), ("peer", 0)
-    return list(handler._lines())
+    def close(self):
+        pass
 
 
 def reference_lines(stream):
     """Lines with their LF, then the bytes after the last LF, if any."""
-    lines = stream.split(b"\n")
-    return [line + b"\n" for line in lines[:-1]] + ([lines[-1]] if lines[-1] else [])
+    *complete, rest = stream.split(b"\n")
+    return [line + b"\n" for line in complete] + ([rest] if rest else [])
 
 
 STREAMS = st.lists(st.sampled_from([b"a", b"bc", b"\n", b"\n\n", b"d" * 7]), max_size=12).map(b"".join)
@@ -1153,12 +1163,31 @@ def test_line_splitter_equals_whole_stream_split(stream, data):
     cuts = sorted(data.draw(st.sets(st.integers(1, max(len(stream) - 1, 1)))))
     bounds = [0, *(cut for cut in cuts if cut < len(stream)), len(stream)]
     chunks = [stream[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
-    with mock.patch("healsim.service.MAX_FRAME", 8):
-        got = split_lines(stream, chunks)
+    with mock.patch("healsim.planner.MAX_FRAME", 8):
+        got = list(lines(ChunkedSocket(chunks), 1.0))
     expected = reference_lines(stream)
     oversize = next((i for i, line in enumerate(expected) if len(line) > 8), None)
     if oversize is None:
         assert got == expected
-    else:  # the same lines up to the first one over the cap, which may come out cut short
-        assert got[:oversize] == expected[:oversize]
-        assert len(got[oversize]) > 8 and expected[oversize].startswith(got[oversize])
+    else:  # the same lines up to the first one over the cap, cut to 9 bytes, and no more
+        assert got == expected[:oversize] + [expected[oversize][:9]]
+
+
+@pytest.mark.parametrize("end", ["reader", "client", "server"])
+def test_an_over_long_line_in_two_chunks_is_held_to_max_frame_plus_one(end, monkeypatch):
+    """MAX_FRAME bytes with no LF, then MAX_FRAME more: each end takes exactly
+    MAX_FRAME + 1 bytes off the socket, then answers as the protocol says."""
+    sock = ChunkedSocket([b"x" * MAX_FRAME, b"x" * MAX_FRAME])
+    if end == "reader":
+        assert [len(line) for line in lines(sock, 1.0)] == [MAX_FRAME + 1]
+    elif end == "client":
+        monkeypatch.setattr("socket.create_connection", lambda *args, **kwargs: sock)
+        with pytest.raises(MalformedFrame, match=f"reply exceeds {MAX_FRAME} bytes"):
+            RemotePlanner("127.0.0.1", 0).plan(Fact(FaultKind.CF1, "x"))
+    else:
+        handler = _PlanHandler.__new__(_PlanHandler)  # not constructed: that would serve at once
+        handler.request, handler.client_address = sock, ("peer", 0)
+        handler.handle()
+        too_large = ErrorOutcome("too_large", f"frame exceeds {MAX_FRAME} bytes")
+        assert sock.sent == [encode(PlanResponse(0, too_large))]
+    assert sock.handed_out == MAX_FRAME + 1 and sock.chunks == [b"x" * (MAX_FRAME - 1)]

@@ -4,6 +4,7 @@ import select
 import socket
 import threading
 import time
+from enum import Enum
 from unittest import mock
 
 import pytest
@@ -94,6 +95,11 @@ def test_encode_response_outcomes():
     )
 
 
+class Lookalike(Enum):  # another enum whose values are protocol values
+    CF1 = "CF1"
+    AS1 = "AS1"
+
+
 @pytest.mark.parametrize("message", [
     Fact(FaultKind.CF1, "x"),
     {"type": "plan_request", "version": 1, "request_id": 1, "fact": {}},
@@ -109,9 +115,12 @@ def test_encode_response_outcomes():
     PlanResponse(1, Fact(FaultKind.CF1, "x")),
     PlanResponse(1, None),
     PlanRequest(1, None),
+    PlanRequest(1, Fact(Lookalike.CF1, "x")),
+    PlanResponse(1, RepairPlan(Lookalike.AS1, "x", "r")),
 ], ids=["fact", "dict", "bool-request-id", "float-request-id", "bool-response-id",
         "int-subject", "bytes-plan-subject", "none-error-message", "str-kind",
-        "other-enum-kind", "str-strategy", "fact-outcome", "none-outcome", "none-fact"])
+        "other-enum-kind", "str-strategy", "fact-outcome", "none-outcome", "none-fact",
+        "same-value-enum-kind", "same-value-enum-strategy"])
 def test_encode_rejects_what_is_not_a_message(message):
     with pytest.raises(TypeError, match="not a protocol message"):
         encode(message)

@@ -52,7 +52,9 @@ from healsim.rules import (
     RuleSet,
     Strategy,
     _Token,
+    default_ruleset,
 )
+from healsim.service import PlanService
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -327,28 +329,37 @@ def test_a_cold_start_loads_no_module_only_serving_or_logging_needs():
     assert out == "[]\n[]\n"
 
 
-@pytest.mark.parametrize("doc, rounds", [(None, 2000), (layered_blueprint_doc(200), 200)],
-                         ids=["shop", "layered200"])
-def test_a_run_and_its_reports_call_no_python_level_hash(doc, rounds, tmp_path, monkeypatch):
-    """The model keys its facts by blueprint position and emission reads each
-    enum member's ``_value_``, so neither a round nor report emission hashes
-    an enum member or a record in Python."""
+@pytest.mark.parametrize("doc, rounds, tcp", [
+    (None, 2000, False), (layered_blueprint_doc(200), 200, False), (None, 2000, True),
+], ids=["shop", "layered200", "shop-tcp"])
+def test_a_run_and_its_reports_call_no_python_level_hash(doc, rounds, tcp, tmp_path, monkeypatch):
+    """The model keys its facts by blueprint position and emission and the
+    wire codec read each enum member's ``_value_``, so neither a round, at
+    both ends of the TCP planner too, nor report emission hashes an enum
+    member or a record in Python."""
     blueprint = None if doc is None else blueprint_from_json(doc)
-    runner = ScenarioRunner(ScenarioConfig(seed=42, rounds=rounds), blueprint=blueprint)
-    calls = collections.Counter()
-    for cls in (Enum, Frozen, ConnectorSpec):
-        def counted(self, _hash=cls.__hash__, _name=cls.__qualname__):
-            calls[_name] += 1
-            return _hash(self)
-
-        monkeypatch.setattr(cls, "__hash__", counted)
-    hash(FaultKind.CF1), hash(ComponentType("T", "I", ())), hash(ConnectorSpec("a", "b", "I"))
-    assert calls == {"Enum": 1, "Frozen": 1, "ConnectorSpec": 1}
-    calls.clear()
+    service = PlanService(default_ruleset(), port=0).start() if tcp else None
+    planner = "tcp://%s:%d" % service.address if tcp else "inproc"
+    runner = ScenarioRunner(ScenarioConfig(seed=42, rounds=rounds, planner=planner),
+                            blueprint=blueprint)
     try:
+        if tcp:
+            runner.planner._connect()
+        calls = collections.Counter()
+        for cls in (Enum, Frozen, ConnectorSpec):
+            def counted(self, _hash=cls.__hash__, _name=cls.__qualname__):
+                calls[_name] += 1
+                return _hash(self)
+
+            monkeypatch.setattr(cls, "__hash__", counted)
+        hash(FaultKind.CF1), hash(ComponentType("T", "I", ())), hash(ConnectorSpec("a", "b", "I"))
+        assert calls == {"Enum": 1, "Frozen": 1, "ConnectorSpec": 1}
+        calls.clear()
         emit_reports(runner.run(), str(tmp_path))
     finally:
         runner.close()
+        if tcp:
+            service.shutdown()
     assert calls == {}
 
 
