@@ -15,14 +15,16 @@ with outcome ``{"plan":{"fired_rule":S,"strategy":"AS1","subject":S}}``,
 ``{"no_match":true}``, or ``{"error":{"code":S,"message":S}}``. The fact's
 integer fields are ``rules.INT_FIELDS``. ``encode`` and ``decode`` are
 written out for these two messages; the schema table in
-``tests/test_oracles.py`` is their byte and error reference. ``decode``
-first tries one regular-expression match against the layout ``encode``
-writes for a request or a plan or no_match response; any frame that does
-not match, an error outcome included, gets the full check, so the accepted
-messages and the ``MalformedFrame`` texts are those of the full check.
-Both ends read frames with ``lines``: of a line with no LF in its first
-``MAX_FRAME`` bytes, neither reads or holds more than ``MAX_FRAME + 1``
-bytes, and then it closes the connection.
+``tests/test_oracles.py`` is their byte and error reference. Each direction
+has one writer, which fills a fixed template, and one matcher, one bytes
+pattern for the layout its writer gives a request or a plan or no_match
+response, compiled on first use. ``encode``, ``decode`` and both ends use
+them, so a canonical round trip builds no message object; any other frame,
+an error outcome included, gets the full check, so the accepted messages and
+the ``MalformedFrame`` texts are those of the full check. Both ends check a
+line's length before they match it, and both read frames with ``lines``: of
+a line with no LF in its first ``MAX_FRAME`` bytes, neither reads or holds
+more than ``MAX_FRAME + 1`` bytes, and then it closes the connection.
 
 The client imports ``socket`` when it first connects, so an in-process run
 never loads it.
@@ -94,11 +96,8 @@ class PlanResponse(Frozen):
         _set(self, "outcome", outcome)
 
 
-Message = PlanRequest | PlanResponse
-
-
 # -- framing ----------------------------------------------------------------
-# encode fills one fixed template per message and outcome, keys in sorted
+# The writers fill one fixed template per message and outcome, keys in sorted
 # order. decode checks a parsed frame in the order of the schema table in
 # tests/test_oracles.py: the exact key set, the version, then each field, and
 # raises MalformedFrame naming the first that breaks the schema.
@@ -117,7 +116,8 @@ _REQUEST = ('{"fact":{"dependent_count":%s,"exception_count":%s,"kind":%s,'
 _RESPONSE = f'{{"outcome":%s,"request_id":%s,"type":"plan_response","version":{PROTOCOL_VERSION}}}\n'
 _PLAN = '{"plan":{"fired_rule":%s,"strategy":%s,"subject":%s}}'
 _NO_MATCH = '{"no_match":true}'
-_ERROR = '{"error":{"code":%s,"message":%s}}'
+_PLAN_FRAME, _NO_MATCH_FRAME = (_RESPONSE % (body, "%s") for body in (_PLAN, _NO_MATCH))
+_ERROR_FRAME = _RESPONSE % ('{"error":{"code":%s,"message":%s}}', "%s")
 # Keyed by each member's id, which stays its own while its class lives: a
 # lookup by the member would call the Python-level Enum.__hash__ on every
 # frame, and one by its value would take another enum's member of that value.
@@ -125,34 +125,44 @@ _KIND_TEXT = {id(kind): _str(kind.value) for kind in FaultKind}  # escaped as ca
 _STRATEGY_TEXT = {id(strategy): _str(strategy.value) for strategy in Strategy}
 
 
-def _int(value) -> str:
-    if type(value) is not int:  # as in decode, a bool is not an int
-        raise TypeError(f"{value!r} is not an int")
-    return int.__repr__(value)
+def _request_frame(request_id: int, fact: Fact) -> bytes:
+    """The request direction's writer: ``encode(PlanRequest(request_id, fact))``."""
+    try:
+        dependent, exceptions = fact.dependent_count, fact.exception_count
+        prior = fact.prior_failures_of_subject
+        if not type(dependent) is type(exceptions) is type(prior) is type(request_id) is int:
+            raise TypeError  # as in decode, a bool is not an int
+        return (_REQUEST % (dependent, exceptions, _KIND_TEXT[id(fact.kind)], prior,
+                            _str(fact.subject), request_id)).encode("ascii")
+    except (AttributeError, KeyError, TypeError):
+        raise TypeError(f"not a protocol message: {PlanRequest(request_id, fact)!r}") from None
 
 
-def encode(message: Message) -> bytes:
+def _response_frame(request_id: int, outcome: Outcome) -> bytes:
+    """The reply direction's writer; ``encode`` checks ``request_id`` is an int."""
+    if type(outcome) is RepairPlan:
+        frame = _PLAN_FRAME % (_str(outcome.fired_rule), _STRATEGY_TEXT[id(outcome.strategy)],
+                               _str(outcome.subject), request_id)
+    elif type(outcome) is NoMatch:
+        frame = _NO_MATCH_FRAME % request_id
+    elif type(outcome) is ErrorOutcome:
+        frame = _ERROR_FRAME % (_str(outcome.code), _str(outcome.message), request_id)
+    else:
+        raise TypeError
+    return frame.encode("ascii")
+
+
+def encode(message: PlanRequest | PlanResponse) -> bytes:
     """One canonical, LF-terminated frame; equal messages encode identically.
     TypeError if ``message`` is not a message whose fields fit the schema."""
+    if type(message) is PlanRequest:
+        return _request_frame(message.request_id, message.fact)
     try:
-        if type(message) is PlanRequest:
-            fact = message.fact
-            return (_REQUEST % (_int(fact.dependent_count), _int(fact.exception_count),
-                                _KIND_TEXT[id(fact.kind)], _int(fact.prior_failures_of_subject),
-                                _str(fact.subject), _int(message.request_id))).encode("ascii")
-        outcome = message.outcome if type(message) is PlanResponse else None
-        if type(outcome) is RepairPlan:
-            body = _PLAN % (_str(outcome.fired_rule), _STRATEGY_TEXT[id(outcome.strategy)],
-                            _str(outcome.subject))
-        elif type(outcome) is NoMatch:
-            body = _NO_MATCH
-        elif type(outcome) is ErrorOutcome:
-            body = _ERROR % (_str(outcome.code), _str(outcome.message))
-        else:
-            raise TypeError
-        return (_RESPONSE % (body, _int(message.request_id))).encode("ascii")
+        if type(message) is PlanResponse and type(message.request_id) is int:
+            return _response_frame(message.request_id, message.outcome)
     except (AttributeError, KeyError, TypeError):
-        raise TypeError(f"not a protocol message: {message!r}") from None
+        pass
+    raise TypeError(f"not a protocol message: {message!r}")
 
 
 _KINDS = {kind.value: kind for kind in FaultKind}
@@ -185,16 +195,17 @@ def _member(obj: dict, key: str, members: dict, where: str):
         raise MalformedFrame(f"{where}.{key} has unknown value {value!r}") from None
 
 
-# The layouts decode matches first, built from encode's templates and compiled
-# on first use: each string printable ASCII without '"' or '\\', so its JSON
-# text is its value; each integer at most 18 digits; each enum value a member.
+# The matchers' layouts, built from the writers' templates, LF optional: each
+# string printable ASCII without '"' or '\\', so its JSON text is its value;
+# each integer at most 18 digits; each enum value a member.
 _STR = '"([ !#-\\[\\]-~]*)"'
 _INT = "(-?(?:0|[1-9][0-9]{0,17}))"
-_LAYOUTS: dict[bool, re.Pattern] = {}  # is a request -> its pattern
+_LAYOUTS: dict[bool, re.Pattern[bytes]] = {}  # is a request -> its pattern
+_MEMBERS = {member.value.encode(): member for member in (*FaultKind, *Strategy)}
 
 
-def _layout(request: bool) -> re.Pattern:
-    if request not in _LAYOUTS:
+def _layout(request: bool) -> re.Pattern[bytes]:
+    if (pattern := _LAYOUTS.get(request)) is None:
         kind, strategy = (f'"({"|".join(map(re.escape, names))})"'
                           for names in (_KINDS, _STRATEGIES))
         if request:
@@ -202,25 +213,35 @@ def _layout(request: bool) -> re.Pattern:
         else:
             plan = re.escape(_PLAN) % (_STR, strategy, _STR)
             layout = re.escape(_RESPONSE) % (f"(?:{plan}|{re.escape(_NO_MATCH)})", _INT)
-        _LAYOUTS[request] = re.compile(layout.replace("\\\n", "\n?"))  # the LF is optional
-    return _LAYOUTS[request]
+        pattern = _LAYOUTS[request] = re.compile(layout.replace("\\\n", "\n?").encode())
+    return pattern
 
 
-def decode(data: bytes) -> Message:
+def _read_request(data: bytes) -> tuple[int, Fact] | None:
+    """The request direction's matcher: (request id, fact), or None."""
+    if match := _layout(True).fullmatch(data):
+        dependent, exceptions, kind, prior, subject, request_id = match.groups()
+        return int(request_id), Fact(_MEMBERS[kind], subject.decode("ascii"), int(exceptions),
+                                     int(dependent), int(prior))
+
+
+def _read_reply(data: bytes) -> tuple[int, RepairPlan | NoMatch] | None:
+    """The reply direction's matcher: (request id, plan or NoMatch), or None."""
+    if match := _layout(False).fullmatch(data):
+        fired_rule, strategy, subject, request_id = match.groups()
+        return int(request_id), NoMatch() if subject is None else RepairPlan(
+            _MEMBERS[strategy], subject.decode("ascii"), fired_rule.decode("ascii"))
+
+
+def decode(data: bytes) -> PlanRequest | PlanResponse:
     """Parse one frame back into a message; MalformedFrame if it breaks the schema."""
+    message, read = (PlanRequest, _read_request) if data[2:3] == b"f" else (PlanResponse, _read_reply)
+    if fields := read(data):
+        return message(*fields)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedFrame(f"frame is not UTF-8: {exc}") from exc
-    if match := _layout(text[2:3] == "f").fullmatch(text):
-        fields = match.groups()
-        if len(fields) == 6:
-            dependent, exceptions, kind, prior, subject, request_id = fields
-            return PlanRequest(int(request_id), Fact(_KINDS[kind], subject, int(exceptions),
-                                                     int(dependent), int(prior)))
-        fired_rule, strategy, subject, request_id = fields
-        return PlanResponse(int(request_id), NoMatch() if subject is None else
-                            RepairPlan(_STRATEGIES[strategy], subject, fired_rule))
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also an integer over the digit limit, deep nesting
@@ -343,9 +364,9 @@ class RemotePlanner:
         the request sent once more; the service is stateless, so resending
         is safe. A second loss raises ConnectionFailed. A timeout is not
         retried: it closes the connection and raises RequestTimeout."""
-        request = PlanRequest(request_id=self._next_request_id, fact=fact)
+        request_id = self._next_request_id
         self._next_request_id += 1
-        frame, retry = encode(request), self._sock is not None
+        frame, retry = _request_frame(request_id, fact), self._sock is not None
         while True:
             self._connect()
             try:
@@ -367,18 +388,20 @@ class RemotePlanner:
         try:
             if len(line) > MAX_FRAME:
                 raise MalformedFrame(f"reply exceeds {MAX_FRAME} bytes")
-            response = decode(line.rstrip(b"\n"))
-            if not isinstance(response, PlanResponse):
-                raise MalformedFrame("expected a plan_response frame")
-            if response.request_id != request.request_id:
-                raise RemoteError("protocol", f"response for request {response.request_id}, "
-                                              f"expected {request.request_id}")
+            if (reply := _read_reply(line)) is None:
+                response = decode(line.rstrip(b"\n"))
+                if not isinstance(response, PlanResponse):
+                    raise MalformedFrame("expected a plan_response frame")
+                reply = response.request_id, response.outcome
+            echoed, outcome = reply
+            if echoed != request_id:
+                raise RemoteError("protocol", f"response for request {echoed}, expected {request_id}")
         except (MalformedFrame, RemoteError):
             self.close()  # out of step with the service; the next request must not read its lines
             raise
-        if isinstance(response.outcome, ErrorOutcome):
-            raise RemoteError(response.outcome.code, response.outcome.message)
-        return response.outcome
+        if type(outcome) is ErrorOutcome:
+            raise RemoteError(outcome.code, outcome.message)
+        return outcome
 
     def close(self) -> None:
         if self._sock is not None:

@@ -2,16 +2,17 @@
 protocol of ``planner.py``. Only ``healsim serve-planner`` and the tests
 import this module, so ``import healsim`` loads no server code.
 
-A frame the server cannot decode is answered with an error outcome (code
-"malformed", request id 0 when unrecoverable) and the connection stays
-open. Frames are read with ``planner.lines``, the client's reader too: a
-line longer than ``MAX_FRAME`` bytes is held to its first ``MAX_FRAME + 1``
-bytes, answered with error code "too_large" (request id 0), and the
-connection is closed. The service serves at most ``MAX_CONNECTIONS``
-connections at once: one more is answered with error code "busy" (request
-id 0) and closed, with no thread started for it. A connection that does not
-complete a frame, or take in a response, within ``IDLE_TIMEOUT`` seconds is
-closed.
+A canonical request is read with ``planner``'s request matcher and answered
+with its reply writer, building no message object. A frame the server cannot
+decode is answered with an error outcome (code "malformed", request id 0
+when unrecoverable) and the connection stays open. Frames are read with
+``planner.lines``, the client's reader too: a line longer than ``MAX_FRAME``
+bytes is held to its first ``MAX_FRAME + 1`` bytes, answered with error code
+"too_large" (request id 0), and the connection is closed. The service serves
+at most ``MAX_CONNECTIONS`` connections at once: one more is answered with
+error code "busy" (request id 0) and closed, with no thread started for it.
+A connection that does not complete a frame, or take in a response, within
+``IDLE_TIMEOUT`` seconds is closed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import socketserver
 import threading
 
 from .planner import DEFAULT_PORT, MAX_FRAME, ErrorOutcome, InProcessPlanner, MalformedFrame
-from .planner import PlanRequest, PlanResponse, decode, encode, lines
+from .planner import PlanRequest, _read_request, _response_frame, decode, lines
 from .rules import RuleSet
 
 log = logging.getLogger(__name__)
@@ -51,19 +52,20 @@ class _PlanHandler(socketserver.BaseRequestHandler):
             for line in lines(self.request, IDLE_TIMEOUT):
                 if len(line) > MAX_FRAME:
                     too_large = ErrorOutcome("too_large", f"frame exceeds {MAX_FRAME} bytes")
-                    self._send(PlanResponse(0, too_large))
+                    self._send(_response_frame(0, too_large))
                     return
                 try:
-                    message = decode(line.rstrip(b"\n"))
-                    if not isinstance(message, PlanRequest):
-                        raise MalformedFrame("server expects plan_request frames")
+                    if (request := _read_request(line)) is None:  # not canonical: the full check
+                        message = decode(line.rstrip(b"\n"))
+                        if not isinstance(message, PlanRequest):
+                            raise MalformedFrame("server expects plan_request frames")
+                        request = message.request_id, message.fact
                 except MalformedFrame as exc:
                     malformed = ErrorOutcome("malformed", str(exc))
-                    response = PlanResponse(_best_effort_request_id(line), malformed)
+                    frame = _response_frame(_best_effort_request_id(line), malformed)
                 else:
-                    response = PlanResponse(message.request_id,
-                                            self.server.planner.plan(message.fact))
-                if not self._send(response):
+                    frame = _response_frame(request[0], self.server.planner.plan(request[1]))
+                if not self._send(frame):
                     return
         except TimeoutError:  # socket.timeout's own class since Python 3.10
             log.info("closing %s:%d: no complete frame in %ss", *self.client_address[:2],
@@ -71,11 +73,11 @@ class _PlanHandler(socketserver.BaseRequestHandler):
         except OSError as exc:  # reset by the client, say; _send catches its own
             log.info("closing %s:%d: cannot receive: %s", *self.client_address[:2], exc)
 
-    def _send(self, response: PlanResponse) -> bool:
+    def _send(self, frame: bytes) -> bool:
         """Send one frame; False, after logging, if the client does not take
         it in within IDLE_TIMEOUT or is gone."""
         try:
-            self.request.sendall(encode(response))
+            self.request.sendall(frame)
         except OSError as exc:
             log.info("closing %s:%d: cannot send: %s", *self.client_address[:2], exc)
             return False
@@ -98,7 +100,7 @@ class _PlanServer(socketserver.ThreadingTCPServer):
         if busy:
             busy_error = ErrorOutcome("busy", f"serving {MAX_CONNECTIONS} connections already")
             try:
-                request.sendall(encode(PlanResponse(0, busy_error)))
+                request.sendall(_response_frame(0, busy_error))
             except OSError:  # the client is gone already; close all the same
                 pass
             self.shutdown_request(request)

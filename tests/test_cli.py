@@ -398,6 +398,23 @@ def test_run_plan_that_cannot_execute_exit_1(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_run_out_of_eligible_targets_exit_1(tmp_path):
+    """Under a CF1-only policy the removed connectors stay removed, so a
+    random run draws CF4 with no connector left: the run ends with a typed
+    error, not a traceback, and writes no reports."""
+    rules = tmp_path / "cf1-only.rules"
+    rules.write_text('rule "r1" when kind == CF1 then AS1\n', encoding="utf-8")
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "healsim.cli", "run", "--seed", "1", "--rounds", "50",
+         "--rules", str(rules), "--out", str(out)],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: no eligible target for CF4\n"
+    assert not out.exists()
+
+
 def _one_shot_planner(reply: bytes) -> int:
     """A planner stand-in on a free port: it accepts one connection, reads
     one request line, answers ``reply`` and closes."""

@@ -1072,7 +1072,7 @@ def test_one_match_decode_equals_full_check_on_edited_frames(frame):
     """Around the one-match path, decode gives what the table walker gives
     and what decode gives with that path switched off, message or error
     text."""
-    never = re.compile("(?!)")
+    never = re.compile(b"(?!)")
     for edited in [frame, *boundary_edits(frame)]:
         result = decoded(decode, edited)
         with mock.patch.dict(planner._LAYOUTS, {True: never, False: never}):

@@ -1,4 +1,6 @@
+import collections
 import json
+import os
 import random
 import select
 import socket
@@ -10,10 +12,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import healsim.service as service_module
 from healsim import planner
 from healsim.analyzer import FailureReport
 from healsim.faults import FaultKind
-from healsim.harness import ScenarioConfig, run_scenario
+from healsim.harness import ScenarioConfig, ScenarioRunner, run_scenario
 from healsim.model import ConnectorSpec
 from healsim.planner import (
     MAX_FRAME,
@@ -529,6 +532,106 @@ def test_inproc_and_remote_runs_agree_on_both_decode_paths(tmp_path):
     remote_files["scenario.json"] = remote_files["scenario.json"].replace(
         echo, b'"planner":"inproc"')
     assert local_files == remote_files
+
+
+DEGRADED_RULES = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench",
+                              "degraded.rules")
+
+
+def count_full_checks(monkeypatch):
+    """From now on, count each call to decode (by either end's name for it),
+    json.loads and the two message constructors."""
+    calls = collections.Counter()
+    for owner, name in ((planner, "decode"), (service_module, "decode"), (json, "loads"),
+                        (PlanRequest, "__init__"), (PlanResponse, "__init__")):
+        def counted(*args, _fn=getattr(owner, name), _name=f"{owner.__name__}.{name}", **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("policy", ["bundled", "bench-degraded"])
+def test_a_canonical_round_trip_takes_one_match_on_both_ends(policy, monkeypatch):
+    """Over a 2000-round shop run against an in-thread service, neither end
+    builds a message object or calls decode or json.loads: the client writes
+    each request from its fact and reads the reply in one match, and the
+    service reads the request in one match and writes the reply from the
+    outcome. The bench policy's CF4s are answered no_match. A subject
+    outside the one-match alphabet takes the full check at both ends and
+    gets the in-process answer."""
+    if policy == "bundled":
+        ruleset = default_ruleset()
+    else:
+        with open(DEGRADED_RULES, encoding="utf-8") as fh:
+            ruleset = parse_rules(fh.read())
+    service = PlanService(ruleset, host="127.0.0.1", port=0).start()
+    runner = ScenarioRunner(ScenarioConfig(seed=42, rounds=2000,
+                                           planner="tcp://%s:%d" % service.address))
+    try:
+        calls = count_full_checks(monkeypatch)
+        plans = [plan for record in runner.run().rounds for plan in record.plans]
+        assert calls == {}
+        assert (NoMatch() in plans) is (policy == "bench-degraded")
+        facts = [Fact(FaultKind.CF1, 'Say "hi"'), Fact(FaultKind.CF2, "Müller", 7, 1, 2)]
+        assert [runner.planner.plan(fact) for fact in facts] == [
+            InProcessPlanner(ruleset).plan(fact) for fact in facts]
+        assert calls == {"healsim.planner.decode": 2, "healsim.service.decode": 2,
+                         "json.loads": 4, "PlanRequest.__init__": 2, "PlanResponse.__init__": 2}
+    finally:
+        runner.close()
+        service.shutdown()
+
+
+def test_the_client_checks_a_reply_s_length_before_its_layout():
+    """A reply in the canonical layout, MAX_FRAME + 1 bytes with no LF, is
+    too long, not a plan: the client raises and closes the connection."""
+    frame = encode(PlanResponse(1, RepairPlan(Strategy.AS1, "x", "r"))).rstrip(b"\n")
+    frame = frame.replace(b'"x"', b'"' + b"x" * (MAX_FRAME + 2 - len(frame)) + b'"')
+    assert len(frame) == MAX_FRAME + 1 and decode(frame).request_id == 1
+    server = socket.create_server(("127.0.0.1", 0))
+    taken = []
+
+    def serve():
+        with server:
+            conn, _ = server.accept()
+            conn.settimeout(5)
+            with conn, conn.makefile("rb") as reader:
+                taken.append(reader.readline())
+                conn.sendall(frame)
+                taken.append(reader.read())  # EOF once the client closes
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    remote = RemotePlanner(*server.getsockname()[:2])
+    with pytest.raises(MalformedFrame, match=f"^reply exceeds {MAX_FRAME} bytes$"):
+        remote.plan(Fact(FaultKind.CF1, "x"))
+    assert remote._sock is None
+    thread.join(timeout=5)
+    assert taken == [encode(PlanRequest(1, Fact(FaultKind.CF1, "x"))), b""]
+
+
+def test_the_service_checks_a_request_s_length_before_its_layout(service):
+    """A request in the canonical layout, MAX_FRAME + 1 bytes with no LF, is
+    answered too_large, and the connection is closed."""
+    frame = encode(PlanRequest(3, Fact(FaultKind.CF1, "x"))).rstrip(b"\n")
+    frame = frame.replace(b'"x"', b'"' + b"x" * (MAX_FRAME + 2 - len(frame)) + b'"')
+    assert len(frame) == MAX_FRAME + 1 and decode(frame).request_id == 3
+    with socket.create_connection(service.address, timeout=2) as sock:
+        reader = sock.makefile("rb")
+        sock.sendall(frame)
+        too_large = ErrorOutcome("too_large", f"frame exceeds {MAX_FRAME} bytes")
+        assert reader.readline() == encode(PlanResponse(0, too_large))
+        assert reader.readline() == b""
+
+
+def test_the_service_answers_a_request_id_written_minus_zero_as_zero(service):
+    """The matched id is echoed as the int it reads, not as its text."""
+    request = encode(cf4_fact(request_id=0)).replace(b'"request_id":0', b'"request_id":-0')
+    (reply,) = _raw_exchange(service.address, [request])
+    plan = InProcessPlanner(default_ruleset()).plan(cf4_fact().fact)
+    assert reply == encode(PlanResponse(0, plan))
 
 
 def test_history_feeds_prior_failures():
