@@ -26,14 +26,19 @@ line's length before they match it, and both read frames with ``lines``: of
 a line with no LF in its first ``MAX_FRAME`` bytes, neither reads or holds
 more than ``MAX_FRAME + 1`` bytes, and then it closes the connection.
 
-The client imports ``socket`` when it first connects, so an in-process run
-never loads it.
+Both ends run their sockets in blocking mode, so a frame is sent and a
+reply read with one system call each and no ``poll`` before it: the kernel
+keeps each read's deadline (``lines``), and ``sender`` waits under a
+Python-level timeout only for what a first, non-waiting send leaves. The
+client imports ``socket`` when it first connects, and ``struct`` to set a
+deadline, so an in-process run loads neither.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from json.encoder import encode_basestring_ascii as _str
 from time import monotonic
 
@@ -44,7 +49,8 @@ from .rules import INT_FIELDS, Fact, NoMatch, RepairPlan, RuleSet, Strategy, eva
 
 PROTOCOL_VERSION = 1
 DEFAULT_PORT = 7464
-DEFAULT_TIMEOUT = 1.0  # wall-clock seconds to connect, to send a request, to read a reply
+DEFAULT_TIMEOUT = 1.0  # seconds to connect, to send a whole request, to read a whole reply;
+# the kernel keeps the last deadline (SO_RCVTIMEO, see lines), sender the one before
 MAX_FRAME = 64 * 1024  # bytes per frame, LF included; longer ones end the connection
 
 
@@ -281,23 +287,44 @@ def decode(data: bytes) -> PlanRequest | PlanResponse:
                                                  _exact(error, "message", str, where)))
 
 
+def _set_recv_timeout(sock, seconds: float) -> None:
+    """Set the kernel receive deadline (SO_RCVTIMEO) of the blocking ``sock``
+    to ``seconds``, packed as the platform takes it: a DWORD of milliseconds
+    on Windows, elsewhere a ``struct timeval``. Never to zero, which the
+    kernel reads as no deadline."""
+    import socket  # loaded already: the caller holds a socket
+    import struct  # here, not at module level: an in-process run never needs it
+    if sys.platform == "win32":
+        value = struct.pack("@L", max(round(seconds * 1000), 1))
+    else:
+        value = struct.pack("@ll", *divmod(max(round(seconds * 1_000_000), 1), 1_000_000))
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, value)
+
+
 def lines(sock, timeout: float):
     """Each line read from ``sock``, LF included, as soon as it is complete;
     the bytes before EOF count as a last line. A line with no LF in its first
     MAX_FRAME bytes comes out as exactly MAX_FRAME + 1 bytes, and is the last:
     no ``recv`` asks for more than the line's MAX_FRAME + 1 bytes still lack.
-    The reads of one line share ``timeout`` seconds, counted from when the
-    line is asked for; once a read given less than that returns, the socket's
-    timeout is ``timeout`` again. Each byte received is searched and copied
-    once. TimeoutError and OSError go to the caller."""
+    ``sock`` is blocking (see ``sender``), so each read is one system call,
+    and the kernel keeps its deadline (SO_RCVTIMEO), which this sets. The
+    reads of one line share ``timeout`` seconds, counted from when the line
+    is asked for: a read after a line's first waits only what is left, and
+    once it returns the deadline is ``timeout`` again. Each byte received is
+    searched and copied once. A deadline that runs out raises TimeoutError;
+    other OSErrors go to the caller too."""
     held, size = [], 0  # the bytes of the line not yet complete, and how many
+    _set_recv_timeout(sock, timeout)
     deadline = monotonic() + timeout
     while True:
-        if size:  # wait only what is left of the line's time
-            sock.settimeout(max(deadline - monotonic(), 1e-6))
-        chunk = sock.recv(MAX_FRAME + 1 - size)
+        try:
+            if size:  # wait only what is left of the line's time
+                _set_recv_timeout(sock, max(deadline - monotonic(), 1e-6))
+            chunk = sock.recv(MAX_FRAME + 1 - size)
+        except BlockingIOError as exc:  # a kernel timeout is EAGAIN on POSIX
+            raise TimeoutError("timed out") from exc
         if size:
-            sock.settimeout(timeout)
+            _set_recv_timeout(sock, timeout)
         if not chunk:
             if size:
                 yield b"".join(held)
@@ -317,6 +344,35 @@ def lines(sock, timeout: float):
             if size > MAX_FRAME:
                 yield b"".join(held)
                 return
+
+
+def sender(sock, timeout: float):
+    """The function that sends all of a frame on ``sock`` within ``timeout``
+    seconds, made once per connection: the twin of ``lines``. It makes
+    ``sock`` blocking, so that no send or recv polls first. A frame's first
+    ``send`` never waits (MSG_DONTWAIT) and, with room in the buffer, sends
+    it all; the rest is sent under a Python-level timeout, which, unlike a
+    kernel send deadline, bounds all of it on every kernel. Windows has no
+    MSG_DONTWAIT, so there a whole frame takes that way. TimeoutError and
+    other OSErrors go to the caller."""
+    import socket  # loaded already: the caller holds a socket
+    dontwait = getattr(socket, "MSG_DONTWAIT", 0)
+    sock.settimeout(None)
+
+    def send_all(data: bytes) -> None:
+        sent = 0
+        if dontwait:
+            try:
+                sent = sock.send(data, dontwait)
+            except BlockingIOError:  # not a byte of room
+                pass
+        if sent < len(data):
+            sock.settimeout(timeout)
+            try:
+                sock.sendall(memoryview(data)[sent:])
+            finally:
+                sock.settimeout(None)
+    return send_all
 
 
 # -- planner handles ---------------------------------------------------------
@@ -346,17 +402,19 @@ class RemotePlanner:
         self.timeout = timeout
         self._sock = None  # a socket once connected; socket is imported at first connect
         self._reader = None  # lines(self._sock, timeout) once connected
+        self._send = None  # sender(self._sock, timeout) once connected
         self._next_request_id = 1
 
     def _connect(self) -> None:
         if self._sock is not None:
             return
         import socket  # here, not at module level: an in-process run never needs it
-        try:
+        try:  # once per connection, so under a Python-level timeout; then blocking
             self._sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
         except OSError as exc:
             raise ConnectionFailed(f"cannot reach planner at {self.host}:{self.port}: {exc}") from exc
         self._reader = lines(self._sock, self.timeout)
+        self._send = sender(self._sock, self.timeout)
 
     def plan(self, fact: Fact) -> RepairPlan | NoMatch:
         """The service's answer. A connection opened by an earlier call that
@@ -370,9 +428,9 @@ class RemotePlanner:
         while True:
             self._connect()
             try:
-                self._sock.sendall(frame)
+                self._send(frame)
                 line = next(self._reader, b"")
-            except TimeoutError as exc:  # socket.timeout's own class since Python 3.10
+            except TimeoutError as exc:
                 self.close()  # its answer may still come; the next request must not read it
                 raise RequestTimeout(f"planner did not answer within {self.timeout}s") from exc
             except OSError as exc:  # reset, broken pipe

@@ -12,7 +12,9 @@ bytes is held to its first ``MAX_FRAME + 1`` bytes, answered with error code
 at most ``MAX_CONNECTIONS`` connections at once: one more is answered with
 error code "busy" (request id 0) and closed, with no thread started for it.
 A connection that does not complete a frame, or take in a response, within
-``IDLE_TIMEOUT`` seconds is closed.
+``IDLE_TIMEOUT`` seconds is closed; its socket is blocking, as on the
+client, with the kernel keeping each read's deadline (``planner.lines``)
+and ``planner.sender`` each response's.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import socketserver
 import threading
 
 from .planner import DEFAULT_PORT, MAX_FRAME, ErrorOutcome, InProcessPlanner, MalformedFrame
-from .planner import PlanRequest, _read_request, _response_frame, decode, lines
+from .planner import PlanRequest, _read_request, _response_frame, decode, lines, sender
 from .rules import RuleSet
 
 log = logging.getLogger(__name__)
@@ -41,13 +43,13 @@ def _best_effort_request_id(line: bytes) -> int:
 
 
 class _PlanHandler(socketserver.BaseRequestHandler):
-    """Serves one connection, reading its frames with ``planner.lines``. The
-    socket's timeout is IDLE_TIMEOUT, for the next frame to begin and for
-    each response to be taken in, except while a frame is partly in: then it
-    is what is left of that frame's time."""
+    """Serves one connection, reading its frames with ``planner.lines`` and
+    sending its responses with ``planner.sender``. Each frame has
+    IDLE_TIMEOUT seconds to come in whole, counted from when the last
+    response was sent, and each response as long to be taken in whole."""
 
     def handle(self) -> None:
-        self.request.settimeout(IDLE_TIMEOUT)
+        self._send_all = sender(self.request, IDLE_TIMEOUT)
         try:
             for line in lines(self.request, IDLE_TIMEOUT):
                 if len(line) > MAX_FRAME:
@@ -67,7 +69,7 @@ class _PlanHandler(socketserver.BaseRequestHandler):
                     frame = _response_frame(request[0], self.server.planner.plan(request[1]))
                 if not self._send(frame):
                     return
-        except TimeoutError:  # socket.timeout's own class since Python 3.10
+        except TimeoutError:
             log.info("closing %s:%d: no complete frame in %ss", *self.client_address[:2],
                      IDLE_TIMEOUT)
         except OSError as exc:  # reset by the client, say; _send catches its own
@@ -77,8 +79,8 @@ class _PlanHandler(socketserver.BaseRequestHandler):
         """Send one frame; False, after logging, if the client does not take
         it in within IDLE_TIMEOUT or is gone."""
         try:
-            self.request.sendall(frame)
-        except OSError as exc:
+            self._send_all(frame)
+        except OSError as exc:  # TimeoutError among them
             log.info("closing %s:%d: cannot send: %s", *self.client_address[:2], exc)
             return False
         return True

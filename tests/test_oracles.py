@@ -1133,6 +1133,9 @@ class ChunkedSocket:
     def settimeout(self, timeout):
         pass
 
+    def setsockopt(self, level, option, value):
+        pass
+
     def recv(self, size):
         chunk = self.chunks.pop(0) if self.chunks else b""
         if len(chunk) > size:
@@ -1141,8 +1144,9 @@ class ChunkedSocket:
         self.handed_out += len(chunk)
         return chunk
 
-    def sendall(self, data):
+    def send(self, data, flags=0):
         self.sent.append(data)
+        return len(data)
 
     def close(self):
         pass

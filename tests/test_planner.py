@@ -4,6 +4,8 @@ import os
 import random
 import select
 import socket
+import struct
+import sys
 import threading
 import time
 from enum import Enum
@@ -35,7 +37,7 @@ from healsim.planner import (
     request_plan,
 )
 from healsim.rules import Fact, RepairPlan, Strategy, default_ruleset, parse_rules
-from healsim.service import PlanService
+from healsim.service import PlanService, _PlanHandler
 
 
 def cf4_fact(request_id=1):
@@ -368,6 +370,32 @@ def test_service_closes_quietly_on_a_client_that_reads_nothing(service, monkeypa
                 sock.sendall(frame)
         assert connections_settle_at_zero(service)
     assert errors == []
+
+
+def test_service_gives_a_reply_its_idle_time_in_all_not_per_send(service, monkeypatch):
+    """A client that takes in a long reply 2 KB every 0.05 s: each send the
+    server makes moves on well within IDLE_TIMEOUT, but the whole reply
+    would take about 1.5 s, so the server closes the connection after about
+    one IDLE_TIMEOUT, not once the trickle ends."""
+    monkeypatch.setattr("healsim.service.IDLE_TIMEOUT", 0.5)
+    handle = _PlanHandler.handle
+
+    def handle_with_a_small_send_buffer(handler):  # so the reply cannot sit in it whole
+        handler.request.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        handle(handler)
+
+    monkeypatch.setattr(_PlanHandler, "handle", handle_with_a_small_send_buffer)
+    with socket.socket() as sock:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.connect(service.address)
+        sock.settimeout(1.0)
+        sock.sendall(b'{"type":"' + b"x" * 60_000 + b'"}\n')  # answered "malformed", quoting it
+        assert sock.recv(2048)  # the reply has begun: the connection is being served
+        start = time.monotonic()
+        while service._server.connections and time.monotonic() - start < 4:
+            time.sleep(0.05)
+            sock.recv(2048)
+        assert service._server.connections == 0 and time.monotonic() - start < 1.0
 
 
 def test_service_answers_undecodable_frames_then_serves(service):
@@ -740,6 +768,121 @@ def test_remote_timeout_is_one_deadline_per_request_not_per_read():
             done.set()
             server.join(timeout=5)
     assert not server.is_alive()
+
+
+def test_remote_timeout_bounds_sending_a_whole_request():
+    """A service that accepts and never reads: a request larger than the
+    socket buffers cannot all be sent, and the client gives up once its
+    timeout has passed, counted from the start of the send."""
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        fact = Fact(FaultKind.CF1, "x" * (8 << 20))
+        planner = RemotePlanner(*listener.getsockname(), timeout=0.5)
+        try:
+            start = time.monotonic()
+            with pytest.raises(RequestTimeout):
+                planner.plan(fact)
+            assert time.monotonic() - start < 2 * planner.timeout
+            assert planner._sock is None
+        finally:
+            planner.close()
+
+
+class SendRecorder:
+    """A socket that takes in ``room`` bytes of the first send, records each
+    call a ``sender`` makes and takes in all after."""
+
+    def __init__(self, room):
+        self.room, self.calls = room, []
+
+    def send(self, data, flags=0):
+        self.calls.append(("send", bytes(data), flags))
+        if not self.room:
+            raise BlockingIOError
+        return min(self.room, len(data))
+
+    def settimeout(self, timeout):
+        self.calls.append(("settimeout", timeout))
+
+    def sendall(self, data):
+        self.calls.append(("sendall", bytes(data)))
+
+
+@pytest.mark.skipif(not hasattr(socket, "MSG_DONTWAIT"), reason="no MSG_DONTWAIT on this platform")
+@pytest.mark.parametrize("room", [100, 3, 0])
+def test_a_sender_waits_under_a_timeout_only_for_what_a_first_send_leaves(room):
+    """A sender makes its socket blocking. A frame the buffer has room for is
+    then one send that never waits; the rest of one it has not goes under a
+    Python-level timeout for the whole rest, and the socket is blocking
+    again after."""
+    sock = SendRecorder(room)
+    send = planner.sender(sock, 0.5)
+    assert sock.calls == [("settimeout", None)]
+    sock.calls.clear()
+    send(b"frame\n")
+    first = [("send", b"frame\n", socket.MSG_DONTWAIT)]
+    if room >= 6:
+        assert sock.calls == first
+    else:
+        assert sock.calls == first + [("settimeout", 0.5), ("sendall", b"frame\n"[room:]),
+                                      ("settimeout", None)]
+
+
+def kernel_timeout(sock):
+    """The kernel receive deadline of ``sock`` in seconds, read back in the
+    layout ``planner._set_recv_timeout`` packs."""
+    if sys.platform == "win32":
+        (ms,) = struct.unpack("@L", sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, 4))
+        return ms / 1000
+    sec, usec = struct.unpack("@ll", sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO,
+                                                     struct.calcsize("@ll")))
+    return sec + usec % (1 << 32) / 1_000_000  # macOS: tv_usec is an int32, then padding
+
+
+def test_both_ends_leave_their_read_deadlines_to_the_kernel(service, monkeypatch):
+    """Blocking sockets, so no send or recv waits in poll first; the kernel
+    holds each end's timeout for receiving."""
+    accepted = []
+    handle = _PlanHandler.handle
+
+    def keep_socket(handler):
+        accepted.append(handler.request)
+        handle(handler)
+
+    monkeypatch.setattr(_PlanHandler, "handle", keep_socket)
+    planner = RemotePlanner(*service.address)
+    try:
+        assert planner.plan(Fact(FaultKind.CF4, "Query Service->Reputation Service")).strategy \
+            is Strategy.AS3
+        (server_sock,) = accepted
+        for sock, timeout in ((planner._sock, planner.timeout),
+                              (server_sock, service_module.IDLE_TIMEOUT)):
+            assert sock.gettimeout() is None
+            assert kernel_timeout(sock) == timeout
+    finally:
+        planner.close()
+
+
+@pytest.mark.parametrize("seconds, timeval, ms", [
+    (1e-9, (0, 1), 1), (0.3, (0, 300_000), 300), (1.0, (1, 0), 1000), (30.0, (30, 0), 30_000),
+    (2.0000004, (2, 0), 2000),
+])
+def test_a_deadline_is_packed_for_the_platform_and_never_as_forever(seconds, timeval, ms):
+    """Seconds to the nearest unit of the platform's layout, and at least
+    one unit: a zero deadline would mean none."""
+    packed = []
+
+    class Recorder:
+        def setsockopt(self, level, option, value):
+            packed.append((level, option, value))
+
+    planner._set_recv_timeout(Recorder(), seconds)
+    value = struct.pack("@L", ms) if sys.platform == "win32" else struct.pack("@ll", *timeval)
+    assert packed == [(socket.SOL_SOCKET, socket.SO_RCVTIMEO, value)]
+    with socket.socket() as sock:
+        planner._set_recv_timeout(sock, seconds)
+        assert kernel_timeout(sock) > 0
 
 
 def test_remote_stops_reading_a_reply_longer_than_a_frame():

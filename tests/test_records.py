@@ -317,11 +317,12 @@ def test_an_in_process_run_compiles_no_planner_pattern(tmp_path):
 
 def test_a_cold_start_loads_no_module_only_serving_or_logging_needs():
     """``import healsim`` loads the client and the loop, not the service, the
-    socket layer, logging or typing, and ``import healsim.cli`` none of the
-    socket layer or logging either: ``main`` loads logging when it is needed."""
+    socket layer, the ``struct`` the client packs its deadlines with, logging
+    or typing, and ``import healsim.cli`` none of the socket layer or logging
+    either: ``main`` loads logging when it is needed."""
     code = ("import sys; before = set(sys.modules); import healsim; "
-            "print(sorted({'healsim.service', 'socket', 'socketserver', 'threading', 'logging', "
-            "'typing'} & (set(sys.modules) - before))); "
+            "print(sorted({'healsim.service', 'socket', 'socketserver', 'struct', 'threading', "
+            "'logging', 'typing'} & (set(sys.modules) - before))); "
             "import healsim.cli; "
             "print(sorted({'socket', 'socketserver', 'logging'} & (set(sys.modules) - before)))")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
