@@ -24,7 +24,9 @@ an error outcome included, gets the full check, so the accepted messages and
 the ``MalformedFrame`` texts are those of the full check. Both ends check a
 line's length before they match it, and both read frames with ``lines``: of
 a line with no LF in its first ``MAX_FRAME`` bytes, neither reads or holds
-more than ``MAX_FRAME + 1`` bytes, and then it closes the connection.
+more than ``MAX_FRAME + 1`` bytes, and then it closes the connection. A
+frame that one read brings in whole is matched as the bytes that read
+returned, with no copy.
 
 Both ends run their sockets in blocking mode, so a frame is sent and a
 reply read with one system call each and no ``poll`` before it: the kernel
@@ -310,9 +312,11 @@ def lines(sock, timeout: float):
     and the kernel keeps its deadline (SO_RCVTIMEO), which this sets. The
     reads of one line share ``timeout`` seconds, counted from when the line
     is asked for: a read after a line's first waits only what is left, and
-    once it returns the deadline is ``timeout`` again. Each byte received is
-    searched and copied once. A deadline that runs out raises TimeoutError;
-    other OSErrors go to the caller too."""
+    once it returns the deadline is ``timeout`` again. A read that starts a
+    line and holds exactly one LF, at its end, is that line: it is searched
+    once and passed on as it is. Any other read is searched and copied once.
+    A deadline that runs out raises TimeoutError; other OSErrors go to the
+    caller too."""
     held, size = [], 0  # the bytes of the line not yet complete, and how many
     _set_recv_timeout(sock, timeout)
     deadline = monotonic() + timeout
@@ -325,6 +329,12 @@ def lines(sock, timeout: float):
             raise TimeoutError("timed out") from exc
         if size:
             _set_recv_timeout(sock, timeout)
+        elif chunk and chunk.find(b"\n") == len(chunk) - 1:  # one whole line
+            yield chunk
+            if len(chunk) > MAX_FRAME:
+                return
+            deadline = monotonic() + timeout
+            continue
         if not chunk:
             if size:
                 yield b"".join(held)
@@ -406,8 +416,6 @@ class RemotePlanner:
         self._next_request_id = 1
 
     def _connect(self) -> None:
-        if self._sock is not None:
-            return
         import socket  # here, not at module level: an in-process run never needs it
         try:  # once per connection, so under a Python-level timeout; then blocking
             self._sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
@@ -426,7 +434,8 @@ class RemotePlanner:
         self._next_request_id += 1
         frame, retry = _request_frame(request_id, fact), self._sock is not None
         while True:
-            self._connect()
+            if self._sock is None:
+                self._connect()
             try:
                 self._send(frame)
                 line = next(self._reader, b"")

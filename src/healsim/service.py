@@ -3,9 +3,11 @@ protocol of ``planner.py``. Only ``healsim serve-planner`` and the tests
 import this module, so ``import healsim`` loads no server code.
 
 A canonical request is read with ``planner``'s request matcher and answered
-with its reply writer, building no message object. A frame the server cannot
-decode is answered with an error outcome (code "malformed", request id 0
-when unrecoverable) and the connection stays open. Frames are read with
+with its reply writer, building no message object: a request that one
+``recv`` brings in whole is matched as the bytes that read returned, and
+the handler's loop sends its reply with one ``send``. A frame the server
+cannot decode is answered with an error outcome (code "malformed", request
+id 0 when unrecoverable) and the connection stays open. Frames are read with
 ``planner.lines``, the client's reader too: a line longer than ``MAX_FRAME``
 bytes is held to its first ``MAX_FRAME + 1`` bytes, answered with error code
 "too_large" (request id 0), and the connection is closed. The service serves
@@ -42,6 +44,18 @@ def _best_effort_request_id(line: bytes) -> int:
     return rid if type(rid) is int else 0
 
 
+def _checked_reply(planner: InProcessPlanner, line: bytes) -> bytes:
+    """The reply to a line that is not a canonical request: the full check
+    of ``decode``, and an error outcome "malformed" if it fails."""
+    try:
+        message = decode(line.rstrip(b"\n"))
+        if not isinstance(message, PlanRequest):
+            raise MalformedFrame("server expects plan_request frames")
+    except MalformedFrame as exc:
+        return _response_frame(_best_effort_request_id(line), ErrorOutcome("malformed", str(exc)))
+    return _response_frame(message.request_id, planner.plan(message.fact))
+
+
 class _PlanHandler(socketserver.BaseRequestHandler):
     """Serves one connection, reading its frames with ``planner.lines`` and
     sending its responses with ``planner.sender``. Each frame has
@@ -49,41 +63,26 @@ class _PlanHandler(socketserver.BaseRequestHandler):
     response was sent, and each response as long to be taken in whole."""
 
     def handle(self) -> None:
-        self._send_all = sender(self.request, IDLE_TIMEOUT)
+        send = sender(self.request, IDLE_TIMEOUT)
         try:
             for line in lines(self.request, IDLE_TIMEOUT):
-                if len(line) > MAX_FRAME:
+                if len(line) > MAX_FRAME:  # lines gives no line after it: the connection closes
                     too_large = ErrorOutcome("too_large", f"frame exceeds {MAX_FRAME} bytes")
-                    self._send(_response_frame(0, too_large))
-                    return
-                try:
-                    if (request := _read_request(line)) is None:  # not canonical: the full check
-                        message = decode(line.rstrip(b"\n"))
-                        if not isinstance(message, PlanRequest):
-                            raise MalformedFrame("server expects plan_request frames")
-                        request = message.request_id, message.fact
-                except MalformedFrame as exc:
-                    malformed = ErrorOutcome("malformed", str(exc))
-                    frame = _response_frame(_best_effort_request_id(line), malformed)
+                    frame = _response_frame(0, too_large)
+                elif (request := _read_request(line)) is None:  # not canonical
+                    frame = _checked_reply(self.server.planner, line)
                 else:
                     frame = _response_frame(request[0], self.server.planner.plan(request[1]))
-                if not self._send(frame):
+                try:
+                    send(frame)
+                except OSError as exc:  # TimeoutError among them
+                    log.info("closing %s:%d: cannot send: %s", *self.client_address[:2], exc)
                     return
         except TimeoutError:
             log.info("closing %s:%d: no complete frame in %ss", *self.client_address[:2],
                      IDLE_TIMEOUT)
-        except OSError as exc:  # reset by the client, say; _send catches its own
+        except OSError as exc:  # reset by the client, say; a send failure is caught above
             log.info("closing %s:%d: cannot receive: %s", *self.client_address[:2], exc)
-
-    def _send(self, frame: bytes) -> bool:
-        """Send one frame; False, after logging, if the client does not take
-        it in within IDLE_TIMEOUT or is gone."""
-        try:
-            self._send_all(frame)
-        except OSError as exc:  # TimeoutError among them
-            log.info("closing %s:%d: cannot send: %s", *self.client_address[:2], exc)
-            return False
-        return True
 
 
 class _PlanServer(socketserver.ThreadingTCPServer):

@@ -1177,13 +1177,19 @@ def test_line_splitter_equals_whole_stream_split(stream, data):
         assert got == expected[:oversize] + [expected[oversize][:9]]
 
 
-@pytest.mark.parametrize("end", ["reader", "client", "server"])
-def test_an_over_long_line_in_two_chunks_is_held_to_max_frame_plus_one(end, monkeypatch):
-    """MAX_FRAME bytes with no LF, then MAX_FRAME more: each end takes exactly
+@pytest.mark.parametrize("end, whole", [
+    pytest.param(end, whole, id=("whole-" if whole else "") + end)
+    for whole in (False, True) for end in ("reader", "client", "server")])
+def test_an_over_long_line_in_two_chunks_is_held_to_max_frame_plus_one(end, whole, monkeypatch):
+    """MAX_FRAME bytes with no LF, then MAX_FRAME more; or, ``whole``, one read
+    of MAX_FRAME + 1 bytes ending in LF, then more: each end takes exactly
     MAX_FRAME + 1 bytes off the socket, then answers as the protocol says."""
-    sock = ChunkedSocket([b"x" * MAX_FRAME, b"x" * MAX_FRAME])
+    first = b"x" * MAX_FRAME + b"\n" if whole else b"x" * MAX_FRAME
+    sock = ChunkedSocket([first, b"x" * MAX_FRAME])
     if end == "reader":
-        assert [len(line) for line in lines(sock, 1.0)] == [MAX_FRAME + 1]
+        got = list(lines(sock, 1.0))
+        assert [len(line) for line in got] == [MAX_FRAME + 1]
+        assert (got[0] is first) is whole  # a whole line is the read's own bytes
     elif end == "client":
         monkeypatch.setattr("socket.create_connection", lambda *args, **kwargs: sock)
         with pytest.raises(MalformedFrame, match=f"reply exceeds {MAX_FRAME} bytes"):
@@ -1194,4 +1200,5 @@ def test_an_over_long_line_in_two_chunks_is_held_to_max_frame_plus_one(end, monk
         handler.handle()
         too_large = ErrorOutcome("too_large", f"frame exceeds {MAX_FRAME} bytes")
         assert sock.sent == [encode(PlanResponse(0, too_large))]
-    assert sock.handed_out == MAX_FRAME + 1 and sock.chunks == [b"x" * (MAX_FRAME - 1)]
+    rest = b"x" * MAX_FRAME if whole else b"x" * (MAX_FRAME - 1)
+    assert sock.handed_out == MAX_FRAME + 1 and sock.chunks == [rest]

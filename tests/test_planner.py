@@ -1,5 +1,6 @@
 import collections
 import json
+import logging
 import os
 import random
 import select
@@ -862,6 +863,108 @@ def test_both_ends_leave_their_read_deadlines_to_the_kernel(service, monkeypatch
             assert kernel_timeout(sock) == timeout
     finally:
         planner.close()
+
+
+class CallRecorder:
+    """A socket that records the name of each of its methods called, then
+    calls the socket it wraps."""
+
+    def __init__(self, sock):
+        self._sock, self.calls = sock, []
+
+    def __getattr__(self, name):
+        method = getattr(self._sock, name)
+
+        def recorded(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+        return recorded
+
+
+@pytest.mark.skipif(not hasattr(socket, "MSG_DONTWAIT"), reason="no MSG_DONTWAIT on this platform")
+def test_a_round_trip_makes_one_send_and_one_recv_at_each_end(service, monkeypatch):
+    """Four system calls per round trip, as README's "Planner protocol" says:
+    after the first request, which sets up each end's socket, each canonical
+    round trip is one send and one recv at the client and at the service,
+    and neither end sets a timeout or a socket option."""
+    ends = []
+    create_connection, handle = socket.create_connection, _PlanHandler.handle
+
+    def counted_connection(*args, **kwargs):
+        ends.append(CallRecorder(create_connection(*args, **kwargs)))
+        return ends[-1]
+
+    def counted_handle(handler):
+        handler.request = CallRecorder(handler.request)
+        ends.append(handler.request)
+        handle(handler)
+
+    monkeypatch.setattr(socket, "create_connection", counted_connection)
+    monkeypatch.setattr(_PlanHandler, "handle", counted_handle)
+    remote, rounds = RemotePlanner(*service.address), 3
+    try:
+        for i in range(1 + rounds):
+            assert remote.plan(Fact(FaultKind.CF1, f"s{i}")).subject == f"s{i}"
+        assert len(ends) == 2  # one connection, one handler
+        client_calls = list(ends[0].calls)  # before close, which it records too
+    finally:
+        remote.close()
+    assert connections_settle_at_zero(service)  # the service has read EOF and ended
+    assert client_calls == ["settimeout", "send", "setsockopt", "recv"] + ["send", "recv"] * rounds
+    assert ends[1].calls == (["settimeout", "setsockopt", "recv", "send"]
+                             + ["recv", "send"] * rounds + ["recv"])
+
+
+def closing_lines(caplog, port):
+    return [record.getMessage() for record in caplog.records if record.name == "healsim.service"
+            and record.getMessage().startswith(f"closing 127.0.0.1:{port}: ")]
+
+
+def test_the_service_logs_a_connection_that_completes_no_frame(service, monkeypatch, caplog):
+    caplog.set_level(logging.INFO, logger="healsim.service")
+    monkeypatch.setattr("healsim.service.IDLE_TIMEOUT", 0.3)
+    with socket.create_connection(service.address, timeout=2) as sock:
+        sock.sendall(encode(cf4_fact())[:10])
+        assert sock.recv(1) == b""  # closed once the frame's time is up
+        port = sock.getsockname()[1]
+    assert closing_lines(caplog, port) == [f"closing 127.0.0.1:{port}: no complete frame in 0.3s"]
+
+
+def test_the_service_logs_a_connection_reset_while_it_waits_for_a_frame(service, caplog):
+    caplog.set_level(logging.INFO, logger="healsim.service")
+    with socket.create_connection(service.address, timeout=2) as sock:
+        sock.sendall(encode(cf4_fact()))
+        assert sock.recv(MAX_FRAME)  # answered: the service now waits for the next frame
+        port = sock.getsockname()[1]
+        # A zero linger: the close resets the connection the service waits on.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    assert connections_settle_at_zero(service)
+    (line,) = closing_lines(caplog, port)
+    assert line.startswith(f"closing 127.0.0.1:{port}: cannot receive: ")
+
+
+def test_the_service_logs_a_reply_it_cannot_send_as_a_send_failure(service, monkeypatch, caplog):
+    """A client that reads one byte of a long reply: the reply's send times
+    out, which the service logs as "cannot send", not as a frame it did not
+    receive."""
+    caplog.set_level(logging.INFO, logger="healsim.service")
+    monkeypatch.setattr("healsim.service.IDLE_TIMEOUT", 0.3)
+    handle = _PlanHandler.handle
+
+    def handle_with_a_small_send_buffer(handler):  # so the reply cannot sit in it whole
+        handler.request.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        handle(handler)
+
+    monkeypatch.setattr(_PlanHandler, "handle", handle_with_a_small_send_buffer)
+    with socket.socket() as sock:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.connect(service.address)
+        sock.settimeout(2)
+        sock.sendall(b'{"type":"' + b"x" * 60_000 + b'"}\n')  # answered "malformed", quoting it
+        assert sock.recv(1)  # the reply has begun: the connection is being served
+        port = sock.getsockname()[1]
+        assert connections_settle_at_zero(service)
+    assert closing_lines(caplog, port) == [f"closing 127.0.0.1:{port}: cannot send: timed out"]
 
 
 @pytest.mark.parametrize("seconds, timeval, ms", [
