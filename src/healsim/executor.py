@@ -72,7 +72,7 @@ def execute(model: ArchitectureModel, plan: RepairPlan) -> ExecutionResult:
             model.instantiate(slot, new_instance_id)
             mutations.append(f"instantiate({slot}, {new_instance_id})")
         _restore_incident_connectors(model, slot, mutations)
-    else:  # AS4; allocating before the removal lets the new id skip the slot's current one
+    else:  # AS4; the model noted the slot's current id when it came in, so any new id is past it
         new_instance_id = model.allocate_instance_id(slot)
         if model.present(slot):
             model.remove_component(slot)

@@ -389,12 +389,13 @@ class ArchitectureModel(Record):
     """
 
     _fields = ("blueprint", "_components", "_missing", "clock", "_instance_seq")
-    __slots__ = _fields + ("_damaged", "_violations", "_journal")
+    # And the id ``allocate_instance_id`` last returned, which ``instantiate`` need not note.
+    __slots__ = _fields + ("_damaged", "_violations", "_journal", "_allocated")
 
     def __init__(self, blueprint: Blueprint, components: dict[str, Component | None],
                  connectors: set[ConnectorSpec] | tuple[ConnectorSpec, ...],
                  clock: int = 0) -> None:
-        self.blueprint, self.clock, self._instance_seq = blueprint, clock, {}
+        self.blueprint, self.clock, self._instance_seq, self._allocated = blueprint, clock, {}, None
         if odd := components.keys() ^ blueprint._slot_pos.keys():
             name = min(odd)
             raise UnknownSlot(f"no slot named {name!r}" if name in components
@@ -462,7 +463,7 @@ class ArchitectureModel(Record):
         return self._components[self._position(slot)]
 
     def present(self, slot: str) -> bool:
-        return self.component(slot) is not None
+        return self._components[self._position(slot)] is not None
 
     def present_slots(self) -> list[str]:
         """Slots that hold an instance, in blueprint order."""
@@ -475,6 +476,8 @@ class ArchitectureModel(Record):
 
     def present_slot(self, k: int) -> str:
         """``present_slots()[k]`` for 0 <= k < ``present_count()``, from the empty slots alone."""
+        if not self._damaged:
+            return self.blueprint._slot_names[k]
         absent = [pos for pos in self._damaged if self._components[pos] is None]
         return self.blueprint._slot_names[_kth_kept(k, sorted(absent))]
 
@@ -493,7 +496,9 @@ class ArchitectureModel(Record):
 
     def live_connector(self, k: int) -> ConnectorSpec:
         """``live_connectors()[k]`` for 0 <= k < ``live_count()``, from the missing alone."""
-        return self.blueprint.intended_connectors[_kth_kept(k, sorted(self._missing))]
+        if not (missing := self._missing):
+            return self.blueprint.intended_connectors[k]
+        return self.blueprint.intended_connectors[_kth_kept(k, sorted(missing))]
 
     def live_connector_specs(self) -> list[ConnectorSpec]:
         """``live_connectors()`` as a fresh list."""
@@ -569,7 +574,8 @@ class ArchitectureModel(Record):
             raise ModelError(f"slot {slot!r} is already occupied")
         comp = Component(instance_id)
         self._put(pos, comp)
-        self._note_instance_id(slot, instance_id)
+        if instance_id is not self._allocated:  # noting the id just allocated changes nothing
+            self._note_instance_id(slot, instance_id)
         return comp
 
     def allocate_instance_id(self, slot: str) -> str:
@@ -578,7 +584,8 @@ class ArchitectureModel(Record):
         self._position(slot)
         seq = self._instance_seq.get(slot, 0) + 1
         self._instance_seq[slot] = seq
-        return f"{slot}#{seq}"
+        self._allocated = instance_id = f"{slot}#{seq}"
+        return instance_id
 
     def advance_clock(self, ms: int) -> None:
         if ms < 0:
@@ -610,6 +617,8 @@ def validate(model: ArchitectureModel) -> list[Violation]:
     that deviation is seen. Damage that stands over many rounds is thus
     built once, and a report writer can render each object once.
     """
+    if not model._damaged and not model._missing:
+        return []
     violations: list[Violation] = []
     bp, components, shared = model.blueprint, model._components, model._violations
     for pos in sorted(model._damaged):

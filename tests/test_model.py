@@ -277,6 +277,29 @@ def test_instance_ids_never_repeat(model):
         seen.add(new_id)
 
 
+def test_an_outside_id_past_the_allocated_one_moves_allocation_on(model):
+    """Allocating S#5 and then instantiating S#9, an id the caller chose,
+    makes the next allocation S#10."""
+    allocated = [model.allocate_instance_id("Bid Service") for _ in range(4)]
+    assert allocated[-1] == "Bid Service#5"  # the built model holds Bid Service#1
+    model.remove_component("Bid Service")
+    model.instantiate("Bid Service", "Bid Service#9")
+    assert model.allocate_instance_id("Bid Service") == "Bid Service#10"
+
+
+@pytest.mark.parametrize("built_again", [False, True], ids=["allocated", "equal-string"])
+def test_instantiating_the_allocated_id_allocates_the_next_one(model, built_again):
+    """The id allocate_instance_id returned, or a string built apart that
+    equals it, fills the slot and leaves S#N+1 next."""
+    model.remove_component("Bid Service")
+    allocated = model.allocate_instance_id("Bid Service")
+    assert allocated == "Bid Service#2"
+    instance_id = "#".join(allocated.rsplit("#", 1)) if built_again else allocated
+    assert instance_id == allocated and (instance_id is allocated) is not built_again
+    assert model.instantiate("Bid Service", instance_id) == Component(allocated)
+    assert model.allocate_instance_id("Bid Service") == "Bid Service#3"
+
+
 def test_live_connector_specs_order(model):
     specs = model.live_connector_specs()
     assert specs == list(model.blueprint.intended_connectors)

@@ -258,6 +258,15 @@ STEP = st.tuples(
 STEPS = st.lists(STEP, max_size=40)
 
 
+def assert_draws_match_lists(model):
+    """The k-th present slot and live connector, damaged or healed, are the
+    k-th of the whole-blueprint lists."""
+    present, live = model.present_slots(), model.live_connectors()
+    assert model.present_count() == len(present) and model.live_count() == len(live)
+    assert [model.present_slot(k) for k in range(len(present))] == present
+    assert [model.live_connector(k) for k in range(len(live))] == list(live)
+
+
 @pytest.mark.parametrize(
     "doc", [None, layered_blueprint_doc(6), REPLICA_DOC], ids=["default", "layered6", "replica"]
 )
@@ -274,6 +283,8 @@ STEPS = st.lists(STEP, max_size=40)
 def test_fast_paths_equal_references_over_random_steps(doc, steps):
     bp = load(doc)
     model = instantiate_blueprint(bp)
+    assert validate(model) == brute_validate(model) == []
+    assert_draws_match_lists(model)  # healed: nothing damaged, nothing missing
     for step in steps:
         before = take_snapshot(model)
         scanned_before = scan_snapshot(model)
@@ -284,6 +295,7 @@ def test_fast_paths_equal_references_over_random_steps(doc, steps):
         after = take_snapshot(model)
 
         assert validate(model) == brute_validate(model)
+        assert_draws_match_lists(model)
 
         live = model.live_connector_specs()
         assert len(live) == model.live_count() and live == scan_live(model)
@@ -453,6 +465,22 @@ def test_directly_built_model_matches_scans():
     assert_views_match_scans(model, 0)
 
 
+def test_an_empty_slot_with_no_connectors_is_skipped_while_every_connector_is_live():
+    """A slot with no intended connectors empties without a connector going
+    missing, so only the slot damage tells the draw which slot to skip."""
+    doc = copy.deepcopy(REPLICA_DOC)
+    doc["slots"].insert(2, {"slot": "Spare", "type": "Store"})
+    model = instantiate_blueprint(blueprint_from_json(doc))
+    assert model.remove_component("Spare") == [] and model.live_count() == 3
+    assert_draws_match_lists(model)
+    assert model.present_slot(2) == "App B"
+    assert validate(model) == brute_validate(model) == [
+        Violation(ViolationKind.MISSING_COMPONENT, "Spare")]
+    model.instantiate("Spare", "Spare#2")
+    assert_draws_match_lists(model)
+    assert validate(model) == brute_validate(model) == []
+
+
 # -- (d) the change journal vs the full diff ---------------------------------
 
 
@@ -475,10 +503,7 @@ def test_indexed_draws_equal_the_listed_targets(doc, steps):
     from the damage alone, are the k-th of the whole-blueprint lists."""
     model = instantiate_blueprint(load(doc))
     apply_steps(model, steps)
-    present, live = model.present_slots(), model.live_connectors()
-    assert model.present_count() == len(present) and model.live_count() == len(live)
-    assert [model.present_slot(k) for k in range(len(present))] == present
-    assert [model.live_connector(k) for k in range(len(live))] == list(live)
+    assert_draws_match_lists(model)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """The record classes: value equality, hashing, text, immutability and
 copying, checked for every record class in one table; a run and its reports
-that call no Python-level ``__hash__``; and a cold start that loads neither
+that call no Python-level ``__hash__``; healed runs that scan no damage
+and parse back no id they allocated; and a cold start that loads neither
 ``dataclasses`` nor ``inspect`` and, in process, compiles no planner pattern
 and imports no text codec."""
 
@@ -15,6 +16,7 @@ from enum import Enum
 import pytest
 from test_golden import layered_blueprint_doc
 
+from healsim import model as model_module
 from healsim.analyzer import FailureReport, RootCauseLedger, RootCauseSuspect
 from healsim.executor import ExecutionResult
 from healsim.faults import FaultInstance, FaultKind
@@ -26,6 +28,7 @@ from healsim.harness import (
     emit_reports,
 )
 from healsim.model import (
+    ArchitectureModel,
     Blueprint,
     Component,
     ComponentState,
@@ -361,6 +364,30 @@ def test_a_run_and_its_reports_call_no_python_level_hash(doc, rounds, tcp, tmp_p
         runner.close()
         if tcp:
             service.shutdown()
+    assert calls == {}
+
+
+@pytest.mark.parametrize("doc", [None, layered_blueprint_doc(200)], ids=["shop", "layered200"])
+def test_a_healed_run_scans_no_damage_and_parses_no_allocated_id(doc, monkeypatch):
+    """Every round of these runs ends healed, so each draw takes its target
+    straight from the blueprint, with no k-th lookup over the damage, and
+    each repair instantiates the id it allocated without parsing it back."""
+    blueprint = None if doc is None else blueprint_from_json(doc)
+    runner = ScenarioRunner(ScenarioConfig(seed=42, rounds=2000), blueprint=blueprint)
+    calls = collections.Counter()
+    for owner, name in ((model_module, "_kth_kept"), (ArchitectureModel, "_note_instance_id")):
+        def counted(*args, _fn=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    try:
+        report = runner.run()
+    finally:
+        runner.close()
+    assert all(not record.post_violations for record in report.rounds)
+    assert any(result.new_instance_id for record in report.rounds
+               for result in record.executions)
     assert calls == {}
 
 
