@@ -5,6 +5,8 @@ A draw finds its target by index, from the model's damage alone.
 
 from __future__ import annotations
 
+import itertools
+import sys
 from enum import Enum
 
 from .model import _UNKNOWN, ArchitectureModel, ConnectorSpec, Frozen, _set
@@ -49,21 +51,54 @@ class FaultInstance(Frozen):
         _set(self, "injected_at", injected_at)
 
 
+# splitmix64, 64 outputs per step: SIMD within a register, the register one
+# Python integer of 64 lanes of 128 bits. A lane holds a 64-bit value in its
+# low half, so its product with a 64-bit constant stays in the lane; the mask
+# after each xor-shift drops the bits shifted in from the next lane, and the
+# mask after each product takes the lane mod 2**64. The constants are built
+# from bytes, which is cheaper at import than summing shifted terms.
+_LANES = 64
+_GAMMA = 0x9E3779B97F4A7C15
+_ONES = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")  # 1 in every lane
+_LOW = int.from_bytes((b"\xff" * 8 + bytes(8)) * _LANES, "little")  # each lane's low half
+_GAMMAS = int.from_bytes(  # (i+1)*gamma mod 2**64 in lane i
+    b"".join([((i + 1) * _GAMMA & _MASK).to_bytes(16, "little") for i in range(_LANES)]), "little")
+# to_bytes in the host's own byte order makes each native 64-bit word's value
+# right on any host; only the order of the words differs. Lane i's low half is
+# word 2*i from the little end: the start of little-endian bytes, the end of
+# big-endian ones.
+_LOW_HALVES = {"little": slice(0, None, 2), "big": slice(-1, None, -2)}
+_HOST_LOW_HALVES = _LOW_HALVES[sys.byteorder]
+
+
+def _splitmix64_batch(state: int) -> memoryview:
+    """The next ``_LANES`` outputs after ``state`` (taken mod 2**64)."""
+    z = ((state & _MASK) * _ONES + _GAMMAS) & _LOW
+    z = ((z ^ (z >> 30)) & _LOW) * 0xBF58476D1CE4E5B9 & _LOW
+    z = ((z ^ (z >> 27)) & _LOW) * 0x94D049BB133111EB & _LOW
+    z ^= z >> 31
+    return memoryview(z.to_bytes(16 * _LANES, sys.byteorder)).cast("Q")[_HOST_LOW_HALVES]
+
+
 class Rng:
     """splitmix64: four lines of 64-bit integer arithmetic, so the exact
-    same sequence is reproducible in any language."""
+    same sequence is reproducible in any language::
 
-    __slots__ = ("state",)
+        state = (state + 0x9E3779B97F4A7C15) & MASK
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+        return z ^ (z >> 31)
+
+    ``next()`` returns the next output. The outputs are computed
+    ``_LANES`` at a time by ``_splitmix64_batch``, so ``next`` is a C-level
+    iterator's ``__next__`` over those batches, one per instance.
+    """
+
+    __slots__ = ("next",)
 
     def __init__(self, seed: int) -> None:
-        self.state = seed & _MASK
-
-    def next(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
+        states = itertools.count(seed & _MASK, _LANES * _GAMMA & _MASK)  # before each batch
+        self.next = itertools.chain.from_iterable(map(_splitmix64_batch, states)).__next__
 
 
 def draw_interval(rng: Rng) -> int:

@@ -7,16 +7,20 @@ the architecture against the blueprint. All randomness flows from the
 single splitmix64 seed and the clock is logical, so a config determines
 every output byte.
 
-A run ends by writing scenario.json, rounds.csv and suspects.csv, one
-round at a time. Each round's object in scenario.json is written directly
-as canonical JSON text by ``round_json``, with no intermediate dicts: its
-key order is fixed by hand and guarded by the dict-form oracle in
-``tests/test_oracles.py``.
+A run ends by writing scenario.json, rounds.csv and suspects.csv. The first
+two go out in batches of rounds, one encode and one write per batch, so a
+writer never holds a whole document. Each round's object in scenario.json
+is written directly as canonical JSON text by ``round_json``, with no
+intermediate dicts: its key order is fixed by hand and guarded by the
+dict-form oracle in ``tests/test_oracles.py``. A rounds.csv row is
+formatted directly too; only a target whose name needs quoting goes
+through ``csv``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import sys
@@ -352,9 +356,15 @@ def round_json(record: RoundRecord, rendered: dict[int, str]) -> str:
     )
 
 
+# Rounds per piece of scenario.json and rounds.csv: few enough that emission
+# holds little next to the report, enough that a write is not per round.
+_EMIT_BATCH = 64
+
+
 def scenario_chunks(report: ScenarioReport) -> Iterator[str]:
     """``scenario.json`` as ASCII text in pieces: the head, one piece per
-    round, and the tail, so that a writer never holds the whole document.
+    ``_EMIT_BATCH`` rounds, and the tail, so that a writer never holds the
+    whole document.
 
     ``canonical_json`` encodes the small rest of the document with an empty
     ``rounds`` list; the objects from ``round_json`` go between its halves.
@@ -391,10 +401,10 @@ def scenario_chunks(report: ScenarioReport) -> Iterator[str]:
     # list, so the first '"rounds":[]' is the top-level key.
     head, tail = doc.split('"rounds":[]', 1)
     yield head + '"rounds":['
-    separator, rendered = "", {}
-    for record in report.rounds:
-        yield separator + round_json(record, rendered)
-        separator = ","
+    rounds, rendered = report.rounds, {}
+    for start in range(0, len(rounds), _EMIT_BATCH):
+        texts = [round_json(record, rendered) for record in rounds[start:start + _EMIT_BATCH]]
+        yield ("," if start else "") + ",".join(texts)
     yield "]" + tail
 
 
@@ -409,6 +419,37 @@ ROUNDS_CSV_HEADER = [
 ]
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as a cell of a row that ``csv.writer`` writes: as is, unless
+    it holds a comma, a quote, a carriage return or a line feed. Only then is
+    ``csv`` asked, so the quoting is whatever the running Python's ``csv``
+    does (3.11 leaves a carriage return unquoted under a "\\n" terminator)."""
+    if "," not in text and '"' not in text and "\r" not in text and "\n" not in text:
+        return text
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text])  # not empty: never the lone ""
+    return buffer.getvalue()[:-1]
+
+
+def _rounds_csv_chunks(rounds: list[RoundRecord]) -> Iterator[str]:
+    """``rounds.csv`` as text in pieces: the header, then one piece per
+    ``_EMIT_BATCH`` rounds. The bytes are those of ``csv.writer`` with
+    ``lineterminator="\\n"``: every cell but the fault target is an integer
+    or an enum value, which ``csv`` never quotes."""
+    yield ",".join(ROUNDS_CSV_HEADER) + "\n"
+    for start in range(0, len(rounds), _EMIT_BATCH):
+        lines = []
+        for r in rounds[start:start + _EMIT_BATCH]:
+            # A round executes exactly the plans that are not NoMatch.
+            executions = r.executions
+            lines.append(
+                f"{r.index},{r.clock_end},{r.fault.kind._value_},"
+                f"{_csv_cell(render_subject(r.fault.target))},{len(r.reports)},"
+                f"{len(executions)},{';'.join([e.plan.strategy._value_ for e in executions])},"
+                f"{len(r.post_violations)},{len(r.plans) - len(executions)}\n")
+        yield "".join(lines)
+
+
 def emit_reports(report: ScenarioReport, out_dir: str) -> dict[str, str]:
     """Write scenario.json, rounds.csv, and suspects.csv, each as a new file
     (an old file or link at its path is removed, never written through);
@@ -418,14 +459,6 @@ def emit_reports(report: ScenarioReport, out_dir: str) -> dict[str, str]:
         "rounds": os.path.join(out_dir, "rounds.csv"),
         "suspects": os.path.join(out_dir, "suspects.csv"),
     }
-    # A round executes exactly the plans that are not NoMatch.
-    rows = (
-        (r.index, r.clock_end, r.fault.kind._value_, render_subject(r.fault.target),
-         len(r.reports), len(r.executions),
-         ";".join([e.plan.strategy._value_ for e in r.executions]),
-         len(r.post_violations), len(r.plans) - len(r.executions))
-        for r in report.rounds
-    )
     try:
         os.makedirs(out_dir, exist_ok=True)
         for path in paths.values():  # a new file each: truncating a written one waits on writeback
@@ -436,10 +469,8 @@ def emit_reports(report: ScenarioReport, out_dir: str) -> dict[str, str]:
         # Binary, so that no text codec module is imported; encode still rejects non-ASCII.
         with open(paths["scenario"], "wb") as fh:
             fh.writelines(chunk.encode("ascii") for chunk in scenario_chunks(report))
-        with open(paths["rounds"], "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(ROUNDS_CSV_HEADER)
-            writer.writerows(rows)
+        with open(paths["rounds"], "wb") as fh:
+            fh.writelines(chunk.encode("utf-8") for chunk in _rounds_csv_chunks(report.rounds))
         write_suspect_report(report.suspects, paths["suspects"])
     except OSError as exc:
         raise ConfigError(f"cannot write reports under {out_dir}: {exc}") from exc

@@ -378,8 +378,14 @@ class ArchitectureModel(Record):
     else, to its instance or None (UnknownSlot otherwise, and ModelError for
     a value that is neither); its ``connectors`` are the live ones, each an
     intended ConnectorSpec (UnknownConnector otherwise, as for
-    ``add_connector``). A slot holds at most one instance and removing it
-    drops its connectors, so a spec names exactly one live edge.
+    ``add_connector``), and each joins two occupied slots (TargetAbsent
+    otherwise, as for ``add_connector``). A slot holds at most one instance
+    and removing it drops its connectors, so a spec names exactly one live edge.
+
+    The representation invariant, which the constructor establishes and every
+    mutation keeps: every live connector joins two present slots; the damaged
+    slots are exactly those empty or not STARTED; and every held instance id
+    ``SLOT#N`` is at most the slot's last allocated N.
 
     Mutations apply exactly the named change, except that removing a
     component also drops its incident connectors. A single writer at a time
@@ -415,6 +421,8 @@ class ArchitectureModel(Record):
         positions = {spec.name: blueprint._connector_pos(spec) for spec in connectors}
         if unknown := [name for name, pos in positions.items() if pos is None]:
             raise UnknownConnector(f"connector {min(unknown)} is not intended")  # min: any hash seed
+        if dangling := [name for name, pos in positions.items() if not self._ends_present(pos)]:
+            raise TargetAbsent(f"connector {min(dangling)} has an absent endpoint")
         live = set(positions.values())
         self._missing = set(range(len(blueprint.intended_connectors))) - live
         # The Violation objects validate returns, each built on first use, by

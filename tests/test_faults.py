@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from healsim import faults
 from healsim.faults import (
     FaultInstance,
     FaultKind,
@@ -30,6 +31,48 @@ SPLITMIX_SEED42 = [
     5139283748462763858,
     6349198060258255764,
 ]
+
+
+def reference_splitmix64(seed, count):
+    """The recurrence one output at a time, as its four lines read."""
+    state, mask, out = seed & (2**64 - 1), 2**64 - 1, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42, 2**64 - 1, 2**64 + 5, -1])
+def test_batched_stream_equals_the_reference(seed):
+    """1000 outputs cross 15 batch edges of the 64-lane kernel."""
+    assert 1000 > 15 * faults._LANES
+    rng = Rng(seed)
+    assert [rng.next() for _ in range(1000)] == reference_splitmix64(seed, 1000)
+
+
+def test_interleaved_generators_share_no_state():
+    a, b = Rng(42), Rng(42)
+    drawn_a, drawn_b = [], []
+    for i in range(300):  # uneven turns, so the two cross batch edges at different calls
+        drawn_a.append(a.next())
+        if i % 3:
+            drawn_b.append(b.next())
+    drawn_b += [b.next() for _ in range(len(drawn_a) - len(drawn_b))]
+    assert drawn_a == drawn_b == reference_splitmix64(42, 300)
+
+
+@pytest.mark.parametrize("order", ["little", "big"])
+def test_kernel_reads_each_lane_in_either_byte_order(order):
+    """The lanes' low halves, read as 64-bit words of the kernel's bytes in
+    ``order`` as a host of that byte order reads them, come out in lane order."""
+    lanes = [(i + 1) * 0x0123456789ABCDEF % 2**64 for i in range(faults._LANES)]
+    junk = [(i + 7) * 0xFEDCBA9876543210 % 2**64 for i in range(faults._LANES)]  # high halves
+    z = sum((low | high << 64) << 128 * i for i, (low, high) in enumerate(zip(lanes, junk)))
+    data = z.to_bytes(16 * faults._LANES, order)
+    words = [int.from_bytes(data[j:j + 8], order) for j in range(0, len(data), 8)]
+    assert words[faults._LOW_HALVES[order]] == lanes
 
 
 def test_splitmix64_known_answer_seed0():

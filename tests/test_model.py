@@ -192,6 +192,23 @@ def test_model_components_hold_components_or_none():
         ArchitectureModel(bp, components, set())
 
 
+def test_model_rejects_a_live_connector_of_an_empty_slot():
+    """Every live connector joins two present slots, as ``add_connector``
+    keeps it: the constructor names the first offending connector by name.
+    Connectors of an empty slot that are not live are fine."""
+    bp = default_blueprint()
+    components = {slot: Component(f"{slot}#1") for slot in bp.slot_names()}
+    components["Frontend"] = None
+    with pytest.raises(TargetAbsent,
+                       match="^connector Frontend->Auth Service has an absent endpoint$"):
+        ArchitectureModel(bp, components, bp.intended_connectors)
+    kept = [spec for spec in bp.intended_connectors if spec.source != "Frontend"]
+    model = ArchitectureModel(bp, components, kept)
+    assert model.live_connector_specs() == kept
+    assert [(v.kind, v.subject) for v in validate(model)] == [
+        (ViolationKind.MISSING_COMPONENT, "Frontend")]  # its connectors go with it
+
+
 def test_mutation_errors(model):
     model.remove_component("Bid Service")
     with pytest.raises(TargetAbsent):

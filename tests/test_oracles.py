@@ -725,6 +725,22 @@ ODD_RULES = (
     'rule "reconnect cf4" when kind == CF4 then AS3\n'
 )
 
+# Slot names whose rounds.csv cell goes through csv (a comma, a quote, a
+# carriage return, a line feed) beside ones written as they are (a leading
+# space, a non-ASCII letter).
+CSV_NAMES = ("Comma, Ltd", 'Say "hi"', "Carriage\rReturn", "Line\nFeed", " Leading", "Ærø")
+CSV_NAMES_DOC = {
+    "types": [
+        {"name": f"type {i}", "provides": f"api {i}", "requires": [f"api {i + 1}"] if i < 5 else []}
+        for i in range(len(CSV_NAMES))
+    ],
+    "slots": [{"slot": name, "type": f"type {i}"} for i, name in enumerate(CSV_NAMES)],
+    "connectors": [
+        {"from": CSV_NAMES[i], "to": CSV_NAMES[i + 1], "interface": f"api {i + 1}"}
+        for i in range(len(CSV_NAMES) - 1)
+    ],
+}
+
 CF2_SCRIPT = [
     FaultInstance(FaultKind.CF2, "Bid Service", magnitude=6),
     FaultInstance(FaultKind.CF4, ConnectorSpec("Query Service", "Reputation Service",
@@ -771,6 +787,7 @@ def encoder_cases():
         ("odd-names-degraded",
          ScenarioConfig(seed=8, rounds=200, rootcause_threshold=1),
          ODD_NAMES_DOC, DEGRADED_RULES),
+        ("csv-names", ScenarioConfig(seed=11, rounds=48), CSV_NAMES_DOC, None),
     ]
 
 
@@ -839,8 +856,9 @@ def test_degraded_run_builds_each_violation_once(monkeypatch):
 def test_encoder_cases_cover_every_branch():
     """The cases above reach no-match plans, persisting violations, one
     subject under two violation kinds, CF2 magnitudes, executions with and
-    without a new instance, suspects, and targets and fired rules that need
-    escaping."""
+    without a new instance, suspects, targets and fired rules that need
+    escaping, and targets whose rounds.csv cell goes through csv (a
+    carriage return) or is written as it is (a leading space)."""
     seen = collections.Counter()
     for case in encoder_cases():
         report = run_case(case)
@@ -856,10 +874,14 @@ def test_encoder_cases_cover_every_branch():
             seen["violations"] += bool(record.post_violations)
             seen["new_instance"] += any(e.new_instance_id for e in record.executions)
             seen["no_new_instance"] += any(e.new_instance_id is None for e in record.executions)
-            seen["odd_target"] += any(c in render_subject(record.fault.target) for c in '"\\\n,ü')
+            target = render_subject(record.fault.target)
+            seen["odd_target"] += any(c in target for c in '"\\\n,ü')
+            seen["carriage_return_target"] += "\r" in target
+            seen["leading_space_target"] += target.startswith(" ")
             seen["odd_rule"] += any('"' in getattr(p, "fired_rule", "") for p in record.plans)
     assert all(seen[k] for k in ("suspects", "magnitude", "no_match", "violations",
                                  "new_instance", "no_new_instance", "odd_target",
+                                 "carriage_return_target", "leading_space_target",
                                  "odd_rule", "subject_of_two_kinds")), seen
 
 
