@@ -4,12 +4,11 @@ root-cause counters over dependent components.
 Every classified failure of a component bumps a counter for each of its
 blueprint dependencies; a dependency whose counter reaches the threshold is
 flagged as a root-cause suspect for investigation. The originally reported
-component is still repaired either way.
+component is still repaired either way. The harness writes the suspects
+out, as it writes every report.
 """
 
 from __future__ import annotations
-
-import csv
 
 from .faults import _CF1, _CF2, _CF3, _CF4, FaultKind
 from .model import _UNKNOWN, ArchitectureModel, ConnectorSpec, Frozen, Record, _set
@@ -128,15 +127,3 @@ class RootCauseLedger(Record):
         ]
         found.sort(key=lambda s: (-s.count, s.slot))
         return found
-
-
-SUSPECT_CSV_HEADER = ["component", "count", "implicated_by", "first_at", "last_at"]
-
-
-def write_suspect_report(suspects: list[RootCauseSuspect], path: str) -> None:
-    """CSV with one row per suspect, LF line endings, deterministic bytes."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUSPECT_CSV_HEADER)
-        for s in suspects:
-            writer.writerow([s.slot, s.count, ";".join(s.implicated_by), s.first_at, s.last_at])

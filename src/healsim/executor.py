@@ -6,8 +6,9 @@ Strategy semantics:
          otherwise a restart, plus recreation of missing intended connectors
          incident to the slot.
     AS3  reconnect: add the named connector; a no-op if it is already live.
-    AS4  replace: swap in a fresh instance of the same type (new instance id,
-         STARTED, zero exceptions) and recreate its intended connectors.
+    AS4  replace: swap in a fresh instance of the same type (an instance id
+         the model picks, STARTED, zero exceptions) and recreate its
+         intended connectors.
 
 Each applied mutation advances the logical clock by one millisecond, so
 successive repairs carry distinct timestamps.
@@ -68,16 +69,14 @@ def execute(model: ArchitectureModel, plan: RepairPlan) -> ExecutionResult:
         if model.present(slot):
             _restart_in_place(model, slot, mutations)
         else:
-            new_instance_id = model.allocate_instance_id(slot)
-            model.instantiate(slot, new_instance_id)
+            new_instance_id = model.instantiate(slot).instance_id
             mutations.append(f"instantiate({slot}, {new_instance_id})")
         _restore_incident_connectors(model, slot, mutations)
-    else:  # AS4; the model noted the slot's current id when it came in, so any new id is past it
-        new_instance_id = model.allocate_instance_id(slot)
+    else:  # AS4; the model noted the old instance's id when it came in, so the new one is past it
         if model.present(slot):
             model.remove_component(slot)
             mutations.append(f"remove_component({slot})")
-        model.instantiate(slot, new_instance_id)
+        new_instance_id = model.instantiate(slot).instance_id
         mutations.append(f"instantiate({slot}, {new_instance_id})")
         _restore_incident_connectors(model, slot, mutations)
 

@@ -7,14 +7,14 @@ the architecture against the blueprint. All randomness flows from the
 single splitmix64 seed and the clock is logical, so a config determines
 every output byte.
 
-A run ends by writing scenario.json, rounds.csv and suspects.csv. The first
-two go out in batches of rounds, one encode and one write per batch, so a
-writer never holds a whole document. Each round's object in scenario.json
-is written directly as canonical JSON text by ``round_json``, with no
-intermediate dicts: its key order is fixed by hand and guarded by the
-dict-form oracle in ``tests/test_oracles.py``. A rounds.csv row is
-formatted directly too; only a target whose name needs quoting goes
-through ``csv``.
+A run ends by writing scenario.json, rounds.csv and suspects.csv, whose
+formats this module alone owns. Each is a stream of text chunks that one
+loop in ``emit_reports`` encodes and writes; the first two give a chunk per
+batch of rounds, so a writer never holds a whole document. Each round's
+object in scenario.json is written directly as canonical JSON text by
+``round_json``, with no intermediate dicts: its key order is fixed by hand
+and guarded by the dict-form oracle in ``tests/test_oracles.py``. CSV rows
+are formatted directly too; only a name that needs quoting goes through ``csv``.
 """
 
 from __future__ import annotations
@@ -27,13 +27,7 @@ import sys
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _str
 
-from .analyzer import (
-    FailureReport,
-    RootCauseLedger,
-    RootCauseSuspect,
-    classify,
-    write_suspect_report,
-)
+from .analyzer import FailureReport, RootCauseLedger, RootCauseSuspect, classify
 from .executor import ExecutionResult, execute
 from .faults import _CF4, FaultInstance, FaultKind, Rng, draw_fault, draw_interval, inject
 from .model import (
@@ -450,15 +444,27 @@ def _rounds_csv_chunks(rounds: list[RoundRecord]) -> Iterator[str]:
         yield "".join(lines)
 
 
+SUSPECT_CSV_HEADER = ["component", "count", "implicated_by", "first_at", "last_at"]
+
+
+def _suspects_csv_chunks(suspects: list[RootCauseSuspect]) -> Iterator[str]:
+    """``suspects.csv`` as text in pieces: the header, then every suspect's
+    row. The bytes are those of ``csv.writer`` with ``lineterminator="\\n"``."""
+    yield ",".join(SUSPECT_CSV_HEADER) + "\n"
+    yield "".join([f"{_csv_cell(s.slot)},{s.count},{_csv_cell(';'.join(s.implicated_by))},"
+                   f"{s.first_at},{s.last_at}\n" for s in suspects])
+
+
 def emit_reports(report: ScenarioReport, out_dir: str) -> dict[str, str]:
     """Write scenario.json, rounds.csv, and suspects.csv, each as a new file
     (an old file or link at its path is removed, never written through);
     byte-stable for equal reports. Returns the written paths."""
-    paths = {
-        "scenario": os.path.join(out_dir, "scenario.json"),
-        "rounds": os.path.join(out_dir, "rounds.csv"),
-        "suspects": os.path.join(out_dir, "suspects.csv"),
-    }
+    streams = (
+        ("scenario", "scenario.json", scenario_chunks(report), "ascii"),
+        ("rounds", "rounds.csv", _rounds_csv_chunks(report.rounds), "utf-8"),
+        ("suspects", "suspects.csv", _suspects_csv_chunks(report.suspects), "utf-8"),
+    )
+    paths = {key: os.path.join(out_dir, name) for key, name, _, _ in streams}
     try:
         os.makedirs(out_dir, exist_ok=True)
         for path in paths.values():  # a new file each: truncating a written one waits on writeback
@@ -466,12 +472,10 @@ def emit_reports(report: ScenarioReport, out_dir: str) -> dict[str, str]:
                 os.unlink(path)
             except FileNotFoundError:
                 pass
-        # Binary, so that no text codec module is imported; encode still rejects non-ASCII.
-        with open(paths["scenario"], "wb") as fh:
-            fh.writelines(chunk.encode("ascii") for chunk in scenario_chunks(report))
-        with open(paths["rounds"], "wb") as fh:
-            fh.writelines(chunk.encode("utf-8") for chunk in _rounds_csv_chunks(report.rounds))
-        write_suspect_report(report.suspects, paths["suspects"])
+        # Binary, so that no text codec module is imported; "ascii" still rejects non-ASCII.
+        for key, _, chunks, encoding in streams:
+            with open(paths[key], "wb") as fh:
+                fh.writelines(chunk.encode(encoding) for chunk in chunks)
     except OSError as exc:
         raise ConfigError(f"cannot write reports under {out_dir}: {exc}") from exc
     return paths

@@ -6,11 +6,11 @@ slots, intended connectors). The model holds what is actually running, by
 blueprint position: at most one component instance per slot, which
 intended connectors are live, and a logical clock in milliseconds. Faults
 only remove connectors, repairs re-add intended ones, and ``add_connector``
-rejects any other spec. Faults damage the model; repairs restore it;
-``validate`` lists every deviation from the blueprint. The model keeps its
-damage by position and journals each change, so validation, fault targets
-and change events cost what changed, not the blueprint's size;
-whole-blueprint views are built on demand.
+rejects any other spec; a new instance gets its id from the model. Faults
+damage the model; repairs restore it; ``validate`` lists every deviation
+from the blueprint. The model keeps its damage by position and journals
+each change, so validation, fault targets and change events cost what
+changed, not the blueprint's size; whole-blueprint views are built on demand.
 """
 
 from __future__ import annotations
@@ -385,7 +385,8 @@ class ArchitectureModel(Record):
     The representation invariant, which the constructor establishes and every
     mutation keeps: every live connector joins two present slots; the damaged
     slots are exactly those empty or not STARTED; and every held instance id
-    ``SLOT#N`` is at most the slot's last allocated N.
+    ``SLOT#N`` has an N no greater than the slot's counter, which only
+    ``instantiate`` moves on, so no caller hands the model an id to check.
 
     Mutations apply exactly the named change, except that removing a
     component also drops its incident connectors. A single writer at a time
@@ -395,13 +396,12 @@ class ArchitectureModel(Record):
     """
 
     _fields = ("blueprint", "_components", "_missing", "clock", "_instance_seq")
-    # And the id ``allocate_instance_id`` last returned, which ``instantiate`` need not note.
-    __slots__ = _fields + ("_damaged", "_violations", "_journal", "_allocated")
+    __slots__ = _fields + ("_damaged", "_violations", "_journal")
 
     def __init__(self, blueprint: Blueprint, components: dict[str, Component | None],
                  connectors: set[ConnectorSpec] | tuple[ConnectorSpec, ...],
                  clock: int = 0) -> None:
-        self.blueprint, self.clock, self._instance_seq, self._allocated = blueprint, clock, {}, None
+        self.blueprint, self.clock, self._instance_seq = blueprint, clock, {}
         if odd := components.keys() ^ blueprint._slot_pos.keys():
             name = min(odd)
             raise UnknownSlot(f"no slot named {name!r}" if name in components
@@ -460,7 +460,7 @@ class ArchitectureModel(Record):
         return self._components[source] is not None and self._components[target] is not None
 
     def _note_instance_id(self, slot: str, instance_id: str) -> None:
-        """Keep ``allocate_instance_id`` past an id ``SLOT#N`` the slot holds."""
+        """Raise the slot's counter to at least N for an id ``SLOT#N`` it is built with."""
         head, _, n = instance_id.rpartition("#")
         if head == slot and n.isdecimal():
             self._instance_seq[slot] = max(self._instance_seq.get(slot, 0), int(n))
@@ -576,24 +576,16 @@ class ArchitectureModel(Record):
                 restored.append(intended[c])
         return restored
 
-    def instantiate(self, slot: str, instance_id: str) -> Component:
-        """Fill an empty slot with a fresh instance: STARTED, zero exceptions."""
+    def instantiate(self, slot: str) -> Component:
+        """Fill an empty slot with a fresh instance, STARTED with zero
+        exceptions, and return it. Its id is ``SLOT#N``, N one past the slot's
+        counter: past every id of that form the slot has held."""
         if self._components[pos := self._position(slot)] is not None:
             raise ModelError(f"slot {slot!r} is already occupied")
-        comp = Component(instance_id)
+        seq = self._instance_seq[slot] = self._instance_seq.get(slot, 0) + 1
+        comp = Component(f"{slot}#{seq}")
         self._put(pos, comp)
-        if instance_id is not self._allocated:  # noting the id just allocated changes nothing
-            self._note_instance_id(slot, instance_id)
         return comp
-
-    def allocate_instance_id(self, slot: str) -> str:
-        """Next instance id ``SLOT#N`` for this slot, with N past every id of
-        that form the model has allocated or its slot has held."""
-        self._position(slot)
-        seq = self._instance_seq.get(slot, 0) + 1
-        self._instance_seq[slot] = seq
-        self._allocated = instance_id = f"{slot}#{seq}"
-        return instance_id
 
     def advance_clock(self, ms: int) -> None:
         if ms < 0:

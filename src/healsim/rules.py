@@ -187,34 +187,32 @@ class _Token(Frozen):
         _set(self, "col", col)
 
 
+# A group per token kind, per skipped kind (newline, blanks, comment) and for
+# any other character, so that ``finditer``'s matches tile the whole text.
 _TOKEN_RE = re.compile(
-    r"""(?P<string>"(?:[^"\\\n]|\\.)*")
-      | (?P<int>-?\d+)
-      | (?P<op>==|!=|>=|<=|>|<)
-      | (?P<lparen>\()
-      | (?P<rparen>\))
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    r"""(?P<NEWLINE>\n)
+      | (?P<SPACE>[ \t\r]+)
+      | (?P<COMMENT>\#[^\n]*)
+      | (?P<STRING>"(?:[^"\\\n]|\\.)*")
+      | (?P<INT>-?\d+)
+      | (?P<OP>==|!=|>=|<=|>|<)
+      | (?P<LPAREN>\()
+      | (?P<RPAREN>\))
+      | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<OTHER>.)
     """,
     re.VERBOSE,
 )
+_ESCAPE_RE = re.compile(r"\\(.?)", re.DOTALL)  # a backslash and what follows it, if anything
 
 
 def _unescape(raw: str, line: int, col: int) -> str:
-    body = raw[1:-1]
-    out = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\":
-            nxt = body[i + 1] if i + 1 < len(body) else ""
-            if nxt not in ('"', "\\"):
-                raise RuleSyntaxError(f"unsupported escape \\{nxt}", line, col)
-            out.append(nxt)
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    def escaped(m: re.Match) -> str:
+        if (nxt := m.group(1)) not in ('"', "\\"):
+            raise RuleSyntaxError(f"unsupported escape \\{nxt}", line, col)
+        return nxt
+
+    return _ESCAPE_RE.sub(escaped, raw[1:-1])
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -222,35 +220,23 @@ def _tokenize(text: str) -> list[_Token]:
     line = 1
     line_start = 0
     depth = 0  # of parentheses
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            line_start = i
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
             continue
-        if ch in " \t\r":
-            i += 1
+        if kind == "SPACE" or kind == "COMMENT":
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        col = i - line_start + 1
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            if ch == '"':
+        col = m.start() - line_start + 1
+        if kind == "OTHER":
+            if (ch := m.group()) == '"':
                 raise RuleSyntaxError("unterminated string literal", line, col)
             raise RuleSyntaxError(f"unexpected character {ch!r}", line, col)
-        kind = m.lastgroup.upper()
         depth += (kind == "LPAREN") - (kind == "RPAREN")
         if depth > MAX_NESTING:
             raise RuleSyntaxError(f"parentheses nest deeper than {MAX_NESTING}", line, col)
         tokens.append(_Token(kind, m.group(), line, col))
-        i = m.end()
-    tokens.append(_Token("EOF", "", line, (n - line_start) + 1))
+    tokens.append(_Token("EOF", "", line, (len(text) - line_start) + 1))
     return tokens
 
 

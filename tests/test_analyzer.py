@@ -1,12 +1,8 @@
 import pytest
 
-from healsim.analyzer import (
-    FailureReport,
-    RootCauseLedger,
-    classify,
-    write_suspect_report,
-)
+from healsim.analyzer import FailureReport, RootCauseLedger, classify
 from healsim.faults import FaultInstance, FaultKind, inject
+from healsim.harness import _suspects_csv_chunks
 from healsim.model import ConnectorSpec, build_default_model
 from healsim.monitor import observe, take_snapshot
 
@@ -205,14 +201,12 @@ def test_suspects_monotone_under_new_records():
         assert count == sum(1 for r in recorded if slot in r.dependent_slots)
 
 
-def test_suspect_csv_bytes(tmp_path):
+def test_suspect_csv_bytes():
     ledger = RootCauseLedger(threshold=3)
     deps = ["Last Second Sales Item Filter", "Reputation Service"]
     for rid in range(3):
         ledger.record_failure(_report(rid, FaultKind.CF1, "Query Service", deps, at=100 + rid))
-    path = tmp_path / "suspects.csv"
-    write_suspect_report(ledger.suspects(), str(path))
-    content = path.read_bytes().decode("utf-8")
+    content = "".join(_suspects_csv_chunks(ledger.suspects()))
     lines = content.split("\n")
     assert lines[0] == "component,count,implicated_by,first_at,last_at"
     assert lines[1] == (
@@ -221,7 +215,5 @@ def test_suspect_csv_bytes(tmp_path):
     assert "\r" not in content
 
 
-def test_suspect_csv_header_only(tmp_path):
-    path = tmp_path / "suspects.csv"
-    write_suspect_report([], str(path))
-    assert path.read_text(encoding="utf-8") == "component,count,implicated_by,first_at,last_at\n"
+def test_suspect_csv_header_only():
+    assert "".join(_suspects_csv_chunks([])) == "component,count,implicated_by,first_at,last_at\n"

@@ -128,7 +128,7 @@ def test_no_match_line_shows_when_logging_is_configured_after_import():
 
 def test_no_match_run_without_logging_leaves_it_unloaded():
     code = DEGRADED_RUN + "; import sys; print('logging' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-B", "-S", "-c", code], capture_output=True, text=True,
                           check=True, timeout=60, env={"PYTHONPATH": SRC})
     assert (proc.stdout, proc.stderr) == ("False\n", "")
 
@@ -137,7 +137,7 @@ def test_run_at_the_default_level_leaves_logging_unloaded(tmp_path):
     code = ("import sys; from healsim.cli import main; "
             f"code = main(['run', '--seed', '42', '--rounds', '20', '--out', {str(tmp_path)!r}]); "
             "print(code, 'logging' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-B", "-S", "-c", code], capture_output=True, text=True,
                           check=True, timeout=60, env={"PYTHONPATH": SRC})
     assert proc.stdout.splitlines()[-1] == "0 False" and proc.stderr == ""
 
@@ -213,6 +213,27 @@ def test_run_with_script(tmp_path):
     assert code == 0
     doc = json.loads((out / "scenario.json").read_text(encoding="utf-8"))
     assert doc["rounds"][0]["fault"]["kind"] == "CF4"
+
+
+def test_run_prints_one_line_per_suspect_as_suspects_csv_lists_them(tmp_path, capsys):
+    """Three failures of Query Service implicate each of its two
+    dependencies three times: the threshold, so both are suspects."""
+    script = tmp_path / "faults.json"
+    script.write_text(json.dumps([{"kind": "CF1", "target": "Query Service"}] * 3),
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--seed", "1", "--rounds", "3", "--script", str(script),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "rounds: 3  healed: 3  unhandled: 0  suspects: 2",
+        "suspect: Last Second Sales Item Filter (count 3)",
+        "suspect: Reputation Service (count 3)",
+        f"reports written to {out}",
+    ]
+    assert (out / "suspects.csv").read_text(encoding="utf-8").splitlines()[1:] == [
+        f"{slot},3,Query Service;Query Service;Query Service,348,1106"
+        for slot in ("Last Second Sales Item Filter", "Reputation Service")
+    ]
 
 
 def test_run_with_script_loads_the_blueprint_once(tmp_path, monkeypatch):

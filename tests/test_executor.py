@@ -239,7 +239,7 @@ def test_as4_on_a_directly_built_model_skips_the_current_id():
 
 
 def test_as4_reuses_no_id_a_slot_held():
-    """Allocation starts past a built ``SLOT#N`` id, and past one instantiated directly."""
+    """New ids start past a built ``SLOT#N`` id, and AS2 into the emptied slot counts on."""
     bp = default_blueprint()
     components = {slot: Component(f"{slot}#1") for slot in bp.slot_names()}
     components["Frontend"] = Component("Frontend#2")
@@ -247,8 +247,8 @@ def test_as4_reuses_no_id_a_slot_held():
     assert execute(model, plan(Strategy.AS4, "Frontend")).new_instance_id == "Frontend#3"
     assert execute(model, plan(Strategy.AS4, "Frontend")).new_instance_id == "Frontend#4"
     model.remove_component("Frontend")
-    model.instantiate("Frontend", "Frontend#9")
-    assert model.allocate_instance_id("Frontend") == "Frontend#10"
+    assert execute(model, plan(Strategy.AS2, "Frontend")).new_instance_id == "Frontend#5"
+    assert model.component("Frontend") == Component("Frontend#5")
 
 
 def test_locality_only_subject_is_touched():

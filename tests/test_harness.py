@@ -179,12 +179,20 @@ def test_load_script(tmp_path):
          "no intended connector"),
         ({"kind": "CF4", "target": {"from": ["Frontend"], "to": "Query Service"}},
          "no intended connector"),
+        (["CF1", "Frontend"], "^script entry 0: expected an object$"),
     ],
 )
 def test_load_script_rejects_bad_entries(tmp_path, entry, fragment):
     path = tmp_path / "script.json"
     path.write_text(json.dumps([entry]), encoding="utf-8")
     with pytest.raises(ConfigError, match=fragment):
+        load_script(str(path), default_blueprint())
+
+
+def test_load_script_rejects_a_document_that_is_not_a_list(tmp_path):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps({"kind": "CF1", "target": "Frontend"}), encoding="utf-8")
+    with pytest.raises(ConfigError, match="^script must be a JSON list of faults$"):
         load_script(str(path), default_blueprint())
 
 

@@ -253,7 +253,7 @@ def test_remove_component_drops_incident_connectors(model):
 
 def test_instantiate_occupied_slot_rejected(model):
     with pytest.raises(Exception, match="occupied"):
-        model.instantiate("Frontend", "Frontend#99")
+        model.instantiate("Frontend")
 
 
 def test_fresh_model_damage_sets_are_empty_sized():
@@ -270,7 +270,7 @@ def test_fresh_model_damage_sets_are_empty_sized():
 def test_restore_connectors_makes_live_the_missing_ones_with_both_ends_present(model):
     model.remove_component("Query Service")
     model.remove_component("Reputation Service")
-    model.instantiate("Query Service", "Query Service#2")
+    assert model.instantiate("Query Service") == Component("Query Service#2")
     live = model.live_connectors()
     missing = [spec for spec in model.blueprint.intended_connectors
                if "Query Service" in (spec.source, spec.target) and spec not in live]
@@ -287,34 +287,17 @@ def test_restore_connectors_makes_live_the_missing_ones_with_both_ends_present(m
 
 
 def test_instance_ids_never_repeat(model):
-    seen = set()
-    for _ in range(5):
-        new_id = model.allocate_instance_id("Bid Service")
-        assert new_id not in seen
-        seen.add(new_id)
-
-
-def test_an_outside_id_past_the_allocated_one_moves_allocation_on(model):
-    """Allocating S#5 and then instantiating S#9, an id the caller chose,
-    makes the next allocation S#10."""
-    allocated = [model.allocate_instance_id("Bid Service") for _ in range(4)]
-    assert allocated[-1] == "Bid Service#5"  # the built model holds Bid Service#1
-    model.remove_component("Bid Service")
-    model.instantiate("Bid Service", "Bid Service#9")
-    assert model.allocate_instance_id("Bid Service") == "Bid Service#10"
-
-
-@pytest.mark.parametrize("built_again", [False, True], ids=["allocated", "equal-string"])
-def test_instantiating_the_allocated_id_allocates_the_next_one(model, built_again):
-    """The id allocate_instance_id returned, or a string built apart that
-    equals it, fills the slot and leaves S#N+1 next."""
-    model.remove_component("Bid Service")
-    allocated = model.allocate_instance_id("Bid Service")
-    assert allocated == "Bid Service#2"
-    instance_id = "#".join(allocated.rsplit("#", 1)) if built_again else allocated
-    assert instance_id == allocated and (instance_id is allocated) is not built_again
-    assert model.instantiate("Bid Service", instance_id) == Component(allocated)
-    assert model.allocate_instance_id("Bid Service") == "Bid Service#3"
+    """Each refill of a slot gets the next ``SLOT#N``, past the built model's
+    ``SLOT#1``, and the slot holds the Component it was given."""
+    seen = {"Bid Service#1"}
+    for n in range(2, 7):
+        model.remove_component("Bid Service")
+        new = model.instantiate("Bid Service")
+        assert new == Component(f"Bid Service#{n}") and new.instance_id not in seen
+        assert model.component("Bid Service") is new
+        seen.add(new.instance_id)
+    with pytest.raises(UnknownSlot, match="^no slot named 'Order Service'$"):
+        model.instantiate("Order Service")
 
 
 def test_live_connector_specs_order(model):
@@ -362,6 +345,17 @@ def test_blueprint_from_json_minimal():
         (lambda d: d["types"].append({"name": "A", "provides": "A", "requires": []}),
          "duplicate"),
         (lambda d: d.pop("slots"), "malformed"),
+        # whole messages
+        (lambda d: d["types"][1].update(name=""), "^component type with empty name$"),
+        (lambda d: d["types"][0]["requires"].append("B"),
+         "^type 'A' lists a required interface twice$"),
+        (lambda d: d["slots"].append({"slot": "A", "type": "B"}), "^duplicate slot 'A'$"),
+        (lambda d: d["connectors"].append({"from": "A", "to": "Z", "interface": "B"}),
+         "^connector A->Z references an unknown slot$"),
+        (lambda d: d["connectors"].append({"from": "A", "to": "A", "interface": "B"}),
+         "^connector A->A is a self loop$"),
+        (lambda d: d["connectors"].append({"from": "B", "to": "A", "interface": "A"}),
+         "^'B' does not require interface 'A'$"),
     ],
 )
 def test_blueprint_errors(mangle, message):
@@ -369,6 +363,14 @@ def test_blueprint_errors(mangle, message):
     mangle(doc)
     with pytest.raises(BlueprintError, match=message):
         blueprint_from_json(doc)
+
+
+def test_negative_exception_increment_and_clock_step_are_rejected(model):
+    with pytest.raises(ValueError, match="^exception increment must be non-negative$"):
+        model.add_exceptions("Bid Service", -1)
+    with pytest.raises(ValueError, match="^clock can only move forward$"):
+        model.advance_clock(-1)
+    assert model == build_default_model()  # neither changed anything
 
 
 def test_blueprint_duplicate_connector_rejected():

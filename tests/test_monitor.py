@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from healsim.executor import execute
 from healsim.faults import FaultInstance, FaultKind, inject
 from healsim.model import Component, ComponentState, ConnectorSpec, build_default_model
 from healsim.monitor import (
@@ -9,8 +10,10 @@ from healsim.monitor import (
     EventKind,
     NotConsecutive,
     observe,
+    observe_changes,
     take_snapshot,
 )
+from healsim.rules import RepairPlan, Strategy
 
 QS_REP = ConnectorSpec("Query Service", "Reputation Service", "Reputation Service")
 
@@ -114,7 +117,7 @@ def test_observe_additions():
     model = build_default_model()
     model.remove_component("Bid Service")
     before = take_snapshot(model)
-    model.instantiate("Bid Service", model.allocate_instance_id("Bid Service"))
+    model.instantiate("Bid Service")
     model.add_connector(ConnectorSpec("Frontend", "Bid Service", "Bid Service"))
     events = observe(before, take_snapshot(model))
     assert [e.kind for e in events] == [
@@ -122,6 +125,20 @@ def test_observe_additions():
         EventKind.CONNECTOR_ADDED,
     ]
     assert events[0].new.state is ComponentState.STARTED
+
+
+def test_a_slot_filled_and_emptied_within_one_window_yields_no_event():
+    """Empty at both ends of the window: the redeploy and the removal cancel,
+    and so do the connectors the redeploy restored and the removal dropped."""
+    model = build_default_model()
+    model.remove_component("Bid Service")
+    before = take_snapshot(model)
+    execute(model, RepairPlan(Strategy.AS2, "Bid Service", "redeploy"))
+    model.remove_component("Bid Service")
+    assert observe(before, take_snapshot(model)) == []
+    execute(model, RepairPlan(Strategy.AS2, "Bid Service", "redeploy"))
+    model.remove_component("Bid Service")
+    assert observe_changes(model) == []
 
 
 def test_snapshots_and_slot_events_hold_the_models_own_components():
@@ -134,7 +151,7 @@ def test_snapshots_and_slot_events_hold_the_models_own_components():
     assert dict(emptied.slots)["Bid Service"] is None
     removed = observe(before, emptied)[0]
     assert removed.kind is EventKind.COMPONENT_REMOVED and removed.old is old
-    new = model.instantiate("Bid Service", "Bid Service#2")
+    new = model.instantiate("Bid Service")
     refilled = take_snapshot(model)
     assert dict(refilled.slots)["Bid Service"] is new
     assert observe(emptied, refilled)[0].new is new

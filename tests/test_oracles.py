@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from healsim import harness, planner
+from healsim import harness, planner, rules
 from healsim.executor import execute
 from healsim.faults import FaultInstance, FaultKind, NoEligibleTarget, draw_fault, inject
 from healsim.harness import RoundRecord, ScenarioConfig, ScenarioReport, ScenarioRunner
@@ -62,6 +62,7 @@ from healsim.planner import (
 from healsim.rules import _OPS as OPS
 from healsim.rules import (
     INT_FIELDS,
+    MAX_NESTING,
     And,
     Comparison,
     Fact,
@@ -69,8 +70,11 @@ from healsim.rules import (
     Or,
     RepairPlan,
     Rule,
+    RuleError,
     RuleSet,
+    RuleSyntaxError,
     Strategy,
+    _Token,
     evaluate,
     parse_rules,
 )
@@ -207,6 +211,22 @@ def brute_validate(model):
     return out
 
 
+def assert_rep_invariant(model):
+    """The representation invariant the ArchitectureModel docstring states,
+    recounted from the model's own fields: every live connector joins two
+    present slots, the damaged slots are exactly those empty or not STARTED,
+    and every held ``SLOT#N`` has an N no greater than the slot's counter."""
+    for spec in model.live_connectors():
+        assert model.present(spec.source) and model.present(spec.target), spec
+    assert model._damaged == {pos for pos, comp in enumerate(model._components)
+                              if comp is None or comp.state is not ComponentState.STARTED}
+    for slot, comp in model.slot_views():
+        if comp is not None:
+            head, _, n = comp.instance_id.rpartition("#")
+            if head == slot and n.isdecimal():
+                assert int(n) <= model._instance_seq.get(slot, 0), comp
+
+
 def apply_step(model, step):
     bp = model.blueprint
     slots = bp.slot_names()
@@ -285,6 +305,7 @@ def test_fast_paths_equal_references_over_random_steps(doc, steps):
     model = instantiate_blueprint(bp)
     assert validate(model) == brute_validate(model) == []
     assert_draws_match_lists(model)  # healed: nothing damaged, nothing missing
+    assert_rep_invariant(model)
     for step in steps:
         before = take_snapshot(model)
         scanned_before = scan_snapshot(model)
@@ -294,13 +315,12 @@ def test_fast_paths_equal_references_over_random_steps(doc, steps):
             pass
         after = take_snapshot(model)
 
+        assert_rep_invariant(model)
         assert validate(model) == brute_validate(model)
         assert_draws_match_lists(model)
 
         live = model.live_connector_specs()
         assert len(live) == model.live_count() and live == scan_live(model)
-        for spec in live:  # a live spec always joins two present slots
-            assert model.present(spec.source) and model.present(spec.target)
 
         assert observe(before, after) == scan_observe(before, after)
         # the views the mutations keep current equal from-scratch scans
@@ -456,7 +476,7 @@ def test_directly_built_model_matches_scans():
 
     before = take_snapshot(model)
     assert model.remove_component("App B") == []  # its one connector's end is absent
-    model.instantiate("Store B", "Store B#2")
+    assert model.instantiate("Store B") == Component("Store B#1")  # built empty: no id held
     model.add_connector(bp.intended_connectors[1])
     model.set_state("Client", ComponentState.STARTED)
     after = take_snapshot(model)
@@ -476,7 +496,7 @@ def test_an_empty_slot_with_no_connectors_is_skipped_while_every_connector_is_li
     assert model.present_slot(2) == "App B"
     assert validate(model) == brute_validate(model) == [
         Violation(ViolationKind.MISSING_COMPONENT, "Spare")]
-    model.instantiate("Spare", "Spare#2")
+    assert model.instantiate("Spare") == Component("Spare#2")
     assert_draws_match_lists(model)
     assert validate(model) == brute_validate(model) == []
 
@@ -689,6 +709,15 @@ def reference_rounds_csv(report):
     return out.getvalue().encode("utf-8")
 
 
+def reference_suspects_csv(report):
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(harness.SUSPECT_CSV_HEADER)
+    for s in report.suspects:
+        writer.writerow([s.slot, s.count, ";".join(s.implicated_by), s.first_at, s.last_at])
+    return out.getvalue().encode("utf-8")
+
+
 # The layered-degraded policy: CF4 goes unhandled, so removed connectors stay
 # removed and violations persist, and an escalation rule wins by salience.
 DEGRADED_RULES = (
@@ -815,6 +844,7 @@ def test_report_encoder_equals_dict_form(case, tmp_path):
     harness.emit_reports(report, str(tmp_path))
     assert (tmp_path / "scenario.json").read_bytes() == reference_scenario_json(report)
     assert (tmp_path / "rounds.csv").read_bytes() == reference_rounds_csv(report)
+    assert (tmp_path / "suspects.csv").read_bytes() == reference_suspects_csv(report)
 
 
 def test_equal_but_distinct_violations_give_the_dict_form_bytes():
@@ -857,12 +887,15 @@ def test_encoder_cases_cover_every_branch():
     """The cases above reach no-match plans, persisting violations, one
     subject under two violation kinds, CF2 magnitudes, executions with and
     without a new instance, suspects, targets and fired rules that need
-    escaping, and targets whose rounds.csv cell goes through csv (a
-    carriage return) or is written as it is (a leading space)."""
+    escaping, targets whose rounds.csv cell goes through csv (a carriage
+    return) or is written as it is (a leading space), and suspects whose
+    suspects.csv cells go through csv."""
     seen = collections.Counter()
     for case in encoder_cases():
         report = run_case(case)
         seen["suspects"] += bool(report.suspects)
+        seen["quoted_suspect"] += any(c in text for s in report.suspects
+                                      for text in (s.slot, *s.implicated_by) for c in ',"\r\n')
         kinds_of = collections.defaultdict(set)
         for record in report.rounds:
             for v in record.post_violations:
@@ -882,7 +915,7 @@ def test_encoder_cases_cover_every_branch():
     assert all(seen[k] for k in ("suspects", "magnitude", "no_match", "violations",
                                  "new_instance", "no_new_instance", "odd_target",
                                  "carriage_return_target", "leading_space_target",
-                                 "odd_rule", "subject_of_two_kinds")), seen
+                                 "odd_rule", "subject_of_two_kinds", "quoted_suspect")), seen
 
 
 def test_enum_values_need_no_escaping():
@@ -1249,3 +1282,125 @@ def test_an_over_long_line_in_two_chunks_is_held_to_max_frame_plus_one(end, whol
         assert sock.sent == [encode(PlanResponse(0, too_large))]
     rest = b"x" * MAX_FRAME if whole else b"x" * (MAX_FRAME - 1)
     assert sock.handed_out == MAX_FRAME + 1 and sock.chunks == [rest]
+
+
+# -- (h) the one-pattern rule lexer vs the character loops it replaced --------
+# The reference is the lexer as it was before ``_tokenize`` became one
+# ``finditer`` and ``_unescape`` one ``re.sub``: a hand-written loop over the
+# characters, matching a token pattern at each position that starts a token.
+
+REFERENCE_TOKEN_RE = re.compile(
+    r"""(?P<string>"(?:[^"\\\n]|\\.)*")
+      | (?P<int>-?\d+)
+      | (?P<op>==|!=|>=|<=|>|<)
+      | (?P<lparen>\()
+      | (?P<rparen>\))
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_unescape(raw, line, col):
+    body = raw[1:-1]
+    out = []
+    i = 0
+    while i < len(body):
+        ch = body[i]
+        if ch == "\\":
+            nxt = body[i + 1] if i + 1 < len(body) else ""
+            if nxt not in ('"', "\\"):
+                raise RuleSyntaxError(f"unsupported escape \\{nxt}", line, col)
+            out.append(nxt)
+            i += 2
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
+
+
+def reference_tokenize(text):
+    tokens = []
+    line = 1
+    line_start = 0
+    depth = 0  # of parentheses
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            i += 1
+            line_start = i
+            continue
+        if ch in " \t\r":
+            i += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        col = i - line_start + 1
+        m = REFERENCE_TOKEN_RE.match(text, i)
+        if m is None:
+            if ch == '"':
+                raise RuleSyntaxError("unterminated string literal", line, col)
+            raise RuleSyntaxError(f"unexpected character {ch!r}", line, col)
+        kind = m.lastgroup.upper()
+        depth += (kind == "LPAREN") - (kind == "RPAREN")
+        if depth > MAX_NESTING:
+            raise RuleSyntaxError(f"parentheses nest deeper than {MAX_NESTING}", line, col)
+        tokens.append(_Token(kind, m.group(), line, col))
+        i = m.end()
+    tokens.append(_Token("EOF", "", line, (n - line_start) + 1))
+    return tokens
+
+
+def lexed(lex, *args):
+    """What a lexer gives: its result, or its error's class, message, line and col."""
+    try:
+        return lex(*args)
+    except RuleError as exc:
+        return (type(exc), exc.message, exc.line, exc.col)
+
+
+# Every character class the lexer treats apart: newlines, skipped and
+# unskipped whitespace (a vertical tab, a form feed, a no-break space),
+# comments, quotes, backslashes, operator and parenthesis characters, ASCII
+# and non-ASCII digits and letters.
+LEX_ALPHABET = ' \t\r\n\x0b\x0c\xa0#"\\()=!<>-_aZ09\u0663\u0966\u00e9\u2603'
+LEX_WORDS = ("rule", "when", "then", "salience", "and", "or", "not", "kind", "CF1", "AS4",
+             "subject", "==", "!=", ">=", "<=", "-12", '"a b"', '"\\""', '"\\\\"', '"\\x"',
+             '"\\', "# note", "(" * 40, ")" * 40)
+RULE_TEXTS = st.lists(st.one_of(st.sampled_from(LEX_WORDS), st.text(LEX_ALPHABET, max_size=4),
+                                st.text(max_size=2)), max_size=24).map("".join)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(text=RULE_TEXTS)
+@example(text='rule "unterminated when kind == CF1 then AS1')
+@example(text='rule "a\\\nb" when')  # a backslash before a newline ends no string
+@example(text='rule "a\\qb" when kind == CF1 then AS1')
+@example(text='rule "r" when ' + "(" * (MAX_NESTING + 1) + "kind == CF1")
+@example(text="((" * MAX_NESTING + "))" * MAX_NESTING + "(")  # nesting is a running total
+@example(text="\x0bkind")
+@example(text="rule\n  salience \u0663\u0664 -\u0966")
+@example(text="kind == CF1 # a comment at end of file")
+@example(text="#")
+@example(text="")
+def test_tokenize_equals_the_character_loop(text):
+    tokens = lexed(rules._tokenize, text)
+    assert tokens == lexed(reference_tokenize, text)
+    for tok in tokens if isinstance(tokens, list) else ():
+        if tok.kind == "STRING":
+            assert (lexed(rules._unescape, tok.text, tok.line, tok.col)
+                    == lexed(reference_unescape, tok.text, tok.line, tok.col))
+
+
+@settings(max_examples=500, deadline=None)
+@given(body=st.text(st.sampled_from('\\"\n ab\u2603'), max_size=12))
+@example(body="ab\\")  # a lone backslash at the end: "unsupported escape \"
+@example(body="\\\n")
+def test_unescape_equals_the_character_loop(body):
+    raw = f'"{body}"'
+    assert lexed(rules._unescape, raw, 3, 7) == lexed(reference_unescape, raw, 3, 7)

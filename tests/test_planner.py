@@ -420,6 +420,12 @@ def test_service_echoes_request_id_of_bad_request(service):
     assert isinstance(response.outcome, ErrorOutcome)
 
 
+def test_service_answers_a_response_frame_as_malformed_under_its_id(service):
+    (reply,) = _raw_exchange(service.address, [encode(PlanResponse(9, NoMatch()))])
+    assert decode(reply.rstrip(b"\n")) == PlanResponse(
+        9, ErrorOutcome("malformed", "server expects plan_request frames"))
+
+
 def test_service_no_match(service):
     request = PlanRequest(1, Fact(FaultKind.CF1, "X"))
     empty_service = PlanService(parse_rules(""), host="127.0.0.1", port=0).start()
@@ -887,16 +893,17 @@ def test_a_round_trip_makes_one_send_and_one_recv_at_each_end(service, monkeypat
     after the first request, which sets up each end's socket, each canonical
     round trip is one send and one recv at the client and at the service,
     and neither end sets a timeout or a socket option."""
-    ends = []
+    # Apart: the service's handler thread may record its end before the client does.
+    client_ends, service_ends = [], []
     create_connection, handle = socket.create_connection, _PlanHandler.handle
 
     def counted_connection(*args, **kwargs):
-        ends.append(CallRecorder(create_connection(*args, **kwargs)))
-        return ends[-1]
+        client_ends.append(CallRecorder(create_connection(*args, **kwargs)))
+        return client_ends[-1]
 
     def counted_handle(handler):
         handler.request = CallRecorder(handler.request)
-        ends.append(handler.request)
+        service_ends.append(handler.request)
         handle(handler)
 
     monkeypatch.setattr(socket, "create_connection", counted_connection)
@@ -905,14 +912,15 @@ def test_a_round_trip_makes_one_send_and_one_recv_at_each_end(service, monkeypat
     try:
         for i in range(1 + rounds):
             assert remote.plan(Fact(FaultKind.CF1, f"s{i}")).subject == f"s{i}"
-        assert len(ends) == 2  # one connection, one handler
-        client_calls = list(ends[0].calls)  # before close, which it records too
+        assert len(client_ends) == 1  # one connection
+        client_calls = list(client_ends[0].calls)  # before close, which it records too
     finally:
         remote.close()
     assert connections_settle_at_zero(service)  # the service has read EOF and ended
+    assert len(service_ends) == 1  # one handler
     assert client_calls == ["settimeout", "send", "setsockopt", "recv"] + ["send", "recv"] * rounds
-    assert ends[1].calls == (["settimeout", "setsockopt", "recv", "send"]
-                             + ["recv", "send"] * rounds + ["recv"])
+    assert service_ends[0].calls == (["settimeout", "setsockopt", "recv", "send"]
+                                     + ["recv", "send"] * rounds + ["recv"])
 
 
 def closing_lines(caplog, port):

@@ -313,8 +313,9 @@ def test_an_in_process_run_compiles_no_planner_pattern(tmp_path):
     code = ("import sys, healsim; "
             "healsim.run_scenario(healsim.ScenarioConfig(42, 50, out_dir=sys.argv[1])); "
             "print(healsim.planner._LAYOUTS)")
-    out = subprocess.run([sys.executable, "-S", "-c", code, str(tmp_path)], capture_output=True,
-                         text=True, check=True, timeout=60, env={"PYTHONPATH": SRC}).stdout
+    out = subprocess.run([sys.executable, "-B", "-S", "-c", code, str(tmp_path)],
+                         capture_output=True, text=True, check=True, timeout=60,
+                         env={"PYTHONPATH": SRC}).stdout
     assert out == "{}\n"
 
 
@@ -328,7 +329,7 @@ def test_a_cold_start_loads_no_module_only_serving_or_logging_needs():
             "'logging', 'typing'} & (set(sys.modules) - before))); "
             "import healsim.cli; "
             "print(sorted({'socket', 'socketserver', 'logging'} & (set(sys.modules) - before)))")
-    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-B", "-S", "-c", code], capture_output=True, text=True,
                          check=True, timeout=60, env={"PYTHONPATH": SRC}).stdout
     assert out == "[]\n[]\n"
 
@@ -371,7 +372,7 @@ def test_a_run_and_its_reports_call_no_python_level_hash(doc, rounds, tcp, tmp_p
 def test_a_healed_run_scans_no_damage_and_parses_no_allocated_id(doc, monkeypatch):
     """Every round of these runs ends healed, so each draw takes its target
     straight from the blueprint, with no k-th lookup over the damage, and
-    each repair instantiates the id it allocated without parsing it back."""
+    no repair parses an instance id: ``instantiate`` makes each new one."""
     blueprint = None if doc is None else blueprint_from_json(doc)
     runner = ScenarioRunner(ScenarioConfig(seed=42, rounds=2000), blueprint=blueprint)
     calls = collections.Counter()
@@ -397,6 +398,7 @@ def test_writing_reports_imports_no_text_codec(tmp_path):
     code = ("import sys, healsim; "
             "healsim.run_scenario(healsim.ScenarioConfig(42, 20, out_dir=sys.argv[1])); "
             "print('encodings.ascii' in sys.modules)")
-    out = subprocess.run([sys.executable, "-S", "-c", code, str(tmp_path)], capture_output=True,
-                         text=True, check=True, timeout=60, env={"PYTHONPATH": SRC}).stdout
+    out = subprocess.run([sys.executable, "-B", "-S", "-c", code, str(tmp_path)],
+                         capture_output=True, text=True, check=True, timeout=60,
+                         env={"PYTHONPATH": SRC}).stdout
     assert out == "False\n"

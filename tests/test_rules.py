@@ -147,6 +147,30 @@ def test_limits_end_in_positioned_syntax_errors(text, position, fragment):
     assert (err.value.line, err.value.col) == position
 
 
+@pytest.mark.parametrize(
+    "text,message,position",
+    [
+        ('rule "a\\xb" when kind == CF1 then AS1', "unsupported escape \\x", (1, 6)),
+        ('rule "r" when subject == "a\\\nb" then AS1', "unterminated string literal", (1, 26)),
+        ('rule "r" when\n  subject == "\\ " then AS1', "unsupported escape \\ ", (2, 14)),
+        ('rule "" when kind == CF1 then AS1', "rule name must be non-empty", (1, 6)),
+        ('rule "r" when kind == CF1 then 5', "expected strategy", (1, 32)),
+        ('rule "r" when kind == CF1 then', "expected strategy", (1, 31)),
+        ('rule "r" when 5 == 5 then AS1', "expected a field or '(', found '5'", (1, 15)),
+        ('rule "r"\nwhen', "expected a field or '(', found 'end of file'", (2, 5)),
+        ('rule "r" when kind CF1 then AS1', "expected a comparison operator", (1, 20)),
+        ('rule "r" when\n\tnot (kind) then AS1', "expected a comparison operator", (2, 11)),
+    ],
+    ids=["escape", "backslash-newline", "escape-line-2", "empty-name", "int-strategy",
+         "no-strategy", "int-field", "no-condition", "no-operator", "no-operator-line-2"],
+)
+def test_syntax_errors_pin_message_line_and_col(text, message, position):
+    with pytest.raises(RuleSyntaxError) as err:
+        parse_rules(text)
+    assert (err.value.message, (err.value.line, err.value.col)) == (message, position)
+    assert str(err.value) == f"line {position[0]}, col {position[1]}: {message}"
+
+
 def test_parentheses_at_the_nesting_limit_parse():
     cond = "(" * MAX_NESTING + "kind == CF1 or not exception_count > 4" + ")" * MAX_NESTING
     ruleset = parse_rules(f'rule "r" when {cond} and dependent_count >= {"1" * 4300} then AS1')
