@@ -416,7 +416,9 @@ class ArchitectureModel(Record):
             if (comp := components[slot]) is not None:
                 if not isinstance(comp, Component):
                     raise ModelError(f"slot {slot!r} holds a {type(comp).__name__}, not a Component")
-                self._note_instance_id(slot, comp.instance_id)
+                head, _, n = comp.instance_id.rpartition("#")
+                if head == slot and n.isdecimal():  # an id SLOT#N sets the slot's counter to N
+                    self._instance_seq[slot] = int(n)
             self._put(pos, comp)
         positions = {spec.name: blueprint._connector_pos(spec) for spec in connectors}
         if unknown := [name for name, pos in positions.items() if pos is None]:
@@ -458,12 +460,6 @@ class ArchitectureModel(Record):
     def _ends_present(self, pos: int) -> bool:
         source, target = self.blueprint._ends[pos]
         return self._components[source] is not None and self._components[target] is not None
-
-    def _note_instance_id(self, slot: str, instance_id: str) -> None:
-        """Raise the slot's counter to at least N for an id ``SLOT#N`` it is built with."""
-        head, _, n = instance_id.rpartition("#")
-        if head == slot and n.isdecimal():
-            self._instance_seq[slot] = max(self._instance_seq.get(slot, 0), int(n))
 
     # -- queries ---------------------------------------------------------
 

@@ -13,19 +13,22 @@ with a single LF, so equal messages always encode to equal bytes.
 
 with outcome ``{"plan":{"fired_rule":S,"strategy":"AS1","subject":S}}``,
 ``{"no_match":true}``, or ``{"error":{"code":S,"message":S}}``. The fact's
-integer fields are ``rules.INT_FIELDS``. ``encode`` and ``decode`` are
-written out for these two messages; the schema table in
-``tests/test_oracles.py`` is their byte and error reference. Each direction
-has one writer, which fills a fixed template, and one matcher, one bytes
-pattern for the layout its writer gives a request or a plan or no_match
-response, compiled on first use. ``encode``, ``decode`` and both ends use
-them, so a canonical round trip builds no message object; any other frame,
-an error outcome included, gets the full check, so the accepted messages and
-the ``MalformedFrame`` texts are those of the full check. Both ends check a
-line's length before they match it, and both read frames with ``lines``: of
-a line with no LF in its first ``MAX_FRAME`` bytes, neither reads or holds
-more than ``MAX_FRAME + 1`` bytes, and then it closes the connection. A
-frame that one read brings in whole is matched as the bytes that read
+integer fields are ``rules.INT_FIELDS``.
+
+The codec is one writer and one reader, and both ends write and read every
+frame through them: ``encode(request_id, body)`` and ``decode(frame)``, which
+returns ``(request_id, body)``. The body is a ``Fact`` for a request and a
+``RepairPlan``, ``NoMatch`` or ``ErrorOutcome`` for a response. ``encode``
+fills one fixed template per body type. ``decode`` first tries one bytes
+pattern per direction, compiled on first use: the layout ``encode`` gives a
+request, or a plan or no_match response. Any other frame, an error outcome
+included, gets the full check, so the accepted frames and the
+``MalformedFrame`` texts are those of the full check. The schema table in
+``tests/test_oracles.py`` is their byte and error reference. Both ends check
+a line's length before they decode it, and both read frames with ``lines``:
+of a line with no LF in its first ``MAX_FRAME`` bytes, neither reads or
+holds more than ``MAX_FRAME + 1`` bytes, and then it closes the connection.
+A frame that one read brings in whole is matched as the bytes that read
 returned, with no copy.
 
 Both ends run their sockets in blocking mode, so a frame is sent and a
@@ -77,14 +80,6 @@ class RemoteError(Exception):
         self.message = message
 
 
-class PlanRequest(Frozen):
-    __slots__ = _fields = ("request_id", "fact")
-
-    def __init__(self, request_id: int, fact: Fact) -> None:
-        _set(self, "request_id", request_id)
-        _set(self, "fact", fact)
-
-
 class ErrorOutcome(Frozen):
     __slots__ = _fields = ("code", "message")
 
@@ -93,22 +88,11 @@ class ErrorOutcome(Frozen):
         _set(self, "message", message)
 
 
-Outcome = RepairPlan | NoMatch | ErrorOutcome
-
-
-class PlanResponse(Frozen):
-    __slots__ = _fields = ("request_id", "outcome")
-
-    def __init__(self, request_id: int, outcome: Outcome) -> None:
-        _set(self, "request_id", request_id)
-        _set(self, "outcome", outcome)
-
-
 # -- framing ----------------------------------------------------------------
-# The writers fill one fixed template per message and outcome, keys in sorted
-# order. decode checks a parsed frame in the order of the schema table in
-# tests/test_oracles.py: the exact key set, the version, then each field, and
-# raises MalformedFrame naming the first that breaks the schema.
+# encode fills one fixed template per body type, keys in sorted order. The
+# full check of decode checks a parsed frame in the order of the schema table
+# in tests/test_oracles.py: the exact key set, the version, then each field,
+# and raises MalformedFrame naming the first that breaks the schema.
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
@@ -133,44 +117,37 @@ _KIND_TEXT = {id(kind): _str(kind.value) for kind in FaultKind}  # escaped as ca
 _STRATEGY_TEXT = {id(strategy): _str(strategy.value) for strategy in Strategy}
 
 
-def _request_frame(request_id: int, fact: Fact) -> bytes:
-    """The request direction's writer: ``encode(PlanRequest(request_id, fact))``."""
+def encode(request_id: int, body: Fact | RepairPlan | NoMatch | ErrorOutcome) -> bytes:
+    """One canonical, LF-terminated frame: a request for a Fact body, else a
+    response; equal arguments encode identically. An error message is cut
+    short so that its frame fits in MAX_FRAME. TypeError if the arguments do
+    not fit the schema."""
     try:
-        dependent, exceptions = fact.dependent_count, fact.exception_count
-        prior = fact.prior_failures_of_subject
-        if not type(dependent) is type(exceptions) is type(prior) is type(request_id) is int:
-            raise TypeError  # as in decode, a bool is not an int
-        return (_REQUEST % (dependent, exceptions, _KIND_TEXT[id(fact.kind)], prior,
-                            _str(fact.subject), request_id)).encode("ascii")
-    except (AttributeError, KeyError, TypeError):
-        raise TypeError(f"not a protocol message: {PlanRequest(request_id, fact)!r}") from None
-
-
-def _response_frame(request_id: int, outcome: Outcome) -> bytes:
-    """The reply direction's writer; ``encode`` checks ``request_id`` is an int."""
-    if type(outcome) is RepairPlan:
-        frame = _PLAN_FRAME % (_str(outcome.fired_rule), _STRATEGY_TEXT[id(outcome.strategy)],
-                               _str(outcome.subject), request_id)
-    elif type(outcome) is NoMatch:
-        frame = _NO_MATCH_FRAME % request_id
-    elif type(outcome) is ErrorOutcome:
-        frame = _ERROR_FRAME % (_str(outcome.code), _str(outcome.message), request_id)
-    else:
-        raise TypeError
-    return frame.encode("ascii")
-
-
-def encode(message: PlanRequest | PlanResponse) -> bytes:
-    """One canonical, LF-terminated frame; equal messages encode identically.
-    TypeError if ``message`` is not a message whose fields fit the schema."""
-    if type(message) is PlanRequest:
-        return _request_frame(message.request_id, message.fact)
-    try:
-        if type(message) is PlanResponse and type(message.request_id) is int:
-            return _response_frame(message.request_id, message.outcome)
-    except (AttributeError, KeyError, TypeError):
-        pass
-    raise TypeError(f"not a protocol message: {message!r}")
+        if type(body) is Fact:
+            dependent, exceptions = body.dependent_count, body.exception_count
+            prior = body.prior_failures_of_subject
+            if not type(dependent) is type(exceptions) is type(prior) is type(request_id) is int:
+                raise TypeError  # as in decode, a bool is not an int
+            frame = _REQUEST % (dependent, exceptions, _KIND_TEXT[id(body.kind)], prior,
+                                _str(body.subject), request_id)
+        elif type(request_id) is not int:
+            raise TypeError
+        elif type(body) is RepairPlan:
+            frame = _PLAN_FRAME % (_str(body.fired_rule), _STRATEGY_TEXT[id(body.strategy)],
+                                   _str(body.subject), request_id)
+        elif type(body) is NoMatch:
+            frame = _NO_MATCH_FRAME % request_id
+        elif type(body) is ErrorOutcome:
+            code, message = _str(body.code), body.message
+            frame = _ERROR_FRAME % (code, _str(message), request_id)
+            if len(frame) > MAX_FRAME:  # cut at 12 bytes a character, the longest escape
+                room = MAX_FRAME - len(_ERROR_FRAME % (code, '""', request_id))
+                frame = _ERROR_FRAME % (code, _str(message[:max(room // 12, 0)]), request_id)
+        else:
+            raise TypeError
+        return frame.encode("ascii")
+    except (KeyError, TypeError):
+        raise TypeError(f"not a protocol message: {(request_id, body)!r}") from None
 
 
 _KINDS = {kind.value: kind for kind in FaultKind}
@@ -203,7 +180,7 @@ def _member(obj: dict, key: str, members: dict, where: str):
         raise MalformedFrame(f"{where}.{key} has unknown value {value!r}") from None
 
 
-# The matchers' layouts, built from the writers' templates, LF optional: each
+# decode's one-match layouts, built from encode's templates, LF optional: each
 # string printable ASCII without '"' or '\\', so its JSON text is its value;
 # each integer at most 18 digits; each enum value a member.
 _STR = '"([ !#-\\[\\]-~]*)"'
@@ -225,29 +202,21 @@ def _layout(request: bool) -> re.Pattern[bytes]:
     return pattern
 
 
-def _read_request(data: bytes) -> tuple[int, Fact] | None:
-    """The request direction's matcher: (request id, fact), or None."""
-    if match := _layout(True).fullmatch(data):
-        dependent, exceptions, kind, prior, subject, request_id = match.groups()
-        return int(request_id), Fact(_MEMBERS[kind], subject.decode("ascii"), int(exceptions),
-                                     int(dependent), int(prior))
-
-
-def _read_reply(data: bytes) -> tuple[int, RepairPlan | NoMatch] | None:
-    """The reply direction's matcher: (request id, plan or NoMatch), or None."""
-    if match := _layout(False).fullmatch(data):
+def decode(data: bytes) -> tuple[int, Fact | RepairPlan | NoMatch | ErrorOutcome]:
+    """``(request_id, body)`` of one frame, its LF optional, as ``encode``
+    takes them; MalformedFrame if it breaks the schema. A canonical frame
+    takes one match; any other gets the full check, without its LF."""
+    if data[2:3] == b"f":
+        if match := _layout(True).fullmatch(data):
+            dependent, exceptions, kind, prior, subject, request_id = match.groups()
+            return int(request_id), Fact(_MEMBERS[kind], subject.decode("ascii"),
+                                         int(exceptions), int(dependent), int(prior))
+    elif match := _layout(False).fullmatch(data):
         fired_rule, strategy, subject, request_id = match.groups()
         return int(request_id), NoMatch() if subject is None else RepairPlan(
             _MEMBERS[strategy], subject.decode("ascii"), fired_rule.decode("ascii"))
-
-
-def decode(data: bytes) -> PlanRequest | PlanResponse:
-    """Parse one frame back into a message; MalformedFrame if it breaks the schema."""
-    message, read = (PlanRequest, _read_request) if data[2:3] == b"f" else (PlanResponse, _read_reply)
-    if fields := read(data):
-        return message(*fields)
     try:
-        text = data.decode("utf-8")
+        text = data.removesuffix(b"\n").decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedFrame(f"frame is not UTF-8: {exc}") from exc
     try:
@@ -266,9 +235,9 @@ def decode(data: bytes) -> PlanRequest | PlanResponse:
     request_id = _exact(obj, "request_id", int, "frame")
     if body_key == "fact":
         fact = _object(obj["fact"], {"kind", "subject", *INT_FIELDS}, "frame.fact")
-        return PlanRequest(request_id, Fact(
+        return request_id, Fact(
             _member(fact, "kind", _KINDS, "frame.fact"), _exact(fact, "subject", str, "frame.fact"),
-            **{key: _exact(fact, key, int, "frame.fact") for key in INT_FIELDS}))
+            **{key: _exact(fact, key, int, "frame.fact") for key in INT_FIELDS})
     outcome = obj["outcome"]
     if type(outcome) is not dict or len(outcome) != 1 or next(iter(outcome)) not in (
             "plan", "no_match", "error"):
@@ -278,15 +247,15 @@ def decode(data: bytes) -> PlanRequest | PlanResponse:
     if key == "no_match":
         if body is not True:  # the constant true, not 1 or 1.0
             raise MalformedFrame(f"{where} must be true")
-        return PlanResponse(request_id, NoMatch())
+        return request_id, NoMatch()
     if key == "plan":
         plan = _object(body, {"strategy", "subject", "fired_rule"}, where)
-        return PlanResponse(request_id, RepairPlan(
+        return request_id, RepairPlan(
             _member(plan, "strategy", _STRATEGIES, where),
-            _exact(plan, "subject", str, where), _exact(plan, "fired_rule", str, where)))
+            _exact(plan, "subject", str, where), _exact(plan, "fired_rule", str, where))
     error = _object(body, {"code", "message"}, where)
-    return PlanResponse(request_id, ErrorOutcome(_exact(error, "code", str, where),
-                                                 _exact(error, "message", str, where)))
+    return request_id, ErrorOutcome(_exact(error, "code", str, where),
+                                    _exact(error, "message", str, where))
 
 
 def _set_recv_timeout(sock, seconds: float) -> None:
@@ -432,7 +401,7 @@ class RemotePlanner:
         retried: it closes the connection and raises RequestTimeout."""
         request_id = self._next_request_id
         self._next_request_id += 1
-        frame, retry = _request_frame(request_id, fact), self._sock is not None
+        frame, retry = encode(request_id, fact), self._sock is not None
         while True:
             if self._sock is None:
                 self._connect()
@@ -455,12 +424,9 @@ class RemotePlanner:
         try:
             if len(line) > MAX_FRAME:
                 raise MalformedFrame(f"reply exceeds {MAX_FRAME} bytes")
-            if (reply := _read_reply(line)) is None:
-                response = decode(line.rstrip(b"\n"))
-                if not isinstance(response, PlanResponse):
-                    raise MalformedFrame("expected a plan_response frame")
-                reply = response.request_id, response.outcome
-            echoed, outcome = reply
+            echoed, outcome = decode(line)
+            if type(outcome) is Fact:
+                raise MalformedFrame("expected a plan_response frame")
             if echoed != request_id:
                 raise RemoteError("protocol", f"response for request {echoed}, expected {request_id}")
         except (MalformedFrame, RemoteError):

@@ -2,9 +2,9 @@
 protocol of ``planner.py``. Only ``healsim serve-planner`` and the tests
 import this module, so ``import healsim`` loads no server code.
 
-A canonical request is read with ``planner``'s request matcher and answered
-with its reply writer, building no message object: a request that one
-``recv`` brings in whole is matched as the bytes that read returned, and
+Each request is read with ``planner.decode`` and answered with
+``planner.encode``, the codec the client uses too: a canonical request that
+one ``recv`` brings in whole is matched as the bytes that read returned, and
 the handler's loop sends its reply with one ``send``. A frame the server
 cannot decode is answered with an error outcome (code "malformed", request
 id 0 when unrecoverable) and the connection stays open. Frames are read with
@@ -27,8 +27,8 @@ import socketserver
 import threading
 
 from .planner import DEFAULT_PORT, MAX_FRAME, ErrorOutcome, InProcessPlanner, MalformedFrame
-from .planner import PlanRequest, _read_request, _response_frame, decode, lines, sender
-from .rules import RuleSet
+from .planner import decode, encode, lines, sender
+from .rules import Fact, RuleSet
 
 log = logging.getLogger(__name__)
 
@@ -44,18 +44,6 @@ def _best_effort_request_id(line: bytes) -> int:
     return rid if type(rid) is int else 0
 
 
-def _checked_reply(planner: InProcessPlanner, line: bytes) -> bytes:
-    """The reply to a line that is not a canonical request: the full check
-    of ``decode``, and an error outcome "malformed" if it fails."""
-    try:
-        message = decode(line.rstrip(b"\n"))
-        if not isinstance(message, PlanRequest):
-            raise MalformedFrame("server expects plan_request frames")
-    except MalformedFrame as exc:
-        return _response_frame(_best_effort_request_id(line), ErrorOutcome("malformed", str(exc)))
-    return _response_frame(message.request_id, planner.plan(message.fact))
-
-
 class _PlanHandler(socketserver.BaseRequestHandler):
     """Serves one connection, reading its frames with ``planner.lines`` and
     sending its responses with ``planner.sender``. Each frame has
@@ -67,12 +55,17 @@ class _PlanHandler(socketserver.BaseRequestHandler):
         try:
             for line in lines(self.request, IDLE_TIMEOUT):
                 if len(line) > MAX_FRAME:  # lines gives no line after it: the connection closes
-                    too_large = ErrorOutcome("too_large", f"frame exceeds {MAX_FRAME} bytes")
-                    frame = _response_frame(0, too_large)
-                elif (request := _read_request(line)) is None:  # not canonical
-                    frame = _checked_reply(self.server.planner, line)
+                    frame = encode(0, ErrorOutcome("too_large", f"frame exceeds {MAX_FRAME} bytes"))
                 else:
-                    frame = _response_frame(request[0], self.server.planner.plan(request[1]))
+                    try:
+                        request_id, fact = decode(line)
+                        if type(fact) is not Fact:
+                            raise MalformedFrame("server expects plan_request frames")
+                    except MalformedFrame as exc:
+                        malformed = ErrorOutcome("malformed", str(exc))
+                        frame = encode(_best_effort_request_id(line), malformed)
+                    else:
+                        frame = encode(request_id, self.server.planner.plan(fact))
                 try:
                     send(frame)
                 except OSError as exc:  # TimeoutError among them
@@ -101,7 +94,7 @@ class _PlanServer(socketserver.ThreadingTCPServer):
         if busy:
             busy_error = ErrorOutcome("busy", f"serving {MAX_CONNECTIONS} connections already")
             try:
-                request.sendall(_response_frame(0, busy_error))
+                request.sendall(encode(0, busy_error))
             except OSError:  # the client is gone already; close all the same
                 pass
             self.shutdown_request(request)

@@ -10,7 +10,7 @@ import threading
 import pytest
 
 from healsim.cli import main
-from healsim.planner import DEFAULT_PORT, MAX_FRAME, ErrorOutcome, PlanResponse, encode
+from healsim.planner import DEFAULT_PORT, MAX_FRAME, ErrorOutcome, encode
 from test_golden import layered_blueprint_doc
 from test_model import SLOT_NAMED_LIKE_CONNECTOR_DOC
 
@@ -454,7 +454,7 @@ def _one_shot_planner(reply: bytes) -> int:
 
 @pytest.mark.parametrize(
     "reply",
-    [b"not a frame\n", encode(PlanResponse(1, ErrorOutcome("internal", "rule base broken"))),
+    [b"not a frame\n", encode(1, ErrorOutcome("internal", "rule base broken")),
      b"x" * (MAX_FRAME + 1)],
     ids=["malformed-frame", "error-outcome", "reply-over-max-frame"],
 )

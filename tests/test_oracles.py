@@ -9,6 +9,7 @@ import io
 import json
 import re
 from enum import EnumMeta
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -51,8 +52,6 @@ from healsim.planner import (
     ErrorOutcome,
     MalformedFrame,
     NoMatch,
-    PlanRequest,
-    PlanResponse,
     canonical_json,
     RemotePlanner,
     decode,
@@ -348,11 +347,90 @@ def test_validate_shares_one_violation_per_deviation(doc, steps):
             apply_step(model, step)
         except ModelError:
             pass
+        assert_rep_invariant(model)
         violations = validate(model)
         assert violations == brute_validate(model)
         for violation, again in zip(violations, validate(model)):
             assert again is violation
             assert shared.setdefault((violation.kind, violation.subject), violation) is violation
+
+
+@st.composite
+def constructor_arguments(draw, bp):
+    """``components`` and ``connectors`` for ``ArchitectureModel(bp, ...)``:
+    slots emptied or held by an instance in any state, its id well-formed
+    (``SLOT#N``) or foreign; now and then a missing or unknown slot, a value
+    that is no Component, or a connector that is not intended."""
+    slots = bp.slot_names()
+    components = {}
+    for slot in slots:
+        instance_id = draw(st.one_of(
+            st.builds("{}#{}".format, st.just(slot), st.integers(0, 12)),
+            st.builds("{}#{}".format, st.sampled_from(slots), st.integers(1, 12)),
+            st.sampled_from(["", "#3", f"{slot}#", f"{slot}#x", f"{slot}#2#3", f"{slot}#-1"])))
+        components[slot] = draw(st.one_of(st.none(), st.builds(
+            Component, st.just(instance_id), st.sampled_from(ComponentState), st.integers(0, 3))))
+    odd = draw(st.sampled_from(["none"] * 9 + ["missing slot", "unknown slot", "not a component"]))
+    if odd == "missing slot":
+        del components[draw(st.sampled_from(slots))]
+    elif odd == "unknown slot":
+        components["No Such Slot"] = None
+    elif odd == "not a component":
+        components[draw(st.sampled_from(slots))] = "an id"
+    intended = bp.intended_connectors
+    held = {slot for slot, comp in components.items() if comp is not None}
+    joined = [spec for spec in intended if spec.source in held and spec.target in held]
+    dangling = [spec for spec in intended if spec not in joined]
+    connectors = draw(st.lists(st.sampled_from(joined), unique=True)) if joined else []
+    extra = draw(st.sampled_from(["none"] * 3 + ["dangling"] * 2 + ["not intended"]))
+    if extra == "dangling" and dangling:
+        connectors.append(draw(st.sampled_from(dangling)))
+    elif extra == "not intended":
+        spec = draw(st.sampled_from(intended))
+        connectors.append(draw(st.sampled_from([ConnectorSpec(spec.target, spec.source, "Back"),
+                                                ConnectorSpec(spec.source, spec.target, "Other")])))
+    return components, tuple(connectors)
+
+
+def constructor_error(bp, components, connectors):
+    """The ModelError subclass the constructor documents for these arguments,
+    by the order of its checks; None if they are valid."""
+    if components.keys() != set(bp.slot_names()):
+        return UnknownSlot
+    if any(comp is not None and not isinstance(comp, Component) for comp in components.values()):
+        return ModelError
+    if any(scan_find_intended(bp, spec.source, spec.target) != spec for spec in connectors):
+        return UnknownConnector
+    if any(components[spec.source] is None or components[spec.target] is None
+           for spec in connectors):
+        return TargetAbsent
+    return None
+
+
+@pytest.mark.parametrize(
+    "doc", [None, layered_blueprint_doc(6), REPLICA_DOC], ids=["default", "layered6", "replica"]
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), steps=STEPS)
+def test_constructed_models_raise_a_documented_error_or_hold_the_invariant(doc, data, steps):
+    """A model built from drawn constructor arguments either raises the
+    ModelError subclass its docstring names, or holds the representation
+    invariant, answers validate and the draws as the references do, and
+    keeps the invariant through random steps: an id it allocates never
+    repeats one it was built with."""
+    bp = load(doc)
+    components, connectors = data.draw(constructor_arguments(bp))
+    expected = constructor_error(bp, components, connectors)
+    try:
+        model = ArchitectureModel(bp, components, connectors)
+    except ModelError as exc:
+        assert type(exc) is expected, exc
+        return
+    assert expected is None
+    assert_rep_invariant(model)
+    assert validate(model) == brute_validate(model)
+    assert_draws_match_lists(model)
+    apply_steps(model, steps)
 
 
 # -- (c) derived views kept by the mutations vs from-scratch scans -----------
@@ -505,11 +583,14 @@ def test_an_empty_slot_with_no_connectors_is_skipped_while_every_connector_is_li
 
 
 def apply_steps(model, steps):
+    """Each step in turn, a ModelError skipping it; the representation
+    invariant holds after each."""
     for step in steps:
         try:
             apply_step(model, step)
         except ModelError:
             pass
+        assert_rep_invariant(model)
 
 
 @pytest.mark.parametrize(
@@ -928,20 +1009,23 @@ def test_enum_values_need_no_escaping():
 
 # -- (f) the written-out wire codec and rule order vs the walkers they replaced --
 # The planner's encode and decode write and check each field of the two
-# messages by hand, and a RuleSet ranks its compiled conditions by salience
+# frames by hand, and a RuleSet ranks its compiled conditions by salience
 # so that evaluate stops at the first match. _BODIES below is the wire
-# schema; the table walkers that read it on every call, and the pick over
-# all rules, are the references. Each table maps a field to its kind: str or
-# int (a JSON string or integer, never a bool), an Enum (a string naming a
-# member), a class (an object per that class's table), a dict (an object
-# holding exactly one of its keys, with that key's kind), or a constant the
-# field must equal, type included. NoMatch's body is ``true``.
+# schema, one table per frame type and per body class; the table walkers
+# that read it on every call, and the pick over all rules, are the
+# references. A message is a ``(request_id, body)`` pair, as encode takes
+# and decode returns it: a request for a Fact body, else a response. Each
+# table maps a field to its kind: str or int (a JSON string or integer,
+# never a bool), an Enum (a string naming a member), a class (an object per
+# that class's table), a dict (an object holding exactly one of its keys,
+# with that key's kind), or a constant the field must equal, type included.
+# NoMatch's body is ``true``.
 
-_BODIES: dict[type, object] = {
-    PlanRequest: {"type": "plan_request", "version": PROTOCOL_VERSION,
-                  "request_id": int, "fact": Fact},
-    PlanResponse: {"type": "plan_response", "version": PROTOCOL_VERSION, "request_id": int,
-                   "outcome": {"plan": RepairPlan, "no_match": NoMatch, "error": ErrorOutcome}},
+_BODIES: dict[object, object] = {
+    "plan_request": {"type": "plan_request", "version": PROTOCOL_VERSION,
+                     "request_id": int, "fact": Fact},
+    "plan_response": {"type": "plan_response", "version": PROTOCOL_VERSION, "request_id": int,
+                      "outcome": {"plan": RepairPlan, "no_match": NoMatch, "error": ErrorOutcome}},
     Fact: {"kind": FaultKind, "subject": str, **dict.fromkeys(INT_FIELDS, int)},
     RepairPlan: {"strategy": Strategy, "subject": str, "fired_rule": str},
     NoMatch: True,
@@ -949,8 +1033,18 @@ _BODIES: dict[type, object] = {
 }
 
 
+_BODY_KEY = {"plan_request": "fact", "plan_response": "outcome"}  # each frame type's body field
+
+
+def reference_message_json(request_id, body):
+    """The JSON form of the frame that carries ``body``."""
+    frame_type = "plan_request" if type(body) is Fact else "plan_response"
+    fields = SimpleNamespace(request_id=request_id, **{_BODY_KEY[frame_type]: body})
+    return reference_json(fields, frame_type)
+
+
 def reference_json(value, kind):
-    """The JSON form of ``value``, whose kind is a class or a dict."""
+    """The JSON form of ``value``, whose kind is a frame type, a class or a dict."""
     if isinstance(kind, dict):
         for key, cls in kind.items():
             if type(value) is cls:
@@ -1023,9 +1117,10 @@ def reference_decode(data):
         raise MalformedFrame(f"frame is not JSON: {exc}") from exc
     if type(obj) is not dict:
         raise MalformedFrame("frame is not a JSON object")
-    for cls in (PlanRequest, PlanResponse):
-        if obj.get("type") == _BODIES[cls]["type"]:
-            return cls(**reference_fields(obj, _BODIES[cls], "frame"))
+    for frame_type, body_key in _BODY_KEY.items():
+        if obj.get("type") == frame_type:
+            fields = reference_fields(obj, _BODIES[frame_type], "frame")
+            return fields["request_id"], fields[body_key]
     raise MalformedFrame(f"unknown message type {obj.get('type')!r}")
 
 
@@ -1060,8 +1155,7 @@ OUTCOMES = st.one_of(
     st.just(NoMatch()),
     st.builds(ErrorOutcome, WIRE_TEXT, WIRE_TEXT),
 )
-MESSAGES = st.one_of(st.builds(PlanRequest, WIRE_INTS, FACTS),
-                     st.builds(PlanResponse, WIRE_INTS, OUTCOMES))
+MESSAGES = st.one_of(st.tuples(WIRE_INTS, FACTS), st.tuples(WIRE_INTS, OUTCOMES))
 
 
 def decoded(decoder, frame):
@@ -1074,9 +1168,9 @@ def decoded(decoder, frame):
 @settings(max_examples=300, deadline=None)
 @given(message=MESSAGES)
 def test_compiled_codec_equals_table_walkers(message):
-    frame = encode(message)
-    assert frame == canonical_json(reference_json(message, type(message)))
-    assert decode(frame.rstrip(b"\n")) == reference_decode(frame) == message
+    frame = encode(*message)
+    assert frame == canonical_json(reference_message_json(*message))
+    assert decode(frame) == decode(frame.rstrip(b"\n")) == reference_decode(frame) == message
 
 
 def json_objects(doc):
@@ -1108,7 +1202,7 @@ def mutate(obj, key, mutation, draw):
 @settings(max_examples=400, deadline=None)
 @given(message=MESSAGES, data=st.data())
 def test_compiled_decoder_equals_reference_on_mutated_frames(message, data):
-    doc = reference_json(message, type(message))
+    doc = reference_message_json(*message)
     obj = data.draw(st.sampled_from(list(json_objects(doc))))
     key = data.draw(st.sampled_from(sorted(obj)))
     mutation = data.draw(st.sampled_from(
@@ -1120,10 +1214,10 @@ def test_compiled_decoder_equals_reference_on_mutated_frames(message, data):
     assert result[0] == "MalformedFrame"  # every mutation breaks the schema
 
 
-CANONICAL_FRAMES = [encode(message).rstrip(b"\n") for message in (
-    PlanRequest(12, Fact(FaultKind.CF1, "Query Service", 3, 2, 1)),
-    PlanResponse(12, RepairPlan(Strategy.AS1, "Query Service", "restart-on-cf1")),
-    PlanResponse(12, NoMatch()),
+CANONICAL_FRAMES = [encode(12, body).rstrip(b"\n") for body in (
+    Fact(FaultKind.CF1, "Query Service", 3, 2, 1),
+    RepairPlan(Strategy.AS1, "Query Service", "restart-on-cf1"),
+    NoMatch(),
 )]
 
 
@@ -1279,7 +1373,7 @@ def test_an_over_long_line_in_two_chunks_is_held_to_max_frame_plus_one(end, whol
         handler.request, handler.client_address = sock, ("peer", 0)
         handler.handle()
         too_large = ErrorOutcome("too_large", f"frame exceeds {MAX_FRAME} bytes")
-        assert sock.sent == [encode(PlanResponse(0, too_large))]
+        assert sock.sent == [encode(0, too_large)]
     rest = b"x" * MAX_FRAME if whole else b"x" * (MAX_FRAME - 1)
     assert sock.handed_out == MAX_FRAME + 1 and sock.chunks == [rest]
 

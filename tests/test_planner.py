@@ -28,8 +28,6 @@ from healsim.planner import (
     InProcessPlanner,
     MalformedFrame,
     NoMatch,
-    PlanRequest,
-    PlanResponse,
     RemoteError,
     RemotePlanner,
     RequestTimeout,
@@ -41,7 +39,7 @@ from healsim.rules import Fact, RepairPlan, Strategy, default_ruleset, parse_rul
 from healsim.service import PlanService, _PlanHandler
 
 
-def cf4_fact(request_id=1):
+def cf4_request(request_id=1):
     fact = Fact(
         kind=FaultKind.CF4,
         subject="Query Service->Reputation Service",
@@ -49,7 +47,7 @@ def cf4_fact(request_id=1):
         dependent_count=0,
         prior_failures_of_subject=0,
     )
-    return PlanRequest(request_id=request_id, fact=fact)
+    return request_id, fact
 
 
 def connections_settle_at_zero(service, timeout=2.0):
@@ -72,7 +70,7 @@ def service():
 
 
 def test_encode_is_canonical():
-    frame = encode(cf4_fact())
+    frame = encode(*cf4_request())
     assert frame.startswith(b'{"fact":')
     assert frame.endswith(b"\n")
     assert frame.count(b"\n") == 1
@@ -87,15 +85,15 @@ def test_encode_is_canonical():
 
 def test_encode_response_outcomes():
     plan = RepairPlan(Strategy.AS3, "Query Service->Reputation Service", "reconnect-on-cf4")
-    assert encode(PlanResponse(2, plan)) == (
+    assert encode(2, plan) == (
         b'{"outcome":{"plan":{"fired_rule":"reconnect-on-cf4","strategy":"AS3",'
         b'"subject":"Query Service->Reputation Service"}},"request_id":2,'
         b'"type":"plan_response","version":1}\n'
     )
-    assert encode(PlanResponse(3, NoMatch())) == (
+    assert encode(3, NoMatch()) == (
         b'{"outcome":{"no_match":true},"request_id":3,"type":"plan_response","version":1}\n'
     )
-    assert encode(PlanResponse(4, ErrorOutcome("malformed", "bad"))) == (
+    assert encode(4, ErrorOutcome("malformed", "bad")) == (
         b'{"outcome":{"error":{"code":"malformed","message":"bad"}},'
         b'"request_id":4,"type":"plan_response","version":1}\n'
     )
@@ -106,42 +104,42 @@ class Lookalike(Enum):  # another enum whose values are protocol values
     AS1 = "AS1"
 
 
-@pytest.mark.parametrize("message", [
-    Fact(FaultKind.CF1, "x"),
-    {"type": "plan_request", "version": 1, "request_id": 1, "fact": {}},
-    PlanRequest(True, Fact(FaultKind.CF1, "x")),
-    PlanRequest(1.0, Fact(FaultKind.CF1, "x")),
-    PlanResponse(False, NoMatch()),
-    PlanRequest(1, Fact(FaultKind.CF1, 7)),
-    PlanResponse(1, RepairPlan(Strategy.AS1, b"x", "r")),
-    PlanResponse(1, ErrorOutcome("code", None)),
-    PlanRequest(1, Fact("CF1", "x")),
-    PlanRequest(1, Fact(Strategy.AS1, "x")),
-    PlanResponse(1, RepairPlan("AS1", "x", "r")),
-    PlanResponse(1, Fact(FaultKind.CF1, "x")),
-    PlanResponse(1, None),
-    PlanRequest(1, None),
-    PlanRequest(1, Fact(Lookalike.CF1, "x")),
-    PlanResponse(1, RepairPlan(Lookalike.AS1, "x", "r")),
+@pytest.mark.parametrize("request_id, body", [
+    (None, Fact(FaultKind.CF1, "x")),
+    (1, {"type": "plan_request", "version": 1, "request_id": 1, "fact": {}}),
+    (True, Fact(FaultKind.CF1, "x")),
+    (1.0, Fact(FaultKind.CF1, "x")),
+    (False, NoMatch()),
+    (1, Fact(FaultKind.CF1, 7)),
+    (1, Fact(FaultKind.CF1, "x", True)),
+    (1, RepairPlan(Strategy.AS1, b"x", "r")),
+    (1, ErrorOutcome("code", None)),
+    (1, Fact("CF1", "x")),
+    (1, Fact(Strategy.AS1, "x")),
+    (1, RepairPlan("AS1", "x", "r")),
+    (1, FailureReport(0, FaultKind.CF1, "x", 0, 0, ())),
+    (1, None),
+    (1, Fact(Lookalike.CF1, "x")),
+    (1, RepairPlan(Lookalike.AS1, "x", "r")),
 ], ids=["fact", "dict", "bool-request-id", "float-request-id", "bool-response-id",
-        "int-subject", "bytes-plan-subject", "none-error-message", "str-kind",
-        "other-enum-kind", "str-strategy", "fact-outcome", "none-outcome", "none-fact",
+        "int-subject", "bool-count", "bytes-plan-subject", "none-error-message", "str-kind",
+        "other-enum-kind", "str-strategy", "report-body", "none-outcome",
         "same-value-enum-kind", "same-value-enum-strategy"])
-def test_encode_rejects_what_is_not_a_message(message):
+def test_encode_rejects_what_is_not_a_message(request_id, body):
     with pytest.raises(TypeError, match="not a protocol message"):
-        encode(message)
+        encode(request_id, body)
 
 
 def test_decode_encode_round_trip_handwritten():
     messages = [
-        cf4_fact(),
-        PlanRequest(9, Fact(FaultKind.CF2, "Bid Service", 7, 1, 2)),
-        PlanResponse(9, RepairPlan(Strategy.AS4, "Bid Service", "replace-on-cf2")),
-        PlanResponse(10, NoMatch()),
-        PlanResponse(11, ErrorOutcome("internal", "boom")),
+        cf4_request(),
+        (9, Fact(FaultKind.CF2, "Bid Service", 7, 1, 2)),
+        (9, RepairPlan(Strategy.AS4, "Bid Service", "replace-on-cf2")),
+        (10, NoMatch()),
+        (11, ErrorOutcome("internal", "boom")),
     ]
     for message in messages:
-        assert decode(encode(message)) == message
+        assert decode(encode(*message)) == message
 
 
 # Both under MAX_FRAME: an integer over Python's 4300-digit limit, and an
@@ -210,15 +208,12 @@ def test_round_trip_randomized_messages():
     subjects = ["Query Service", "Bid Service", "A->B", "weird \"name\"", "uniçode"]
     for _ in range(300):
         if rng.random() < 0.5:
-            message = PlanRequest(
-                request_id=rng.randrange(0, 2**31),
-                fact=Fact(
-                    kind=rng.choice(kinds),
-                    subject=rng.choice(subjects),
-                    exception_count=rng.randrange(0, 100),
-                    dependent_count=rng.randrange(0, 10),
-                    prior_failures_of_subject=rng.randrange(0, 10),
-                ),
+            message = rng.randrange(0, 2**31), Fact(
+                kind=rng.choice(kinds),
+                subject=rng.choice(subjects),
+                exception_count=rng.randrange(0, 100),
+                dependent_count=rng.randrange(0, 10),
+                prior_failures_of_subject=rng.randrange(0, 10),
             )
         else:
             roll = rng.random()
@@ -228,8 +223,8 @@ def test_round_trip_randomized_messages():
                 outcome = NoMatch()
             else:
                 outcome = ErrorOutcome("code", "message ☃")
-            message = PlanResponse(rng.randrange(0, 2**31), outcome)
-        assert decode(encode(message)) == message
+            message = rng.randrange(0, 2**31), outcome
+        assert decode(encode(*message)) == message
 
 
 # Text and integers that the one-match path of decode takes: printable ASCII
@@ -241,15 +236,15 @@ MATCHED_INTS = st.integers(-(10**18 - 1), 10**18 - 1)
 
 @settings(max_examples=300, deadline=None)
 @given(message=st.one_of(
-    st.builds(PlanRequest, MATCHED_INTS, st.builds(
+    st.tuples(MATCHED_INTS, st.builds(
         Fact, st.sampled_from(FaultKind), MATCHED_TEXT, MATCHED_INTS, MATCHED_INTS, MATCHED_INTS)),
-    st.builds(PlanResponse, MATCHED_INTS, st.one_of(
+    st.tuples(MATCHED_INTS, st.one_of(
         st.builds(RepairPlan, st.sampled_from(Strategy), MATCHED_TEXT, MATCHED_TEXT),
         st.just(NoMatch())))))
 def test_canonical_frames_decode_in_one_match(message):
     """Every frame encode writes for these messages decodes without json.loads,
     so the templates and the one-match patterns built from them agree."""
-    frame = encode(message)
+    frame = encode(*message)
     with mock.patch.object(planner.json, "loads", side_effect=AssertionError("full check")):
         assert decode(frame) == decode(frame.rstrip(b"\n")) == message
 
@@ -268,34 +263,31 @@ def _raw_exchange(address, lines):
 
 
 def test_service_answers_cf4_with_as3(service):
-    (reply,) = _raw_exchange(service.address, [encode(cf4_fact(request_id=5))])
-    response = decode(reply.rstrip(b"\n"))
-    assert response.request_id == 5
-    assert response.outcome == RepairPlan(
+    (reply,) = _raw_exchange(service.address, [encode(*cf4_request(request_id=5))])
+    assert decode(reply) == (5, RepairPlan(
         Strategy.AS3, "Query Service->Reputation Service", "reconnect-on-cf4"
-    )
+    ))
 
 
 def test_service_survives_garbage_then_serves(service):
     replies = _raw_exchange(
-        service.address, [b"this is not a frame\n", encode(cf4_fact(request_id=6))]
+        service.address, [b"this is not a frame\n", encode(*cf4_request(request_id=6))]
     )
-    first = decode(replies[0].rstrip(b"\n"))
-    assert isinstance(first.outcome, ErrorOutcome)
-    assert first.outcome.code == "malformed"
-    assert first.request_id == 0
-    second = decode(replies[1].rstrip(b"\n"))
-    assert isinstance(second.outcome, RepairPlan)
+    request_id, first = decode(replies[0])
+    assert isinstance(first, ErrorOutcome)
+    assert first.code == "malformed"
+    assert request_id == 0
+    assert isinstance(decode(replies[1])[1], RepairPlan)
 
 
 def test_service_closes_on_oversized_frame(service):
     with socket.create_connection(service.address, timeout=2) as sock:
         reader = sock.makefile("rb")
         sock.sendall(b"x" * (MAX_FRAME - 1) + b"\n")  # at the cap: answered
-        assert decode(reader.readline().rstrip(b"\n")).outcome.code == "malformed"
+        assert decode(reader.readline())[1].code == "malformed"
         sock.sendall(b"x" * MAX_FRAME + b"\n")  # one byte over: answered, then closed
-        reply = decode(reader.readline().rstrip(b"\n"))
-        assert reply == PlanResponse(0, ErrorOutcome("too_large", f"frame exceeds {MAX_FRAME} bytes"))
+        reply = decode(reader.readline())
+        assert reply == (0, ErrorOutcome("too_large", f"frame exceeds {MAX_FRAME} bytes"))
         assert reader.readline() == b""
 
 
@@ -303,12 +295,12 @@ def test_service_answers_busy_past_max_connections(service, monkeypatch):
     monkeypatch.setattr("healsim.service.MAX_CONNECTIONS", 1)
     with socket.create_connection(service.address, timeout=2) as first:
         first_reader = first.makefile("rb")
-        first.sendall(encode(cf4_fact(request_id=1)))  # answered: the first is being served
-        assert decode(first_reader.readline().rstrip(b"\n")).request_id == 1
+        first.sendall(encode(*cf4_request(request_id=1)))  # answered: the first is being served
+        assert decode(first_reader.readline())[0] == 1
         with socket.create_connection(service.address, timeout=2) as second:
             reader = second.makefile("rb")
-            reply = decode(reader.readline().rstrip(b"\n"))
-            assert reply.request_id == 0 and reply.outcome.code == "busy"
+            request_id, outcome = decode(reader.readline())
+            assert request_id == 0 and outcome.code == "busy"
             assert reader.readline() == b""
         first_reader.close()  # the socket closes once its file is closed too
     assert connections_settle_at_zero(service)  # a closed connection frees its place
@@ -318,8 +310,8 @@ def test_service_closes_connection_without_complete_frame(service, monkeypatch):
     monkeypatch.setattr("healsim.service.IDLE_TIMEOUT", 0.3)
     with socket.create_connection(service.address, timeout=2) as sock:
         reader = sock.makefile("rb")
-        sock.sendall(encode(cf4_fact(request_id=4)))
-        assert decode(reader.readline().rstrip(b"\n")).request_id == 4
+        sock.sendall(encode(*cf4_request(request_id=4)))
+        assert decode(reader.readline())[0] == 4
         # A byte at a time keeps the connection busy but never completes a frame.
         start = time.monotonic()
         closed_at = None
@@ -343,16 +335,16 @@ def test_service_closes_connection_that_sends_nothing(service, monkeypatch):
 
 def test_service_gives_each_frame_its_own_idle_time(service, monkeypatch):
     monkeypatch.setattr("healsim.service.IDLE_TIMEOUT", 1.0)
-    frame = encode(cf4_fact(request_id=1))
+    frame = encode(*cf4_request(request_id=1))
     with socket.create_connection(service.address, timeout=3) as sock:
         reader = sock.makefile("rb")
         for piece, pause in ((frame[:5], 0.7), (frame[5:10], 0.1), (frame[10:], 0)):
             sock.sendall(piece)  # the last piece arrives with 0.2 s of the frame's time to spare
             time.sleep(pause)
-        assert decode(reader.readline().rstrip(b"\n")).request_id == 1
+        assert decode(reader.readline())[0] == 1
         time.sleep(0.6)  # longer than was left of the first frame's time, shorter than a frame's
-        sock.sendall(encode(cf4_fact(request_id=2)))
-        assert decode(reader.readline().rstrip(b"\n")).request_id == 2
+        sock.sendall(encode(*cf4_request(request_id=2)))
+        assert decode(reader.readline())[0] == 2
 
 
 def test_service_closes_quietly_on_a_client_that_reads_nothing(service, monkeypatch):
@@ -404,34 +396,52 @@ def test_service_answers_undecodable_frames_then_serves(service):
         reader = sock.makefile("rb")
         for frame in (BIG_INT_FRAME, DEEP_FRAME):
             sock.sendall(frame + b"\n")
-            reply = decode(reader.readline().rstrip(b"\n"))
-            assert reply.request_id == 0 and reply.outcome.code == "malformed"
-        sock.sendall(encode(cf4_fact(request_id=8)))
-        reply = decode(reader.readline().rstrip(b"\n"))
-        assert reply.request_id == 8 and isinstance(reply.outcome, RepairPlan)
+            request_id, outcome = decode(reader.readline())
+            assert request_id == 0 and outcome.code == "malformed"
+        sock.sendall(encode(*cf4_request(request_id=8)))
+        request_id, outcome = decode(reader.readline())
+        assert request_id == 8 and isinstance(outcome, RepairPlan)
 
 
 def test_service_echoes_request_id_of_bad_request(service):
     # JSON parses and carries an id, but the fact is missing
     bad = b'{"request_id":42,"type":"plan_request","version":1}\n'
     (reply,) = _raw_exchange(service.address, [bad])
-    response = decode(reply.rstrip(b"\n"))
-    assert response.request_id == 42
-    assert isinstance(response.outcome, ErrorOutcome)
+    request_id, outcome = decode(reply)
+    assert request_id == 42
+    assert isinstance(outcome, ErrorOutcome)
 
 
 def test_service_answers_a_response_frame_as_malformed_under_its_id(service):
-    (reply,) = _raw_exchange(service.address, [encode(PlanResponse(9, NoMatch()))])
-    assert decode(reply.rstrip(b"\n")) == PlanResponse(
-        9, ErrorOutcome("malformed", "server expects plan_request frames"))
+    (reply,) = _raw_exchange(service.address, [encode(9, NoMatch())])
+    assert decode(reply) == (9, ErrorOutcome("malformed", "server expects plan_request frames"))
+
+
+@pytest.mark.parametrize("char", ["\u00e9", "\U0001F600", "\x01"],
+                         ids=["e-acute", "emoji", "control"])
+def test_service_clips_an_error_reply_to_max_frame(service, char):
+    """A request of at most MAX_FRAME bytes whose fact.kind is a long string
+    is answered "malformed" with a message that quotes the kind. Each quoted
+    character can escape to up to 12 bytes, so the message is cut short:
+    the reply is at most MAX_FRAME bytes and decodes to that error."""
+    head = b'{"fact":{"dependent_count":0,"exception_count":0,"kind":"'
+    tail = (b'","prior_failures_of_subject":0,"subject":"x"},"request_id":5,'
+            b'"type":"plan_request","version":1}\n')
+    text = json.dumps(char, ensure_ascii=False)[1:-1].encode()  # "\x01" as its JSON escape
+    request = head + text * ((MAX_FRAME - len(head) - len(tail)) // len(text)) + tail
+    assert MAX_FRAME - len(text) < len(request) <= MAX_FRAME
+    (reply,) = _raw_exchange(service.address, [request])
+    assert len(reply) <= MAX_FRAME
+    request_id, outcome = decode(reply)
+    assert request_id == 5 and type(outcome) is ErrorOutcome and outcome.code == "malformed"
+    assert outcome.message.startswith("frame.fact.kind has unknown value " + repr(char)[:-1])
 
 
 def test_service_no_match(service):
-    request = PlanRequest(1, Fact(FaultKind.CF1, "X"))
     empty_service = PlanService(parse_rules(""), host="127.0.0.1", port=0).start()
     try:
-        (reply,) = _raw_exchange(empty_service.address, [encode(request)])
-        assert decode(reply.rstrip(b"\n")).outcome == NoMatch()
+        (reply,) = _raw_exchange(empty_service.address, [encode(1, Fact(FaultKind.CF1, "X"))])
+        assert decode(reply) == (1, NoMatch())
     finally:
         empty_service.shutdown()
 
@@ -439,8 +449,8 @@ def test_service_no_match(service):
 def test_service_pipelined_requests_in_order(service):
     with socket.create_connection(service.address, timeout=2) as sock:
         reader = sock.makefile("rb")
-        sock.sendall(encode(cf4_fact(1)) + encode(cf4_fact(2)) + encode(cf4_fact(3)))
-        ids = [decode(reader.readline().rstrip(b"\n")).request_id for _ in range(3)]
+        sock.sendall(encode(*cf4_request(1)) + encode(*cf4_request(2)) + encode(*cf4_request(3)))
+        ids = [decode(reader.readline())[0] for _ in range(3)]
     assert ids == [1, 2, 3]
 
 
@@ -573,12 +583,13 @@ DEGRADED_RULES = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.par
                               "degraded.rules")
 
 
-def count_full_checks(monkeypatch):
-    """From now on, count each call to decode (by either end's name for it),
-    json.loads and the two message constructors."""
+def count_codec_calls(monkeypatch):
+    """From now on, count each call to encode and decode, by either end's
+    name for them, and to json.loads, which the full check of decode starts
+    with."""
     calls = collections.Counter()
-    for owner, name in ((planner, "decode"), (service_module, "decode"), (json, "loads"),
-                        (PlanRequest, "__init__"), (PlanResponse, "__init__")):
+    for owner, name in ((planner, "encode"), (planner, "decode"), (service_module, "encode"),
+                        (service_module, "decode"), (json, "loads")):
         def counted(*args, _fn=getattr(owner, name), _name=f"{owner.__name__}.{name}", **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
@@ -589,13 +600,13 @@ def count_full_checks(monkeypatch):
 
 @pytest.mark.parametrize("policy", ["bundled", "bench-degraded"])
 def test_a_canonical_round_trip_takes_one_match_on_both_ends(policy, monkeypatch):
-    """Over a 2000-round shop run against an in-thread service, neither end
-    builds a message object or calls decode or json.loads: the client writes
-    each request from its fact and reads the reply in one match, and the
-    service reads the request in one match and writes the reply from the
-    outcome. The bench policy's CF4s are answered no_match. A subject
-    outside the one-match alphabet takes the full check at both ends and
-    gets the in-process answer."""
+    """Over a 2000-round shop run against an in-thread service, each
+    request takes one encode and one decode at each end, and no end calls
+    json.loads: the client encodes the request from its fact, the service
+    decodes it in one match and encodes the reply from the outcome, and the
+    client decodes that in one match. The bench policy's CF4s are answered
+    no_match. A subject outside the one-match alphabet takes the full check
+    at both ends and gets the in-process answer."""
     if policy == "bundled":
         ruleset = default_ruleset()
     else:
@@ -605,15 +616,17 @@ def test_a_canonical_round_trip_takes_one_match_on_both_ends(policy, monkeypatch
     runner = ScenarioRunner(ScenarioConfig(seed=42, rounds=2000,
                                            planner="tcp://%s:%d" % service.address))
     try:
-        calls = count_full_checks(monkeypatch)
+        calls = count_codec_calls(monkeypatch)
         plans = [plan for record in runner.run().rounds for plan in record.plans]
-        assert calls == {}
+        once = dict.fromkeys(("healsim.planner.encode", "healsim.planner.decode",
+                              "healsim.service.decode", "healsim.service.encode"), len(plans))
+        assert len(plans) > 1000 and calls == once
         assert (NoMatch() in plans) is (policy == "bench-degraded")
+        calls.clear()
         facts = [Fact(FaultKind.CF1, 'Say "hi"'), Fact(FaultKind.CF2, "Müller", 7, 1, 2)]
         assert [runner.planner.plan(fact) for fact in facts] == [
             InProcessPlanner(ruleset).plan(fact) for fact in facts]
-        assert calls == {"healsim.planner.decode": 2, "healsim.service.decode": 2,
-                         "json.loads": 4, "PlanRequest.__init__": 2, "PlanResponse.__init__": 2}
+        assert calls == {**dict.fromkeys(once, 2), "json.loads": 4}
     finally:
         runner.close()
         service.shutdown()
@@ -622,9 +635,9 @@ def test_a_canonical_round_trip_takes_one_match_on_both_ends(policy, monkeypatch
 def test_the_client_checks_a_reply_s_length_before_its_layout():
     """A reply in the canonical layout, MAX_FRAME + 1 bytes with no LF, is
     too long, not a plan: the client raises and closes the connection."""
-    frame = encode(PlanResponse(1, RepairPlan(Strategy.AS1, "x", "r"))).rstrip(b"\n")
+    frame = encode(1, RepairPlan(Strategy.AS1, "x", "r")).rstrip(b"\n")
     frame = frame.replace(b'"x"', b'"' + b"x" * (MAX_FRAME + 2 - len(frame)) + b'"')
-    assert len(frame) == MAX_FRAME + 1 and decode(frame).request_id == 1
+    assert len(frame) == MAX_FRAME + 1 and decode(frame)[0] == 1
     server = socket.create_server(("127.0.0.1", 0))
     taken = []
 
@@ -644,29 +657,29 @@ def test_the_client_checks_a_reply_s_length_before_its_layout():
         remote.plan(Fact(FaultKind.CF1, "x"))
     assert remote._sock is None
     thread.join(timeout=5)
-    assert taken == [encode(PlanRequest(1, Fact(FaultKind.CF1, "x"))), b""]
+    assert taken == [encode(1, Fact(FaultKind.CF1, "x")), b""]
 
 
 def test_the_service_checks_a_request_s_length_before_its_layout(service):
     """A request in the canonical layout, MAX_FRAME + 1 bytes with no LF, is
     answered too_large, and the connection is closed."""
-    frame = encode(PlanRequest(3, Fact(FaultKind.CF1, "x"))).rstrip(b"\n")
+    frame = encode(3, Fact(FaultKind.CF1, "x")).rstrip(b"\n")
     frame = frame.replace(b'"x"', b'"' + b"x" * (MAX_FRAME + 2 - len(frame)) + b'"')
-    assert len(frame) == MAX_FRAME + 1 and decode(frame).request_id == 3
+    assert len(frame) == MAX_FRAME + 1 and decode(frame)[0] == 3
     with socket.create_connection(service.address, timeout=2) as sock:
         reader = sock.makefile("rb")
         sock.sendall(frame)
         too_large = ErrorOutcome("too_large", f"frame exceeds {MAX_FRAME} bytes")
-        assert reader.readline() == encode(PlanResponse(0, too_large))
+        assert reader.readline() == encode(0, too_large)
         assert reader.readline() == b""
 
 
 def test_the_service_answers_a_request_id_written_minus_zero_as_zero(service):
     """The matched id is echoed as the int it reads, not as its text."""
-    request = encode(cf4_fact(request_id=0)).replace(b'"request_id":0', b'"request_id":-0')
+    request = encode(*cf4_request(request_id=0)).replace(b'"request_id":0', b'"request_id":-0')
     (reply,) = _raw_exchange(service.address, [request])
-    plan = InProcessPlanner(default_ruleset()).plan(cf4_fact().fact)
-    assert reply == encode(PlanResponse(0, plan))
+    plan = InProcessPlanner(default_ruleset()).plan(cf4_request()[1])
+    assert reply == encode(0, plan)
 
 
 def test_history_feeds_prior_failures():
@@ -749,8 +762,8 @@ def test_remote_timeout_is_one_deadline_per_request_not_per_read():
         def trickle():
             conn, _ = listener.accept()
             with conn, conn.makefile("rb") as reader:
-                request = decode(reader.readline().rstrip(b"\n"))
-                reply = encode(PlanResponse(request.request_id, NoMatch()))
+                request_id, _ = decode(reader.readline())
+                reply = encode(request_id, NoMatch())
                 try:
                     for i in range(10):  # 1.5 s of single bytes, then the rest
                         conn.sendall(reply[i:i + 1])
@@ -932,7 +945,7 @@ def test_the_service_logs_a_connection_that_completes_no_frame(service, monkeypa
     caplog.set_level(logging.INFO, logger="healsim.service")
     monkeypatch.setattr("healsim.service.IDLE_TIMEOUT", 0.3)
     with socket.create_connection(service.address, timeout=2) as sock:
-        sock.sendall(encode(cf4_fact())[:10])
+        sock.sendall(encode(*cf4_request())[:10])
         assert sock.recv(1) == b""  # closed once the frame's time is up
         port = sock.getsockname()[1]
     assert closing_lines(caplog, port) == [f"closing 127.0.0.1:{port}: no complete frame in 0.3s"]
@@ -941,7 +954,7 @@ def test_the_service_logs_a_connection_that_completes_no_frame(service, monkeypa
 def test_the_service_logs_a_connection_reset_while_it_waits_for_a_frame(service, caplog):
     caplog.set_level(logging.INFO, logger="healsim.service")
     with socket.create_connection(service.address, timeout=2) as sock:
-        sock.sendall(encode(cf4_fact()))
+        sock.sendall(encode(*cf4_request()))
         assert sock.recv(MAX_FRAME)  # answered: the service now waits for the next frame
         port = sock.getsockname()[1]
         # A zero linger: the close resets the connection the service waits on.
@@ -1039,9 +1052,8 @@ def answer_one_connection_at_a_time(listener, first_reply, accepted):
         accepted.append(conn)
         with conn, conn.makefile("rb") as reader:
             for line in reader:
-                request = decode(line.rstrip(b"\n"))
-                conn.sendall(first_reply(request) if not replies
-                             else encode(PlanResponse(request.request_id, NoMatch())))
+                request = decode(line)
+                conn.sendall(first_reply(request) if not replies else encode(request[0], NoMatch()))
                 replies += 1
                 if replies == 2:
                     break
@@ -1049,10 +1061,9 @@ def answer_one_connection_at_a_time(listener, first_reply, accepted):
 
 @pytest.mark.parametrize("first_reply, error, keeps", [
     (lambda request: b"not json\n", MalformedFrame, False),
-    (lambda request: encode(request), MalformedFrame, False),  # a request, not a response
-    (lambda request: encode(PlanResponse(request.request_id + 1, NoMatch())), RemoteError, False),
-    (lambda request: encode(PlanResponse(request.request_id, ErrorOutcome("internal", "boom"))),
-     RemoteError, True),
+    (lambda request: encode(*request), MalformedFrame, False),  # a request, not a response
+    (lambda request: encode(request[0] + 1, NoMatch()), RemoteError, False),
+    (lambda request: encode(request[0], ErrorOutcome("internal", "boom")), RemoteError, True),
 ], ids=["undecodable", "not-a-response", "other-request-id", "error-outcome"])
 def test_remote_closes_a_connection_it_can_no_longer_trust(first_reply, error, keeps):
     """A bad reply leaves the stream out of step, so the client closes the

@@ -42,7 +42,7 @@ from healsim.model import (
     instantiate_blueprint,
 )
 from healsim.monitor import ChangeEvent, EventKind, Snapshot
-from healsim.planner import ErrorOutcome, PlanRequest, PlanResponse
+from healsim.planner import ErrorOutcome
 from healsim.rules import (
     And,
     Comparison,
@@ -135,14 +135,8 @@ FROZEN = [
     (NoMatch, (), (), "NoMatch()"),
     (_Token, ("IDENT", "rule", 1, 1), ("STRING", '"r"', 2, 6),
      "_Token(kind='IDENT', text='rule', line=1, col=1)"),
-    (PlanRequest, (1, FACT), (2, Fact(FaultKind.CF1, "front")),
-     "PlanRequest(request_id=1, fact=Fact(kind=<FaultKind.CF2: 'CF2'>, subject='front', "
-     "exception_count=7, dependent_count=1, prior_failures_of_subject=2))"),
     (ErrorOutcome, ("busy", "serving 64"), ("malformed", "frame"),
      "ErrorOutcome(code='busy', message='serving 64')"),
-    (PlanResponse, (1, PLAN), (2, NoMatch()),
-     "PlanResponse(request_id=1, outcome=RepairPlan(strategy=<Strategy.AS4: 'AS4'>, "
-     "subject='front', fired_rule='r'))"),
     (Snapshot, ((("front", COMPONENT), ("back", None)), (SPEC,), 7),
      ((("front", None), ("back", None)), (), 8),
      "Snapshot(slots=(('front', Component(instance_id='front#1', "
@@ -233,7 +227,7 @@ def test_the_table_lists_every_record_class():
 
     listed = {row[0] for row in FROZEN} | {type(row[0]()) for row in MUTABLE}
     found = {cls for cls in subclasses(Record) if cls.__module__.startswith("healsim.")}
-    assert found - {Frozen} == listed and len(listed) == 29
+    assert found - {Frozen} == listed and len(listed) == 27
 
 
 @pytest.mark.parametrize("row", FROZEN, ids=lambda row: row[0].__qualname__)
@@ -371,17 +365,18 @@ def test_a_run_and_its_reports_call_no_python_level_hash(doc, rounds, tcp, tmp_p
 @pytest.mark.parametrize("doc", [None, layered_blueprint_doc(200)], ids=["shop", "layered200"])
 def test_a_healed_run_scans_no_damage_and_parses_no_allocated_id(doc, monkeypatch):
     """Every round of these runs ends healed, so each draw takes its target
-    straight from the blueprint, with no k-th lookup over the damage, and
-    no repair parses an instance id: ``instantiate`` makes each new one."""
+    straight from the blueprint, with no k-th lookup over the damage. No
+    repair parses an instance id either: ``instantiate`` makes each new
+    one, and only the constructor reads an id back."""
     blueprint = None if doc is None else blueprint_from_json(doc)
     runner = ScenarioRunner(ScenarioConfig(seed=42, rounds=2000), blueprint=blueprint)
     calls = collections.Counter()
-    for owner, name in ((model_module, "_kth_kept"), (ArchitectureModel, "_note_instance_id")):
-        def counted(*args, _fn=getattr(owner, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
 
-        monkeypatch.setattr(owner, name, counted)
+    def counted(*args, _fn=model_module._kth_kept):
+        calls["_kth_kept"] += 1
+        return _fn(*args)
+
+    monkeypatch.setattr(model_module, "_kth_kept", counted)
     try:
         report = runner.run()
     finally:
