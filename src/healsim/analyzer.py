@@ -89,19 +89,23 @@ class RootCauseSuspect(Frozen):
 class RootCauseLedger(Record):
     """Cumulative per-run counters: how often each slot's dependents failed.
 
-    Counters never decrease and never reset within a run.
+    A slot's counter is the length of its ``implicated_by`` list, which never
+    shrinks and never resets within a run.
     """
 
-    __slots__ = _fields = ("threshold", "counters", "implicated_by", "first_at", "last_at")
+    __slots__ = _fields = ("threshold", "implicated_by", "first_at", "last_at")
 
-    def __init__(self, threshold: int = 3, counters: dict[str, int] | None = None) -> None:
+    def __init__(self, threshold: int) -> None:
         self.threshold = threshold
-        self.counters = {} if counters is None else counters
         # Per slot: the failed slots that implicated it, in record order, and the
         # first and last of their detection times.
         self.implicated_by: dict[str, list[str]] = {}
         self.first_at: dict[str, int] = {}
         self.last_at: dict[str, int] = {}
+
+    @property
+    def counters(self) -> dict[str, int]:
+        return {slot: len(failed) for slot, failed in self.implicated_by.items()}
 
     def record_failure(self, report: FailureReport) -> None:
         """Credit one failure of ``report.subject`` to each of its blueprint
@@ -111,7 +115,6 @@ class RootCauseLedger(Record):
             raise ValueError("CF4 reports do not feed the root-cause ledger")
         at = report.detected_at
         for slot in report.dependent_slots:
-            self.counters[slot] = self.counters.get(slot, 0) + 1
             self.implicated_by.setdefault(slot, []).append(report.subject)
             self.first_at.setdefault(slot, at)
             self.last_at[slot] = at
@@ -119,11 +122,7 @@ class RootCauseLedger(Record):
     def suspects(self) -> list[RootCauseSuspect]:
         """Slots whose counter reached the threshold, highest count first,
         ties broken by name."""
-        found = [
-            RootCauseSuspect(slot, count, tuple(self.implicated_by[slot]),
-                             self.first_at[slot], self.last_at[slot])
-            for slot, count in self.counters.items()
-            if count >= self.threshold
-        ]
+        found = [RootCauseSuspect(slot, len(by), tuple(by), self.first_at[slot], self.last_at[slot])
+                 for slot, by in self.implicated_by.items() if len(by) >= self.threshold]
         found.sort(key=lambda s: (-s.count, s.slot))
         return found

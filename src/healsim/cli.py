@@ -6,9 +6,7 @@
 
 ``--log-level {WARNING,INFO,DEBUG}`` goes before the command (default WARNING);
 at INFO, ``run`` logs each failure that no rule handles. ``validate-rules``
-also warns on stderr about a rule that may fire on a fault kind whose subject
-its strategy cannot repair, or AS1 on CF3, whose slot is empty; the file is
-still accepted.
+also prints each of ``rules.rule_warnings`` on stderr; the file is still accepted.
 
 Exit codes: 0 success, 1 config/parse/execution error, 2 planner unreachable or failing.
 """
@@ -19,10 +17,11 @@ import argparse
 import sys
 
 from .faults import NoEligibleTarget
-from .harness import ConfigError, ScenarioConfig, run_scenario, split_host_port
+from .harness import EXCEPTION_THRESHOLD, ROOTCAUSE_THRESHOLD, ConfigError, ScenarioConfig
+from .harness import run_scenario, split_host_port
 from .model import ModelError
 from .planner import DEFAULT_PORT, ConnectionFailed, MalformedFrame, RemoteError, RequestTimeout
-from .rules import RuleError, Strategy, load_rules, restarts_an_emptied_slot, wrong_subject_kinds
+from .rules import RuleError, load_rules, rule_warnings
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -40,8 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="blueprint JSON (default: bundled single-shop blueprint)")
     run.add_argument("--planner", default="inproc", metavar="MODE",
                      help="inproc or tcp://HOST:PORT (default: inproc)")
-    run.add_argument("--exception-threshold", type=int, default=5, metavar="N")
-    run.add_argument("--rootcause-threshold", type=int, default=3, metavar="N")
+    run.add_argument("--exception-threshold", type=int, default=EXCEPTION_THRESHOLD, metavar="N")
+    run.add_argument("--rootcause-threshold", type=int, default=ROOTCAUSE_THRESHOLD, metavar="N")
     run.add_argument("--script", metavar="PATH",
                      help="JSON fault list overriding random draws")
     run.add_argument("--out", default="out", metavar="DIR",
@@ -99,14 +98,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     ruleset = load_rules(args.path)
     for rule in ruleset.rules:
-        if kinds := wrong_subject_kinds(rule):
-            repairs = ("connectors, not components" if rule.strategy is Strategy.AS3
-                       else "components, not connectors")
-            print(f"warning: rule {rule.name!r} may fire on {', '.join(k.value for k in kinds)},"
-                  f" but {rule.strategy.value} repairs {repairs}", file=sys.stderr)
-        if restarts_an_emptied_slot(rule):
-            print(f"warning: rule {rule.name!r} may fire on CF3, but AS1 restarts in place"
-                  " and a CF3 always empties its slot", file=sys.stderr)
+        for text in rule_warnings(rule):
+            print(f"warning: {text}", file=sys.stderr)
     print(f"OK: {len(ruleset.rules)} rules")
     return 0
 

@@ -106,7 +106,7 @@ def draw_interval(rng: Rng) -> int:
     return 100 + rng.next() % 401
 
 
-def draw_fault(rng: Rng, model: ArchitectureModel, exception_threshold: int = 5) -> FaultInstance:
+def draw_fault(rng: Rng, model: ArchitectureModel, exception_threshold: int) -> FaultInstance:
     """Draw a random fault: kind first, then a uniform target among the
     eligible ones in blueprint order (present components for CF1..CF3,
     live connectors for CF4). CF2 magnitudes always clear the threshold.

@@ -45,6 +45,8 @@ from .monitor import observe, observe_changes, take_snapshot
 from .planner import InProcessPlanner, RemotePlanner, canonical_json, request_plan
 from .rules import NoMatch, RepairPlan, RuleSet, default_ruleset, load_rules
 
+EXCEPTION_THRESHOLD, ROOTCAUSE_THRESHOLD = 5, 3  # ScenarioConfig's defaults, and the CLI's
+
 
 class ConfigError(Exception):
     """A scenario cannot start: bad config, script, rules, or blueprint."""
@@ -60,8 +62,8 @@ class ScenarioConfig(Record):
         self,
         seed: int,
         rounds: int,
-        exception_threshold: int = 5,
-        rootcause_threshold: int = 3,
+        exception_threshold: int = EXCEPTION_THRESHOLD,
+        rootcause_threshold: int = ROOTCAUSE_THRESHOLD,
         planner: str = "inproc",  # "inproc" or "tcp://HOST:PORT"
         rules_path: str | None = None,
         blueprint_path: str | None = None,
@@ -214,11 +216,10 @@ class ScenarioRunner:
             )
         if ruleset is None:
             ruleset = load_rules(config.rules_path) if config.rules_path else default_ruleset()
-        self.ruleset = ruleset
         remote = parse_planner_spec(config.planner)
         self.planner = InProcessPlanner(ruleset) if remote is None else RemotePlanner(*remote)
         self.rng = Rng(config.seed)
-        self.ledger = RootCauseLedger(threshold=config.rootcause_threshold)
+        self.ledger = RootCauseLedger(config.rootcause_threshold)
         self.history: dict[str, int] = {}
         self.records: list[RoundRecord] = []
         self.unhandled_failures = 0
@@ -268,7 +269,7 @@ class ScenarioRunner:
         return ScenarioReport(
             config=self.config,
             rounds=self.records,
-            counters=dict(self.ledger.counters),
+            counters=self.ledger.counters,
             suspects=self.ledger.suspects(),
             unhandled_failures=self.unhandled_failures,
         )

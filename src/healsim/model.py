@@ -190,7 +190,7 @@ class Blueprint(Frozen):
 
     _fields = ("component_types", "slots", "intended_connectors")
     # And the lookup maps, built once by __init__ from the value fields.
-    __slots__ = _fields + ("_dependencies", "_incident", "_ends", "_pair_pos", "_by_name",
+    __slots__ = _fields + ("_dependencies", "_incident", "_ends", "_connector_at",
                            "_slot_pos", "_slot_names")
 
     def __init__(self, component_types: tuple[ComponentType, ...],
@@ -220,8 +220,7 @@ class Blueprint(Frozen):
         # By position: each slot's incident connectors, each connector's (source, target) slots.
         incident: list[list[int]] = [[] for _ in slot_types]
         ends: list[tuple[int, int]] = []
-        pair_pos: dict[tuple[str, str], int] = {}
-        by_name: dict[str, ConnectorSpec] = {}
+        connector_at: dict[str, int] = {}  # each connector's name -> its position
         for pos, spec in enumerate(self.intended_connectors):
             if spec.source not in slot_types or spec.target not in slot_types:
                 raise BlueprintError(f"connector {spec.name} references an unknown slot")
@@ -235,20 +234,19 @@ class Blueprint(Frozen):
                 raise BlueprintError(
                     f"{spec.target!r} does not provide interface {spec.interface!r}"
                 )
-            if (spec.source, spec.target) in pair_pos:
-                raise BlueprintError(f"connector {spec.name} is declared twice")
-            pair_pos[spec.source, spec.target] = pos
-            name = spec.name
-            if name in slot_types:
-                raise BlueprintError(f"slot {name!r} and connector ({spec.source!r}, "
-                                     f"{spec.target!r}) both render as {name!r}")
-            if name in by_name:
-                other = by_name[name]
+            # A name already taken is never a slot's: its first holder was checked.
+            if (taken := connector_at.get(name := spec.name)) is not None:
+                other = self.intended_connectors[taken]
+                if (other.source, other.target) == (spec.source, spec.target):
+                    raise BlueprintError(f"connector {name} is declared twice")
                 raise BlueprintError(
                     f"connectors ({other.source!r}, {other.target!r}) and "
                     f"({spec.source!r}, {spec.target!r}) both render as {name!r}"
                 )
-            by_name[name] = spec
+            if name in slot_types:
+                raise BlueprintError(f"slot {name!r} and connector ({spec.source!r}, "
+                                     f"{spec.target!r}) both render as {name!r}")
+            connector_at[name] = pos
             dependencies[spec.source].append(spec.target)
             ends.append((source := slot_pos[spec.source], target := slot_pos[spec.target]))
             incident[source].append(pos)
@@ -256,8 +254,7 @@ class Blueprint(Frozen):
         _set(self, "_dependencies", {slot: tuple(deps) for slot, deps in dependencies.items()})
         _set(self, "_incident", incident)
         _set(self, "_ends", ends)
-        _set(self, "_pair_pos", pair_pos)
-        _set(self, "_by_name", by_name)
+        _set(self, "_connector_at", connector_at)
         _set(self, "_slot_names", tuple(slot_types))
         _set(self, "_slot_pos", slot_pos)
         self._check_acyclic()
@@ -300,20 +297,23 @@ class Blueprint(Frozen):
             raise UnknownSlot(f"no slot named {slot!r}") from None
 
     def find_intended(self, source: str, target: str) -> ConnectorSpec | None:
-        pos = self._pair_pos.get((source, target))
-        return None if pos is None else self.intended_connectors[pos]
+        """The intended connector from ``source`` to ``target``, its ends checked:
+        ``A->B`` to ``C`` renders as ``A`` to ``B->C`` does."""
+        spec = self.connector_named(f"{source}->{target}")
+        return spec if spec is not None and (spec.source, spec.target) == (source, target) else None
 
     def _connector_pos(self, spec: ConnectorSpec) -> int | None:
-        """An intended spec's declaration index, found by its (source, target),
-        whose hash is native, not by the spec's own ``__hash__``; else None."""
-        pos = self._pair_pos.get((spec.source, spec.target))
+        """An intended spec's declaration index, found by its name, whose hash
+        is native, not by the spec's own ``__hash__``; else None."""
+        pos = self._connector_at.get(spec.name)
         if pos is not None and ((known := self.intended_connectors[pos]) is spec or known == spec):
             return pos
         return None
 
     def connector_named(self, name: str) -> ConnectorSpec | None:
         """The intended connector named ``name``."""
-        return self._by_name.get(name)
+        pos = self._connector_at.get(name)
+        return None if pos is None else self.intended_connectors[pos]
 
 
 def _name(value: object) -> str:
@@ -489,24 +489,20 @@ class ArchitectureModel(Record):
         """``(slot, Component or None)`` per slot, in blueprint order."""
         return tuple(zip(self.blueprint._slot_names, self._components))
 
-    def live_connectors(self) -> tuple[ConnectorSpec, ...]:
-        """Live connectors in blueprint declaration order."""
+    def live_connector_specs(self) -> list[ConnectorSpec]:
+        """Live connectors in blueprint declaration order, as a fresh list."""
         intended, missing = self.blueprint.intended_connectors, self._missing
-        return tuple([intended[pos] for pos in range(len(intended)) if pos not in missing])
+        return [intended[pos] for pos in range(len(intended)) if pos not in missing]
 
     def live_count(self) -> int:
-        """``len(live_connectors())``: the intended connectors less the missing."""
+        """``len(live_connector_specs())``: the intended connectors less the missing."""
         return len(self.blueprint.intended_connectors) - len(self._missing)
 
     def live_connector(self, k: int) -> ConnectorSpec:
-        """``live_connectors()[k]`` for 0 <= k < ``live_count()``, from the missing alone."""
+        """``live_connector_specs()[k]`` for 0 <= k < ``live_count()``, from the missing alone."""
         if not (missing := self._missing):
             return self.blueprint.intended_connectors[k]
         return self.blueprint.intended_connectors[_kth_kept(k, sorted(missing))]
-
-    def live_connector_specs(self) -> list[ConnectorSpec]:
-        """``live_connectors()`` as a fresh list."""
-        return list(self.live_connectors())
 
     def cut_journal(self) -> tuple[dict, dict]:
         """The journal since the previous cut, and the fresh one started now."""

@@ -77,7 +77,7 @@ class ChangeEvent(Record):
 
 
 def take_snapshot(model: ArchitectureModel) -> Snapshot:
-    snap = Snapshot(model.slot_views(), model.live_connectors(), model.clock)
+    snap = Snapshot(model.slot_views(), tuple(model.live_connector_specs()), model.clock)
     _set(snap, "_journal", model.cut_journal())
     return snap
 

@@ -445,18 +445,13 @@ class RemotePlanner:
 Planner = InProcessPlanner | RemotePlanner
 
 
-def request_plan(
-    planner: Planner,
-    report: FailureReport,
-    history: dict[str, int] | None = None,
-) -> RepairPlan | NoMatch:
+def request_plan(planner: Planner, report: FailureReport,
+                 history: dict[str, int]) -> RepairPlan | NoMatch:
     """Ask a planner for the repair of one failure report. ``history`` maps
     subject strings to how many times they have already failed this run;
     this failure is counted in it."""
     subject = render_subject(report.subject)
-    prior = 0
-    if history is not None:
-        prior = history.get(subject, 0)
-        history[subject] = prior + 1
+    prior = history.get(subject, 0)
+    history[subject] = prior + 1
     return planner.plan(Fact(report.kind, subject, report.exception_count,
                              len(report.dependent_slots), prior))

@@ -313,18 +313,18 @@ class _Parser:
         return name_tok, Rule(name, salience, condition, strategy)
 
     def parse_or(self):
-        parts = [self.parse_and()]
-        while self.peek().kind == "IDENT" and self.peek().text == "or":
-            self.advance()
-            parts.append(self.parse_and())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
+        return self.parse_chain("or", Or, self.parse_and)
 
     def parse_and(self):
-        parts = [self.parse_term()]
-        while self.peek().kind == "IDENT" and self.peek().text == "and":
+        return self.parse_chain("and", And, self.parse_term)
+
+    def parse_chain(self, word: str, node: type, parse_part):
+        """One or more ``parse_part()`` joined by the keyword ``word``: the one, or a ``node``."""
+        parts = [parse_part()]
+        while self.peek().kind == "IDENT" and self.peek().text == word:
             self.advance()
-            parts.append(self.parse_term())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
+            parts.append(parse_part())
+        return parts[0] if len(parts) == 1 else node(tuple(parts))
 
     def parse_term(self):
         tok = self.peek()
@@ -405,7 +405,7 @@ def default_ruleset() -> RuleSet:
     return load_rules(os.path.join(DATA_DIR, "default.rules"))
 
 
-# -- subject-kind check ---------------------------------------------------
+# -- rule warnings ---------------------------------------------------------
 
 
 def _may_hold(cond, kind: FaultKind) -> bool | None:
@@ -423,22 +423,22 @@ def _may_hold(cond, kind: FaultKind) -> bool | None:
     return _OPS[cond.op](kind, cond.value) if cond.field == "kind" else None
 
 
-def wrong_subject_kinds(rule: Rule) -> list[FaultKind]:
-    """The fault kinds the rule may fire on whose subject its strategy does
-    not repair: CF1-CF3 name a component, which AS3 cannot reconnect, and
-    CF4 names a connector, which AS1, AS2 and AS4 cannot restart or replace."""
-    wants_connector = rule.strategy is Strategy.AS3
-    return [
-        kind for kind in FaultKind
-        if (kind is FaultKind.CF4) is not wants_connector
-        and _may_hold(rule.condition, kind) is not False
-    ]
-
-
-def restarts_an_emptied_slot(rule: Rule) -> bool:
-    """Whether an AS1 rule may fire on CF3. A CF3 always empties its slot and
-    AS1 restarts in place, so the restart would find no instance."""
-    return rule.strategy is Strategy.AS1 and _may_hold(rule.condition, FaultKind.CF3) is not False
+def rule_warnings(rule: Rule) -> list[str]:
+    """Each problem the rule may meet when it fires, as a text: first the fault
+    kinds whose subject its strategy does not repair (CF1-CF3 name a component,
+    which AS3 cannot reconnect; CF4 a connector, which only AS3 repairs); then
+    AS1 on CF3, whose slot is always empty, so no instance is left to restart."""
+    strategy, to_connector = rule.strategy, rule.strategy is Strategy.AS3
+    kinds = [kind for kind in FaultKind if _may_hold(rule.condition, kind) is not False]
+    texts = []
+    if wrong := [kind.value for kind in kinds if (kind is FaultKind.CF4) is not to_connector]:
+        repairs = "connectors, not components" if to_connector else "components, not connectors"
+        texts.append(f"rule {rule.name!r} may fire on {', '.join(wrong)},"
+                     f" but {strategy.value} repairs {repairs}")
+    if strategy is Strategy.AS1 and FaultKind.CF3 in kinds:
+        texts.append(f"rule {rule.name!r} may fire on CF3, but AS1 restarts in place"
+                     " and a CF3 always empties its slot")
+    return texts
 
 
 # -- evaluation -----------------------------------------------------------

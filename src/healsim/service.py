@@ -7,16 +7,18 @@ Each request is read with ``planner.decode`` and answered with
 one ``recv`` brings in whole is matched as the bytes that read returned, and
 the handler's loop sends its reply with one ``send``. A frame the server
 cannot decode is answered with an error outcome (code "malformed", request
-id 0 when unrecoverable) and the connection stays open. Frames are read with
-``planner.lines``, the client's reader too: a line longer than ``MAX_FRAME``
-bytes is held to its first ``MAX_FRAME + 1`` bytes, answered with error code
-"too_large" (request id 0), and the connection is closed. The service serves
-at most ``MAX_CONNECTIONS`` connections at once: one more is answered with
-error code "busy" (request id 0) and closed, with no thread started for it.
-A connection that does not complete a frame, or take in a response, within
+id 0 when unrecoverable) and the connection stays open, as it does after a
+plan whose frame would pass ``MAX_FRAME`` bytes, answered with error code
+"too_large" under the request's id. Frames are read with ``planner.lines``,
+the client's reader too: a line longer than ``MAX_FRAME`` bytes is held to
+its first ``MAX_FRAME + 1`` bytes, answered with error code "too_large"
+(request id 0), and the connection is closed. The service serves at most
+``MAX_CONNECTIONS`` connections at once: one more is answered with error
+code "busy" (request id 0) and closed, with no thread started for it. A
+connection that does not complete a frame, or take in a response, within
 ``IDLE_TIMEOUT`` seconds is closed; its socket is blocking, as on the
-client, with the kernel keeping each read's deadline (``planner.lines``)
-and ``planner.sender`` each response's.
+client, with the kernel keeping each read's deadline (``planner.lines``) and
+``planner.sender`` each response's.
 """
 
 from __future__ import annotations
@@ -66,6 +68,9 @@ class _PlanHandler(socketserver.BaseRequestHandler):
                         frame = encode(_best_effort_request_id(line), malformed)
                     else:
                         frame = encode(request_id, self.server.planner.plan(fact))
+                        if len(frame) > MAX_FRAME:  # a plan echoes the subject, escaped
+                            frame = encode(request_id, ErrorOutcome(
+                                "too_large", f"reply exceeds {MAX_FRAME} bytes"))
                 try:
                     send(frame)
                 except OSError as exc:  # TimeoutError among them

@@ -48,10 +48,10 @@ def test_as1_on_absent_slot():
 
 def test_as1_keeps_connectors():
     model = build_default_model()
-    before = model.live_connectors()
+    before = model.live_connector_specs()
     model.set_state("Frontend", ComponentState.UNKNOWN)
     execute(model, plan(Strategy.AS1, "Frontend"))
-    assert model.live_connectors() == before
+    assert model.live_connector_specs() == before
 
 
 def test_as2_redeploys_absent_component():
@@ -165,7 +165,7 @@ def test_as4_swaps_instance():
     assert result.new_instance_id == comp.instance_id
     assert validate(model) == []
     # both incident connectors live again
-    live = model.live_connectors()
+    live = model.live_connector_specs()
     assert ConnectorSpec("Frontend", "Bid Service", "Bid Service") in live
     assert ConnectorSpec("Bid Service", "Persistence Service", "Persistence Service") in live
 
@@ -218,7 +218,7 @@ def test_inapplicable_repair_raises_a_model_error_and_changes_nothing(situation)
 
         def seen():
             return (dict(model._journal), dict(model._instance_seq), model.clock,
-                    model.live_connectors(), take_snapshot(model))
+                    model.live_connector_specs(), take_snapshot(model))
 
         before = seen()
         if error is None:

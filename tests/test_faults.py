@@ -126,7 +126,7 @@ def test_draw_fault_golden_seed42():
 
 
 def test_draw_fault_golden_seed7():
-    fault = draw_fault(Rng(7), build_default_model())
+    fault = draw_fault(Rng(7), build_default_model(), exception_threshold=5)
     assert fault.kind is FaultKind.CF4
     assert fault.target == ConnectorSpec("Bid Service", "Persistence Service",
                                          "Persistence Service")
@@ -145,7 +145,7 @@ def test_draw_fault_single_candidate():
         def next(self):
             return self.values.pop(0)
 
-    fault = draw_fault(Forced([3, 12345]), model)  # 3 % 4 -> CF4
+    fault = draw_fault(Forced([3, 12345]), model, exception_threshold=5)  # 3 % 4 -> CF4
     assert fault.kind is FaultKind.CF4
     assert fault.target == model.live_connector_specs()[0]
 
@@ -171,7 +171,7 @@ def test_no_eligible_target():
             return 3  # CF4
 
     with pytest.raises(NoEligibleTarget):
-        draw_fault(Forced(), model)
+        draw_fault(Forced(), model, exception_threshold=5)
 
 
 def test_inject_cf1():
@@ -197,7 +197,7 @@ def test_inject_cf4_removes_only_that_connector():
     model = build_default_model()
     spec = ConnectorSpec("Query Service", "Reputation Service", "Reputation Service")
     inject(model, FaultInstance(FaultKind.CF4, spec))
-    assert spec not in model.live_connectors()
+    assert spec not in model.live_connector_specs()
     assert model.live_count() == 8
     for slot in model.blueprint.slot_names():
         comp = model.component(slot)

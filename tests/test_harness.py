@@ -334,7 +334,8 @@ def test_rounds_build_no_whole_blueprint_view(monkeypatch):
     def whole_blueprint_view(*args):
         raise AssertionError("a round built a whole-blueprint view")
 
-    for owner, name in [(ArchitectureModel, "slot_views"), (ArchitectureModel, "live_connectors"),
+    for owner, name in [(ArchitectureModel, "slot_views"),
+                        (ArchitectureModel, "live_connector_specs"),
                         (ArchitectureModel, "present_slots"), (harness, "take_snapshot"),
                         (monitor, "take_snapshot")]:
         monkeypatch.setattr(owner, name, whole_blueprint_view)

@@ -42,7 +42,7 @@ def model():
 
 def test_default_model_shape(model):
     assert len(model.slot_views()) == 7
-    assert len(model.live_connectors()) == model.live_count() == 9
+    assert len(model.live_connector_specs()) == model.live_count() == 9
     assert all(c is not None for _, c in model.slot_views())
     assert model.clock == 0
 
@@ -129,11 +129,11 @@ def test_validate_is_pure(model):
 
 
 def test_remove_then_add_connector_restores(model):
-    original = model.live_connectors()
+    original = model.live_connector_specs()
     model.remove_connector(QS_REP)
-    assert model.live_count() == 8 and QS_REP not in model.live_connectors()
+    assert model.live_count() == 8 and QS_REP not in model.live_connector_specs()
     model.add_connector(QS_REP)
-    assert model.live_connectors() == original
+    assert model.live_connector_specs() == original
 
 
 def test_mutations(model):
@@ -235,7 +235,7 @@ def test_add_connector_rejects_unintended(model):
         live = target.live_connector_specs()
         with pytest.raises(UnknownConnector, match=f"connector {spec.name} is not intended"):
             target.add_connector(spec)
-        assert target.live_connector_specs() == live and spec not in target.live_connectors()
+        assert target.live_connector_specs() == live and spec not in target.live_connector_specs()
 
 
 def test_add_connector_absent_endpoint(model):
@@ -271,13 +271,13 @@ def test_restore_connectors_makes_live_the_missing_ones_with_both_ends_present(m
     model.remove_component("Query Service")
     model.remove_component("Reputation Service")
     assert model.instantiate("Query Service") == Component("Query Service#2")
-    live = model.live_connectors()
+    live = model.live_connector_specs()
     missing = [spec for spec in model.blueprint.intended_connectors
                if "Query Service" in (spec.source, spec.target) and spec not in live]
     expected = [s for s in missing if model.present(s.source) and model.present(s.target)]
     assert QS_REP in missing and QS_REP not in expected and len(expected) >= 2
     assert model.restore_connectors("Query Service") == expected  # blueprint order
-    live = model.live_connectors()
+    live = model.live_connector_specs()
     assert all(spec in live for spec in expected) and QS_REP not in live
     assert model.restore_connectors("Query Service") == []
     with pytest.raises(TargetAbsent):

@@ -160,9 +160,34 @@ def scan_connector_named(bp, name):
     return None
 
 
-@pytest.mark.parametrize("doc", [None, layered_blueprint_doc(50)], ids=["default", "layered50"])
+# A slot name with an arrow: the intended "A" to "B->C" and the pair "A->B" to
+# "C", which is no connector, both render as "A->B->C".
+ARROW_DOC = {
+    "types": [
+        {"name": "Front", "provides": "Front", "requires": ["Back"]},
+        {"name": "Back", "provides": "Back", "requires": []},
+    ],
+    "slots": [
+        {"slot": "A", "type": "Front"},
+        {"slot": "B->C", "type": "Back"},
+        {"slot": "D", "type": "Back"},
+    ],
+    "connectors": [{"from": "A", "to": "B->C", "interface": "Back"}],
+}
+
+
+@pytest.mark.parametrize("doc", [None, layered_blueprint_doc(50), ARROW_DOC],
+                         ids=["default", "layered50", "arrows"])
 def test_indexed_lookups_equal_linear_scans(doc):
     bp = load(doc)
+    for spec in bp.intended_connectors:  # every split of its name into a source and a target
+        for i in range(len(spec.name) - 1):
+            if spec.name.startswith("->", i):
+                source, target = spec.name[:i], spec.name[i + 2:]
+                assert bp.find_intended(source, target) is scan_find_intended(bp, source, target)
+    if doc is ARROW_DOC:
+        assert bp.find_intended("A->B", "C") is None
+        assert bp.find_intended("A", "B->C") is bp.intended_connectors[0]
     slots = [slot for slot, _ in bp.slots]
     assert bp.slot_names() == slots
     for slot in slots:
@@ -202,7 +227,7 @@ def brute_validate(model):
             out.append(Violation(ViolationKind.UNKNOWN_STATE, slot))
         elif comp.state in (ComponentState.STOPPED, ComponentState.UNDEPLOYED):
             out.append(Violation(ViolationKind.NOT_STARTED, slot))
-    live = model.live_connectors()
+    live = model.live_connector_specs()
     for spec in bp.intended_connectors:
         src, dst = model.component(spec.source), model.component(spec.target)
         if src is not None and dst is not None and not any(c == spec for c in live):
@@ -215,7 +240,7 @@ def assert_rep_invariant(model):
     recounted from the model's own fields: every live connector joins two
     present slots, the damaged slots are exactly those empty or not STARTED,
     and every held ``SLOT#N`` has an N no greater than the slot's counter."""
-    for spec in model.live_connectors():
+    for spec in model.live_connector_specs():
         assert model.present(spec.source) and model.present(spec.target), spec
     assert model._damaged == {pos for pos, comp in enumerate(model._components)
                               if comp is None or comp.state is not ComponentState.STARTED}
@@ -253,7 +278,7 @@ def apply_step(model, step):
         spec = ConnectorSpec(src, dst, scan_type_of_slot(bp, dst).provided_interface)
         if bp.find_intended(src, dst) != spec:
             def seen():  # what the next take_snapshot and observe read
-                return (model.slot_views(), model.live_connectors(), model.clock,
+                return (model.slot_views(), model.live_connector_specs(), model.clock,
                         dict(model._journal))
 
             before = seen()
@@ -262,7 +287,7 @@ def apply_step(model, step):
             assert seen() == before  # rejected without a trace
         elif model.present(src) and model.present(dst):
             model.add_connector(spec)
-            assert spec in model.live_connectors()
+            assert spec in model.live_connector_specs()
         else:
             with pytest.raises(TargetAbsent):
                 model.add_connector(spec)
@@ -280,7 +305,7 @@ STEPS = st.lists(STEP, max_size=40)
 def assert_draws_match_lists(model):
     """The k-th present slot and live connector, damaged or healed, are the
     k-th of the whole-blueprint lists."""
-    present, live = model.present_slots(), model.live_connectors()
+    present, live = model.present_slots(), model.live_connector_specs()
     assert model.present_count() == len(present) and model.live_count() == len(live)
     assert [model.present_slot(k) for k in range(len(present))] == present
     assert [model.live_connector(k) for k in range(len(live))] == list(live)
@@ -497,7 +522,7 @@ class ScriptedRng:
 def drawn_targets(model, kind_index, count):
     """The first ``count`` targets draw_fault can pick for a kind, then the
     one it picks for index ``count`` (which wraps around)."""
-    return [draw_fault(ScriptedRng(kind_index, k, 0), model).target for k in range(count + 1)]
+    return [draw_fault(ScriptedRng(kind_index, k, 0), model, 5).target for k in range(count + 1)]
 
 
 def assert_views_match_scans(model, pick):
@@ -514,7 +539,7 @@ def assert_views_match_scans(model, pick):
             assert drawn_targets(model, kind_index, len(targets)) == targets + targets[:1]
         else:
             with pytest.raises(NoEligibleTarget):
-                draw_fault(ScriptedRng(kind_index, 0), model)
+                draw_fault(ScriptedRng(kind_index, 0), model, 5)
 
     if present:  # remove_component on a copy: same specs, same order as the scan
         slot = present[pick % len(present)]

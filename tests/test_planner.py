@@ -437,6 +437,26 @@ def test_service_clips_an_error_reply_to_max_frame(service, char):
     assert outcome.message.startswith("frame.fact.kind has unknown value " + repr(char)[:-1])
 
 
+def test_service_answers_a_plan_too_long_to_send_as_too_large_and_serves_on(service):
+    """A request within MAX_FRAME whose plan would echo its subject in more:
+    each raw-UTF-8 "\u00e9" escapes to 6 bytes. The reply is a too_large
+    error under the request's id, and the connection serves the next request."""
+    request = encode(7, Fact(FaultKind.CF1, "x")).replace(
+        b'"subject":"x"', b'"subject":"' + "\u00e9".encode() * 21_000 + b'"')
+    assert len(request) <= MAX_FRAME
+    plan = InProcessPlanner(default_ruleset()).plan(decode(request)[1])
+    assert len(encode(7, plan)) > MAX_FRAME
+    with socket.create_connection(service.address, timeout=2) as sock:
+        reader = sock.makefile("rb")
+        sock.sendall(request)
+        reply = reader.readline()
+        assert len(reply) <= MAX_FRAME
+        assert decode(reply) == (7, ErrorOutcome("too_large", f"reply exceeds {MAX_FRAME} bytes"))
+        sock.sendall(encode(*cf4_request(request_id=8)))
+        assert reader.readline() == encode(8, InProcessPlanner(default_ruleset()).plan(
+            cf4_request()[1]))
+
+
 def test_service_no_match(service):
     empty_service = PlanService(parse_rules(""), host="127.0.0.1", port=0).start()
     try:
@@ -498,7 +518,7 @@ def test_request_plan_renders_connector_subject_and_counts_it():
     report = FailureReport(3, FaultKind.CF4, spec, 0, 120, ())
     history = {"Query Service->Reputation Service": 2}
     assert request_plan(Recorder(), report, history) == NoMatch()
-    assert request_plan(Recorder(), report) == NoMatch()
+    assert request_plan(Recorder(), report, {}) == NoMatch()
     assert facts == [Fact(FaultKind.CF4, "Query Service->Reputation Service", 0, 0, 2),
                      Fact(FaultKind.CF4, "Query Service->Reputation Service", 0, 0, 0)]
     assert history == {"Query Service->Reputation Service": 3}
@@ -514,7 +534,7 @@ def test_inproc_and_remote_agree(service):
             (FaultKind.CF3, "Persistence Service"),
         ]:
             report = _report(kind=kind, subject=subject)
-            assert request_plan(inproc, report) == request_plan(remote, report)
+            assert request_plan(inproc, report, {}) == request_plan(remote, report, {})
     finally:
         remote.close()
 
@@ -524,8 +544,8 @@ def test_no_match_propagates_identically():
     service = PlanService(ruleset, host="127.0.0.1", port=0).start()
     remote = RemotePlanner(*service.address)
     try:
-        inproc_outcome = request_plan(InProcessPlanner(ruleset), _report())
-        remote_outcome = request_plan(remote, _report())
+        inproc_outcome = request_plan(InProcessPlanner(ruleset), _report(), {})
+        remote_outcome = request_plan(remote, _report(), {})
         assert inproc_outcome == remote_outcome == NoMatch()
     finally:
         remote.close()

@@ -196,8 +196,8 @@ MUTABLE = [
      "kind=<ViolationKind.MISSING_CONNECTOR: 'MISSING_CONNECTOR'>, subject=ConnectorSpec("
      "source='front', target='back', interface='Back')),), clock_start=0, clock_end=302)], "
      "counters={'back': 1}, suspects=[], unhandled_failures=0)"),
-    (_ledger, (2, {}, {}, {"back": 100}, {"back": 400}),
-     "RootCauseLedger(threshold=3, counters={'back': 1}, implicated_by={'back': ['front']}, "
+    (_ledger, (2, {}, {"back": 100}, {"back": 400}),
+     "RootCauseLedger(threshold=3, implicated_by={'back': ['front']}, "
      "first_at={'back': 300}, last_at={'back': 300})"),
     (_model, (Blueprint(TYPES, SLOTS, ()), [None, None], {0}, 5, {"back": 9}),
      "ArchitectureModel(blueprint=Blueprint(component_types=(ComponentType(name='Front', "

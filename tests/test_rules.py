@@ -25,8 +25,7 @@ from healsim.rules import (
     default_ruleset,
     evaluate,
     parse_rules,
-    restarts_an_emptied_slot,
-    wrong_subject_kinds,
+    rule_warnings,
 )
 
 
@@ -363,9 +362,28 @@ def test_salience_dominance_property(salience_a, salience_b, cond_a, cond_b):
         assert plan.fired_rule == "a"  # file order on ties
 
 
-# -- subject-kind check -----------------------------------------------------
+# -- rule warnings ----------------------------------------------------------
 
 CF1, CF2, CF3, CF4 = FaultKind
+
+
+def warned(rule):
+    """What ``rule_warnings`` says of the rule, its texts checked: the fault
+    kinds its subject warning names, and whether it warns of AS1 on CF3."""
+    texts, kinds, emptied = rule_warnings(rule), [], False
+    if texts and " repairs " in texts[0]:
+        named = texts[0].split(" may fire on ", 1)[1].split(", but ", 1)[0]
+        kinds = [FaultKind(k) for k in named.split(", ")]
+        repairs = ("connectors, not components" if rule.strategy is Strategy.AS3
+                   else "components, not connectors")
+        assert texts.pop(0) == (f"rule {rule.name!r} may fire on {', '.join(k.value for k in kinds)},"
+                                f" but {rule.strategy.value} repairs {repairs}")
+    if texts:
+        assert texts.pop(0) == (f"rule {rule.name!r} may fire on CF3, but AS1 restarts in place"
+                                " and a CF3 always empties its slot")
+        emptied = True
+    assert texts == []
+    return kinds, emptied
 
 
 @pytest.mark.parametrize("text, kinds", [
@@ -382,10 +400,10 @@ CF1, CF2, CF3, CF4 = FaultKind
 ])
 def test_wrong_subject_kinds(text, kinds):
     (rule,) = parse_rules(f'rule "r" when {text}\n').rules
-    assert wrong_subject_kinds(rule) == kinds
+    assert warned(rule)[0] == kinds
 
 
-@pytest.mark.parametrize("text, warned", [
+@pytest.mark.parametrize("text, emptied", [
     ("kind == CF3 then AS1", True),  # the slot CF3 emptied holds nothing to restart
     ("kind == CF3 then AS2", False),
     ("kind == CF1 then AS1", False),
@@ -393,9 +411,9 @@ def test_wrong_subject_kinds(text, kinds):
     ("exception_count > 3 then AS1", True),  # the counter is unknown
     ("kind == CF1 or kind == CF3 then AS4", False),
 ])
-def test_restarts_an_emptied_slot(text, warned):
+def test_restarts_an_emptied_slot(text, emptied):
     (rule,) = parse_rules(f'rule "r" when {text}\n').rules
-    assert restarts_an_emptied_slot(rule) is warned
+    assert warned(rule)[1] is emptied
 
 
 def test_bundled_and_bench_policies_fire_on_their_own_subjects():
@@ -404,8 +422,7 @@ def test_bundled_and_bench_policies_fire_on_their_own_subjects():
     with open(bench, encoding="utf-8") as fh:
         degraded = parse_rules(fh.read())
     for rule in default_ruleset().rules + degraded.rules:
-        assert wrong_subject_kinds(rule) == [], rule.name
-        assert not restarts_an_emptied_slot(rule), rule.name
+        assert rule_warnings(rule) == [], rule.name
 
 
 _atoms = st.one_of(
@@ -438,10 +455,10 @@ def test_wrong_subject_kinds_misses_no_firing(cond, strategy, facts):
     strategy cannot repair, the check names that fact's kind, and whenever
     an AS1 rule fires on a CF3, the emptied-slot check flags it."""
     rule = Rule("r", 0, cond, strategy)
-    flagged = wrong_subject_kinds(rule)
+    flagged, emptied = warned(rule)
     for f in facts:
         fires = RuleSet((rule,)).ranked[0][0](f)
         if fires and (f.kind is CF4) is not (strategy is Strategy.AS3):
             assert f.kind in flagged
         if fires and f.kind is CF3 and strategy is Strategy.AS1:
-            assert restarts_an_emptied_slot(rule)
+            assert emptied
