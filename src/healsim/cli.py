@@ -6,7 +6,7 @@
 
 ``--log-level {WARNING,INFO,DEBUG}`` goes before the command (default WARNING);
 at INFO, ``run`` logs each failure that no rule handles. ``validate-rules``
-also prints each of ``rules.rule_warnings`` on stderr; the file is still accepted.
+also prints each of ``rules.ruleset_warnings`` on stderr; the file is still accepted.
 
 Exit codes: 0 success, 1 config/parse/execution error, 2 planner unreachable or failing.
 """
@@ -21,7 +21,7 @@ from .harness import EXCEPTION_THRESHOLD, ROOTCAUSE_THRESHOLD, ConfigError, Scen
 from .harness import run_scenario, split_host_port
 from .model import ModelError
 from .planner import DEFAULT_PORT, ConnectionFailed, MalformedFrame, RemoteError, RequestTimeout
-from .rules import RuleError, load_rules, rule_warnings
+from .rules import RuleError, load_rules, ruleset_warnings
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,9 +97,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     ruleset = load_rules(args.path)
-    for rule in ruleset.rules:
-        for text in rule_warnings(rule):
-            print(f"warning: {text}", file=sys.stderr)
+    for text in ruleset_warnings(ruleset):
+        print(f"warning: {text}", file=sys.stderr)
     print(f"OK: {len(ruleset.rules)} rules")
     return 0
 

@@ -13,6 +13,11 @@ Strategy semantics:
 Each applied mutation advances the logical clock by one millisecond, so
 successive repairs carry distinct timestamps.
 
+AS4, and AS2 on an empty slot, are one model step, ``replace``: it flips
+only the connectors that were missing, and the trail still names the
+removal (AS4 on an occupied slot), the new instance and each intended
+connector it made or kept live, in blueprint order, as three steps would.
+
 The model alone decides whether a plan can apply: an unknown subject, a
 restart of an empty slot or a connector with an absent endpoint raises a
 ``ModelError`` from the plan's first mutation, before anything has changed.
@@ -37,14 +42,6 @@ class ExecutionResult(Frozen):
         _set(self, "completed_at", completed_at)
 
 
-def _restore_incident_connectors(
-    model: ArchitectureModel, slot: str, mutations: list[str]
-) -> None:
-    # Intended connectors only, in blueprint order; endpoints still absent
-    # (compound damage) are left for their own repair.
-    mutations += [f"add_connector({spec.name})" for spec in model.restore_connectors(slot)]
-
-
 def _restart_in_place(model: ArchitectureModel, slot: str, mutations: list[str]) -> None:
     model.restart(slot)  # one replacement, recorded as the two changes it makes
     mutations += (f"set_state({slot}, STARTED)", f"reset_exceptions({slot})")
@@ -65,20 +62,16 @@ def execute(model: ArchitectureModel, plan: RepairPlan) -> ExecutionResult:
             mutations.append(f"add_connector({spec.name})")
     elif strategy is _AS1:
         _restart_in_place(model, slot, mutations)
-    elif strategy is _AS2:
-        if model.present(slot):
-            _restart_in_place(model, slot, mutations)
-        else:
-            new_instance_id = model.instantiate(slot).instance_id
-            mutations.append(f"instantiate({slot}, {new_instance_id})")
-        _restore_incident_connectors(model, slot, mutations)
-    else:  # AS4; the model noted the old instance's id when it came in, so the new one is past it
-        if model.present(slot):
-            model.remove_component(slot)
+    elif strategy is _AS2 and model.present(slot):
+        _restart_in_place(model, slot, mutations)
+        mutations += [f"add_connector({spec.name})" for spec in model.restore_connectors(slot)]
+    else:  # AS4, or AS2 on an empty slot: a fresh instance and its connectors in one step
+        if strategy is _AS4 and model.present(slot):
             mutations.append(f"remove_component({slot})")
-        new_instance_id = model.instantiate(slot).instance_id
+        new, restored = model.replace(slot)
+        new_instance_id = new.instance_id
         mutations.append(f"instantiate({slot}, {new_instance_id})")
-        _restore_incident_connectors(model, slot, mutations)
+        mutations += [f"add_connector({spec.name})" for spec in restored]
 
     model.advance_clock(len(mutations))
     return ExecutionResult(plan, tuple(mutations), new_instance_id, model.clock)

@@ -386,10 +386,11 @@ class ArchitectureModel(Record):
     mutation keeps: every live connector joins two present slots; the damaged
     slots are exactly those empty or not STARTED; and every held instance id
     ``SLOT#N`` has an N no greater than the slot's counter, which only
-    ``instantiate`` moves on, so no caller hands the model an id to check.
+    ``replace`` moves on, so no caller hands the model an id to check.
 
     Mutations apply exactly the named change, except that removing a
-    component also drops its incident connectors. A single writer at a time
+    component also drops its incident connectors, and replacing one makes
+    them live again where it can. A single writer at a time
     is assumed; reads are safe between mutations. Change the model only
     through its mutation methods: they keep current the damaged slots and
     the change journal that monitoring, validation and fault drawing read.
@@ -568,16 +569,26 @@ class ArchitectureModel(Record):
                 restored.append(intended[c])
         return restored
 
-    def instantiate(self, slot: str) -> Component:
-        """Fill an empty slot with a fresh instance, STARTED with zero
-        exceptions, and return it. Its id is ``SLOT#N``, N one past the slot's
-        counter: past every id of that form the slot has held."""
-        if self._components[pos := self._position(slot)] is not None:
-            raise ModelError(f"slot {slot!r} is already occupied")
+    def replace(self, slot: str) -> tuple[Component, list[ConnectorSpec]]:
+        """Fill the slot, empty or not, with a fresh STARTED instance with zero
+        exceptions, ``SLOT#N`` with N one past the slot's counter, and make live
+        each incident intended connector whose other endpoint is present.
+        Returns the instance and those connectors, live before or not, in
+        blueprint order. The model ends as ``remove_component`` (if occupied),
+        a fill and ``restore_connectors`` leave it, but no connector is flipped
+        that was live."""
+        pos = self._position(slot)
         seq = self._instance_seq[slot] = self._instance_seq.get(slot, 0) + 1
-        comp = Component(f"{slot}#{seq}")
-        self._put(pos, comp)
-        return comp
+        self._put(pos, comp := Component(f"{slot}#{seq}"))
+        missing, intended = self._missing, self.blueprint.intended_connectors
+        live = []
+        for c in self.blueprint._incident[pos]:
+            if c in missing:
+                if not self._ends_present(c):
+                    continue  # compound damage, left for its own repair
+                self._flip(c, True)
+            live.append(intended[c])
+        return comp, live
 
     def advance_clock(self, ms: int) -> None:
         if ms < 0:

@@ -17,8 +17,9 @@ quoted string, and the three counter fields against integer literals.
 Literals have at most 4300 digits; parentheses nest at most ``MAX_NESTING`` deep.
 Evaluation picks the matching rule with the highest salience, ties broken
 by file position, or gives ``NoMatch``; it is free of side effects. A
-``RuleSet`` compiles each condition into a function once and keeps its rules
-in that order, so evaluation stops at the first match.
+``RuleSet`` compiles each condition into a function once and keeps, for each
+fault kind, the rules that may hold for it in that order (the alpha memory
+of Rete), so evaluation tries only those and stops at the first match.
 """
 
 from __future__ import annotations
@@ -130,17 +131,24 @@ class Rule(Frozen):
 
 class RuleSet(Frozen):
     _fields = ("rules",)
-    # And (compiled condition, rule) by descending salience, then file position:
-    # the order ``evaluate`` tries them in. Derived from ``rules``.
-    __slots__ = _fields + ("ranked",)
+    # And, by id of each FaultKind member, the (compiled condition, rule) pairs
+    # that may hold for that kind, by descending salience, then file position:
+    # the order ``evaluate`` tries them in. A condition that holds for every
+    # fact of the kind is None. Derived from ``rules``.
+    __slots__ = _fields + ("by_kind",)
 
     def __init__(self, rules: tuple[Rule, ...]) -> None:
         names = [r.name for r in rules]
         if len(set(names)) != len(names):
             raise ValueError("rule names must be unique")
         ranked = sorted(rules, key=lambda rule: -rule.salience)  # stable: ties keep file order
+        compiled = [_compile(r.condition) for r in ranked]
         _set(self, "rules", rules)
-        _set(self, "ranked", tuple((_compile(r.condition), r) for r in ranked))
+        _set(self, "by_kind", {id(kind): tuple(
+            (None if held else matches, r)
+            for matches, r in zip(compiled, ranked)
+            if (held := _may_hold(r.condition, kind)) is not False
+        ) for kind in FaultKind})
 
 
 class RepairPlan(Frozen):
@@ -441,6 +449,14 @@ def rule_warnings(rule: Rule) -> list[str]:
     return texts
 
 
+def ruleset_warnings(ruleset: RuleSet) -> list[str]:
+    """What ``validate-rules`` warns of: each rule's ``rule_warnings`` in file
+    order, then each fault kind, CF1..CF4, that no rule may fire on."""
+    texts = [text for rule in ruleset.rules for text in rule_warnings(rule)]
+    return texts + [f"no rule may fire on {kind.value}: such a failure is left unhandled"
+                    for kind in FaultKind if not ruleset.by_kind[id(kind)]]
+
+
 # -- evaluation -----------------------------------------------------------
 
 
@@ -473,9 +489,11 @@ def _compile(cond):
 
 def evaluate(ruleset: RuleSet, fact: Fact) -> RepairPlan | NoMatch:
     """Pick the plan for a fact: highest salience among matching rules,
-    earliest file position on ties. The rule set holds its rules in that
-    order, so the first match wins. Returns NoMatch when nothing matches."""
-    for matches, rule in ruleset.ranked:
-        if matches(fact):
+    earliest file position on ties. The rule set holds, per fault kind, the
+    rules that may hold for it in that order, so the first match wins; a rule
+    that holds for the whole kind wins without a call to its condition.
+    Returns NoMatch when nothing matches."""
+    for matches, rule in ruleset.by_kind[id(fact.kind)]:
+        if matches is None or matches(fact):
             return RepairPlan(rule.strategy, fact.subject, rule.name)
     return NoMatch()

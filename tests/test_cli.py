@@ -71,14 +71,32 @@ def test_validate_rules_warns_on_restart_after_cf3(tmp_path, capsys):
     ]
 
 
-@pytest.mark.parametrize("path", [
-    os.path.join(SRC, "healsim", "data", "default.rules"),
-    os.path.join(SRC, os.pardir, "bench", "degraded.rules"),
+def test_validate_rules_names_each_uncovered_kind_after_the_rule_warnings(tmp_path, capsys):
+    """A kind with no rule whose condition may hold gets one line, CF1..CF4,
+    after every rule's own warnings; a rule that may hold covers its kind."""
+    rules = tmp_path / "gaps.rules"
+    rules.write_text('rule "w" when kind != CF1 and kind != CF2 then AS1\n'
+                     'rule "never" when kind == CF2 and not kind == CF2 then AS4\n'
+                     'rule "maybe" when kind == CF3 and exception_count > 9 then AS2\n',
+                     encoding="utf-8")
+    assert main(["validate-rules", str(rules)]) == 0
+    assert capsys.readouterr() == ("OK: 3 rules\n", (
+        "warning: rule 'w' may fire on CF4, but AS1 repairs components, not connectors\n"
+        "warning: rule 'w' may fire on CF3, but AS1 restarts in place"
+        " and a CF3 always empties its slot\n"
+        "warning: no rule may fire on CF1: such a failure is left unhandled\n"
+        "warning: no rule may fire on CF2: such a failure is left unhandled\n"))
+
+
+@pytest.mark.parametrize("path, err", [
+    (os.path.join(SRC, "healsim", "data", "default.rules"), ""),
+    # No rule warning; the bench policy drops the CF4 rule on purpose, and says so.
+    (os.path.join(SRC, os.pardir, "bench", "degraded.rules"),
+     "warning: no rule may fire on CF4: such a failure is left unhandled\n"),
 ], ids=["bundled", "bench-degraded"])
-def test_validate_rules_shipped_policies_give_no_warning(path, capsys):
+def test_validate_rules_shipped_policies_give_no_warning(path, err, capsys):
     assert main(["validate-rules", path]) == 0
-    out, err = capsys.readouterr()
-    assert out.startswith("OK: 4 rules") and err == ""
+    assert capsys.readouterr() == ("OK: 4 rules\n", err)
 
 
 def test_log_level_info_shows_no_match_lines_and_keeps_the_reports(tmp_path):
@@ -286,7 +304,9 @@ def test_readme_examples_run(tmp_path, capsys):
     rules.write_text(rule + "\n", encoding="utf-8")
     assert main(["validate-rules", str(rules)]) == 0
     out, err = capsys.readouterr()
-    assert out == "OK: 1 rules\n" and err == ""
+    assert out == "OK: 1 rules\n" and err == "".join(  # the one rule handles CF1 alone
+        f"warning: no rule may fire on {kind}: such a failure is left unhandled\n"
+        for kind in ("CF2", "CF3", "CF4"))
 
 
 def test_run_bad_config_exit_1(tmp_path, capsys):

@@ -251,9 +251,25 @@ def test_remove_component_drops_incident_connectors(model):
     assert model.component("Persistence Service") is None
 
 
-def test_instantiate_occupied_slot_rejected(model):
-    with pytest.raises(Exception, match="occupied"):
-        model.instantiate("Frontend")
+def test_replace_on_an_occupied_slot_flips_only_the_missing_connectors(model):
+    """A fresh instance in place of the old one, and every incident connector
+    whose other end is present live, in blueprint order; only the missing
+    one among them is flipped, so the journal holds the slot and that one."""
+    persistence = [spec for spec in model.blueprint.intended_connectors
+                   if spec.target == "Persistence Service"]
+    bid = ConnectorSpec("Bid Service", "Persistence Service", "Persistence Service")
+    model.remove_connector(bid)
+    model.remove_component("Reputation Service")
+    old = model.component("Persistence Service")
+    model.cut_journal()
+    new, live = model.replace("Persistence Service")
+    assert new == Component("Persistence Service#2") and model.component("Persistence Service") is new
+    assert live == [spec for spec in persistence if spec.source != "Reputation Service"]
+    assert bid in live and model.live_count() == 7  # of 9: Reputation Service took two
+    since, _ = model.cut_journal()
+    position = model.blueprint._connector_pos(bid)
+    assert since == {model.blueprint._slot_pos["Persistence Service"]: old, ~position: (bid, True)}
+    assert model.clock == 0  # the executor advances the clock by its trail
 
 
 def test_fresh_model_damage_sets_are_empty_sized():
@@ -268,9 +284,10 @@ def test_fresh_model_damage_sets_are_empty_sized():
 
 
 def test_restore_connectors_makes_live_the_missing_ones_with_both_ends_present(model):
-    model.remove_component("Query Service")
     model.remove_component("Reputation Service")
-    assert model.instantiate("Query Service") == Component("Query Service#2")
+    for spec in model.live_connector_specs():
+        if "Query Service" in (spec.source, spec.target):
+            model.remove_connector(spec)
     live = model.live_connector_specs()
     missing = [spec for spec in model.blueprint.intended_connectors
                if "Query Service" in (spec.source, spec.target) and spec not in live]
@@ -287,17 +304,21 @@ def test_restore_connectors_makes_live_the_missing_ones_with_both_ends_present(m
 
 
 def test_instance_ids_never_repeat(model):
-    """Each refill of a slot gets the next ``SLOT#N``, past the built model's
-    ``SLOT#1``, and the slot holds the Component it was given."""
+    """Each refill of a slot, empty or not, gets the next ``SLOT#N``, past the
+    built model's ``SLOT#1``, and the slot holds the Component it was given.
+    An unknown slot changes nothing."""
     seen = {"Bid Service#1"}
     for n in range(2, 7):
-        model.remove_component("Bid Service")
-        new = model.instantiate("Bid Service")
+        if n % 2:
+            model.remove_component("Bid Service")
+        new, _ = model.replace("Bid Service")
         assert new == Component(f"Bid Service#{n}") and new.instance_id not in seen
         assert model.component("Bid Service") is new
         seen.add(new.instance_id)
+    before = copy.deepcopy(model)
     with pytest.raises(UnknownSlot, match="^no slot named 'Order Service'$"):
-        model.instantiate("Order Service")
+        model.replace("Order Service")
+    assert model == before and model._journal == before._journal
 
 
 def test_live_connector_specs_order(model):

@@ -117,13 +117,15 @@ def test_observe_additions():
     model = build_default_model()
     model.remove_component("Bid Service")
     before = take_snapshot(model)
-    model.instantiate("Bid Service")
-    model.add_connector(ConnectorSpec("Frontend", "Bid Service", "Bid Service"))
+    model.replace("Bid Service")
+    model.remove_connector(ConnectorSpec("Bid Service", "Persistence Service",
+                                         "Persistence Service"))
     events = observe(before, take_snapshot(model))
     assert [e.kind for e in events] == [
         EventKind.COMPONENT_ADDED,
         EventKind.CONNECTOR_ADDED,
     ]
+    assert events[1].subject == ConnectorSpec("Frontend", "Bid Service", "Bid Service")
     assert events[0].new.state is ComponentState.STARTED
 
 
@@ -151,7 +153,7 @@ def test_snapshots_and_slot_events_hold_the_models_own_components():
     assert dict(emptied.slots)["Bid Service"] is None
     removed = observe(before, emptied)[0]
     assert removed.kind is EventKind.COMPONENT_REMOVED and removed.old is old
-    new = model.instantiate("Bid Service")
+    new, _ = model.replace("Bid Service")
     refilled = take_snapshot(model)
     assert dict(refilled.slots)["Bid Service"] is new
     assert observe(emptied, refilled)[0].new is new

@@ -458,6 +458,40 @@ def test_constructed_models_raise_a_documented_error_or_hold_the_invariant(doc, 
     apply_steps(model, steps)
 
 
+def three_step_replace(model, slot):
+    """What AS4 did before ``replace``: remove_component when the slot is
+    occupied, then a fresh ``SLOT#N`` one past the slot's counter, then
+    restore_connectors; returns the new instance and the restored specs."""
+    if model.present(slot):
+        model.remove_component(slot)
+    seq = model._instance_seq[slot] = model._instance_seq.get(slot, 0) + 1
+    model._put(model.blueprint._slot_pos[slot], comp := Component(f"{slot}#{seq}"))
+    return comp, model.restore_connectors(slot)
+
+
+@pytest.mark.parametrize(
+    "doc", [None, layered_blueprint_doc(6), REPLICA_DOC], ids=["default", "layered6", "replica"]
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), steps=STEPS)
+def test_replace_leaves_the_model_as_removal_fill_and_restore_do(doc, data, steps):
+    """On any valid constructed model, damaged further by random steps, one
+    ``replace`` of any slot ends in the state the three steps leave: the
+    instances, missing connectors, damaged slots, id counters, journal and
+    clock; and it returns the specs that ``restore_connectors`` did."""
+    bp = load(doc)
+    components, connectors = data.draw(constructor_arguments(bp))
+    assume(constructor_error(bp, components, connectors) is None)
+    model = ArchitectureModel(bp, components, connectors)
+    apply_steps(model, steps)
+    slot = data.draw(st.sampled_from(bp.slot_names()))
+    fast, slow = copy.deepcopy(model), copy.deepcopy(model)
+    assert fast.replace(slot) == three_step_replace(slow, slot)
+    for name in ("_components", "_missing", "_damaged", "_instance_seq", "_journal", "clock"):
+        assert getattr(fast, name) == getattr(slow, name), name
+    assert_rep_invariant(fast)
+
+
 # -- (c) derived views kept by the mutations vs from-scratch scans -----------
 
 
@@ -579,7 +613,8 @@ def test_directly_built_model_matches_scans():
 
     before = take_snapshot(model)
     assert model.remove_component("App B") == []  # its one connector's end is absent
-    assert model.instantiate("Store B") == Component("Store B#1")  # built empty: no id held
+    # built empty: no id held; its one connector's other end is absent
+    assert model.replace("Store B") == (Component("Store B#1"), [])
     model.add_connector(bp.intended_connectors[1])
     model.set_state("Client", ComponentState.STARTED)
     after = take_snapshot(model)
@@ -599,7 +634,7 @@ def test_an_empty_slot_with_no_connectors_is_skipped_while_every_connector_is_li
     assert model.present_slot(2) == "App B"
     assert validate(model) == brute_validate(model) == [
         Violation(ViolationKind.MISSING_COMPONENT, "Spare")]
-    assert model.instantiate("Spare") == Component("Spare#2")
+    assert model.replace("Spare") == (Component("Spare#2"), [])
     assert_draws_match_lists(model)
     assert validate(model) == brute_validate(model) == []
 

@@ -1012,18 +1012,25 @@ def test_the_service_logs_a_reply_it_cannot_send_as_a_send_failure(service, monk
     (1e-9, (0, 1), 1), (0.3, (0, 300_000), 300), (1.0, (1, 0), 1000), (30.0, (30, 0), 30_000),
     (2.0000004, (2, 0), 2000),
 ])
-def test_a_deadline_is_packed_for_the_platform_and_never_as_forever(seconds, timeval, ms):
+def test_a_deadline_is_packed_for_the_platform_and_never_as_forever(seconds, timeval, ms,
+                                                                   monkeypatch):
     """Seconds to the nearest unit of the platform's layout, and at least
-    one unit: a zero deadline would mean none."""
+    one unit: a zero deadline would mean none. Both layouts are packed on
+    every host, the Windows DWORD of milliseconds and the POSIX ``struct
+    timeval``; only the host's own goes to a real socket."""
     packed = []
 
     class Recorder:
         def setsockopt(self, level, option, value):
             packed.append((level, option, value))
 
-    planner._set_recv_timeout(Recorder(), seconds)
-    value = struct.pack("@L", ms) if sys.platform == "win32" else struct.pack("@ll", *timeval)
-    assert packed == [(socket.SOL_SOCKET, socket.SO_RCVTIMEO, value)]
+    for platform in (sys.platform, "linux" if sys.platform == "win32" else "win32"):
+        with monkeypatch.context() as patched:
+            patched.setattr(planner.sys, "platform", platform)
+            planner._set_recv_timeout(Recorder(), seconds)
+        value = struct.pack("@L", ms) if platform == "win32" else struct.pack("@ll", *timeval)
+        assert packed.pop() == (socket.SOL_SOCKET, socket.SO_RCVTIMEO, value) and not packed
+    assert ms >= 1
     with socket.socket() as sock:
         planner._set_recv_timeout(sock, seconds)
         assert kernel_timeout(sock) > 0

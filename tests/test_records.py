@@ -17,6 +17,7 @@ import pytest
 from test_golden import layered_blueprint_doc
 
 from healsim import model as model_module
+from healsim import rules as rules_module
 from healsim.analyzer import FailureReport, RootCauseLedger, RootCauseSuspect
 from healsim.executor import ExecutionResult
 from healsim.faults import FaultInstance, FaultKind
@@ -285,8 +286,11 @@ def test_derived_attributes_stay_out_of_equality_and_are_rebuilt():
         assert copied.name == "a->b" and hash(copied) == hash("a->b") and {copied} == {spec}
     blueprint = copy.deepcopy(BLUEPRINT)
     assert blueprint == BLUEPRINT and blueprint._slot_pos == {"front": 0, "back": 1}
-    ruleset = pickle.loads(pickle.dumps(RuleSet((RULE,))))
-    assert ruleset.ranked[0][1] == RULE and ruleset.ranked[0][0](FACT) is True
+    counted = Rule("e", 0, Comparison("exception_count", ">", 3), Strategy.AS1)
+    ruleset = pickle.loads(pickle.dumps(RuleSet((RULE, counted))))
+    (always, first), (matches, second) = ruleset.by_kind[id(FaultKind.CF2)]
+    assert (always, first, second) == (None, RULE, counted) and matches(FACT) is True
+    assert [rule for _, rule in ruleset.by_kind[id(FaultKind.CF1)]] == [counted]
     snapshot = Snapshot((), (), 0)
     object.__setattr__(snapshot, "_journal", ({}, {}))
     assert snapshot == Snapshot((), (), 0) and copy.copy(snapshot)._journal == (None, None)
@@ -366,8 +370,8 @@ def test_a_run_and_its_reports_call_no_python_level_hash(doc, rounds, tcp, tmp_p
 def test_a_healed_run_scans_no_damage_and_parses_no_allocated_id(doc, monkeypatch):
     """Every round of these runs ends healed, so each draw takes its target
     straight from the blueprint, with no k-th lookup over the damage. No
-    repair parses an instance id either: ``instantiate`` makes each new
-    one, and only the constructor reads an id back."""
+    repair parses an instance id either: ``replace`` makes each new one,
+    and only the constructor reads an id back."""
     blueprint = None if doc is None else blueprint_from_json(doc)
     runner = ScenarioRunner(ScenarioConfig(seed=42, rounds=2000), blueprint=blueprint)
     calls = collections.Counter()
@@ -385,6 +389,54 @@ def test_a_healed_run_scans_no_damage_and_parses_no_allocated_id(doc, monkeypatc
     assert any(result.new_instance_id for record in report.rounds
                for result in record.executions)
     assert calls == {}
+
+
+def test_a_shop_run_calls_no_compiled_condition_and_no_replace_drops_a_connector(monkeypatch):
+    """Under the bundled policy ``kind`` alone decides every rule, so the rule
+    set's kind index answers every request without calling a compiled
+    condition. An AS4 on an occupied slot makes live only the connectors
+    that were missing: it flips none that was live, though its trail names
+    each incident connector as re-added."""
+    calls = collections.Counter()
+
+    def compile_counted(cond, _fn=rules_module._compile):
+        matches = _fn(cond)
+
+        def counted(fact):
+            calls["condition"] += 1
+            return matches(fact)
+        return counted
+
+    monkeypatch.setattr(rules_module, "_compile", compile_counted)
+    ruleset = default_ruleset()
+    replacing = []  # whether the slot being replaced is occupied
+
+    def replace(self, slot, _fn=ArchitectureModel.replace):
+        replacing.append(self.present(slot))
+        calls["occupied replace"] += replacing[-1]
+        try:
+            return _fn(self, slot)
+        finally:
+            replacing.pop()
+
+    def flip(self, pos, live, _fn=ArchitectureModel._flip):
+        if replacing:
+            assert live and pos in self._missing
+            calls["replace flip"] += 1
+        return _fn(self, pos, live)
+
+    monkeypatch.setattr(ArchitectureModel, "replace", replace)
+    monkeypatch.setattr(ArchitectureModel, "_flip", flip)
+    runner = ScenarioRunner(ScenarioConfig(seed=42, rounds=2000), ruleset=ruleset)
+    try:
+        report = runner.run()
+    finally:
+        runner.close()
+    trailed = sum(1 for record in report.rounds for result in record.executions
+                  if result.plan.strategy is Strategy.AS4
+                  for mutation in result.applied_mutations if mutation.startswith("add_connector"))
+    assert calls["condition"] == 0 and calls["occupied replace"] > 0
+    assert calls["replace flip"] < trailed
 
 
 def test_writing_reports_imports_no_text_codec(tmp_path):

@@ -22,6 +22,8 @@ from healsim.rules import (
     Strategy,
     UnknownField,
     UnknownStrategy,
+    _compile,
+    _may_hold,
     default_ruleset,
     evaluate,
     parse_rules,
@@ -457,8 +459,46 @@ def test_wrong_subject_kinds_misses_no_firing(cond, strategy, facts):
     rule = Rule("r", 0, cond, strategy)
     flagged, emptied = warned(rule)
     for f in facts:
-        fires = RuleSet((rule,)).ranked[0][0](f)
+        fires = _compile(cond)(f)
         if fires and (f.kind is CF4) is not (strategy is Strategy.AS3):
             assert f.kind in flagged
         if fires and f.kind is CF3 and strategy is Strategy.AS1:
             assert emptied
+
+
+@settings(max_examples=300, deadline=None)
+@given(cond=_trees, kind=st.sampled_from(list(FaultKind)), facts=st.lists(_facts, max_size=8))
+@example(cond=Not(And((Comparison("kind", "!=", CF2), Comparison("subject", "==", "a")))),
+         kind=CF2, facts=[Fact(CF2, "a")])
+@example(cond=Or((Comparison("exception_count", ">", 9), Not(Comparison("kind", "==", CF1)))),
+         kind=CF3, facts=[Fact(CF3, "b")])
+def test_may_hold_decides_both_ways_for_every_fact_of_the_kind(cond, kind, facts):
+    """The kind index trusts both verdicts: True, the compiled condition holds
+    for every fact of that kind, so the index calls it for none; False, it
+    holds for none, so the index leaves the rule out."""
+    verdict, matches = _may_hold(cond, kind), _compile(cond)
+    for f in facts:
+        of_kind = Fact(kind, f.subject, f.exception_count, f.dependent_count,
+                       f.prior_failures_of_subject)
+        if verdict is not None:
+            assert matches(of_kind) is verdict
+
+
+def test_the_rule_set_keeps_per_kind_the_rules_that_may_hold_in_evaluation_order():
+    """Salience first, then file position; a rule decided by ``kind`` alone is
+    kept without its condition, and a kind no rule may fire on gets none."""
+    ruleset = parse_rules('rule "cf1" when kind == CF1 then AS1\n'
+                          'rule "any" when exception_count > 2 then AS4\n'
+                          'rule "not4" salience 3 when kind != CF4 and kind != CF3 then AS2\n'
+                          'rule "high" salience 3 when kind == CF1 and subject == "x" then AS4\n')
+    cf1, anything, not4, high = ruleset.rules
+    kept = {kind: [(matches is not None, rule) for matches, rule in ruleset.by_kind[id(kind)]]
+            for kind in FaultKind}
+    assert kept == {
+        CF1: [(False, not4), (True, high), (False, cf1), (True, anything)],
+        CF2: [(False, not4), (True, anything)],
+        CF3: [(True, anything)],
+        CF4: [(True, anything)],
+    }
+    assert evaluate(ruleset, fact(CF4, exception_count=2)) == NoMatch()
+    assert evaluate(ruleset, fact(CF1, "x")) == RepairPlan(Strategy.AS2, "x", "not4")
