@@ -11,7 +11,7 @@ out, as it writes every report.
 from __future__ import annotations
 
 from .faults import _CF1, _CF2, _CF3, _CF4, FaultKind
-from .model import _UNKNOWN, ArchitectureModel, ConnectorSpec, Frozen, Record, _set
+from .model import _UNKNOWN, ArchitectureModel, ConnectorSpec, Frozen, Record
 from .monitor import (
     _COMPONENT_REMOVED,
     _CONNECTOR_REMOVED,
@@ -30,12 +30,14 @@ class FailureReport(Frozen):
 
     def __init__(self, report_id: int, kind: FaultKind, subject: str | ConnectorSpec,
                  exception_count: int, detected_at: int, dependent_slots: tuple[str, ...]) -> None:
-        _set(self, "report_id", report_id)
-        _set(self, "kind", kind)
-        _set(self, "subject", subject)
-        _set(self, "exception_count", exception_count)
-        _set(self, "detected_at", detected_at)
-        _set(self, "dependent_slots", dependent_slots)
+        (set_report_id, set_kind, set_subject, set_exception_count, set_detected_at,
+         set_dependent_slots) = self._setters
+        set_report_id(self, report_id)
+        set_kind(self, kind)
+        set_subject(self, subject)
+        set_exception_count(self, exception_count)
+        set_detected_at(self, detected_at)
+        set_dependent_slots(self, dependent_slots)
 
 
 def classify(
@@ -79,11 +81,12 @@ class RootCauseSuspect(Frozen):
 
     def __init__(self, slot: str, count: int, implicated_by: tuple[str, ...],
                  first_at: int, last_at: int) -> None:
-        _set(self, "slot", slot)
-        _set(self, "count", count)
-        _set(self, "implicated_by", implicated_by)
-        _set(self, "first_at", first_at)
-        _set(self, "last_at", last_at)
+        set_slot, set_count, set_implicated_by, set_first_at, set_last_at = self._setters
+        set_slot(self, slot)
+        set_count(self, count)
+        set_implicated_by(self, implicated_by)
+        set_first_at(self, first_at)
+        set_last_at(self, last_at)
 
 
 class RootCauseLedger(Record):

@@ -25,7 +25,7 @@ restart of an empty slot or a connector with an absent endpoint raises a
 
 from __future__ import annotations
 
-from .model import ArchitectureModel, Frozen, UnknownConnector, _set
+from .model import ArchitectureModel, Frozen, UnknownConnector
 from .rules import RepairPlan, Strategy
 
 _AS1, _AS2, _AS3, _AS4 = Strategy  # the members, as module globals
@@ -36,10 +36,11 @@ class ExecutionResult(Frozen):
 
     def __init__(self, plan: RepairPlan, applied_mutations: tuple[str, ...],
                  new_instance_id: str | None, completed_at: int) -> None:
-        _set(self, "plan", plan)
-        _set(self, "applied_mutations", applied_mutations)
-        _set(self, "new_instance_id", new_instance_id)
-        _set(self, "completed_at", completed_at)
+        set_plan, set_applied_mutations, set_new_instance_id, set_completed_at = self._setters
+        set_plan(self, plan)
+        set_applied_mutations(self, applied_mutations)
+        set_new_instance_id(self, new_instance_id)
+        set_completed_at(self, completed_at)
 
 
 def _restart_in_place(model: ArchitectureModel, slot: str, mutations: list[str]) -> None:

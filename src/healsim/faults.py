@@ -9,7 +9,7 @@ import itertools
 import sys
 from enum import Enum
 
-from .model import _UNKNOWN, ArchitectureModel, ConnectorSpec, Frozen, _set
+from .model import _UNKNOWN, ArchitectureModel, ConnectorSpec, Frozen
 
 _MASK = (1 << 64) - 1
 
@@ -45,10 +45,11 @@ class FaultInstance(Frozen):
                 raise ValueError("CF2 requires a positive integer magnitude")
         elif magnitude is not None:
             raise ValueError(f"{kind.value} takes no magnitude")
-        _set(self, "kind", kind)
-        _set(self, "target", target)
-        _set(self, "magnitude", magnitude)
-        _set(self, "injected_at", injected_at)
+        set_kind, set_target, set_magnitude, set_injected_at = self._setters
+        set_kind(self, kind)
+        set_target(self, target)
+        set_magnitude(self, magnitude)
+        set_injected_at(self, injected_at)
 
 
 # splitmix64, 64 outputs per step: SIMD within a register, the register one

@@ -23,7 +23,6 @@ from operator import attrgetter
 # The bundled blueprint and policy, read as plain files: on Python 3.12 and
 # later importlib.resources imports inspect, a fifth to a third of ``import healsim``.
 DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
-_set = object.__setattr__  # how a frozen record's __init__ sets its fields
 
 
 class Record:
@@ -44,6 +43,8 @@ class Record:
         # What equality and the hash compare: the class's name and the value
         # fields, read in C. An attrgetter is not a method: call it ``_key(self)``.
         cls._key = attrgetter("__class__.__qualname__", *cls._fields)
+        # Each slot's own setter, in __slots__ order, for a frozen record's __init__ to unpack.
+        cls._setters = tuple([cls.__dict__[name].__set__ for name in cls.__slots__])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -56,9 +57,9 @@ class Record:
 
 
 class Frozen(Record):
-    """A hashable record whose fields cannot change. Its ``__init__`` takes
-    the value fields in ``_fields`` order and sets each with ``_set``; copy
-    and pickle call it again, so derived attributes are rebuilt."""
+    """A hashable record whose fields cannot change. Its ``__init__`` takes the value
+    fields in ``_fields`` order and sets every slot with its own ``_setters`` entry,
+    not ``object.__setattr__``; copy and pickle call it again, rebuilding derived slots."""
 
     __slots__ = ()
 
@@ -114,9 +115,10 @@ class ComponentType(Frozen):
 
     def __init__(self, name: str, provided_interface: str,
                  required_interfaces: tuple[str, ...]) -> None:
-        _set(self, "name", name)
-        _set(self, "provided_interface", provided_interface)
-        _set(self, "required_interfaces", required_interfaces)
+        set_name, set_provided_interface, set_required_interfaces = self._setters
+        set_name(self, name)
+        set_provided_interface(self, provided_interface)
+        set_required_interfaces(self, required_interfaces)
 
 
 class Component(Frozen):
@@ -126,9 +128,10 @@ class Component(Frozen):
 
     def __init__(self, instance_id: str, state: ComponentState = ComponentState.STARTED,
                  exception_count: int = 0) -> None:
-        _set(self, "instance_id", instance_id)
-        _set(self, "state", state)
-        _set(self, "exception_count", exception_count)
+        set_instance_id, set_state, set_exception_count = self._setters
+        set_instance_id(self, instance_id)
+        set_state(self, state)
+        set_exception_count(self, exception_count)
 
 
 class ConnectorSpec(Frozen):
@@ -145,10 +148,11 @@ class ConnectorSpec(Frozen):
     __slots__ = _fields + ("name",)
 
     def __init__(self, source: str, target: str, interface: str) -> None:
-        _set(self, "source", source)
-        _set(self, "target", target)
-        _set(self, "interface", interface)
-        _set(self, "name", f"{source}->{target}")
+        set_source, set_target, set_interface, set_name = self._setters
+        set_source(self, source)
+        set_target(self, target)
+        set_interface(self, interface)
+        set_name(self, f"{source}->{target}")
 
     def __hash__(self) -> int:
         return hash(self.name)
@@ -176,8 +180,9 @@ class Violation(Frozen):
     __slots__ = _fields = ("kind", "subject")
 
     def __init__(self, kind: ViolationKind, subject: str | ConnectorSpec) -> None:
-        _set(self, "kind", kind)
-        _set(self, "subject", subject)
+        set_kind, set_subject = self._setters
+        set_kind(self, kind)
+        set_subject(self, subject)
 
 
 class Blueprint(Frozen):
@@ -196,9 +201,11 @@ class Blueprint(Frozen):
     def __init__(self, component_types: tuple[ComponentType, ...],
                  slots: tuple[tuple[str, str], ...],
                  intended_connectors: tuple[ConnectorSpec, ...]) -> None:
-        _set(self, "component_types", component_types)
-        _set(self, "slots", slots)
-        _set(self, "intended_connectors", intended_connectors)
+        (set_component_types, set_slots, set_intended_connectors, set_dependencies, set_incident,
+         set_ends, set_connector_at, set_slot_pos, set_slot_names) = self._setters
+        set_component_types(self, component_types)
+        set_slots(self, slots)
+        set_intended_connectors(self, intended_connectors)
         types = {}
         for ct in self.component_types:
             if not ct.name:
@@ -251,12 +258,12 @@ class Blueprint(Frozen):
             ends.append((source := slot_pos[spec.source], target := slot_pos[spec.target]))
             incident[source].append(pos)
             incident[target].append(pos)
-        _set(self, "_dependencies", {slot: tuple(deps) for slot, deps in dependencies.items()})
-        _set(self, "_incident", incident)
-        _set(self, "_ends", ends)
-        _set(self, "_connector_at", connector_at)
-        _set(self, "_slot_names", tuple(slot_types))
-        _set(self, "_slot_pos", slot_pos)
+        set_dependencies(self, {slot: tuple(deps) for slot, deps in dependencies.items()})
+        set_incident(self, incident)
+        set_ends(self, ends)
+        set_connector_at(self, connector_at)
+        set_slot_names(self, tuple(slot_types))
+        set_slot_pos(self, slot_pos)
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:

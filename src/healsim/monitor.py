@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .model import ArchitectureModel, Component, ConnectorSpec, Frozen, Record, _set
+from .model import ArchitectureModel, Component, ConnectorSpec, Frozen, Record
 
 
 class ClockRegression(Exception):
@@ -37,11 +37,13 @@ class Snapshot(Frozen):
     __slots__ = _fields + ("_journal",)
 
     def __init__(self, slots: tuple[tuple[str, Component | None], ...],
-                 connectors: tuple[ConnectorSpec, ...], clock: int) -> None:
-        _set(self, "slots", slots)
-        _set(self, "connectors", connectors)
-        _set(self, "clock", clock)
-        _set(self, "_journal", (None, None))
+                 connectors: tuple[ConnectorSpec, ...], clock: int,
+                 journal: tuple = (None, None)) -> None:
+        set_slots, set_connectors, set_clock, set_journal = self._setters
+        set_slots(self, slots)
+        set_connectors(self, connectors)
+        set_clock(self, clock)
+        set_journal(self, journal)
 
 
 class EventKind(Enum):
@@ -77,9 +79,8 @@ class ChangeEvent(Record):
 
 
 def take_snapshot(model: ArchitectureModel) -> Snapshot:
-    snap = Snapshot(model.slot_views(), tuple(model.live_connector_specs()), model.clock)
-    _set(snap, "_journal", model.cut_journal())
-    return snap
+    return Snapshot(model.slot_views(), tuple(model.live_connector_specs()), model.clock,
+                    model.cut_journal())
 
 
 def observe(prev: Snapshot, cur: Snapshot) -> list[ChangeEvent]:

@@ -49,7 +49,7 @@ from time import monotonic
 
 from .analyzer import FailureReport
 from .faults import FaultKind
-from .model import Frozen, _set, render_subject
+from .model import Frozen, render_subject
 from .rules import INT_FIELDS, Fact, NoMatch, RepairPlan, RuleSet, Strategy, evaluate
 
 PROTOCOL_VERSION = 1
@@ -84,8 +84,9 @@ class ErrorOutcome(Frozen):
     __slots__ = _fields = ("code", "message")
 
     def __init__(self, code: str, message: str) -> None:
-        _set(self, "code", code)
-        _set(self, "message", message)
+        set_code, set_message = self._setters
+        set_code(self, code)
+        set_message(self, message)
 
 
 # -- framing ----------------------------------------------------------------

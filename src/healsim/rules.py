@@ -31,7 +31,7 @@ from enum import Enum
 from operator import attrgetter
 
 from .faults import FaultKind
-from .model import DATA_DIR, Frozen, _set
+from .model import DATA_DIR, Frozen
 
 
 class Strategy(Enum):
@@ -82,51 +82,55 @@ class Fact(Frozen):
 
     def __init__(self, kind: FaultKind, subject: str, exception_count: int = 0,
                  dependent_count: int = 0, prior_failures_of_subject: int = 0) -> None:
-        _set(self, "kind", kind)
-        _set(self, "subject", subject)
-        _set(self, "exception_count", exception_count)
-        _set(self, "dependent_count", dependent_count)
-        _set(self, "prior_failures_of_subject", prior_failures_of_subject)
+        (set_kind, set_subject, set_exception_count, set_dependent_count,
+         set_prior_failures_of_subject) = self._setters
+        set_kind(self, kind)
+        set_subject(self, subject)
+        set_exception_count(self, exception_count)
+        set_dependent_count(self, dependent_count)
+        set_prior_failures_of_subject(self, prior_failures_of_subject)
 
 
 class Comparison(Frozen):
     __slots__ = _fields = ("field", "op", "value")
 
     def __init__(self, field: str, op: str, value: object) -> None:
-        _set(self, "field", field)
-        _set(self, "op", op)
-        _set(self, "value", value)  # FaultKind, str, or int depending on the field
+        set_field, set_op, set_value = self._setters
+        set_field(self, field)
+        set_op(self, op)
+        set_value(self, value)  # FaultKind, str, or int depending on the field
 
 
 class Not(Frozen):
     __slots__ = _fields = ("term",)
 
     def __init__(self, term: object) -> None:
-        _set(self, "term", term)
+        self._setters[0](self, term)
 
 
 class And(Frozen):
     __slots__ = _fields = ("parts",)
 
     def __init__(self, parts: tuple) -> None:
-        _set(self, "parts", parts)
+        self._setters[0](self, parts)
 
 
 class Or(Frozen):
     __slots__ = _fields = ("parts",)
 
     def __init__(self, parts: tuple) -> None:
-        _set(self, "parts", parts)
+        self._setters[0](self, parts)
 
 
 class Rule(Frozen):
     __slots__ = _fields = ("name", "salience", "condition", "strategy")
 
     def __init__(self, name: str, salience: int, condition: object, strategy: Strategy) -> None:
-        _set(self, "name", name)
-        _set(self, "salience", salience)
-        _set(self, "condition", condition)
-        _set(self, "strategy", strategy)
+        set_name, set_salience, set_condition, set_strategy = self._setters
+        set_name(self, name)
+        set_salience(self, salience)
+        set_condition(self, condition)
+        set_strategy(self, strategy)
 
 
 class RuleSet(Frozen):
@@ -143,8 +147,9 @@ class RuleSet(Frozen):
             raise ValueError("rule names must be unique")
         ranked = sorted(rules, key=lambda rule: -rule.salience)  # stable: ties keep file order
         compiled = [_compile(r.condition) for r in ranked]
-        _set(self, "rules", rules)
-        _set(self, "by_kind", {id(kind): tuple(
+        set_rules, set_by_kind = self._setters
+        set_rules(self, rules)
+        set_by_kind(self, {id(kind): tuple(
             (None if held else matches, r)
             for matches, r in zip(compiled, ranked)
             if (held := _may_hold(r.condition, kind)) is not False
@@ -157,9 +162,10 @@ class RepairPlan(Frozen):
     __slots__ = _fields = ("strategy", "subject", "fired_rule")
 
     def __init__(self, strategy: Strategy, subject: str, fired_rule: str) -> None:
-        _set(self, "strategy", strategy)
-        _set(self, "subject", subject)
-        _set(self, "fired_rule", fired_rule)
+        set_strategy, set_subject, set_fired_rule = self._setters
+        set_strategy(self, strategy)
+        set_subject(self, subject)
+        set_fired_rule(self, fired_rule)
 
 
 class NoMatch(Frozen):
@@ -189,10 +195,11 @@ class _Token(Frozen):
     __slots__ = _fields = ("kind", "text", "line", "col")
 
     def __init__(self, kind: str, text: str, line: int, col: int) -> None:
-        _set(self, "kind", kind)  # STRING, INT, IDENT, OP, LPAREN, RPAREN, EOF
-        _set(self, "text", text)
-        _set(self, "line", line)
-        _set(self, "col", col)
+        set_kind, set_text, set_line, set_col = self._setters
+        set_kind(self, kind)  # STRING, INT, IDENT, OP, LPAREN, RPAREN, EOF
+        set_text(self, text)
+        set_line(self, line)
+        set_col(self, col)
 
 
 # A group per token kind, per skipped kind (newline, blanks, comment) and for

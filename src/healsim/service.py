@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import json
 import logging
+import selectors
+import socket
 import socketserver
 import threading
 
@@ -123,8 +125,8 @@ class _PlanServer(socketserver.ThreadingTCPServer):
 
 class PlanService:
     """TCP planning service. Stateless across requests: every response is a
-    pure function of (ruleset, request). Rules are loaded once at start;
-    changing them means restarting the service."""
+    pure function of (ruleset, request). Rules load once, at start. ``shutdown``
+    wakes the accept loop with no poll, and returns at once if it ended or never ran."""
 
     def __init__(self, ruleset: RuleSet, host: str = "127.0.0.1", port: int = DEFAULT_PORT):
         try:
@@ -133,6 +135,7 @@ class PlanService:
             raise OSError(f"cannot bind {host}:{port}: {exc}") from exc
         self._server.planner = InProcessPlanner(ruleset)
         self._thread: threading.Thread | None = None
+        self._wake, self._woken = socket.socketpair()  # shutdown closes _wake: _woken reads EOF
 
     @property
     def address(self) -> tuple[str, int]:
@@ -146,10 +149,15 @@ class PlanService:
 
     def serve_forever(self) -> None:
         log.info("plan service listening on %s:%d", *self.address)
-        self._server.serve_forever()
+        with selectors.DefaultSelector() as selector:
+            selector.register(self._server, selectors.EVENT_READ)
+            selector.register(self._woken, selectors.EVENT_READ, "woken")
+            while not any(key.data for key, _ in selector.select()):
+                self._server._handle_request_noblock()  # accepts, and starts a handler thread
 
     def shutdown(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+        self._wake.close()
         if self._thread is not None:
             self._thread.join(timeout=5)
+        self._server.server_close()
+        self._woken.close()

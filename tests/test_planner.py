@@ -500,6 +500,43 @@ def test_service_concurrent_connections(service):
     assert connections_settle_at_zero(service)  # no lost update of the count
 
 
+def test_service_shutdown_returns_on_a_service_whose_loop_never_ran():
+    never_ran = PlanService(default_ruleset(), host="127.0.0.1", port=0)
+    done = threading.Event()
+    threading.Thread(target=lambda: (never_ran.shutdown(), done.set()), daemon=True).start()
+    assert done.wait(2), "shutdown() waits for a loop that never ran"
+    with pytest.raises(OSError):  # the listening socket is closed
+        socket.create_connection(never_ran.address, timeout=2).close()
+
+
+def test_service_shutdown_ends_the_loop_at_once_with_an_idle_connection_open():
+    svc = PlanService(default_ruleset(), host="127.0.0.1", port=0).start()
+    with socket.create_connection(svc.address, timeout=2):  # served on, never sends
+        deadline = time.monotonic() + 2
+        while not svc._server.connections and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert svc._server.connections == 1
+        started = time.monotonic()
+        svc.shutdown()
+        assert time.monotonic() - started < 0.05  # no poll interval to wait out
+        assert not svc._thread.is_alive()
+
+
+def test_service_shutdown_after_an_interrupted_loop_returns_at_once(monkeypatch):
+    svc = PlanService(default_ruleset(), host="127.0.0.1", port=0)
+
+    def interrupt():  # SIGINT while the loop takes a connection
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(svc._server, "_handle_request_noblock", interrupt)
+    with socket.create_connection(svc.address, timeout=2):
+        with pytest.raises(KeyboardInterrupt):
+            svc.serve_forever()
+    started = time.monotonic()
+    svc.shutdown()
+    assert time.monotonic() - started < 0.05
+
+
 # -- planner handles ----------------------------------------------------------
 
 

@@ -255,6 +255,17 @@ def test_frozen_record(row):
         assert repr(copied) == text
 
 
+@pytest.mark.parametrize("row", FROZEN, ids=lambda row: row[0].__qualname__)
+def test_a_frozen_record_sets_every_slot(row):
+    """Derived slots too: an ``__init__`` that leaves one out fails here, on
+    the record and on each copy, rather than where the slot is first read."""
+    cls, values = row[:2]
+    record = cls(*values)
+    for built in [record, *_round_trips(record)]:
+        unset = [name for name in cls.__slots__ if not hasattr(built, name)]
+        assert not unset, f"{cls.__qualname__} leaves {unset} unset"
+
+
 @pytest.mark.parametrize("row", MUTABLE, ids=lambda row: type(row[0]()).__qualname__)
 def test_mutable_record(row):
     build, others, text = row
