@@ -1,5 +1,5 @@
-"""Analysis stage: classify change events into failure reports and keep the
-root-cause counters over dependent components.
+"""Analysis stage: classify what the model's change journal holds into
+failure reports, and keep the root-cause counters over dependent components.
 
 Every classified failure of a component bumps a counter for each of its
 blueprint dependencies; a dependency whose counter reaches the threshold is
@@ -12,13 +12,6 @@ from __future__ import annotations
 
 from .faults import _CF1, _CF2, _CF3, _CF4, FaultKind
 from .model import _UNKNOWN, ArchitectureModel, ConnectorSpec, Frozen, Record
-from .monitor import (
-    _COMPONENT_REMOVED,
-    _CONNECTOR_REMOVED,
-    _EXCEPTIONS_CHANGED,
-    _STATE_CHANGED,
-    ChangeEvent,
-)
 
 
 class FailureReport(Frozen):
@@ -40,39 +33,45 @@ class FailureReport(Frozen):
         set_dependent_slots(self, dependent_slots)
 
 
-def classify(
-    events: list[ChangeEvent],
-    model: ArchitectureModel,
-    exception_threshold: int,
-    first_report_id: int = 0,
-) -> list[FailureReport]:
-    """Map change events to failure reports, in event order.
+def classify(model: ArchitectureModel, exception_threshold: int,
+             first_report_id: int = 0) -> list[FailureReport]:
+    """The failure reports of what the model's journal holds since its last
+    cut, which this cuts; read where the window ends, at ``model.clock``.
 
-    STATE_CHANGED to UNKNOWN is CF1; EXCEPTIONS_CHANGED past the threshold
-    is CF2; COMPONENT_REMOVED is CF3; CONNECTOR_REMOVED is CF4 only while
-    both endpoints are still present (a connector that vanished with its
-    component is part of that CF3, not a separate failure). Additions and
-    benign changes yield nothing.
+    A slot whose state became UNKNOWN is CF1; one whose exception count
+    changed to past the threshold is CF2; an emptied slot is CF3; a removed
+    connector is CF4 only while both endpoints are present (one that vanished
+    with its component is part of that CF3). Slots come in blueprint order,
+    CF1 before CF2 within a slot, then CF4s in connector order. Additions and
+    benign changes yield nothing. No change event is built.
     """
+    since = model.cut_journal()[0]
     reports: list[FailureReport] = []
-    dependencies = model.blueprint._dependencies  # one shared tuple per slot
-    for event in events:
-        kind, subject = event.kind, event.subject
-        if kind is _STATE_CHANGED and event.new is _UNKNOWN:
-            fault, count = _CF1, 0
-        elif kind is _EXCEPTIONS_CHANGED and event.new > exception_threshold:
-            fault, count = _CF2, event.new
-        elif kind is _COMPONENT_REMOVED:
-            fault, count = _CF3, 0
-        elif kind is _CONNECTOR_REMOVED:
-            if model.present(subject.source) and model.present(subject.target):
-                reports.append(FailureReport(first_report_id + len(reports), _CF4, subject, 0,
-                                             event.at, ()))
+    removed: list[ConnectorSpec] = []
+    components, at = model._components, model.clock
+    names, dependencies = model.blueprint._slot_names, model.blueprint._dependencies
+    # A connector is journalled at ~position, below every slot position, so
+    # the ascending keys give connectors in descending position order.
+    for key in sorted(since):
+        if key < 0:
+            spec, live = since[key]
+            if not live and model._ends_present(~key):
+                removed.append(spec)
             continue
-        else:
+        if (before := since[key]) is None:  # filled, or empty at both ends
             continue
-        reports.append(FailureReport(first_report_id + len(reports), fault, subject, count,
-                                     event.at, dependencies[subject]))
+        slot, after, new_id = names[key], components[key], first_report_id + len(reports)
+        if after is None:
+            reports.append(FailureReport(new_id, _CF3, slot, 0, at, dependencies[slot]))
+            continue
+        if after.state is _UNKNOWN and before.state is not _UNKNOWN:
+            reports.append(FailureReport(new_id, _CF1, slot, 0, at, dependencies[slot]))
+            new_id += 1
+        count = after.exception_count
+        if count > exception_threshold and count != before.exception_count:
+            reports.append(FailureReport(new_id, _CF2, slot, count, at, dependencies[slot]))
+    for spec in reversed(removed):
+        reports.append(FailureReport(first_report_id + len(reports), _CF4, spec, 0, at, ()))
     return reports
 
 

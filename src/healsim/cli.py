@@ -8,7 +8,8 @@
 at INFO, ``run`` logs each failure that no rule handles. ``validate-rules``
 also prints each of ``rules.ruleset_warnings`` on stderr; the file is still accepted.
 
-Exit codes: 0 success, 1 config/parse/execution error, 2 planner unreachable or failing.
+Exit codes: 0 success (``serve-planner`` stopped by SIGINT or SIGTERM), 1 config/parse/execution
+error, 2 planner unreachable or failing.
 """
 
 from __future__ import annotations
@@ -78,6 +79,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import signal
+
     from .service import PlanService  # the server's modules load only for this command
 
     if (address := split_host_port(args.bind)) is None:
@@ -86,12 +89,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 1
     ruleset = load_rules(args.rules)
     service = PlanService(ruleset, host=address[0], port=address[1])
-    print(f"planner listening on {service.address[0]}:{service.address[1]} "
-          f"({len(ruleset.rules)} rules)")
+    # SIGTERM stops the service as SIGINT does, also where SIGINT is ignored (a background job).
+    # The earlier handler is back before the shutdown, so a second SIGTERM there acts as usual.
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
+        print(f"planner listening on {service.address[0]}:{service.address[1]} "
+              f"({len(ruleset.rules)} rules)")
         service.serve_forever()
     except KeyboardInterrupt:
-        service.shutdown()
+        pass
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    service.shutdown()
     return 0
 
 

@@ -1,5 +1,6 @@
-"""Scenario harness: drives inject, monitor, analyze, plan, execute, verify
-rounds and records everything it saw.
+"""Scenario harness: drives inject, analyze, plan, execute, validate rounds
+and records everything it saw; analysis reads the change journal that
+monitoring keeps, so a round builds no change event.
 
 Every round injects exactly one fault (drawn from the seeded generator or
 taken from an explicit script), runs one full repair cycle, then validates
@@ -41,7 +42,7 @@ from .model import (
     validate,
 )
 # observe and take_snapshot stay importable here: bench/tracer.py patches them by these names.
-from .monitor import observe, observe_changes, take_snapshot
+from .monitor import observe, take_snapshot
 from .planner import InProcessPlanner, RemotePlanner, canonical_json, request_plan
 from .rules import NoMatch, RepairPlan, RuleSet, default_ruleset, load_rules
 
@@ -226,8 +227,9 @@ class ScenarioRunner:
         self._next_report_id = 0
 
     def run_round(self) -> RoundRecord:
-        """One full cycle: wait, inject, observe, classify, plan, execute,
-        verify. Returns (and appends) the round's record."""
+        """One full cycle: wait, inject, classify what the injection journalled,
+        plan, execute, validate. Returns (and appends) the round's record; a
+        round whose violations equal the previous round's shares its tuple."""
         model, threshold = self.model, self.config.exception_threshold
         index = len(self.records) + 1
         clock_start = model.clock
@@ -237,9 +239,9 @@ class ScenarioRunner:
             fault = FaultInstance(scripted.kind, scripted.target, scripted.magnitude, model.clock)
         else:
             fault = draw_fault(self.rng, model, threshold)
-        model.cut_journal()  # the round observes only what inject changes
+        model.cut_journal()  # the round classifies only what inject changes
         inject(model, fault)
-        reports = classify(observe_changes(model), model, threshold, self._next_report_id)
+        reports = classify(model, threshold, self._next_report_id)
         self._next_report_id += len(reports)
         for report in reports:
             if report.kind is not _CF4:
@@ -258,8 +260,11 @@ class ScenarioRunner:
                 self.unhandled_failures += 1
             else:
                 executions.append(execute(model, outcome))
+        violations = tuple(validate(model))
+        if self.records and violations == (last := self.records[-1].post_violations):
+            violations = last  # standing damage: one tuple, rendered once
         record = RoundRecord(index, fault, tuple(reports), tuple(plans), tuple(executions),
-                             tuple(validate(model)), clock_start, model.clock)
+                             violations, clock_start, model.clock)
         self.records.append(record)
         return record
 
@@ -299,11 +304,13 @@ def round_json(record: RoundRecord, rendered: dict[int, str]) -> str:
     form lives on in ``tests/test_oracles.py``, which compares the bytes.
 
     ``rendered`` maps ``id(violation)`` to the violation's text, and the
-    ``id`` of a report's ``dependent_slots`` tuple to the text of its items,
-    and is filled as it goes; a caller passes one dict for many rounds of
-    one report, and keeps every object in it alive for as long as it uses
-    the dict. ``classify`` gives every report of a slot the blueprint's one
-    tuple, so each is rendered once.
+    ``id`` of a report's ``dependent_slots`` tuple or a round's
+    ``post_violations`` tuple to the text of its items, and is filled as it
+    goes; a caller passes one dict for many rounds of one report, and keeps
+    every object in it alive for as long as it uses the dict. ``classify``
+    gives every report of a slot the blueprint's one tuple, and a round with
+    standing damage holds the previous round's tuple, so each is rendered
+    once. The empty tuple, one object, renders as empty text in both uses.
 
     An enum member's text is read as ``_value_``, a plain attribute: ``value``
     is a Python-level descriptor. The values are plain ASCII identifiers, so
@@ -333,14 +340,15 @@ def round_json(record: RoundRecord, rendered: dict[int, str]) -> str:
         f'"strategy":"{e.plan.strategy._value_}","subject":{_str(e.plan.subject)}}}'
         for e in record.executions
     ])
-    texts = []
-    for v in record.post_violations:
-        if (text := rendered.get(id(v))) is None:
-            text = rendered[id(v)] = (
-                f'{{"kind":"{v.kind._value_}","subject":{_str(render_subject(v.subject))}}}'
-            )
-        texts.append(text)
-    violations = ",".join(texts)
+    if (violations := rendered.get(id(record.post_violations))) is None:
+        texts = []
+        for v in record.post_violations:
+            if (text := rendered.get(id(v))) is None:
+                text = rendered[id(v)] = (
+                    f'{{"kind":"{v.kind._value_}","subject":{_str(render_subject(v.subject))}}}'
+                )
+            texts.append(text)
+        violations = rendered[id(record.post_violations)] = ",".join(texts)
     return (
         f'{{"clock_end":{record.clock_end},"clock_start":{record.clock_start},'
         f'"executions":[{executions}],'
@@ -363,11 +371,12 @@ def scenario_chunks(report: ScenarioReport) -> Iterator[str]:
 
     ``canonical_json`` encodes the small rest of the document with an empty
     ``rounds`` list; the objects from ``round_json`` go between its halves.
-    Each distinct violation object and dependency tuple is rendered once
-    per call: ``validate`` shares one object across the rounds a deviation
-    stands, and ``classify`` one tuple across the reports of a slot. The
-    memo, keyed by object identity, lives only as long as this call, during
-    which ``report`` holds every object it names.
+    Each distinct violation object, violations tuple and dependency tuple
+    is rendered once per call: ``validate`` shares one object across the
+    rounds a deviation stands, ``run_round`` one tuple across the rounds
+    the whole list stands, and ``classify`` one tuple across the reports of
+    a slot. The memo, keyed by object identity, lives only as long as this
+    call, during which ``report`` holds every object it names.
     """
     config = report.config
     doc = canonical_json({

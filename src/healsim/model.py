@@ -625,28 +625,29 @@ def validate(model: ArchitectureModel) -> list[Violation]:
     The violations are shared: for its whole life a model returns one frozen
     object per (kind, slot) and per missing connector, built the first time
     that deviation is seen. Damage that stands over many rounds is thus
-    built once, and a report writer can render each object once.
+    built once, and a report writer can render each object once. With no
+    slot damaged, no endpoint is checked: the invariant says both are present.
     """
-    if not model._damaged and not model._missing:
+    damaged, missing = model._damaged, model._missing
+    if not damaged and not missing:
         return []
+    bp, shared = model.blueprint, model._violations
     violations: list[Violation] = []
-    bp, components, shared = model.blueprint, model._components, model._violations
-    for pos in sorted(model._damaged):
-        if (comp := components[pos]) is None:
-            i, kind = 3 * pos, _MISSING_COMPONENT
-        elif comp.state is _UNKNOWN:
-            i, kind = 3 * pos + 1, _UNKNOWN_STATE
-        else:  # STOPPED or UNDEPLOYED: a damaged slot is absent or not STARTED
-            i, kind = 3 * pos + 2, _NOT_STARTED
-        if (violation := shared.get(i)) is None:
-            violation = shared[i] = Violation(kind, bp._slot_names[pos])
-        violations.append(violation)
-    ends = bp._ends
-    for pos in sorted(model._missing):
-        source, target = ends[pos]
-        if components[source] is not None and components[target] is not None:
-            if (violation := shared.get(~pos)) is None:
-                spec = bp.intended_connectors[pos]
-                violation = shared[~pos] = Violation(_MISSING_CONNECTOR, spec)
+    if damaged:
+        for pos in sorted(damaged):
+            if (comp := model._components[pos]) is None:
+                i, kind = 3 * pos, _MISSING_COMPONENT
+            elif comp.state is _UNKNOWN:
+                i, kind = 3 * pos + 1, _UNKNOWN_STATE
+            else:  # STOPPED or UNDEPLOYED: a damaged slot is absent or not STARTED
+                i, kind = 3 * pos + 2, _NOT_STARTED
+            if (violation := shared.get(i)) is None:
+                violation = shared[i] = Violation(kind, bp._slot_names[pos])
             violations.append(violation)
-    return violations
+        missing = [pos for pos in missing if model._ends_present(pos)]
+    intended = bp.intended_connectors
+    connectors = [
+        shared.get(~pos) or shared.setdefault(~pos, Violation(_MISSING_CONNECTOR, intended[pos]))
+        for pos in sorted(missing)
+    ]
+    return violations + connectors if violations else connectors

@@ -1,14 +1,15 @@
-"""Monitoring stage: the model's change journal turned into change events.
+"""Monitoring stage: snapshots of the model, and the change events between
+consecutive ones, read from the model's change journal.
 
 Every mutation journals a slot's ``Component`` (or None) as it was before
 its first change, or a connector that went or came back. The loop cuts the
-journal before each injection and ``observe_changes`` turns what the
-injection journalled into events, so monitoring costs what the fault
-changed, not the blueprint's size.
+journal before each injection, and ``analyzer.classify`` reads what the
+injection journalled directly, so monitoring costs what the fault changed,
+not the blueprint's size, and a round builds no event.
 
 Snapshots, built on demand, serve tests and tracing. ``observe(prev, cur)``
-builds the same events from the journal ``cur`` carries, so it takes a
-snapshot and the next snapshot of one model; any other pair (built directly,
+builds the events from the journal ``cur`` carries, so it takes a snapshot
+and the next snapshot of one model; any other pair (built directly,
 replaced, not consecutive, a snapshot with itself, of another model or a
 copy) raises ``NotConsecutive``.
 """
@@ -93,13 +94,6 @@ def observe(prev: Snapshot, cur: Snapshot) -> list[ChangeEvent]:
         raise NotConsecutive("observe compares a snapshot with the next snapshot of its model")
     return _events(since, [slot for slot, _ in cur.slots], [comp for _, comp in cur.slots],
                    cur.clock)
-
-
-def observe_changes(model: ArchitectureModel) -> list[ChangeEvent]:
-    """The events since the model's journal was last cut, which this cuts:
-    what ``observe`` gives for snapshots taken then and now, without them."""
-    return _events(model.cut_journal()[0], model.blueprint._slot_names, model._components,
-                   model.clock)
 
 
 def _events(since: dict, names, components, at: int) -> list[ChangeEvent]:

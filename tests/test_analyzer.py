@@ -4,21 +4,19 @@ from healsim.analyzer import FailureReport, RootCauseLedger, classify
 from healsim.faults import FaultInstance, FaultKind, inject
 from healsim.harness import _suspects_csv_chunks
 from healsim.model import ConnectorSpec, build_default_model
-from healsim.monitor import observe, take_snapshot
 
 QS_REP = ConnectorSpec("Query Service", "Reputation Service", "Reputation Service")
 
 
-def _events_after(model, fault):
-    before = take_snapshot(model)
+def _reports_after(model, fault, **kwargs):
+    model.cut_journal()
     inject(model, fault)
-    return observe(before, take_snapshot(model))
+    return classify(model, exception_threshold=5, **kwargs)
 
 
 def test_classify_cf1_fills_dependencies():
     model = build_default_model()
-    events = _events_after(model, FaultInstance(FaultKind.CF1, "Query Service"))
-    reports = classify(events, model, exception_threshold=5)
+    reports = _reports_after(model, FaultInstance(FaultKind.CF1, "Query Service"))
     assert len(reports) == 1
     report = reports[0]
     assert report.kind is FaultKind.CF1
@@ -35,7 +33,7 @@ def test_reports_of_one_slot_share_its_dependency_tuple():
     for fault in (FaultInstance(FaultKind.CF1, "Query Service"),
                   FaultInstance(FaultKind.CF2, "Bid Service", magnitude=6),
                   FaultInstance(FaultKind.CF1, "Query Service")):
-        reports += classify(_events_after(model, fault), model, exception_threshold=5)
+        reports += _reports_after(model, fault)
         model.restart(fault.target)
     first, _, second = reports
     assert [first.kind, second.kind] == [FaultKind.CF1, FaultKind.CF1]
@@ -45,21 +43,18 @@ def test_reports_of_one_slot_share_its_dependency_tuple():
 
 def test_classify_cf2_threshold_boundary():
     model = build_default_model()
-    events = _events_after(model, FaultInstance(FaultKind.CF2, "Bid Service", magnitude=6))
-    reports = classify(events, model, exception_threshold=5)
+    reports = _reports_after(model, FaultInstance(FaultKind.CF2, "Bid Service", magnitude=6))
     assert [r.kind for r in reports] == [FaultKind.CF2]
     assert reports[0].exception_count == 6
 
     # a bump that stays at the threshold is not a failure
     model = build_default_model()
-    events = _events_after(model, FaultInstance(FaultKind.CF2, "Bid Service", magnitude=5))
-    assert classify(events, model, exception_threshold=5) == []
+    assert _reports_after(model, FaultInstance(FaultKind.CF2, "Bid Service", magnitude=5)) == []
 
 
 def test_classify_cf3_subsumes_connector_removals():
     model = build_default_model()
-    events = _events_after(model, FaultInstance(FaultKind.CF3, "Persistence Service"))
-    reports = classify(events, model, exception_threshold=5)
+    reports = _reports_after(model, FaultInstance(FaultKind.CF3, "Persistence Service"))
     assert len(reports) == 1
     assert reports[0].kind is FaultKind.CF3
     assert reports[0].subject == "Persistence Service"
@@ -67,8 +62,7 @@ def test_classify_cf3_subsumes_connector_removals():
 
 def test_classify_cf4():
     model = build_default_model()
-    events = _events_after(model, FaultInstance(FaultKind.CF4, QS_REP))
-    reports = classify(events, model, exception_threshold=5)
+    reports = _reports_after(model, FaultInstance(FaultKind.CF4, QS_REP))
     assert len(reports) == 1
     assert reports[0].kind is FaultKind.CF4
     assert reports[0].subject == QS_REP
@@ -78,21 +72,22 @@ def test_classify_cf4():
 def test_classify_ignores_repairs():
     model = build_default_model()
     model.remove_connector(QS_REP)
-    before = take_snapshot(model)
+    model.cut_journal()
     model.add_connector(QS_REP)
-    events = observe(before, take_snapshot(model))
-    assert events != []
-    assert classify(events, model, exception_threshold=5) == []
+    assert model._journal != {}
+    assert classify(model, exception_threshold=5) == []
+    assert model._journal == {}  # cut: the same window is not classified twice
 
 
 def test_classify_assigns_sequential_ids():
     model = build_default_model()
-    before = take_snapshot(model)
+    model.cut_journal()
     inject(model, FaultInstance(FaultKind.CF1, "Frontend"))
     inject(model, FaultInstance(FaultKind.CF1, "Bid Service"))
-    events = observe(before, take_snapshot(model))
-    reports = classify(events, model, exception_threshold=5, first_report_id=7)
-    assert [r.report_id for r in reports] == [7, 8]
+    inject(model, FaultInstance(FaultKind.CF4, QS_REP))
+    reports = classify(model, exception_threshold=5, first_report_id=7)
+    assert [(r.report_id, r.subject) for r in reports] == [
+        (7, "Frontend"), (8, "Bid Service"), (9, QS_REP)]
 
 
 def _all_single_faults(model):
@@ -110,13 +105,12 @@ def test_classify_inject_round_trip_exhaustive():
     # one report per injected fault, with matching kind and subject
     for fault in _all_single_faults(build_default_model()):
         model = build_default_model()
-        before = take_snapshot(model)
-        inject(model, fault)
-        events = observe(before, take_snapshot(model))
-        reports = classify(events, model, exception_threshold=5)
+        model.advance_clock(250)
+        reports = _reports_after(model, fault)
         assert len(reports) == 1, fault
         assert reports[0].kind is fault.kind
         assert reports[0].subject == fault.target
+        assert reports[0].detected_at == 250
 
 
 def _report(rid, kind, subject, deps, at=0):

@@ -2,6 +2,7 @@ import json
 import logging
 import os
 import re
+import signal
 import socket
 import subprocess
 import sys
@@ -182,6 +183,30 @@ def test_serve_planner_logs_level_name_and_message(rules_file, level):
             watchdog.cancel()
             proc.terminate()
             proc.wait(timeout=10)
+
+
+@pytest.mark.parametrize("sigint", ["default_int_handler", "SIG_IGN"], ids=["sigint", "no-sigint"])
+def test_serve_planner_exits_0_on_sigterm(rules_file, sigint):
+    """SIGTERM, which ``kill`` and process managers send, stops serve-planner
+    as SIGINT does: the service shuts down and the exit code is 0, also in a
+    planner that inherited SIGINT as ignored, as a background job does."""
+    code = (f"import signal, sys; signal.signal(signal.SIGINT, signal.{sigint}); "
+            "from healsim.cli import main; sys.exit(main(sys.argv[1:]))")
+    with subprocess.Popen(
+        [sys.executable, "-c", code, "serve-planner", "--rules", str(rules_file),
+         "--bind", "127.0.0.1:0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": "1"},
+    ) as proc:
+        watchdog = threading.Timer(30, proc.kill)  # a missing line or exit must not hang the test
+        watchdog.start()
+        try:
+            assert proc.stdout.readline().startswith("planner listening on 127.0.0.1:")
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=20)
+        finally:
+            watchdog.cancel()
+    assert (proc.returncode, out, err) == (0, "", "")
 
 
 def test_validate_rules_reports_position(tmp_path, capsys):

@@ -10,10 +10,10 @@ from healsim.monitor import (
     EventKind,
     NotConsecutive,
     observe,
-    observe_changes,
     take_snapshot,
 )
 from healsim.rules import RepairPlan, Strategy
+from test_oracles import observe_changes
 
 QS_REP = ConnectorSpec("Query Service", "Reputation Service", "Reputation Service")
 

@@ -6,6 +6,7 @@ import collections
 import copy
 import csv
 import io
+import itertools
 import json
 import re
 from enum import EnumMeta
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from healsim import harness, planner, rules
+from healsim.analyzer import FailureReport, classify
 from healsim.executor import execute
 from healsim.faults import FaultInstance, FaultKind, NoEligibleTarget, draw_fault, inject
 from healsim.harness import RoundRecord, ScenarioConfig, ScenarioReport, ScenarioRunner
@@ -42,8 +44,8 @@ from healsim.monitor import (
     EventKind,
     NotConsecutive,
     Snapshot,
+    _events,
     observe,
-    observe_changes,
     take_snapshot,
 )
 from healsim.planner import (
@@ -710,31 +712,112 @@ def test_journal_windows_equal_full_diff(doc, windows):
         before = after
 
 
+def observe_changes(model):
+    """The events since the model's journal was last cut, which this cuts:
+    what ``observe`` gives for snapshots taken then and now, without them."""
+    return _events(model.cut_journal()[0], model.blueprint._slot_names, model._components,
+                   model.clock)
+
+
+def event_classify(events, model, exception_threshold, first_report_id=0):
+    """The failure reports of change events, in event order: the classifier
+    that read ``observe_changes`` before ``classify`` read the journal.
+
+    STATE_CHANGED to UNKNOWN is CF1; EXCEPTIONS_CHANGED past the threshold
+    is CF2; COMPONENT_REMOVED is CF3; CONNECTOR_REMOVED is CF4 only while
+    both endpoints are still present. Additions and benign changes yield
+    nothing."""
+    reports = []
+    for event in events:
+        kind, subject = event.kind, event.subject
+        if kind is EventKind.STATE_CHANGED and event.new is ComponentState.UNKNOWN:
+            fault, count = FaultKind.CF1, 0
+        elif kind is EventKind.EXCEPTIONS_CHANGED and event.new > exception_threshold:
+            fault, count = FaultKind.CF2, event.new
+        elif kind is EventKind.COMPONENT_REMOVED:
+            fault, count = FaultKind.CF3, 0
+        elif (kind is EventKind.CONNECTOR_REMOVED and model.present(subject.source)
+              and model.present(subject.target)):
+            reports.append(FailureReport(first_report_id + len(reports), FaultKind.CF4, subject,
+                                         0, event.at, ()))
+            continue
+        else:
+            continue
+        reports.append(FailureReport(first_report_id + len(reports), fault, subject, count,
+                                     event.at, tuple(model.blueprint.dependencies_of(subject))))
+    return reports
+
+
+@pytest.mark.parametrize(
+    "doc", [None, layered_blueprint_doc(50), ARROW_DOC], ids=["default", "layered50", "arrow"]
+)
+@settings(max_examples=60, deadline=None)
+@given(windows=st.lists(st.lists(STEP, min_size=1, max_size=3), max_size=10),
+       threshold=st.integers(1, 9), first_id=st.integers(0, 10**6))
+@example(windows=[[("inject", 0, 2, 0), ("inject", 1, 2, 4)]], threshold=3, first_id=0)  # CF1, CF2
+@example(windows=[[("inject", 3, 5, 0), ("inject", 2, 0, 0)]], threshold=5, first_id=9)  # CF4, CF3
+@example(windows=[[("inject", 3, 0, 0), ("inject", 3, 4, 0), ("inject", 3, 2, 0)]],
+         threshold=5, first_id=0)  # three CF4s: reported in connector order
+@example(windows=[[("inject", 2, 1, 0), ("execute", 1, 1, 0)]], threshold=5, first_id=0)
+# CF1 on a slot already past the threshold: its unchanged exception count is no CF2
+@example(windows=[[("inject", 1, 0, 6)], [("inject", 0, 0, 0)]], threshold=3, first_id=0)
+def test_journal_classifier_equals_event_reference(doc, windows, threshold, first_id):
+    """``classify`` reads a journal window directly and gives, id for id, the
+    reports the event classifier gives for the full diff of scan snapshots
+    taken at the window's ends; it leaves an empty journal."""
+    model = instantiate_blueprint(load(doc))
+    model.cut_journal()
+    for window in windows:
+        before = scan_snapshot(model)
+        model.advance_clock(window[0][2] % 1000)
+        apply_steps(model, window)
+        events = scan_observe(before, scan_snapshot(model))
+        reports = classify(model, threshold, first_id)
+        assert model._journal == {}
+        assert reports == event_classify(events, model, threshold, first_id)
+        for report in reports:
+            if report.kind is not FaultKind.CF4:
+                assert report.dependent_slots is model.blueprint._dependencies[report.subject]
+
+
 @pytest.mark.parametrize("doc", [None, layered_blueprint_doc(50)], ids=["default", "layered50"])
 def test_harness_observes_through_the_journal(doc, monkeypatch):
-    """Every round's events equal the full diff of scan snapshots taken just
-    before and just after its injection, and observing them leaves the model
-    an empty journal."""
-    scans, observed = [], []
+    """Every round's reports equal the event classifier's over the full diff
+    of scan snapshots taken just before and just after its injection, and
+    classifying leaves the model an empty journal."""
+    scans, classified = [], []
 
     def scanned_inject(model, fault):
         scans.append(scan_snapshot(model))
         inject(model, fault)
         scans.append(scan_snapshot(model))
 
-    def checked_observe_changes(model):
-        events = observe_changes(model)
+    def checked_classify(model, exception_threshold, first_report_id):
+        events = scan_observe(*scans[-2:])
+        reports = classify(model, exception_threshold, first_report_id)
         assert model._journal == {}
-        assert events == scan_observe(*scans[-2:])
-        observed.append(events)
-        return events
+        assert reports == event_classify(events, model, exception_threshold, first_report_id)
+        classified.append((events, reports))
+        return reports
 
     monkeypatch.setattr(harness, "inject", scanned_inject)
-    monkeypatch.setattr(harness, "observe_changes", checked_observe_changes)
+    monkeypatch.setattr(harness, "classify", checked_classify)
     runner = ScenarioRunner(ScenarioConfig(seed=7, rounds=300), blueprint=load(doc))
     for _ in range(300):
         runner.run_round()
-    assert len(observed) == 300 and all(observed)
+    assert len(classified) == 300 and all(events and reports for events, reports in classified)
+
+
+def test_a_run_builds_no_change_event(monkeypatch):
+    """A round classifies the journal window itself: 300 rounds build no ChangeEvent."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a round built a ChangeEvent")
+
+    monkeypatch.setattr(ChangeEvent, "__init__", refuse)
+    runner = ScenarioRunner(ScenarioConfig(seed=42, rounds=300))
+    report = runner.run()
+    runner.close()
+    assert len(report.rounds) == 300 and all(r.reports for r in report.rounds)
 
 
 # -- (e) the direct report encoder vs the dict form --------------------------
@@ -934,6 +1017,23 @@ UNREPAIRED_SCRIPT = [
 ]
 CF2_ONLY_RULES = 'rule "replace-on-cf2" when kind == CF2 then AS4\n'
 
+# A CF4 repaired in a round that ends with no violations, so its report's
+# dependent_slots and the round's post_violations are both the empty tuple;
+# then CF1s left unrepaired take the violations from A to B and, once a
+# replacement heals the second slot, back to a tuple equal to A.
+STANDING_SCRIPT = [
+    FaultInstance(FaultKind.CF4, ConnectorSpec("Query Service", "Reputation Service",
+                                               "Reputation Service")),
+    FaultInstance(FaultKind.CF1, "Bid Service"),  # A
+    FaultInstance(FaultKind.CF2, "Frontend", magnitude=6),  # A stands: one tuple
+    FaultInstance(FaultKind.CF1, "Frontend"),  # B
+    FaultInstance(FaultKind.CF2, "Frontend", magnitude=7),  # A again, a tuple of its own
+]
+NO_CF1_RULES = (
+    'rule "replace-on-cf2" when kind == CF2 then AS4\n'
+    'rule "reconnect-on-cf4" when kind == CF4 then AS3\n'
+)
+
 
 def encoder_cases():
     shop = [(f"shop-seed{seed}", ScenarioConfig(seed=seed, rounds=300), None, None)
@@ -958,6 +1058,9 @@ def encoder_cases():
          ScenarioConfig(seed=8, rounds=200, rootcause_threshold=1),
          ODD_NAMES_DOC, DEGRADED_RULES),
         ("csv-names", ScenarioConfig(seed=11, rounds=48), CSV_NAMES_DOC, None),
+        ("standing-script",
+         ScenarioConfig(seed=6, rounds=5, script=STANDING_SCRIPT, script_path="standing.json"),
+         None, NO_CF1_RULES),
     ]
 
 
@@ -1022,6 +1125,83 @@ def test_degraded_run_builds_each_violation_once(monkeypatch):
     reported = {(v.kind, v.subject) for r in report.rounds for v in r.post_violations}
     assert sum(len(r.post_violations) for r in report.rounds) > 5 * len(reported)
     assert set(built) == reported and max(built.values()) == 1
+
+
+def test_standing_violations_share_one_tuple_and_the_empty_tuple_renders_empty():
+    """The standing-script case: a round whose violations equal the previous
+    round's holds that round's tuple, and one equal to an earlier, not the
+    previous, round's holds its own. The empty tuple is one object as a CF4
+    report's dependent_slots and as its round's post_violations, and renders
+    as empty text in both."""
+    case = next(c for c in encoder_cases() if c[0] == "standing-script")
+    rounds = run_case(case).rounds
+    cf4, a, a_stands, b, a_again = (r.post_violations for r in rounds)
+    assert rounds[0].reports[0].kind is FaultKind.CF4
+    assert rounds[0].reports[0].dependent_slots is cf4 == ()
+    assert a_stands is a and len(a) == 1 and len(b) == 2
+    assert a_again == a and a_again is not a
+    text = harness.round_json(rounds[0], {})
+    assert '"dependent_slots":[]' in text and '"post_violations":[]' in text
+    rendered = {}
+    texts = [harness.round_json(r, rendered) for r in rounds]
+    assert texts[1].count('"UNKNOWN_STATE"') == texts[2].count('"UNKNOWN_STATE"') == 1
+    assert [json.loads(t)["post_violations"] for t in texts] == [
+        [{"kind": v.kind.value, "subject": render_subject(v.subject)} for v in r.post_violations]
+        for r in rounds]
+
+
+def test_degraded_run_shares_each_standing_violation_tuple(monkeypatch):
+    """On layered-200 under the degraded policy at seed 42, consecutive rounds
+    with equal violations hold one tuple: there are as many distinct tuples as
+    changes of the violations, and scenario_chunks joins each of them once."""
+    runner = ScenarioRunner(ScenarioConfig(seed=42, rounds=200),
+                            ruleset=parse_rules(DEGRADED_RULES),
+                            blueprint=load(layered_blueprint_doc(200)))
+    try:
+        report = runner.run()
+    finally:
+        runner.close()
+    records = report.rounds
+    stretches = [[r.post_violations for r in group] for _, group in
+                 itertools.groupby(records, key=lambda r: r.post_violations)]
+    assert all(t is stretch[0] for stretch in stretches for t in stretch)
+    standing = [stretch for stretch in stretches if stretch[0]]  # () is one object anyway
+    assert len({id(r.post_violations) for r in records if r.post_violations}) == len(standing)
+    assert sum(len(stretch) - 1 for stretch in standing) > len(records) // 2
+
+    class CountedTuple(tuple):
+        def __iter__(self):
+            joined[id(self)] += 1
+            return super().__iter__()
+
+    joined = collections.Counter()
+    counted = {}
+    copied = ScenarioReport(report.config, [
+        RoundRecord(r.index, r.fault, r.reports, r.plans, r.executions,
+                    counted.setdefault(id(r.post_violations), CountedTuple(r.post_violations)),
+                    r.clock_start, r.clock_end)
+        for r in records
+    ], report.counters, report.suspects, report.unhandled_failures)
+    assert harness.scenario_json(copied) == harness.scenario_json(report)
+    assert len(joined) == len(counted) and set(joined.values()) == {1}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), doc=st.sampled_from([None, layered_blueprint_doc(12), REPLICA_DOC]))
+def test_validate_equals_brute_force_with_missing_connectors(data, doc):
+    """With missing connectors, validate equals the brute-force list both with
+    no slot damaged (where it checks no endpoint) and once one is."""
+    model = instantiate_blueprint(load(doc))
+    intended = model.blueprint.intended_connectors
+    for spec in data.draw(st.lists(st.sampled_from(intended), min_size=1, unique=True)):
+        model.remove_connector(spec)
+    assert not model._damaged
+    assert validate(model) == brute_validate(model) != []
+    slot = data.draw(st.sampled_from(model.blueprint.slot_names()))
+    kind = data.draw(st.sampled_from([FaultKind.CF1, FaultKind.CF3]))
+    inject(model, FaultInstance(kind, slot))
+    assert model._damaged
+    assert validate(model) == brute_validate(model)
 
 
 def test_encoder_cases_cover_every_branch():
