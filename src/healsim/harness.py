@@ -11,11 +11,15 @@ every output byte.
 A run ends by writing scenario.json, rounds.csv and suspects.csv, whose
 formats this module alone owns. Each is a stream of text chunks that one
 loop in ``emit_reports`` encodes and writes; the first two give a chunk per
-batch of rounds, so a writer never holds a whole document. Each round's
-object in scenario.json is written directly as canonical JSON text by
-``round_json``, with no intermediate dicts: its key order is fixed by hand
-and guarded by the dict-form oracle in ``tests/test_oracles.py``. CSV rows
-are formatted directly too; only a name that needs quoting goes through ``csv``.
+batch of rounds, so a writer never holds a whole document. All of
+scenario.json is written directly as canonical JSON text, with no
+intermediate dicts and no ``json`` encoder: its head and tail by
+``scenario_chunks``, each round's object by ``round_json``, which renders
+each recurring name and each standing violations tuple once. Key order is
+fixed by hand and guarded by the dict-form oracle in
+``tests/test_oracles.py``, which keeps ``canonical_json`` as the reference.
+CSV rows are formatted directly too; only a name that needs quoting goes
+through ``csv``.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .model import (
 )
 # observe and take_snapshot stay importable here: bench/tracer.py patches them by these names.
 from .monitor import observe, take_snapshot
-from .planner import InProcessPlanner, RemotePlanner, canonical_json, request_plan
+from .planner import InProcessPlanner, RemotePlanner, request_plan
 from .rules import NoMatch, RepairPlan, RuleSet, default_ruleset, load_rules
 
 EXCEPTION_THRESHOLD, ROOTCAUSE_THRESHOLD = 5, 3  # ScenarioConfig's defaults, and the CLI's
@@ -72,6 +76,10 @@ class ScenarioConfig(Record):
         script: list[FaultInstance] | None = None,
         out_dir: str | None = None,
     ) -> None:
+        # scenario.json writes these as they print: a bool would print as True, not true.
+        numbers = (seed, rounds, exception_threshold, rootcause_threshold)
+        if not all(type(n) is int for n in numbers):
+            raise ConfigError("seed, rounds and thresholds must be integers")
         if rounds < 0:
             raise ConfigError("rounds must be non-negative")
         if exception_threshold < 1 or rootcause_threshold < 1:
@@ -229,7 +237,9 @@ class ScenarioRunner:
     def run_round(self) -> RoundRecord:
         """One full cycle: wait, inject, classify what the injection journalled,
         plan, execute, validate. Returns (and appends) the round's record; a
-        round whose violations equal the previous round's shares its tuple."""
+        round whose violations equal the previous round's holds its tuple:
+        ``validate`` returns that very tuple while the damage stands, and an
+        equal one built anew (with a slot damaged) is replaced by it."""
         model, threshold = self.model, self.config.exception_threshold
         index = len(self.records) + 1
         clock_start = model.clock
@@ -260,7 +270,7 @@ class ScenarioRunner:
                 self.unhandled_failures += 1
             else:
                 executions.append(execute(model, outcome))
-        violations = tuple(validate(model))
+        violations = validate(model)  # while the damage stands, the tuple it last returned
         if self.records and violations == (last := self.records[-1].post_violations):
             violations = last  # standing damage: one tuple, rendered once
         record = RoundRecord(index, fault, tuple(reports), tuple(plans), tuple(executions),
@@ -297,49 +307,63 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
 
 # -- report emission ---------------------------------------------------------
 
-def round_json(record: RoundRecord, rendered: dict[int, str]) -> str:
-    """The round's object in ``scenario.json``: the text ``canonical_json``
-    makes of its dict form, written directly. Keys are in sorted order by
-    hand and strings escaped as ``canonical_json`` escapes them; the dict
-    form lives on in ``tests/test_oracles.py``, which compares the bytes.
+def round_json(record: RoundRecord, rendered: dict[int | str, str]) -> str:
+    """The round's object in ``scenario.json``: the text the canonical JSON
+    encoder makes of its dict form, written directly. Keys are in sorted
+    order by hand and strings escaped by ``json``'s own ASCII escaper; the
+    dict form and the encoder live on in ``tests/test_oracles.py``, which
+    compares the bytes.
 
-    ``rendered`` maps ``id(violation)`` to the violation's text, and the
-    ``id`` of a report's ``dependent_slots`` tuple or a round's
-    ``post_violations`` tuple to the text of its items, and is filled as it
-    goes; a caller passes one dict for many rounds of one report, and keeps
-    every object in it alive for as long as it uses the dict. ``classify``
-    gives every report of a slot the blueprint's one tuple, and a round with
-    standing damage holds the previous round's tuple, so each is rendered
-    once. The empty tuple, one object, renders as empty text in both uses.
+    ``rendered`` is filled as it goes, and a caller passes one dict for many
+    rounds of one report. It maps ``id(violation)`` to the violation's text,
+    and the ``id`` of a report's ``dependent_slots`` tuple or a round's
+    ``post_violations`` tuple to the text of its items, so a caller keeps
+    every such object alive for as long as it uses the dict. ``classify``
+    gives every report of a slot the blueprint's one tuple, and while damage
+    stands ``validate`` returns one tuple, so each is rendered once. The
+    empty tuple, one object, renders as empty text in both uses. It also
+    maps each name a round writes, as a string (a report subject, a fault
+    target, a plan's subject and fired rule), to its escaped JSON text: the
+    names recur, taken from the blueprint and the rule set, so each is
+    escaped once per report.
 
     An enum member's text is read as ``_value_``, a plain attribute: ``value``
     is a Python-level descriptor. The values are plain ASCII identifiers, so
     they are written unescaped."""
     fault = record.fault
     magnitude = "" if fault.magnitude is None else f',"magnitude":{fault.magnitude}'
+    target = rendered.get(name := render_subject(fault.target)) or rendered.setdefault(
+        name, _str(name))
     texts = []
     for r in record.reports:
         if (deps := rendered.get(id(r.dependent_slots))) is None:
             deps = rendered[id(r.dependent_slots)] = ",".join(map(_str, r.dependent_slots))
+        subject = rendered.get(name := render_subject(r.subject)) or rendered.setdefault(
+            name, _str(name))
         texts.append(
             f'{{"dependent_slots":[{deps}],'
             f'"detected_at":{r.detected_at},"exception_count":{r.exception_count},'
-            f'"kind":"{r.kind._value_}","report_id":{r.report_id},'
-            f'"subject":{_str(render_subject(r.subject))}}}')
+            f'"kind":"{r.kind._value_}","report_id":{r.report_id},"subject":{subject}}}')
     reports = ",".join(texts)
-    plans = ",".join([
-        f'{{"no_match":true,"report_id":{r.report_id}}}' if isinstance(p, NoMatch) else
-        f'{{"fired_rule":{_str(p.fired_rule)},"report_id":{r.report_id},'
-        f'"strategy":"{p.strategy._value_}","subject":{_str(p.subject)}}}'
-        for r, p in zip(record.reports, record.plans)
-    ])
-    executions = ",".join([
-        f'{{"completed_at":{e.completed_at},'
-        f'"mutations":[{",".join(map(_str, e.applied_mutations))}],'
-        f'"new_instance_id":{"null" if e.new_instance_id is None else _str(e.new_instance_id)},'
-        f'"strategy":"{e.plan.strategy._value_}","subject":{_str(e.plan.subject)}}}'
-        for e in record.executions
-    ])
+    texts = []
+    for r, p in zip(record.reports, record.plans):
+        if isinstance(p, NoMatch):
+            texts.append(f'{{"no_match":true,"report_id":{r.report_id}}}')
+        else:
+            rule = rendered.get(name := p.fired_rule) or rendered.setdefault(name, _str(name))
+            subject = rendered.get(name := p.subject) or rendered.setdefault(name, _str(name))
+            texts.append(f'{{"fired_rule":{rule},"report_id":{r.report_id},'
+                         f'"strategy":"{p.strategy._value_}","subject":{subject}}}')
+    plans = ",".join(texts)
+    texts = []
+    for e in record.executions:
+        subject = rendered.get(name := e.plan.subject) or rendered.setdefault(name, _str(name))
+        texts.append(
+            f'{{"completed_at":{e.completed_at},'
+            f'"mutations":[{",".join(map(_str, e.applied_mutations))}],'
+            f'"new_instance_id":{"null" if e.new_instance_id is None else _str(e.new_instance_id)},'
+            f'"strategy":"{e.plan.strategy._value_}","subject":{subject}}}')
+    executions = ",".join(texts)
     if (violations := rendered.get(id(record.post_violations))) is None:
         texts = []
         for v in record.post_violations:
@@ -353,7 +377,7 @@ def round_json(record: RoundRecord, rendered: dict[int, str]) -> str:
         f'{{"clock_end":{record.clock_end},"clock_start":{record.clock_start},'
         f'"executions":[{executions}],'
         f'"fault":{{"injected_at":{fault.injected_at},"kind":"{fault.kind._value_}"{magnitude},'
-        f'"target":{_str(render_subject(fault.target))}}},'
+        f'"target":{target}}},'
         f'"plans":[{plans}],"post_violations":[{violations}],"reports":[{reports}],'
         f'"round":{record.index}}}'
     )
@@ -369,47 +393,42 @@ def scenario_chunks(report: ScenarioReport) -> Iterator[str]:
     ``_EMIT_BATCH`` rounds, and the tail, so that a writer never holds the
     whole document.
 
-    ``canonical_json`` encodes the small rest of the document with an empty
-    ``rounds`` list; the objects from ``round_json`` go between its halves.
-    Each distinct violation object, violations tuple and dependency tuple
+    The head (``config`` and ``root_cause``) and the tail (``suspects`` and
+    ``unhandled_failures``) are written directly in sorted key order, as
+    ``round_json`` writes a round, and the rounds go between them. Each
+    distinct violation object, violations tuple, dependency tuple and name
     is rendered once per call: ``validate`` shares one object across the
-    rounds a deviation stands, ``run_round`` one tuple across the rounds
-    the whole list stands, and ``classify`` one tuple across the reports of
-    a slot. The memo, keyed by object identity, lives only as long as this
-    call, during which ``report`` holds every object it names.
+    rounds a deviation stands and returns one tuple across the rounds the
+    whole list stands (``run_round`` shares an equal one too), and
+    ``classify`` one tuple across the reports of a slot. The memo lives only
+    as long as this call, during which ``report`` holds every object whose
+    identity keys it.
     """
     config = report.config
-    doc = canonical_json({
-        # out_dir is where the report lands, not part of what it describes;
-        # leaving it out keeps equal runs byte-identical wherever they are written.
-        "config": {
-            "seed": config.seed,
-            "rounds": config.rounds,
-            "exception_threshold": config.exception_threshold,
-            "rootcause_threshold": config.rootcause_threshold,
-            "planner": config.planner,
-            "rules": config.rules_path,
-            "blueprint": config.blueprint_path,
-            "script": config.script_path,
-        },
-        "rounds": [],
-        "root_cause": {"threshold": config.rootcause_threshold, "counters": report.counters},
-        "suspects": [
-            {"component": s.slot, "count": s.count, "implicated_by": list(s.implicated_by),
-             "first_at": s.first_at, "last_at": s.last_at}
-            for s in report.suspects
-        ],
-        "unhandled_failures": report.unhandled_failures,
-    }).decode("ascii")
-    # Only "config" and "root_cause" sort before "rounds", and neither holds a
-    # list, so the first '"rounds":[]' is the top-level key.
-    head, tail = doc.split('"rounds":[]', 1)
-    yield head + '"rounds":['
+
+    def text(value: str | None) -> str:
+        return "null" if value is None else _str(value)
+
+    counters = ",".join([f"{_str(slot)}:{n}" for slot, n in sorted(report.counters.items())])
+    # out_dir is where the report lands, not part of what it describes;
+    # leaving it out keeps equal runs byte-identical wherever they are written.
+    yield (f'{{"config":{{"blueprint":{text(config.blueprint_path)},'
+           f'"exception_threshold":{config.exception_threshold},"planner":{_str(config.planner)},'
+           f'"rootcause_threshold":{config.rootcause_threshold},"rounds":{config.rounds},'
+           f'"rules":{text(config.rules_path)},"script":{text(config.script_path)},'
+           f'"seed":{config.seed}}},'
+           f'"root_cause":{{"counters":{{{counters}}},"threshold":{config.rootcause_threshold}}},'
+           '"rounds":[')
     rounds, rendered = report.rounds, {}
     for start in range(0, len(rounds), _EMIT_BATCH):
         texts = [round_json(record, rendered) for record in rounds[start:start + _EMIT_BATCH]]
         yield ("," if start else "") + ",".join(texts)
-    yield "]" + tail
+    suspects = ",".join([
+        f'{{"component":{_str(s.slot)},"count":{s.count},"first_at":{s.first_at},'
+        f'"implicated_by":[{",".join(map(_str, s.implicated_by))}],"last_at":{s.last_at}}}'
+        for s in report.suspects
+    ])
+    yield f'],"suspects":[{suspects}],"unhandled_failures":{report.unhandled_failures}}}\n'
 
 
 def scenario_json(report: ScenarioReport) -> bytes:

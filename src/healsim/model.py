@@ -404,7 +404,7 @@ class ArchitectureModel(Record):
     """
 
     _fields = ("blueprint", "_components", "_missing", "clock", "_instance_seq")
-    __slots__ = _fields + ("_damaged", "_violations", "_journal")
+    __slots__ = _fields + ("_damaged", "_violations", "_journal", "_kept")
 
     def __init__(self, blueprint: Blueprint, components: dict[str, Component | None],
                  connectors: set[ConnectorSpec] | tuple[ConnectorSpec, ...],
@@ -439,6 +439,15 @@ class ArchitectureModel(Record):
         # 3 * slot position + (0 missing, 1 unknown state, 2 not started) or ~connector position.
         self._violations: dict[int, Violation] = {}
         self._journal = {}  # a new model has changed nothing yet
+        # validate's last answer for an undamaged model, with a copy of the missing
+        # positions it answered for; None after a damaged one, in a copy, or in a new model.
+        self._kept: tuple[set[int], tuple[Violation, ...]] | None = None
+
+    def __getstate__(self) -> tuple[None, dict]:
+        """Every slot for copy and pickle, except the kept answer: a copy answers anew."""
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_kept"] = None
+        return None, state
 
     def _put(self, pos: int, comp: Component | None) -> None:
         """Make ``comp`` the entry of the slot at ``pos``."""
@@ -614,23 +623,26 @@ def build_default_model() -> ArchitectureModel:
     return instantiate_blueprint(default_blueprint())
 
 
-def validate(model: ArchitectureModel) -> list[Violation]:
+def validate(model: ArchitectureModel) -> tuple[Violation, ...]:
     """Every deviation from the blueprint, in deterministic order: slots in
     declaration order, then intended connectors in declaration order.
 
     A missing connector is only reported when both endpoints are present;
     an empty slot is already covered by its MISSING_COMPONENT entry. An
-    empty list means the architecture carries no further failures.
+    empty tuple means the architecture carries no further failures.
 
     The violations are shared: for its whole life a model returns one frozen
     object per (kind, slot) and per missing connector, built the first time
-    that deviation is seen. Damage that stands over many rounds is thus
-    built once, and a report writer can render each object once. With no
-    slot damaged, no endpoint is checked: the invariant says both are present.
+    that deviation is seen. With no slot damaged, no endpoint is checked (the
+    invariant says both are present), and the answer is kept while the damage
+    stands: a call that finds no slot damaged and the same missing connectors
+    as the previous call, which found none damaged either, returns that call's
+    tuple, with no sort and no lookup. So damage that stands over many rounds
+    is built and answered once, and a report writer renders its tuple once.
     """
     damaged, missing = model._damaged, model._missing
-    if not damaged and not missing:
-        return []
+    if not damaged and (kept := model._kept) is not None and kept[0] == missing:
+        return kept[1]
     bp, shared = model.blueprint, model._violations
     violations: list[Violation] = []
     if damaged:
@@ -646,8 +658,10 @@ def validate(model: ArchitectureModel) -> list[Violation]:
             violations.append(violation)
         missing = [pos for pos in missing if model._ends_present(pos)]
     intended = bp.intended_connectors
-    connectors = [
+    violations += [
         shared.get(~pos) or shared.setdefault(~pos, Violation(_MISSING_CONNECTOR, intended[pos]))
         for pos in sorted(missing)
     ]
-    return violations + connectors if violations else connectors
+    answer = tuple(violations)
+    model._kept = None if damaged else (set(missing), answer)
+    return answer

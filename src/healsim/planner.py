@@ -24,7 +24,10 @@ pattern per direction, compiled on first use: the layout ``encode`` gives a
 request, or a plan or no_match response. Any other frame, an error outcome
 included, gets the full check, so the accepted frames and the
 ``MalformedFrame`` texts are those of the full check. The schema table in
-``tests/test_oracles.py`` is their byte and error reference. Both ends check
+``tests/test_oracles.py`` is their byte and error reference, and every
+frame must equal ``canonical_json`` there, the ``json`` encoder with sorted
+keys and compact separators; like the report writer, the codec writes its
+text directly and calls no ``json`` encoder. Both ends check
 a line's length before they decode it, and both read frames with ``lines``:
 of a line with no LF in its first ``MAX_FRAME`` bytes, neither reads or
 holds more than ``MAX_FRAME + 1`` bytes, and then it closes the connection.
@@ -95,14 +98,6 @@ class ErrorOutcome(Frozen):
 # in tests/test_oracles.py: the exact key set, the version, then each field,
 # and raises MalformedFrame naming the first that breaks the schema.
 
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def canonical_json(doc: object) -> bytes:
-    """Sorted keys, compact separators, UTF-8, one LF: equal docs, equal bytes."""
-    return _CANONICAL.encode(doc).encode("utf-8") + b"\n"
-
-
 _REQUEST = ('{"fact":{"dependent_count":%s,"exception_count":%s,"kind":%s,'
             '"prior_failures_of_subject":%s,"subject":%s},"request_id":%s,'
             f'"type":"plan_request","version":{PROTOCOL_VERSION}}}\n')
@@ -114,7 +109,7 @@ _ERROR_FRAME = _RESPONSE % ('{"error":{"code":%s,"message":%s}}', "%s")
 # Keyed by each member's id, which stays its own while its class lives: a
 # lookup by the member would call the Python-level Enum.__hash__ on every
 # frame, and one by its value would take another enum's member of that value.
-_KIND_TEXT = {id(kind): _str(kind.value) for kind in FaultKind}  # escaped as canonical_json does
+_KIND_TEXT = {id(kind): _str(kind.value) for kind in FaultKind}  # escaped as json escapes it
 _STRATEGY_TEXT = {id(strategy): _str(strategy.value) for strategy in Strategy}
 
 

@@ -33,7 +33,7 @@ def test_as1_restarts_unknown_component():
     comp = model.component("Query Service")
     assert comp.state is ComponentState.STARTED
     assert comp.exception_count == 0
-    assert validate(model) == []
+    assert validate(model) == ()
     assert result.new_instance_id is None
     assert len(result.applied_mutations) == 2
     assert result.completed_at == model.clock == 2  # 1 ms per mutation
@@ -59,7 +59,7 @@ def test_as2_redeploys_absent_component():
     old_id = model.component("Persistence Service").instance_id
     inject(model, FaultInstance(FaultKind.CF3, "Persistence Service"))
     result = execute(model, plan(Strategy.AS2, "Persistence Service"))
-    assert validate(model) == []
+    assert validate(model) == ()
     comp = model.component("Persistence Service")
     assert comp.state is ComponentState.STARTED
     assert comp.instance_id != old_id
@@ -79,7 +79,7 @@ def test_as2_on_present_component_restarts_and_reconnects():
     model.set_state("Query Service", ComponentState.STOPPED)
     model.remove_connector(QS_REP)
     result = execute(model, plan(Strategy.AS2, "Query Service"))
-    assert validate(model) == []
+    assert validate(model) == ()
     assert result.new_instance_id is None
     assert "add_connector(Query Service->Reputation Service)" in result.applied_mutations
 
@@ -109,7 +109,7 @@ def test_a_restart_builds_one_component(strategy, state, monkeypatch):
                                         "reset_exceptions(Query Service)")
     assert model.component("Query Service") == Component("Query Service#1")
     assert model._journal == {model.blueprint._slot_pos["Query Service"]: old}
-    assert validate(model) == [] and model.clock == 2
+    assert validate(model) == () and model.clock == 2
 
 
 def test_restart_of_an_empty_slot_raises_and_changes_nothing():
@@ -130,7 +130,7 @@ def test_as3_restores_connector():
     model = build_default_model()
     inject(model, FaultInstance(FaultKind.CF4, QS_REP))
     result = execute(model, plan(Strategy.AS3, "Query Service->Reputation Service"))
-    assert validate(model) == []
+    assert validate(model) == ()
     assert result.applied_mutations == ("add_connector(Query Service->Reputation Service)",)
 
 
@@ -163,7 +163,7 @@ def test_as4_swaps_instance():
     assert comp.exception_count == 0
     assert comp.state is ComponentState.STARTED
     assert result.new_instance_id == comp.instance_id
-    assert validate(model) == []
+    assert validate(model) == ()
     # both incident connectors live again
     live = model.live_connector_specs()
     assert ConnectorSpec("Frontend", "Bid Service", "Bid Service") in live
@@ -294,4 +294,4 @@ def test_repair_soundness_exhaustive():
         inject(model, fault)
         subject = render_subject(fault.target)
         result = execute(model, plan(DEFAULT_STRATEGY[fault.kind], subject))
-        assert validate(model) == [], (fault, result)
+        assert validate(model) == (), (fault, result)

@@ -232,10 +232,10 @@ def test_every_injection_is_detectable():
         model = build_default_model()
         inject(model, fault)
         if fault.kind is FaultKind.CF2:
-            assert validate(model) == []
+            assert validate(model) == ()
             assert model.component(fault.target).exception_count > 5
         else:
-            assert validate(model) != [], fault
+            assert validate(model) != (), fault
 
 
 def test_fault_instance_shape_checks():

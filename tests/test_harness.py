@@ -136,6 +136,9 @@ def test_config_validation():
         ScenarioConfig(seed=1, rounds=1, exception_threshold=0)
     with pytest.raises(ConfigError, match="report directory"):
         ScenarioConfig(seed=1, rounds=1, out_dir="")
+    for numbers in ((True, 1, 5, 3), (1, 2.0, 5, 3), (1, 1, None, 3), (1, 1, 5, False)):
+        with pytest.raises(ConfigError, match="^seed, rounds and thresholds must be integers$"):
+            ScenarioConfig(*numbers)
 
 
 def test_parse_planner_spec():

@@ -48,7 +48,7 @@ def test_default_model_shape(model):
 
 
 def test_fresh_model_validates_clean(model):
-    assert validate(model) == []
+    assert validate(model) == ()
 
 
 def test_default_dependencies(model):
@@ -158,7 +158,7 @@ def test_components_are_frozen_and_replaced_on_change(model):
     with pytest.raises(AttributeError):
         comp.exception_count = 9
     assert model.component("Frontend") is comp
-    assert validate(model) == []
+    assert validate(model) == ()
     model.set_state("Frontend", ComponentState.UNKNOWN)
     model.add_exceptions("Frontend", 9)
     assert comp == Component("Frontend#1")
@@ -283,6 +283,22 @@ def test_fresh_model_damage_sets_are_empty_sized():
     assert len(validate(model)) == 1 and len(model._violations) == 1
 
 
+def test_copy_and_pickle_reset_the_kept_answer(model):
+    """A copied or unpickled model equals its original and answers validate
+    anew, with equal violations in a tuple of its own; the original still
+    returns the tuple it kept, and every other slot survives the trip."""
+    model.remove_connector(QS_REP)
+    answer = validate(model)
+    assert validate(model) is answer and model._kept is not None
+    for clone in (copy.copy(model), copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+        assert clone == model and clone._kept is None
+        assert clone._journal == model._journal
+        assert clone._violations.keys() == {~model.blueprint._connector_pos(QS_REP)}
+        again = validate(clone)
+        assert again == answer and again is not answer and validate(clone) is again
+    assert validate(model) is answer
+
+
 def test_restore_connectors_makes_live_the_missing_ones_with_both_ends_present(model):
     model.remove_component("Reputation Service")
     for spec in model.live_connector_specs():
@@ -354,7 +370,7 @@ def test_blueprint_from_json_minimal():
     bp = blueprint_from_json(_minimal_blueprint_doc())
     assert bp.dependencies_of("A") == ["B"]
     model = instantiate_blueprint(bp)
-    assert validate(model) == []
+    assert validate(model) == ()
 
 
 @pytest.mark.parametrize(

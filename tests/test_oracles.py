@@ -54,7 +54,6 @@ from healsim.planner import (
     ErrorOutcome,
     MalformedFrame,
     NoMatch,
-    canonical_json,
     RemotePlanner,
     decode,
     encode,
@@ -234,7 +233,7 @@ def brute_validate(model):
         src, dst = model.component(spec.source), model.component(spec.target)
         if src is not None and dst is not None and not any(c == spec for c in live):
             out.append(Violation(ViolationKind.MISSING_CONNECTOR, spec))
-    return out
+    return tuple(out)
 
 
 def assert_rep_invariant(model):
@@ -329,7 +328,7 @@ def assert_draws_match_lists(model):
 def test_fast_paths_equal_references_over_random_steps(doc, steps):
     bp = load(doc)
     model = instantiate_blueprint(bp)
-    assert validate(model) == brute_validate(model) == []
+    assert validate(model) == brute_validate(model) == ()
     assert_draws_match_lists(model)  # healed: nothing damaged, nothing missing
     assert_rep_invariant(model)
     for step in steps:
@@ -380,6 +379,42 @@ def test_validate_shares_one_violation_per_deviation(doc, steps):
         for violation, again in zip(violations, validate(model)):
             assert again is violation
             assert shared.setdefault((violation.kind, violation.subject), violation) is violation
+
+
+@pytest.mark.parametrize(
+    "doc", [None, layered_blueprint_doc(6), REPLICA_DOC], ids=["default", "layered6", "replica"]
+)
+@settings(max_examples=60, deadline=None)
+@given(steps=STEPS, twice=st.lists(st.booleans(), max_size=40))
+@example(steps=[("inject", 3, 0, 0), ("inject", 3, 1, 0)], twice=[True, True])  # M, then M' stands
+@example(steps=[("inject", 3, 0, 0), ("inject", 0, 1, 0)], twice=[])  # M, then a slot damaged
+@example(steps=[("inject", 3, 0, 0), ("execute", 2, 0, 0), ("inject", 3, 0, 0)],
+         twice=[])  # M, healed, M again: not the previous call's tuple
+def test_validate_keeps_its_answer_exactly_while_the_damage_stands(doc, steps, twice):
+    """After every step, called once or twice, validate equals the brute-force
+    tuple, and it returns the very tuple of its previous call exactly when
+    neither call found a slot damaged and the missing connectors are the same."""
+    model = instantiate_blueprint(load(doc))
+    previous = None  # the last call's answer, and (no slot damaged, the missing positions)
+
+    def check():
+        nonlocal previous
+        answer = validate(model)
+        assert answer == brute_validate(model)
+        standing = not model._damaged, set(model._missing)
+        if previous is not None:
+            assert (answer is previous[0]) == (standing[0] and standing == previous[1])
+        previous = answer, standing
+
+    check()
+    for i, step in enumerate(steps):
+        try:
+            apply_step(model, step)
+        except ModelError:
+            pass
+        check()
+        if i < len(twice) and twice[i]:
+            check()
 
 
 @st.composite
@@ -603,12 +638,12 @@ def test_directly_built_model_matches_scans():
         ArchitectureModel(bp, components, {bp.intended_connectors[0], *extras})
     model = ArchitectureModel(bp, components, {bp.intended_connectors[0]})
 
-    assert validate(model) == brute_validate(model) == [
+    assert validate(model) == brute_validate(model) == (
         Violation(ViolationKind.NOT_STARTED, "Client"),
         Violation(ViolationKind.UNKNOWN_STATE, "App B"),
         Violation(ViolationKind.MISSING_COMPONENT, "Store B"),
         Violation(ViolationKind.MISSING_CONNECTOR, bp.intended_connectors[1]),
-    ]
+    )
     assert model.live_connector_specs() == [bp.intended_connectors[0]]
     for pick in range(len(bp.slots)):
         assert_views_match_scans(model, pick)
@@ -634,11 +669,11 @@ def test_an_empty_slot_with_no_connectors_is_skipped_while_every_connector_is_li
     assert model.remove_component("Spare") == [] and model.live_count() == 3
     assert_draws_match_lists(model)
     assert model.present_slot(2) == "App B"
-    assert validate(model) == brute_validate(model) == [
-        Violation(ViolationKind.MISSING_COMPONENT, "Spare")]
+    assert validate(model) == brute_validate(model) == (
+        Violation(ViolationKind.MISSING_COMPONENT, "Spare"),)
     assert model.replace("Spare") == (Component("Spare#2"), [])
     assert_draws_match_lists(model)
-    assert validate(model) == brute_validate(model) == []
+    assert validate(model) == brute_validate(model) == ()
 
 
 # -- (d) the change journal vs the full diff ---------------------------------
@@ -822,10 +857,18 @@ def test_a_run_builds_no_change_event(monkeypatch):
 
 # -- (e) the direct report encoder vs the dict form --------------------------
 #
-# harness.round_json writes each round's canonical JSON text directly. The
-# dict form it replaced, encoded by canonical_json, is the reference for
-# scenario.json; a plain csv.writer loop over the records is the reference
-# for rounds.csv.
+# harness.scenario_chunks writes scenario.json's canonical JSON text
+# directly: its head and tail, and each round through round_json. The dict
+# form it replaced, encoded by canonical_json, is the reference for
+# scenario.json, and the wire codec's frames are checked against it too; a
+# plain csv.writer loop over the records is the reference for rounds.csv.
+
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def canonical_json(doc):
+    """Sorted keys, compact separators, ASCII escapes, UTF-8, one LF: equal docs, equal bytes."""
+    return _CANONICAL.encode(doc).encode("utf-8") + b"\n"
 
 
 def fault_doc(fault):
@@ -1061,6 +1104,18 @@ def encoder_cases():
         ("standing-script",
          ScenarioConfig(seed=6, rounds=5, script=STANDING_SCRIPT, script_path="standing.json"),
          None, NO_CF1_RULES),
+        # The directly written head: every path escaped as canonical_json escapes
+        # it (a quote, a backslash, control characters, non-ASCII text outside and
+        # inside the BMP), a None path written as null, and a negative seed.
+        ("escaped-config",
+         ScenarioConfig(seed=-42, rounds=6, script=CF2_SCRIPT,
+                        rules_path='rules "q" \\ \x07\t é.rules',
+                        blueprint_path='bp "\\" \x1f ☃.json', script_path='s\\"\n\x00 😀.json'),
+         None, ODD_RULES),
+        ("escaped-config-null-script",
+         ScenarioConfig(seed=-(2**63), rounds=60, rules_path='r\\"\x7f\u2028.rules',
+                        blueprint_path="layered \x01 ü.json"),
+         layered_blueprint_doc(12), DEGRADED_RULES),
     ]
 
 
@@ -1196,7 +1251,7 @@ def test_validate_equals_brute_force_with_missing_connectors(data, doc):
     for spec in data.draw(st.lists(st.sampled_from(intended), min_size=1, unique=True)):
         model.remove_connector(spec)
     assert not model._damaged
-    assert validate(model) == brute_validate(model) != []
+    assert validate(model) == brute_validate(model) != ()
     slot = data.draw(st.sampled_from(model.blueprint.slot_names()))
     kind = data.draw(st.sampled_from([FaultKind.CF1, FaultKind.CF3]))
     inject(model, FaultInstance(kind, slot))
