@@ -9,17 +9,19 @@ single splitmix64 seed and the clock is logical, so a config determines
 every output byte.
 
 A run ends by writing scenario.json, rounds.csv and suspects.csv, whose
-formats this module alone owns. Each is a stream of text chunks that one
-loop in ``emit_reports`` encodes and writes; the first two give a chunk per
-batch of rounds, so a writer never holds a whole document. All of
-scenario.json is written directly as canonical JSON text, with no
-intermediate dicts and no ``json`` encoder: its head and tail by
-``scenario_chunks``, each round's object by ``round_json``, which renders
-each recurring name and each standing violations tuple once. Key order is
-fixed by hand and guarded by the dict-form oracle in
-``tests/test_oracles.py``, which keeps ``canonical_json`` as the reference.
-CSV rows are formatted directly too; only a name that needs quoting goes
-through ``csv``.
+formats this module alone owns. ``report_stream`` is all three as one
+stream of text pieces: the heads, one piece of each round report per batch
+of rounds, and the tails, so a writer never holds a whole document and
+each round and suspect is read once. ``emit_reports`` opens the three
+files together and writes each piece as it comes. ``round_renderer`` makes
+the one function that formats a round: it returns the round's
+scenario.json object and its rounds.csv row, and renders each recurring
+name and each standing violations tuple once. All of scenario.json is
+written directly as canonical JSON text, with no intermediate dicts and no
+``json`` encoder. Key order is fixed by hand and guarded by the dict-form
+oracle in ``tests/test_oracles.py``, which keeps ``canonical_json`` as the
+reference. CSV rows are formatted directly too; only a name that needs
+quoting goes through ``csv``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import io
 import json
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from json.encoder import encode_basestring_ascii as _str
 
 from .analyzer import FailureReport, RootCauseLedger, RootCauseSuspect, classify
@@ -307,102 +309,138 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
 
 # -- report emission ---------------------------------------------------------
 
-def round_json(record: RoundRecord, rendered: dict[int | str, str]) -> str:
-    """The round's object in ``scenario.json``: the text the canonical JSON
-    encoder makes of its dict form, written directly. Keys are in sorted
-    order by hand and strings escaped by ``json``'s own ASCII escaper; the
-    dict form and the encoder live on in ``tests/test_oracles.py``, which
-    compares the bytes.
+class _Names(dict):
+    """A name (a fault target, a report or plan subject, a fired rule)
+    mapped to its JSON text, escaped the first time the name is looked up."""
 
-    ``rendered`` is filled as it goes, and a caller passes one dict for many
-    rounds of one report. It maps ``id(violation)`` to the violation's text,
-    and the ``id`` of a report's ``dependent_slots`` tuple or a round's
-    ``post_violations`` tuple to the text of its items, so a caller keeps
-    every such object alive for as long as it uses the dict. ``classify``
-    gives every report of a slot the blueprint's one tuple, and while damage
-    stands ``validate`` returns one tuple, so each is rendered once. The
-    empty tuple, one object, renders as empty text in both uses. It also
-    maps each name a round writes, as a string (a report subject, a fault
-    target, a plan's subject and fired rule), to its escaped JSON text: the
-    names recur, taken from the blueprint and the rule set, so each is
-    escaped once per report.
+    __slots__ = ()
+
+    def __missing__(self, name: str) -> str:
+        text = self[name] = _str(name)
+        return text
+
+
+def round_renderer() -> Callable[[RoundRecord], tuple[str, str]]:
+    """A renderer for the rounds of one report: called with each round in
+    turn, it returns the round's object in ``scenario.json`` and its row of
+    ``rounds.csv``, reading the record once. It is the one place a round is
+    formatted.
+
+    The object is the text the canonical JSON encoder makes of the round's
+    dict form, written directly: keys in sorted order by hand, strings
+    escaped by ``json``'s own ASCII escaper. The dict form and the encoder
+    live on in ``tests/test_oracles.py``, which compares the bytes, as a
+    ``csv.writer`` loop there is the reference for the row. Every cell but
+    the fault target is an integer or an enum value, which ``csv`` never
+    quotes, and a round executes exactly the plans that are not NoMatch.
+
+    The renderer renders each recurring thing once. Each fault target's JSON
+    text and CSV cell, and each other name's JSON text, are made once per
+    name. A violation, a round's ``post_violations`` tuple and a report's
+    ``dependent_slots`` tuple are rendered once per object, kept by ``id``,
+    so a caller keeps every record it renders alive for as long as it uses
+    the renderer. ``classify`` gives every report of a slot the blueprint's
+    one tuple, ``validate`` shares one violation object across the rounds a
+    deviation stands and one tuple across the rounds the whole list stands
+    (``run_round`` shares an equal one too). The empty tuple, one object,
+    renders as empty text in both uses.
 
     An enum member's text is read as ``_value_``, a plain attribute: ``value``
     is a Python-level descriptor. The values are plain ASCII identifiers, so
     they are written unescaped."""
-    fault = record.fault
-    magnitude = "" if fault.magnitude is None else f',"magnitude":{fault.magnitude}'
-    target = rendered.get(name := render_subject(fault.target)) or rendered.setdefault(
-        name, _str(name))
-    texts = []
-    for r in record.reports:
-        if (deps := rendered.get(id(r.dependent_slots))) is None:
-            deps = rendered[id(r.dependent_slots)] = ",".join(map(_str, r.dependent_slots))
-        subject = rendered.get(name := render_subject(r.subject)) or rendered.setdefault(
-            name, _str(name))
-        texts.append(
-            f'{{"dependent_slots":[{deps}],'
-            f'"detected_at":{r.detected_at},"exception_count":{r.exception_count},'
-            f'"kind":"{r.kind._value_}","report_id":{r.report_id},"subject":{subject}}}')
-    reports = ",".join(texts)
-    texts = []
-    for r, p in zip(record.reports, record.plans):
-        if isinstance(p, NoMatch):
-            texts.append(f'{{"no_match":true,"report_id":{r.report_id}}}')
-        else:
-            rule = rendered.get(name := p.fired_rule) or rendered.setdefault(name, _str(name))
-            subject = rendered.get(name := p.subject) or rendered.setdefault(name, _str(name))
-            texts.append(f'{{"fired_rule":{rule},"report_id":{r.report_id},'
-                         f'"strategy":"{p.strategy._value_}","subject":{subject}}}')
-    plans = ",".join(texts)
-    texts = []
-    for e in record.executions:
-        subject = rendered.get(name := e.plan.subject) or rendered.setdefault(name, _str(name))
-        texts.append(
-            f'{{"completed_at":{e.completed_at},'
-            f'"mutations":[{",".join(map(_str, e.applied_mutations))}],'
-            f'"new_instance_id":{"null" if e.new_instance_id is None else _str(e.new_instance_id)},'
-            f'"strategy":"{e.plan.strategy._value_}","subject":{subject}}}')
-    executions = ",".join(texts)
-    if (violations := rendered.get(id(record.post_violations))) is None:
-        texts = []
-        for v in record.post_violations:
-            if (text := rendered.get(id(v))) is None:
-                text = rendered[id(v)] = (
-                    f'{{"kind":"{v.kind._value_}","subject":{_str(render_subject(v.subject))}}}'
-                )
-            texts.append(text)
-        violations = rendered[id(record.post_violations)] = ",".join(texts)
-    return (
-        f'{{"clock_end":{record.clock_end},"clock_start":{record.clock_start},'
-        f'"executions":[{executions}],'
-        f'"fault":{{"injected_at":{fault.injected_at},"kind":"{fault.kind._value_}"{magnitude},'
-        f'"target":{target}}},'
-        f'"plans":[{plans}],"post_violations":[{violations}],"reports":[{reports}],'
-        f'"round":{record.index}}}'
-    )
+    rendered: dict[int, str] = {}
+    names = _Names()
+    targets: dict[str, tuple[str, str]] = {}
+
+    def render(record: RoundRecord) -> tuple[str, str]:
+        fault = record.fault
+        if (target := targets.get(name := render_subject(fault.target))) is None:
+            # get, not [], as a target is often new here: __missing__ is a Python call
+            text = names.get(name) or names.setdefault(name, _str(name))
+            target = targets[name] = (text, _csv_cell(name))
+        reports, plans, executions, strategies = [], [], [], []
+        for r, p in zip(record.reports, record.plans):
+            if (deps := rendered.get(id(r.dependent_slots))) is None:
+                deps = rendered[id(r.dependent_slots)] = ",".join(map(_str, r.dependent_slots))
+            reports.append(
+                f'{{"dependent_slots":[{deps}],"detected_at":{r.detected_at},'
+                f'"exception_count":{r.exception_count},"kind":"{r.kind._value_}",'
+                f'"report_id":{r.report_id},"subject":{names[render_subject(r.subject)]}}}')
+            plans.append(
+                f'{{"no_match":true,"report_id":{r.report_id}}}' if isinstance(p, NoMatch) else
+                f'{{"fired_rule":{names[p.fired_rule]},"report_id":{r.report_id},'
+                f'"strategy":"{p.strategy._value_}","subject":{names[p.subject]}}}')
+        for e in record.executions:
+            plan = e.plan
+            strategies.append(strategy := plan.strategy._value_)
+            executions.append(
+                f'{{"completed_at":{e.completed_at},'
+                f'"mutations":[{",".join(map(_str, e.applied_mutations))}],'
+                f'"new_instance_id":{"null" if e.new_instance_id is None else _str(e.new_instance_id)},'
+                f'"strategy":"{strategy}","subject":{names[plan.subject]}}}')
+        if (violations := rendered.get(id(record.post_violations))) is None:
+            texts = []
+            for v in record.post_violations:
+                if (text := rendered.get(id(v))) is None:
+                    text = rendered[id(v)] = (
+                        f'{{"kind":"{v.kind._value_}","subject":{_str(render_subject(v.subject))}}}'
+                    )
+                texts.append(text)
+            violations = rendered[id(record.post_violations)] = ",".join(texts)
+        executed = len(record.executions)
+        magnitude = "" if fault.magnitude is None else f',"magnitude":{fault.magnitude}'
+        return (
+            f'{{"clock_end":{record.clock_end},"clock_start":{record.clock_start},'
+            f'"executions":[{",".join(executions)}],'
+            f'"fault":{{"injected_at":{fault.injected_at},"kind":"{fault.kind._value_}"{magnitude},'
+            f'"target":{target[0]}}},'
+            f'"plans":[{",".join(plans)}],"post_violations":[{violations}],'
+            f'"reports":[{",".join(reports)}],'
+            f'"round":{record.index}}}',
+            f"{record.index},{record.clock_end},{fault.kind._value_},{target[1]},"
+            f"{len(record.reports)},{executed},{';'.join(strategies)},"
+            f"{len(record.post_violations)},{len(record.plans) - executed}\n",
+        )
+
+    return render
 
 
 # Rounds per piece of scenario.json and rounds.csv: few enough that emission
 # holds little next to the report, enough that a write is not per round.
 _EMIT_BATCH = 64
 
+ROUNDS_CSV_HEADER = [
+    "round", "clock", "fault_kind", "fault_target", "reports", "plans",
+    "strategies", "post_violations", "unhandled",
+]
+SUSPECT_CSV_HEADER = ["component", "count", "implicated_by", "first_at", "last_at"]
 
-def scenario_chunks(report: ScenarioReport) -> Iterator[str]:
-    """``scenario.json`` as ASCII text in pieces: the head, one piece per
-    ``_EMIT_BATCH`` rounds, and the tail, so that a writer never holds the
-    whole document.
 
-    The head (``config`` and ``root_cause``) and the tail (``suspects`` and
-    ``unhandled_failures``) are written directly in sorted key order, as
-    ``round_json`` writes a round, and the rounds go between them. Each
-    distinct violation object, violations tuple, dependency tuple and name
-    is rendered once per call: ``validate`` shares one object across the
-    rounds a deviation stands and returns one tuple across the rounds the
-    whole list stands (``run_round`` shares an equal one too), and
-    ``classify`` one tuple across the reports of a slot. The memo lives only
-    as long as this call, during which ``report`` holds every object whose
-    identity keys it.
+def _csv_cell(text: str) -> str:
+    """``text`` as a cell of a row that ``csv.writer`` writes: as is, unless
+    it holds a comma, a quote, a carriage return or a line feed. Only then is
+    ``csv`` asked, so the quoting is whatever the running Python's ``csv``
+    does (3.11 leaves a carriage return unquoted under a "\\n" terminator)."""
+    if "," not in text and '"' not in text and "\r" not in text and "\n" not in text:
+        return text
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text])  # not empty: never the lone ""
+    return buffer.getvalue()[:-1]
+
+
+def report_stream(report: ScenarioReport) -> Iterator[tuple[str, str, str]]:
+    """The text of the three reports, ``scenario.json`` (ASCII), ``rounds.csv``
+    and ``suspects.csv``, in steps of one piece of each (empty where a step
+    adds nothing to a file): the heads, one step per ``_EMIT_BATCH`` rounds,
+    and the tails. A writer thus never holds a whole document, and the
+    rounds and the suspects are each read once.
+
+    The ``scenario.json`` head (``config`` and ``root_cause``) and tail
+    (``suspects`` and ``unhandled_failures``) are written directly in sorted
+    key order, as ``round_renderer`` writes a round, and the rounds go
+    between them. The CSV files are the bytes of ``csv.writer`` with
+    ``lineterminator="\\n"``. The renderer's memo lives only as long as this
+    stream, during which ``report`` holds every object whose identity keys it.
     """
     config = report.config
 
@@ -418,82 +456,37 @@ def scenario_chunks(report: ScenarioReport) -> Iterator[str]:
            f'"rules":{text(config.rules_path)},"script":{text(config.script_path)},'
            f'"seed":{config.seed}}},'
            f'"root_cause":{{"counters":{{{counters}}},"threshold":{config.rootcause_threshold}}},'
-           '"rounds":[')
-    rounds, rendered = report.rounds, {}
+           '"rounds":[',
+           ",".join(ROUNDS_CSV_HEADER) + "\n", ",".join(SUSPECT_CSV_HEADER) + "\n")
+    rounds, render = report.rounds, round_renderer()
     for start in range(0, len(rounds), _EMIT_BATCH):
-        texts = [round_json(record, rendered) for record in rounds[start:start + _EMIT_BATCH]]
-        yield ("," if start else "") + ",".join(texts)
-    suspects = ",".join([
-        f'{{"component":{_str(s.slot)},"count":{s.count},"first_at":{s.first_at},'
-        f'"implicated_by":[{",".join(map(_str, s.implicated_by))}],"last_at":{s.last_at}}}'
-        for s in report.suspects
-    ])
-    yield f'],"suspects":[{suspects}],"unhandled_failures":{report.unhandled_failures}}}\n'
+        objects, rows = zip(*map(render, rounds[start:start + _EMIT_BATCH]))
+        yield ("," if start else "") + ",".join(objects), "".join(rows), ""
+    objects, rows = [], []
+    for s in report.suspects:
+        implicated = s.implicated_by
+        objects.append(
+            f'{{"component":{_str(s.slot)},"count":{s.count},"first_at":{s.first_at},'
+            f'"implicated_by":[{",".join(map(_str, implicated))}],"last_at":{s.last_at}}}')
+        rows.append(f"{_csv_cell(s.slot)},{s.count},{_csv_cell(';'.join(implicated))},"
+                    f"{s.first_at},{s.last_at}\n")
+    yield (f'],"suspects":[{",".join(objects)}],'
+           f'"unhandled_failures":{report.unhandled_failures}}}\n', "", "".join(rows))
 
 
 def scenario_json(report: ScenarioReport) -> bytes:
     """Canonical JSON bytes for a scenario report (sorted keys, LF-terminated)."""
-    return "".join(scenario_chunks(report)).encode("ascii")
-
-
-ROUNDS_CSV_HEADER = [
-    "round", "clock", "fault_kind", "fault_target", "reports", "plans",
-    "strategies", "post_violations", "unhandled",
-]
-
-
-def _csv_cell(text: str) -> str:
-    """``text`` as a cell of a row that ``csv.writer`` writes: as is, unless
-    it holds a comma, a quote, a carriage return or a line feed. Only then is
-    ``csv`` asked, so the quoting is whatever the running Python's ``csv``
-    does (3.11 leaves a carriage return unquoted under a "\\n" terminator)."""
-    if "," not in text and '"' not in text and "\r" not in text and "\n" not in text:
-        return text
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow([text])  # not empty: never the lone ""
-    return buffer.getvalue()[:-1]
-
-
-def _rounds_csv_chunks(rounds: list[RoundRecord]) -> Iterator[str]:
-    """``rounds.csv`` as text in pieces: the header, then one piece per
-    ``_EMIT_BATCH`` rounds. The bytes are those of ``csv.writer`` with
-    ``lineterminator="\\n"``: every cell but the fault target is an integer
-    or an enum value, which ``csv`` never quotes."""
-    yield ",".join(ROUNDS_CSV_HEADER) + "\n"
-    for start in range(0, len(rounds), _EMIT_BATCH):
-        lines = []
-        for r in rounds[start:start + _EMIT_BATCH]:
-            # A round executes exactly the plans that are not NoMatch.
-            executions = r.executions
-            lines.append(
-                f"{r.index},{r.clock_end},{r.fault.kind._value_},"
-                f"{_csv_cell(render_subject(r.fault.target))},{len(r.reports)},"
-                f"{len(executions)},{';'.join([e.plan.strategy._value_ for e in executions])},"
-                f"{len(r.post_violations)},{len(r.plans) - len(executions)}\n")
-        yield "".join(lines)
-
-
-SUSPECT_CSV_HEADER = ["component", "count", "implicated_by", "first_at", "last_at"]
-
-
-def _suspects_csv_chunks(suspects: list[RootCauseSuspect]) -> Iterator[str]:
-    """``suspects.csv`` as text in pieces: the header, then every suspect's
-    row. The bytes are those of ``csv.writer`` with ``lineterminator="\\n"``."""
-    yield ",".join(SUSPECT_CSV_HEADER) + "\n"
-    yield "".join([f"{_csv_cell(s.slot)},{s.count},{_csv_cell(';'.join(s.implicated_by))},"
-                   f"{s.first_at},{s.last_at}\n" for s in suspects])
+    return "".join([scenario for scenario, _, _ in report_stream(report)]).encode("ascii")
 
 
 def emit_reports(report: ScenarioReport, out_dir: str) -> dict[str, str]:
     """Write scenario.json, rounds.csv, and suspects.csv, each as a new file
     (an old file or link at its path is removed, never written through);
-    byte-stable for equal reports. Returns the written paths."""
-    streams = (
-        ("scenario", "scenario.json", scenario_chunks(report), "ascii"),
-        ("rounds", "rounds.csv", _rounds_csv_chunks(report.rounds), "utf-8"),
-        ("suspects", "suspects.csv", _suspects_csv_chunks(report.suspects), "utf-8"),
-    )
-    paths = {key: os.path.join(out_dir, name) for key, name, _, _ in streams}
+    byte-stable for equal reports. Returns the written paths. The three files
+    are open together, and each piece of ``report_stream`` is written as it
+    comes."""
+    paths = {key: os.path.join(out_dir, f"{key}.{ext}")
+             for key, ext in (("scenario", "json"), ("rounds", "csv"), ("suspects", "csv"))}
     try:
         os.makedirs(out_dir, exist_ok=True)
         for path in paths.values():  # a new file each: truncating a written one waits on writeback
@@ -502,9 +495,14 @@ def emit_reports(report: ScenarioReport, out_dir: str) -> dict[str, str]:
             except FileNotFoundError:
                 pass
         # Binary, so that no text codec module is imported; "ascii" still rejects non-ASCII.
-        for key, _, chunks, encoding in streams:
-            with open(paths[key], "wb") as fh:
-                fh.writelines(chunk.encode(encoding) for chunk in chunks)
+        with (open(paths["scenario"], "wb") as scenario, open(paths["rounds"], "wb") as rounds,
+              open(paths["suspects"], "wb") as suspects):
+            for scenario_text, rounds_text, suspects_text in report_stream(report):
+                scenario.write(scenario_text.encode("ascii"))
+                if rounds_text:
+                    rounds.write(rounds_text.encode("utf-8"))
+                if suspects_text:
+                    suspects.write(suspects_text.encode("utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot write reports under {out_dir}: {exc}") from exc
     return paths

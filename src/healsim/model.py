@@ -288,20 +288,8 @@ class Blueprint(Frozen):
 
     # -- lookups ---------------------------------------------------------
 
-    def slot_names(self) -> list[str]:
-        return list(self._slot_names)
-
     def has_slot(self, slot: str) -> bool:
         return slot in self._slot_pos
-
-    def dependencies_of(self, slot: str) -> list[str]:
-        """Slots this slot requires, per intended connectors, in declaration
-        order. Reads the blueprint only, so the answer is unaffected by any
-        damage to the live graph."""
-        try:
-            return list(self._dependencies[slot])
-        except KeyError:
-            raise UnknownSlot(f"no slot named {slot!r}") from None
 
     def find_intended(self, source: str, target: str) -> ConnectorSpec | None:
         """The intended connector from ``source`` to ``target``, its ends checked:
@@ -486,17 +474,14 @@ class ArchitectureModel(Record):
     def present(self, slot: str) -> bool:
         return self._components[self._position(slot)] is not None
 
-    def present_slots(self) -> list[str]:
-        """Slots that hold an instance, in blueprint order."""
-        return [slot for slot, comp in self.slot_views() if comp is not None]
-
     def present_count(self) -> int:
         if not (damaged := self._damaged):
             return len(self._components)
         return len(self._components) - [self._components[pos] for pos in damaged].count(None)
 
     def present_slot(self, k: int) -> str:
-        """``present_slots()[k]`` for 0 <= k < ``present_count()``, from the empty slots alone."""
+        """The k-th slot that holds an instance, in blueprint order, for
+        0 <= k < ``present_count()``; read from the empty slots alone."""
         if not self._damaged:
             return self.blueprint._slot_names[k]
         absent = [pos for pos in self._damaged if self._components[pos] is None]
@@ -617,10 +602,6 @@ def instantiate_blueprint(blueprint: Blueprint) -> ArchitectureModel:
     connector live, and the clock at zero; built whole, so its damage sets stay empty-sized."""
     components = {slot: Component(f"{slot}#1") for slot in blueprint._slot_names}
     return ArchitectureModel(blueprint, components, blueprint.intended_connectors)
-
-
-def build_default_model() -> ArchitectureModel:
-    return instantiate_blueprint(default_blueprint())
 
 
 def validate(model: ArchitectureModel) -> tuple[Violation, ...]:

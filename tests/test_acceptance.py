@@ -32,6 +32,7 @@ from healsim.rules import (
     evaluate,
 )
 from healsim.service import PlanService
+from views import slot_names
 
 QS_REP = ConnectorSpec("Query Service", "Reputation Service", "Reputation Service")
 
@@ -136,15 +137,15 @@ def test_criterion_2_root_cause_scenario(tmp_path):
 
 def test_criterion_3_exhaustive_single_fault_healing():
     with criterion(3, "all 30 (kind x target) faults heal to zero violations in one cycle"):
-        from healsim.model import build_default_model
+        from views import build_default_model
 
         model = build_default_model()
         cases = []
-        for slot in model.blueprint.slot_names():
+        for slot in slot_names(model.blueprint):
             cases.append(FaultInstance(FaultKind.CF1, slot))
-        for slot in model.blueprint.slot_names():
+        for slot in slot_names(model.blueprint):
             cases.append(FaultInstance(FaultKind.CF2, slot, magnitude=6))
-        for slot in model.blueprint.slot_names():
+        for slot in slot_names(model.blueprint):
             cases.append(FaultInstance(FaultKind.CF3, slot))
         for spec in model.live_connector_specs():
             cases.append(FaultInstance(FaultKind.CF4, spec))

@@ -2,8 +2,9 @@ import pytest
 
 from healsim.analyzer import FailureReport, RootCauseLedger, classify
 from healsim.faults import FaultInstance, FaultKind, inject
-from healsim.harness import _suspects_csv_chunks
-from healsim.model import ConnectorSpec, build_default_model
+from healsim.harness import ScenarioConfig, ScenarioReport, report_stream
+from healsim.model import ConnectorSpec
+from views import build_default_model, dependencies_of, slot_names
 
 QS_REP = ConnectorSpec("Query Service", "Reputation Service", "Reputation Service")
 
@@ -38,7 +39,7 @@ def test_reports_of_one_slot_share_its_dependency_tuple():
     first, _, second = reports
     assert [first.kind, second.kind] == [FaultKind.CF1, FaultKind.CF1]
     assert first.dependent_slots is second.dependent_slots
-    assert first.dependent_slots == tuple(model.blueprint.dependencies_of("Query Service"))
+    assert first.dependent_slots == tuple(dependencies_of(model.blueprint, "Query Service"))
 
 
 def test_classify_cf2_threshold_boundary():
@@ -91,11 +92,11 @@ def test_classify_assigns_sequential_ids():
 
 
 def _all_single_faults(model):
-    for slot in model.blueprint.slot_names():
+    for slot in slot_names(model.blueprint):
         yield FaultInstance(FaultKind.CF1, slot)
-    for slot in model.blueprint.slot_names():
+    for slot in slot_names(model.blueprint):
         yield FaultInstance(FaultKind.CF2, slot, magnitude=6)
-    for slot in model.blueprint.slot_names():
+    for slot in slot_names(model.blueprint):
         yield FaultInstance(FaultKind.CF3, slot)
     for spec in model.live_connector_specs():
         yield FaultInstance(FaultKind.CF4, spec)
@@ -184,7 +185,7 @@ def test_suspects_monotone_under_new_records():
     recorded = []
     for rid in range(6):
         slot = ["Query Service", "Auth Service", "Frontend"][rid % 3]
-        deps = build_default_model().blueprint.dependencies_of(slot)
+        deps = dependencies_of(build_default_model().blueprint, slot)
         report = _report(rid, FaultKind.CF1, slot, deps)
         before = {s.slot for s in ledger.suspects()}
         ledger.record_failure(report)
@@ -195,12 +196,18 @@ def test_suspects_monotone_under_new_records():
         assert count == sum(1 for r in recorded if slot in r.dependent_slots)
 
 
+def suspects_csv(suspects) -> str:
+    """suspects.csv as the report stream writes it for these suspects."""
+    report = ScenarioReport(ScenarioConfig(seed=0, rounds=0), [], {}, suspects, 0)
+    return "".join([text for _, _, text in report_stream(report)])
+
+
 def test_suspect_csv_bytes():
     ledger = RootCauseLedger(threshold=3)
     deps = ["Last Second Sales Item Filter", "Reputation Service"]
     for rid in range(3):
         ledger.record_failure(_report(rid, FaultKind.CF1, "Query Service", deps, at=100 + rid))
-    content = "".join(_suspects_csv_chunks(ledger.suspects()))
+    content = suspects_csv(ledger.suspects())
     lines = content.split("\n")
     assert lines[0] == "component,count,implicated_by,first_at,last_at"
     assert lines[1] == (
@@ -210,4 +217,4 @@ def test_suspect_csv_bytes():
 
 
 def test_suspect_csv_header_only():
-    assert "".join(_suspects_csv_chunks([])) == "component,count,implicated_by,first_at,last_at\n"
+    assert suspects_csv([]) == "component,count,implicated_by,first_at,last_at\n"

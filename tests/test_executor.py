@@ -10,13 +10,13 @@ from healsim.model import (
     TargetAbsent,
     UnknownConnector,
     UnknownSlot,
-    build_default_model,
     default_blueprint,
     render_subject,
     validate,
 )
 from healsim.monitor import take_snapshot
 from healsim.rules import RepairPlan, Strategy
+from views import build_default_model, slot_names
 
 QS_REP = ConnectorSpec("Query Service", "Reputation Service", "Reputation Service")
 
@@ -231,7 +231,7 @@ def test_inapplicable_repair_raises_a_model_error_and_changes_nothing(situation)
 
 def test_as4_on_a_directly_built_model_skips_the_current_id():
     bp = default_blueprint()
-    components = {slot: Component(f"{slot}#1") for slot in bp.slot_names()}
+    components = {slot: Component(f"{slot}#1") for slot in slot_names(bp)}
     model = ArchitectureModel(bp, components, set(bp.intended_connectors))
     assert execute(model, plan(Strategy.AS4, "Frontend")).new_instance_id == "Frontend#2"
     assert model.component("Frontend").instance_id == "Frontend#2"
@@ -241,7 +241,7 @@ def test_as4_on_a_directly_built_model_skips_the_current_id():
 def test_as4_reuses_no_id_a_slot_held():
     """New ids start past a built ``SLOT#N`` id, and AS2 into the emptied slot counts on."""
     bp = default_blueprint()
-    components = {slot: Component(f"{slot}#1") for slot in bp.slot_names()}
+    components = {slot: Component(f"{slot}#1") for slot in slot_names(bp)}
     components["Frontend"] = Component("Frontend#2")
     model = ArchitectureModel(bp, components, set(bp.intended_connectors))
     assert execute(model, plan(Strategy.AS4, "Frontend")).new_instance_id == "Frontend#3"
@@ -275,11 +275,11 @@ DEFAULT_STRATEGY = {
 
 
 def _all_single_faults(model):
-    for slot in model.blueprint.slot_names():
+    for slot in slot_names(model.blueprint):
         yield FaultInstance(FaultKind.CF1, slot)
-    for slot in model.blueprint.slot_names():
+    for slot in slot_names(model.blueprint):
         yield FaultInstance(FaultKind.CF2, slot, magnitude=6)
-    for slot in model.blueprint.slot_names():
+    for slot in slot_names(model.blueprint):
         yield FaultInstance(FaultKind.CF3, slot)
     for spec in model.live_connector_specs():
         yield FaultInstance(FaultKind.CF4, spec)

@@ -15,9 +15,9 @@ from healsim.model import (
     ComponentState,
     ConnectorSpec,
     TargetAbsent,
-    build_default_model,
     validate,
 )
+from views import build_default_model, slot_names
 
 # Known-answer vector for the splitmix64 recurrence (seed 0), cross-checked
 # against the published reference outputs.
@@ -199,7 +199,7 @@ def test_inject_cf4_removes_only_that_connector():
     inject(model, FaultInstance(FaultKind.CF4, spec))
     assert spec not in model.live_connector_specs()
     assert model.live_count() == 8
-    for slot in model.blueprint.slot_names():
+    for slot in slot_names(model.blueprint):
         comp = model.component(slot)
         assert comp.state is ComponentState.STARTED
         assert comp.exception_count == 0
@@ -214,9 +214,9 @@ def test_inject_absent_target():
 
 def _eligible_faults(model):
     for kind in (FaultKind.CF1, FaultKind.CF3):
-        for slot in model.blueprint.slot_names():
+        for slot in slot_names(model.blueprint):
             yield FaultInstance(kind, slot)
-    for slot in model.blueprint.slot_names():
+    for slot in slot_names(model.blueprint):
         yield FaultInstance(FaultKind.CF2, slot, magnitude=6)
     for spec in model.live_connector_specs():
         yield FaultInstance(FaultKind.CF4, spec)

@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import re
@@ -12,6 +13,7 @@ from healsim.faults import FaultInstance, FaultKind
 from healsim.harness import (
     ConfigError,
     ScenarioConfig,
+    ScenarioReport,
     ScenarioRunner,
     emit_reports,
     load_script,
@@ -255,6 +257,83 @@ def test_report_emission_streams(tmp_path):
     assert emission_peak < retained / 4, (emission_peak, retained)
 
 
+def test_one_emission_reads_each_round_and_each_suspect_once(tmp_path):
+    """The three reports are one stream: emit_reports reads report.rounds in
+    one slice per _EMIT_BATCH rounds and report.suspects in one pass."""
+    report = run_scenario(ScenarioConfig(seed=42, rounds=150))
+    assert report.suspects
+    reads = collections.Counter()
+
+    class Counted(list):
+        def __init__(self, name, items):
+            super().__init__(items)
+            self.name = name
+
+        def __getitem__(self, index):
+            reads[self.name, index.start if isinstance(index, slice) else index] += 1
+            return super().__getitem__(index)
+
+        def __iter__(self):
+            reads[self.name, "iter"] += 1
+            return super().__iter__()
+
+    counted = ScenarioReport(report.config, Counted("rounds", report.rounds), report.counters,
+                             Counted("suspects", report.suspects), report.unhandled_failures)
+    emit_reports(counted, str(tmp_path))
+    assert reads == collections.Counter(
+        {("rounds", start): 1 for start in range(0, 150, harness._EMIT_BATCH)}
+        | {("suspects", "iter"): 1})
+    assert (tmp_path / "scenario.json").read_bytes() == scenario_json(report)
+
+
+def test_a_failed_open_or_write_ends_typed_and_leaves_no_file_open(tmp_path, monkeypatch):
+    """Each open and each write of emit_reports, made to fail in turn, ends in
+    the ConfigError that names the directory, with every opened file closed."""
+    report = run_scenario(ScenarioConfig(seed=1, rounds=100))
+    calls, fail_at, opened = collections.Counter(), {}, []
+
+    class File:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            calls["write"] += 1
+            if calls["write"] == fail_at.get("write"):
+                raise OSError(28, "No space left on device")
+            return self.fh.write(data)
+
+    def failing_open(path, mode):
+        calls["open"] += 1
+        if calls["open"] == fail_at.get("open"):
+            raise OSError(13, "Permission denied")
+        opened.append(fh := open(path, mode))
+        return File(fh)
+
+    monkeypatch.setattr(harness, "open", failing_open, raising=False)
+    emit_reports(report, str(tmp_path / "clean"))
+    assert (tmp_path / "clean" / "scenario.json").read_bytes() == scenario_json(report)
+    counts = dict(calls)
+    assert counts["open"] == 3 and counts["write"] >= 7
+    out = tmp_path / "out"
+    for what, n in counts.items():
+        for k in range(1, n + 1):
+            calls.clear()
+            opened.clear()
+            fail_at.clear()
+            fail_at[what] = k
+            with pytest.raises(ConfigError,
+                               match=f"^cannot write reports under {re.escape(str(out))}: "):
+                emit_reports(report, str(out))
+            assert len(opened) == (k - 1 if what == "open" else 3)
+            assert all(fh.closed for fh in opened)
+
+
 def test_a_rerun_writes_new_files_and_leaves_a_hard_link_with_the_old_bytes(tmp_path):
     """Each report is written to a new file, never truncated in place: a hard
     link made to the first run's scenario.json keeps that run's bytes."""
@@ -339,8 +418,7 @@ def test_rounds_build_no_whole_blueprint_view(monkeypatch):
 
     for owner, name in [(ArchitectureModel, "slot_views"),
                         (ArchitectureModel, "live_connector_specs"),
-                        (ArchitectureModel, "present_slots"), (harness, "take_snapshot"),
-                        (monitor, "take_snapshot")]:
+                        (harness, "take_snapshot"), (monitor, "take_snapshot")]:
         monkeypatch.setattr(owner, name, whole_blueprint_view)
     blueprint = blueprint_from_json(layered_blueprint_doc(3200))
     runner = ScenarioRunner(ScenarioConfig(seed=42, rounds=50), blueprint=blueprint)

@@ -21,13 +21,13 @@ from healsim.model import (
     UnknownSlot,
     ViolationKind,
     blueprint_from_json,
-    build_default_model,
     default_blueprint,
     instantiate_blueprint,
     load_blueprint,
     render_subject,
     validate,
 )
+from views import build_default_model, dependencies_of, slot_names
 
 from test_golden import layered_blueprint_doc
 from test_oracles import REPLICA_DOC
@@ -52,26 +52,26 @@ def test_fresh_model_validates_clean(model):
 
 
 def test_default_dependencies(model):
-    assert model.blueprint.dependencies_of("Query Service") == [
+    assert dependencies_of(model.blueprint, "Query Service") == [
         "Last Second Sales Item Filter",
         "Reputation Service",
     ]
-    assert model.blueprint.dependencies_of("Frontend") == [
+    assert dependencies_of(model.blueprint, "Frontend") == [
         "Query Service",
         "Auth Service",
         "Bid Service",
     ]
-    assert model.blueprint.dependencies_of("Persistence Service") == []
+    assert dependencies_of(model.blueprint, "Persistence Service") == []
 
 
 def test_dependencies_unknown_slot(model):
     with pytest.raises(UnknownSlot):
-        model.blueprint.dependencies_of("Order Service")
+        dependencies_of(model.blueprint, "Order Service")
 
 
 def test_dependencies_ignore_live_damage(model):
     model.remove_connector(QS_REP)
-    assert model.blueprint.dependencies_of("Query Service") == [
+    assert dependencies_of(model.blueprint, "Query Service") == [
         "Last Second Sales Item Filter",
         "Reputation Service",
     ]
@@ -170,7 +170,7 @@ def test_model_components_name_each_slot_and_no_other():
     bp = default_blueprint()
     with pytest.raises(UnknownSlot, match="^slot 'Auth Service' is missing from the components$"):
         ArchitectureModel(bp, {}, set())
-    components = dict.fromkeys(bp.slot_names())
+    components = dict.fromkeys(slot_names(bp))
     with pytest.raises(UnknownSlot, match="^no slot named 'Order Service'$"):
         ArchitectureModel(bp, {**components, "Order Service": None}, set())
     del components["Frontend"]  # the first name in sorted order is the one named
@@ -185,8 +185,8 @@ def test_model_components_hold_components_or_none():
     slot in blueprint order, whatever the dict's own order."""
     bp = default_blueprint()
     with pytest.raises(ModelError, match="^slot 'Frontend' holds a str, not a Component$"):
-        ArchitectureModel(bp, dict.fromkeys(bp.slot_names(), "x"), set())
-    components = {slot: Component(f"{slot}#1") for slot in reversed(bp.slot_names())}
+        ArchitectureModel(bp, dict.fromkeys(slot_names(bp), "x"), set())
+    components = {slot: Component(f"{slot}#1") for slot in reversed(slot_names(bp))}
     components["Bid Service"], components["Query Service"] = ("Bid Service#1",), 0
     with pytest.raises(ModelError, match="^slot 'Query Service' holds a int, not a Component$"):
         ArchitectureModel(bp, components, set())
@@ -197,7 +197,7 @@ def test_model_rejects_a_live_connector_of_an_empty_slot():
     keeps it: the constructor names the first offending connector by name.
     Connectors of an empty slot that are not live are fine."""
     bp = default_blueprint()
-    components = {slot: Component(f"{slot}#1") for slot in bp.slot_names()}
+    components = {slot: Component(f"{slot}#1") for slot in slot_names(bp)}
     components["Frontend"] = None
     with pytest.raises(TargetAbsent,
                        match="^connector Frontend->Auth Service has an absent endpoint$"):
@@ -368,7 +368,7 @@ def _minimal_blueprint_doc():
 
 def test_blueprint_from_json_minimal():
     bp = blueprint_from_json(_minimal_blueprint_doc())
-    assert bp.dependencies_of("A") == ["B"]
+    assert dependencies_of(bp, "A") == ["B"]
     model = instantiate_blueprint(bp)
     assert validate(model) == ()
 
@@ -526,7 +526,7 @@ def test_default_blueprint_acyclic_and_complete():
     assert len(bp.intended_connectors) == 9
     # every slot reachable as a dependency or dependent
     mentioned = {s for spec in bp.intended_connectors for s in (spec.source, spec.target)}
-    assert mentioned == set(bp.slot_names())
+    assert mentioned == set(slot_names(bp))
 
 
 def test_connector_spec_hash_follows_equality():

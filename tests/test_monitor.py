@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from healsim.executor import execute
 from healsim.faults import FaultInstance, FaultKind, inject
-from healsim.model import Component, ComponentState, ConnectorSpec, build_default_model
+from healsim.model import Component, ComponentState, ConnectorSpec
 from healsim.monitor import (
     ChangeEvent,
     ClockRegression,
@@ -13,6 +13,7 @@ from healsim.monitor import (
     take_snapshot,
 )
 from healsim.rules import RepairPlan, Strategy
+from views import build_default_model
 from test_oracles import observe_changes
 
 QS_REP = ConnectorSpec("Query Service", "Reputation Service", "Reputation Service")

@@ -79,6 +79,7 @@ from healsim.rules import (
     parse_rules,
 )
 from healsim.service import _PlanHandler
+from views import dependencies_of, present_slots, slot_names
 from test_golden import layered_blueprint_doc
 from test_rules import format_rules
 
@@ -190,10 +191,10 @@ def test_indexed_lookups_equal_linear_scans(doc):
         assert bp.find_intended("A->B", "C") is None
         assert bp.find_intended("A", "B->C") is bp.intended_connectors[0]
     slots = [slot for slot, _ in bp.slots]
-    assert bp.slot_names() == slots
+    assert slot_names(bp) == slots
     for slot in slots:
         assert bp.has_slot(slot) and scan_has_slot(bp, slot)
-        assert bp.dependencies_of(slot) == scan_dependencies_of(bp, slot)
+        assert dependencies_of(bp, slot) == scan_dependencies_of(bp, slot)
         assert connectors_incident_to(bp, slot) == scan_incident(bp, slot)
         for other in slots:
             assert bp.find_intended(slot, other) is scan_find_intended(bp, slot, other)
@@ -202,7 +203,7 @@ def test_indexed_lookups_equal_linear_scans(doc):
     for unknown in ("Order Service", "", "L50", "A->B->C->D"):
         assert not bp.has_slot(unknown)
         with pytest.raises(UnknownSlot):
-            bp.dependencies_of(unknown)
+            dependencies_of(bp, unknown)
         assert connectors_incident_to(bp, unknown) == []
         assert bp.find_intended(unknown, slots[0]) is None
         assert bp.connector_named(unknown) is scan_connector_named(bp, unknown)
@@ -210,8 +211,8 @@ def test_indexed_lookups_equal_linear_scans(doc):
 
 def test_lookups_return_fresh_lists():
     bp = default_blueprint()
-    bp.dependencies_of("Frontend").clear()
-    assert bp.dependencies_of("Frontend") == scan_dependencies_of(bp, "Frontend")
+    dependencies_of(bp, "Frontend").clear()
+    assert dependencies_of(bp, "Frontend") == scan_dependencies_of(bp, "Frontend")
 
 
 # -- (b) validate, live order and observe over random damage and repair ------
@@ -254,7 +255,7 @@ def assert_rep_invariant(model):
 
 def apply_step(model, step):
     bp = model.blueprint
-    slots = bp.slot_names()
+    slots = slot_names(bp)
     op, choice, i, j = step
     if op == "inject":
         kind = list(FaultKind)[choice]
@@ -306,7 +307,7 @@ STEPS = st.lists(STEP, max_size=40)
 def assert_draws_match_lists(model):
     """The k-th present slot and live connector, damaged or healed, are the
     k-th of the whole-blueprint lists."""
-    present, live = model.present_slots(), model.live_connector_specs()
+    present, live = present_slots(model), model.live_connector_specs()
     assert model.present_count() == len(present) and model.live_count() == len(live)
     assert [model.present_slot(k) for k in range(len(present))] == present
     assert [model.live_connector(k) for k in range(len(live))] == list(live)
@@ -423,7 +424,7 @@ def constructor_arguments(draw, bp):
     slots emptied or held by an instance in any state, its id well-formed
     (``SLOT#N``) or foreign; now and then a missing or unknown slot, a value
     that is no Component, or a connector that is not intended."""
-    slots = bp.slot_names()
+    slots = slot_names(bp)
     components = {}
     for slot in slots:
         instance_id = draw(st.one_of(
@@ -457,7 +458,7 @@ def constructor_arguments(draw, bp):
 def constructor_error(bp, components, connectors):
     """The ModelError subclass the constructor documents for these arguments,
     by the order of its checks; None if they are valid."""
-    if components.keys() != set(bp.slot_names()):
+    if components.keys() != set(slot_names(bp)):
         return UnknownSlot
     if any(comp is not None and not isinstance(comp, Component) for comp in components.values()):
         return ModelError
@@ -521,7 +522,7 @@ def test_replace_leaves_the_model_as_removal_fill_and_restore_do(doc, data, step
     assume(constructor_error(bp, components, connectors) is None)
     model = ArchitectureModel(bp, components, connectors)
     apply_steps(model, steps)
-    slot = data.draw(st.sampled_from(bp.slot_names()))
+    slot = data.draw(st.sampled_from(slot_names(bp)))
     fast, slow = copy.deepcopy(model), copy.deepcopy(model)
     assert fast.replace(slot) == three_step_replace(slow, slot)
     for name in ("_components", "_missing", "_damaged", "_instance_seq", "_journal", "clock"):
@@ -542,7 +543,7 @@ def scan_live(model):
 def scan_snapshot(model):
     """A snapshot built slot by slot, sharing nothing with the model's views."""
     slots = []
-    for slot in model.blueprint.slot_names():
+    for slot in slot_names(model.blueprint):
         comp = model.component(slot)
         if comp is not None:
             comp = Component(comp.instance_id, comp.state, comp.exception_count)
@@ -602,8 +603,8 @@ def assert_views_match_scans(model, pick):
     assert model.live_connector_specs() == scan_live(model)
     assert validate(model) == brute_validate(model)
 
-    present = [slot for slot in bp.slot_names() if model.present(slot)]
-    assert model.present_slots() == present
+    present = [slot for slot in slot_names(bp) if model.present(slot)]
+    assert present_slots(model) == present
     live = scan_live(model)
     for kind_index, targets in ((0, present), (1, present), (2, present), (3, live)):
         if targets:
@@ -627,7 +628,7 @@ def test_directly_built_model_matches_scans():
     connector with both ends present, one whose end is absent. Connectors
     the blueprint does not intend are rejected, the first by name reported."""
     bp = blueprint_from_json(REPLICA_DOC)
-    components = {slot: Component(f"{slot}#1") for slot in bp.slot_names()}
+    components = {slot: Component(f"{slot}#1") for slot in slot_names(bp)}
     components["Store B"] = None
     components["App B"] = Component("App B#1", ComponentState.UNKNOWN)
     components["Client"] = Component("Client#1", ComponentState.UNDEPLOYED)
@@ -779,7 +780,7 @@ def event_classify(events, model, exception_threshold, first_report_id=0):
         else:
             continue
         reports.append(FailureReport(first_report_id + len(reports), fault, subject, count,
-                                     event.at, tuple(model.blueprint.dependencies_of(subject))))
+                                     event.at, tuple(dependencies_of(model.blueprint, subject))))
     return reports
 
 
@@ -857,8 +858,8 @@ def test_a_run_builds_no_change_event(monkeypatch):
 
 # -- (e) the direct report encoder vs the dict form --------------------------
 #
-# harness.scenario_chunks writes scenario.json's canonical JSON text
-# directly: its head and tail, and each round through round_json. The dict
+# harness.report_stream writes scenario.json's canonical JSON text
+# directly: its head and tail, and each round through round_renderer. The dict
 # form it replaced, encoded by canonical_json, is the reference for
 # scenario.json, and the wire codec's frames are checked against it too; a
 # plain csv.writer loop over the records is the reference for rounds.csv.
@@ -1147,7 +1148,7 @@ def test_report_encoder_equals_dict_form(case, tmp_path):
 
 
 def test_equal_but_distinct_violations_give_the_dict_form_bytes():
-    """scenario_chunks renders a violation once per object: a report whose
+    """report_stream renders a violation once per object: a report whose
     violations are equal but not shared gives the same bytes as the shared ones."""
     case = next(c for c in encoder_cases() if c[0] == "layered50-degraded")
     report = run_case(case)
@@ -1195,10 +1196,10 @@ def test_standing_violations_share_one_tuple_and_the_empty_tuple_renders_empty()
     assert rounds[0].reports[0].dependent_slots is cf4 == ()
     assert a_stands is a and len(a) == 1 and len(b) == 2
     assert a_again == a and a_again is not a
-    text = harness.round_json(rounds[0], {})
+    text, _ = harness.round_renderer()(rounds[0])
     assert '"dependent_slots":[]' in text and '"post_violations":[]' in text
-    rendered = {}
-    texts = [harness.round_json(r, rendered) for r in rounds]
+    render = harness.round_renderer()
+    texts = [render(r)[0] for r in rounds]
     assert texts[1].count('"UNKNOWN_STATE"') == texts[2].count('"UNKNOWN_STATE"') == 1
     assert [json.loads(t)["post_violations"] for t in texts] == [
         [{"kind": v.kind.value, "subject": render_subject(v.subject)} for v in r.post_violations]
@@ -1208,7 +1209,7 @@ def test_standing_violations_share_one_tuple_and_the_empty_tuple_renders_empty()
 def test_degraded_run_shares_each_standing_violation_tuple(monkeypatch):
     """On layered-200 under the degraded policy at seed 42, consecutive rounds
     with equal violations hold one tuple: there are as many distinct tuples as
-    changes of the violations, and scenario_chunks joins each of them once."""
+    changes of the violations, and report_stream joins each of them once."""
     runner = ScenarioRunner(ScenarioConfig(seed=42, rounds=200),
                             ruleset=parse_rules(DEGRADED_RULES),
                             blueprint=load(layered_blueprint_doc(200)))
@@ -1252,7 +1253,7 @@ def test_validate_equals_brute_force_with_missing_connectors(data, doc):
         model.remove_connector(spec)
     assert not model._damaged
     assert validate(model) == brute_validate(model) != ()
-    slot = data.draw(st.sampled_from(model.blueprint.slot_names()))
+    slot = data.draw(st.sampled_from(slot_names(model.blueprint)))
     kind = data.draw(st.sampled_from([FaultKind.CF1, FaultKind.CF3]))
     inject(model, FaultInstance(kind, slot))
     assert model._damaged
@@ -1295,7 +1296,7 @@ def test_encoder_cases_cover_every_branch():
 
 
 def test_enum_values_need_no_escaping():
-    # round_json writes each member's _value_ between quotes without escaping it
+    # round_renderer writes each member's _value_ between quotes without escaping it
     for member in (*FaultKind, *Strategy, *ViolationKind):
         text = member._value_
         assert text == member.value and text.isascii() and text.isidentifier()
