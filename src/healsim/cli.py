@@ -9,7 +9,7 @@ at INFO, ``run`` logs each failure that no rule handles. ``validate-rules``
 also prints each of ``rules.ruleset_warnings`` on stderr; the file is still accepted.
 
 Exit codes: 0 success (``serve-planner`` stopped by SIGINT or SIGTERM), 1 config/parse/execution
-error, 2 planner unreachable or failing.
+error, 2 planner unreachable or failing, 130 ``run`` or ``validate-rules`` interrupted by SIGINT.
 """
 
 from __future__ import annotations
@@ -69,8 +69,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         out_dir=args.out,
     )
     report = run_scenario(config)
-    healed = sum(1 for r in report.rounds if not r.post_violations)
-    print(f"rounds: {len(report.rounds)}  healed: {healed}  "
+    print(f"rounds: {config.rounds}  healed: {report.healed}  "
           f"unhandled: {report.unhandled_failures}  suspects: {len(report.suspects)}")
     for suspect in report.suspects:
         print(f"suspect: {suspect.slot} (count {suspect.count})")
@@ -138,6 +137,9 @@ def main(argv: list[str] | None = None) -> int:
     except (RemoteError, MalformedFrame) as exc:
         print(f"planner error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # serve-planner stops on SIGINT itself and exits 0
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -9,19 +9,21 @@ single splitmix64 seed and the clock is logical, so a config determines
 every output byte.
 
 A run ends by writing scenario.json, rounds.csv and suspects.csv, whose
-formats this module alone owns. ``report_stream`` is all three as one
-stream of text pieces: the heads, one piece of each round report per batch
-of rounds, and the tails, so a writer never holds a whole document and
-each round and suspect is read once. ``emit_reports`` opens the three
-files together and writes each piece as it comes. ``round_renderer`` makes
-the one function that formats a round: it returns the round's
-scenario.json object and its rounds.csv row, and renders each recurring
-name and each standing violations tuple once. All of scenario.json is
-written directly as canonical JSON text, with no intermediate dicts and no
-``json`` encoder. Key order is fixed by hand and guarded by the dict-form
-oracle in ``tests/test_oracles.py``, which keeps ``canonical_json`` as the
-reference. CSV rows are formatted directly too; only a name that needs
-quoting goes through ``csv``.
+formats this module alone owns. ``round_renderer`` makes the one function
+that formats a round: it returns the round's scenario.json object and its
+rounds.csv row, and renders each recurring name and each standing
+violations tuple once. The runner renders its rounds as they finish, one
+batch of ``_EMIT_BATCH`` at a time, keeps each batch's text and drops the
+records, so a run holds no record it has rendered. ``report_stream`` is
+all three reports as one stream of text pieces: the heads, the kept text
+of each batch, and the tails, so a writer never holds a whole document.
+``emit_reports`` opens the three files together and writes each piece as
+it comes. All of scenario.json is written directly as canonical JSON
+text, with no intermediate dicts and no ``json`` encoder. Key order is
+fixed by hand and guarded by the dict-form oracle in
+``tests/test_oracles.py``, which keeps ``canonical_json`` as the reference.
+CSV rows are formatted directly too; only a name that needs quoting goes
+through ``csv``.
 """
 
 from __future__ import annotations
@@ -123,12 +125,19 @@ class RoundRecord(Record):
 
 
 class ScenarioReport(Record):
-    __slots__ = _fields = ("config", "rounds", "counters", "suspects", "unhandled_failures")
+    """A finished run. ``batches`` holds its rounds as text, not records:
+    for each batch, the ``scenario.json`` objects and the ``rounds.csv`` rows
+    that ``render_batch`` made. ``healed`` counts the rounds that ended with
+    no violation."""
 
-    def __init__(self, config: ScenarioConfig, rounds: list[RoundRecord], counters: dict[str, int],
-                 suspects: list[RootCauseSuspect], unhandled_failures: int) -> None:
-        self.config, self.rounds, self.counters = config, rounds, counters
-        self.suspects, self.unhandled_failures = suspects, unhandled_failures
+    __slots__ = _fields = ("config", "batches", "counters", "suspects", "unhandled_failures",
+                           "healed")
+
+    def __init__(self, config: ScenarioConfig, batches: list[tuple[str, str]],
+                 counters: dict[str, int], suspects: list[RootCauseSuspect],
+                 unhandled_failures: int, healed: int) -> None:
+        self.config, self.batches, self.counters = config, batches, counters
+        self.suspects, self.unhandled_failures, self.healed = suspects, unhandled_failures, healed
 
 
 def split_host_port(text: str) -> tuple[str, int] | None:
@@ -202,7 +211,11 @@ def script_fault(entry: dict, blueprint: Blueprint, index: int = 0) -> FaultInst
 class ScenarioRunner:
     """Owns the mutable run state (model, rng, ledger, history) and executes
     rounds one at a time. The single writer of the model. Without
-    ``config.script`` it reads the one at ``config.script_path``, if any."""
+    ``config.script`` it reads the one at ``config.script_path``, if any.
+
+    ``records`` holds the rounds not yet rendered, fewer than
+    ``_EMIT_BATCH``; ``batches`` holds the text of the rounds rendered, by
+    the one ``round_renderer`` the runner owns for its run."""
 
     def __init__(
         self,
@@ -233,17 +246,22 @@ class ScenarioRunner:
         self.ledger = RootCauseLedger(config.rootcause_threshold)
         self.history: dict[str, int] = {}
         self.records: list[RoundRecord] = []
-        self.unhandled_failures = 0
-        self._next_report_id = 0
+        self.batches: list[tuple[str, str]] = []
+        self.unhandled_failures = self.healed = 0
+        self._rounds_run = self._next_report_id = 0
+        self._violations: tuple[Violation, ...] = ()  # the last round's post_violations
+        self._render = round_renderer()
 
     def run_round(self) -> RoundRecord:
         """One full cycle: wait, inject, classify what the injection journalled,
-        plan, execute, validate. Returns (and appends) the round's record; a
-        round whose violations equal the previous round's holds its tuple:
-        ``validate`` returns that very tuple while the damage stands, and an
-        equal one built anew (with a slot damaged) is replaced by it."""
+        plan, execute, validate. Returns the round's record and appends it to
+        ``records``; the round that fills a batch renders the batch into
+        ``batches`` and empties ``records``. A round whose violations equal
+        the previous round's holds its tuple: ``validate`` returns that very
+        tuple while the damage stands, and an equal one built anew (with a
+        slot damaged) is replaced by it."""
         model, threshold = self.model, self.config.exception_threshold
-        index = len(self.records) + 1
+        index = self._rounds_run = self._rounds_run + 1
         clock_start = model.clock
         model.advance_clock(draw_interval(self.rng))
         if self._script is not None:
@@ -273,22 +291,34 @@ class ScenarioRunner:
             else:
                 executions.append(execute(model, outcome))
         violations = validate(model)  # while the damage stands, the tuple it last returned
-        if self.records and violations == (last := self.records[-1].post_violations):
+        if violations == (last := self._violations):
             violations = last  # standing damage: one tuple, rendered once
+        self._violations = violations
+        self.healed += not violations
         record = RoundRecord(index, fault, tuple(reports), tuple(plans), tuple(executions),
                              violations, clock_start, model.clock)
         self.records.append(record)
+        if len(self.records) == _EMIT_BATCH:
+            self._render_records()
         return record
 
+    def _render_records(self) -> None:
+        self.batches.append(render_batch(self._render, self.records))
+        self.records.clear()
+
     def run(self) -> ScenarioReport:
+        """Run the config's rounds and render the last, partial batch."""
         for _ in range(self.config.rounds):
             self.run_round()
+        if self.records:
+            self._render_records()
         return ScenarioReport(
             config=self.config,
-            rounds=self.records,
+            batches=self.batches,
             counters=self.ledger.counters,
             suspects=self.ledger.suspects(),
             unhandled_failures=self.unhandled_failures,
+            healed=self.healed,
         )
 
     def close(self) -> None:
@@ -337,18 +367,23 @@ def round_renderer() -> Callable[[RoundRecord], tuple[str, str]]:
     The renderer renders each recurring thing once. Each fault target's JSON
     text and CSV cell, and each other name's JSON text, are made once per
     name. A violation, a round's ``post_violations`` tuple and a report's
-    ``dependent_slots`` tuple are rendered once per object, kept by ``id``,
-    so a caller keeps every record it renders alive for as long as it uses
-    the renderer. ``classify`` gives every report of a slot the blueprint's
-    one tuple, ``validate`` shares one violation object across the rounds a
-    deviation stands and one tuple across the rounds the whole list stands
-    (``run_round`` shares an equal one too). The empty tuple, one object,
-    renders as empty text in both uses.
+    ``dependent_slots`` tuple are rendered once per object, kept by ``id``;
+    the memo holds each such object for the renderer's life, so no id it
+    keys is reused for another object while the text is kept, even once
+    the records are dropped. ``classify`` gives every report of a slot the
+    blueprint's one tuple, ``validate`` shares one violation object across
+    the rounds a deviation stands and one tuple across the rounds the whole
+    list stands (``run_round`` shares an equal one too). The empty tuple,
+    one object, renders as empty text in both uses.
+
+    ``ScenarioRunner`` owns one renderer for its run and calls it through
+    ``render_batch`` on each full batch of rounds, and on the last one.
 
     An enum member's text is read as ``_value_``, a plain attribute: ``value``
     is a Python-level descriptor. The values are plain ASCII identifiers, so
     they are written unescaped."""
     rendered: dict[int, str] = {}
+    held = []  # every object whose id keys rendered, kept alive as long as the memo
     names = _Names()
     targets: dict[str, tuple[str, str]] = {}
 
@@ -362,6 +397,7 @@ def round_renderer() -> Callable[[RoundRecord], tuple[str, str]]:
         for r, p in zip(record.reports, record.plans):
             if (deps := rendered.get(id(r.dependent_slots))) is None:
                 deps = rendered[id(r.dependent_slots)] = ",".join(map(_str, r.dependent_slots))
+                held.append(r.dependent_slots)
             reports.append(
                 f'{{"dependent_slots":[{deps}],"detected_at":{r.detected_at},'
                 f'"exception_count":{r.exception_count},"kind":"{r.kind._value_}",'
@@ -385,8 +421,10 @@ def round_renderer() -> Callable[[RoundRecord], tuple[str, str]]:
                     text = rendered[id(v)] = (
                         f'{{"kind":"{v.kind._value_}","subject":{_str(render_subject(v.subject))}}}'
                     )
+                    held.append(v)
                 texts.append(text)
             violations = rendered[id(record.post_violations)] = ",".join(texts)
+            held.append(record.post_violations)
         executed = len(record.executions)
         magnitude = "" if fault.magnitude is None else f',"magnitude":{fault.magnitude}'
         return (
@@ -405,9 +443,18 @@ def round_renderer() -> Callable[[RoundRecord], tuple[str, str]]:
     return render
 
 
-# Rounds per piece of scenario.json and rounds.csv: few enough that emission
-# holds little next to the report, enough that a write is not per round.
+# Rounds per batch: few enough that a run holds few records, enough that
+# rendering and writing are not per round.
 _EMIT_BATCH = 64
+
+
+def render_batch(render: Callable[[RoundRecord], tuple[str, str]],
+                 records: list[RoundRecord]) -> tuple[str, str]:
+    """One batch of rounds as ``render`` formats them: their ``scenario.json``
+    objects joined by commas, and their ``rounds.csv`` rows."""
+    objects, rows = zip(*map(render, records))
+    return ",".join(objects), "".join(rows)
+
 
 ROUNDS_CSV_HEADER = [
     "round", "clock", "fault_kind", "fault_target", "reports", "plans",
@@ -431,16 +478,17 @@ def _csv_cell(text: str) -> str:
 def report_stream(report: ScenarioReport) -> Iterator[tuple[str, str, str]]:
     """The text of the three reports, ``scenario.json`` (ASCII), ``rounds.csv``
     and ``suspects.csv``, in steps of one piece of each (empty where a step
-    adds nothing to a file): the heads, one step per ``_EMIT_BATCH`` rounds,
-    and the tails. A writer thus never holds a whole document, and the
-    rounds and the suspects are each read once.
+    adds nothing to a file): the heads, one step per batch of rounds, and
+    the tails. A writer thus never holds a whole document. The rounds were
+    rendered by the runner as they finished, so a step per batch writes
+    the text the report keeps and renders nothing; the suspects are read
+    once.
 
     The ``scenario.json`` head (``config`` and ``root_cause``) and tail
     (``suspects`` and ``unhandled_failures``) are written directly in sorted
     key order, as ``round_renderer`` writes a round, and the rounds go
     between them. The CSV files are the bytes of ``csv.writer`` with
-    ``lineterminator="\\n"``. The renderer's memo lives only as long as this
-    stream, during which ``report`` holds every object whose identity keys it.
+    ``lineterminator="\\n"``.
     """
     config = report.config
 
@@ -458,10 +506,8 @@ def report_stream(report: ScenarioReport) -> Iterator[tuple[str, str, str]]:
            f'"root_cause":{{"counters":{{{counters}}},"threshold":{config.rootcause_threshold}}},'
            '"rounds":[',
            ",".join(ROUNDS_CSV_HEADER) + "\n", ",".join(SUSPECT_CSV_HEADER) + "\n")
-    rounds, render = report.rounds, round_renderer()
-    for start in range(0, len(rounds), _EMIT_BATCH):
-        objects, rows = zip(*map(render, rounds[start:start + _EMIT_BATCH]))
-        yield ("," if start else "") + ",".join(objects), "".join(rows), ""
+    for i, (objects, rows) in enumerate(report.batches):
+        yield ("," if i else "") + objects, rows, ""
     objects, rows = [], []
     for s in report.suspects:
         implicated = s.implicated_by

@@ -32,7 +32,7 @@ from healsim.rules import (
     evaluate,
 )
 from healsim.service import PlanService
-from views import slot_names
+from views import run_recorded, slot_names
 
 QS_REP = ConnectorSpec("Query Service", "Reputation Service", "Reputation Service")
 
@@ -53,7 +53,7 @@ def criterion(number, description):
 def test_criterion_1_cf4_scenario(tmp_path):
     with criterion(1, "scripted CF4 heals via AS3 from reconnect-on-cf4 in under 1s"):
         started = time.perf_counter()
-        report = run_scenario(
+        _, (record,) = run_recorded(
             ScenarioConfig(
                 seed=1,
                 rounds=1,
@@ -63,7 +63,6 @@ def test_criterion_1_cf4_scenario(tmp_path):
             )
         )
         elapsed = time.perf_counter() - started
-        (record,) = report.rounds
         assert [r.kind for r in record.reports] == [FaultKind.CF4]
         assert record.reports[0].subject == QS_REP
         (plan,) = record.plans
@@ -151,8 +150,7 @@ def test_criterion_3_exhaustive_single_fault_healing():
             cases.append(FaultInstance(FaultKind.CF4, spec))
         assert len(cases) == 30  # 7 + 7 + 7 + 9
         for fault in cases:
-            report = run_scenario(ScenarioConfig(seed=3, rounds=1, script=[fault]))
-            (record,) = report.rounds
+            _, (record,) = run_recorded(ScenarioConfig(seed=3, rounds=1, script=[fault]))
             assert record.post_violations == (), fault
             assert record.plans and not isinstance(record.plans[0], NoMatch), fault
 
@@ -347,9 +345,9 @@ def _random_condition(rng, depth=0):
 def test_criterion_8_oracle_checks():
     with criterion(8, "ledger recount and naive conflict-resolution reference both agree"):
         # (a) ledger counters vs brute-force recount over recorded reports
-        report = run_scenario(ScenarioConfig(seed=42, rounds=100))
+        report, records = run_recorded(ScenarioConfig(seed=42, rounds=100))
         recount = {}
-        for record in report.rounds:
+        for record in records:
             for failure in record.reports:
                 for slot in failure.dependent_slots:
                     recount[slot] = recount.get(slot, 0) + 1

@@ -198,7 +198,7 @@ def test_suspects_monotone_under_new_records():
 
 def suspects_csv(suspects) -> str:
     """suspects.csv as the report stream writes it for these suspects."""
-    report = ScenarioReport(ScenarioConfig(seed=0, rounds=0), [], {}, suspects, 0)
+    report = ScenarioReport(ScenarioConfig(seed=0, rounds=0), [], {}, suspects, 0, 0)
     return "".join([text for _, _, text in report_stream(report)])
 
 

@@ -485,6 +485,36 @@ def test_run_out_of_eligible_targets_exit_1(tmp_path):
     assert not out.exists()
 
 
+def test_run_interrupted_by_sigint_exits_130_with_one_line(tmp_path):
+    """SIGINT once a run is under way (a CF2 that no rule handles is logged in
+    its sixth round) ends it with one ``error: interrupted`` line after the
+    log lines, exit 130 and no traceback. No report is written yet."""
+    rules = tmp_path / "no-cf2.rules"
+    rules.write_text('rule "r1" when kind == CF1 then AS1\nrule "r3" when kind == CF3 then AS2\n'
+                     'rule "r4" when kind == CF4 then AS3\n', encoding="utf-8")
+    out = tmp_path / "o"
+    # SIGINT acts as usual even where the test runner inherited it as ignored.
+    code = ("import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+            "from healsim.cli import main; sys.exit(main(sys.argv[1:]))")
+    with subprocess.Popen(
+        [sys.executable, "-c", code, "--log-level", "INFO", "run", "--seed", "42",
+         "--rounds", "10000000", "--rules", str(rules), "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    ) as proc:
+        watchdog = threading.Timer(60, proc.kill)  # a missing line or exit must not hang the test
+        watchdog.start()
+        try:
+            assert "no rule handles CF2" in proc.stderr.readline()
+            proc.send_signal(signal.SIGINT)
+            stdout, stderr = proc.communicate(timeout=30)
+        finally:
+            watchdog.cancel()
+    assert proc.returncode == 130 and stdout == ""
+    assert stderr.endswith("error: interrupted\n") and "Traceback" not in stderr
+    assert stderr.count("error:") == 1 and not out.exists()
+
+
 def _one_shot_planner(reply: bytes) -> int:
     """A planner stand-in on a free port: it accepts one connection, reads
     one request line, answers ``reply`` and closes."""

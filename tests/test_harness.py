@@ -1,4 +1,5 @@
 import collections
+import gc
 import json
 import os
 import re
@@ -12,6 +13,7 @@ from healsim import harness, monitor
 from healsim.faults import FaultInstance, FaultKind
 from healsim.harness import (
     ConfigError,
+    RoundRecord,
     ScenarioConfig,
     ScenarioReport,
     ScenarioRunner,
@@ -21,10 +23,18 @@ from healsim.harness import (
     run_scenario,
     scenario_json,
 )
-from healsim.model import ArchitectureModel, ConnectorSpec, blueprint_from_json, default_blueprint
+from healsim.model import (
+    ArchitectureModel,
+    ConnectorSpec,
+    Violation,
+    ViolationKind,
+    blueprint_from_json,
+    default_blueprint,
+)
 from healsim.rules import NoMatch, Strategy, parse_rules
 
 from test_golden import layered_blueprint_doc
+from views import RecordingRunner, run_recorded
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 REPORTS = ("scenario.json", "rounds.csv", "suspects.csv")
@@ -70,19 +80,19 @@ def test_empty_rule_file_fails_closed():
 
 
 def test_zero_rounds():
-    report = run_scenario(ScenarioConfig(seed=5, rounds=0))
-    assert report.rounds == []
+    report, records = run_recorded(ScenarioConfig(seed=5, rounds=0))
+    assert records == [] and report.batches == [] and report.healed == 0
     assert report.suspects == []
     assert report.unhandled_failures == 0
 
 
 def test_random_rounds_all_heal():
-    report = run_scenario(ScenarioConfig(seed=42, rounds=50))
-    assert len(report.rounds) == 50
-    assert all(r.post_violations == () for r in report.rounds)
+    report, records = run_recorded(ScenarioConfig(seed=42, rounds=50))
+    assert len(records) == 50 == report.healed
+    assert all(r.post_violations == () for r in records)
     assert report.unhandled_failures == 0
     # clock strictly increases round over round
-    clocks = [r.clock_end for r in report.rounds]
+    clocks = [r.clock_end for r in records]
     assert clocks == sorted(clocks) and len(set(clocks)) == 50
 
 
@@ -115,9 +125,9 @@ def test_report_id_and_history_thread_across_rounds():
 
 
 def test_ledger_matches_brute_force_recount():
-    report = run_scenario(ScenarioConfig(seed=7, rounds=40))
+    report, records = run_recorded(ScenarioConfig(seed=7, rounds=40))
     recount = {}
-    for record in report.rounds:
+    for record in records:
         for failure in record.reports:
             for slot in failure.dependent_slots:
                 recount[slot] = recount.get(slot, 0) + 1
@@ -257,33 +267,105 @@ def test_report_emission_streams(tmp_path):
     assert emission_peak < retained / 4, (emission_peak, retained)
 
 
-def test_one_emission_reads_each_round_and_each_suspect_once(tmp_path):
-    """The three reports are one stream: emit_reports reads report.rounds in
-    one slice per _EMIT_BATCH rounds and report.suspects in one pass."""
+def test_one_emission_reads_each_round_and_each_suspect_once(tmp_path, monkeypatch):
+    """The three reports are one stream over what the run rendered: the
+    runner's renderer formats each record exactly once, as its batch fills
+    or as the run ends, and emit_reports renders nothing and reads
+    report.suspects in one pass."""
+    rendered = collections.Counter()
+
+    def counting_renderer(_make=harness.round_renderer):
+        render = _make()
+
+        def counted(record):
+            rendered[record.index] += 1
+            return render(record)
+        return counted
+
+    monkeypatch.setattr(harness, "round_renderer", counting_renderer)
     report = run_scenario(ScenarioConfig(seed=42, rounds=150))
-    assert report.suspects
+    assert rendered == collections.Counter(range(1, 151))
+    assert len(report.batches) == 3 and report.suspects
     reads = collections.Counter()
 
     class Counted(list):
-        def __init__(self, name, items):
-            super().__init__(items)
-            self.name = name
-
         def __getitem__(self, index):
-            reads[self.name, index.start if isinstance(index, slice) else index] += 1
+            reads[index.start if isinstance(index, slice) else index] += 1
             return super().__getitem__(index)
 
         def __iter__(self):
-            reads[self.name, "iter"] += 1
+            reads["iter"] += 1
             return super().__iter__()
 
-    counted = ScenarioReport(report.config, Counted("rounds", report.rounds), report.counters,
-                             Counted("suspects", report.suspects), report.unhandled_failures)
+    counted = ScenarioReport(report.config, report.batches, report.counters,
+                             Counted(report.suspects), report.unhandled_failures, report.healed)
     emit_reports(counted, str(tmp_path))
-    assert reads == collections.Counter(
-        {("rounds", start): 1 for start in range(0, 150, harness._EMIT_BATCH)}
-        | {("suspects", "iter"): 1})
+    assert rendered == collections.Counter(range(1, 151))
+    assert reads == {"iter": 1}
     assert (tmp_path / "scenario.json").read_bytes() == scenario_json(report)
+
+
+def test_a_runner_renders_each_batch_as_it_fills_and_keeps_fewer_records():
+    """After each round the runner holds fewer than _EMIT_BATCH records: the
+    round that fills a batch renders it into batches and drops its records,
+    and run renders the last, partial batch."""
+    batch = harness._EMIT_BATCH
+
+    class Checked(ScenarioRunner):
+        def run_round(self):
+            record = super().run_round()
+            assert len(self.records) == record.index % batch
+            assert len(self.batches) == record.index // batch
+            return record
+
+    runner = Checked(ScenarioConfig(seed=42, rounds=2 * batch + 5))
+    report = runner.run()
+    runner.close()
+    assert runner.records == [] and len(report.batches) == 3
+    assert scenario_json(report) == scenario_json(run_scenario(runner.config))
+
+
+def test_a_run_holds_no_growing_object_graph():
+    """Once the collector has run, a 20 000-round shop run leaves fewer than
+    500 more tracked objects alive than a 2000-round run: the runner keeps
+    the text of its rounds, which the collector does not track, and no
+    record."""
+    def tracked_after(rounds):
+        runner = ScenarioRunner(ScenarioConfig(seed=42, rounds=rounds))
+        report = runner.run()
+        runner.close()
+        gc.collect()
+        assert report.healed == rounds  # the runner and its report are alive here
+        return len(gc.get_objects())
+
+    tracked_after(2000)  # first-use caches
+    small = tracked_after(2000)
+    assert tracked_after(20_000) - small < 500
+
+
+def test_a_memo_entry_keyed_by_id_never_outlives_its_object():
+    """The renderer keys its memo by id(). Once a rendered round's violations
+    tuple and its violation are freed, CPython hands their memory to the next
+    objects of their size (tuples of each length have a free list), so the
+    next tuple and violation built would take their ids. The renderer holds
+    every object it keys, so each round below renders its own violations."""
+    render = harness.round_renderer()
+    fault = FaultInstance(FaultKind.CF1, "Frontend", None, 0)
+
+    def violations_of(violations):
+        text, _ = render(RoundRecord(1, fault, (), (), (), violations, 0, 1))
+        return json.loads(text)["post_violations"]
+
+    first = (Violation(ViolationKind.UNKNOWN_STATE, "Frontend"),)
+    assert violations_of(first) == [{"kind": "UNKNOWN_STATE", "subject": "Frontend"}]
+    freed = {id(first), id(first[0])}
+    del first
+    built = []  # each kept, so that the next one takes another address
+    while len(built) < 1000:
+        built.append(other := (Violation(ViolationKind.NOT_STARTED, f"slot {len(built)}"),))
+        assert violations_of(other) == [{"kind": "NOT_STARTED", "subject": other[0].subject}]
+        if freed & {id(other), id(other[0])}:
+            break  # an id came back, and its text was its own
 
 
 def test_a_failed_open_or_write_ends_typed_and_leaves_no_file_open(tmp_path, monkeypatch):
@@ -421,6 +503,7 @@ def test_rounds_build_no_whole_blueprint_view(monkeypatch):
                         (harness, "take_snapshot"), (monitor, "take_snapshot")]:
         monkeypatch.setattr(owner, name, whole_blueprint_view)
     blueprint = blueprint_from_json(layered_blueprint_doc(3200))
-    runner = ScenarioRunner(ScenarioConfig(seed=42, rounds=50), blueprint=blueprint)
-    assert len(runner.run().rounds) == 50
+    runner = RecordingRunner(ScenarioConfig(seed=42, rounds=50), blueprint=blueprint)
+    runner.run()
+    assert len(runner.rounds) == 50
     runner.close()

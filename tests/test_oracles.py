@@ -79,7 +79,7 @@ from healsim.rules import (
     parse_rules,
 )
 from healsim.service import _PlanHandler
-from views import dependencies_of, present_slots, slot_names
+from views import dependencies_of, present_slots, rendered_report, run_recorded, slot_names
 from test_golden import layered_blueprint_doc
 from test_rules import format_rules
 
@@ -850,10 +850,8 @@ def test_a_run_builds_no_change_event(monkeypatch):
         raise AssertionError("a round built a ChangeEvent")
 
     monkeypatch.setattr(ChangeEvent, "__init__", refuse)
-    runner = ScenarioRunner(ScenarioConfig(seed=42, rounds=300))
-    report = runner.run()
-    runner.close()
-    assert len(report.rounds) == 300 and all(r.reports for r in report.rounds)
+    _, records = run_recorded(ScenarioConfig(seed=42, rounds=300))
+    assert len(records) == 300 and all(r.reports for r in records)
 
 
 # -- (e) the direct report encoder vs the dict form --------------------------
@@ -862,7 +860,8 @@ def test_a_run_builds_no_change_event(monkeypatch):
 # directly: its head and tail, and each round through round_renderer. The dict
 # form it replaced, encoded by canonical_json, is the reference for
 # scenario.json, and the wire codec's frames are checked against it too; a
-# plain csv.writer loop over the records is the reference for rounds.csv.
+# plain csv.writer loop over the records is the reference for rounds.csv. The
+# references read the records that a RecordingRunner keeps.
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
@@ -928,7 +927,7 @@ def round_doc(record):
     }
 
 
-def reference_scenario_json(report):
+def reference_scenario_json(report, records):
     config = report.config
     return canonical_json({
         "config": {
@@ -941,7 +940,7 @@ def reference_scenario_json(report):
             "blueprint": config.blueprint_path,
             "script": config.script_path,
         },
-        "rounds": [round_doc(r) for r in report.rounds],
+        "rounds": [round_doc(r) for r in records],
         "root_cause": {"threshold": config.rootcause_threshold, "counters": report.counters},
         "suspects": [
             {
@@ -957,11 +956,11 @@ def reference_scenario_json(report):
     })
 
 
-def reference_rounds_csv(report):
+def reference_rounds_csv(records):
     out = io.StringIO(newline="")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(harness.ROUNDS_CSV_HEADER)
-    for record in report.rounds:
+    for record in records:
         fired = [p for p in record.plans if not isinstance(p, NoMatch)]
         writer.writerow([
             record.index,
@@ -1121,6 +1120,7 @@ def encoder_cases():
 
 
 def run_case(case):
+    """The case's report, echoing its config, and the records of its rounds."""
     _, config, doc, rules = case
     ruleset = parse_rules(rules) if rules is not None else None
     # The planner spec is only echoed: plan in-process whatever it says.
@@ -1128,40 +1128,37 @@ def run_case(case):
                             config.rootcause_threshold, "inproc", config.rules_path,
                             config.blueprint_path, config.script_path, config.script,
                             config.out_dir)
-    runner = ScenarioRunner(inproc, ruleset=ruleset, blueprint=load(doc))
-    try:
-        report = runner.run()
-        return ScenarioReport(config, report.rounds, report.counters, report.suspects,
-                              report.unhandled_failures)
-    finally:
-        runner.close()
+    report, records = run_recorded(inproc, ruleset=ruleset, blueprint=load(doc))
+    return ScenarioReport(config, report.batches, report.counters, report.suspects,
+                          report.unhandled_failures, report.healed), records
 
 
 @pytest.mark.parametrize("case", encoder_cases(), ids=lambda case: case[0])
 def test_report_encoder_equals_dict_form(case, tmp_path):
-    report = run_case(case)
-    assert harness.scenario_json(report) == reference_scenario_json(report)
+    report, records = run_case(case)
+    assert harness.scenario_json(report) == reference_scenario_json(report, records)
     harness.emit_reports(report, str(tmp_path))
-    assert (tmp_path / "scenario.json").read_bytes() == reference_scenario_json(report)
-    assert (tmp_path / "rounds.csv").read_bytes() == reference_rounds_csv(report)
+    assert (tmp_path / "scenario.json").read_bytes() == reference_scenario_json(report, records)
+    assert (tmp_path / "rounds.csv").read_bytes() == reference_rounds_csv(records)
     assert (tmp_path / "suspects.csv").read_bytes() == reference_suspects_csv(report)
 
 
 def test_equal_but_distinct_violations_give_the_dict_form_bytes():
-    """report_stream renders a violation once per object: a report whose
-    violations are equal but not shared gives the same bytes as the shared ones."""
+    """The renderer renders a violation once per object: rounds whose
+    violations are equal but not shared give the same bytes as the shared ones."""
     case = next(c for c in encoder_cases() if c[0] == "layered50-degraded")
-    report = run_case(case)
-    copied = ScenarioReport(report.config, [
+    report, records = run_case(case)
+    copies = [
         RoundRecord(r.index, r.fault, r.reports, r.plans, r.executions, tuple(
             Violation(v.kind, ConnectorSpec(v.subject.source, v.subject.target, v.subject.interface)
                       if isinstance(v.subject, ConnectorSpec) else v.subject)
             for v in r.post_violations), r.clock_start, r.clock_end)
-        for r in report.rounds
-    ], report.counters, report.suspects, report.unhandled_failures)
-    ids = [id(v) for r in copied.rounds for v in r.post_violations]
+        for r in records
+    ]
+    ids = [id(v) for r in copies for v in r.post_violations]
     assert len(set(ids)) == len(ids) > 1000  # no object is shared
-    assert harness.scenario_json(copied) == reference_scenario_json(copied)
+    copied = rendered_report(report, copies)
+    assert harness.scenario_json(copied) == reference_scenario_json(report, copies)
     assert harness.scenario_json(copied) == harness.scenario_json(report)
 
 
@@ -1177,9 +1174,9 @@ def test_degraded_run_builds_each_violation_once(monkeypatch):
 
     monkeypatch.setattr(Violation, "__init__", counting_init)
     case = next(c for c in encoder_cases() if c[0] == "layered50-degraded")
-    report = run_case(case)
-    reported = {(v.kind, v.subject) for r in report.rounds for v in r.post_violations}
-    assert sum(len(r.post_violations) for r in report.rounds) > 5 * len(reported)
+    _, records = run_case(case)
+    reported = {(v.kind, v.subject) for r in records for v in r.post_violations}
+    assert sum(len(r.post_violations) for r in records) > 5 * len(reported)
     assert set(built) == reported and max(built.values()) == 1
 
 
@@ -1190,7 +1187,7 @@ def test_standing_violations_share_one_tuple_and_the_empty_tuple_renders_empty()
     report's dependent_slots and as its round's post_violations, and renders
     as empty text in both."""
     case = next(c for c in encoder_cases() if c[0] == "standing-script")
-    rounds = run_case(case).rounds
+    _, rounds = run_case(case)
     cf4, a, a_stands, b, a_again = (r.post_violations for r in rounds)
     assert rounds[0].reports[0].kind is FaultKind.CF4
     assert rounds[0].reports[0].dependent_slots is cf4 == ()
@@ -1209,15 +1206,10 @@ def test_standing_violations_share_one_tuple_and_the_empty_tuple_renders_empty()
 def test_degraded_run_shares_each_standing_violation_tuple(monkeypatch):
     """On layered-200 under the degraded policy at seed 42, consecutive rounds
     with equal violations hold one tuple: there are as many distinct tuples as
-    changes of the violations, and report_stream joins each of them once."""
-    runner = ScenarioRunner(ScenarioConfig(seed=42, rounds=200),
-                            ruleset=parse_rules(DEGRADED_RULES),
-                            blueprint=load(layered_blueprint_doc(200)))
-    try:
-        report = runner.run()
-    finally:
-        runner.close()
-    records = report.rounds
+    changes of the violations, and the renderer joins each of them once."""
+    report, records = run_recorded(ScenarioConfig(seed=42, rounds=200),
+                                   ruleset=parse_rules(DEGRADED_RULES),
+                                   blueprint=load(layered_blueprint_doc(200)))
     stretches = [[r.post_violations for r in group] for _, group in
                  itertools.groupby(records, key=lambda r: r.post_violations)]
     assert all(t is stretch[0] for stretch in stretches for t in stretch)
@@ -1232,12 +1224,12 @@ def test_degraded_run_shares_each_standing_violation_tuple(monkeypatch):
 
     joined = collections.Counter()
     counted = {}
-    copied = ScenarioReport(report.config, [
+    copied = rendered_report(report, [
         RoundRecord(r.index, r.fault, r.reports, r.plans, r.executions,
                     counted.setdefault(id(r.post_violations), CountedTuple(r.post_violations)),
                     r.clock_start, r.clock_end)
         for r in records
-    ], report.counters, report.suspects, report.unhandled_failures)
+    ])
     assert harness.scenario_json(copied) == harness.scenario_json(report)
     assert len(joined) == len(counted) and set(joined.values()) == {1}
 
@@ -1269,16 +1261,16 @@ def test_encoder_cases_cover_every_branch():
     suspects.csv cells go through csv."""
     seen = collections.Counter()
     for case in encoder_cases():
-        report = run_case(case)
+        report, records = run_case(case)
         seen["suspects"] += bool(report.suspects)
         seen["quoted_suspect"] += any(c in text for s in report.suspects
                                       for text in (s.slot, *s.implicated_by) for c in ',"\r\n')
         kinds_of = collections.defaultdict(set)
-        for record in report.rounds:
+        for record in records:
             for v in record.post_violations:
                 kinds_of[v.subject].add(v.kind)
         seen["subject_of_two_kinds"] += any(len(kinds) > 1 for kinds in kinds_of.values())
-        for record in report.rounds:
+        for record in records:
             seen["magnitude"] += record.fault.magnitude is not None
             seen["no_match"] += NoMatch() in record.plans
             seen["violations"] += bool(record.post_violations)

@@ -19,7 +19,7 @@ import healsim.service as service_module
 from healsim import planner
 from healsim.analyzer import FailureReport
 from healsim.faults import FaultKind
-from healsim.harness import ScenarioConfig, ScenarioRunner, run_scenario
+from healsim.harness import ScenarioConfig
 from healsim.model import ConnectorSpec
 from healsim.planner import (
     MAX_FRAME,
@@ -37,6 +37,7 @@ from healsim.planner import (
 )
 from healsim.rules import Fact, RepairPlan, Strategy, default_ruleset, parse_rules
 from healsim.service import PlanService, _PlanHandler
+from views import RecordingRunner, run_recorded
 
 
 def cf4_request(request_id=1):
@@ -610,10 +611,10 @@ def test_inproc_and_remote_runs_agree_on_both_decode_paths(tmp_path):
                      'rule "r3" when kind == CF3 then AS2\n', encoding="utf-8")
 
     def run(planner_name, out):
-        report = run_scenario(ScenarioConfig(
+        _, records = run_recorded(ScenarioConfig(
             seed=11, rounds=60, planner=planner_name, rules_path=str(rules),
             blueprint_path=str(blueprint), out_dir=str(out)))
-        return report, {name: (out / name).read_bytes()
+        return records, {name: (out / name).read_bytes()
                         for name in ("scenario.json", "rounds.csv", "suspects.csv")}
 
     service = PlanService(parse_rules(rules.read_text(encoding="utf-8")),
@@ -624,8 +625,8 @@ def test_inproc_and_remote_runs_agree_on_both_decode_paths(tmp_path):
         remote, remote_files = run(address, tmp_path / "tcp")
     finally:
         service.shutdown()
-    assert local.rounds == remote.rounds
-    plans = [plan for record in local.rounds for plan in record.plans]
+    assert local == remote
+    plans = [plan for record in local for plan in record.plans]
     assert NoMatch() in plans
     subjects = {plan.subject for plan in plans if isinstance(plan, RepairPlan)}
     assert "Store" in subjects and {'Say "hi"', "C:\\db", "Tab\tbed", "Müller"} & subjects
@@ -670,11 +671,12 @@ def test_a_canonical_round_trip_takes_one_match_on_both_ends(policy, monkeypatch
         with open(DEGRADED_RULES, encoding="utf-8") as fh:
             ruleset = parse_rules(fh.read())
     service = PlanService(ruleset, host="127.0.0.1", port=0).start()
-    runner = ScenarioRunner(ScenarioConfig(seed=42, rounds=2000,
-                                           planner="tcp://%s:%d" % service.address))
+    runner = RecordingRunner(ScenarioConfig(seed=42, rounds=2000,
+                                            planner="tcp://%s:%d" % service.address))
     try:
         calls = count_codec_calls(monkeypatch)
-        plans = [plan for record in runner.run().rounds for plan in record.plans]
+        runner.run()
+        plans = [plan for record in runner.rounds for plan in record.plans]
         once = dict.fromkeys(("healsim.planner.encode", "healsim.planner.decode",
                               "healsim.service.decode", "healsim.service.encode"), len(plans))
         assert len(plans) > 1000 and calls == once

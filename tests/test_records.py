@@ -59,6 +59,7 @@ from healsim.rules import (
     default_ruleset,
 )
 from healsim.service import PlanService
+from views import RecordingRunner
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -182,21 +183,12 @@ MUTABLE = [
      "completed_at=302),), post_violations=(Violation(kind=<ViolationKind.MISSING_CONNECTOR: "
      "'MISSING_CONNECTOR'>, subject=ConnectorSpec(source='front', target='back', "
      "interface='Back')),), clock_start=0, clock_end=302)"),
-    (lambda: ScenarioReport(_config(), [_round()], {"back": 1}, [], 0),
-     (ScenarioConfig(1, 3), [], {}, [RootCauseSuspect("back", 3, (), 1, 2)], 1),
+    (lambda: ScenarioReport(_config(), [('{"round":1}', "1,302\n")], {"back": 1}, [], 0, 1),
+     (ScenarioConfig(1, 3), [], {}, [RootCauseSuspect("back", 3, (), 1, 2)], 1, 0),
      "ScenarioReport(config=ScenarioConfig(seed=1, rounds=2, exception_threshold=5, "
      "rootcause_threshold=3, planner='inproc', rules_path=None, blueprint_path=None, "
-     "script_path=None, script=None, out_dir='out'), rounds=[RoundRecord(index=1, "
-     "fault=FaultInstance(kind=<FaultKind.CF2: 'CF2'>, target='front', magnitude=7, "
-     "injected_at=300), reports=(FailureReport(report_id=0, kind=<FaultKind.CF2: 'CF2'>, "
-     "subject='front', exception_count=7, detected_at=300, dependent_slots=('back',)),), "
-     "plans=(RepairPlan(strategy=<Strategy.AS4: 'AS4'>, subject='front', fired_rule='r'),), "
-     "executions=(ExecutionResult(plan=RepairPlan(strategy=<Strategy.AS4: 'AS4'>, "
-     "subject='front', fired_rule='r'), applied_mutations=('remove_component(front)',), "
-     "new_instance_id='front#2', completed_at=302),), post_violations=(Violation("
-     "kind=<ViolationKind.MISSING_CONNECTOR: 'MISSING_CONNECTOR'>, subject=ConnectorSpec("
-     "source='front', target='back', interface='Back')),), clock_start=0, clock_end=302)], "
-     "counters={'back': 1}, suspects=[], unhandled_failures=0)"),
+     "script_path=None, script=None, out_dir='out'), batches=[('{\"round\":1}', '1,302\\n')], "
+     "counters={'back': 1}, suspects=[], unhandled_failures=0, healed=1)"),
     (_ledger, (2, {}, {"back": 100}, {"back": 400}),
      "RootCauseLedger(threshold=3, implicated_by={'back': ['front']}, "
      "first_at={'back': 300}, last_at={'back': 300})"),
@@ -384,7 +376,7 @@ def test_a_healed_run_scans_no_damage_and_parses_no_allocated_id(doc, monkeypatc
     repair parses an instance id either: ``replace`` makes each new one,
     and only the constructor reads an id back."""
     blueprint = None if doc is None else blueprint_from_json(doc)
-    runner = ScenarioRunner(ScenarioConfig(seed=42, rounds=2000), blueprint=blueprint)
+    runner = RecordingRunner(ScenarioConfig(seed=42, rounds=2000), blueprint=blueprint)
     calls = collections.Counter()
 
     def counted(*args, _fn=model_module._kth_kept):
@@ -393,11 +385,11 @@ def test_a_healed_run_scans_no_damage_and_parses_no_allocated_id(doc, monkeypatc
 
     monkeypatch.setattr(model_module, "_kth_kept", counted)
     try:
-        report = runner.run()
+        runner.run()
     finally:
         runner.close()
-    assert all(not record.post_violations for record in report.rounds)
-    assert any(result.new_instance_id for record in report.rounds
+    assert all(not record.post_violations for record in runner.rounds)
+    assert any(result.new_instance_id for record in runner.rounds
                for result in record.executions)
     assert calls == {}
 
@@ -438,12 +430,12 @@ def test_a_shop_run_calls_no_compiled_condition_and_no_replace_drops_a_connector
 
     monkeypatch.setattr(ArchitectureModel, "replace", replace)
     monkeypatch.setattr(ArchitectureModel, "_flip", flip)
-    runner = ScenarioRunner(ScenarioConfig(seed=42, rounds=2000), ruleset=ruleset)
+    runner = RecordingRunner(ScenarioConfig(seed=42, rounds=2000), ruleset=ruleset)
     try:
-        report = runner.run()
+        runner.run()
     finally:
         runner.close()
-    trailed = sum(1 for record in report.rounds for result in record.executions
+    trailed = sum(1 for record in runner.rounds for result in record.executions
                   if result.plan.strategy is Strategy.AS4
                   for mutation in result.applied_mutations if mutation.startswith("add_connector"))
     assert calls["condition"] == 0 and calls["occupied replace"] > 0
