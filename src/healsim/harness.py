@@ -4,9 +4,11 @@ monitoring keeps, so a round builds no change event.
 
 Every round injects exactly one fault (drawn from the seeded generator or
 taken from an explicit script), runs one full repair cycle, then validates
-the architecture against the blueprint. All randomness flows from the
-single splitmix64 seed and the clock is logical, so a config determines
-every output byte.
+the architecture against the blueprint. The fault changes one slot or one
+connector, which ``classify`` reports at most once, so a round has at most
+one report, plan and execution. All randomness flows from the single
+splitmix64 seed and the clock is logical, so a config determines every
+output byte.
 
 A run ends by writing scenario.json, rounds.csv and suspects.csv, whose
 formats this module alone owns. ``round_renderer`` makes the one function
@@ -90,6 +92,10 @@ class ScenarioConfig(Record):
             raise ConfigError("thresholds must be at least 1")
         if out_dir == "":  # None writes no reports; "" would silently do the same
             raise ConfigError("the report directory must be a non-empty path")
+        # scenario.json echoes these as JSON strings or null: check them before any round runs.
+        paths = (rules_path, blueprint_path, script_path)
+        if not isinstance(planner, str) or not all(p is None or isinstance(p, str) for p in paths):
+            raise ConfigError("the planner must be a string, and each path a string or None")
         self.seed, self.rounds, self.planner, self.out_dir = seed, rounds, planner, out_dir
         self.exception_threshold = exception_threshold
         self.rootcause_threshold = rootcause_threshold
@@ -98,30 +104,20 @@ class ScenarioConfig(Record):
 
 
 class RoundRecord(Record):
+    """One round. ``reports``, ``plans`` and ``executions`` each hold one item
+    or none, and ``executions`` none for a NoMatch plan."""
+
     __slots__ = _fields = (
         "index", "fault", "reports", "plans", "executions", "post_violations",
         "clock_start", "clock_end",
     )
 
-    def __init__(
-        self,
-        index: int,
-        fault: FaultInstance,
-        reports: tuple[FailureReport, ...],
-        plans: tuple[RepairPlan | NoMatch, ...],  # aligned with reports
-        executions: tuple[ExecutionResult, ...],
-        post_violations: tuple[Violation, ...],
-        clock_start: int,
-        clock_end: int,
-    ) -> None:
-        self.index = index
-        self.fault = fault
-        self.reports = reports
-        self.plans = plans
-        self.executions = executions
-        self.post_violations = post_violations
-        self.clock_start = clock_start
-        self.clock_end = clock_end
+    def __init__(self, index: int, fault: FaultInstance, reports: tuple[FailureReport, ...],
+                 plans: tuple[RepairPlan | NoMatch, ...], executions: tuple[ExecutionResult, ...],
+                 post_violations: tuple[Violation, ...], clock_start: int, clock_end: int) -> None:
+        self.index, self.fault, self.reports, self.plans = index, fault, reports, plans
+        self.executions, self.post_violations = executions, post_violations
+        self.clock_start, self.clock_end = clock_start, clock_end
 
 
 class ScenarioReport(Record):
@@ -271,17 +267,14 @@ class ScenarioRunner:
             fault = draw_fault(self.rng, model, threshold)
         model.cut_journal()  # the round classifies only what inject changes
         inject(model, fault)
-        reports = classify(model, threshold, self._next_report_id)
-        self._next_report_id += len(reports)
-        for report in reports:
+        reports = plans = executions = ()
+        if found := classify(model, threshold, self._next_report_id):
+            (report,) = found  # one fault changes one slot or one connector: one report at most
+            self._next_report_id += 1
             if report.kind is not _CF4:
                 self.ledger.record_failure(report)
-        plans: list[RepairPlan | NoMatch] = []
-        executions: list[ExecutionResult] = []
-        for report in reports:
-            outcome = request_plan(self.planner, report, self.history)
-            plans.append(outcome)
-            if isinstance(outcome, NoMatch):
+            plan = request_plan(self.planner, report, self.history)
+            if type(plan) is NoMatch:
                 # Unless something loaded logging, no handler can print this line.
                 if (logging := sys.modules.get("logging")) is not None:
                     logging.getLogger(__name__).info(
@@ -289,14 +282,15 @@ class ScenarioRunner:
                         render_subject(report.subject))
                 self.unhandled_failures += 1
             else:
-                executions.append(execute(model, outcome))
+                executions = (execute(model, plan),)
+            reports, plans = (report,), (plan,)
         violations = validate(model)  # while the damage stands, the tuple it last returned
         if violations == (last := self._violations):
             violations = last  # standing damage: one tuple, rendered once
         self._violations = violations
         self.healed += not violations
-        record = RoundRecord(index, fault, tuple(reports), tuple(plans), tuple(executions),
-                             violations, clock_start, model.clock)
+        record = RoundRecord(index, fault, reports, plans, executions, violations, clock_start,
+                             model.clock)
         self.records.append(record)
         if len(self.records) == _EMIT_BATCH:
             self._render_records()
@@ -312,14 +306,8 @@ class ScenarioRunner:
             self.run_round()
         if self.records:
             self._render_records()
-        return ScenarioReport(
-            config=self.config,
-            batches=self.batches,
-            counters=self.ledger.counters,
-            suspects=self.ledger.suspects(),
-            unhandled_failures=self.unhandled_failures,
-            healed=self.healed,
-        )
+        return ScenarioReport(self.config, self.batches, self.ledger.counters,
+                              self.ledger.suspects(), self.unhandled_failures, self.healed)
 
     def close(self) -> None:
         self.planner.close()
@@ -353,91 +341,92 @@ class _Names(dict):
 def round_renderer() -> Callable[[RoundRecord], tuple[str, str]]:
     """A renderer for the rounds of one report: called with each round in
     turn, it returns the round's object in ``scenario.json`` and its row of
-    ``rounds.csv``, reading the record once. It is the one place a round is
-    formatted.
+    ``rounds.csv``, one f-string each, reading the record once. It is the one
+    place a round is formatted. A round's one fault changes one slot or one
+    connector, which ``classify`` reports at most once, and only a plan that
+    is not NoMatch is executed; so the no-report, NoMatch and executed cases
+    are written inline, and a record with two reports raises ValueError.
 
-    The object is the text the canonical JSON encoder makes of the round's
-    dict form, written directly: keys in sorted order by hand, strings
-    escaped by ``json``'s own ASCII escaper. The dict form and the encoder
-    live on in ``tests/test_oracles.py``, which compares the bytes, as a
-    ``csv.writer`` loop there is the reference for the row. Every cell but
-    the fault target is an integer or an enum value, which ``csv`` never
-    quotes, and a round executes exactly the plans that are not NoMatch.
+    The object is the canonical JSON encoder's text of the round's dict form,
+    written directly: keys sorted by hand, strings escaped by ``json``'s own
+    ASCII escaper. ``tests/test_oracles.py`` keeps the dict form, the encoder
+    and a ``csv.writer`` loop for the row, and compares the bytes. Every cell
+    but the fault target is an integer or an enum value, which ``csv`` never
+    quotes.
 
-    The renderer renders each recurring thing once. Each fault target's JSON
-    text and CSV cell, and each other name's JSON text, are made once per
-    name. A violation, a round's ``post_violations`` tuple and a report's
+    Each recurring thing is rendered once. A fault target's JSON text and
+    CSV cell, and any other name's JSON text, are made once per name. A
+    violation, a round's ``post_violations`` tuple and a report's
     ``dependent_slots`` tuple are rendered once per object, kept by ``id``;
-    the memo holds each such object for the renderer's life, so no id it
-    keys is reused for another object while the text is kept, even once
-    the records are dropped. ``classify`` gives every report of a slot the
-    blueprint's one tuple, ``validate`` shares one violation object across
-    the rounds a deviation stands and one tuple across the rounds the whole
-    list stands (``run_round`` shares an equal one too). The empty tuple,
-    one object, renders as empty text in both uses.
+    ``held`` keeps each such object for the renderer's life, so no id it
+    keys is reused while its text is kept. ``classify`` gives every report
+    of a slot the blueprint's one tuple, ``validate`` shares one violation
+    object across the rounds a deviation stands and one tuple across the
+    rounds the whole list stands (``run_round`` shares an equal one too).
+    The empty tuple, one object, renders as empty text in both uses.
 
-    ``ScenarioRunner`` owns one renderer for its run and calls it through
-    ``render_batch`` on each full batch of rounds, and on the last one.
-
-    An enum member's text is read as ``_value_``, a plain attribute: ``value``
-    is a Python-level descriptor. The values are plain ASCII identifiers, so
-    they are written unescaped."""
+    ``ScenarioRunner`` owns one renderer and calls it through ``render_batch``.
+    An enum member's text is read as ``_value_``, a plain attribute (``value``
+    is a Python-level descriptor), and written unescaped: the values are
+    plain ASCII identifiers."""
     rendered: dict[int, str] = {}
     held = []  # every object whose id keys rendered, kept alive as long as the memo
     names = _Names()
     targets: dict[str, tuple[str, str]] = {}
 
     def render(record: RoundRecord) -> tuple[str, str]:
-        fault = record.fault
+        fault, post_violations = record.fault, record.post_violations
         if (target := targets.get(name := render_subject(fault.target))) is None:
             # get, not [], as a target is often new here: __missing__ is a Python call
             text = names.get(name) or names.setdefault(name, _str(name))
             target = targets[name] = (text, _csv_cell(name))
-        reports, plans, executions, strategies = [], [], [], []
-        for r, p in zip(record.reports, record.plans):
-            if (deps := rendered.get(id(r.dependent_slots))) is None:
-                deps = rendered[id(r.dependent_slots)] = ",".join(map(_str, r.dependent_slots))
-                held.append(r.dependent_slots)
-            reports.append(
-                f'{{"dependent_slots":[{deps}],"detected_at":{r.detected_at},'
-                f'"exception_count":{r.exception_count},"kind":"{r.kind._value_}",'
-                f'"report_id":{r.report_id},"subject":{names[render_subject(r.subject)]}}}')
-            plans.append(
-                f'{{"no_match":true,"report_id":{r.report_id}}}' if isinstance(p, NoMatch) else
-                f'{{"fired_rule":{names[p.fired_rule]},"report_id":{r.report_id},'
-                f'"strategy":"{p.strategy._value_}","subject":{names[p.subject]}}}')
-        for e in record.executions:
-            plan = e.plan
-            strategies.append(strategy := plan.strategy._value_)
-            executions.append(
-                f'{{"completed_at":{e.completed_at},'
-                f'"mutations":[{",".join(map(_str, e.applied_mutations))}],'
-                f'"new_instance_id":{"null" if e.new_instance_id is None else _str(e.new_instance_id)},'
-                f'"strategy":"{strategy}","subject":{names[plan.subject]}}}')
-        if (violations := rendered.get(id(record.post_violations))) is None:
+        if (violations := rendered.get(id(post_violations))) is None:
             texts = []
-            for v in record.post_violations:
+            for v in post_violations:
                 if (text := rendered.get(id(v))) is None:
                     text = rendered[id(v)] = (
                         f'{{"kind":"{v.kind._value_}","subject":{_str(render_subject(v.subject))}}}'
                     )
                     held.append(v)
                 texts.append(text)
-            violations = rendered[id(record.post_violations)] = ",".join(texts)
-            held.append(record.post_violations)
-        executed = len(record.executions)
+            violations = rendered[id(post_violations)] = ",".join(texts)
+            held.append(post_violations)
+        if not record.reports:  # nothing reported, so nothing planned or executed
+            report = plan = execution = ""
+            counts, unhandled = "0,0,,", 0
+        else:
+            (r,), (p,) = record.reports, record.plans  # a second report raises ValueError
+            if (deps := rendered.get(id(r.dependent_slots))) is None:
+                deps = rendered[id(r.dependent_slots)] = ",".join(map(_str, r.dependent_slots))
+                held.append(r.dependent_slots)
+            report = (
+                f'{{"dependent_slots":[{deps}],"detected_at":{r.detected_at},'
+                f'"exception_count":{r.exception_count},"kind":"{r.kind._value_}",'
+                f'"report_id":{r.report_id},"subject":{names[render_subject(r.subject)]}}}')
+            if type(p) is NoMatch:  # unhandled: nothing executed
+                plan, execution = f'{{"no_match":true,"report_id":{r.report_id}}}', ""
+                counts, unhandled = "1,0,,", 1
+            else:
+                (e,) = record.executions
+                plan = (f'{{"fired_rule":{names[p.fired_rule]},"report_id":{r.report_id},'
+                        f'"strategy":"{p.strategy._value_}","subject":{names[p.subject]}}}')
+                strategy, instance = e.plan.strategy._value_, e.new_instance_id
+                execution = (
+                    f'{{"completed_at":{e.completed_at},'
+                    f'"mutations":[{",".join(map(_str, e.applied_mutations))}],'
+                    f'"new_instance_id":{"null" if instance is None else _str(instance)},'
+                    f'"strategy":"{strategy}","subject":{names[e.plan.subject]}}}')
+                counts, unhandled = f"1,1,{strategy},", 0
         magnitude = "" if fault.magnitude is None else f',"magnitude":{fault.magnitude}'
         return (
             f'{{"clock_end":{record.clock_end},"clock_start":{record.clock_start},'
-            f'"executions":[{",".join(executions)}],'
+            f'"executions":[{execution}],'
             f'"fault":{{"injected_at":{fault.injected_at},"kind":"{fault.kind._value_}"{magnitude},'
             f'"target":{target[0]}}},'
-            f'"plans":[{",".join(plans)}],"post_violations":[{violations}],'
-            f'"reports":[{",".join(reports)}],'
+            f'"plans":[{plan}],"post_violations":[{violations}],"reports":[{report}],'
             f'"round":{record.index}}}',
-            f"{record.index},{record.clock_end},{fault.kind._value_},{target[1]},"
-            f"{len(record.reports)},{executed},{';'.join(strategies)},"
-            f"{len(record.post_violations)},{len(record.plans) - executed}\n",
+            f"{record.index},{record.clock_end},{fault.kind._value_},{target[1]},{counts}"
+            f"{len(post_violations)},{unhandled}\n",
         )
 
     return render

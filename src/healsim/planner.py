@@ -53,7 +53,7 @@ from time import monotonic
 from .analyzer import FailureReport
 from .faults import FaultKind
 from .model import Frozen, render_subject
-from .rules import INT_FIELDS, Fact, NoMatch, RepairPlan, RuleSet, Strategy, evaluate
+from .rules import INT_FIELDS, Fact, NoMatch, RepairPlan, Rule, RuleSet, Strategy, evaluate
 
 PROTOCOL_VERSION = 1
 DEFAULT_PORT = 7464
@@ -354,10 +354,17 @@ def sender(sock, timeout: float):
 
 
 class InProcessPlanner:
-    """Runs the rule engine directly; the transparent twin of RemotePlanner."""
+    """Runs the rule engine directly; the transparent twin of RemotePlanner.
+    ``settled`` maps the id of each kind that the rule set's kind index
+    answers before any condition is tested to that answer: NoMatch where no
+    rule may fire, the rule where the first ranked one holds for the whole
+    kind. ``request_plan`` answers such a kind with no Fact built."""
 
     def __init__(self, ruleset: RuleSet) -> None:
         self.ruleset = ruleset
+        self.settled: dict[int, Rule | NoMatch] = {
+            kind: ranked[0][1] if ranked else NoMatch()
+            for kind, ranked in ruleset.by_kind.items() if not ranked or ranked[0][0] is None}
 
     def plan(self, fact: Fact) -> RepairPlan | NoMatch:
         return evaluate(self.ruleset, fact)
@@ -445,9 +452,13 @@ def request_plan(planner: Planner, report: FailureReport,
                  history: dict[str, int]) -> RepairPlan | NoMatch:
     """Ask a planner for the repair of one failure report. ``history`` maps
     subject strings to how many times they have already failed this run;
-    this failure is counted in it."""
+    this failure is counted in it. Unless an in-process planner has settled
+    the report's kind, the report is made a Fact for ``planner.plan``."""
     subject = render_subject(report.subject)
     prior = history.get(subject, 0)
     history[subject] = prior + 1
+    if type(planner) is InProcessPlanner and (
+            rule := planner.settled.get(id(report.kind))) is not None:
+        return rule if type(rule) is NoMatch else RepairPlan(rule.strategy, subject, rule.name)
     return planner.plan(Fact(report.kind, subject, report.exception_count,
                              len(report.dependent_slots), prior))

@@ -2,6 +2,7 @@ import collections
 import gc
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -151,6 +152,20 @@ def test_config_validation():
     for numbers in ((True, 1, 5, 3), (1, 2.0, 5, 3), (1, 1, None, 3), (1, 1, 5, False)):
         with pytest.raises(ConfigError, match="^seed, rounds and thresholds must be integers$"):
             ScenarioConfig(*numbers)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("planner", None), ("planner", b"inproc"), ("rules_path", pathlib.Path("default.rules")),
+    ("blueprint_path", 7), ("script_path", pathlib.Path("script.json")),
+])
+def test_config_rejects_a_planner_or_path_of_the_wrong_type(field, value, tmp_path):
+    """scenario.json echoes the planner and the paths as JSON strings or null,
+    so any other type is refused before a round runs and no report is begun."""
+    with pytest.raises(ConfigError,
+                       match="^the planner must be a string, and each path a string or None$"):
+        run_scenario(ScenarioConfig(seed=1, rounds=3, out_dir=str(tmp_path / "out"),
+                                    **{field: value}))
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_planner_spec():

@@ -1076,6 +1076,11 @@ NO_CF1_RULES = (
     'rule "replace-on-cf2" when kind == CF2 then AS4\n'
     'rule "reconnect-on-cf4" when kind == CF4 then AS3\n'
 )
+# Under the no-CF1 policy the first CF1 leaves its slot UNKNOWN, so the
+# second changes nothing a report reads: round 2 has no report, plan or
+# execution.
+NO_REPORT_SCRIPT = [FaultInstance(FaultKind.CF1, "Bid Service"),
+                    FaultInstance(FaultKind.CF1, "Bid Service")]
 
 
 def encoder_cases():
@@ -1103,6 +1108,9 @@ def encoder_cases():
         ("csv-names", ScenarioConfig(seed=11, rounds=48), CSV_NAMES_DOC, None),
         ("standing-script",
          ScenarioConfig(seed=6, rounds=5, script=STANDING_SCRIPT, script_path="standing.json"),
+         None, NO_CF1_RULES),
+        ("no-report-script",
+         ScenarioConfig(seed=10, rounds=2, script=NO_REPORT_SCRIPT, script_path="no-report.json"),
          None, NO_CF1_RULES),
         # The directly written head: every path escaped as canonical_json escapes
         # it (a quote, a backslash, control characters, non-ASCII text outside and
@@ -1253,12 +1261,12 @@ def test_validate_equals_brute_force_with_missing_connectors(data, doc):
 
 
 def test_encoder_cases_cover_every_branch():
-    """The cases above reach no-match plans, persisting violations, one
-    subject under two violation kinds, CF2 magnitudes, executions with and
-    without a new instance, suspects, targets and fired rules that need
-    escaping, targets whose rounds.csv cell goes through csv (a carriage
-    return) or is written as it is (a leading space), and suspects whose
-    suspects.csv cells go through csv."""
+    """The cases above reach rounds with no report, no-match plans,
+    persisting violations, one subject under two violation kinds, CF2
+    magnitudes, executions with and without a new instance, suspects,
+    targets and fired rules that need escaping, targets whose rounds.csv
+    cell goes through csv (a carriage return) or is written as it is (a
+    leading space), and suspects whose suspects.csv cells go through csv."""
     seen = collections.Counter()
     for case in encoder_cases():
         report, records = run_case(case)
@@ -1272,6 +1280,7 @@ def test_encoder_cases_cover_every_branch():
         seen["subject_of_two_kinds"] += any(len(kinds) > 1 for kinds in kinds_of.values())
         for record in records:
             seen["magnitude"] += record.fault.magnitude is not None
+            seen["no_report"] += not record.reports
             seen["no_match"] += NoMatch() in record.plans
             seen["violations"] += bool(record.post_violations)
             seen["new_instance"] += any(e.new_instance_id for e in record.executions)
@@ -1281,10 +1290,66 @@ def test_encoder_cases_cover_every_branch():
             seen["carriage_return_target"] += "\r" in target
             seen["leading_space_target"] += target.startswith(" ")
             seen["odd_rule"] += any('"' in getattr(p, "fired_rule", "") for p in record.plans)
-    assert all(seen[k] for k in ("suspects", "magnitude", "no_match", "violations",
+    assert all(seen[k] for k in ("suspects", "magnitude", "no_report", "no_match", "violations",
                                  "new_instance", "no_new_instance", "odd_target",
                                  "carriage_return_target", "leading_space_target",
                                  "odd_rule", "subject_of_two_kinds", "quoted_suspect")), seen
+
+
+ONE_REPORT_POLICIES = {"bundled": None, "degraded": DEGRADED_RULES, "no-cf1": NO_CF1_RULES}
+ONE_REPORT_BLUEPRINTS = {"shop": None, "layered12": layered_blueprint_doc(12)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), blueprint=st.sampled_from(sorted(ONE_REPORT_BLUEPRINTS)),
+       policy=st.sampled_from(sorted(ONE_REPORT_POLICIES)), scripted=st.booleans())
+def test_classify_reports_at_most_once_a_round(data, blueprint, policy, scripted):
+    """One injected fault changes one slot or one connector, and classify
+    reports that change at most once, so a round has at most one report,
+    plan and execution: what run_round and round_renderer rest on. Random
+    runs draw their faults; scripted ones name any slot or intended
+    connector, and end where a target an earlier round left absent cannot
+    take its fault."""
+    bp = load(ONE_REPORT_BLUEPRINTS[blueprint])
+    script = None
+    if scripted:
+        slots = st.sampled_from(slot_names(bp))
+        script = data.draw(st.lists(st.one_of(
+            st.builds(FaultInstance, st.sampled_from([FaultKind.CF1, FaultKind.CF3]), slots),
+            st.builds(FaultInstance, st.just(FaultKind.CF2), slots, st.integers(1, 9)),
+            st.builds(FaultInstance, st.just(FaultKind.CF4),
+                      st.sampled_from(bp.intended_connectors))), min_size=1, max_size=40))
+    config = ScenarioConfig(seed=data.draw(st.integers(0, 2**64 - 1)),
+                            rounds=len(script) if scripted else data.draw(st.integers(1, 60)),
+                            script=script)
+    rules_text = ONE_REPORT_POLICIES[policy]
+    runner = ScenarioRunner(config, blueprint=bp,
+                            ruleset=None if rules_text is None else parse_rules(rules_text))
+
+    def checked(*args):
+        reports = classify(*args)
+        assert len(reports) <= 1, reports
+        return reports
+
+    try:
+        with mock.patch.object(harness, "classify", checked):
+            runner.run()
+    except (ModelError, NoEligibleTarget):  # an absent scripted target, or nothing left to fail
+        pass
+    finally:
+        runner.close()
+
+
+def test_the_renderer_refuses_a_round_with_two_reports():
+    """A record with two reports is no round the runner makes: the renderer
+    raises ValueError rather than write one of them."""
+    _, records = run_case(next(c for c in encoder_cases() if c[0] == "shop-seed42"))
+    one, other = records[:2]
+    assert len(one.reports) == len(other.reports) == len(one.executions) == 1
+    both = RoundRecord(1, one.fault, one.reports + other.reports, one.plans + other.plans,
+                       one.executions + other.executions, (), one.clock_start, other.clock_end)
+    with pytest.raises(ValueError):
+        harness.round_renderer()(both)
 
 
 def test_enum_values_need_no_escaping():
@@ -1570,9 +1635,23 @@ RULE_FACTS = st.builds(Fact, st.sampled_from(FaultKind), st.sampled_from(["a", "
 
 @settings(max_examples=300, deadline=None)
 @given(ruleset=RULESETS, facts=st.lists(RULE_FACTS, min_size=1, max_size=8))
+@example(ruleset=parse_rules(DEGRADED_RULES),
+         facts=[Fact(kind, "a", 0, 1, prior) for kind in FaultKind for prior in (0, 2)])
 def test_ranked_first_match_equals_all_rules_pick(ruleset, facts):
+    """evaluate, and an in-process planner asked for a report with each
+    fact's fields, give the pick of every rule. The planner answers a kind
+    with no rule and one whose first ranked rule holds for the whole kind
+    with no Fact built, and a kind whose first rule has a condition through
+    evaluate; the example has all three, the degraded policy's CF4, CF2 and
+    CF1."""
+    inproc = planner.InProcessPlanner(ruleset)
     for fact in facts:
         assert evaluate(ruleset, fact) == reference_evaluate(ruleset, fact)
+        if fact.dependent_count >= 0:  # a report has that many dependent slots
+            report = FailureReport(0, fact.kind, fact.subject, fact.exception_count, 0,
+                                   ("d",) * fact.dependent_count)
+            history = {fact.subject: fact.prior_failures_of_subject}
+            assert planner.request_plan(inproc, report, history) == reference_evaluate(ruleset, fact)
     # Parsing the printed rule set compiles the same conditions again.
     reparsed = parse_rules(format_rules(ruleset))
     for fact in facts:

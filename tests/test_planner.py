@@ -540,6 +540,14 @@ def test_service_shutdown_after_an_interrupted_loop_returns_at_once(monkeypatch)
 
 # -- planner handles ----------------------------------------------------------
 
+DEGRADED_RULES = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench",
+                              "degraded.rules")
+
+
+def degraded_ruleset():
+    with open(DEGRADED_RULES, encoding="utf-8") as fh:
+        return parse_rules(fh.read())
+
 
 def _report(kind=FaultKind.CF1, subject="Query Service", deps=("Last Second Sales Item Filter", "Reputation Service")):
     return FailureReport(0, kind, subject, 0, 0, tuple(deps))
@@ -562,19 +570,58 @@ def test_request_plan_renders_connector_subject_and_counts_it():
     assert history == {"Query Service->Reputation Service": 3}
 
 
-def test_inproc_and_remote_agree(service):
-    inproc = InProcessPlanner(default_ruleset())
-    remote = RemotePlanner(*service.address)
-    try:
-        for kind, subject in [
-            (FaultKind.CF1, "Query Service"),
-            (FaultKind.CF2, "Bid Service"),
-            (FaultKind.CF3, "Persistence Service"),
-        ]:
-            report = _report(kind=kind, subject=subject)
-            assert request_plan(inproc, report, {}) == request_plan(remote, report, {})
-    finally:
-        remote.close()
+def test_inproc_and_remote_agree():
+    """Under the bundled policy and bench/degraded.rules, over every kind and
+    a subject with no, one and two prior failures. Under the bench policy
+    CF1's first rule has a condition, which the in-process planner puts to
+    evaluate, and CF4 has no rule."""
+    for ruleset in (default_ruleset(), degraded_ruleset()):
+        service = PlanService(ruleset, host="127.0.0.1", port=0).start()
+        inproc, remote = InProcessPlanner(ruleset), RemotePlanner(*service.address)
+        local_history, remote_history = {}, {}
+        try:
+            for kind, subject in [
+                (FaultKind.CF1, "Query Service"),
+                (FaultKind.CF2, "Bid Service"),
+                (FaultKind.CF3, "Persistence Service"),
+                (FaultKind.CF4, "Query Service->Reputation Service"),
+            ]:
+                for _ in range(3):
+                    report = _report(kind=kind, subject=subject)
+                    assert (request_plan(inproc, report, local_history)
+                            == request_plan(remote, report, remote_history))
+            assert local_history == remote_history
+        finally:
+            remote.close()
+            service.shutdown()
+
+
+def test_in_process_planning_builds_a_fact_only_for_a_conditional_first_rule(monkeypatch):
+    """Under bench/degraded.rules, CF1's first ranked rule has a condition,
+    CF2's and CF3's hold for the whole kind and CF4 has none: only the CF1
+    report is made a Fact and put to evaluate, through the planner module's
+    own name for it."""
+    counts = collections.Counter()
+    fact_init, evaluate = Fact.__init__, planner.evaluate
+
+    def counted_init(self, *args):
+        counts["Fact"] += 1
+        fact_init(self, *args)
+
+    def counted_evaluate(*args):
+        counts["evaluate"] += 1
+        return evaluate(*args)
+
+    inproc = InProcessPlanner(degraded_ruleset())
+    monkeypatch.setattr(Fact, "__init__", counted_init)
+    monkeypatch.setattr(planner, "evaluate", counted_evaluate)
+    outcomes = [request_plan(inproc, _report(kind=kind), {"Query Service": 2})
+                for kind in FaultKind]
+    assert counts == {"Fact": 1, "evaluate": 1}
+    assert outcomes == [RepairPlan(Strategy.AS4, "Query Service", "escalate"),
+                        RepairPlan(Strategy.AS4, "Query Service", "replace-on-cf2"),
+                        RepairPlan(Strategy.AS2, "Query Service", "redeploy-on-cf3"),
+                        NoMatch()]
 
 
 def test_no_match_propagates_identically():
@@ -637,10 +684,6 @@ def test_inproc_and_remote_runs_agree_on_both_decode_paths(tmp_path):
     assert local_files == remote_files
 
 
-DEGRADED_RULES = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench",
-                              "degraded.rules")
-
-
 def count_codec_calls(monkeypatch):
     """From now on, count each call to encode and decode, by either end's
     name for them, and to json.loads, which the full check of decode starts
@@ -665,11 +708,7 @@ def test_a_canonical_round_trip_takes_one_match_on_both_ends(policy, monkeypatch
     client decodes that in one match. The bench policy's CF4s are answered
     no_match. A subject outside the one-match alphabet takes the full check
     at both ends and gets the in-process answer."""
-    if policy == "bundled":
-        ruleset = default_ruleset()
-    else:
-        with open(DEGRADED_RULES, encoding="utf-8") as fh:
-            ruleset = parse_rules(fh.read())
+    ruleset = default_ruleset() if policy == "bundled" else degraded_ruleset()
     service = PlanService(ruleset, host="127.0.0.1", port=0).start()
     runner = RecordingRunner(ScenarioConfig(seed=42, rounds=2000,
                                             planner="tcp://%s:%d" % service.address))
