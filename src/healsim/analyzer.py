@@ -45,18 +45,17 @@ def classify(model: ArchitectureModel, exception_threshold: int,
     CF1 before CF2 within a slot, then CF4s in connector order. Additions and
     benign changes yield nothing. No change event is built.
     """
-    since = model.cut_journal()[0]
+    since = model.cut_journal()
     reports: list[FailureReport] = []
     removed: list[ConnectorSpec] = []
-    components, at = model._components, model.clock
-    names, dependencies = model.blueprint._slot_names, model.blueprint._dependencies
+    components, at, bp = model._components, model.clock, model.blueprint
+    names, dependencies = bp._slot_names, bp._dependencies
     # A connector is journalled at ~position, below every slot position, so
     # the ascending keys give connectors in descending position order.
     for key in sorted(since):
         if key < 0:
-            spec, live = since[key]
-            if not live and model._ends_present(~key):
-                removed.append(spec)
+            if not since[key] and model._ends_present(~key):  # went, not came back
+                removed.append(bp.intended_connectors[~key])
             continue
         if (before := since[key]) is None:  # filled, or empty at both ends
             continue

@@ -1,6 +1,6 @@
 """Scenario harness: drives inject, analyze, plan, execute, validate rounds
-and records everything it saw; analysis reads the change journal that
-monitoring keeps, so a round builds no change event.
+and records everything it saw; analysis reads the model's change journal,
+so a round builds no snapshot and no change event.
 
 Every round injects exactly one fault (drawn from the seeded generator or
 taken from an explicit script), runs one full repair cycle, then validates
@@ -13,8 +13,8 @@ output byte.
 A run ends by writing scenario.json, rounds.csv and suspects.csv, whose
 formats this module alone owns. ``round_renderer`` makes the one function
 that formats a round: it returns the round's scenario.json object and its
-rounds.csv row, and renders each recurring name and each standing
-violations tuple once. The runner renders its rounds as they finish, one
+rounds.csv row, and renders each recurring name once, and a violations
+tuple once while it stands. The runner renders its rounds as they finish, one
 batch of ``_EMIT_BATCH`` at a time, keeps each batch's text and drops the
 records, so a run holds no record it has rendered. ``report_stream`` is
 all three reports as one stream of text pieces: the heads, the kept text
@@ -92,10 +92,14 @@ class ScenarioConfig(Record):
             raise ConfigError("thresholds must be at least 1")
         if out_dir == "":  # None writes no reports; "" would silently do the same
             raise ConfigError("the report directory must be a non-empty path")
-        # scenario.json echoes these as JSON strings or null: check them before any round runs.
+        # scenario.json echoes the planner and the paths as JSON strings or null, and
+        # the rounds read the script's faults: check them all before any round runs.
         paths = (rules_path, blueprint_path, script_path)
-        if not isinstance(planner, str) or not all(p is None or isinstance(p, str) for p in paths):
-            raise ConfigError("the planner must be a string, and each path a string or None")
+        if not (isinstance(planner, str) and all(p is None or isinstance(p, str) for p in paths)
+                and (script is None or isinstance(script, (list, tuple))
+                     and all(isinstance(fault, FaultInstance) for fault in script))):
+            raise ConfigError("the planner must be a string, each path a string or None, "
+                              "and the script None or a list or tuple of faults")
         self.seed, self.rounds, self.planner, self.out_dir = seed, rounds, planner, out_dir
         self.exception_threshold = exception_threshold
         self.rootcause_threshold = rootcause_threshold
@@ -245,7 +249,6 @@ class ScenarioRunner:
         self.batches: list[tuple[str, str]] = []
         self.unhandled_failures = self.healed = 0
         self._rounds_run = self._next_report_id = 0
-        self._violations: tuple[Violation, ...] = ()  # the last round's post_violations
         self._render = round_renderer()
 
     def run_round(self) -> RoundRecord:
@@ -253,9 +256,8 @@ class ScenarioRunner:
         plan, execute, validate. Returns the round's record and appends it to
         ``records``; the round that fills a batch renders the batch into
         ``batches`` and empties ``records``. A round whose violations equal
-        the previous round's holds its tuple: ``validate`` returns that very
-        tuple while the damage stands, and an equal one built anew (with a
-        slot damaged) is replaced by it."""
+        the previous round's holds that round's tuple, as ``validate``
+        returns it."""
         model, threshold = self.model, self.config.exception_threshold
         index = self._rounds_run = self._rounds_run + 1
         clock_start = model.clock
@@ -284,10 +286,7 @@ class ScenarioRunner:
             else:
                 executions = (execute(model, plan),)
             reports, plans = (report,), (plan,)
-        violations = validate(model)  # while the damage stands, the tuple it last returned
-        if violations == (last := self._violations):
-            violations = last  # standing damage: one tuple, rendered once
-        self._violations = violations
+        violations = validate(model)
         self.healed += not violations
         record = RoundRecord(index, fault, reports, plans, executions, violations, clock_start,
                              model.clock)
@@ -356,14 +355,14 @@ def round_renderer() -> Callable[[RoundRecord], tuple[str, str]]:
 
     Each recurring thing is rendered once. A fault target's JSON text and
     CSV cell, and any other name's JSON text, are made once per name. A
-    violation, a round's ``post_violations`` tuple and a report's
-    ``dependent_slots`` tuple are rendered once per object, kept by ``id``;
-    ``held`` keeps each such object for the renderer's life, so no id it
-    keys is reused while its text is kept. ``classify`` gives every report
-    of a slot the blueprint's one tuple, ``validate`` shares one violation
-    object across the rounds a deviation stands and one tuple across the
-    rounds the whole list stands (``run_round`` shares an equal one too).
-    The empty tuple, one object, renders as empty text in both uses.
+    violation and a report's ``dependent_slots`` tuple are rendered once per
+    object, kept by ``id``, and ``held`` keeps each such object, so no id it
+    keys is reused; both are bounded by the blueprint, as ``classify`` gives
+    every report of a slot its one tuple and ``validate`` one violation per
+    deviation. A round's ``post_violations`` tuple is rendered unless it is
+    the last one rendered, the only one whose text is kept: ``validate``
+    answers with its previous tuple while the whole list stands. The empty
+    tuple, one object, renders as empty text in both uses.
 
     ``ScenarioRunner`` owns one renderer and calls it through ``render_batch``.
     An enum member's text is read as ``_value_``, a plain attribute (``value``
@@ -373,14 +372,16 @@ def round_renderer() -> Callable[[RoundRecord], tuple[str, str]]:
     held = []  # every object whose id keys rendered, kept alive as long as the memo
     names = _Names()
     targets: dict[str, tuple[str, str]] = {}
+    last, last_text = (), ""  # the last post_violations tuple rendered, and its text
 
     def render(record: RoundRecord) -> tuple[str, str]:
+        nonlocal last, last_text
         fault, post_violations = record.fault, record.post_violations
         if (target := targets.get(name := render_subject(fault.target))) is None:
             # get, not [], as a target is often new here: __missing__ is a Python call
             text = names.get(name) or names.setdefault(name, _str(name))
             target = targets[name] = (text, _csv_cell(name))
-        if (violations := rendered.get(id(post_violations))) is None:
+        if post_violations is not last:
             texts = []
             for v in post_violations:
                 if (text := rendered.get(id(v))) is None:
@@ -389,8 +390,7 @@ def round_renderer() -> Callable[[RoundRecord], tuple[str, str]]:
                     )
                     held.append(v)
                 texts.append(text)
-            violations = rendered[id(post_violations)] = ",".join(texts)
-            held.append(post_violations)
+            last, last_text = post_violations, ",".join(texts)
         if not record.reports:  # nothing reported, so nothing planned or executed
             report = plan = execution = ""
             counts, unhandled = "0,0,,", 0
@@ -423,7 +423,7 @@ def round_renderer() -> Callable[[RoundRecord], tuple[str, str]]:
             f'"executions":[{execution}],'
             f'"fault":{{"injected_at":{fault.injected_at},"kind":"{fault.kind._value_}"{magnitude},'
             f'"target":{target[0]}}},'
-            f'"plans":[{plan}],"post_violations":[{violations}],"reports":[{report}],'
+            f'"plans":[{plan}],"post_violations":[{last_text}],"reports":[{report}],'
             f'"round":{record.index}}}',
             f"{record.index},{record.clock_end},{fault.kind._value_},{target[1]},{counts}"
             f"{len(post_violations)},{unhandled}\n",

@@ -9,7 +9,7 @@ only remove connectors, repairs re-add intended ones, and ``add_connector``
 rejects any other spec; a new instance gets its id from the model. Faults
 damage the model; repairs restore it; ``validate`` lists every deviation
 from the blueprint. The model keeps its damage by position and journals
-each change, so validation, fault targets and change events cost what
+each change, so validation, fault targets and classification cost what
 changed, not the blueprint's size; whole-blueprint views are built on demand.
 """
 
@@ -387,8 +387,8 @@ class ArchitectureModel(Record):
     component also drops its incident connectors, and replacing one makes
     them live again where it can. A single writer at a time
     is assumed; reads are safe between mutations. Change the model only
-    through its mutation methods: they keep current the damaged slots and
-    the change journal that monitoring, validation and fault drawing read.
+    through its mutation methods: they keep current the damage that validation
+    and fault drawing read, and the change journal that analysis reads.
     """
 
     _fields = ("blueprint", "_components", "_missing", "clock", "_instance_seq")
@@ -406,7 +406,7 @@ class ArchitectureModel(Record):
         self._components: list[Component | None] = [None] * len(blueprint.slots)
         self._damaged: set[int] = set()
         # Changes since the last cut_journal(): slot position -> its Component (or None)
-        # before the first change; ~connector position -> (spec, live) while its flips are odd.
+        # before the first change; ~connector position -> live or not while its flips are odd.
         self._journal: dict = {}
         for pos, slot in enumerate(blueprint._slot_names):
             if (comp := components[slot]) is not None:
@@ -427,9 +427,9 @@ class ArchitectureModel(Record):
         # 3 * slot position + (0 missing, 1 unknown state, 2 not started) or ~connector position.
         self._violations: dict[int, Violation] = {}
         self._journal = {}  # a new model has changed nothing yet
-        # validate's last answer for an undamaged model, with a copy of the missing
-        # positions it answered for; None after a damaged one, in a copy, or in a new model.
-        self._kept: tuple[set[int], tuple[Violation, ...]] | None = None
+        # validate's last answer, with a copy of the missing positions it answered
+        # for if no slot was damaged (else None); None in a copy or a new model.
+        self._kept: tuple[set[int] | None, tuple[Violation, ...]] | None = None
 
     def __getstate__(self) -> tuple[None, dict]:
         """Every slot for copy and pickle, except the kept answer: a copy answers anew."""
@@ -450,7 +450,7 @@ class ArchitectureModel(Record):
         """Make the connector at ``pos`` live or not; it is not yet so."""
         (self._missing.discard if live else self._missing.add)(pos)
         if self._journal.pop(~pos, None) is None:  # a second flip undoes the first
-            self._journal[~pos] = (self.blueprint.intended_connectors[pos], live)
+            self._journal[~pos] = live
 
     def _position(self, slot: str) -> int:
         if (pos := self.blueprint._slot_pos.get(slot)) is None:
@@ -506,10 +506,10 @@ class ArchitectureModel(Record):
             return self.blueprint.intended_connectors[k]
         return self.blueprint.intended_connectors[_kth_kept(k, sorted(missing))]
 
-    def cut_journal(self) -> tuple[dict, dict]:
-        """The journal since the previous cut, and the fresh one started now."""
+    def cut_journal(self) -> dict:
+        """The journal since the previous cut; a fresh one starts now."""
         since, self._journal = self._journal, {}
-        return since, self._journal
+        return since
 
     # -- mutations -------------------------------------------------------
 
@@ -612,17 +612,16 @@ def validate(model: ArchitectureModel) -> tuple[Violation, ...]:
     an empty slot is already covered by its MISSING_COMPONENT entry. An
     empty tuple means the architecture carries no further failures.
 
-    The violations are shared: for its whole life a model returns one frozen
-    object per (kind, slot) and per missing connector, built the first time
-    that deviation is seen. With no slot damaged, no endpoint is checked (the
-    invariant says both are present), and the answer is kept while the damage
-    stands: a call that finds no slot damaged and the same missing connectors
-    as the previous call, which found none damaged either, returns that call's
-    tuple, with no sort and no lookup. So damage that stands over many rounds
-    is built and answered once, and a report writer renders its tuple once.
+    The violations are shared: a model returns one frozen object per (kind,
+    slot) and per missing connector for its whole life, and an answer equal
+    to the previous call's, a slot damaged or not, is that call's tuple. So
+    standing damage is built once and a writer that keeps the last tuple it
+    rendered renders it once. With no slot damaged, no endpoint is checked
+    (the invariant says both are present), and the previous call's missing
+    connectors, if it found none damaged either, return its tuple unbuilt.
     """
-    damaged, missing = model._damaged, model._missing
-    if not damaged and (kept := model._kept) is not None and kept[0] == missing:
+    damaged, missing, kept = model._damaged, model._missing, model._kept
+    if not damaged and kept is not None and kept[0] == missing:
         return kept[1]
     bp, shared = model.blueprint, model._violations
     violations: list[Violation] = []
@@ -644,5 +643,7 @@ def validate(model: ArchitectureModel) -> tuple[Violation, ...]:
         for pos in sorted(missing)
     ]
     answer = tuple(violations)
-    model._kept = None if damaged else (set(missing), answer)
+    if kept is not None and answer == kept[1]:
+        answer = kept[1]
+    model._kept = (None if damaged else set(missing)), answer
     return answer

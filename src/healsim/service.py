@@ -30,9 +30,9 @@ import socket
 import socketserver
 import threading
 
-from .planner import DEFAULT_PORT, MAX_FRAME, ErrorOutcome, InProcessPlanner, MalformedFrame
+from .planner import DEFAULT_PORT, MAX_FRAME, ErrorOutcome, MalformedFrame
 from .planner import decode, encode, lines, sender
-from .rules import Fact, RuleSet
+from .rules import Fact, RuleSet, evaluate
 
 log = logging.getLogger(__name__)
 
@@ -69,7 +69,7 @@ class _PlanHandler(socketserver.BaseRequestHandler):
                         malformed = ErrorOutcome("malformed", str(exc))
                         frame = encode(_best_effort_request_id(line), malformed)
                     else:
-                        frame = encode(request_id, self.server.planner.plan(fact))
+                        frame = encode(request_id, evaluate(self.server.ruleset, fact))
                         if len(frame) > MAX_FRAME:  # a plan echoes the subject, escaped
                             frame = encode(request_id, ErrorOutcome(
                                 "too_large", f"reply exceeds {MAX_FRAME} bytes"))
@@ -133,7 +133,7 @@ class PlanService:
             self._server = _PlanServer((host, port), _PlanHandler)
         except OSError as exc:
             raise OSError(f"cannot bind {host}:{port}: {exc}") from exc
-        self._server.planner = InProcessPlanner(ruleset)
+        self._server.ruleset = ruleset
         self._thread: threading.Thread | None = None
         self._wake, self._woken = socket.socketpair()  # shutdown closes _wake: _woken reads EOF
 

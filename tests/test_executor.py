@@ -93,7 +93,7 @@ def test_a_restart_builds_one_component(strategy, state, monkeypatch):
     model.set_state("Query Service", state)
     model.add_exceptions("Query Service", 7)
     old = model.component("Query Service")
-    take_snapshot(model)  # starts an empty journal
+    model.cut_journal()
     built = []
     init = Component.__init__
 
@@ -214,7 +214,7 @@ def test_inapplicable_repair_raises_a_model_error_and_changes_nothing(situation)
         model = build_default_model()
         if emptied:
             model.remove_component(emptied)
-        take_snapshot(model)  # starts an empty journal
+        model.cut_journal()
 
         def seen():
             return (dict(model._journal), dict(model._instance_seq), model.clock,

@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 
 from healsim import harness, monitor
-from healsim.faults import FaultInstance, FaultKind
+from healsim.faults import FaultInstance, FaultKind, inject
 from healsim.harness import (
     ConfigError,
     RoundRecord,
@@ -32,7 +32,7 @@ from healsim.model import (
     blueprint_from_json,
     default_blueprint,
 )
-from healsim.rules import NoMatch, Strategy, parse_rules
+from healsim.rules import NoMatch, Strategy, load_rules, parse_rules
 
 from test_golden import layered_blueprint_doc
 from views import RecordingRunner, run_recorded
@@ -40,6 +40,7 @@ from views import RecordingRunner, run_recorded
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 REPORTS = ("scenario.json", "rounds.csv", "suspects.csv")
 QS_REP = ConnectorSpec("Query Service", "Reputation Service", "Reputation Service")
+DEGRADED_RULES = os.path.join(SRC, os.pardir, "bench", "degraded.rules")
 
 
 def script_config(faults, **kw):
@@ -157,12 +158,16 @@ def test_config_validation():
 @pytest.mark.parametrize("field, value", [
     ("planner", None), ("planner", b"inproc"), ("rules_path", pathlib.Path("default.rules")),
     ("blueprint_path", 7), ("script_path", pathlib.Path("script.json")),
+    ("script", [1]), ("script", "CF1"), ("script", FaultInstance(FaultKind.CF1, "Frontend")),
+    ("script", (FaultInstance(FaultKind.CF1, "Frontend"), None)),
 ])
 def test_config_rejects_a_planner_or_path_of_the_wrong_type(field, value, tmp_path):
     """scenario.json echoes the planner and the paths as JSON strings or null,
-    so any other type is refused before a round runs and no report is begun."""
-    with pytest.raises(ConfigError,
-                       match="^the planner must be a string, and each path a string or None$"):
+    and the rounds read the script's faults, so any other type is refused
+    before a round runs and no report is begun."""
+    with pytest.raises(ConfigError, match=(
+            "^the planner must be a string, each path a string or None, "
+            "and the script None or a list or tuple of faults$")):
         run_scenario(ScenarioConfig(seed=1, rounds=3, out_dir=str(tmp_path / "out"),
                                     **{field: value}))
     assert not (tmp_path / "out").exists()
@@ -341,29 +346,56 @@ def test_a_runner_renders_each_batch_as_it_fills_and_keeps_fewer_records():
 
 
 def test_a_run_holds_no_growing_object_graph():
-    """Once the collector has run, a 20 000-round shop run leaves fewer than
-    500 more tracked objects alive than a 2000-round run: the runner keeps
-    the text of its rounds, which the collector does not track, and no
-    record."""
-    def tracked_after(rounds):
-        runner = ScenarioRunner(ScenarioConfig(seed=42, rounds=rounds))
-        report = runner.run()
-        runner.close()
-        gc.collect()
-        assert report.healed == rounds  # the runner and its report are alive here
-        return len(gc.get_objects())
+    """Once the collector has run, a 20 000-round run leaves fewer than 500
+    more tracked objects alive than a 2000-round run: on the shop under the
+    bundled policy, and on a layered blueprint under bench/degraded.rules,
+    where damage stands and the violations change thousands of times. The
+    runner keeps the text of its rounds, which the collector does not
+    track, no record, and of the violations tuples only the last."""
+    layered = blueprint_from_json(layered_blueprint_doc(200))
+    for name, blueprint, ruleset in (("shop", None, None),
+                                     ("layered-200 degraded", layered, load_rules(DEGRADED_RULES))):
+        def tracked_after(rounds):
+            runner = ScenarioRunner(ScenarioConfig(seed=42, rounds=rounds),
+                                    blueprint=blueprint, ruleset=ruleset)
+            report = runner.run()
+            runner.close()
+            gc.collect()
+            # the runner and its report are alive here; only the bundled policy heals every round
+            assert (report.healed == rounds) == (ruleset is None)
+            return len(gc.get_objects())
 
-    tracked_after(2000)  # first-use caches
-    small = tracked_after(2000)
-    assert tracked_after(20_000) - small < 500
+        tracked_after(2000)  # first-use caches
+        small = tracked_after(2000)
+        assert tracked_after(20_000) - small < 500, name
+
+
+def test_taking_snapshots_during_a_run_changes_no_report(tmp_path, monkeypatch):
+    """A snapshot only reads the model: a 2000-round run that takes one after
+    every injection writes the three reports of a run that takes none."""
+    plain, watched = tmp_path / "plain", tmp_path / "watched"
+    run_scenario(ScenarioConfig(seed=42, rounds=2000, out_dir=str(plain)))
+    snapshots = []
+
+    def inject_and_snapshot(model, fault):
+        inject(model, fault)
+        snapshots.append(monitor.take_snapshot(model))
+
+    monkeypatch.setattr(harness, "inject", inject_and_snapshot)
+    run_scenario(ScenarioConfig(seed=42, rounds=2000, out_dir=str(watched)))
+    assert len(snapshots) == 2000
+    for name in REPORTS:
+        assert (watched / name).read_bytes() == (plain / name).read_bytes(), name
 
 
 def test_a_memo_entry_keyed_by_id_never_outlives_its_object():
-    """The renderer keys its memo by id(). Once a rendered round's violations
-    tuple and its violation are freed, CPython hands their memory to the next
+    """The renderer keys its violation memo by id(), and knows the last
+    violations tuple it rendered by identity. Once a rendered round's tuple
+    and its violation are freed, CPython hands their memory to the next
     objects of their size (tuples of each length have a free list), so the
     next tuple and violation built would take their ids. The renderer holds
-    every object it keys, so each round below renders its own violations."""
+    every violation it keys and the last tuple, so each round below renders
+    its own violations."""
     render = harness.round_renderer()
     fault = FaultInstance(FaultKind.CF1, "Frontend", None, 0)
 

@@ -266,9 +266,9 @@ def test_replace_on_an_occupied_slot_flips_only_the_missing_connectors(model):
     assert new == Component("Persistence Service#2") and model.component("Persistence Service") is new
     assert live == [spec for spec in persistence if spec.source != "Reputation Service"]
     assert bid in live and model.live_count() == 7  # of 9: Reputation Service took two
-    since, _ = model.cut_journal()
+    since = model.cut_journal()
     position = model.blueprint._connector_pos(bid)
-    assert since == {model.blueprint._slot_pos["Persistence Service"]: old, ~position: (bid, True)}
+    assert since == {model.blueprint._slot_pos["Persistence Service"]: old, ~position: True}
     assert model.clock == 0  # the executor advances the clock by its trail
 
 

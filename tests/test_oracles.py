@@ -42,9 +42,7 @@ from healsim.monitor import (
     ChangeEvent,
     ClockRegression,
     EventKind,
-    NotConsecutive,
     Snapshot,
-    _events,
     observe,
     take_snapshot,
 )
@@ -279,7 +277,7 @@ def apply_step(model, step):
         src, dst = slots[i % len(slots)], slots[j % len(slots)]
         spec = ConnectorSpec(src, dst, scan_type_of_slot(bp, dst).provided_interface)
         if bp.find_intended(src, dst) != spec:
-            def seen():  # what the next take_snapshot and observe read
+            def seen():  # what the next take_snapshot and classify read
                 return (model.slot_views(), model.live_connector_specs(), model.clock,
                         dict(model._journal))
 
@@ -391,21 +389,22 @@ def test_validate_shares_one_violation_per_deviation(doc, steps):
 @example(steps=[("inject", 3, 0, 0), ("inject", 0, 1, 0)], twice=[])  # M, then a slot damaged
 @example(steps=[("inject", 3, 0, 0), ("execute", 2, 0, 0), ("inject", 3, 0, 0)],
          twice=[])  # M, healed, M again: not the previous call's tuple
+@example(steps=[("inject", 0, 1, 0), ("inject", 0, 1, 0), ("inject", 1, 2, 1)],
+         twice=[True])  # a damaged slot stands, with a benign change beside it: the same tuple
 def test_validate_keeps_its_answer_exactly_while_the_damage_stands(doc, steps, twice):
     """After every step, called once or twice, validate equals the brute-force
-    tuple, and it returns the very tuple of its previous call exactly when
-    neither call found a slot damaged and the missing connectors are the same."""
+    tuple, and it returns the very tuple of its previous call exactly when its
+    answer equals that tuple, whether or not a slot is damaged."""
     model = instantiate_blueprint(load(doc))
-    previous = None  # the last call's answer, and (no slot damaged, the missing positions)
+    previous = None  # the last call's answer
 
     def check():
         nonlocal previous
         answer = validate(model)
         assert answer == brute_validate(model)
-        standing = not model._damaged, set(model._missing)
         if previous is not None:
-            assert (answer is previous[0]) == (standing[0] and standing == previous[1])
-        previous = answer, standing
+            assert (answer is previous) == (answer == previous)
+        previous = answer
 
     check()
     for i, step in enumerate(steps):
@@ -719,11 +718,11 @@ def test_indexed_draws_equal_the_listed_targets(doc, steps):
 @example(windows=[[("inject", 0, 2, 0), ("inject", 1, 2, 4)]])  # CF1, CF2 on one slot: state first
 @example(windows=[[("inject", 3, 5, 0), ("inject", 2, 0, 0)]])  # CF4 away from a CF3: both event kinds
 def test_journal_windows_equal_full_diff(doc, windows):
-    """Several mutations between consecutive snapshots of one model: observe
-    reads the journal and equals scan_observe. Any other pair (snapshots of
-    another model of the same blueprint or of a deep copy, not consecutive,
-    replaced, a snapshot with itself) raises NotConsecutive, or
-    ClockRegression first when its clock goes back."""
+    """Several mutations between snapshots of one model: observe equals
+    scan_observe, and so it does for any other pair (snapshots of another
+    model of the same blueprint or of a deep copy, not consecutive, built
+    directly, a snapshot with itself), unless its clock goes back, which
+    raises ClockRegression. Taking a snapshot leaves the journal as it was."""
     bp = load(doc)
     model, other = instantiate_blueprint(bp), instantiate_blueprint(bp)
     first, before = take_snapshot(model), take_snapshot(model)
@@ -733,7 +732,9 @@ def test_journal_windows_equal_full_diff(doc, windows):
         apply_steps(model, window)
         apply_steps(clone, window[::-1])
         apply_steps(other, window[1:])
+        journal, entries = model._journal, dict(model._journal)
         after = take_snapshot(model)
+        assert model._journal is journal and journal == entries
         assert observe(before, after) == scan_observe(scanned_before, scan_snapshot(model))
 
         cloned, another = take_snapshot(clone), take_snapshot(other)
@@ -743,21 +744,18 @@ def test_journal_windows_equal_full_diff(doc, windows):
             (before, Snapshot(after.slots, after.connectors, after.clock)), (after, after),
         ]
         for prev, cur in pairs:
-            with pytest.raises(ClockRegression if cur.clock < prev.clock else NotConsecutive):
-                observe(prev, cur)
+            if cur.clock < prev.clock:
+                with pytest.raises(ClockRegression):
+                    observe(prev, cur)
+            else:
+                assert observe(prev, cur) == scan_observe(prev, cur)
+        assert observe(after, after) == []
         before = after
-
-
-def observe_changes(model):
-    """The events since the model's journal was last cut, which this cuts:
-    what ``observe`` gives for snapshots taken then and now, without them."""
-    return _events(model.cut_journal()[0], model.blueprint._slot_names, model._components,
-                   model.clock)
 
 
 def event_classify(events, model, exception_threshold, first_report_id=0):
     """The failure reports of change events, in event order: the classifier
-    that read ``observe_changes`` before ``classify`` read the journal.
+    that read the full diff of snapshots before ``classify`` read the journal.
 
     STATE_CHANGED to UNKNOWN is CF1; EXCEPTIONS_CHANGED past the threshold
     is CF2; COMPONENT_REMOVED is CF3; CONNECTOR_REMOVED is CF4 only while
@@ -1240,6 +1238,30 @@ def test_degraded_run_shares_each_standing_violation_tuple(monkeypatch):
     ])
     assert harness.scenario_json(copied) == harness.scenario_json(report)
     assert len(joined) == len(counted) and set(joined.values()) == {1}
+
+
+def test_the_renderer_holds_no_violations_tuple_but_the_last():
+    """On the layered-50 degraded case, with each round's violations copied
+    into a tuple of its own, a renderer gives the same text as for the
+    run's own records and keeps alive no copy but the last it rendered."""
+    case = next(c for c in encoder_cases() if c[0] == "layered50-degraded")
+    _, records = run_case(case)
+    alive = collections.Counter()
+
+    class Tracked(tuple):
+        def __del__(self):
+            alive[bool(self)] -= 1
+
+    render, plain = harness.round_renderer(), harness.round_renderer()
+    for r in records:
+        copied = Tracked(r.post_violations)
+        alive[bool(copied)] += 1
+        assert render(RoundRecord(r.index, r.fault, r.reports, r.plans, r.executions, copied,
+                                  r.clock_start, r.clock_end)) == plain(r)
+        del copied
+    assert sum(bool(r.post_violations) for r in records) > 100
+    last = bool(records[-1].post_violations)
+    assert alive[last] == 1 and alive[not last] == 0
 
 
 @settings(max_examples=80, deadline=None)

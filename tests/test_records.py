@@ -294,9 +294,6 @@ def test_derived_attributes_stay_out_of_equality_and_are_rebuilt():
     (always, first), (matches, second) = ruleset.by_kind[id(FaultKind.CF2)]
     assert (always, first, second) == (None, RULE, counted) and matches(FACT) is True
     assert [rule for _, rule in ruleset.by_kind[id(FaultKind.CF1)]] == [counted]
-    snapshot = Snapshot((), (), 0)
-    object.__setattr__(snapshot, "_journal", ({}, {}))
-    assert snapshot == Snapshot((), (), 0) and copy.copy(snapshot)._journal == (None, None)
 
 
 def test_a_cold_start_loads_neither_dataclasses_nor_inspect():
