@@ -53,7 +53,7 @@ from time import monotonic
 from .analyzer import FailureReport
 from .faults import FaultKind
 from .model import Frozen, render_subject
-from .rules import INT_FIELDS, Fact, NoMatch, RepairPlan, Rule, RuleSet, Strategy, evaluate
+from .rules import INT_FIELDS, Fact, NoMatch, RepairPlan, RuleSet, Strategy, evaluate
 
 PROTOCOL_VERSION = 1
 DEFAULT_PORT = 7464
@@ -355,16 +355,12 @@ def sender(sock, timeout: float):
 
 class InProcessPlanner:
     """Runs the rule engine directly; the transparent twin of RemotePlanner.
-    ``settled`` maps the id of each kind that the rule set's kind index
-    answers before any condition is tested to that answer: NoMatch where no
-    rule may fire, the rule where the first ranked one holds for the whole
-    kind. ``request_plan`` answers such a kind with no Fact built."""
+    ``settled`` is the rule set's ``RuleSet.settled``: ``request_plan``
+    answers a kind it holds with no Fact built."""
 
     def __init__(self, ruleset: RuleSet) -> None:
         self.ruleset = ruleset
-        self.settled: dict[int, Rule | NoMatch] = {
-            kind: ranked[0][1] if ranked else NoMatch()
-            for kind, ranked in ruleset.by_kind.items() if not ranked or ranked[0][0] is None}
+        self.settled = ruleset.settled
 
     def plan(self, fact: Fact) -> RepairPlan | NoMatch:
         return evaluate(self.ruleset, fact)
@@ -432,6 +428,9 @@ class RemotePlanner:
                 raise MalformedFrame("expected a plan_response frame")
             if echoed != request_id:
                 raise RemoteError("protocol", f"response for request {echoed}, expected {request_id}")
+            if type(outcome) is RepairPlan and outcome.subject != fact.subject:
+                raise RemoteError("protocol", f"plan for subject {outcome.subject!r}, "
+                                              f"expected {fact.subject!r}")
         except (MalformedFrame, RemoteError):
             self.close()  # out of step with the service; the next request must not read its lines
             raise

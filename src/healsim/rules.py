@@ -134,12 +134,15 @@ class Rule(Frozen):
 
 
 class RuleSet(Frozen):
+    """The rules in file order; derived from them, by id of each FaultKind
+    member: ``by_kind``, the (compiled condition, rule) pairs that may hold
+    for the kind, in the order ``evaluate`` tries them (by descending
+    salience, then file position; a condition that holds for the whole kind
+    is None), and ``settled``, the answer of each kind that needs no
+    condition tested: NoMatch if no rule may fire, else the first rule."""
+
     _fields = ("rules",)
-    # And, by id of each FaultKind member, the (compiled condition, rule) pairs
-    # that may hold for that kind, by descending salience, then file position:
-    # the order ``evaluate`` tries them in. A condition that holds for every
-    # fact of the kind is None. Derived from ``rules``.
-    __slots__ = _fields + ("by_kind",)
+    __slots__ = _fields + ("by_kind", "settled")
 
     def __init__(self, rules: tuple[Rule, ...]) -> None:
         names = [r.name for r in rules]
@@ -147,13 +150,15 @@ class RuleSet(Frozen):
             raise ValueError("rule names must be unique")
         ranked = sorted(rules, key=lambda rule: -rule.salience)  # stable: ties keep file order
         compiled = [_compile(r.condition) for r in ranked]
-        set_rules, set_by_kind = self._setters
+        set_rules, set_by_kind, set_settled = self._setters
         set_rules(self, rules)
-        set_by_kind(self, {id(kind): tuple(
+        set_by_kind(self, by_kind := {id(kind): tuple(
             (None if held else matches, r)
             for matches, r in zip(compiled, ranked)
             if (held := _may_hold(r.condition, kind)) is not False
         ) for kind in FaultKind})
+        set_settled(self, {kind: pairs[0][1] if pairs else NoMatch()
+                           for kind, pairs in by_kind.items() if not pairs or pairs[0][0] is None})
 
 
 class RepairPlan(Frozen):

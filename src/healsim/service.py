@@ -2,20 +2,23 @@
 protocol of ``planner.py``. Only ``healsim serve-planner`` and the tests
 import this module, so ``import healsim`` loads no server code.
 
-Each request is read with ``planner.decode`` and answered with
-``planner.encode``, the codec the client uses too: a canonical request that
-one ``recv`` brings in whole is matched as the bytes that read returned, and
-the handler's loop sends its reply with one ``send``. A frame the server
-cannot decode is answered with an error outcome (code "malformed", request
-id 0 when unrecoverable) and the connection stays open, as it does after a
-plan whose frame would pass ``MAX_FRAME`` bytes, answered with error code
-"too_large" under the request's id. Frames are read with ``planner.lines``,
-the client's reader too: a line longer than ``MAX_FRAME`` bytes is held to
-its first ``MAX_FRAME + 1`` bytes, answered with error code "too_large"
-(request id 0), and the connection is closed. The service serves at most
-``MAX_CONNECTIONS`` connections at once: one more is answered with error
-code "busy" (request id 0) and closed, with no thread started for it. A
-connection that does not complete a frame, or take in a response, within
+A request in ``planner.decode``'s one-match layout of a kind in
+``RuleSet.settled`` is answered by splicing its subject and id into that
+kind's reply frame, made at start; any other is read with ``decode`` and
+answered with ``encode`` of ``evaluate``. Either way the reply is
+``encode(request_id, evaluate(ruleset, fact))``, byte for byte. A request
+that one ``recv`` brings in whole is matched as the bytes that read
+returned, and the handler's loop sends its reply with one ``send``. A frame
+the server cannot decode is answered with an error outcome (code
+"malformed", request id 0 when unrecoverable) and the connection stays open,
+as it does after a plan whose frame would pass ``MAX_FRAME`` bytes, answered
+with error code "too_large" under the request's id. Frames are read with
+``planner.lines``, the client's reader too: a line longer than ``MAX_FRAME``
+bytes is held to its first ``MAX_FRAME + 1`` bytes, answered with error code
+"too_large" (request id 0), and the connection is closed. The service serves
+at most ``MAX_CONNECTIONS`` connections at once: one more is answered with
+error code "busy" (request id 0) and closed, with no thread started for it.
+A connection that does not complete a frame, or take in a response, within
 ``IDLE_TIMEOUT`` seconds is closed; its socket is blocking, as on the
 client, with the kernel keeping each read's deadline (``planner.lines``) and
 ``planner.sender`` each response's.
@@ -30,9 +33,10 @@ import socket
 import socketserver
 import threading
 
-from .planner import DEFAULT_PORT, MAX_FRAME, ErrorOutcome, MalformedFrame
-from .planner import decode, encode, lines, sender
-from .rules import Fact, RuleSet, evaluate
+from .faults import FaultKind
+from .planner import _NO_MATCH_FRAME, _PLAN_FRAME, _STRATEGY_TEXT, DEFAULT_PORT, MAX_FRAME
+from .planner import ErrorOutcome, MalformedFrame, _layout, _str, decode, encode, lines, sender
+from .rules import Fact, NoMatch, RuleSet, evaluate
 
 log = logging.getLogger(__name__)
 
@@ -48,6 +52,16 @@ def _best_effort_request_id(line: bytes) -> int:
     return rid if type(rid) is int else 0
 
 
+def _reply_frames(ruleset: RuleSet) -> dict[bytes, bytes]:
+    """By each settled kind's value, ``encode``'s reply to it with holes for the
+    subject's JSON text ("%.0s" in a no_match drops it) and the request id."""
+    return {kind.value.encode(): (
+        _NO_MATCH_FRAME % "%.0s%d" if type(answer) is NoMatch else _PLAN_FRAME % (
+            _str(answer.name).replace("%", "%%"), _STRATEGY_TEXT[id(answer.strategy)],
+            '"%s"', "%d")).encode("ascii")
+        for kind in FaultKind if (answer := ruleset.settled.get(id(kind))) is not None}
+
+
 class _PlanHandler(socketserver.BaseRequestHandler):
     """Serves one connection, reading its frames with ``planner.lines`` and
     sending its responses with ``planner.sender``. Each frame has
@@ -55,11 +69,15 @@ class _PlanHandler(socketserver.BaseRequestHandler):
     response was sent, and each response as long to be taken in whole."""
 
     def handle(self) -> None:
-        send = sender(self.request, IDLE_TIMEOUT)
+        send, request_layout = sender(self.request, IDLE_TIMEOUT), _layout(True)
         try:
             for line in lines(self.request, IDLE_TIMEOUT):
                 if len(line) > MAX_FRAME:  # lines gives no line after it: the connection closes
                     frame = encode(0, ErrorOutcome("too_large", f"frame exceeds {MAX_FRAME} bytes"))
+                elif (match := request_layout.fullmatch(line)) and (
+                        reply := self.server.replies.get(match[3])):  # a settled kind
+                    request_id = int(match[6])
+                    frame = reply % (match[5], request_id)  # the subject's text is its JSON text
                 else:
                     try:
                         request_id, fact = decode(line)
@@ -70,9 +88,9 @@ class _PlanHandler(socketserver.BaseRequestHandler):
                         frame = encode(_best_effort_request_id(line), malformed)
                     else:
                         frame = encode(request_id, evaluate(self.server.ruleset, fact))
-                        if len(frame) > MAX_FRAME:  # a plan echoes the subject, escaped
-                            frame = encode(request_id, ErrorOutcome(
-                                "too_large", f"reply exceeds {MAX_FRAME} bytes"))
+                if len(frame) > MAX_FRAME:  # only a plan, which echoes the subject and rule name
+                    frame = encode(request_id, ErrorOutcome(
+                        "too_large", f"reply exceeds {MAX_FRAME} bytes"))
                 try:
                     send(frame)
                 except OSError as exc:  # TimeoutError among them
@@ -125,7 +143,8 @@ class _PlanServer(socketserver.ThreadingTCPServer):
 
 class PlanService:
     """TCP planning service. Stateless across requests: every response is a
-    pure function of (ruleset, request). Rules load once, at start. ``shutdown``
+    pure function of (ruleset, request). Rules load, and the settled kinds'
+    reply frames are made, once, at start. ``shutdown``
     wakes the accept loop with no poll, and returns at once if it ended or never ran."""
 
     def __init__(self, ruleset: RuleSet, host: str = "127.0.0.1", port: int = DEFAULT_PORT):
@@ -133,7 +152,7 @@ class PlanService:
             self._server = _PlanServer((host, port), _PlanHandler)
         except OSError as exc:
             raise OSError(f"cannot bind {host}:{port}: {exc}") from exc
-        self._server.ruleset = ruleset
+        self._server.ruleset, self._server.replies = ruleset, _reply_frames(ruleset)
         self._thread: threading.Thread | None = None
         self._wake, self._woken = socket.socketpair()  # shutdown closes _wake: _woken reads EOF
 

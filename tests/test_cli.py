@@ -12,6 +12,7 @@ import pytest
 
 from healsim.cli import main
 from healsim.planner import DEFAULT_PORT, MAX_FRAME, ErrorOutcome, encode
+from healsim.rules import RepairPlan, Strategy
 from test_golden import layered_blueprint_doc
 from test_model import SLOT_NAMED_LIKE_CONNECTOR_DOC
 
@@ -534,8 +535,8 @@ def _one_shot_planner(reply: bytes) -> int:
 @pytest.mark.parametrize(
     "reply",
     [b"not a frame\n", encode(1, ErrorOutcome("internal", "rule base broken")),
-     b"x" * (MAX_FRAME + 1)],
-    ids=["malformed-frame", "error-outcome", "reply-over-max-frame"],
+     b"x" * (MAX_FRAME + 1), encode(1, RepairPlan(Strategy.AS4, "No Such Slot", "r"))],
+    ids=["malformed-frame", "error-outcome", "reply-over-max-frame", "plan-for-another-subject"],
 )
 def test_run_planner_failure_exit_2(tmp_path, capsys, reply):
     port = _one_shot_planner(reply)

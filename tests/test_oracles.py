@@ -76,7 +76,7 @@ from healsim.rules import (
     evaluate,
     parse_rules,
 )
-from healsim.service import _PlanHandler
+from healsim.service import _PlanHandler, _reply_frames
 from views import dependencies_of, present_slots, rendered_report, run_recorded, slot_names
 from test_golden import layered_blueprint_doc
 from test_rules import format_rules
@@ -1887,3 +1887,89 @@ def test_tokenize_equals_the_character_loop(text):
 def test_unescape_equals_the_character_loop(body):
     raw = f'"{body}"'
     assert lexed(rules._unescape, raw, 3, 7) == lexed(reference_unescape, raw, 3, 7)
+
+
+# -- (i) the service's spliced replies vs encoding the evaluated plan ----------
+# The service answers a canonical request of a kind its rule set settles by
+# splicing the subject and request id into a reply frame made at start. The
+# reference encodes what evaluate answers, under the id's integer value.
+
+ONE_MATCH_TEXT = st.text(
+    st.sampled_from([chr(c) for c in range(0x20, 0x7F) if chr(c) not in '"\\']), max_size=20)
+SPLICE_SUBJECTS = st.one_of(st.sampled_from(["a", "b", "", "%s", "%d%%", "%.0s"]), ONE_MATCH_TEXT,
+                            st.text(max_size=8))  # the last mostly outside the one-match alphabet
+SPLICE_INTS = st.one_of(st.integers(-1, 3), st.integers(-(10**19), 10**19))
+SPLICE_IDS = st.one_of(st.just("-0"), st.just("0"), st.integers(-(10**18) + 1, -1).map(str),
+                       st.integers(10**17, 10**18 - 1).map(str),  # 18 digits: still one match
+                       st.integers(10**18, 10**19).map(str), st.integers(1, 99).map(str))
+SPLICE_FACTS = st.builds(Fact, st.sampled_from(FaultKind), SPLICE_SUBJECTS, SPLICE_INTS,
+                         SPLICE_INTS, SPLICE_INTS)
+# A rule name, with a quote and % signs, long enough that a plan reply of an
+# empty subject and a one-digit id is 24 bytes short of MAX_FRAME: a longer
+# subject or id passes it.
+_NAME_HEAD = '%s "long" %d %%'
+LONG_NAME = _NAME_HEAD + "n" * (
+    MAX_FRAME - 24 - len(encode(0, RepairPlan(Strategy.AS1, "", _NAME_HEAD))))
+SPLICE_POLICIES = {
+    "bundled": rules.default_ruleset(),
+    "degraded": parse_rules(DEGRADED_RULES),
+    "escalation": RuleSet(rules.default_ruleset().rules + (
+        Rule("escalate", 10, Comparison("prior_failures_of_subject", ">=", 2), Strategy.AS4),)),
+    "long-name": RuleSet((
+        Rule(LONG_NAME, 0, Comparison("kind", "!=", FaultKind.CF4), Strategy.AS1),)),
+}
+
+
+def request_line(fact, request_id):
+    """The canonical request of ``fact``, its id written as ``request_id`` says."""
+    head, _, tail = encode(0, fact).rpartition(b'"request_id":0,')
+    return head + b'"request_id":' + request_id.encode() + b"," + tail
+
+
+def one_match(fact, request_id):
+    """Whether the request's frame takes decode's one match."""
+    values = (request_id, fact.exception_count, fact.dependent_count,
+              fact.prior_failures_of_subject)
+    return (re.fullmatch(r'[ !#-\[\]-~]*', fact.subject) is not None
+            and all(len(str(abs(int(value)))) <= 18 for value in values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ruleset=st.one_of(st.sampled_from(list(SPLICE_POLICIES.values())), RULESETS),
+       requests=st.lists(st.tuples(SPLICE_FACTS, SPLICE_IDS), min_size=1, max_size=6),
+       over_long=st.booleans(), joined=st.booleans())
+@example(ruleset=SPLICE_POLICIES["long-name"],
+         requests=[(Fact(FaultKind.CF1, "x" * n, 0, 0, 0), "-0") for n in (24, 25)],
+         over_long=False, joined=False)  # a reply of MAX_FRAME bytes, then one more
+@example(ruleset=SPLICE_POLICIES["degraded"], requests=[
+    (Fact(kind, "%s", 0, 0, 2), request_id) for kind in FaultKind for request_id in ("-0", "7")],
+         over_long=True, joined=True)
+def test_the_service_s_spliced_replies_equal_encoding_the_evaluated_plan(
+        ruleset, requests, over_long, joined):
+    """Each reply of the handler equals encode(int(id), evaluate(ruleset,
+    fact)), or the too_large error the service sends for a reply over
+    MAX_FRAME; a request line over MAX_FRAME is answered too_large (id 0)
+    and ends the connection. Only a request of a kind the rule set does not
+    settle, or one off the one-match layout, is put to evaluate."""
+    frames = [request_line(fact, request_id) for fact, request_id in requests]
+    if over_long:  # a canonical request, but too long: no splice may answer it
+        frames.append(request_line(Fact(FaultKind.CF2, "s" * MAX_FRAME), "5"))
+    expected = []
+    for fact, request_id in requests:
+        reply = encode(int(request_id), evaluate(ruleset, fact))
+        if len(reply) > MAX_FRAME:
+            reply = encode(int(request_id),
+                           ErrorOutcome("too_large", f"reply exceeds {MAX_FRAME} bytes"))
+        expected.append(reply)
+    if over_long:
+        expected.append(encode(0, ErrorOutcome("too_large", f"frame exceeds {MAX_FRAME} bytes")))
+    sock = ChunkedSocket([b"".join(frames)] if joined else frames)
+    handler = _PlanHandler.__new__(_PlanHandler)  # not constructed: that would serve at once
+    handler.request, handler.client_address = sock, ("peer", 0)
+    handler.server = SimpleNamespace(ruleset=ruleset, replies=_reply_frames(ruleset))
+    with mock.patch("healsim.service.evaluate", side_effect=evaluate) as evaluated:
+        handler.handle()
+    assert sock.sent == expected
+    assert evaluated.call_count == sum(id(fact.kind) not in ruleset.settled
+                                       or not one_match(fact, request_id)
+                                       for fact, request_id in requests)

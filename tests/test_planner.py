@@ -686,11 +686,11 @@ def test_inproc_and_remote_runs_agree_on_both_decode_paths(tmp_path):
 
 def count_codec_calls(monkeypatch):
     """From now on, count each call to encode and decode, by either end's
-    name for them, and to json.loads, which the full check of decode starts
-    with."""
+    name for them, to the service's evaluate, and to json.loads, which the
+    full check of decode starts with."""
     calls = collections.Counter()
     for owner, name in ((planner, "encode"), (planner, "decode"), (service_module, "encode"),
-                        (service_module, "decode"), (json, "loads")):
+                        (service_module, "decode"), (service_module, "evaluate"), (json, "loads")):
         def counted(*args, _fn=getattr(owner, name), _name=f"{owner.__name__}.{name}", **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
@@ -699,15 +699,22 @@ def count_codec_calls(monkeypatch):
     return calls
 
 
+CLIENT_CODEC = ("healsim.planner.encode", "healsim.planner.decode")
+SERVICE_CODEC = ("healsim.service.decode", "healsim.service.evaluate", "healsim.service.encode")
+
+
 @pytest.mark.parametrize("policy", ["bundled", "bench-degraded"])
 def test_a_canonical_round_trip_takes_one_match_on_both_ends(policy, monkeypatch):
-    """Over a 2000-round shop run against an in-thread service, each
-    request takes one encode and one decode at each end, and no end calls
-    json.loads: the client encodes the request from its fact, the service
-    decodes it in one match and encodes the reply from the outcome, and the
-    client decodes that in one match. The bench policy's CF4s are answered
-    no_match. A subject outside the one-match alphabet takes the full check
-    at both ends and gets the in-process answer."""
+    """Over a 2000-round shop run against an in-thread service, the client
+    takes one encode and one decode per request, and no end calls
+    json.loads: the client encodes the request from its fact and decodes the
+    reply in one match. The service answers a request of a settled kind by
+    splicing into its reply frame, with no decode, evaluate or encode: under
+    the bundled policy every request; under the bench policy all but the
+    CF1s, whose first rule has a condition, and each of which takes one
+    decode (one match), evaluate and encode. The bench policy's CF4s are
+    answered no_match. A subject outside the one-match alphabet takes the
+    full check at both ends and gets the in-process answer."""
     ruleset = default_ruleset() if policy == "bundled" else degraded_ruleset()
     service = PlanService(ruleset, host="127.0.0.1", port=0).start()
     runner = RecordingRunner(ScenarioConfig(seed=42, rounds=2000,
@@ -716,15 +723,19 @@ def test_a_canonical_round_trip_takes_one_match_on_both_ends(policy, monkeypatch
         calls = count_codec_calls(monkeypatch)
         runner.run()
         plans = [plan for record in runner.rounds for plan in record.plans]
-        once = dict.fromkeys(("healsim.planner.encode", "healsim.planner.decode",
-                              "healsim.service.decode", "healsim.service.encode"), len(plans))
-        assert len(plans) > 1000 and calls == once
+        kinds = collections.Counter(report.kind for record in runner.rounds
+                                    for report in record.reports)
+        evaluated = 0 if policy == "bundled" else kinds[FaultKind.CF1]
+        assert len(plans) > 1000 and sum(kinds.values()) == len(plans) and evaluated < len(plans)
+        assert (evaluated > 0) is (policy == "bench-degraded")
+        assert calls == {**dict.fromkeys(CLIENT_CODEC, len(plans)),
+                         **(dict.fromkeys(SERVICE_CODEC, evaluated) if evaluated else {})}
         assert (NoMatch() in plans) is (policy == "bench-degraded")
         calls.clear()
         facts = [Fact(FaultKind.CF1, 'Say "hi"'), Fact(FaultKind.CF2, "Müller", 7, 1, 2)]
         assert [runner.planner.plan(fact) for fact in facts] == [
             InProcessPlanner(ruleset).plan(fact) for fact in facts]
-        assert calls == {**dict.fromkeys(once, 2), "json.loads": 4}
+        assert calls == {**dict.fromkeys(CLIENT_CODEC + SERVICE_CODEC, 2), "json.loads": 4}
     finally:
         runner.close()
         service.shutdown()
@@ -756,6 +767,35 @@ def test_the_client_checks_a_reply_s_length_before_its_layout():
     assert remote._sock is None
     thread.join(timeout=5)
     assert taken == [encode(1, Fact(FaultKind.CF1, "x")), b""]
+
+
+def test_the_client_refuses_a_plan_for_a_subject_it_did_not_ask_about():
+    """A plan that answers the request's id but names another subject is out
+    of step with the request: the client raises a protocol error and closes
+    the connection, as for a reply to another request id."""
+    reply = encode(1, RepairPlan(Strategy.AS4, "Frontend", "r"))
+    server = socket.create_server(("127.0.0.1", 0))
+    taken = []
+
+    def serve():
+        with server:
+            conn, _ = server.accept()
+            conn.settimeout(5)
+            with conn, conn.makefile("rb") as reader:
+                taken.append(reader.readline())
+                conn.sendall(reply)
+                taken.append(reader.read())  # EOF once the client closes
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    remote = RemotePlanner(*server.getsockname()[:2])
+    fact = Fact(FaultKind.CF1, "Query Service")
+    with pytest.raises(RemoteError, match="^protocol: plan for subject 'Frontend', "
+                                          "expected 'Query Service'$") as raised:
+        remote.plan(fact)
+    assert raised.value.code == "protocol" and remote._sock is None
+    thread.join(timeout=5)
+    assert taken == [encode(1, fact), b""]
 
 
 def test_the_service_checks_a_request_s_length_before_its_layout(service):

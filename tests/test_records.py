@@ -294,6 +294,12 @@ def test_derived_attributes_stay_out_of_equality_and_are_rebuilt():
     (always, first), (matches, second) = ruleset.by_kind[id(FaultKind.CF2)]
     assert (always, first, second) == (None, RULE, counted) and matches(FACT) is True
     assert [rule for _, rule in ruleset.by_kind[id(FaultKind.CF1)]] == [counted]
+    assert ruleset.settled == {id(FaultKind.CF2): RULE}  # elsewhere "e", conditional, is first
+    only = RuleSet((RULE,))
+    for copied in _round_trips(only):
+        assert copied == only and RuleSet._key(copied) == ("RuleSet", (RULE,))
+        assert copied.settled is not only.settled and copied.settled == {
+            id(kind): RULE if kind is FaultKind.CF2 else NoMatch() for kind in FaultKind}
 
 
 def test_a_cold_start_loads_neither_dataclasses_nor_inspect():
